@@ -8,7 +8,6 @@
                             Wigner caustic for the two extremal bodies
 """
 
-import math
 import pathlib
 import sys
 
@@ -28,8 +27,6 @@ from hurwitzlab import (  # noqa: E402
     sample_hypocycloid,
     write_svg,
 )
-
-TWO_PI = 2.0 * math.pi
 
 BLACK = Style(stroke="#000000")
 RED = Style(stroke="#b2182b")
@@ -81,8 +78,8 @@ def fig3(out: pathlib.Path) -> None:
     out.write_bytes(write_svg(scene))
 
 
-def main() -> int:
-    out_dir = pathlib.Path(__file__).resolve().parents[1] / "out"
+def main(out_dir: pathlib.Path | None = None) -> int:
+    out_dir = out_dir or pathlib.Path(__file__).resolve().parents[1] / "out"
     out_dir.mkdir(exist_ok=True)
     fig1(out_dir / "fig1_hypocycloids.svg")
     fig2(out_dir / "fig2_parallel_curves.svg")

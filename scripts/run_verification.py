@@ -7,7 +7,6 @@ constant-width body and a generic body, then prints a compact summary of
 residuals and detected equality cases.
 """
 
-import math
 import pathlib
 import sys
 
@@ -25,7 +24,6 @@ from hurwitzlab import (  # noqa: E402
     validate_convex,
 )
 
-PI = math.pi
 
 FIXTURES = {
     "disk": construct(CircleSpec(1.0)),

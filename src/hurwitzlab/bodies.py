@@ -38,8 +38,7 @@ from .errors import (
     NotStrictlyConvex,
     NotValidated,
 )
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,13 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
 def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     """Certify strict convexity; returns the body marked as validated.
 
-    Raises NonpositiveMean when a0 <= 0 and NotStrictlyConvex when the
-    curvature radius dips below eps (default 1e-9 * a0).
+    Raises BadSpec when a coefficient is not finite, NonpositiveMean when
+    a0 <= 0 and NotStrictlyConvex when the curvature radius dips below eps
+    (default 1e-9 * a0).
     """
+    coeffs = [body.a0] + [c for h in body.harmonics for c in (h.a, h.b)]
+    if not all(math.isfinite(c) for c in coeffs):
+        raise BadSpec("support coefficients must be finite")
     if body.a0 <= 0.0:
         raise NonpositiveMean(f"mean term a0={body.a0:.6g} must be positive")
     if eps is None:

@@ -8,8 +8,6 @@ Subcommands:
 
 Exit codes: 0 success, 1 inequality violation, 2 input/validation error.
 Identical invocations with identical flags produce byte-identical output.
-The environment variable HURWITZLAB_WORKERS overrides the sweep's worker
-count (results are reduced in seed order either way).
 """
 
 from __future__ import annotations
@@ -17,20 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bodies as B
 from . import jsonio
 from .errors import HurwitzLabError
 from .functionals import functionals_quadrature, functionals_spectral
-from .quadrature import QuadratureGrid
+from .quadrature import TWO_PI, QuadratureGrid
 from .render import CURVE_KINDS, Scene, Style, sample_curve, sample_hypocycloid, write_svg
-from .verdicts import SuiteConfig, TheoremId, run_suite
+from .verdicts import THEOREMS, SuiteConfig, run_suite
 from .visual_angle import ExteriorConfig
-
-TWO_PI = 2.0 * math.pi
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
@@ -199,35 +193,17 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _sweep_one(task):
-    seed, index, degree, cw, cfg = task
-    body = B.random_body(seed, degree, constant_width=cw, index=index)
-    return run_suite(body, cfg)
-
-
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise HurwitzLabError(f"--count must be >= 1, got {args.count}")
     cfg = SuiteConfig(path="spectral", tol=args.tol, exterior=_exterior_config(args))
     geo_cfg = SuiteConfig(path="both", tol=args.tol, exterior=_exterior_config(args))
     geo_stride = max(1, args.count // 8)
-    tasks = []
-    for i in range(args.count):
-        cw = i % 2 == 1
-        degree = 2 + (i % 7)
-        use = geo_cfg if (args.path == "both" and i % geo_stride == 0) else cfg
-        tasks.append((args.seed, i, degree, cw, use))
-
-    workers = int(os.environ.get("HURWITZLAB_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_one, tasks))
-    else:
-        reports = [_sweep_one(t) for t in tasks]
-
     stats: dict[str, dict] = {}
     violations = []
-    for i, report in enumerate(reports):
+    for i in range(args.count):
+        body = B.random_body(args.seed, 2 + (i % 7), constant_width=i % 2 == 1, index=i)
+        report = run_suite(body, geo_cfg if (args.path == "both" and i % geo_stride == 0) else cfg)
         for v in report.verdicts:
             if not v.applicable:
                 continue
@@ -243,7 +219,7 @@ def cmd_sweep(args) -> int:
         "count": args.count,
         "seed": args.seed,
         "path": args.path,
-        "per_theorem": {tid.value: stats.get(tid.value, None) for tid in TheoremId},
+        "per_theorem": {tid.value: stats.get(tid.value, None) for tid in THEOREMS},
         "violations": violations,
         "pass": not violations,
     }

@@ -42,10 +42,7 @@ from .bodies import (
     wigner_support,
 )
 from .errors import BadInterval
-from .quadrature import QuadratureGrid, grid_for_degree, periodic_integral
-
-TWO_PI = 2.0 * math.pi
-PI = math.pi
+from .quadrature import PI, TWO_PI, QuadratureGrid, grid_for_degree, periodic_integral
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import EmptyGrid
 
+PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 

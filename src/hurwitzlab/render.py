@@ -18,13 +18,14 @@ from .bodies import (
     TrigSupport,
     _eval,
     _require_validated,
+    boundary_point,
+    offset,
     recenter_to_steiner,
     steiner_point,
     wigner_support,
 )
 from .errors import EmptyScene, OpenPolyline
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI
 
 CURVE_KINDS = ("boundary", "evolute", "pedal", "parallel", "wigner")
 
@@ -48,13 +49,6 @@ class Polyline:
         return [[float(x), float(y)] for x, y in self.vertices]
 
 
-def _envelope(support: TrigSupport, phis: np.ndarray) -> np.ndarray:
-    p = _eval(support, phis, 0)
-    dp = _eval(support, phis, 1)
-    c, s = np.cos(phis), np.sin(phis)
-    return np.stack([p * c - dp * s, p * s + dp * c], axis=1)
-
-
 def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = None) -> Polyline:
     """Uniform-in-normal-angle sample of a curve attached to the body.
 
@@ -69,7 +63,7 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
         raise ValueError(f"need at least 64 samples, got {m}")
     phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
     if kind == "boundary":
-        verts = _envelope(body, phis)
+        verts = boundary_point(body, phis)
     elif kind == "evolute":
         dp = _eval(body, phis, 1)
         ddp = _eval(body, phis, 2)
@@ -83,12 +77,9 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
     elif kind == "parallel":
         if r is None:
             raise ValueError("parallel curves need the offset r")
-        p = _eval(body, phis, 0) + r
-        dp = _eval(body, phis, 1)
-        c, s = np.cos(phis), np.sin(phis)
-        verts = np.stack([p * c - dp * s, p * s + dp * c], axis=1)
+        verts = boundary_point(offset(body, r), phis)
     elif kind == "wigner":
-        verts = _envelope(wigner_support(body), phis)
+        verts = boundary_point(wigner_support(body), phis)
     else:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
     return Polyline(verts, closed=True)

@@ -4,7 +4,9 @@ Each check is oriented as lhs >= rhs with residual = lhs - rhs, evaluated
 on a spectral path (closed-form sums, exterior integrals replaced by their
 known closed forms) and a geometric path (quadrature functionals plus the
 tangent-coordinate exterior integrator).  Constant-width-only bounds are
-reported as inapplicable, not failed, on general bodies.
+reported as inapplicable, not failed, on general bodies.  Each inequality
+is one entry of THEOREMS; `verify` evaluates an entry without knowing which
+theorem it is.
 
 The closed forms used to shortcut exterior integrals:
 
@@ -20,49 +22,134 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
-from .quadrature import QuadratureGrid
-from .visual_angle import (
-    ExteriorConfig,
-    IntegralResult,
-    exterior_integral,
-    sin_cubed_kernel,
-    visual_deficit_cw_kernel,
-    visual_deficit_kernel,
-)
-
-PI = math.pi
+from .quadrature import PI, QuadratureGrid
+from .visual_angle import KERNELS, ExteriorConfig, IntegralResult, exterior_integral
 
 
 class TheoremId(str, Enum):
     """Stable identifiers for the verified inequalities."""
 
-    HURWITZ = "hurwitz"                          # pi|Fe| >= Delta
-    VISUAL = "visual_angle_bound"                # deficit >= (5/4)L^2 + 5*int(visual_deficit)
-    PEDAL = "pedal_bound"                        # deficit >= (40/9)(pi(A-F) + (2/3)L^2 - (8/9)int sin^3)
-    STEINER_DISK = "steiner_disk_bound"          # deficit >= 20(pi d2^2 + L^2/3 - (4/9)int sin^3)
-    HURWITZ_CW = "hurwitz_cw"                    # (4/9)pi|Fe| >= Delta
-    PEDAL_EVOLUTE_CW = "pedal_evolute_cw"        # |Fe|/8 >= A - F
-    VISUAL_CW = "visual_angle_bound_cw"          # cw deficit >= (64/9)int(visual_deficit_cw)
-    PEDAL_CW = "pedal_bound_cw"                  # deficit >= (40/9)pi(A-F)
-    STEINER_DISK_CW = "steiner_disk_cw"          # deficit >= 20 pi d2^2 and |Fe| >= 36 d2^2
-    WIGNER_ISO = "wigner_isoperimetric"          # Delta >= 4 pi |Aw|
-    WIGNER_PEDAL = "wigner_pedal"                # A - F >= |Aw|
-    PEDAL_DEFICIT_CW = "pedal_deficit_cw"        # Delta >= (32/9) pi (A-F), imported bound
+    HURWITZ = "hurwitz"
+    VISUAL = "visual_angle_bound"
+    PEDAL = "pedal_bound"
+    STEINER_DISK = "steiner_disk_bound"
+    HURWITZ_CW = "hurwitz_cw"
+    PEDAL_EVOLUTE_CW = "pedal_evolute_cw"
+    VISUAL_CW = "visual_angle_bound_cw"
+    PEDAL_CW = "pedal_bound_cw"
+    STEINER_DISK_CW = "steiner_disk_cw"
+    WIGNER_ISO = "wigner_isoperimetric"
+    WIGNER_PEDAL = "wigner_pedal"
+    PEDAL_DEFICIT_CW = "pedal_deficit_cw"
 
 
-CONSTANT_WIDTH_ONLY = frozenset(
-    {
-        TheoremId.HURWITZ_CW,
-        TheoremId.PEDAL_EVOLUTE_CW,
-        TheoremId.VISUAL_CW,
-        TheoremId.PEDAL_CW,
-        TheoremId.STEINER_DISK_CW,
-        TheoremId.PEDAL_DEFICIT_CW,
-    }
+def _c_sq(fs: FunctionalSet, n: int) -> float:
+    return fs.cn_sq_map().get(n, 0.0)
+
+
+# closed forms of the exterior integrals, keyed like visual_angle.KERNELS
+SPECTRAL_INTEGRALS: dict[str, Callable[[FunctionalSet], float]] = {
+    "sin_cubed": lambda fs: 0.75 * (fs.L * fs.L + 3.0 * PI * PI * _c_sq(fs, 2)),
+    "visual_deficit": lambda fs: -PI * fs.F - 1.5 * PI * PI * _c_sq(fs, 2),
+    "visual_deficit_cw": lambda fs: (
+        0.25 * (fs.L * fs.L) - PI * fs.F - 2.25 * PI * PI * _c_sq(fs, 2) - 4.0 * PI * PI * _c_sq(fs, 3)
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One inequality lhs >= rhs and its predicted equality case.
+
+    lhs and rhs take the functionals and the value of the exterior integral
+    named by `integral` (None when the bound needs none); `weight` is
+    |d rhs / d integral|, which scales that integral's error bar.  Equality
+    is predicted when the harmonic support lies in `equality_support` (None:
+    any support) and, if `equality_needs_cw`, the body has constant width.
+    `cw_notes` is appended on constant-width bodies; `companion` is a second
+    bound (name, lhs, rhs) that must hold alongside the first.
+    """
+
+    lhs: Callable[[FunctionalSet, float | None], float]
+    rhs: Callable[[FunctionalSet, float | None], float]
+    equality_support: frozenset[int] | None
+    equality_needs_cw: bool = False
+    cw_only: bool = False
+    integral: str | None = None
+    weight: float = 0.0
+    notes: str = ""
+    cw_notes: str = ""
+    companion: tuple[str, Callable[[FunctionalSet], float], Callable[[FunctionalSet], float]] | None = None
+
+
+def _deficit(fs: FunctionalSet, _=None) -> float:
+    """Hurwitz deficit pi|Fe| - Delta."""
+    return PI * abs(fs.Fe) - fs.Delta
+
+
+def _delta(fs: FunctionalSet, _=None) -> float:
+    return fs.Delta
+
+
+_EXTERNAL_NOTE = "uses an inequality imported from the cited literature (external)"
+_WIGNER_NOTE = (
+    "under the full-period Wigner area convention the constant-width "
+    "equality claim A - F = |Aw| does not hold; the strictly positive "
+    "residual is reported as a documented discrepancy, not a failure"
 )
+
+THEOREMS: dict[TheoremId, Theorem] = {
+    TheoremId.HURWITZ: Theorem(lambda fs, _: PI * abs(fs.Fe), _delta, frozenset({2})),
+    TheoremId.VISUAL: Theorem(
+        _deficit, lambda fs, i: 1.25 * (fs.L * fs.L) + 5.0 * i, frozenset({2, 3}),
+        integral="visual_deficit", weight=5.0,
+    ),
+    TheoremId.PEDAL: Theorem(
+        _deficit,
+        lambda fs, i: (40.0 / 9.0) * (PI * fs.AmF + (2.0 / 3.0) * (fs.L * fs.L) - (8.0 / 9.0) * i),
+        frozenset({2, 3}), integral="sin_cubed", weight=(40.0 / 9.0) * (8.0 / 9.0),
+    ),
+    TheoremId.STEINER_DISK: Theorem(
+        _deficit, lambda fs, i: 20.0 * (PI * fs.delta2_sq + (fs.L * fs.L) / 3.0 - (4.0 / 9.0) * i),
+        frozenset({2, 3}), integral="sin_cubed", weight=20.0 * (4.0 / 9.0),
+    ),
+    TheoremId.HURWITZ_CW: Theorem(
+        lambda fs, _: (4.0 / 9.0) * (PI * abs(fs.Fe)), _delta, frozenset({3}),
+        equality_needs_cw=True, cw_only=True,
+    ),
+    TheoremId.PEDAL_EVOLUTE_CW: Theorem(
+        lambda fs, _: abs(fs.Fe) / 8.0, lambda fs, _: fs.AmF, frozenset({3}),
+        equality_needs_cw=True, cw_only=True, notes=_EXTERNAL_NOTE,
+    ),
+    TheoremId.VISUAL_CW: Theorem(
+        lambda fs, _: (4.0 / 9.0) * (PI * abs(fs.Fe)) - fs.Delta, lambda fs, i: (64.0 / 9.0) * i,
+        frozenset({3, 5}), equality_needs_cw=True, cw_only=True,
+        integral="visual_deficit_cw", weight=64.0 / 9.0,
+    ),
+    TheoremId.PEDAL_CW: Theorem(
+        _deficit, lambda fs, _: (40.0 / 9.0) * PI * fs.AmF, frozenset({3}),
+        equality_needs_cw=True, cw_only=True,
+    ),
+    TheoremId.STEINER_DISK_CW: Theorem(
+        _deficit, lambda fs, _: 20.0 * PI * fs.delta2_sq, frozenset({3}),
+        equality_needs_cw=True, cw_only=True,
+        companion=("|Fe| >= 36*delta2^2", lambda fs: abs(fs.Fe), lambda fs: 36.0 * fs.delta2_sq),
+    ),
+    TheoremId.WIGNER_ISO: Theorem(
+        _delta, lambda fs, _: 4.0 * PI * abs(fs.Aw), None, equality_needs_cw=True,
+    ),
+    TheoremId.WIGNER_PEDAL: Theorem(
+        lambda fs, _: fs.AmF, lambda fs, _: abs(fs.Aw), frozenset(), cw_notes=_WIGNER_NOTE,
+    ),
+    TheoremId.PEDAL_DEFICIT_CW: Theorem(
+        _delta, lambda fs, _: (32.0 / 9.0) * PI * fs.AmF, frozenset({3}),
+        equality_needs_cw=True, cw_only=True, notes=_EXTERNAL_NOTE,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -134,38 +221,9 @@ def classify_equality(body: TrigSupport, tol: float = 1e-9) -> EqualityClass:
 
 def expected_equality(theorem: TheoremId, support, constant_width: bool) -> bool:
     """Equality prediction from the harmonic support alone."""
-    s = set(support)
-    if theorem == TheoremId.HURWITZ:
-        return s <= {2}
-    if theorem in (TheoremId.VISUAL, TheoremId.PEDAL, TheoremId.STEINER_DISK):
-        return s <= {2, 3}
-    if theorem == TheoremId.VISUAL_CW:
-        return constant_width and s <= {3, 5}
-    if theorem in CONSTANT_WIDTH_ONLY:
-        return constant_width and s <= {3}
-    if theorem == TheoremId.WIGNER_ISO:
-        return constant_width
-    if theorem == TheoremId.WIGNER_PEDAL:
-        return not s
-    raise ValueError(f"unknown theorem {theorem!r}")
-
-
-def _spectral_integrals(fs: FunctionalSet) -> dict[str, float]:
-    c2 = fs.cn_sq_map().get(2, 0.0)
-    c3 = fs.cn_sq_map().get(3, 0.0)
-    L2 = fs.L * fs.L
-    return {
-        "sin_cubed": 0.75 * (L2 + 3.0 * PI * PI * c2),
-        "visual_deficit": -PI * fs.F - 1.5 * PI * PI * c2,
-        "visual_deficit_cw": 0.25 * L2 - PI * fs.F - 2.25 * PI * PI * c2 - 4.0 * PI * PI * c3,
-    }
-
-
-_WIGNER_NOTE = (
-    "under the full-period Wigner area convention the constant-width "
-    "equality claim A - F = |Aw| does not hold; the strictly positive "
-    "residual is reported as a documented discrepancy, not a failure"
-)
+    t = THEOREMS[TheoremId(theorem)]
+    support_ok = t.equality_support is None or set(support) <= t.equality_support
+    return support_ok and (constant_width or not t.equality_needs_cw)
 
 
 # suites evaluate 12 theorems over shared, immutable inputs: memoize the
@@ -177,16 +235,9 @@ def _cached_functionals(body: TrigSupport, path: str, grid: QuadratureGrid | Non
     return functionals_quadrature(body, grid=grid)
 
 
-_KERNEL_MAKERS = {
-    "sin_cubed": sin_cubed_kernel,
-    "visual_deficit": visual_deficit_kernel,
-    "visual_deficit_cw": visual_deficit_cw_kernel,
-}
-
-
 @lru_cache(maxsize=256)
 def _cached_integral(body: TrigSupport, kernel_name: str, cfg: ExteriorConfig) -> IntegralResult:
-    return exterior_integral(body, _KERNEL_MAKERS[kernel_name](), cfg)
+    return exterior_integral(body, KERNELS[kernel_name](), cfg)
 
 
 def verify(
@@ -209,94 +260,40 @@ def verify(
     theorem = TheoremId(theorem)
     if path not in ("spectral", "geometric"):
         raise ValueError(f"path must be 'spectral' or 'geometric', got {path!r}")
+    t = THEOREMS[theorem]
 
     cw, _ = is_constant_width(body)
-    if theorem in CONSTANT_WIDTH_ONLY and not cw:
+    if t.cw_only and not cw:
         return Verdict(
             id=theorem, applicable=False, lhs=float("nan"), rhs=float("nan"),
             residual=float("nan"), equality=False, path=path,
             notes="requires constant width",
         )
 
+    value, int_err = None, 0.0
     if path == "spectral":
         fs = _cached_functionals(body, "spectral", None)
-        ints = _spectral_integrals(fs)
-        int_err = {k: 0.0 for k in ints}
+        if t.integral:
+            value = SPECTRAL_INTEGRALS[t.integral](fs)
     else:
         fs = _cached_functionals(body, "quadrature", grid)
-        ints = {}
-        int_err = {}
-        cfg = config or ExteriorConfig()
-        needed = {
-            TheoremId.VISUAL: "visual_deficit",
-            TheoremId.PEDAL: "sin_cubed",
-            TheoremId.STEINER_DISK: "sin_cubed",
-            TheoremId.VISUAL_CW: "visual_deficit_cw",
-        }
-        if theorem in needed:
-            name = needed[theorem]
-            res = _cached_integral(body, name, cfg)
-            ints[name] = res.value
-            int_err[name] = res.error_bar
+        if t.integral:
+            res = _cached_integral(body, t.integral, config or ExteriorConfig())
+            value, int_err = res.value, res.error_bar
 
-    L2 = fs.L * fs.L
-    pi_fe = PI * abs(fs.Fe)
-    deficit = pi_fe - fs.Delta
-    scale = max(L2, pi_fe)
-    base_err = 0.0 if path == "spectral" else 1e-12 * scale
-    notes = ""
-
-    if theorem == TheoremId.HURWITZ:
-        lhs, rhs, rhs_err = pi_fe, fs.Delta, base_err
-    elif theorem == TheoremId.VISUAL:
-        lhs = deficit
-        rhs = 1.25 * L2 + 5.0 * ints["visual_deficit"]
-        rhs_err = base_err + 5.0 * int_err["visual_deficit"]
-    elif theorem == TheoremId.PEDAL:
-        lhs = deficit
-        rhs = (40.0 / 9.0) * (PI * fs.AmF + (2.0 / 3.0) * L2 - (8.0 / 9.0) * ints["sin_cubed"])
-        rhs_err = base_err + (40.0 / 9.0) * (8.0 / 9.0) * int_err["sin_cubed"]
-    elif theorem == TheoremId.STEINER_DISK:
-        lhs = deficit
-        rhs = 20.0 * (PI * fs.delta2_sq + L2 / 3.0 - (4.0 / 9.0) * ints["sin_cubed"])
-        rhs_err = base_err + 20.0 * (4.0 / 9.0) * int_err["sin_cubed"]
-    elif theorem == TheoremId.HURWITZ_CW:
-        lhs, rhs, rhs_err = (4.0 / 9.0) * pi_fe, fs.Delta, base_err
-    elif theorem == TheoremId.PEDAL_EVOLUTE_CW:
-        lhs, rhs, rhs_err = abs(fs.Fe) / 8.0, fs.AmF, base_err
-        notes = "uses an inequality imported from the cited literature (external)"
-    elif theorem == TheoremId.VISUAL_CW:
-        lhs = (4.0 / 9.0) * pi_fe - fs.Delta
-        rhs = (64.0 / 9.0) * ints["visual_deficit_cw"]
-        rhs_err = base_err + (64.0 / 9.0) * int_err["visual_deficit_cw"]
-    elif theorem == TheoremId.PEDAL_CW:
-        lhs, rhs, rhs_err = deficit, (40.0 / 9.0) * PI * fs.AmF, base_err
-    elif theorem == TheoremId.STEINER_DISK_CW:
-        lhs = deficit
-        rhs = 20.0 * PI * fs.delta2_sq
-        rhs_err = base_err
-        lhs2 = abs(fs.Fe)
-        rhs2 = 36.0 * fs.delta2_sq
-        notes = f"companion bound |Fe| >= 36*delta2^2: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
-    elif theorem == TheoremId.WIGNER_ISO:
-        lhs, rhs, rhs_err = fs.Delta, 4.0 * PI * abs(fs.Aw), base_err
-    elif theorem == TheoremId.WIGNER_PEDAL:
-        lhs, rhs, rhs_err = fs.AmF, abs(fs.Aw), base_err
-        if cw:
-            notes = _WIGNER_NOTE
-    elif theorem == TheoremId.PEDAL_DEFICIT_CW:
-        lhs, rhs, rhs_err = fs.Delta, (32.0 / 9.0) * PI * fs.AmF, base_err
-        notes = "uses an inequality imported from the cited literature (external)"
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled theorem {theorem!r}")
-
+    scale = max(fs.L * fs.L, PI * abs(fs.Fe))
+    rhs_err = (0.0 if path == "spectral" else 1e-12 * scale) + t.weight * int_err
+    lhs, rhs = t.lhs(fs, value), t.rhs(fs, value)
     residual = lhs - rhs
     eq_tol = max(tol * scale, 3.0 * rhs_err)
     equality = abs(residual) <= eq_tol
-    if theorem == TheoremId.STEINER_DISK_CW:
-        res2 = lhs2 - rhs2
-        residual = min(residual, res2)
-        equality = equality and abs(res2) <= eq_tol
+    notes = t.notes + (t.cw_notes if cw else "")
+    if t.companion:
+        name, companion_lhs, companion_rhs = t.companion
+        lhs2, rhs2 = companion_lhs(fs), companion_rhs(fs)
+        notes = f"companion bound {name}: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
+        residual = min(residual, lhs2 - rhs2)
+        equality = equality and abs(lhs2 - rhs2) <= eq_tol
     return Verdict(
         id=theorem, applicable=True, lhs=lhs, rhs=rhs, residual=residual,
         equality=equality, path=path, error_bar=rhs_err, notes=notes,
@@ -342,7 +339,7 @@ def run_suite(body: TrigSupport, config: SuiteConfig | None = None) -> SuiteRepo
     cfg = config or SuiteConfig()
     paths = ("spectral", "geometric") if cfg.path == "both" else (cfg.path,)
     verdicts = []
-    for theorem in TheoremId:
+    for theorem in THEOREMS:
         for path in paths:
             verdicts.append(
                 verify(body, theorem, path=path, tol=cfg.tol, config=cfg.exterior, grid=cfg.grid)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,10 +49,7 @@ from .errors import (
     NonIntegrableKernel,
     RootCountAnomaly,
 )
-from .quadrature import gauss_panels
-
-TWO_PI = 2.0 * math.pi
-PI = math.pi
+from .quadrature import PI, TWO_PI, gauss_panels
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
@@ -491,9 +488,7 @@ def _polish_pair(body, point, guess1, guess2, tol):
     return pair[0], pair[1], PI - delta
 
 
-_POLAR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     """Visual-angle field on a polar grid about the Steiner point.
 
@@ -501,11 +496,8 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
       omegas/weights: flattened nodes with full area measure r*dr*dtheta;
       far_r, far_omega: common outer radial nodes (per theta) for tail fits;
       bound_mass: integral of r over the collar ring, bounding dropped area.
-    Cached per (body, config): the field is kernel independent.
+    Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
-    key = (body, cfg)
-    if key in _POLAR_CACHE:
-        return _POLAR_CACHE[key]
     centered = recenter_to_steiner(body)
     a0 = centered.a0
     r_max = cfg.r_max if cfg.r_max is not None else 40.0 * a0
@@ -555,15 +547,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
             if j >= rs_near.size:
                 far_omega[it, j - rs_near.size] = om
         ring_mass += w_theta * rb * collar
-    out = (
-        np.array(omegas),
-        np.array(weights),
-        far_nodes,
-        far_omega,
-        ring_mass,
-    )
-    _POLAR_CACHE[key] = out
-    return out
+    return np.array(omegas), np.array(weights), far_nodes, far_omega, ring_mass
 
 
 def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:

@@ -155,3 +155,29 @@ def _write_cw35(tmp_path):
         ],
     }))
     return path
+
+
+NON_FINITE_BODIES = {
+    "nan_a0": '{"a0": NaN}',
+    "nan_harmonic": '{"a0": 1, "harmonics": [{"n": 2, "a": NaN, "b": 0}]}',
+    "inf_a0": '{"a0": Infinity}',
+    "inf_harmonic": '{"a0": 1, "harmonics": [{"n": 2, "a": Infinity, "b": 0}]}',
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize(
+    "source",
+    [f"body:{name}" for name in NON_FINITE_BODIES]
+    + ["spec:circle:nan", "spec:astroid:inf,0.1", "spec:hypocycloid:5,1,nan"],
+)
+def test_non_finite_input_exit_2(capsys, tmp_path, command, source):
+    kind, _, value = source.partition(":")
+    if kind == "body":
+        path = tmp_path / "body.json"
+        path.write_text(NON_FINITE_BODIES[value])
+        value = str(path)
+    code, out, err = run(capsys, command, f"--{kind}", value)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err

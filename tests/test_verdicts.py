@@ -15,6 +15,8 @@ from hurwitzlab import (
     verify,
 )
 from hurwitzlab.errors import NotValidated
+from hurwitzlab.verdicts import SPECTRAL_INTEGRALS, THEOREMS
+from hurwitzlab.visual_angle import KERNELS
 
 PI = math.pi
 
@@ -243,3 +245,19 @@ class TestInvariants:
                 if v0.applicable:
                     scale = max(abs(v0.lhs), abs(v0.rhs), 1e-6)
                     assert abs(v0.residual - v1.residual) <= 1e-10 * scale
+
+
+class TestTheoremTable:
+    def test_one_entry_per_theorem(self):
+        assert list(THEOREMS) == list(TheoremId)
+
+    def test_integrals_have_kernel_and_closed_form(self):
+        for tid, t in THEOREMS.items():
+            assert t.integral is None or (t.integral in KERNELS and t.integral in SPECTRAL_INTEGRALS), tid
+            assert (t.weight > 0.0) == (t.integral is not None), tid
+
+    def test_suite_order_is_theorem_order(self, mix_body):
+        spectral = run_suite(mix_body)
+        assert [v.id for v in spectral.verdicts] == list(TheoremId)
+        both = run_suite(mix_body, SuiteConfig(path="both"))
+        assert [v.id for v in both.verdicts] == [tid for tid in TheoremId for _ in range(2)]

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab import (
+    CircleSpec,
     ExteriorConfig,
     Kernel,
+    construct,
     crofton_kernel,
     exterior_integral,
     exterior_integral_grid,
@@ -28,6 +30,7 @@ from hurwitzlab.errors import (
     NonIntegrableKernel,
     NotValidated,
 )
+from hurwitzlab.visual_angle import _polar_field
 
 from .test_bodies import convex_bodies
 
@@ -280,3 +283,10 @@ class TestPolarOracle:
             tan = exterior_integral(delt_body, kernel, cfg)
             pol = exterior_integral_grid(delt_body, kernel, cfg)
             assert abs(tan.value - pol.value) <= tan.error_bar + pol.error_bar
+
+    def test_field_cache_is_bounded(self):
+        cfg = ExteriorConfig(nodes_phi=16)
+        for i in range(10):
+            body = construct(CircleSpec(1.0 + 0.1 * i))
+            exterior_integral_grid(body, crofton_kernel(), cfg)
+        assert _polar_field.cache_info().currsize <= 8
