@@ -310,6 +310,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.path not in ("spectral", "geometric", "both"):
             raise ValueError(f"path must be spectral, geometric or both, got {self.path!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hurwitzlab import bodies
 from hurwitzlab import (
     AstroidParallelSpec,
     DeltoidParallelSpec,
@@ -53,6 +54,78 @@ def convex_bodies(draw, max_degree=6):
         b = draw(st.floats(-cap, cap))
         hs.append(Harmonic(n, a, b))
     return validate_convex(TrigSupport(a0, tuple(hs)))
+
+
+def _rho(body, phi):
+    return eval_support(body, phi, 0) + eval_support(body, phi, 2)
+
+
+def _certificate_slack(body):
+    return body.a0 - math.fsum((h.n * h.n - 1) * math.hypot(h.a, h.b) for h in body.harmonics)
+
+
+def _reference_rho_min(body):
+    """min rho: FFT samples at 64x the search grid, then a zoom on each near-minimal sample."""
+    m = 64 * 16 * max(body.max_degree, 4)
+    h = TWO_PI / m
+    spec = np.zeros(m // 2 + 1, dtype=complex)
+    spec[0] = m * body.a0
+    for hm in body.harmonics:
+        spec[hm.n] = 0.5 * m * (1 - hm.n**2) * complex(hm.a, -hm.b)
+    rho = np.fft.irfft(spec, m)
+    # |rho''| <= curv, so the sample nearest the global minimum lies within curv*h^2 of the least sample
+    curv = math.fsum(hm.n**2 * (hm.n**2 - 1) * math.hypot(hm.a, hm.b) for hm in body.harmonics)
+    local = (rho <= np.roll(rho, 1)) & (rho <= np.roll(rho, -1)) & (rho <= rho.min() + curv * h * h)
+    best = math.inf
+    for x in h * np.nonzero(local)[0]:
+        width = h
+        for _ in range(4):
+            xs = x + np.linspace(-width, width, 65)
+            vals = _rho(body, xs)
+            x, width = xs[np.argmin(vals)], width / 16
+        best = min(best, float(np.min(vals)))
+    return best
+
+
+# strategy for bodies near the convexity boundary, where the certificate
+# fails and validation needs the curvature search: |c_n| ~ n^-2 up to
+# degree 8-64, with a0 set so that rho_min / a0 lies in [1e-3, 0.1]
+@st.composite
+def near_convex_bodies(draw):
+    degree = draw(st.integers(8, 64))
+    rnd = draw(st.randoms(use_true_random=False))
+    hs = []
+    for n in range(1, degree + 1):
+        mag, phase = rnd.uniform(0.2, 1.0) / n**2, rnd.uniform(0.0, TWO_PI)
+        hs.append(Harmonic(n, mag * math.cos(phase), mag * math.sin(phase)))
+    frac = draw(st.floats(1e-3, 0.1))
+    body = TrigSupport(-_reference_rho_min(TrigSupport(0.0, tuple(hs))) / (1.0 - frac), tuple(hs))
+    assume(_certificate_slack(body) < 1e-9 * body.a0)
+    return body
+
+
+# bodies whose certificate spends a share t in [0.9, 1] of a0, so that its
+# slack (1 - t) * a0 lands near the eps values drawn against it
+@st.composite
+def certificate_edge_bodies(draw):
+    a0 = draw(st.floats(0.5, 3.0))
+    degree = draw(st.integers(2, 8))
+    raw = [
+        (n, draw(st.floats(1e-3, 1.0)), draw(st.floats(0.0, TWO_PI))) for n in range(2, degree + 1)
+    ]
+    spent = sum((n * n - 1) * mag for n, mag, _ in raw)
+    k = draw(st.floats(0.9, 1.0)) * a0 / spent
+    hs = [Harmonic(n, k * mag * math.cos(ph), k * mag * math.sin(ph)) for n, mag, ph in raw]
+    hs.append(Harmonic(1, draw(st.floats(-a0, a0)), draw(st.floats(-a0, a0))))
+    return TrigSupport(a0, tuple(hs))
+
+
+class _Searched(Exception):
+    pass
+
+
+def _no_search(body):
+    raise _Searched
 
 
 @st.composite
@@ -113,6 +186,60 @@ class TestMinCurvature:
         phis = np.linspace(0, TWO_PI, 4096, endpoint=False)
         dense = np.min(eval_support(body, phis, 0) + eval_support(body, phis, 2))
         assert rho <= dense + 1e-12 * body.a0
+
+    @given(near_convex_bodies())
+    @settings(max_examples=15, deadline=None)
+    def test_near_convex_matches_fine_reference(self, body):
+        rho, phi = min_curvature_radius(body)
+        assert abs(rho - _reference_rho_min(body)) <= 1e-10 * body.a0
+        assert abs(_rho(body, phi) - rho) <= 1e-10 * body.a0
+
+
+class TestCertificate:
+    def test_search_skipped_unless_certificate_fails(
+        self, monkeypatch, circle_body, ast_body, delt_body, cw35_body, mix_body
+    ):
+        calls = []
+        search = bodies.min_curvature_radius
+
+        def spy(body):
+            calls.append(body)
+            return search(body)
+
+        monkeypatch.setattr(bodies, "min_curvature_radius", spy)
+        for body in (circle_body, ast_body, delt_body, cw35_body, mix_body):
+            validate_convex(body)
+        for seed in range(3):
+            for degree in range(1, 9):
+                random_body(seed, degree)
+                random_body(seed, degree, constant_width=True, index=1)
+        assert calls == []
+        # slack 1 - 3*0.2 - 8*0.05 = 0, yet rho_min ~ 0.049
+        body = validate_convex(TrigSupport(1.0, (Harmonic(2, 0.0, 0.2), Harmonic(3, 0.05, 0.0))))
+        assert body.validated and len(calls) == 1
+
+    @given(certificate_edge_bodies(), st.floats(1e-12, 0.1))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_bodies_clear_eps(self, body, eps_rel):
+        eps = eps_rel * body.a0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bodies, "min_curvature_radius", _no_search)
+            try:
+                validate_convex(body, eps=eps)
+            except _Searched:
+                assume(False)
+        phis = np.linspace(0, TWO_PI, 4096, endpoint=False)
+        assert np.min(_rho(body, phis)) >= eps
+
+    def test_certificate_overflow_falls_back_to_search(self):
+        # the weighted amplitudes sum past the float range
+        body = TrigSupport(1.0, (Harmonic(2, 5e307, 0.0), Harmonic(3, 1.9e307, 0.0)))
+        with np.errstate(all="ignore"), pytest.raises(NotStrictlyConvex):
+            validate_convex(body)
+
+    def test_exact_boundary_astroid_rejected(self):
+        with pytest.raises(NotStrictlyConvex):
+            validate_convex(TrigSupport(1.0, (Harmonic(2, 0.0, 1.0 / 3.0),)), eps=1e-300)
 
 
 class TestValidate:

@@ -181,3 +181,25 @@ def test_non_finite_input_exit_2(capsys, tmp_path, command, source):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv", [("verify", "--spec", "astroid:1,0.2"), ("sweep", "--count", "5")]
+)
+def test_invalid_tol_exit_2(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("n", ["2.7", "Infinity"])
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_non_integral_frequency_exit_2(capsys, tmp_path, command, n):
+    path = tmp_path / "body.json"
+    path.write_text('{"a0": 1, "harmonics": [{"n": %s, "a": 0, "b": 0.1}]}' % n)
+    code, out, err = run(capsys, command, "--body", str(path))
+    assert code == 2
+    assert out == ""
+    assert "BadSpec" in err and "integer" in err
