@@ -45,6 +45,8 @@ from .quadrature import TWO_PI
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
+# Largest accepted magnitude a0 + sum n^2 |c_n| of a body (see validate_convex).
+_MAX_MAGNITUDE = 1e100
 # Entries per basis table in the curvature-minimum search.
 _TABLE_ENTRIES = 1 << 20
 
@@ -222,8 +224,13 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     """Certify strict convexity; returns the body marked as validated.
 
     Raises BadSpec when a coefficient is not finite, NonpositiveMean when
-    a0 <= 0 and NotStrictlyConvex when the curvature radius dips below eps
-    (default 1e-9 * a0).
+    a0 <= 0, ValueError unless eps > 0 (default 1e-9 * a0) and
+    NotStrictlyConvex when the curvature radius dips below eps.  A convex
+    body whose magnitude M = a0 + sum_n n^2 |c_n|, a bound on |p|, |p'| and
+    |p''|, exceeds _MAX_MAGNITUDE = 1e100 raises BadSpec: every functional
+    and integral is quadratic in p, so M <= 1e100 keeps it below 1e200 times
+    its largest factor (about 1e13, the tangent-coordinate area element at
+    the last gap node), far inside the float range.
 
     The certificate decides first: rho(phi) >= slack = a0 - sum_{n>=2}
     (n^2 - 1)|c_n| for every phi, so slack >= eps proves strict convexity.
@@ -238,17 +245,19 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         raise NonpositiveMean(f"mean term a0={body.a0:.6g} must be positive")
     if eps is None:
         eps = 1e-9 * body.a0
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     try:
         slack = body.a0 - math.fsum((h.n * h.n - 1) * math.hypot(h.a, h.b) for h in body.harmonics)
     except OverflowError:  # the sum passed the float range, far above a0
         slack = -math.inf
-    if slack >= eps + _CERT_MARGIN * body.a0:
-        return replace(body, validated=True)
-    rho_min, phi_at = min_curvature_radius(body)
-    if rho_min < eps:
-        raise NotStrictlyConvex(rho_min, phi_at)
+    if slack < eps + _CERT_MARGIN * body.a0:
+        rho_min, phi_at = min_curvature_radius(body)
+        if rho_min < eps:
+            raise NotStrictlyConvex(rho_min, phi_at)
+    magnitude = body.a0 + sum(h.n * h.n * math.hypot(h.a, h.b) for h in body.harmonics)
+    if not magnitude <= _MAX_MAGNITUDE:
+        raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
     return replace(body, validated=True)
 
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .bodies import (
     TrigSupport,
@@ -42,7 +41,7 @@ from .bodies import (
     wigner_support,
 )
 from .errors import BadInterval
-from .quadrature import PI, TWO_PI, QuadratureGrid, grid_for_degree, periodic_integral
+from .quadrature import PI, TWO_PI, QuadratureGrid, gauss_panels, grid_for_degree, periodic_integral
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,9 @@ def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid 
 
     `f` is a TrigSupport holding the coefficients of a generalized support
     function, or an array of full-period uniform samples (differentiated
-    spectrally).  A full period uses the periodic trapezoid rule; other
-    intervals use composite Simpson on the coefficient form.
+    spectrally).  A full period uses the periodic trapezoid rule on `grid`;
+    other intervals use 16-point Gauss panels of width <= 4/N on the
+    coefficient form, exact to round-off for the degree-2N integrand.
     """
     if b <= a:
         raise BadInterval(f"need b > a, got [{a}, {b}]")
@@ -190,11 +190,11 @@ def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid 
             vals = _eval(f, ts, 0)
             dd = _eval(f, ts, 2)
             return 0.5 * periodic_integral(vals * (vals + dd))
-        n_nodes = 4097 if grid is None else max(4 * grid.m + 1, 4097)
-        ts = np.linspace(a, b, n_nodes)
+        panels = math.ceil((b - a) * max(f.max_degree, 1) / 4.0)
+        ts, ws = gauss_panels(np.linspace(a, b, panels + 1))
         vals = _eval(f, ts, 0)
         dd = _eval(f, ts, 2)
-        return 0.5 * float(simpson(vals * (vals + dd), x=ts))
+        return 0.5 * math.fsum((ws * vals * (vals + dd)).tolist())
 
     samples = np.asarray(f, dtype=float).ravel()
     if not full_period:

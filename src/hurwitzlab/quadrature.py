@@ -3,8 +3,9 @@
 The workhorse is the periodic trapezoid rule, which is exact for
 trigonometric polynomials of degree below the node count; all closed-form
 functionals here integrate such polynomials, so the quadrature path is
-exact to round-off once the grid is fine enough.  Sums are accumulated
-with math.fsum in a fixed index order, so results are bit-reproducible
+exact to round-off once the grid is fine enough.  Composite Gauss-Legendre
+panels cover the non-periodic intervals.  Sums are accumulated with
+math.fsum in a fixed index order, so results are bit-reproducible
 regardless of how work is scheduled.
 """
 

@@ -53,6 +53,8 @@ from .quadrature import PI, TWO_PI, gauss_panels
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
+# 8-point Gauss panels per radial zone (near and far) of the polar oracle.
+_POLAR_PANELS = 6
 
 
 @dataclass(frozen=True)
@@ -191,23 +193,19 @@ class ExteriorConfig:
     nodes_delta: total Gauss points along the gap direction (16 per panel).
     delta_min: collar excluded near the boundary (delta -> 0); its dropped
         mass is bounded and reported inside the error bar.
-    r_max, radial_nodes apply to the polar oracle only.
+    r_max applies to the polar oracle only (default 40*a0).
     """
 
     nodes_phi: int = 256
     nodes_delta: int = 256
     delta_min: float = 1e-4
-    method: str = "tangent_coords"
     r_max: float | None = None
-    radial_nodes: int = 96
 
     def __post_init__(self):
-        if min(self.nodes_phi, self.nodes_delta, self.radial_nodes) < 16:
+        if min(self.nodes_phi, self.nodes_delta) < 16:
             raise ValueError("node counts must be >= 16")
         if not (0.0 < self.delta_min < PI / 64.0):
             raise ValueError(f"delta_min must lie in (0, pi/64), got {self.delta_min}")
-        if self.method not in ("tangent_coords", "polar_grid"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -258,6 +256,15 @@ def _refine_root(body: TrigSupport, point, lo, hi, glo, ghi, tol):
     return x
 
 
+def _orient_pair(body: TrigSupport, point, roots):
+    """Order two roots of g as (phi1, phi2, delta): g > 0 on the
+    counterclockwise arc of length delta from phi1 to phi2."""
+    r1, r2 = sorted(r % TWO_PI for r in roots)
+    if _g_and_dg(body, point, 0.5 * (r1 + r2))[0] > 0.0:
+        return r1, r2, r2 - r1
+    return r2, r1, TWO_PI - (r2 - r1)
+
+
 def support_line_angles(body: TrigSupport, point, collar: float = 1e-9) -> TangentPair:
     """Normal angles of the two support lines through an exterior point.
 
@@ -305,12 +312,7 @@ def support_line_angles(body: TrigSupport, point, collar: float = 1e-9) -> Tange
                 roots.append(
                     _refine_root(body, point, phis[i], phis[i] + h, g[i], g_next[i], tol)
                 )
-            r1, r2 = sorted(r % TWO_PI for r in roots)
-            mid = 0.5 * (r1 + r2)
-            if _g_and_dg(body, point, mid)[0] > 0.0:
-                phi1, delta = r1, r2 - r1
-            else:
-                phi1, delta = r2, TWO_PI - (r2 - r1)
+            phi1, _, delta = _orient_pair(body, point, roots)
             if not (0.0 < delta < PI):
                 raise RootCountAnomaly(
                     f"positive arc has length {delta:.6g}, outside (0, pi)"
@@ -327,6 +329,23 @@ def support_line_angles(body: TrigSupport, point, collar: float = 1e-9) -> Tange
     )
 
 
+def _corners(body: TrigSupport, phi1, deltas):
+    """Yield (px, py, u1, u2) per gap delta: the corner P where the support
+    lines at phi1 and phi1 + delta meet, and the signed tangent lengths from
+    P to their tangency points.  phi1 (scalar or array) is evaluated once."""
+    c1, s1 = np.cos(phi1), np.sin(phi1)
+    p1 = _eval(body, phi1, 0)
+    dp1 = _eval(body, phi1, 1)
+    for d in deltas:
+        phi2 = phi1 + d
+        c2, s2 = np.cos(phi2), np.sin(phi2)
+        sd = math.sin(d)
+        p2 = _eval(body, phi2, 0)
+        px = (p1 * s2 - p2 * s1) / sd
+        py = (p2 * c1 - p1 * c2) / sd
+        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - _eval(body, phi2, 1)
+
+
 def exterior_point(body: TrigSupport, phi1: float, delta: float):
     """Exterior point with support-line normals at phi1 and phi1 + delta.
 
@@ -337,18 +356,8 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
     _require_validated(body)
     if not (0.0 < delta < PI):
         raise DegenerateGap(f"delta must lie in (0, pi), got {delta}")
-    phi2 = phi1 + delta
-    p1 = _eval(body, phi1, 0)
-    p2 = _eval(body, phi2, 0)
-    sd = math.sin(delta)
-    c1, s1 = math.cos(phi1), math.sin(phi1)
-    c2, s2 = math.cos(phi2), math.sin(phi2)
-    px = (p1 * s2 - p2 * s1) / sd
-    py = (p2 * c1 - p1 * c2) / sd
-    u1 = -px * s1 + py * c1 - _eval(body, phi1, 1)
-    u2 = -px * s2 + py * c2 - _eval(body, phi2, 1)
-    jac = abs(u1 * u2) / sd
-    return np.array([px, py]), jac, PI - delta
+    px, py, u1, u2 = next(_corners(body, phi1, (delta,)))
+    return np.array([px, py]), float(abs(u1 * u2)) / math.sin(delta), PI - delta
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +372,10 @@ def _gap_mass(body: TrigSupport, delta, nodes_phi: int):
     """
     phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
-    out = np.empty(deltas.shape)
-    c1, s1 = np.cos(phi1), np.sin(phi1)
-    p1 = _eval(body, phi1, 0)
-    dp1 = _eval(body, phi1, 1)
-    for i, d in enumerate(deltas):
-        phi2 = phi1 + d
-        c2, s2 = np.cos(phi2), np.sin(phi2)
-        p2 = _eval(body, phi2, 0)
-        dp2 = _eval(body, phi2, 1)
-        sd = math.sin(d)
-        px = (p1 * s2 - p2 * s1) / sd
-        py = (p2 * c1 - p1 * c2) / sd
-        u1 = -px * s1 + py * c1 - dp1
-        u2 = -px * s2 + py * c2 - dp2
-        out[i] = TWO_PI / nodes_phi * math.fsum(np.abs(u1 * u2).tolist()) / sd
-    return out
+    return np.array([
+        TWO_PI / nodes_phi * math.fsum(np.abs(u1 * u2).tolist()) / math.sin(d)
+        for d, (_, _, u1, u2) in zip(deltas, _corners(body, phi1, deltas))
+    ])
 
 
 def _delta_edges(delta_min: float, panels: int) -> np.ndarray:
@@ -473,19 +470,13 @@ def _polish_pair(body, point, guess1, guess2, tol):
         if not ok:
             return None
         roots.append(x % TWO_PI)
-    r1, r2 = sorted(roots)
-    if r2 - r1 < 1e-12 or TWO_PI - (r2 - r1) < 1e-12:
+    gap = abs(roots[0] - roots[1])
+    if min(gap, TWO_PI - gap) < 1e-12:
         return None
-    mid = 0.5 * (r1 + r2)
-    if _g_and_dg(body, point, mid)[0] > 0.0:
-        delta = r2 - r1
-        pair = (r1, r2)
-    else:
-        delta = TWO_PI - (r2 - r1)
-        pair = (r2, r1)
+    phi1, phi2, delta = _orient_pair(body, point, roots)
     if not (0.0 < delta < PI):
         return None
-    return pair[0], pair[1], PI - delta
+    return phi1, phi2, PI - delta
 
 
 @lru_cache(maxsize=8)
@@ -511,9 +502,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
 
     rbs = np.array([_radial_boundary(centered, t) for t in thetas])
     r1 = 3.0 * float(np.max(rbs))
-    near_panels = max(4, cfg.radial_nodes // 16)
-    far_panels = max(4, cfg.radial_nodes // 16)
-    far_edges = np.geomspace(r1, r_max, far_panels + 1)
+    far_edges = np.geomspace(r1, r_max, _POLAR_PANELS + 1)
     far_nodes, far_w = gauss_panels(far_edges, points=8)
 
     omegas = []
@@ -525,7 +514,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         ct, st = math.cos(theta), math.sin(theta)
         # near zone: r = rb + u^2 smooths the sqrt-type onset of omega(r)
         u_lo, u_hi = math.sqrt(collar), math.sqrt(r1 - rb)
-        u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, near_panels + 1), points=8)
+        u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, _POLAR_PANELS + 1), points=8)
         rs_near = rb + u_nodes**2
         w_near = 2.0 * u_nodes * u_w
         rs = np.concatenate([rs_near, far_nodes])

@@ -260,6 +260,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_convex(TrigSupport(1.0), eps=-1.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
+    def test_eps_must_be_positive(self, eps):
+        # a NaN eps compares false both ways and must not certify rho_min = -0.5
+        with pytest.raises(ValueError):
+            validate_convex(TrigSupport(1.0, (Harmonic(2, 0.0, 0.5),)), eps=eps)
+
+    def test_magnitude_counts_translation(self):
+        # the degree-1 term leaves rho alone but enters every |p|^2
+        with pytest.raises(BadSpec, match="magnitude"):
+            validate_convex(TrigSupport(1.0, (Harmonic(1, 1e101, 0.0),)))
+
 
 class TestSteiner:
     def test_point_is_degree_one_coefficients(self):

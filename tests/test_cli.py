@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hurwitzlab
+from hurwitzlab import FunctionalSet
 from hurwitzlab.cli import main
 
 PI = math.pi
@@ -203,3 +209,45 @@ def test_non_integral_frequency_exit_2(capsys, tmp_path, command, n):
     assert code == 2
     assert out == ""
     assert "BadSpec" in err and "integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("report",), ("verify",), ("verify", "--path", "both"), ("render", "--kind", "boundary,evolute")],
+)
+def test_body_near_float_range_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "body.json"
+    path.write_text('{"a0": 1.7e308, "harmonics": [{"n": 2, "a": 1e300, "b": 0}]}')
+    code, out, err = run(capsys, *argv, "--body", str(path))
+    assert code == 2
+    assert out == ""
+    assert "BadSpec" in err and "magnitude" in err
+
+
+def test_body_below_magnitude_bound_stays_finite(capsys, tmp_path):
+    path = tmp_path / "body.json"
+    path.write_text('{"a0": 9e99, "harmonics": [{"n": 2, "a": 1e98, "b": 0}, {"n": 3, "a": 0, "b": 1e97}]}')
+    code, out, _ = run(capsys, "report", "--body", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert all(math.isfinite(report[p][k]) for p in report for k in FunctionalSet.FIELD_NAMES)
+    code, _, _ = run(capsys, "verify", "--path", "both", "--body", str(path), "--out", str(tmp_path / "v.json"))
+    assert code == 0
+    verdicts = json.loads((tmp_path / "v.json").read_text())["verdicts"]
+    assert {v["path"] for v in verdicts} == {"spectral", "geometric"}
+    for v in verdicts:
+        if v["applicable"]:
+            assert all(math.isfinite(v[k]) for k in ("lhs", "rhs", "residual", "error_bar"))
+
+
+def test_cli_imports_numpy_only():
+    # a fresh interpreter: which top-level packages does `import hurwitzlab.cli` load?
+    src = str(pathlib.Path(hurwitzlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys; before = set(sys.modules); import hurwitzlab.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before "
+        "if not m.startswith('_')} - set(sys.stdlib_module_names))))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["hurwitzlab", "numpy"]

@@ -141,6 +141,20 @@ class TestGeneralizedArea:
         f = TrigSupport(0.0, (Harmonic(2, 0.0, 2.0),))
         assert generalized_area(f, 0.0, PI) == pytest.approx(-3 * PI, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 5, 13, 32])
+    def test_subinterval_single_harmonic(self, n):
+        # f = c sin(nt): f + f'' = (1 - n^2) f, so the area is
+        # (1/2)(1 - n^2) c^2 int_a^b sin^2(nt) dt in closed form
+        rng = np.random.default_rng(n)
+        c = rng.uniform(0.1, 2.0)
+        a = rng.uniform(-PI, PI)
+        b = a + rng.uniform(1.0, 6.0)
+        exact = 0.5 * (1 - n * n) * c * c * (
+            (b - a) / 2 - (math.sin(2 * n * b) - math.sin(2 * n * a)) / (4 * n)
+        )
+        f = TrigSupport(0.0, (Harmonic(n, 0.0, c),))
+        assert generalized_area(f, a, b) == pytest.approx(exact, rel=1e-12)
+
     def test_bad_interval(self):
         with pytest.raises(BadInterval):
             generalized_area(TrigSupport(1.0), 1.0, 1.0)

@@ -225,7 +225,7 @@ class TestExteriorIntegral:
             ExteriorConfig(nodes_phi=4)
         with pytest.raises(ValueError):
             ExteriorConfig(delta_min=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ExteriorConfig(method="magic")
 
 
