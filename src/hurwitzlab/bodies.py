@@ -155,6 +155,35 @@ def boundary_point(body: TrigSupport, phi):
     return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
 
+def _polish_roots(f, x, neg, pos, tol, active):
+    """Safeguarded Newton/bisection for roots of f, vectorized over brackets.
+
+    f(x) returns a tuple whose first two entries are f and f' at the array
+    x; further entries ride along.  Bracket i is labelled by the sign of f
+    at its ends, f(neg[i]) <= 0 <= f(pos[i]), and neg may lie on either side
+    of pos.  A Newton step is taken when f' has the sign of pos - neg and
+    lands strictly inside the bracket, otherwise the bracket is bisected;
+    brackets where the mask `active` (or a plain True) is false or where
+    |f| <= tol stay put.  Returns the roots and the last value of f(x).
+    """
+    vals = f(x)
+    for _ in range(120):
+        fx, dfx = vals[0], vals[1]
+        active = active & (np.abs(fx) > tol)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / dfx
+        inside = (np.minimum(neg, pos) < xn) & (xn < np.maximum(neg, pos))
+        newton = (np.sign(pos - neg) * dfx > 0.0) & inside
+        x = np.where(active, np.where(newton, xn, 0.5 * (neg + pos)), x)
+        vals = f(x)
+        up = vals[0] > 0.0
+        pos = np.where(active & up, x, pos)
+        neg = np.where(active & ~up, x, neg)
+    return x, vals
+
+
 def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     """Global minimum of the curvature radius rho = p + p'' and its angle.
 
@@ -162,9 +191,9 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     rho, rho' and rho'' are one product of the basis table
     [cos(n phi) | sin(n phi)] (an outer(phi, n) product) with a coefficient
     matrix.  Dense sampling at 16*max(N,4) points finds the local-minimum
-    candidates; a safeguarded Newton/bisection polish on rho' then runs on
-    all bracketed candidates at once, with masked updates, down to
-    |rho'| <= 1e-12 * scale.
+    candidates, and `_polish_roots` finds the roots of rho' in all
+    bracketed candidates at once, down to |rho'| <= 1e-12 * scale; the
+    table of its last step gives the final rho values.
     """
     if not body.harmonics:
         return body.a0, 0.0
@@ -192,30 +221,19 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     blocks = -(-n_grid * n.size // _TABLE_ENTRIES)
     rho = body.a0 + np.concatenate([terms(x)[:, 0] for x in np.array_split(phis, blocks)])
     scale = max(body.coeff_scale(), 1e-300)
-    tol = 1e-12 * scale
 
     x = phis[(rho <= np.roll(rho, 1)) & (rho <= np.roll(rho, -1))]
     h = TWO_PI / n_grid
     lo, hi = x - h, x + h
     ends = terms(np.concatenate([lo, hi]))[:, 1]
     active = (ends[: x.size] <= 0.0) & (0.0 <= ends[x.size :])
-    t = terms(x)
-    slope, curv = t[:, 1], t[:, 2]
-    # polish the bracketed stationary points, keeping each bracket alive
-    for _ in range(120):
-        active = active & (np.abs(slope) > tol)
-        if not active.any():
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - slope / curv
-        newton = (curv > 0.0) & (lo < xn) & (xn < hi)
-        x = np.where(active, np.where(newton, xn, 0.5 * (lo + hi)), x)
+
+    def slope(x):
         t = terms(x)
-        slope, curv = t[:, 1], t[:, 2]
-        rising = slope > 0.0
-        hi = np.where(active & rising, x, hi)
-        lo = np.where(active & ~rising, x, lo)
-    vals = body.a0 + t[:, 0]
+        return t[:, 1], t[:, 2], t[:, 0]
+
+    x, (_, _, rho) = _polish_roots(slope, x, lo, hi, 1e-12 * scale, active)
+    vals = body.a0 + rho
     best = int(np.argmin(vals))
     return float(vals[best]), float(x[best] % TWO_PI)
 
@@ -255,10 +273,17 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         rho_min, phi_at = min_curvature_radius(body)
         if rho_min < eps:
             raise NotStrictlyConvex(rho_min, phi_at)
-    magnitude = body.a0 + sum(h.n * h.n * math.hypot(h.a, h.b) for h in body.harmonics)
-    if not magnitude <= _MAX_MAGNITUDE:
-        raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
-    return replace(body, validated=True)
+    return _bounded(replace(body, validated=True))
+
+
+def _bounded(body: TrigSupport) -> TrigSupport:
+    """The body itself; raises BadSpec when it is validated and its magnitude
+    a0 + sum_n n^2 |c_n| exceeds _MAX_MAGNITUDE (see validate_convex)."""
+    if body.validated:
+        magnitude = body.a0 + sum(h.n * h.n * math.hypot(h.a, h.b) for h in body.harmonics)
+        if not magnitude <= _MAX_MAGNITUDE:
+            raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
+    return body
 
 
 def steiner_point(body: TrigSupport) -> np.ndarray:
@@ -281,7 +306,8 @@ def minkowski_sum(a: TrigSupport, b: TrigSupport) -> TrigSupport:
     """Coefficient-wise sum of support functions.
 
     Perimeter and Steiner point are additive; the sum of two validated
-    bodies is again strictly convex (curvature radii add).
+    bodies is again strictly convex (curvature radii add).  A validated sum
+    above the magnitude bound of validate_convex raises BadSpec.
     """
     coeffs: dict[int, list[float]] = {}
     for body in (a, b):
@@ -290,16 +316,17 @@ def minkowski_sum(a: TrigSupport, b: TrigSupport) -> TrigSupport:
             acc[0] += h.a
             acc[1] += h.b
     hs = tuple(Harmonic(n, ab[0], ab[1]) for n, ab in sorted(coeffs.items()))
-    return TrigSupport(a.a0 + b.a0, hs, validated=a.validated and b.validated)
+    return _bounded(TrigSupport(a.a0 + b.a0, hs, validated=a.validated and b.validated))
 
 
 def offset(body: TrigSupport, r: float) -> TrigSupport:
     """Parallel body at signed distance r: only the mean term shifts.
 
     Inner parallels (r < 0) may lose convexity, so the result is only kept
-    validated for outward offsets of validated bodies.
+    validated for outward offsets of validated bodies; a validated result
+    above the magnitude bound of validate_convex raises BadSpec.
     """
-    return replace(body, a0=body.a0 + float(r), validated=body.validated and r >= 0.0)
+    return _bounded(replace(body, a0=body.a0 + float(r), validated=body.validated and r >= 0.0))
 
 
 def rigid_motion(body: TrigSupport, theta: float = 0.0, v: Sequence[float] = (0.0, 0.0)) -> TrigSupport:
@@ -307,7 +334,8 @@ def rigid_motion(body: TrigSupport, theta: float = 0.0, v: Sequence[float] = (0.
 
     Rotation shifts each harmonic phase by n*theta; translation only
     touches the degree-one harmonic, so all c_n^2 with n >= 2 are exact
-    invariants.
+    invariants.  A validated result above the magnitude bound of
+    validate_convex raises BadSpec.
     """
     vx, vy = float(v[0]), float(v[1])
     coeffs: dict[int, list[float]] = {}
@@ -319,7 +347,7 @@ def rigid_motion(body: TrigSupport, theta: float = 0.0, v: Sequence[float] = (0.
         acc[0] += vx
         acc[1] += vy
     hs = tuple(Harmonic(n, ab[0], ab[1]) for n, ab in sorted(coeffs.items()))
-    return TrigSupport(body.a0, hs, validated=body.validated)
+    return _bounded(TrigSupport(body.a0, hs, validated=body.validated))
 
 
 def derivative(body: TrigSupport) -> TrigSupport:

@@ -13,8 +13,9 @@ f(omega) over the whole exterior are evaluated two independent ways:
   omega^-3 as delta -> pi.
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
-  a cutoff radius, calling the tangent root finder at every node, plus a
-  fitted 1/r^2 tail for the remainder.
+  a cutoff radius, with the tangent lines of all radial nodes of one
+  direction solved in one batch, plus a fitted 1/r^2 tail for the
+  remainder.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -37,6 +38,7 @@ import numpy as np
 from .bodies import (
     TrigSupport,
     _eval,
+    _polish_roots,
     _require_validated,
     boundary_point,
     recenter_to_steiner,
@@ -228,105 +230,96 @@ class IntegralResult:
 # Tangent root finding
 
 
-def _g_and_dg(body: TrigSupport, point, phi):
+def _g(body: TrigSupport, px, py, phi, orders):
+    """Derivatives of the given orders (0, 1 or 2) of g(phi) = <P, N(phi)> - p(phi)."""
     c, s = np.cos(phi), np.sin(phi)
-    g = point[0] * c + point[1] * s - _eval(body, phi, 0)
-    dg = -point[0] * s + point[1] * c - _eval(body, phi, 1)
-    return g, dg
+    pn, pdn = px * c + py * s, -px * s + py * c
+    return tuple((pn, pdn, -pn)[k] - _eval(body, phi, k) for k in orders)
 
 
-def _refine_root(body: TrigSupport, point, lo, hi, glo, ghi, tol):
-    """Hybrid bisection/Newton on g(phi) = <P, N(phi)> - p(phi) within a bracket."""
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        g, dg = _g_and_dg(body, point, x)
-        if abs(g) <= tol:
-            return x
-        if g * glo < 0.0:
-            hi = x
-        else:
-            lo, glo = x, g
-        moved = False
-        if dg != 0.0:
-            xn = x - g / dg
-            if lo < xn < hi:
-                x, moved = xn, True
-        if not moved:
-            x = 0.5 * (lo + hi)
-    return x
+def _tangent_angles(body: TrigSupport, points, collar: float = 1e-9):
+    """Arrays (phi1, phi2, omega) of the support lines through each row of points.
 
-
-def _orient_pair(body: TrigSupport, point, roots):
-    """Order two roots of g as (phi1, phi2, delta): g > 0 on the
-    counterclockwise arc of length delta from phi1 to phi2."""
-    r1, r2 = sorted(r % TWO_PI for r in roots)
-    if _g_and_dg(body, point, 0.5 * (r1 + r2))[0] > 0.0:
-        return r1, r2, r2 - r1
-    return r2, r1, TWO_PI - (r2 - r1)
+    g(phi) = <P, N(phi)> - p(phi) is scanned for all points at once on
+    max(64, 8N) angles; only the points whose scan does not show exactly
+    two sign changes are scanned again, at double resolution, up to 5
+    scans.  All brackets are then polished together to
+    |g| <= 1e-13 * (|P| + a0).  g rises through zero at phi1 and is positive
+    on the counterclockwise arc of length delta = pi - omega from phi1 to
+    phi2.  Raises InteriorPoint when g never becomes positive (the grid
+    maximum is polished first), BoundaryCollar when a point clears the
+    boundary by less than collar * a0, and RootCountAnomaly when the roots
+    stay unresolved or the positive arc is not shorter than pi.
+    """
+    px, py = points[:, 0], points[:, 1]
+    tol = 1e-13 * (np.hypot(px, py) + body.a0)
+    neg, pos = np.empty((2, px.size, 2))  # column 0: rising root, column 1: falling root
+    todo = np.arange(px.size)
+    n_scan = max(64, 8 * body.max_degree)
+    for _ in range(5):
+        phis = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+        h = TWO_PI / n_scan
+        (g,) = _g(body, px[todo, None], py[todo, None], phis, (0,))
+        gmax = g.max(axis=1)
+        low = gmax <= tol[todo]
+        if low.any():
+            # polish the grid maximum, a root of g', before declaring a point interior
+            qx, qy, top = px[todo[low]], py[todo[low]], phis[g[low].argmax(axis=1)]
+            (d_lo,), (d_hi,) = _g(body, qx, qy, top - h, (1,)), _g(body, qx, qy, top + h, (1,))
+            _, (_, _, g_top) = _polish_roots(
+                lambda x: _g(body, qx, qy, x, (1, 2, 0)),
+                top, neg=top + h, pos=top - h, tol=tol[todo[low]], active=(d_lo >= 0.0) & (d_hi <= 0.0),
+            )
+            gmax[low] = np.maximum(gmax[low], g_top)
+        inside = gmax <= tol[todo]
+        if inside.any():
+            raise InteriorPoint(f"point {points[todo[inside][0]].tolist()} lies inside the body")
+        thin = gmax <= collar * body.a0
+        if thin.any():
+            raise BoundaryCollar(
+                f"point clears the boundary by {gmax[thin][0]:.3g}, below collar {collar * body.a0:.3g}"
+            )
+        g_next = np.roll(g, -1, axis=1)
+        up, down = (g <= 0.0) & (g_next > 0.0), (g > 0.0) & (g_next <= 0.0)
+        count = up.sum(axis=1) + down.sum(axis=1)
+        two = count == 2
+        done, i_up, i_down = todo[two], up[two].argmax(axis=1), down[two].argmax(axis=1)
+        neg[done, 0], pos[done, 0] = phis[i_up], phis[i_up] + h
+        pos[done, 1], neg[done, 1] = phis[i_down], phis[i_down] + h
+        todo = todo[~two]
+        if not todo.size:
+            break
+        n_scan *= 2
+    else:
+        raise RootCountAnomaly(
+            f"could not isolate exactly two support-line roots (last count {count[~two][0]})"
+        )
+    x, _ = _polish_roots(
+        lambda x: _g(body, px[:, None], py[:, None], x, (0, 1)),
+        0.5 * (neg + pos), neg, pos, tol[:, None], True,
+    )
+    roots = x % TWO_PI
+    delta = (roots[:, 1] - roots[:, 0]) % TWO_PI
+    wide = ~((0.0 < delta) & (delta < PI))
+    if wide.any():
+        raise RootCountAnomaly(f"positive arc has length {delta[wide][0]:.6g}, outside (0, pi)")
+    return roots[:, 0], roots[:, 1], PI - delta
 
 
 def support_line_angles(body: TrigSupport, point, collar: float = 1e-9) -> TangentPair:
     """Normal angles of the two support lines through an exterior point.
 
     Roots of g(phi) = <P, N(phi)> - p(phi) are bracketed by sign changes on
-    a dense grid and polished to |g| <= 1e-13 * (|P| + a0).  Raises
-    InteriorPoint when g never becomes positive and BoundaryCollar when the
-    point clears the boundary by less than collar * a0.
+    a dense grid and polished to |g| <= 1e-13 * (|P| + a0) (the one-point
+    case of `_tangent_angles`).  Raises InteriorPoint when g never becomes
+    positive and BoundaryCollar when the point clears the boundary by less
+    than collar * a0.
     """
     _require_validated(body)
     point = np.asarray(point, dtype=float)
-    pnorm = float(np.hypot(point[0], point[1]))
-    tol = 1e-13 * (pnorm + body.a0)
-
-    n_scan = max(64, 8 * body.max_degree)
-    for _ in range(5):
-        phis = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-        g = point[0] * np.cos(phis) + point[1] * np.sin(phis) - _eval(body, phis, 0)
-        gmax = float(np.max(g))
-        if gmax <= tol:
-            # polish the grid maximum before declaring the point interior
-            i = int(np.argmax(g))
-            x = phis[i]
-            for _ in range(60):
-                _, dg = _g_and_dg(body, point, x)
-                d2 = -point[0] * math.cos(x) - point[1] * math.sin(x) - _eval(body, x, 2)
-                if d2 >= 0.0:
-                    break
-                step = dg / d2
-                x -= step
-                if abs(step) < 1e-15:
-                    break
-            gmax = _g_and_dg(body, point, x)[0]
-            if gmax <= tol:
-                raise InteriorPoint(f"point {point.tolist()} lies inside the body")
-        if gmax <= collar * body.a0:
-            raise BoundaryCollar(
-                f"point clears the boundary by {gmax:.3g}, below collar {collar * body.a0:.3g}"
-            )
-        g_next = np.roll(g, -1)
-        idx = np.nonzero((g <= 0.0) & (g_next > 0.0) | (g > 0.0) & (g_next <= 0.0))[0]
-        if len(idx) == 2:
-            roots = []
-            h = TWO_PI / n_scan
-            for i in idx:
-                roots.append(
-                    _refine_root(body, point, phis[i], phis[i] + h, g[i], g_next[i], tol)
-                )
-            phi1, _, delta = _orient_pair(body, point, roots)
-            if not (0.0 < delta < PI):
-                raise RootCountAnomaly(
-                    f"positive arc has length {delta:.6g}, outside (0, pi)"
-                )
-            phi2 = (phi1 + delta) % TWO_PI
-            g1 = boundary_point(body, phi1)
-            g2 = boundary_point(body, phi2)
-            t1 = float(np.hypot(*(point - g1)))
-            t2 = float(np.hypot(*(point - g2)))
-            return TangentPair(phi1=phi1, phi2=phi2, omega=PI - delta, t1=t1, t2=t2)
-        n_scan *= 2
-    raise RootCountAnomaly(
-        f"could not isolate exactly two support-line roots (last count {len(idx)})"
-    )
+    phi1, phi2, omega = (float(v[0]) for v in _tangent_angles(body, point[None, :], collar))
+    t1, t2 = (float(np.hypot(*(point - boundary_point(body, phi)))) for phi in (phi1, phi2))
+    return TangentPair(phi1=phi1, phi2=phi2, omega=omega, t1=t1, t2=t2)
 
 
 def _corners(body: TrigSupport, phi1, deltas):
@@ -418,75 +411,36 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
 # Polar-grid oracle
 
 
-def _radial_boundary(body: TrigSupport, theta: float) -> float:
-    """Distance from the origin to the boundary along direction theta.
+def _radial_boundary(body: TrigSupport, thetas):
+    """Distances rb from the origin to the boundary along the directions
+    thetas, and the normal angles phi of the boundary points they reach.
 
-    Minimizes p(phi)/cos(theta - phi) over the half-turn window, by grid
-    scan plus golden-section refinement (origin must be interior).
+    rb minimizes p(phi)/cos(theta - phi) over the half-turn window about
+    theta (the origin must be interior), so phi is the root of
+    k = p' cos(theta - phi) - p sin(theta - phi), whose derivative
+    rho cos(theta - phi) is positive in the window: k < 0 < k at its ends.
     """
     span = PI / 2.0 - 1e-6
-    n = max(128, 16 * body.max_degree)
-    phis = np.linspace(theta - span, theta + span, n)
-    vals = _eval(body, phis, 0) / np.cos(theta - phis)
-    i = int(np.argmin(vals))
-    lo = phis[max(i - 1, 0)]
-    hi = phis[min(i + 1, n - 1)]
 
-    def f(x):
-        return _eval(body, x, 0) / math.cos(theta - x)
+    def k(phi):
+        c, s = np.cos(thetas - phi), np.sin(thetas - phi)
+        p, dp = _eval(body, phi, 0), _eval(body, phi, 1)
+        return dp * c - p * s, (p + _eval(body, phi, 2)) * c, p / c
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return f(x)
-
-
-def _polish_pair(body, point, guess1, guess2, tol):
-    """Newton-polish both tangency angles from warm starts; None on failure."""
-    roots = []
-    for x0 in (guess1, guess2):
-        x = x0
-        ok = False
-        for _ in range(30):
-            g, dg = _g_and_dg(body, point, x)
-            if abs(g) <= tol:
-                ok = True
-                break
-            if dg == 0.0 or abs(g / dg) > 0.5:
-                break
-            x -= g / dg
-        if not ok:
-            return None
-        roots.append(x % TWO_PI)
-    gap = abs(roots[0] - roots[1])
-    if min(gap, TWO_PI - gap) < 1e-12:
-        return None
-    phi1, phi2, delta = _orient_pair(body, point, roots)
-    if not (0.0 < delta < PI):
-        return None
-    return phi1, phi2, PI - delta
+    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True)
+    return rb, phi
 
 
 @lru_cache(maxsize=8)
 def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     """Visual-angle field on a polar grid about the Steiner point.
 
-    Returns (omegas, weights, far_r, far_omega, bound_mass):
-      omegas/weights: flattened nodes with full area measure r*dr*dtheta;
-      far_r, far_omega: common outer radial nodes (per theta) for tail fits;
-      bound_mass: integral of r over the collar ring, bounding dropped area.
+    Returns (omegas, weights, far_r, bound_mass, r_max):
+      omegas/weights: one row of radial nodes per theta, with full area
+        measure r*dr*dtheta; the tangent lines of a row are solved in one batch;
+      far_r: the outer radial nodes, the last columns of every row, for tail fits;
+      bound_mass: integral of r over the collar ring, bounding dropped area;
+      r_max: the cutoff radius, cfg.r_max or by default 40*a0.
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
     centered = recenter_to_steiner(body)
@@ -498,45 +452,26 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     n_theta = cfg.nodes_phi
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     w_theta = TWO_PI / n_theta
-    tol_scale = 1e-13
 
-    rbs = np.array([_radial_boundary(centered, t) for t in thetas])
+    rbs, _ = _radial_boundary(centered, thetas)
     r1 = 3.0 * float(np.max(rbs))
     far_edges = np.geomspace(r1, r_max, _POLAR_PANELS + 1)
     far_nodes, far_w = gauss_panels(far_edges, points=8)
 
     omegas = []
     weights = []
-    far_omega = np.empty((n_theta, far_nodes.size))
     ring_mass = 0.0
-    for it, theta in enumerate(thetas):
-        rb = rbs[it]
-        ct, st = math.cos(theta), math.sin(theta)
+    for theta, rb in zip(thetas, rbs):
         # near zone: r = rb + u^2 smooths the sqrt-type onset of omega(r)
         u_lo, u_hi = math.sqrt(collar), math.sqrt(r1 - rb)
         u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, _POLAR_PANELS + 1), points=8)
-        rs_near = rb + u_nodes**2
-        w_near = 2.0 * u_nodes * u_w
-        rs = np.concatenate([rs_near, far_nodes])
-        ws = np.concatenate([w_near, far_w])
-        prev = None
-        for j, (r, w) in enumerate(zip(rs, ws)):
-            point = np.array([r * ct, r * st])
-            tol = tol_scale * (r + a0)
-            res = None
-            if prev is not None:
-                res = _polish_pair(centered, point, prev[0], prev[1], tol)
-            if res is None:
-                tp = support_line_angles(centered, point)
-                res = (tp.phi1, tp.phi2, tp.omega)
-            prev = res
-            om = res[2]
-            omegas.append(om)
-            weights.append(w_theta * w * r)
-            if j >= rs_near.size:
-                far_omega[it, j - rs_near.size] = om
+        rs = np.concatenate([rb + u_nodes**2, far_nodes])
+        ws = np.concatenate([2.0 * u_nodes * u_w, far_w])
+        _, _, om = _tangent_angles(centered, np.outer(rs, (math.cos(theta), math.sin(theta))))
+        omegas.append(om)
+        weights.append(w_theta * ws * rs)
         ring_mass += w_theta * rb * collar
-    return np.array(omegas), np.array(weights), far_nodes, far_omega, ring_mass
+    return np.array(omegas), np.array(weights), far_nodes, ring_mass, r_max
 
 
 def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -551,24 +486,18 @@ def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorCo
     _require_validated(body)
     kernel.check_integrable()
     cfg = config or ExteriorConfig()
-    omegas, weights, far_r, far_omega, ring_mass = _polar_field(body, cfg)
+    omegas, weights, far_r, ring_mass, r_max = _polar_field(body, cfg)
     fvals = kernel(omegas)
-    main = math.fsum((weights * fvals).tolist())
-
+    mass = weights * fvals
+    main = math.fsum(mass.ravel().tolist())
     # angular-resolution estimate: same field restricted to every other theta
-    n_theta = cfg.nodes_phi
-    per_theta = omegas.size // n_theta
-    sel = np.zeros(omegas.size, dtype=bool)
-    for it in range(0, n_theta, 2):
-        sel[it * per_theta : (it + 1) * per_theta] = True
-    coarse = 2.0 * math.fsum((weights[sel] * fvals[sel]).tolist())
+    coarse = 2.0 * math.fsum(mass[::2].ravel().tolist())
 
     # tail: theta-averaged ring mass m(r) = r * mean_theta f; fit m ~ C/r^2
-    ring = far_r * np.mean(kernel(far_omega), axis=0) * TWO_PI
+    ring = far_r * np.mean(fvals[:, -far_r.size :], axis=0) * TWO_PI
     fit_mask = far_r >= far_r[-1] / 10.0
     scaled = ring[fit_mask] * far_r[fit_mask] ** 2
     c_fit = float(np.mean(scaled))
-    r_max = cfg.r_max if cfg.r_max is not None else 40.0 * body.a0
     tail = c_fit / r_max
     tail_err = (float(np.max(np.abs(scaled - c_fit))) if scaled.size else 0.0) / r_max + 0.2 * abs(tail)
 

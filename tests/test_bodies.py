@@ -18,6 +18,7 @@ from hurwitzlab import (
     construct,
     eval_support,
     from_samples,
+    functionals_quadrature,
     is_constant_width,
     min_curvature_radius,
     minkowski_sum,
@@ -270,6 +271,27 @@ class TestValidate:
         # the degree-1 term leaves rho alone but enters every |p|^2
         with pytest.raises(BadSpec, match="magnitude"):
             validate_convex(TrigSupport(1.0, (Harmonic(1, 1e101, 0.0),)))
+
+    def test_constructors_keep_magnitude_bound(self, circle_body):
+        # offset, rigid_motion and minkowski_sum keep `validated` without
+        # calling validate_convex, so they must apply its magnitude bound
+        big = validate_convex(TrigSupport(0.6e100))
+        for make in (
+            lambda: offset(circle_body, 1e200),
+            lambda: rigid_motion(circle_body, 0.0, (1e200, 0.0)),
+            lambda: minkowski_sum(big, big),
+        ):
+            with pytest.raises(BadSpec, match="magnitude"):
+                make()
+        for out in (
+            offset(circle_body, 0.5e100),
+            rigid_motion(circle_body, 1.0, (0.5e100, 0.0)),
+            minkowski_sum(big, circle_body),
+        ):
+            assert out.validated
+            assert math.isfinite(functionals_quadrature(out).F)
+        # the bound applies to validated results only
+        assert not offset(TrigSupport(1.0), 1e200).validated
 
 
 class TestSteiner:

@@ -11,6 +11,7 @@ from hurwitzlab import (
     Kernel,
     construct,
     crofton_kernel,
+    eval_support,
     exterior_integral,
     exterior_integral_grid,
     exterior_point,
@@ -22,6 +23,7 @@ from hurwitzlab import (
     visual_deficit_kernel,
     visual_moment,
 )
+from hurwitzlab.bodies import boundary_point
 from hurwitzlab.errors import (
     BadOrder,
     BoundaryCollar,
@@ -30,7 +32,7 @@ from hurwitzlab.errors import (
     NonIntegrableKernel,
     NotValidated,
 )
-from hurwitzlab.visual_angle import _polar_field
+from hurwitzlab.visual_angle import _polar_field, _radial_boundary, _tangent_angles
 
 from .test_bodies import convex_bodies
 
@@ -128,6 +130,98 @@ class TestSupportLineAngles:
 
         with pytest.raises(NotValidated):
             support_line_angles(TrigSupport(1.0), (2.0, 0.0))
+
+    @pytest.mark.parametrize("phi", np.linspace(0.1, TWO_PI + 0.1, 8, endpoint=False))
+    def test_interior_and_collar_on_mix(self, mix_body, phi):
+        # P = gamma(phi) + s*N(phi) clears the boundary by s; the collar is 1e-9*a0
+        normal = np.array([math.cos(phi), math.sin(phi)])
+        edge = boundary_point(mix_body, phi)
+        for s in (1e-12, 1e-6, 1e-2):
+            with pytest.raises(InteriorPoint):
+                support_line_angles(mix_body, edge - s * normal)
+        for s in (1e-11, 5e-10):
+            with pytest.raises(BoundaryCollar):
+                support_line_angles(mix_body, edge + s * normal)
+        for s in (1e-3, 0.1, 1.0):
+            tp = support_line_angles(mix_body, edge + s * normal)
+            assert 0.0 < tp.omega < PI
+
+
+def _exterior_points(body, phis, gaps):
+    """gamma(phi) + s*N(phi): points that clear the boundary by s."""
+    phis = np.asarray(phis, dtype=float)
+    normals = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    return boundary_point(body, phis) + np.asarray(gaps)[:, None] * normals
+
+
+def _check_batch(body, points):
+    """Roots, sign pattern and gap of the batched solve, and bit equality
+    with the one-point solve of support_line_angles."""
+    phi1, phi2, omega = _tangent_angles(body, points)
+    delta = PI - omega
+    tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
+    for phi in (phi1, phi2):
+        g = points[:, 0] * np.cos(phi) + points[:, 1] * np.sin(phi) - eval_support(body, phi)
+        assert np.all(np.abs(g) <= tol)
+    mid = phi1 + 0.5 * delta
+    assert np.all(points[:, 0] * np.cos(mid) + points[:, 1] * np.sin(mid) > eval_support(body, mid))
+    assert np.all((0.0 < delta) & (delta < PI))
+    for i, point in enumerate(points):
+        tp = support_line_angles(body, point)
+        assert (tp.phi1, tp.phi2, tp.omega) == (phi1[i], phi2[i], omega[i])
+    return phi1, delta
+
+
+class TestBatchedTangents:
+    @given(
+        convex_bodies(max_degree=8),
+        st.lists(st.tuples(st.floats(0.0, TWO_PI), st.floats(-5.0, 2.0)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_single_points(self, body, draws):
+        # clearances from the polar oracle's collar, 1e-5*a0, out to 100*a0
+        phis = [phi for phi, _ in draws]
+        gaps = [body.a0 * 10.0**u for _, u in draws]
+        _check_batch(body, _exterior_points(body, phis, gaps))
+
+    def test_scan_doubling_near_mix_boundary(self, mix_body):
+        # each positive arc lies inside one cell of the first 64-angle scan,
+        # so that scan sees no sign change and the point is scanned again
+        h = TWO_PI / 64
+        phis = (np.arange(0, 64, 5) + 0.5) * h
+        points = _exterior_points(mix_body, phis, np.full(phis.size, 1e-4))
+        phi1, delta = _check_batch(mix_body, points)
+        assert np.all(np.floor(phi1 / h) == np.floor((phi1 + delta) / h))
+
+
+def _reference_radial(body, theta):
+    """min of p(phi)/cos(theta - phi) over the half-turn window: 4097 samples, then two zooms."""
+    lo, hi = theta - PI / 2 + 1e-6, theta + PI / 2 - 1e-6
+    for _ in range(3):
+        phis = np.linspace(lo, hi, 4097)
+        vals = eval_support(body, phis) / np.cos(theta - phis)
+        i = int(np.argmin(vals))
+        lo, hi = phis[max(i - 1, 0)], phis[min(i + 1, phis.size - 1)]
+    return float(vals[i])
+
+
+class TestRadialBoundary:
+    def test_centred_circle(self):
+        thetas = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+        rb, _ = _radial_boundary(construct(CircleSpec(2.5)), thetas)
+        assert rb == pytest.approx(np.full(16, 2.5), rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["ast_body", "mix_body"])
+    def test_hits_boundary_along_the_ray(self, name, request):
+        body = request.getfixturevalue(name)
+        thetas = np.linspace(0.0, TWO_PI, 24, endpoint=False) + 0.05
+        rb, phi = _radial_boundary(body, thetas)
+        hit = boundary_point(body, phi)
+        ray = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        assert np.all(np.abs(hit[:, 0] * ray[:, 1] - hit[:, 1] * ray[:, 0]) <= 1e-12 * body.a0)
+        assert np.all(np.abs(np.sum(hit * ray, axis=1) - rb) <= 1e-12 * body.a0)
+        ref = [_reference_radial(body, t) for t in thetas]
+        assert np.all(np.abs(rb - ref) <= 1e-12 * body.a0)
 
 
 class TestExteriorPoint:
