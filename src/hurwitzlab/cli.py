@@ -109,8 +109,10 @@ def _exterior_config(args) -> ExteriorConfig:
     kwargs = {}
     if getattr(args, "exterior_nodes", None):
         parts = [int(p) for p in args.exterior_nodes.split(",")]
+        if len(parts) > 2:
+            raise HurwitzLabError(f"--exterior-nodes expects N or NPHI,NDELTA, got {args.exterior_nodes!r}")
         kwargs["nodes_phi"] = parts[0]
-        kwargs["nodes_delta"] = parts[1] if len(parts) > 1 else parts[0]
+        kwargs["nodes_delta"] = parts[-1]
     if getattr(args, "collar", None) is not None:
         kwargs["delta_min"] = args.collar
     return ExteriorConfig(**kwargs)

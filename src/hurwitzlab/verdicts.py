@@ -27,7 +27,7 @@ from typing import Callable
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
 from .quadrature import PI, QuadratureGrid
-from .visual_angle import KERNELS, ExteriorConfig, IntegralResult, exterior_integral
+from .visual_angle import KERNELS, ExteriorConfig, exterior_integral
 
 
 class TheoremId(str, Enum):
@@ -227,17 +227,13 @@ def expected_equality(theorem: TheoremId, support, constant_width: bool) -> bool
 
 
 # suites evaluate 12 theorems over shared, immutable inputs: memoize the
-# per-body functionals and exterior integrals they keep asking for
+# per-body functionals they keep asking for (exterior integrals share the
+# tangent field that visual_angle caches per body)
 @lru_cache(maxsize=256)
 def _cached_functionals(body: TrigSupport, path: str, grid: QuadratureGrid | None) -> FunctionalSet:
     if path == "spectral":
         return functionals_spectral(body)
     return functionals_quadrature(body, grid=grid)
-
-
-@lru_cache(maxsize=256)
-def _cached_integral(body: TrigSupport, kernel_name: str, cfg: ExteriorConfig) -> IntegralResult:
-    return exterior_integral(body, KERNELS[kernel_name](), cfg)
 
 
 def verify(
@@ -278,7 +274,7 @@ def verify(
     else:
         fs = _cached_functionals(body, "quadrature", grid)
         if t.integral:
-            res = _cached_integral(body, t.integral, config or ExteriorConfig())
+            res = exterior_integral(body, KERNELS[t.integral](), config)
             value, int_err = res.value, res.error_bar
 
     scale = max(fs.L * fs.L, PI * abs(fs.Fe))

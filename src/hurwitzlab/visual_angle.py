@@ -10,12 +10,13 @@ f(omega) over the whole exterior are evaluated two independent ways:
   t_i are the tangent-segment lengths.  The domain is the finite rectangle
   [0,2*pi) x (0,pi) and the integrand stays bounded because every admitted
   kernel vanishes like omega^3 while the area element grows like
-  omega^-3 as delta -> pi.
+  omega^-3 as delta -> pi.  Its phi1 integral G(delta), the tangent
+  field, is kernel independent and cached per (body, config).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
   a cutoff radius, with the tangent lines of all radial nodes of one
   direction solved in one batch, plus a fitted 1/r^2 tail for the
-  remainder.
+  remainder.  Its visual-angle field is cached per (body, config) too.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -57,6 +58,8 @@ _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
 # 8-point Gauss panels per radial zone (near and far) of the polar oracle.
 _POLAR_PANELS = 6
+# Entries (gaps x phi1) per block of the corner solve in _gap_mass.
+_BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -323,20 +326,19 @@ def support_line_angles(body: TrigSupport, point, collar: float = 1e-9) -> Tange
 
 
 def _corners(body: TrigSupport, phi1, deltas):
-    """Yield (px, py, u1, u2) per gap delta: the corner P where the support
-    lines at phi1 and phi1 + delta meet, and the signed tangent lengths from
-    P to their tangency points.  phi1 (scalar or array) is evaluated once."""
+    """(px, py, u1, u2), one row per gap delta and one column per phi1: the
+    corner P where the support lines at phi1 and phi1 + delta meet, and the
+    signed tangent lengths from P to their tangency points."""
     c1, s1 = np.cos(phi1), np.sin(phi1)
     p1 = _eval(body, phi1, 0)
     dp1 = _eval(body, phi1, 1)
-    for d in deltas:
-        phi2 = phi1 + d
-        c2, s2 = np.cos(phi2), np.sin(phi2)
-        sd = math.sin(d)
-        p2 = _eval(body, phi2, 0)
-        px = (p1 * s2 - p2 * s1) / sd
-        py = (p2 * c1 - p1 * c2) / sd
-        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - _eval(body, phi2, 1)
+    phi2 = phi1 + deltas[:, None]
+    c2, s2 = np.cos(phi2), np.sin(phi2)
+    sd = np.array([math.sin(d) for d in deltas])[:, None]
+    p2 = _eval(body, phi2, 0)
+    px = (p1 * s2 - p2 * s1) / sd
+    py = (p2 * c1 - p1 * c2) / sd
+    return px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - _eval(body, phi2, 1)
 
 
 def exterior_point(body: TrigSupport, phi1: float, delta: float):
@@ -349,8 +351,8 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
     _require_validated(body)
     if not (0.0 < delta < PI):
         raise DegenerateGap(f"delta must lie in (0, pi), got {delta}")
-    px, py, u1, u2 = next(_corners(body, phi1, (delta,)))
-    return np.array([px, py]), float(abs(u1 * u2)) / math.sin(delta), PI - delta
+    px, py, u1, u2 = (float(v[0, 0]) for v in _corners(body, phi1, np.array([delta])))
+    return np.array([px, py]), abs(u1 * u2) / math.sin(delta), PI - delta
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +362,18 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
 def _gap_mass(body: TrigSupport, delta, nodes_phi: int):
     """Integral over phi1 of the area-element factor at fixed gap delta.
 
-    Vectorized over an array of gaps; returns G with
+    Vectorized over gaps in blocks of _BLOCK_ENTRIES corners; returns the
+    kernel-independent tangent field G (cached by `_tangent_field`) with
     integral_exterior f(omega) dP = integral_0^pi f(pi - delta) G(delta) ddelta.
     """
     phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
-    return np.array([
-        TWO_PI / nodes_phi * math.fsum(np.abs(u1 * u2).tolist()) / math.sin(d)
-        for d, (_, _, u1, u2) in zip(deltas, _corners(body, phi1, deltas))
-    ])
+    rows = max(1, _BLOCK_ENTRIES // nodes_phi)
+    sums = []
+    for start in range(0, deltas.size, rows):
+        _, _, u1, u2 = _corners(body, phi1, deltas[start : start + rows])
+        sums.extend(map(math.fsum, np.abs(u1 * u2).tolist()))
+    return TWO_PI / nodes_phi * np.array(sums) / np.array([math.sin(d) for d in deltas])
 
 
 def _delta_edges(delta_min: float, panels: int) -> np.ndarray:
@@ -376,12 +381,17 @@ def _delta_edges(delta_min: float, panels: int) -> np.ndarray:
     return delta_min + (PI - delta_min) * (1.0 - (1.0 - s) ** 2)
 
 
-def _tangent_level(body, kernel, nodes_phi, panels, delta_min):
-    nodes, weights = gauss_panels(_delta_edges(delta_min, panels), points=16)
-    mass = _gap_mass(body, nodes, nodes_phi)
-    fvals = kernel(PI - nodes)
-    total = math.fsum((weights * fvals * mass).tolist())
-    return total, nodes.size * nodes_phi
+@lru_cache(maxsize=8)
+def _tangent_field(body: TrigSupport, cfg: ExteriorConfig):
+    """Kernel-independent part of `exterior_integral`, cached for the last 8
+    (body, config) pairs as the polar field is: (gap nodes, Gauss weights, G at
+    the nodes, node count) for the fine and the coarse level, and G(delta_min)."""
+    panels = max(4, cfg.nodes_delta // 16)
+    levels = []
+    for nodes_phi, n in ((cfg.nodes_phi, panels), (max(16, cfg.nodes_phi // 2), max(2, panels // 2))):
+        nodes, weights = gauss_panels(_delta_edges(cfg.delta_min, n), points=16)
+        levels.append((nodes, weights, _gap_mass(body, nodes, nodes_phi), nodes.size * nodes_phi))
+    return tuple(levels), float(_gap_mass(body, cfg.delta_min, cfg.nodes_phi)[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -390,21 +400,18 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     Composite Gauss panels in the gap direction (graded toward delta = pi,
     where the integrand has a removable limit) and a periodic trapezoid in
     the angular direction.  The error bar combines a coarse/fine difference
-    with a bound on the mass dropped inside the near-boundary collar.
+    with a bound on the mass dropped inside the near-boundary collar.  The
+    tangent field is kernel independent and cached per (body, config).
     """
     _require_validated(body)
     kernel.check_integrable()
     cfg = config or ExteriorConfig()
-    panels = max(4, cfg.nodes_delta // 16)
-    fine, n_fine = _tangent_level(body, kernel, cfg.nodes_phi, panels, cfg.delta_min)
-    coarse, _ = _tangent_level(
-        body, kernel, max(16, cfg.nodes_phi // 2), max(2, panels // 2), cfg.delta_min
-    )
-    collar_row = float(_gap_mass(body, cfg.delta_min, cfg.nodes_phi)[0])
+    levels, collar_row = _tangent_field(body, cfg)
+    fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for x, w, mass, _ in levels)
     # the dropped collar mass is ~ 0.5*delta_min*row; report twice that for safety
     collar_err = cfg.delta_min * abs(kernel(PI - cfg.delta_min)) * collar_row
     err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
-    return IntegralResult(fine, err, "tangent_coords", n_fine)
+    return IntegralResult(fine, err, "tangent_coords", levels[0][3])
 
 
 # ---------------------------------------------------------------------------

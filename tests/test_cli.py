@@ -200,6 +200,17 @@ def test_invalid_tol_exit_2(capsys, argv, tol):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("nodes", ["64,64,64", "64,abc"])
+@pytest.mark.parametrize(
+    "argv", [("verify", "--spec", "astroid:1,0.2"), ("sweep", "--count", "5")]
+)
+def test_malformed_exterior_nodes_exit_2(capsys, argv, nodes):
+    code, out, err = run(capsys, *argv, "--exterior-nodes", nodes)
+    assert code == 2
+    assert out == ""
+    assert err
+
+
 @pytest.mark.parametrize("n", ["2.7", "Infinity"])
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_non_integral_frequency_exit_2(capsys, tmp_path, command, n):

@@ -17,13 +17,15 @@ from hurwitzlab import (
     exterior_point,
     functionals_spectral,
     moment_kernel,
+    random_body,
     sin_cubed_kernel,
     support_line_angles,
     visual_deficit_cw_kernel,
     visual_deficit_kernel,
     visual_moment,
 )
-from hurwitzlab.bodies import boundary_point
+from hurwitzlab import visual_angle
+from hurwitzlab.bodies import _eval, boundary_point
 from hurwitzlab.errors import (
     BadOrder,
     BoundaryCollar,
@@ -32,7 +34,15 @@ from hurwitzlab.errors import (
     NonIntegrableKernel,
     NotValidated,
 )
-from hurwitzlab.visual_angle import _polar_field, _radial_boundary, _tangent_angles
+from hurwitzlab.visual_angle import (
+    KERNELS,
+    _corners,
+    _gap_mass,
+    _polar_field,
+    _radial_boundary,
+    _tangent_angles,
+    _tangent_field,
+)
 
 from .test_bodies import convex_bodies
 
@@ -280,6 +290,82 @@ class TestExteriorPoint:
             u = (pp - pm) / (2 * h)
             v = (dp - dm) / (2 * h)
             assert abs(u[0] * v[1] - u[1] * v[0]) == pytest.approx(jac, rel=1e-6)
+
+
+def _reference_corners(body, phi1, deltas):
+    """Per-gap corner solve, one gap at a time: the reference for the block form."""
+    c1, s1 = np.cos(phi1), np.sin(phi1)
+    p1, dp1 = _eval(body, phi1, 0), _eval(body, phi1, 1)
+    for d in deltas:
+        phi2 = phi1 + d
+        c2, s2 = np.cos(phi2), np.sin(phi2)
+        sd = math.sin(d)
+        p2 = _eval(body, phi2, 0)
+        px = (p1 * s2 - p2 * s1) / sd
+        py = (p2 * c1 - p1 * c2) / sd
+        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - _eval(body, phi2, 1)
+
+
+def _reference_gap_mass(body, deltas, nodes_phi):
+    phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
+    return np.array([
+        TWO_PI / nodes_phi * math.fsum(np.abs(u1 * u2).tolist()) / math.sin(d)
+        for d, (_, _, u1, u2) in zip(deltas, _reference_corners(body, phi1, deltas))
+    ])
+
+
+def _reference_exterior_point(body, phi1, delta):
+    px, py, u1, u2 = next(_reference_corners(body, phi1, (delta,)))
+    return np.array([px, py]), float(abs(u1 * u2)) / math.sin(delta), PI - delta
+
+
+@pytest.fixture(scope="module", params=["circle", "mix", "random8", "random64"])
+def field_body(request):
+    if request.param.startswith("random"):
+        return random_body(5, degree=int(request.param[6:]))
+    return request.getfixturevalue(f"{request.param}_body")
+
+
+class TestTangentField:
+    @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
+    def test_block_gap_mass_equals_per_gap_loop(self, field_body, nodes_phi):
+        rows = max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
+        rng = np.random.default_rng(nodes_phi)
+        gaps = np.concatenate([[1e-4, PI - 1e-9], rng.uniform(1e-4, PI, 2 * rows + 1)])
+        assert gaps.size % rows != 0
+        block = _gap_mass(field_body, gaps, nodes_phi)
+        assert np.array_equal(block, _reference_gap_mass(field_body, gaps, nodes_phi))
+
+    def test_block_corners_keep_row_order(self, mix_body):
+        phi1 = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+        gaps = np.linspace(0.1, 3.0, 7)
+        for got, want in zip(_corners(mix_body, phi1, gaps), zip(*_reference_corners(mix_body, phi1, gaps))):
+            assert np.array_equal(got, np.array(want))
+
+    def test_exterior_point_unchanged_on_mix(self, mix_body):
+        rng = np.random.default_rng(7)
+        for phi1, delta in zip(rng.uniform(0.0, TWO_PI, 50), rng.uniform(1e-6, PI, 50)):
+            point, jac, omega = exterior_point(mix_body, float(phi1), float(delta))
+            ref_point, ref_jac, ref_omega = _reference_exterior_point(mix_body, float(phi1), float(delta))
+            assert np.array_equal(point, ref_point)
+            assert (jac, omega) == (ref_jac, ref_omega)
+
+    def test_kernels_share_one_field(self, monkeypatch):
+        # fine level, coarse level and collar row: 3 calls for all 4 kernels
+        calls = []
+        monkeypatch.setattr(visual_angle, "_gap_mass", lambda *args: calls.append(args) or _gap_mass(*args))
+        _tangent_field.cache_clear()
+        body, cfg = construct(CircleSpec(1.37)), ExteriorConfig(nodes_phi=32, nodes_delta=32)
+        for make in KERNELS.values():
+            exterior_integral(body, make(), cfg)
+        assert len(calls) == 3
+
+    def test_field_cache_is_bounded(self):
+        cfg = ExteriorConfig(nodes_phi=16, nodes_delta=16)
+        for i in range(10):
+            body = construct(CircleSpec(1.0 + 0.1 * i))
+            exterior_integral(body, crofton_kernel(), cfg)
+        assert _tangent_field.cache_info().currsize <= 8
 
 
 class TestExteriorIntegral:
