@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,15 +67,22 @@ def grid_for_degree(degree: int) -> QuadratureGrid:
     return QuadratureGrid(max(256, _next_pow2(4 * max(degree, 0) + 8)))
 
 
+@lru_cache(maxsize=None)
+def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(points)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, points: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights over consecutive panels.
 
     `edges` is an increasing sequence of panel boundaries; nodes are
     returned flattened in panel order so downstream compensated sums see a
-    fixed ordering.
+    fixed ordering.  The rule is cached per point count as read-only arrays.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = leggauss(points)
+    x, w = _leggauss(points)
     nodes = []
     weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -14,8 +14,8 @@ f(omega) over the whole exterior are evaluated two independent ways:
   field, is kernel independent and cached per (body, config).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
-  a cutoff radius, with the tangent lines of all radial nodes of one
-  direction solved in one batch, plus a fitted 1/r^2 tail for the
+  a cutoff radius, with the tangent lines of all radial nodes of a block
+  of directions solved in one batch, plus a fitted 1/r^2 tail for the
   remainder.  Its visual-angle field is cached per (body, config) too.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
@@ -60,6 +60,8 @@ _SERIES_TERMS = 16
 _POLAR_PANELS = 6
 # Entries (gaps x phi1) per block of the corner solve in _gap_mass.
 _BLOCK_ENTRIES = 1 << 12
+# Entries (points x scan angles) per block of the polar oracle's tangent solve.
+_POLAR_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,8 @@ class ExteriorConfig:
     def __post_init__(self):
         if min(self.nodes_phi, self.nodes_delta) < 16:
             raise ValueError("node counts must be >= 16")
+        if self.r_max is not None and not math.isfinite(self.r_max):
+            raise ValueError(f"r_max must be finite, got {self.r_max}")
         if not (0.0 < self.delta_min < PI / 64.0):
             raise ValueError(f"delta_min must lie in (0, pi/64), got {self.delta_min}")
 
@@ -234,10 +238,10 @@ class IntegralResult:
 
 
 def _g(body: TrigSupport, px, py, phi, orders):
-    """Derivatives of the given orders (0, 1 or 2) of g(phi) = <P, N(phi)> - p(phi)."""
+    """Derivatives of the given orders (0, 1 or 2), and only those, of g(phi) = <P, N(phi)> - p(phi)."""
     c, s = np.cos(phi), np.sin(phi)
-    pn, pdn = px * c + py * s, -px * s + py * c
-    return tuple((pn, pdn, -pn)[k] - _eval(body, phi, k) for k in orders)
+    geo = (lambda: px * c + py * s, lambda: -px * s + py * c, lambda: -(px * c + py * s))
+    return tuple(geo[k]() - _eval(body, phi, k) for k in orders)
 
 
 def _tangent_angles(body: TrigSupport, points, collar: float = 1e-9):
@@ -249,10 +253,11 @@ def _tangent_angles(body: TrigSupport, points, collar: float = 1e-9):
     scans.  All brackets are then polished together to
     |g| <= 1e-13 * (|P| + a0).  g rises through zero at phi1 and is positive
     on the counterclockwise arc of length delta = pi - omega from phi1 to
-    phi2.  Raises InteriorPoint when g never becomes positive (the grid
-    maximum is polished first), BoundaryCollar when a point clears the
-    boundary by less than collar * a0, and RootCountAnomaly when the roots
-    stay unresolved or the positive arc is not shorter than pi.
+    phi2.  Raises InteriorPoint when g never becomes positive and
+    BoundaryCollar when a point clears the boundary by less than collar * a0
+    (a grid maximum below either bound is polished first), and
+    RootCountAnomaly when the roots stay unresolved or the positive arc is
+    not shorter than pi.  Each point is solved on its own, bit for bit.
     """
     px, py = points[:, 0], points[:, 1]
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
@@ -264,9 +269,9 @@ def _tangent_angles(body: TrigSupport, points, collar: float = 1e-9):
         h = TWO_PI / n_scan
         (g,) = _g(body, px[todo, None], py[todo, None], phis, (0,))
         gmax = g.max(axis=1)
-        low = gmax <= tol[todo]
+        low = gmax <= np.maximum(tol[todo], collar * body.a0)
         if low.any():
-            # polish the grid maximum, a root of g', before declaring a point interior
+            # polish the grid maximum, a root of g', before declaring a point interior or in the collar
             qx, qy, top = px[todo[low]], py[todo[low]], phis[g[low].argmax(axis=1)]
             (d_lo,), (d_hi,) = _g(body, qx, qy, top - h, (1,)), _g(body, qx, qy, top + h, (1,))
             _, (_, _, g_top) = _polish_roots(
@@ -444,7 +449,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
 
     Returns (omegas, weights, far_r, bound_mass, r_max):
       omegas/weights: one row of radial nodes per theta, with full area
-        measure r*dr*dtheta; the tangent lines of a row are solved in one batch;
+        measure r*dr*dtheta; the tangent lines of a block of rows are solved in one batch;
       far_r: the outer radial nodes, the last columns of every row, for tail fits;
       bound_mass: integral of r over the collar ring, bounding dropped area;
       r_max: the cutoff radius, cfg.r_max or by default 40*a0.
@@ -465,7 +470,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     far_edges = np.geomspace(r1, r_max, _POLAR_PANELS + 1)
     far_nodes, far_w = gauss_panels(far_edges, points=8)
 
-    omegas = []
+    points = []
     weights = []
     ring_mass = 0.0
     for theta, rb in zip(thetas, rbs):
@@ -474,11 +479,12 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, _POLAR_PANELS + 1), points=8)
         rs = np.concatenate([rb + u_nodes**2, far_nodes])
         ws = np.concatenate([2.0 * u_nodes * u_w, far_w])
-        _, _, om = _tangent_angles(centered, np.outer(rs, (math.cos(theta), math.sin(theta))))
-        omegas.append(om)
+        points.append(np.outer(rs, (math.cos(theta), math.sin(theta))))
         weights.append(w_theta * ws * rs)
         ring_mass += w_theta * rb * collar
-    return np.array(omegas), np.array(weights), far_nodes, ring_mass, r_max
+    rows = max(1, _POLAR_BLOCK_ENTRIES // (weights[0].size * max(64, 8 * centered.max_degree)))
+    omegas = [_tangent_angles(centered, np.concatenate(points[i : i + rows]))[2] for i in range(0, n_theta, rows)]
+    return np.concatenate(omegas).reshape(n_theta, -1), np.array(weights), far_nodes, ring_mass, r_max
 
 
 def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:

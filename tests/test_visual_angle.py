@@ -18,6 +18,8 @@ from hurwitzlab import (
     functionals_spectral,
     moment_kernel,
     random_body,
+    recenter_to_steiner,
+    rigid_motion,
     sin_cubed_kernel,
     support_line_angles,
     visual_deficit_cw_kernel,
@@ -34,6 +36,7 @@ from hurwitzlab.errors import (
     NonIntegrableKernel,
     NotValidated,
 )
+from hurwitzlab.quadrature import gauss_panels
 from hurwitzlab.visual_angle import (
     KERNELS,
     _corners,
@@ -156,6 +159,26 @@ class TestSupportLineAngles:
             tp = support_line_angles(mix_body, edge + s * normal)
             assert 0.0 < tp.omega < PI
 
+    @pytest.mark.parametrize(
+        "name, clearance, picks",
+        [
+            ("circle", 1e-8, [361, 389, 717, 1420, 1455, 1564, 1762, 1785]),
+            ("circle", 2e-9, [201, 664, 727, 746, 1061, 1215, 1342, 1350]),
+            ("mix", 3e-9, [361, 400, 403, 439, 462, 1215, 1420, 1701]),
+        ],
+    )
+    def test_clearance_above_collar_is_not_rejected(self, name, clearance, picks, request):
+        # these points clear the boundary by 2-10x the collar, but their grid
+        # maximum of g lies below it; the grid maximum used to be polished only
+        # below 1e-13*(|P| + a0), so each raised a false BoundaryCollar
+        body = request.getfixturevalue(f"{name}_body")
+        phis = np.random.default_rng(0).uniform(0.0, TWO_PI, 2000)[picks]
+        points = _exterior_points(body, phis, np.full(phis.size, clearance))
+        _check_batch(body, points)
+        if name == "circle":
+            _, _, omega = _tangent_angles(body, points)
+            assert omega == pytest.approx(2.0 * math.asin(1.0 / (1.0 + clearance)), abs=1e-8)
+
 
 def _exterior_points(body, phis, gaps):
     """gamma(phi) + s*N(phi): points that clear the boundary by s."""
@@ -193,6 +216,20 @@ class TestBatchedTangents:
         phis = [phi for phi, _ in draws]
         gaps = [body.a0 * 10.0**u for _, u in draws]
         _check_batch(body, _exterior_points(body, phis, gaps))
+
+    @given(
+        convex_bodies(max_degree=8),
+        st.lists(st.tuples(st.floats(0.0, TWO_PI), st.floats(-5.0, 2.0)), min_size=2, max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_concatenation_solves_like_its_parts(self, body, draws, data):
+        # the polar oracle relies on this: grouping points into blocks moves no bit
+        points = _exterior_points(body, [phi for phi, _ in draws], [body.a0 * 10.0**u for _, u in draws])
+        cut = data.draw(st.integers(1, len(draws) - 1))
+        whole = _tangent_angles(body, points)
+        for got, head, tail in zip(whole, _tangent_angles(body, points[:cut]), _tangent_angles(body, points[cut:])):
+            assert np.array_equal(got, np.concatenate([head, tail]))
 
     def test_scan_doubling_near_mix_boundary(self, mix_body):
         # each positive arc lies inside one cell of the first 64-angle scan,
@@ -408,6 +445,11 @@ class TestExteriorIntegral:
         with pytest.raises(TypeError):
             ExteriorConfig(method="magic")
 
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_max_rejected(self, r_max):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            ExteriorConfig(r_max=r_max)
+
 
 class TestVisualMoment:
     def test_ast_order2(self, ast_body):
@@ -470,3 +512,55 @@ class TestPolarOracle:
             body = construct(CircleSpec(1.0 + 0.1 * i))
             exterior_integral_grid(body, crofton_kernel(), cfg)
         assert _polar_field.cache_info().currsize <= 8
+
+
+def _reference_polar_field(body, cfg):
+    """Per-direction loop, one tangent solve per theta: the reference for the block form."""
+    centered = recenter_to_steiner(body)
+    a0 = centered.a0
+    r_max = cfg.r_max if cfg.r_max is not None else 40.0 * a0
+    collar = 1e-5 * a0
+    thetas = np.linspace(0.0, TWO_PI, cfg.nodes_phi, endpoint=False)
+    w_theta = TWO_PI / cfg.nodes_phi
+    rbs, _ = _radial_boundary(centered, thetas)
+    r1 = 3.0 * float(np.max(rbs))
+    far_nodes, far_w = gauss_panels(np.geomspace(r1, r_max, visual_angle._POLAR_PANELS + 1), points=8)
+    omegas, weights, ring_mass = [], [], 0.0
+    for theta, rb in zip(thetas, rbs):
+        u_edges = np.linspace(math.sqrt(collar), math.sqrt(r1 - rb), visual_angle._POLAR_PANELS + 1)
+        u_nodes, u_w = gauss_panels(u_edges, points=8)
+        rs = np.concatenate([rb + u_nodes**2, far_nodes])
+        ws = np.concatenate([2.0 * u_nodes * u_w, far_w])
+        omegas.append(_tangent_angles(centered, np.outer(rs, (math.cos(theta), math.sin(theta))))[2])
+        weights.append(w_theta * ws * rs)
+        ring_mass += w_theta * rb * collar
+    return np.array(omegas), np.array(weights), far_nodes, ring_mass, r_max
+
+
+@pytest.fixture(scope="module", params=["circle", "mix", "random8", "random33", "translated"])
+def polar_body(request):
+    if request.param == "translated":
+        return rigid_motion(random_body(6, degree=8), 0.0, (40.0, -25.0))
+    if request.param.startswith("random"):
+        return random_body(5, degree=int(request.param[6:]))
+    return request.getfixturevalue(f"{request.param}_body")
+
+
+class TestPolarBlocks:
+    # up to degree 8 a block holds 5 directions, so 16, 17 and 96 end on a partial block
+    @pytest.mark.parametrize("nodes_phi", [16, 17, 96, 100])
+    def test_block_field_equals_per_direction_loop(self, polar_body, nodes_phi):
+        cfg = ExteriorConfig(nodes_phi=nodes_phi)
+        got, want = _polar_field(polar_body, cfg), _reference_polar_field(polar_body, cfg)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3:] == want[3:]
+
+    def test_one_tangent_solve_per_block(self, mix_body, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            visual_angle, "_tangent_angles", lambda body, points: sizes.append(len(points)) or _tangent_angles(body, points)
+        )
+        _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
+        # 96 radial nodes x 64 scan angles per direction: 19 blocks of 5 directions, then one of 1
+        assert sizes == [5 * 96] * 19 + [96]
