@@ -73,10 +73,10 @@ def parse_spec(text: str):
         raise HurwitzLabError("hypocycloid spec takes 'm/n,r' (curve) or 'k,a0,amp' (body)")
     if name == "random":
         parts = [p for p in args.split(",") if p]
-        if len(parts) < 2:
-            raise HurwitzLabError("random spec takes 'seed,degree[,cw]'")
-        cw = len(parts) > 2 and parts[2].lower() in ("cw", "1", "true", "yes")
-        return B.RandomBodySpec(int(parts[0]), int(parts[1]), cw)
+        cw = parts[2].lower() if len(parts) == 3 else "no"
+        if len(parts) not in (2, 3) or cw not in ("cw", "1", "true", "yes", "0", "false", "no"):
+            raise HurwitzLabError("random spec takes 'seed,degree[,cw]', cw one of cw|1|true|yes|0|false|no")
+        return B.RandomBodySpec(int(parts[0]), int(parts[1]), cw in ("cw", "1", "true", "yes"))
     raise HurwitzLabError(
         f"unknown spec {name!r}; expected circle, astroid, deltoid, hypocycloid or random"
     )
@@ -120,7 +120,7 @@ def _exterior_config(args) -> ExteriorConfig:
 
 def cmd_report(args) -> int:
     body = _load_body(args)
-    grid = QuadratureGrid(args.nodes) if args.nodes else None
+    grid = QuadratureGrid(args.nodes) if args.nodes is not None else None
     if args.path == "spectral":
         payload = functionals_spectral(body).to_dict()
     elif args.path in ("geometric", "quadrature"):
@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
         path=args.path,
         tol=args.tol,
         exterior=_exterior_config(args),
-        grid=QuadratureGrid(args.nodes) if args.nodes else None,
+        grid=QuadratureGrid(args.nodes) if args.nodes is not None else None,
     )
     report = run_suite(body, cfg)
     header = f"{'theorem':<24} {'path':<10} {'lhs':>14} {'rhs':>14} {'residual':>12}  flags"

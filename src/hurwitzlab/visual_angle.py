@@ -14,9 +14,12 @@ f(omega) over the whole exterior are evaluated two independent ways:
   field, is kernel independent and cached per (body, config).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
-  a cutoff radius, with the tangent lines of all radial nodes of a block
-  of directions solved in one batch, plus a fitted 1/r^2 tail for the
+  the cutoff radius 40*a0, with the tangent lines of all radial nodes of a
+  block of directions solved in one batch, plus a fitted 1/r^2 tail for the
   remainder.  Its visual-angle field is cached per (body, config) too.
+
+The tangent lines through a point come from one scan of
+g(phi) = <P, N(phi)> - p(phi) and one polish of its roots (`_tangent_angles`).
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -62,6 +65,10 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 12
 # Entries (points x scan angles) per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_ENTRIES = 1 << 15
+# Cutoff radius of the polar oracle, in units of a0.
+_POLAR_R_MAX = 40.0
+# Exterior points must clear the boundary by this many a0 for the tangent solve.
+_TANGENT_COLLAR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,19 +207,16 @@ class ExteriorConfig:
     nodes_delta: total Gauss points along the gap direction (16 per panel).
     delta_min: collar excluded near the boundary (delta -> 0); its dropped
         mass is bounded and reported inside the error bar.
-    r_max applies to the polar oracle only (default 40*a0).
+    The polar oracle uses nodes_phi directions and the cutoff radius 40*a0.
     """
 
     nodes_phi: int = 256
     nodes_delta: int = 256
     delta_min: float = 1e-4
-    r_max: float | None = None
 
     def __post_init__(self):
         if min(self.nodes_phi, self.nodes_delta) < 16:
             raise ValueError("node counts must be >= 16")
-        if self.r_max is not None and not math.isfinite(self.r_max):
-            raise ValueError(f"r_max must be finite, got {self.r_max}")
         if not (0.0 < self.delta_min < PI / 64.0):
             raise ValueError(f"delta_min must lie in (0, pi/64), got {self.delta_min}")
 
@@ -244,64 +248,59 @@ def _g(body: TrigSupport, px, py, phi, orders):
     return tuple(geo[k]() - _eval(body, phi, k) for k in orders)
 
 
-def _tangent_angles(body: TrigSupport, points, collar: float = 1e-9):
+def _tangent_angles(body: TrigSupport, points):
     """Arrays (phi1, phi2, omega) of the support lines through each row of points.
 
-    g(phi) = <P, N(phi)> - p(phi) is scanned for all points at once on
-    max(64, 8N) angles; only the points whose scan does not show exactly
-    two sign changes are scanned again, at double resolution, up to 5
-    scans.  All brackets are then polished together to
-    |g| <= 1e-13 * (|P| + a0).  g rises through zero at phi1 and is positive
-    on the counterclockwise arc of length delta = pi - omega from phi1 to
-    phi2.  Raises InteriorPoint when g never becomes positive and
-    BoundaryCollar when a point clears the boundary by less than collar * a0
-    (a grid maximum below either bound is polished first), and
-    RootCountAnomaly when the roots stay unresolved or the positive arc is
+    g(phi) = <P, N(phi)> - p(phi) is scanned once, for all points at once, on
+    max(64, 8N) angles.  For an exterior point g is positive, and concave
+    (g'' = -g - rho), on one arc shorter than pi, so the scan shows two sign
+    changes or, when the arc fits between two scan angles, none.  A grid
+    maximum top at or below max(tol, collar) is polished as a root of g'; its
+    value decides InteriorPoint and BoundaryCollar (a clearance below
+    _TANGENT_COLLAR * a0), and with no sign change its position and top -/+ h
+    bracket the roots.  All roots are polished together to
+    |g| <= tol = 1e-13 * (|P| + a0).  g rises through zero at phi1 and is
+    positive on the counterclockwise arc of length delta = pi - omega to phi2.
+    RootCountAnomaly means a sign-change count other than 0 or 2, or an arc
     not shorter than pi.  Each point is solved on its own, bit for bit.
     """
     px, py = points[:, 0], points[:, 1]
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
-    neg, pos = np.empty((2, px.size, 2))  # column 0: rising root, column 1: falling root
-    todo = np.arange(px.size)
+    collar = _TANGENT_COLLAR * body.a0
     n_scan = max(64, 8 * body.max_degree)
-    for _ in range(5):
-        phis = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-        h = TWO_PI / n_scan
-        (g,) = _g(body, px[todo, None], py[todo, None], phis, (0,))
-        gmax = g.max(axis=1)
-        low = gmax <= np.maximum(tol[todo], collar * body.a0)
-        if low.any():
-            # polish the grid maximum, a root of g', before declaring a point interior or in the collar
-            qx, qy, top = px[todo[low]], py[todo[low]], phis[g[low].argmax(axis=1)]
-            (d_lo,), (d_hi,) = _g(body, qx, qy, top - h, (1,)), _g(body, qx, qy, top + h, (1,))
-            _, (_, _, g_top) = _polish_roots(
-                lambda x: _g(body, qx, qy, x, (1, 2, 0)),
-                top, neg=top + h, pos=top - h, tol=tol[todo[low]], active=(d_lo >= 0.0) & (d_hi <= 0.0),
-            )
-            gmax[low] = np.maximum(gmax[low], g_top)
-        inside = gmax <= tol[todo]
-        if inside.any():
-            raise InteriorPoint(f"point {points[todo[inside][0]].tolist()} lies inside the body")
-        thin = gmax <= collar * body.a0
-        if thin.any():
-            raise BoundaryCollar(
-                f"point clears the boundary by {gmax[thin][0]:.3g}, below collar {collar * body.a0:.3g}"
-            )
-        g_next = np.roll(g, -1, axis=1)
-        up, down = (g <= 0.0) & (g_next > 0.0), (g > 0.0) & (g_next <= 0.0)
-        count = up.sum(axis=1) + down.sum(axis=1)
-        two = count == 2
-        done, i_up, i_down = todo[two], up[two].argmax(axis=1), down[two].argmax(axis=1)
-        neg[done, 0], pos[done, 0] = phis[i_up], phis[i_up] + h
-        pos[done, 1], neg[done, 1] = phis[i_down], phis[i_down] + h
-        todo = todo[~two]
-        if not todo.size:
-            break
-        n_scan *= 2
-    else:
-        raise RootCountAnomaly(
-            f"could not isolate exactly two support-line roots (last count {count[~two][0]})"
+    phis = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+    h = TWO_PI / n_scan
+    (g,) = _g(body, px[:, None], py[:, None], phis, (0,))
+    g_next = np.roll(g, -1, axis=1)
+    up, down = (g <= 0.0) & (g_next > 0.0), (g > 0.0) & (g_next <= 0.0)
+    count = up.sum(axis=1) + down.sum(axis=1)
+    i_up, i_down = up.argmax(axis=1), down.argmax(axis=1)
+    # column 0: rising root, column 1: falling root
+    neg = np.stack([phis[i_up], phis[i_down] + h], axis=1)
+    pos = np.stack([phis[i_up] + h, phis[i_down]], axis=1)
+    gmax = g.max(axis=1)
+    low = gmax <= np.maximum(tol, collar)
+    if low.any():
+        qx, qy, top = px[low], py[low], phis[g[low].argmax(axis=1)]
+        (d_lo,), (d_hi,) = _g(body, qx, qy, top - h, (1,)), _g(body, qx, qy, top + h, (1,))
+        x_top, (_, _, g_top) = _polish_roots(
+            lambda x: _g(body, qx, qy, x, (1, 2, 0)),
+            top, neg=top + h, pos=top - h, tol=tol[low], active=(d_lo >= 0.0) & (d_hi <= 0.0),
         )
+        gmax[low] = np.maximum(gmax[low], g_top)
+        arc = count[low] == 0
+        rows = np.flatnonzero(low)[arc]
+        neg[rows] = np.stack([top - h, top + h], axis=1)[arc]
+        pos[rows] = x_top[arc, None]
+    inside = gmax <= tol
+    if inside.any():
+        raise InteriorPoint(f"point {points[inside][0].tolist()} lies inside the body")
+    thin = gmax <= collar
+    if thin.any():
+        raise BoundaryCollar(f"point clears the boundary by {gmax[thin][0]:.3g}, below collar {collar:.3g}")
+    odd = (count != 0) & (count != 2)
+    if odd.any():
+        raise RootCountAnomaly(f"scan shows {count[odd][0]} sign changes of g, not 0 or 2")
     x, _ = _polish_roots(
         lambda x: _g(body, px[:, None], py[:, None], x, (0, 1)),
         0.5 * (neg + pos), neg, pos, tol[:, None], True,
@@ -314,18 +313,18 @@ def _tangent_angles(body: TrigSupport, points, collar: float = 1e-9):
     return roots[:, 0], roots[:, 1], PI - delta
 
 
-def support_line_angles(body: TrigSupport, point, collar: float = 1e-9) -> TangentPair:
+def support_line_angles(body: TrigSupport, point) -> TangentPair:
     """Normal angles of the two support lines through an exterior point.
 
-    Roots of g(phi) = <P, N(phi)> - p(phi) are bracketed by sign changes on
-    a dense grid and polished to |g| <= 1e-13 * (|P| + a0) (the one-point
-    case of `_tangent_angles`).  Raises InteriorPoint when g never becomes
-    positive and BoundaryCollar when the point clears the boundary by less
-    than collar * a0.
+    Roots of g(phi) = <P, N(phi)> - p(phi) are bracketed by one scan and
+    polished to |g| <= 1e-13 * (|P| + a0) (the one-point case of
+    `_tangent_angles`).  Raises InteriorPoint when g never becomes positive
+    and BoundaryCollar when the point clears the boundary by less than
+    1e-9 * a0.
     """
     _require_validated(body)
     point = np.asarray(point, dtype=float)
-    phi1, phi2, omega = (float(v[0]) for v in _tangent_angles(body, point[None, :], collar))
+    phi1, phi2, omega = (float(v[0]) for v in _tangent_angles(body, point[None, :]))
     t1, t2 = (float(np.hypot(*(point - boundary_point(body, phi)))) for phi in (phi1, phi2))
     return TangentPair(phi1=phi1, phi2=phi2, omega=omega, t1=t1, t2=t2)
 
@@ -447,19 +446,16 @@ def _radial_boundary(body: TrigSupport, thetas):
 def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     """Visual-angle field on a polar grid about the Steiner point.
 
-    Returns (omegas, weights, far_r, bound_mass, r_max):
-      omegas/weights: one row of radial nodes per theta, with full area
-        measure r*dr*dtheta; the tangent lines of a block of rows are solved in one batch;
+    Returns (omegas, weights, far_r, bound_mass):
+      omegas/weights: one row of radial nodes per theta out to the cutoff
+        radius _POLAR_R_MAX * a0, with full area measure r*dr*dtheta; the
+        tangent lines of a block of rows are solved in one batch;
       far_r: the outer radial nodes, the last columns of every row, for tail fits;
-      bound_mass: integral of r over the collar ring, bounding dropped area;
-      r_max: the cutoff radius, cfg.r_max or by default 40*a0.
+      bound_mass: integral of r over the collar ring, bounding dropped area.
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
     centered = recenter_to_steiner(body)
     a0 = centered.a0
-    r_max = cfg.r_max if cfg.r_max is not None else 40.0 * a0
-    if r_max < 20.0 * a0:
-        raise ValueError(f"r_max must be at least 20*a0 = {20 * a0:.6g}, got {r_max}")
     collar = 1e-5 * a0
     n_theta = cfg.nodes_phi
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
@@ -467,7 +463,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
 
     rbs, _ = _radial_boundary(centered, thetas)
     r1 = 3.0 * float(np.max(rbs))
-    far_edges = np.geomspace(r1, r_max, _POLAR_PANELS + 1)
+    far_edges = np.geomspace(r1, _POLAR_R_MAX * a0, _POLAR_PANELS + 1)
     far_nodes, far_w = gauss_panels(far_edges, points=8)
 
     points = []
@@ -484,13 +480,13 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         ring_mass += w_theta * rb * collar
     rows = max(1, _POLAR_BLOCK_ENTRIES // (weights[0].size * max(64, 8 * centered.max_degree)))
     omegas = [_tangent_angles(centered, np.concatenate(points[i : i + rows]))[2] for i in range(0, n_theta, rows)]
-    return np.concatenate(omegas).reshape(n_theta, -1), np.array(weights), far_nodes, ring_mass, r_max
+    return np.concatenate(omegas).reshape(n_theta, -1), np.array(weights), far_nodes, ring_mass
 
 
 def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
     """Polar-grid oracle for the exterior integral.
 
-    2D quadrature about the Steiner point up to r_max, followed by a tail
+    2D quadrature about the Steiner point up to r_max = 40*a0, followed by a tail
     of the form C/r^2 fitted on the outermost decade of radii.  Much
     coarser than the tangent integrator; its honest error bar combines an
     angular-resolution difference, the tail-fit scatter and the dropped
@@ -499,7 +495,8 @@ def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorCo
     _require_validated(body)
     kernel.check_integrable()
     cfg = config or ExteriorConfig()
-    omegas, weights, far_r, ring_mass, r_max = _polar_field(body, cfg)
+    omegas, weights, far_r, ring_mass = _polar_field(body, cfg)
+    r_max = _POLAR_R_MAX * body.a0
     fvals = kernel(omegas)
     mass = weights * fvals
     main = math.fsum(mass.ravel().tolist())

@@ -9,7 +9,8 @@ import pytest
 
 import hurwitzlab
 from hurwitzlab import FunctionalSet
-from hurwitzlab.cli import main
+from hurwitzlab.bodies import RandomBodySpec
+from hurwitzlab.cli import main, parse_spec
 
 PI = math.pi
 
@@ -209,6 +210,27 @@ def test_malformed_exterior_nodes_exit_2(capsys, argv, nodes):
     assert code == 2
     assert out == ""
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--spec", "astroid:1,0.2", "--nodes", "0"),
+        ("verify", "--spec", "astroid:1,0.2", "--nodes", "0"),
+        ("report", "--spec", "random:1,3,bogus"),
+        ("report", "--spec", "random:1,3,cw,7"),
+    ],
+)
+def test_malformed_nodes_or_random_spec_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err
+
+
+@pytest.mark.parametrize("flag, cw", [("", False), (",no", False), (",0", False), (",cw", True), (",YES", True)])
+def test_random_spec_constant_width_flag(flag, cw):
+    assert parse_spec(f"random:1,3{flag}") == RandomBodySpec(1, 3, cw)
 
 
 @pytest.mark.parametrize("n", ["2.7", "Infinity"])

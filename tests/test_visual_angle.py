@@ -121,7 +121,7 @@ class TestSupportLineAngles:
 
     def test_boundary_collar(self, circle_body):
         with pytest.raises(BoundaryCollar):
-            support_line_angles(circle_body, (1.0 + 1e-12, 0.0), collar=1e-9)
+            support_line_angles(circle_body, (1.0 + 1e-12, 0.0))
 
     def test_omega_formula_along_distances(self, circle_body):
         for d in (1.01, 1.5, 3.0, 10.0, 100.0):
@@ -165,16 +165,31 @@ class TestSupportLineAngles:
             ("circle", 1e-8, [361, 389, 717, 1420, 1455, 1564, 1762, 1785]),
             ("circle", 2e-9, [201, 664, 727, 746, 1061, 1215, 1342, 1350]),
             ("mix", 3e-9, [361, 400, 403, 439, 462, 1215, 1420, 1701]),
+        ]
+        + [
+            (name, clearance, slice(50))
+            for name in ("circle", "mix", "random8")
+            for clearance in (1e-4, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 3e-9, 2e-9, 5e-10)
         ],
     )
     def test_clearance_above_collar_is_not_rejected(self, name, clearance, picks, request):
-        # these points clear the boundary by 2-10x the collar, but their grid
-        # maximum of g lies below it; the grid maximum used to be polished only
-        # below 1e-13*(|P| + a0), so each raised a false BoundaryCollar
-        body = request.getfixturevalue(f"{name}_body")
+        # The first three cases clear the boundary by 2-10x the collar, 1e-9*a0,
+        # but their grid maximum of g lies below it; the grid maximum used to be
+        # polished only below 1e-13*(|P| + a0), so each raised a false
+        # BoundaryCollar.  From a clearance of about 3e-6*a0 down, the positive
+        # arc of g fits between two scan angles for most directions, so the
+        # polished maximum has to bracket the roots.  Below the collar every
+        # point is rejected.
+        body = random_body(3, 8, index=2) if name == "random8" else request.getfixturevalue(f"{name}_body")
         phis = np.random.default_rng(0).uniform(0.0, TWO_PI, 2000)[picks]
-        points = _exterior_points(body, phis, np.full(phis.size, clearance))
-        _check_batch(body, points)
+        points = _exterior_points(body, phis, np.full(phis.size, clearance * body.a0))
+        if clearance < 1e-9:
+            for point in points:
+                with pytest.raises(BoundaryCollar):
+                    support_line_angles(body, point)
+            return
+        # about 8 one-point solves per case keep the 50-direction cases fast
+        _check_batch(body, points, every=len(points) // 8)
         if name == "circle":
             _, _, omega = _tangent_angles(body, points)
             assert omega == pytest.approx(2.0 * math.asin(1.0 / (1.0 + clearance)), abs=1e-8)
@@ -187,9 +202,9 @@ def _exterior_points(body, phis, gaps):
     return boundary_point(body, phis) + np.asarray(gaps)[:, None] * normals
 
 
-def _check_batch(body, points):
+def _check_batch(body, points, every=1):
     """Roots, sign pattern and gap of the batched solve, and bit equality
-    with the one-point solve of support_line_angles."""
+    with the one-point solve of support_line_angles on every `every`-th point."""
     phi1, phi2, omega = _tangent_angles(body, points)
     delta = PI - omega
     tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
@@ -199,8 +214,8 @@ def _check_batch(body, points):
     mid = phi1 + 0.5 * delta
     assert np.all(points[:, 0] * np.cos(mid) + points[:, 1] * np.sin(mid) > eval_support(body, mid))
     assert np.all((0.0 < delta) & (delta < PI))
-    for i, point in enumerate(points):
-        tp = support_line_angles(body, point)
+    for i in range(0, len(points), every):
+        tp = support_line_angles(body, points[i])
         assert (tp.phi1, tp.phi2, tp.omega) == (phi1[i], phi2[i], omega[i])
     return phi1, delta
 
@@ -232,8 +247,8 @@ class TestBatchedTangents:
             assert np.array_equal(got, np.concatenate([head, tail]))
 
     def test_scan_doubling_near_mix_boundary(self, mix_body):
-        # each positive arc lies inside one cell of the first 64-angle scan,
-        # so that scan sees no sign change and the point is scanned again
+        # each positive arc lies inside one cell of the 64-angle scan, so the
+        # scan sees no sign change and the polished maximum of g brackets the roots
         h = TWO_PI / 64
         phis = (np.arange(0, 64, 5) + 0.5) * h
         points = _exterior_points(mix_body, phis, np.full(phis.size, 1e-4))
@@ -447,7 +462,8 @@ class TestExteriorIntegral:
 
     @pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_max_rejected(self, r_max):
-        with pytest.raises(ValueError, match="r_max must be finite"):
+        # the polar cutoff is fixed at 40*a0; r_max is no field
+        with pytest.raises(TypeError):
             ExteriorConfig(r_max=r_max)
 
 
@@ -483,7 +499,7 @@ class TestVisualMoment:
 
 class TestPolarOracle:
     def test_circle_crofton(self, circle_body):
-        cfg = ExteriorConfig(nodes_phi=96, r_max=50.0)
+        cfg = ExteriorConfig(nodes_phi=96)
         res = exterior_integral_grid(circle_body, crofton_kernel(), cfg)
         assert res.value == pytest.approx(PI**2, rel=1e-2)
         assert res.method == "polar_grid"
@@ -518,13 +534,12 @@ def _reference_polar_field(body, cfg):
     """Per-direction loop, one tangent solve per theta: the reference for the block form."""
     centered = recenter_to_steiner(body)
     a0 = centered.a0
-    r_max = cfg.r_max if cfg.r_max is not None else 40.0 * a0
     collar = 1e-5 * a0
     thetas = np.linspace(0.0, TWO_PI, cfg.nodes_phi, endpoint=False)
     w_theta = TWO_PI / cfg.nodes_phi
     rbs, _ = _radial_boundary(centered, thetas)
     r1 = 3.0 * float(np.max(rbs))
-    far_nodes, far_w = gauss_panels(np.geomspace(r1, r_max, visual_angle._POLAR_PANELS + 1), points=8)
+    far_nodes, far_w = gauss_panels(np.geomspace(r1, 40.0 * a0, visual_angle._POLAR_PANELS + 1), points=8)
     omegas, weights, ring_mass = [], [], 0.0
     for theta, rb in zip(thetas, rbs):
         u_edges = np.linspace(math.sqrt(collar), math.sqrt(r1 - rb), visual_angle._POLAR_PANELS + 1)
@@ -534,7 +549,7 @@ def _reference_polar_field(body, cfg):
         omegas.append(_tangent_angles(centered, np.outer(rs, (math.cos(theta), math.sin(theta))))[2])
         weights.append(w_theta * ws * rs)
         ring_mass += w_theta * rb * collar
-    return np.array(omegas), np.array(weights), far_nodes, ring_mass, r_max
+    return np.array(omegas), np.array(weights), far_nodes, ring_mass
 
 
 @pytest.fixture(scope="module", params=["circle", "mix", "random8", "random33", "translated"])
