@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import (
     NotStrictlyConvex,
     NotValidated,
 )
-from .quadrature import TWO_PI
+from .quadrature import TWO_PI, UniformGrid
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
@@ -49,6 +50,10 @@ _CERT_MARGIN = 1e-15
 _MAX_MAGNITUDE = 1e100
 # Entries per basis table in the curvature-minimum search.
 _TABLE_ENTRIES = 1 << 20
+# Grids of up to _BASIS_MAX_M angles keep their basis tables in a cache of
+# _BASIS_ENTRIES (cos, sin) pairs, 16 bytes per angle: 2 MiB at most.
+_BASIS_MAX_M = 1024
+_BASIS_ENTRIES = (2 << 20) // (16 * _BASIS_MAX_M)
 
 
 @dataclass(frozen=True)
@@ -119,18 +124,51 @@ def _require_validated(body: TrigSupport) -> None:
         raise NotValidated("body must pass validate_convex first")
 
 
+def _basis(m: int, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos, sin) of n*phi + order*pi/2 on the UniformGrid(m) angles."""
+    arg = n * np.linspace(0.0, TWO_PI, m, endpoint=False) + order * (math.pi / 2.0)
+    tables = np.cos(arg), np.sin(arg)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+_cached_basis = lru_cache(maxsize=_BASIS_ENTRIES)(_basis)
+
+
+def _grid_basis(m: int, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_basis`, cached for grids of up to _BASIS_MAX_M angles.
+
+    The tables depend on the grid, n and the order only, so every body
+    evaluated on the same grid shares them.
+    """
+    return (_cached_basis if m <= _BASIS_MAX_M else _basis)(m, n, order)
+
+
 def _eval(body: TrigSupport, phi, order: int):
-    """Evaluate the order-th derivative of p at phi (scalar or array)."""
-    phi_arr = np.asarray(phi, dtype=float)
-    out = np.zeros(phi_arr.shape)
+    """Evaluate the order-th derivative of p at phi (scalar, array or grid).
+
+    The one per-harmonic evaluation loop: it adds n^order * (a_n cos(arg)
+    + b_n sin(arg)), arg = n*phi + order*pi/2, in ascending n.  When phi is
+    a `UniformGrid`, cos/sin come from `_grid_basis`, bit for bit the values
+    computed on the array `phi.phis`.
+    """
+    on_grid = isinstance(phi, UniformGrid)
+    if not on_grid:
+        phi = np.asarray(phi, dtype=float)
+    out = np.zeros(phi.m if on_grid else phi.shape)
     if order == 0:
         out += body.a0
     shift = order * (math.pi / 2.0)
     for h in body.harmonics:
         scale = float(h.n) ** order
-        arg = h.n * phi_arr + shift
-        out = out + scale * (h.a * np.cos(arg) + h.b * np.sin(arg))
-    if phi_arr.ndim == 0:
+        if on_grid:
+            c, s = _grid_basis(phi.m, h.n, order)
+        else:
+            arg = h.n * phi + shift
+            c, s = np.cos(arg), np.sin(arg)
+        out = out + scale * (h.a * c + h.b * s)
+    if out.ndim == 0:
         return float(out)
     return out
 
@@ -147,11 +185,14 @@ def eval_support(body: TrigSupport, phi, order: int = 0):
 
 
 def boundary_point(body: TrigSupport, phi):
-    """Boundary parametrization gamma(phi) = p N + p' N'."""
-    phi_arr = np.asarray(phi, dtype=float)
-    p = _eval(body, phi_arr, 0)
-    dp = _eval(body, phi_arr, 1)
-    c, s = np.cos(phi_arr), np.sin(phi_arr)
+    """Boundary parametrization gamma(phi) = p N + p' N' at angles or a UniformGrid."""
+    if isinstance(phi, UniformGrid):
+        c, s = _grid_basis(phi.m, 1, 0)
+    else:
+        phi = np.asarray(phi, dtype=float)
+        c, s = np.cos(phi), np.sin(phi)
+    p = _eval(body, phi, 0)
+    dp = _eval(body, phi, 1)
     return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
 

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_body_source(p)
     p.add_argument("--kind", default="boundary",
                    help="comma list of boundary,evolute,pedal,parallel,wigner, or curve")
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=int, default=1024, help="samples per curve, 64 to 2^20")
     p.add_argument("--out")
     p.set_defaults(func=cmd_render)
 

@@ -34,6 +34,7 @@ import numpy as np
 from .bodies import (
     TrigSupport,
     _eval,
+    _grid_basis,
     _require_validated,
     evolute_support,
     recenter_to_steiner,
@@ -128,7 +129,9 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
 
     All integrands are trigonometric polynomials of degree <= 2N, so any
     grid with m >= 4N + 8 nodes integrates them exactly; agreement with
-    the spectral path is limited only by round-off.
+    the spectral path is limited only by round-off.  p, p', the centred p
+    and the cos(n phi), sin(n phi) of the Fourier projections are read on
+    the grid itself, so they share the cached basis tables of `_grid_basis`.
     """
     _require_validated(body)
     if grid is None:
@@ -138,11 +141,10 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
             f"grid with {grid.m} nodes too coarse for degree {body.max_degree}; need >= "
             f"{4 * body.max_degree + 8}"
         )
-    phis = grid.phis
-    p = _eval(body, phis, 0)
-    dp = _eval(body, phis, 1)
+    p = _eval(body, grid, 0)
+    dp = _eval(body, grid, 1)
     centered = recenter_to_steiner(body)
-    pc = _eval(centered, phis, 0)
+    pc = _eval(centered, grid, 0)
 
     L = periodic_integral(p)
     F = 0.5 * periodic_integral(p * p - dp * dp)
@@ -154,12 +156,14 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     Aw = generalized_area(wigner_support(body), grid=grid)
     q = p - L / TWO_PI
     Wq = periodic_integral(dp * dp - q * q)
-    sx = periodic_integral(p * np.cos(phis)) / PI
-    sy = periodic_integral(p * np.sin(phis)) / PI
+    c1, s1 = _grid_basis(grid.m, 1, 0)
+    sx = periodic_integral(p * c1) / PI
+    sy = periodic_integral(p * s1) / PI
     cn = []
     for n in range(2, body.max_degree + 1):
-        an = periodic_integral(pc * np.cos(n * phis)) / PI
-        bn = periodic_integral(pc * np.sin(n * phis)) / PI
+        cos_n, sin_n = _grid_basis(grid.m, n, 0)
+        an = periodic_integral(pc * cos_n) / PI
+        bn = periodic_integral(pc * sin_n) / PI
         cn.append((n, an * an + bn * bn))
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
@@ -174,9 +178,11 @@ def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid 
 
     `f` is a TrigSupport holding the coefficients of a generalized support
     function, or an array of full-period uniform samples (differentiated
-    spectrally).  A full period uses the periodic trapezoid rule on `grid`;
-    other intervals use 16-point Gauss panels of width <= 4/N on the
-    coefficient form, exact to round-off for the degree-2N integrand.
+    spectrally).  A full period uses the periodic trapezoid rule on `grid`,
+    reading the grid's cached basis tables when its nodes a + (phi/2pi)(b-a)
+    equal `grid.phis` bit for bit (as on [0, 2pi]); other intervals use
+    16-point Gauss panels of width <= 4/N on the coefficient form, exact to
+    round-off for the degree-2N integrand.
     """
     if b <= a:
         raise BadInterval(f"need b > a, got [{a}, {b}]")
@@ -186,7 +192,10 @@ def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid 
         if full_period:
             if grid is None:
                 grid = grid_for_degree(f.max_degree)
-            ts = a + (grid.phis / TWO_PI) * (b - a)
+            phis = grid.phis
+            ts = a + (phis / TWO_PI) * (b - a)
+            if np.array_equal(ts, phis):
+                ts = grid
             vals = _eval(f, ts, 0)
             dd = _eval(f, ts, 2)
             return 0.5 * periodic_integral(vals * (vals + dd))
@@ -225,9 +234,8 @@ def wirtinger_deficit(f: TrigSupport, grid: QuadratureGrid | None = None) -> flo
     nonnegative for zero-mean f.  Pass a grid to force the quadrature path.
     """
     if grid is not None:
-        phis = grid.phis
-        vals = _eval(f, phis, 0)
-        dv = _eval(f, phis, 1)
+        vals = _eval(f, grid, 0)
+        dv = _eval(f, grid, 1)
         return periodic_integral(dv * dv - vals * vals)
     return -2.0 * PI * f.a0 * f.a0 + PI * _weighted_sum(f, lambda n: float(n * n - 1))
 

@@ -45,18 +45,27 @@ def _next_pow2(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform periodic grid with a power-of-two node count."""
+class UniformGrid:
+    """The m angles np.linspace(0, 2*pi, m, endpoint=False) of [0, 2*pi).
+
+    `bodies._eval` takes a grid in place of its angle array and then reads
+    cos/sin from the cached basis tables of that grid.
+    """
 
     m: int
-
-    def __post_init__(self):
-        if self.m < 16 or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"node count must be a power of two >= 16, got {self.m}")
 
     @property
     def phis(self) -> np.ndarray:
         return np.linspace(0.0, TWO_PI, self.m, endpoint=False)
+
+
+@dataclass(frozen=True)
+class QuadratureGrid(UniformGrid):
+    """Uniform periodic grid with a power-of-two node count."""
+
+    def __post_init__(self):
+        if self.m < 16 or (self.m & (self.m - 1)) != 0:
+            raise ValueError(f"node count must be a power of two >= 16, got {self.m}")
 
     def integrate(self, samples) -> float:
         return periodic_integral(samples)

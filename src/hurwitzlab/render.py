@@ -17,6 +17,7 @@ from .bodies import (
     HypocycloidSpec,
     TrigSupport,
     _eval,
+    _grid_basis,
     _require_validated,
     boundary_point,
     offset,
@@ -25,9 +26,16 @@ from .bodies import (
     wigner_support,
 )
 from .errors import EmptyScene, OpenPolyline
-from .quadrature import TWO_PI
+from .quadrature import TWO_PI, UniformGrid
 
 CURVE_KINDS = ("boundary", "evolute", "pedal", "parallel", "wigner")
+# Largest sample count of a curve: 2^20 vertices are 16 MiB of coordinates.
+_MAX_SAMPLES = 1 << 20
+
+
+def _check_samples(m: int) -> None:
+    if not 64 <= m <= _MAX_SAMPLES:
+        raise ValueError(f"need 64 to {_MAX_SAMPLES} samples, got {m}")
 
 
 @dataclass
@@ -57,29 +65,33 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
     pedal:    polar graph rho = p(phi) about the Steiner point
     parallel: offset boundary at signed distance r (may self-intersect)
     wigner:   envelope of the caustic support (p(phi) - p(phi + pi)) / 2
+
+    The m normal angles are `UniformGrid(m)`, so every kind (and every body
+    sampled at the same m) reads the cached basis tables of `_grid_basis`.
+    m must lie in [64, 2^20] (ValueError, raised before any allocation).
     """
     _require_validated(body)
-    if m < 64:
-        raise ValueError(f"need at least 64 samples, got {m}")
-    phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
+    _check_samples(m)
+    grid = UniformGrid(m)
     if kind == "boundary":
-        verts = boundary_point(body, phis)
+        verts = boundary_point(body, grid)
     elif kind == "evolute":
-        dp = _eval(body, phis, 1)
-        ddp = _eval(body, phis, 2)
-        c, s = np.cos(phis), np.sin(phis)
+        dp = _eval(body, grid, 1)
+        ddp = _eval(body, grid, 2)
+        c, s = _grid_basis(m, 1, 0)
         verts = np.stack([-ddp * c - dp * s, -ddp * s + dp * c], axis=1)
     elif kind == "pedal":
         centered = recenter_to_steiner(body)
-        p = _eval(centered, phis, 0)
+        p = _eval(centered, grid, 0)
         sx, sy = steiner_point(body)
-        verts = np.stack([sx + p * np.cos(phis), sy + p * np.sin(phis)], axis=1)
+        c, s = _grid_basis(m, 1, 0)
+        verts = np.stack([sx + p * c, sy + p * s], axis=1)
     elif kind == "parallel":
         if r is None:
             raise ValueError("parallel curves need the offset r")
-        verts = boundary_point(offset(body, r), phis)
+        verts = boundary_point(offset(body, r), grid)
     elif kind == "wigner":
-        verts = boundary_point(wigner_support(body), phis)
+        verts = boundary_point(wigner_support(body), grid)
     else:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
     return Polyline(verts, closed=True)
@@ -87,9 +99,8 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
 
 def sample_hypocycloid(spec: HypocycloidSpec, m: int = 2048) -> Polyline:
     """Closed hypocycloid x(t) = r(k-1) sin t - r sin((k-1)t), and the
-    matching y(t), over t in [0, 2*pi*n]."""
-    if m < 64:
-        raise ValueError(f"need at least 64 samples, got {m}")
+    matching y(t), over t in [0, 2*pi*n]; m must lie in [64, 2^20]."""
+    _check_samples(m)
     k, r = spec.k, spec.r
     t = np.linspace(0.0, TWO_PI * spec.n, m, endpoint=False)
     x = r * (k - 1.0) * np.sin(t) - r * np.sin((k - 1.0) * t)
@@ -162,10 +173,23 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
+def _points(verts: np.ndarray) -> str:
+    """SVG points "x,-y x,-y ..." at 6 decimals, "-0.000000" written as "0.000000".
+
+    One %-format over all coordinates: "%.6f" gives the text of
+    f"{x:.6f}", and with exactly 6 decimals "-0.000000" can only occur as a
+    whole token, so one replace on the joined text equals `_fmt` per token.
+    """
+    xy = np.column_stack([verts[:, 0], -verts[:, 1]])
+    text = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
+    return text.replace("-0.000000", "0.000000")
+
+
 def write_svg(scene: Scene) -> bytes:
     """Standalone SVG 1.1 document with stable attribute order and
     6-decimal coordinates, so identical scenes give identical bytes.
 
+    Each layer's coordinates are formatted in one pass by `_points`.
     Degenerate layers (all vertices coincident, like the evolute of a
     circle) are drawn as a small dot marker.
     """
@@ -198,7 +222,7 @@ def write_svg(scene: Scene) -> bytes:
                 f'fill="{style.stroke}"/>'
             )
             continue
-        coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in verts)
+        coords = _points(verts)
         tag = "polygon" if poly.closed else "polyline"
         dash = (
             f' stroke-dasharray="{",".join(_fmt(d) for d in style.dash)}"'

@@ -29,6 +29,17 @@ def mix_body():
     return validate_convex(TrigSupport(1.0, (Harmonic(2, 0.0, 0.1), Harmonic(5, 0.02, 0.0))))
 
 
+@pytest.fixture(scope="session")
+def hd17_body():
+    # 17 harmonics of size 0.3/n^3 with scrambled signs: the convexity
+    # certificate fails (slack -0.29), the curvature-minimum search decides
+    # (rho_min 0.595); coefficients use division only, so they are exact
+    hs = tuple(
+        Harmonic(n, 0.3 * ((7 * n) % 5 - 2) / n**3, 0.3 * ((3 * n) % 5 - 2) / n**3) for n in range(1, 18)
+    )
+    return validate_convex(TrigSupport(1.0, hs))
+
+
 def make_sweep(count: int, seed: int = 1):
     """Deterministic random bodies: degrees cycling 2..8, odd indices constant width."""
     out = []

@@ -37,6 +37,7 @@ from hurwitzlab.errors import (
     NonpositiveMean,
     NotStrictlyConvex,
 )
+from hurwitzlab.quadrature import UniformGrid
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -161,6 +162,33 @@ class TestEvalSupport:
     def test_bad_order(self, ast_body):
         with pytest.raises(ValueError):
             eval_support(ast_body, 0.0, 4)
+
+    def test_integer_angle_is_an_angle(self, mix_body):
+        assert eval_support(mix_body, 3, 1) == eval_support(mix_body, 3.0, 1)
+        assert np.array_equal(bodies.boundary_point(mix_body, 3), bodies.boundary_point(mix_body, 3.0))
+
+    @given(trig_polys(max_degree=32), st.sampled_from([64, 256, 1000, 1024]), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_grid_equals_angle_array_bit_for_bit(self, body, m, order):
+        grid = UniformGrid(m)
+        assert bodies._eval(body, grid, order).tobytes() == bodies._eval(body, grid.phis, order).tobytes()
+        on_grid = bodies.boundary_point(body, grid)
+        assert on_grid.tobytes() == bodies.boundary_point(body, grid.phis).tobytes()
+
+    def test_grid_basis_tables_are_read_only_and_shared(self):
+        for m in (64, 1024, 4096):  # 4096 is above _BASIS_MAX_M: computed, not cached
+            c, s = bodies._grid_basis(m, 5, 2)
+            assert not c.flags.writeable and not s.flags.writeable
+            with pytest.raises(ValueError):
+                c[0] = 0.0
+        assert bodies._grid_basis(1024, 5, 2)[0] is bodies._grid_basis(1024, 5, 2)[0]
+        assert bodies._grid_basis(4096, 5, 2)[0] is not bodies._grid_basis(4096, 5, 2)[0]
+
+    def test_grid_basis_cache_stays_within_2_mib(self):
+        # every cached grid has at most _BASIS_MAX_M angles, 16 bytes per angle
+        assert bodies._cached_basis.cache_info().maxsize == bodies._BASIS_ENTRIES
+        assert bodies._BASIS_ENTRIES * 16 * bodies._BASIS_MAX_M <= 2 << 20
+        assert sum(t.nbytes for t in bodies._grid_basis(bodies._BASIS_MAX_M, 1, 0)) == 16 * bodies._BASIS_MAX_M
 
 
 class TestMinCurvature:

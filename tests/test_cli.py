@@ -228,6 +228,23 @@ def test_malformed_nodes_or_random_spec_exit_2(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("samples", ["100000000000", "1048577", "63"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--spec", "astroid:1,0.2", "--kind", "boundary"),
+        ("render", "--spec", "astroid:1,0.2", "--kind", "boundary,evolute,pedal,parallel,wigner"),
+        ("render", "--spec", "hypocycloid:5/2,1", "--kind", "curve"),
+    ],
+)
+def test_render_samples_out_of_range_exit_2(capsys, argv, samples):
+    # rejected before any array is allocated: no MemoryError traceback
+    code, out, err = run(capsys, *argv, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ValueError") and "samples" in err
+
+
 @pytest.mark.parametrize("flag, cw", [("", False), (",no", False), (",0", False), (",cw", True), (",YES", True)])
 def test_random_spec_constant_width_flag(flag, cw):
     assert parse_spec(f"random:1,3{flag}") == RandomBodySpec(1, 3, cw)

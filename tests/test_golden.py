@@ -1,9 +1,11 @@
 """Byte-for-byte gate on CLI output and on the gallery figures.
 
 tests/golden/ holds, for each fixture body of conftest.py, the body JSON and
-the bytes of `report`, `verify --path both --out` and `verify --path both`
-stdout.  The figures are gated against the committed out/*.svg.  Regenerate
-the golden files only for a change that alters numbers on purpose:
+the bytes of `report`, `verify --path both --out`, `verify --path both`
+stdout and the five-kind `render --out` SVG.  `hd17` is the one fixture of
+degree 17 whose convexity the certificate does not decide.  The figures are
+gated against the committed out/*.svg.  Regenerate the golden files only for
+a change that alters numbers on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,22 +23,26 @@ from hurwitzlab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-FIXTURES = ("circle", "ast", "delt", "cw35", "mix")
-OUTPUTS = ("report.json", "verify.json", "verify.txt")
+FIXTURES = ("circle", "ast", "delt", "cw35", "mix", "hd17")
+OUTPUTS = ("report.json", "verify.json", "verify.txt", "render.svg")
+RENDER_KINDS = "boundary,evolute,pedal,parallel,wigner"
 
 
 def cli_outputs(body_file: pathlib.Path, workdir: pathlib.Path) -> dict[str, bytes]:
     """{suffix: bytes} of the golden CLI outputs for one body file."""
-    report, verify = workdir / "report.json", workdir / "verify.json"
+    report, verify, render = (workdir / name for name in ("report.json", "verify.json", "render.svg"))
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(["report", "--body", str(body_file), "--out", str(report)]) == 0
         code = main(["verify", "--path", "both", "--body", str(body_file), "--out", str(verify)])
     assert code == 0
+    verify_txt = stdout.getvalue().encode("utf-8")
+    assert main(["render", "--kind", RENDER_KINDS, "--body", str(body_file), "--out", str(render)]) == 0
     return {
         "report.json": report.read_bytes(),
         "verify.json": verify.read_bytes(),
-        "verify.txt": stdout.getvalue().encode("utf-8"),
+        "verify.txt": verify_txt,
+        "render.svg": render.read_bytes(),
     }
 
 

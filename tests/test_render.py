@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hurwitzlab import render
 from hurwitzlab import (
     HypocycloidSpec,
     Polyline,
@@ -93,6 +96,13 @@ class TestSampleCurve:
         with pytest.raises(ValueError):
             sample_curve(ast_body, "boundary", 32)
 
+    @pytest.mark.parametrize("m", [(1 << 20) + 1, 10**11])
+    def test_maximum_samples(self, ast_body, m):
+        with pytest.raises(ValueError, match="samples"):
+            sample_curve(ast_body, "wigner", m)
+        with pytest.raises(ValueError, match="samples"):
+            sample_hypocycloid(HypocycloidSpec(m=4), m)
+
 
 class TestHypocycloid:
     def test_astroid_area(self):
@@ -164,3 +174,23 @@ class TestSvg:
     def test_polyline_json_export(self):
         poly = Polyline(np.array([[0, 0], [1, 0], [0, 1]], float))
         assert poly.to_json_list() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def _fmt_join(verts):
+    """The per-vertex points text that write_svg built before `_points`."""
+    return " ".join(f"{render._fmt(x)},{render._fmt(-y)}" for x, y in verts)
+
+
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 1e100, -1e100]),
+    st.floats(-1e-6, 0.0, exclude_min=True, exclude_max=True),
+    st.floats(-1e-5, 1e-5),
+    st.floats(-1e100, 1e100),
+)
+
+
+@given(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_points_text_equals_per_vertex_format(pairs):
+    verts = np.array(pairs, dtype=float)
+    assert render._points(verts) == _fmt_join(verts)
