@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
     NotStrictlyConvex,
     NotValidated,
 )
-from .quadrature import TWO_PI, UniformGrid
+from .quadrature import TWO_PI
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
@@ -50,10 +49,6 @@ _CERT_MARGIN = 1e-15
 _MAX_MAGNITUDE = 1e100
 # Entries per basis table in the curvature-minimum search.
 _TABLE_ENTRIES = 1 << 20
-# Grids of up to _BASIS_MAX_M angles keep their basis tables in a cache of
-# _BASIS_ENTRIES (cos, sin) pairs, 16 bytes per angle: 2 MiB at most.
-_BASIS_MAX_M = 1024
-_BASIS_ENTRIES = (2 << 20) // (16 * _BASIS_MAX_M)
 
 
 @dataclass(frozen=True)
@@ -124,57 +119,47 @@ def _require_validated(body: TrigSupport) -> None:
         raise NotValidated("body must pass validate_convex first")
 
 
-def _basis(m: int, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (cos, sin) of n*phi + order*pi/2 on the UniformGrid(m) angles."""
-    arg = n * np.linspace(0.0, TWO_PI, m, endpoint=False) + order * (math.pi / 2.0)
-    tables = np.cos(arg), np.sin(arg)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
+    """p^(k)(phi) for each order k (0 to 3) in `orders`, in one Horner pass.
 
-
-_cached_basis = lru_cache(maxsize=_BASIS_ENTRIES)(_basis)
-
-
-def _grid_basis(m: int, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_basis`, cached for grids of up to _BASIS_MAX_M angles.
-
-    The tables depend on the grid, n and the order only, so every body
-    evaluated on the same grid shares them.
+    The one per-harmonic evaluation loop: with z = e^{i phi},
+    p^(k)(phi) = [k=0] a0 + Re sum_n (in)^k (a_n - i b_n) z^n, summed by
+    Horner over every degree N, ..., 1, with an error of about
+    N*u*sum_n n^k |c_n| (Higham 2002, ch. 5).  A caller that holds
+    (cos phi, sin phi) passes it as `cs`.  The accumulators of all orders
+    form one real (re, im) pair of arrays, updated by real multiplies and
+    adds only, so each value's bits depend neither on the shape of phi nor
+    on the other orders asked for (numpy's complex product would fuse
+    multiply-adds on arrays but not on single elements).
     """
-    return (_cached_basis if m <= _BASIS_MAX_M else _basis)(m, n, order)
+    phi = np.asarray(phi, dtype=float)
+    c, s = (np.cos(phi), np.sin(phi)) if cs is None else cs
+    shape = (len(orders),) + (1,) * phi.ndim
+    vals = np.array([body.a0 if k == 0 else 0.0 for k in orders]).reshape(shape)
+    if not body.harmonics:
+        vals = vals + np.zeros(phi.shape)
+    else:
+        n = np.arange(body.max_degree + 1.0)
+        a, b = np.zeros((2, n.size))
+        for h in body.harmonics:
+            a[h.n], b[h.n] = h.a, h.b
+        turns = ((a, -b), (b, a), (-a, b), (-b, -a))  # i^k (a - ib)
+        coef = np.array([[n**k * part for part in turns[k]] for k in orders])
+        dre, dim = coef.transpose(1, 2, 0).reshape((2, n.size) + shape)
+        re, im = dre[-1], dim[-1]
+        for i in range(n.size - 2, 0, -1):
+            re, im = re * c - im * s + dre[i], re * s + im * c + dim[i]
+        vals = re * c - im * s + vals
+    return tuple(float(v) for v in vals) if phi.ndim == 0 else tuple(vals)
 
 
 def _eval(body: TrigSupport, phi, order: int):
-    """Evaluate the order-th derivative of p at phi (scalar, array or grid).
-
-    The one per-harmonic evaluation loop: it adds n^order * (a_n cos(arg)
-    + b_n sin(arg)), arg = n*phi + order*pi/2, in ascending n.  When phi is
-    a `UniformGrid`, cos/sin come from `_grid_basis`, bit for bit the values
-    computed on the array `phi.phis`.
-    """
-    on_grid = isinstance(phi, UniformGrid)
-    if not on_grid:
-        phi = np.asarray(phi, dtype=float)
-    out = np.zeros(phi.m if on_grid else phi.shape)
-    if order == 0:
-        out += body.a0
-    shift = order * (math.pi / 2.0)
-    for h in body.harmonics:
-        scale = float(h.n) ** order
-        if on_grid:
-            c, s = _grid_basis(phi.m, h.n, order)
-        else:
-            arg = h.n * phi + shift
-            c, s = np.cos(arg), np.sin(arg)
-        out = out + scale * (h.a * c + h.b * s)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """The order-th derivative of p at phi (scalar or array), by `_derivs`."""
+    return _derivs(body, phi, (order,))[0]
 
 
 def eval_support(body: TrigSupport, phi, order: int = 0):
-    """p, p', p'' or p''' at phi, by direct trigonometric summation.
+    """p, p', p'' or p''' at phi, by Horner's rule in z = e^{i phi}.
 
     Exact (to round-off) for the truncated series; accepts scalars or
     arrays of angles.
@@ -185,14 +170,10 @@ def eval_support(body: TrigSupport, phi, order: int = 0):
 
 
 def boundary_point(body: TrigSupport, phi):
-    """Boundary parametrization gamma(phi) = p N + p' N' at angles or a UniformGrid."""
-    if isinstance(phi, UniformGrid):
-        c, s = _grid_basis(phi.m, 1, 0)
-    else:
-        phi = np.asarray(phi, dtype=float)
-        c, s = np.cos(phi), np.sin(phi)
-    p = _eval(body, phi, 0)
-    dp = _eval(body, phi, 1)
+    """Boundary parametrization gamma(phi) = p N + p' N' at angles phi."""
+    phi = np.asarray(phi, dtype=float)
+    c, s = np.cos(phi), np.sin(phi)
+    p, dp = _derivs(body, phi, (0, 1), (c, s))
     return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
 
@@ -484,7 +465,12 @@ class DeltoidParallelSpec:
 
 @dataclass(frozen=True)
 class HypocycloidParallelSpec:
-    """Outer parallel of a k-cusped hypocycloid: p = a0 + amp*cos(k phi)."""
+    """Outer parallel of a hypocycloid: p = a0 + amp*cos(k phi).
+
+    The hypocycloid, the envelope of amp*cos(k phi), has k cusps for odd k
+    (traced twice) and 2k cusps for even k; the 4-cusped astroid is
+    `AstroidParallelSpec`.
+    """
 
     k: int
     a0: float

@@ -33,8 +33,7 @@ import numpy as np
 
 from .bodies import (
     TrigSupport,
-    _eval,
-    _grid_basis,
+    _derivs,
     _require_validated,
     evolute_support,
     recenter_to_steiner,
@@ -129,9 +128,10 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
 
     All integrands are trigonometric polynomials of degree <= 2N, so any
     grid with m >= 4N + 8 nodes integrates them exactly; agreement with
-    the spectral path is limited only by round-off.  p, p', the centred p
-    and the cos(n phi), sin(n phi) of the Fourier projections are read on
-    the grid itself, so they share the cached basis tables of `_grid_basis`.
+    the spectral path is limited only by round-off.  p and p' come from one
+    Horner pass (`bodies._derivs`) that shares cos/sin of the grid angles
+    with the centred p and the Steiner point; the Fourier projections read
+    cos(n phi), sin(n phi) directly.
     """
     _require_validated(body)
     if grid is None:
@@ -141,10 +141,11 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
             f"grid with {grid.m} nodes too coarse for degree {body.max_degree}; need >= "
             f"{4 * body.max_degree + 8}"
         )
-    p = _eval(body, grid, 0)
-    dp = _eval(body, grid, 1)
+    phis = grid.phis
+    cs = np.cos(phis), np.sin(phis)
+    p, dp = _derivs(body, phis, (0, 1), cs)
     centered = recenter_to_steiner(body)
-    pc = _eval(centered, grid, 0)
+    (pc,) = _derivs(centered, phis, (0,), cs)
 
     L = periodic_integral(p)
     F = 0.5 * periodic_integral(p * p - dp * dp)
@@ -156,14 +157,12 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     Aw = generalized_area(wigner_support(body), grid=grid)
     q = p - L / TWO_PI
     Wq = periodic_integral(dp * dp - q * q)
-    c1, s1 = _grid_basis(grid.m, 1, 0)
-    sx = periodic_integral(p * c1) / PI
-    sy = periodic_integral(p * s1) / PI
+    sx = periodic_integral(p * cs[0]) / PI
+    sy = periodic_integral(p * cs[1]) / PI
     cn = []
     for n in range(2, body.max_degree + 1):
-        cos_n, sin_n = _grid_basis(grid.m, n, 0)
-        an = periodic_integral(pc * cos_n) / PI
-        bn = periodic_integral(pc * sin_n) / PI
+        an = periodic_integral(pc * np.cos(n * phis)) / PI
+        bn = periodic_integral(pc * np.sin(n * phis)) / PI
         cn.append((n, an * an + bn * bn))
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
@@ -178,11 +177,9 @@ def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid 
 
     `f` is a TrigSupport holding the coefficients of a generalized support
     function, or an array of full-period uniform samples (differentiated
-    spectrally).  A full period uses the periodic trapezoid rule on `grid`,
-    reading the grid's cached basis tables when its nodes a + (phi/2pi)(b-a)
-    equal `grid.phis` bit for bit (as on [0, 2pi]); other intervals use
-    16-point Gauss panels of width <= 4/N on the coefficient form, exact to
-    round-off for the degree-2N integrand.
+    spectrally).  A full period uses the periodic trapezoid rule on `grid`;
+    other intervals use 16-point Gauss panels of width <= 4/N on the
+    coefficient form, exact to round-off for the degree-2N integrand.
     """
     if b <= a:
         raise BadInterval(f"need b > a, got [{a}, {b}]")
@@ -192,17 +189,12 @@ def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid 
         if full_period:
             if grid is None:
                 grid = grid_for_degree(f.max_degree)
-            phis = grid.phis
-            ts = a + (phis / TWO_PI) * (b - a)
-            if np.array_equal(ts, phis):
-                ts = grid
-            vals = _eval(f, ts, 0)
-            dd = _eval(f, ts, 2)
+            ts = a + (grid.phis / TWO_PI) * (b - a)
+            vals, dd = _derivs(f, ts, (0, 2))
             return 0.5 * periodic_integral(vals * (vals + dd))
         panels = math.ceil((b - a) * max(f.max_degree, 1) / 4.0)
         ts, ws = gauss_panels(np.linspace(a, b, panels + 1))
-        vals = _eval(f, ts, 0)
-        dd = _eval(f, ts, 2)
+        vals, dd = _derivs(f, ts, (0, 2))
         return 0.5 * math.fsum((ws * vals * (vals + dd)).tolist())
 
     samples = np.asarray(f, dtype=float).ravel()
@@ -234,8 +226,7 @@ def wirtinger_deficit(f: TrigSupport, grid: QuadratureGrid | None = None) -> flo
     nonnegative for zero-mean f.  Pass a grid to force the quadrature path.
     """
     if grid is not None:
-        vals = _eval(f, grid, 0)
-        dv = _eval(f, grid, 1)
+        vals, dv = _derivs(f, grid.phis, (0, 1))
         return periodic_integral(dv * dv - vals * vals)
     return -2.0 * PI * f.a0 * f.a0 + PI * _weighted_sum(f, lambda n: float(n * n - 1))
 

@@ -6,7 +6,9 @@ functionals here integrate such polynomials, so the quadrature path is
 exact to round-off once the grid is fine enough.  Composite Gauss-Legendre
 panels cover the non-periodic intervals.  Sums are accumulated with
 math.fsum in a fixed index order, so results are bit-reproducible
-regardless of how work is scheduled.
+regardless of how work is scheduled.  A grid is only its node count; the
+callers sample their integrands at its angles by the Horner evaluation of
+`bodies`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .errors import EmptyGrid
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+# Largest node count of a grid or an exterior-integral direction: 2^20 nodes
+# are 8 MiB per sampled array.
+MAX_NODES = 1 << 20
 
 
 def periodic_integral(samples) -> float:
@@ -45,27 +50,19 @@ def _next_pow2(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class UniformGrid:
-    """The m angles np.linspace(0, 2*pi, m, endpoint=False) of [0, 2*pi).
-
-    `bodies._eval` takes a grid in place of its angle array and then reads
-    cos/sin from the cached basis tables of that grid.
-    """
+class QuadratureGrid:
+    """Uniform periodic grid of [0, 2*pi) with a power-of-two node count m,
+    16 <= m <= MAX_NODES (ValueError, raised before any allocation)."""
 
     m: int
+
+    def __post_init__(self):
+        if not 16 <= self.m <= MAX_NODES or (self.m & (self.m - 1)) != 0:
+            raise ValueError(f"node count must be a power of two in [16, {MAX_NODES}], got {self.m}")
 
     @property
     def phis(self) -> np.ndarray:
         return np.linspace(0.0, TWO_PI, self.m, endpoint=False)
-
-
-@dataclass(frozen=True)
-class QuadratureGrid(UniformGrid):
-    """Uniform periodic grid with a power-of-two node count."""
-
-    def __post_init__(self):
-        if self.m < 16 or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"node count must be a power of two >= 16, got {self.m}")
 
     def integrate(self, samples) -> float:
         return periodic_integral(samples)

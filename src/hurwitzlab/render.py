@@ -16,8 +16,7 @@ import numpy as np
 from .bodies import (
     HypocycloidSpec,
     TrigSupport,
-    _eval,
-    _grid_basis,
+    _derivs,
     _require_validated,
     boundary_point,
     offset,
@@ -26,7 +25,7 @@ from .bodies import (
     wigner_support,
 )
 from .errors import EmptyScene, OpenPolyline
-from .quadrature import TWO_PI, UniformGrid
+from .quadrature import TWO_PI
 
 CURVE_KINDS = ("boundary", "evolute", "pedal", "parallel", "wigner")
 # Largest sample count of a curve: 2^20 vertices are 16 MiB of coordinates.
@@ -66,32 +65,31 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
     parallel: offset boundary at signed distance r (may self-intersect)
     wigner:   envelope of the caustic support (p(phi) - p(phi + pi)) / 2
 
-    The m normal angles are `UniformGrid(m)`, so every kind (and every body
-    sampled at the same m) reads the cached basis tables of `_grid_basis`.
-    m must lie in [64, 2^20] (ValueError, raised before any allocation).
+    The m normal angles are np.linspace(0, 2*pi, m, endpoint=False); every
+    kind evaluates p and the derivatives it needs in one Horner pass
+    (`bodies._derivs`).  m must lie in [64, 2^20] (ValueError, raised
+    before any allocation).
     """
     _require_validated(body)
     _check_samples(m)
-    grid = UniformGrid(m)
+    phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
     if kind == "boundary":
-        verts = boundary_point(body, grid)
+        verts = boundary_point(body, phis)
     elif kind == "evolute":
-        dp = _eval(body, grid, 1)
-        ddp = _eval(body, grid, 2)
-        c, s = _grid_basis(m, 1, 0)
+        c, s = np.cos(phis), np.sin(phis)
+        dp, ddp = _derivs(body, phis, (1, 2), (c, s))
         verts = np.stack([-ddp * c - dp * s, -ddp * s + dp * c], axis=1)
     elif kind == "pedal":
-        centered = recenter_to_steiner(body)
-        p = _eval(centered, grid, 0)
+        c, s = np.cos(phis), np.sin(phis)
+        (p,) = _derivs(recenter_to_steiner(body), phis, (0,), (c, s))
         sx, sy = steiner_point(body)
-        c, s = _grid_basis(m, 1, 0)
         verts = np.stack([sx + p * c, sy + p * s], axis=1)
     elif kind == "parallel":
         if r is None:
             raise ValueError("parallel curves need the offset r")
-        verts = boundary_point(offset(body, r), grid)
+        verts = boundary_point(offset(body, r), phis)
     elif kind == "wigner":
-        verts = boundary_point(wigner_support(body), grid)
+        verts = boundary_point(wigner_support(body), phis)
     else:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
     return Polyline(verts, closed=True)

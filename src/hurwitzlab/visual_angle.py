@@ -41,7 +41,7 @@ import numpy as np
 
 from .bodies import (
     TrigSupport,
-    _eval,
+    _derivs,
     _polish_roots,
     _require_validated,
     boundary_point,
@@ -55,7 +55,7 @@ from .errors import (
     NonIntegrableKernel,
     RootCountAnomaly,
 )
-from .quadrature import PI, TWO_PI, gauss_panels
+from .quadrature import MAX_NODES, PI, TWO_PI, gauss_panels
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
@@ -208,6 +208,8 @@ class ExteriorConfig:
     delta_min: collar excluded near the boundary (delta -> 0); its dropped
         mass is bounded and reported inside the error bar.
     The polar oracle uses nodes_phi directions and the cutoff radius 40*a0.
+    Node counts must lie in [16, 2^20] (ValueError, raised before any
+    allocation).
     """
 
     nodes_phi: int = 256
@@ -215,8 +217,8 @@ class ExteriorConfig:
     delta_min: float = 1e-4
 
     def __post_init__(self):
-        if min(self.nodes_phi, self.nodes_delta) < 16:
-            raise ValueError("node counts must be >= 16")
+        if not all(16 <= n <= MAX_NODES for n in (self.nodes_phi, self.nodes_delta)):
+            raise ValueError(f"node counts must lie in [16, {MAX_NODES}]")
         if not (0.0 < self.delta_min < PI / 64.0):
             raise ValueError(f"delta_min must lie in (0, pi/64), got {self.delta_min}")
 
@@ -245,7 +247,7 @@ def _g(body: TrigSupport, px, py, phi, orders):
     """Derivatives of the given orders (0, 1 or 2), and only those, of g(phi) = <P, N(phi)> - p(phi)."""
     c, s = np.cos(phi), np.sin(phi)
     geo = (lambda: px * c + py * s, lambda: -px * s + py * c, lambda: -(px * c + py * s))
-    return tuple(geo[k]() - _eval(body, phi, k) for k in orders)
+    return tuple(geo[k]() - v for k, v in zip(orders, _derivs(body, phi, orders, (c, s))))
 
 
 def _tangent_angles(body: TrigSupport, points):
@@ -334,15 +336,14 @@ def _corners(body: TrigSupport, phi1, deltas):
     corner P where the support lines at phi1 and phi1 + delta meet, and the
     signed tangent lengths from P to their tangency points."""
     c1, s1 = np.cos(phi1), np.sin(phi1)
-    p1 = _eval(body, phi1, 0)
-    dp1 = _eval(body, phi1, 1)
+    p1, dp1 = _derivs(body, phi1, (0, 1), (c1, s1))
     phi2 = phi1 + deltas[:, None]
     c2, s2 = np.cos(phi2), np.sin(phi2)
     sd = np.array([math.sin(d) for d in deltas])[:, None]
-    p2 = _eval(body, phi2, 0)
+    p2, dp2 = _derivs(body, phi2, (0, 1), (c2, s2))
     px = (p1 * s2 - p2 * s1) / sd
     py = (p2 * c1 - p1 * c2) / sd
-    return px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - _eval(body, phi2, 1)
+    return px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
 
 
 def exterior_point(body: TrigSupport, phi1: float, delta: float):
@@ -435,8 +436,8 @@ def _radial_boundary(body: TrigSupport, thetas):
 
     def k(phi):
         c, s = np.cos(thetas - phi), np.sin(thetas - phi)
-        p, dp = _eval(body, phi, 0), _eval(body, phi, 1)
-        return dp * c - p * s, (p + _eval(body, phi, 2)) * c, p / c
+        p, dp, ddp = _derivs(body, phi, (0, 1, 2))
+        return dp * c - p * s, (p + ddp) * c, p / c
 
     phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True)
     return rb, phi

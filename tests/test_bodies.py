@@ -37,7 +37,6 @@ from hurwitzlab.errors import (
     NonpositiveMean,
     NotStrictlyConvex,
 )
-from hurwitzlab.quadrature import UniformGrid
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -143,6 +142,33 @@ def trig_polys(draw, max_degree=6):
     return TrigSupport(a0, tuple(hs))
 
 
+@st.composite
+def horner_bodies(draw, max_degree=128):
+    """Support functions of degree <= max_degree, dense or sparse, with
+    coefficients of size ~ n^-decay drawn from a seeded generator."""
+    degree = draw(st.integers(0, max_degree))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decay = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    keep = rng.random(degree) < draw(st.floats(0.1, 1.0))
+    hs = [Harmonic(n, *(rng.standard_normal(2) / n**decay)) for n in range(1, degree + 1) if keep[n - 1]]
+    return TrigSupport(draw(st.floats(-2.0, 2.0)), tuple(hs))
+
+
+def _mp_derivative(body, phi, k):
+    """p^(k)(phi) summed in 40-digit arithmetic, phi taken exactly as given."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(phi)
+        total = mpmath.mpf(body.a0) if k == 0 else mpmath.mpf(0)
+        for h in body.harmonics:
+            c, s = mpmath.cos(h.n * x), mpmath.sin(h.n * x)
+            for _ in range(k):  # d/dphi maps (cos, sin)(n phi) to n * (-sin, cos)(n phi)
+                c, s = -s, c
+            total += mpmath.mpf(h.n) ** k * (h.a * c + h.b * s)
+        return float(total)
+
+
 class TestEvalSupport:
     def test_ast_value(self, ast_body):
         assert eval_support(ast_body, PI / 4, 0) == pytest.approx(1.2, abs=1e-15)
@@ -167,28 +193,35 @@ class TestEvalSupport:
         assert eval_support(mix_body, 3, 1) == eval_support(mix_body, 3.0, 1)
         assert np.array_equal(bodies.boundary_point(mix_body, 3), bodies.boundary_point(mix_body, 3.0))
 
-    @given(trig_polys(max_degree=32), st.sampled_from([64, 256, 1000, 1024]), st.integers(0, 3))
-    @settings(max_examples=80, deadline=None)
-    def test_grid_equals_angle_array_bit_for_bit(self, body, m, order):
-        grid = UniformGrid(m)
-        assert bodies._eval(body, grid, order).tobytes() == bodies._eval(body, grid.phis, order).tobytes()
-        on_grid = bodies.boundary_point(body, grid)
-        assert on_grid.tobytes() == bodies.boundary_point(body, grid.phis).tobytes()
+    @given(horner_bodies(), st.lists(st.floats(-TWO_PI, 2.0 * TWO_PI), min_size=1, max_size=4), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_horner_error_within_backward_bound(self, body, phis, k):
+        # Horner with |z| = 1: error about N*u*sum_n n^k |c_n| (Higham 2002, ch. 5)
+        (vals,) = bodies._derivs(body, np.array(phis), (k,))
+        scale = math.fsum(h.n**k * math.hypot(h.a, h.b) for h in body.harmonics) + (abs(body.a0) if k == 0 else 0.0)
+        bound = 4.0 * (body.max_degree + 1) * 2.0**-53 * scale
+        for phi, v in zip(phis, vals):
+            assert abs(v - _mp_derivative(body, phi, k)) <= bound
 
-    def test_grid_basis_tables_are_read_only_and_shared(self):
-        for m in (64, 1024, 4096):  # 4096 is above _BASIS_MAX_M: computed, not cached
-            c, s = bodies._grid_basis(m, 5, 2)
-            assert not c.flags.writeable and not s.flags.writeable
-            with pytest.raises(ValueError):
-                c[0] = 0.0
-        assert bodies._grid_basis(1024, 5, 2)[0] is bodies._grid_basis(1024, 5, 2)[0]
-        assert bodies._grid_basis(4096, 5, 2)[0] is not bodies._grid_basis(4096, 5, 2)[0]
-
-    def test_grid_basis_cache_stays_within_2_mib(self):
-        # every cached grid has at most _BASIS_MAX_M angles, 16 bytes per angle
-        assert bodies._cached_basis.cache_info().maxsize == bodies._BASIS_ENTRIES
-        assert bodies._BASIS_ENTRIES * 16 * bodies._BASIS_MAX_M <= 2 << 20
-        assert sum(t.nbytes for t in bodies._grid_basis(bodies._BASIS_MAX_M, 1, 0)) == 16 * bodies._BASIS_MAX_M
+    @given(
+        horner_bodies(max_degree=64),
+        st.lists(st.floats(-TWO_PI, 2.0 * TWO_PI), min_size=16, max_size=16),
+        st.permutations(range(4)),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bits_independent_of_shape_and_orders(self, body, phis, orders, count):
+        block = np.array(phis).reshape(2, 8)
+        full = bodies._derivs(body, block, (0, 1, 2, 3))
+        subset = tuple(orders[:count])
+        given_cs = bodies._derivs(body, block.ravel(), subset, (np.cos(block.ravel()), np.sin(block.ravel())))
+        for k, v in zip(subset, given_cs):
+            assert v.tobytes() == full[k].tobytes()
+        for i, phi in enumerate(block.ravel()):
+            scalar = bodies._derivs(body, float(phi), subset)
+            single = bodies._derivs(body, np.array([phi]), subset)
+            for k, vs, v1 in zip(subset, scalar, single):
+                assert np.float64(vs).tobytes() == v1.tobytes() == full[k].ravel()[i].tobytes()
 
 
 class TestMinCurvature:

@@ -228,6 +228,23 @@ def test_malformed_nodes_or_random_spec_exit_2(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("report", "--spec", "astroid:1,0.2", "--nodes", "1099511627776"), "node count"),
+        (("verify", "--spec", "astroid:1,0.2", "--nodes", "2097152"), "node count"),
+        (("verify", "--path", "both", "--spec", "astroid:1,0.2", "--exterior-nodes", "100000000000"), "node counts"),
+        (("verify", "--path", "both", "--spec", "astroid:1,0.2", "--exterior-nodes", "64,100000000000"), "node counts"),
+    ],
+)
+def test_node_counts_above_2_20_exit_2(capsys, argv, option):
+    # rejected before any array is allocated: no MemoryError traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ValueError") and option in err
+
+
 @pytest.mark.parametrize("samples", ["100000000000", "1048577", "63"])
 @pytest.mark.parametrize(
     "argv",

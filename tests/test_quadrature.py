@@ -46,6 +46,9 @@ def test_grid_invariants():
         QuadratureGrid(100)  # not a power of two
     with pytest.raises(ValueError):
         QuadratureGrid(8)  # too small
+    with pytest.raises(ValueError):
+        QuadratureGrid(2**21)  # above 2^20, rejected before any allocation
+    assert QuadratureGrid(2**20).m == 2**20
     g = grid_for_degree(8)
     assert g.m == 256
     assert g.m >= 4 * 8 + 8

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from hurwitzlab import render
 from hurwitzlab import (
+    HypocycloidParallelSpec,
     HypocycloidSpec,
     Polyline,
     Scene,
     Style,
+    construct,
     count_cusps,
     functionals_spectral,
     sample_curve,
@@ -142,6 +144,15 @@ class TestHypocycloid:
             HypocycloidSpec(m=3, n=2)  # k <= 2
         with pytest.raises(BadSpec):
             HypocycloidSpec(m=3, r=0.0)
+
+    @pytest.mark.parametrize("k,traversal,distinct", [(3, 6, 3), (4, 8, 8), (5, 10, 5), (6, 12, 12)])
+    def test_hypocycloid_parallel_cusps(self, k, traversal, distinct):
+        # the evolute of p = a0 + amp*cos(k phi) has cusps at phi = j*pi/k, j < 2k;
+        # for odd k it retraces them after a half turn, for even k they are 2k distinct points
+        body = construct(HypocycloidParallelSpec(k, 1.0, 0.5 / (k * k - 1)))
+        evolute = sample_curve(body, "evolute", 2 * k * 64)
+        assert count_cusps(evolute) == traversal
+        assert len(np.unique(np.round(evolute.vertices[::64], 9), axis=0)) == distinct
 
     def test_smooth_convex_boundary_has_no_cusps(self, ast_body):
         assert count_cusps(sample_curve(ast_body, "boundary", 1024)) == 0

@@ -455,6 +455,10 @@ class TestExteriorIntegral:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExteriorConfig(nodes_phi=4)
+        for nodes in ({"nodes_phi": 2**20 + 1}, {"nodes_delta": 2**20 + 1}):
+            with pytest.raises(ValueError):
+                ExteriorConfig(**nodes)
+        assert ExteriorConfig(nodes_phi=2**20, nodes_delta=2**20).nodes_delta == 2**20
         with pytest.raises(ValueError):
             ExteriorConfig(delta_min=1.0)
         with pytest.raises(TypeError):
