@@ -41,12 +41,14 @@ from .errors import (
     NotStrictlyConvex,
     NotValidated,
 )
-from .quadrature import TWO_PI
+from .quadrature import MAX_NODES, TWO_PI
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
 # Largest accepted magnitude a0 + sum n^2 |c_n| of a body (see validate_convex).
 _MAX_MAGNITUDE = 1e100
+# Largest harmonic degree: grid_for_degree needs 4N + 8 <= MAX_NODES nodes.
+_MAX_DEGREE = (MAX_NODES - 8) // 4
 # Entries per basis table in the curvature-minimum search.
 _TABLE_ENTRIES = 1 << 20
 
@@ -263,14 +265,16 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
 def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     """Certify strict convexity; returns the body marked as validated.
 
-    Raises BadSpec when a coefficient is not finite, NonpositiveMean when
-    a0 <= 0, ValueError unless eps > 0 (default 1e-9 * a0) and
-    NotStrictlyConvex when the curvature radius dips below eps.  A convex
-    body whose magnitude M = a0 + sum_n n^2 |c_n|, a bound on |p|, |p'| and
-    |p''|, exceeds _MAX_MAGNITUDE = 1e100 raises BadSpec: every functional
-    and integral is quadratic in p, so M <= 1e100 keeps it below 1e200 times
-    its largest factor (about 1e13, the tangent-coordinate area element at
-    the last gap node), far inside the float range.
+    Raises BadSpec when a coefficient is not finite or the degree exceeds
+    _MAX_DEGREE = 262142 (the largest with a quadrature grid of at most
+    MAX_NODES nodes), NonpositiveMean when a0 <= 0, ValueError unless
+    eps > 0 (default 1e-9 * a0) and NotStrictlyConvex when the curvature
+    radius dips below eps.  A convex body whose magnitude M = a0 +
+    sum_n n^2 |c_n|, a bound on |p|, |p'| and |p''|, exceeds
+    _MAX_MAGNITUDE = 1e100 raises BadSpec: every functional and integral
+    is quadratic in p, so M <= 1e100 keeps it below 1e200 times its largest
+    factor (about 1e13, the tangent-coordinate area element at the last gap
+    node), far inside the float range.
 
     The certificate decides first: rho(phi) >= slack = a0 - sum_{n>=2}
     (n^2 - 1)|c_n| for every phi, so slack >= eps proves strict convexity.
@@ -281,6 +285,8 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     coeffs = [body.a0] + [c for h in body.harmonics for c in (h.a, h.b)]
     if not all(math.isfinite(c) for c in coeffs):
         raise BadSpec("support coefficients must be finite")
+    if body.max_degree > _MAX_DEGREE:
+        raise BadSpec(f"harmonic degree {body.max_degree} exceeds {_MAX_DEGREE}")
     if body.a0 <= 0.0:
         raise NonpositiveMean(f"mean term a0={body.a0:.6g} must be positive")
     if eps is None:
@@ -525,14 +531,6 @@ class HypocycloidSpec:
     def k(self) -> float:
         return self.m / self.n
 
-    @property
-    def cusps(self) -> int:
-        return self.m
-
-    @property
-    def fixed_radius(self) -> float:
-        return self.k * self.r
-
 
 def random_body(
     seed: int,
@@ -545,10 +543,11 @@ def random_body(
 
     Randomness flows from a counter-based generator keyed on (seed, index)
     so sweeps are reproducible and order-independent.  Amplitudes are
-    halved (at most 60 times) until strict convexity holds.
+    halved (at most 60 times) until strict convexity holds.  The degree
+    must lie in [1, _MAX_DEGREE] (ValueError, raised before any draw).
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    if not 1 <= degree <= _MAX_DEGREE:
+        raise ValueError(f"degree must lie in [1, {_MAX_DEGREE}], got {degree}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     rng = np.random.Generator(np.random.Philox(seed=ss))
     hs = []

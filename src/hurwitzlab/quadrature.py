@@ -64,9 +64,6 @@ class QuadratureGrid:
     def phis(self) -> np.ndarray:
         return np.linspace(0.0, TWO_PI, self.m, endpoint=False)
 
-    def integrate(self, samples) -> float:
-        return periodic_integral(samples)
-
 
 def grid_for_degree(degree: int) -> QuadratureGrid:
     """Default grid: at least 256 nodes and exact for degree-2N products."""

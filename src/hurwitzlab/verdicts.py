@@ -5,8 +5,10 @@ on a spectral path (closed-form sums, exterior integrals replaced by their
 known closed forms) and a geometric path (quadrature functionals plus the
 tangent-coordinate exterior integrator).  Constant-width-only bounds are
 reported as inapplicable, not failed, on general bodies.  Each inequality
-is one entry of THEOREMS; `verify` evaluates an entry without knowing which
-theorem it is.
+is one entry of THEOREMS.  One evaluator works out a path's shared state
+once (constant width, functionals, scale and each named exterior integral)
+and then reads it for every entry, without knowing which theorem it is;
+`run_suite` calls it once per path and `verify` is its one-theorem case.
 
 The closed forms used to shortcut exterior integrals:
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
@@ -226,14 +227,51 @@ def expected_equality(theorem: TheoremId, support, constant_width: bool) -> bool
     return support_ok and (constant_width or not t.equality_needs_cw)
 
 
-# suites evaluate 12 theorems over shared, immutable inputs: memoize the
-# per-body functionals they keep asking for (exterior integrals share the
-# tangent field that visual_angle caches per body)
-@lru_cache(maxsize=256)
-def _cached_functionals(body: TrigSupport, path: str, grid: QuadratureGrid | None) -> FunctionalSet:
-    if path == "spectral":
-        return functionals_spectral(body)
-    return functionals_quadrature(body, grid=grid)
+def _verdicts(body: TrigSupport, theorems, path: str, cfg: SuiteConfig) -> tuple[FunctionalSet, list[Verdict]]:
+    """The path's functionals and the verdicts of `theorems` on that path.
+
+    The constant-width test, the functionals, the scale max(L^2, pi |Fe|)
+    and each exterior integral an applicable theorem names are computed
+    once; every theorem then only reads them.
+    """
+    _require_validated(body)
+    if path not in ("spectral", "geometric"):
+        raise ValueError(f"path must be 'spectral' or 'geometric', got {path!r}")
+    cw, _ = is_constant_width(body)
+    fs = functionals_spectral(body) if path == "spectral" else functionals_quadrature(body, grid=cfg.grid)
+    scale = max(fs.L * fs.L, PI * abs(fs.Fe))
+    integrals = {None: (None, 0.0)}  # name -> (value, error bar)
+    out = []
+    for theorem in theorems:
+        t = THEOREMS[theorem]
+        if t.cw_only and not cw:
+            nan = float("nan")
+            out.append(Verdict(theorem, False, nan, nan, nan, False, path, notes="requires constant width"))
+            continue
+        if t.integral not in integrals:
+            if path == "spectral":
+                integrals[t.integral] = (SPECTRAL_INTEGRALS[t.integral](fs), 0.0)
+            else:
+                res = exterior_integral(body, KERNELS[t.integral](), cfg.exterior)
+                integrals[t.integral] = (res.value, res.error_bar)
+        value, int_err = integrals[t.integral]
+        rhs_err = (0.0 if path == "spectral" else 1e-12 * scale) + t.weight * int_err
+        lhs, rhs = t.lhs(fs, value), t.rhs(fs, value)
+        residual = lhs - rhs
+        eq_tol = max(cfg.tol * scale, 3.0 * rhs_err)
+        equality = abs(residual) <= eq_tol
+        notes = t.notes + (t.cw_notes if cw else "")
+        if t.companion:
+            name, companion_lhs, companion_rhs = t.companion
+            lhs2, rhs2 = companion_lhs(fs), companion_rhs(fs)
+            notes = f"companion bound {name}: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
+            residual = min(residual, lhs2 - rhs2)
+            equality = equality and abs(lhs2 - rhs2) <= eq_tol
+        out.append(Verdict(
+            id=theorem, applicable=True, lhs=lhs, rhs=rhs, residual=residual,
+            equality=equality, path=path, error_bar=rhs_err, notes=notes,
+        ))
+    return fs, out
 
 
 def verify(
@@ -244,56 +282,18 @@ def verify(
     config: ExteriorConfig | None = None,
     grid: QuadratureGrid | None = None,
 ) -> Verdict:
-    """Evaluate one inequality on a validated body.
+    """Evaluate one inequality on a validated body: the one-theorem case of
+    the evaluator `run_suite` uses, with bit-identical results.
 
     path "spectral" uses closed-form sums throughout; "geometric" uses
     quadrature functionals and, where the bound involves an exterior
     integral, the tangent-coordinate integrator.  Equality is declared
     when |residual| <= tol * scale with scale = max(L^2, pi |Fe|)
-    (geometric runs widen the tolerance to three error bars).
+    (geometric runs widen the tolerance to three error bars).  tol must be
+    finite and nonnegative (ValueError), as in SuiteConfig.
     """
-    _require_validated(body)
-    theorem = TheoremId(theorem)
-    if path not in ("spectral", "geometric"):
-        raise ValueError(f"path must be 'spectral' or 'geometric', got {path!r}")
-    t = THEOREMS[theorem]
-
-    cw, _ = is_constant_width(body)
-    if t.cw_only and not cw:
-        return Verdict(
-            id=theorem, applicable=False, lhs=float("nan"), rhs=float("nan"),
-            residual=float("nan"), equality=False, path=path,
-            notes="requires constant width",
-        )
-
-    value, int_err = None, 0.0
-    if path == "spectral":
-        fs = _cached_functionals(body, "spectral", None)
-        if t.integral:
-            value = SPECTRAL_INTEGRALS[t.integral](fs)
-    else:
-        fs = _cached_functionals(body, "quadrature", grid)
-        if t.integral:
-            res = exterior_integral(body, KERNELS[t.integral](), config)
-            value, int_err = res.value, res.error_bar
-
-    scale = max(fs.L * fs.L, PI * abs(fs.Fe))
-    rhs_err = (0.0 if path == "spectral" else 1e-12 * scale) + t.weight * int_err
-    lhs, rhs = t.lhs(fs, value), t.rhs(fs, value)
-    residual = lhs - rhs
-    eq_tol = max(tol * scale, 3.0 * rhs_err)
-    equality = abs(residual) <= eq_tol
-    notes = t.notes + (t.cw_notes if cw else "")
-    if t.companion:
-        name, companion_lhs, companion_rhs = t.companion
-        lhs2, rhs2 = companion_lhs(fs), companion_rhs(fs)
-        notes = f"companion bound {name}: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
-        residual = min(residual, lhs2 - rhs2)
-        equality = equality and abs(lhs2 - rhs2) <= eq_tol
-    return Verdict(
-        id=theorem, applicable=True, lhs=lhs, rhs=rhs, residual=residual,
-        equality=equality, path=path, error_bar=rhs_err, notes=notes,
-    )
+    cfg = SuiteConfig(tol=tol, exterior=config or ExteriorConfig(), grid=grid)
+    return _verdicts(body, (TheoremId(theorem),), path, cfg)[1][0]
 
 
 @dataclass(frozen=True)
@@ -331,22 +331,21 @@ class SuiteReport:
 def run_suite(body: TrigSupport, config: SuiteConfig | None = None) -> SuiteReport:
     """All verdicts on one body, in a fixed theorem order.
 
-    Overall pass requires every applicable verdict to satisfy
-    residual >= -max(tol*scale, 3*error_bar).
+    Each path is evaluated in one pass of the evaluator over THEOREMS; with
+    path "both" the spectral and geometric verdicts of each theorem sit
+    side by side.  Overall pass requires every applicable verdict to
+    satisfy residual >= -max(tol*scale, 3*error_bar), with scale taken from
+    the spectral functionals.
     """
     cfg = config or SuiteConfig()
     paths = ("spectral", "geometric") if cfg.path == "both" else (cfg.path,)
-    verdicts = []
-    for theorem in THEOREMS:
-        for path in paths:
-            verdicts.append(
-                verify(body, theorem, path=path, tol=cfg.tol, config=cfg.exterior, grid=cfg.grid)
-            )
+    results = [_verdicts(body, THEOREMS, path, cfg) for path in paths]
+    verdicts = tuple(v for row in zip(*(vs for _, vs in results)) for v in row)
     eq_class = classify_equality(body, tol=cfg.tol)
-    fs = _cached_functionals(body, "spectral", None)
+    fs = results[0][0] if paths[0] == "spectral" else functionals_spectral(body)
     scale = max(fs.L * fs.L, PI * abs(fs.Fe))
     passed = all(
         (not v.applicable) or v.residual >= -max(cfg.tol * scale, 3.0 * v.error_bar)
         for v in verdicts
     )
-    return SuiteReport(body=body, verdicts=tuple(verdicts), equality_class=eq_class, passed=passed)
+    return SuiteReport(body=body, verdicts=verdicts, equality_class=eq_class, passed=passed)

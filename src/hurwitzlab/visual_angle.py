@@ -230,14 +230,6 @@ class IntegralResult:
     method: str
     nodes: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "error_bar": self.error_bar,
-            "method": self.method,
-            "nodes": self.nodes,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Tangent root finding

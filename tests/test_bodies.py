@@ -333,6 +333,17 @@ class TestValidate:
         with pytest.raises(BadSpec, match="magnitude"):
             validate_convex(TrigSupport(1.0, (Harmonic(1, 1e101, 0.0),)))
 
+    def test_degree_bound(self):
+        # 262142 = (MAX_NODES - 8) // 4 is the largest degree grid_for_degree
+        # can serve; above it the certificate would pass and every spectral
+        # sum or render grid would run out of time or memory
+        assert validate_convex(TrigSupport(1.0, (Harmonic(262142, 1e-20, 0.0),))).validated
+        for n in (262143, 10**9):
+            with pytest.raises(BadSpec, match="degree"):
+                validate_convex(TrigSupport(1.0, (Harmonic(n, 1e-20, 0.0),)))
+        with pytest.raises(ValueError, match="degree"):
+            random_body(1, 262143)
+
     def test_constructors_keep_magnitude_bound(self, circle_body):
         # offset, rigid_motion and minkowski_sum keep `validated` without
         # calling validate_convex, so they must apply its magnitude bound

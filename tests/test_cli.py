@@ -245,6 +245,20 @@ def test_node_counts_above_2_20_exit_2(capsys, argv, option):
     assert err.startswith("ValueError") and option in err
 
 
+@pytest.mark.parametrize(
+    "argv, n", [(("render",), 10**9), (("verify", "--path", "spectral"), 262143)]
+)
+def test_harmonic_degree_above_bound_exit_2(capsys, tmp_path, argv, n):
+    # the certificate passes these bodies; without the degree bound render
+    # ran out of memory and the spectral sums ran for minutes
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"n": n, "a": 1e-20, "b": 0.0}]}))
+    code, out, err = run(capsys, *argv, "--body", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("BadSpec") and "degree" in err
+
+
 @pytest.mark.parametrize("samples", ["100000000000", "1048577", "63"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,12 +12,14 @@ from hurwitzlab import (
     functionals_spectral,
     is_constant_width,
     minkowski_sum,
+    random_body,
     rigid_motion,
     run_suite,
     verify,
 )
+from hurwitzlab import verdicts
 from hurwitzlab.errors import NotValidated
-from hurwitzlab.verdicts import SPECTRAL_INTEGRALS, THEOREMS
+from hurwitzlab.verdicts import SPECTRAL_INTEGRALS, THEOREMS, Verdict
 from hurwitzlab.visual_angle import KERNELS
 
 PI = math.pi
@@ -104,6 +108,13 @@ class TestVerifyFixtures:
 
         with pytest.raises(NotValidated):
             verify(TrigSupport(1.0), TheoremId.HURWITZ)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tol_checked_like_suite_config(self, ast_body, tol):
+        # the Hurwitz residual is exactly 0 here: a NaN tol read "strict", an
+        # infinite one "equality" on every bound
+        with pytest.raises(ValueError, match="tol"):
+            verify(ast_body, TheoremId.HURWITZ, tol=tol)
 
 
 class TestGeometricPath:
@@ -261,3 +272,47 @@ class TestTheoremTable:
         assert [v.id for v in spectral.verdicts] == list(TheoremId)
         both = run_suite(mix_body, SuiteConfig(path="both"))
         assert [v.id for v in both.verdicts] == [tid for tid in TheoremId for _ in range(2)]
+
+
+EVALUATOR_BODIES = ("circle", "ast", "delt", "cw35", "mix", "hd17", "cw_random")
+
+
+@pytest.fixture(scope="module")
+def cw_random_body():
+    body = random_body(5, 9, constant_width=True, index=1)
+    assert is_constant_width(body)[0]
+    return body
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("name", EVALUATOR_BODIES)
+    def test_verify_is_the_suite_verdict(self, request, name):
+        # field for field and bit for bit; NaN equals NaN, -0.0 differs from 0.0
+        body = request.getfixturevalue(f"{name}_body")
+        suite = {(v.id, v.path): v for v in run_suite(body, SuiteConfig(path="both")).verdicts}
+        assert len(suite) == 2 * len(TheoremId)
+        for (tid, path), expected in suite.items():
+            got = verify(body, tid, path)
+            for f in dataclasses.fields(Verdict):
+                a, b = getattr(got, f.name), getattr(expected, f.name)
+                if isinstance(a, float):
+                    assert a.hex() == b.hex(), (tid, path, f.name)
+                else:
+                    assert a == b, (tid, path, f.name)
+
+    @pytest.mark.parametrize("name, kernels", [("mix", 2), ("cw35", 3)])
+    def test_one_pass_per_path(self, request, monkeypatch, name, kernels):
+        calls = Counter()
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls[args[1].name if fn.__name__ == "exterior_integral" else fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for fn in ("functionals_spectral", "functionals_quadrature", "exterior_integral"):
+            monkeypatch.setattr(verdicts, fn, spy(getattr(verdicts, fn)))
+        run_suite(request.getfixturevalue(f"{name}_body"), SuiteConfig(path="both"))
+        assert calls["functionals_spectral"] == calls["functionals_quadrature"] == 1
+        assert sorted(calls[k] for k in KERNELS if k in calls) == [1] * kernels
