@@ -68,10 +68,10 @@ from .visual_angle import (
     exterior_point,
     moment_kernel,
     sin_cubed_kernel,
+    spectral_integral,
     support_line_angles,
     visual_deficit_cw_kernel,
     visual_deficit_kernel,
-    visual_moment,
 )
 
 __version__ = "0.1.0"

@@ -115,7 +115,8 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     )
     Wq = PI * s_iso
     sx, sy = steiner_point(body)
-    cn = tuple((n, centered.c_sq(n)) for n in range(2, body.max_degree + 1))
+    c_sq = {h.n: h.c_sq for h in centered.harmonics}
+    cn = tuple((n, c_sq.get(n, 0.0)) for n in range(2, body.max_degree + 1))
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
         A=A, AmF=A - F, delta2_sq=delta2_sq, Aw=Aw, Wq=Wq,

@@ -1,21 +1,16 @@
 """Inequality verdicts: every reverse-isoperimetric bound on one body.
 
 Each check is oriented as lhs >= rhs with residual = lhs - rhs, evaluated
-on a spectral path (closed-form sums, exterior integrals replaced by their
-known closed forms) and a geometric path (quadrature functionals plus the
-tangent-coordinate exterior integrator).  Constant-width-only bounds are
-reported as inapplicable, not failed, on general bodies.  Each inequality
-is one entry of THEOREMS.  One evaluator works out a path's shared state
-once (constant width, functionals, scale and each named exterior integral)
-and then reads it for every entry, without knowing which theorem it is;
-`run_suite` calls it once per path and `verify` is its one-theorem case.
-
-The closed forms used to shortcut exterior integrals:
-
-    int (omega - sin omega) dP                    = L^2/2 - pi*F
-    int sin^3(omega) dP                           = (3/4) (L^2 + 3 pi^2 c_2^2)
-    int visual_deficit dP                         = -pi*F - (3/2) pi^2 c_2^2
-    int visual_deficit_cw dP = L^2/4 - pi*F - (9/4) pi^2 c_2^2 - 4 pi^2 c_3^2
+on a spectral path (closed-form sums) and a geometric path (quadrature
+functionals plus the tangent-coordinate exterior integrator).
+Constant-width-only bounds are reported as inapplicable, not failed, on
+general bodies.  Each inequality is one entry of THEOREMS.  One evaluator
+works out a path's shared state once (constant width, functionals, scale
+and each named exterior integral) and then reads it for every entry,
+without knowing which theorem it is; `run_suite` calls it once per path and
+`verify` is its one-theorem case.  A named integral is the kernel
+`visual_angle.KERNELS[name]` integrated by `spectral_integral`, whose closed
+form follows from the kernel's coefficients, or by `exterior_integral`.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from typing import Callable
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
 from .quadrature import PI, QuadratureGrid
-from .visual_angle import KERNELS, ExteriorConfig, exterior_integral
+from .visual_angle import KERNELS, ExteriorConfig, exterior_integral, spectral_integral
 
 
 class TheoremId(str, Enum):
@@ -46,20 +41,6 @@ class TheoremId(str, Enum):
     WIGNER_ISO = "wigner_isoperimetric"
     WIGNER_PEDAL = "wigner_pedal"
     PEDAL_DEFICIT_CW = "pedal_deficit_cw"
-
-
-def _c_sq(fs: FunctionalSet, n: int) -> float:
-    return fs.cn_sq_map().get(n, 0.0)
-
-
-# closed forms of the exterior integrals, keyed like visual_angle.KERNELS
-SPECTRAL_INTEGRALS: dict[str, Callable[[FunctionalSet], float]] = {
-    "sin_cubed": lambda fs: 0.75 * (fs.L * fs.L + 3.0 * PI * PI * _c_sq(fs, 2)),
-    "visual_deficit": lambda fs: -PI * fs.F - 1.5 * PI * PI * _c_sq(fs, 2),
-    "visual_deficit_cw": lambda fs: (
-        0.25 * (fs.L * fs.L) - PI * fs.F - 2.25 * PI * PI * _c_sq(fs, 2) - 4.0 * PI * PI * _c_sq(fs, 3)
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -249,11 +230,10 @@ def _verdicts(body: TrigSupport, theorems, path: str, cfg: SuiteConfig) -> tuple
             out.append(Verdict(theorem, False, nan, nan, nan, False, path, notes="requires constant width"))
             continue
         if t.integral not in integrals:
-            if path == "spectral":
-                integrals[t.integral] = (SPECTRAL_INTEGRALS[t.integral](fs), 0.0)
-            else:
-                res = exterior_integral(body, KERNELS[t.integral](), cfg.exterior)
-                integrals[t.integral] = (res.value, res.error_bar)
+            kernel = KERNELS[t.integral]()
+            res = (spectral_integral(body, kernel) if path == "spectral"
+                   else exterior_integral(body, kernel, cfg.exterior))
+            integrals[t.integral] = (res.value, res.error_bar)
         value, int_err = integrals[t.integral]
         rhs_err = (0.0 if path == "spectral" else 1e-12 * scale) + t.weight * int_err
         lhs, rhs = t.lhs(fs, value), t.rhs(fs, value)

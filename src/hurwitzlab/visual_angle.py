@@ -2,7 +2,8 @@
 
 The visual angle omega(P) of a convex body from an exterior point P is the
 angle between the two tangent lines through P.  Integrals of kernels
-f(omega) over the whole exterior are evaluated two independent ways:
+f(omega) over the whole exterior are evaluated by two independent
+quadratures and in closed form:
 
 * tangent coordinates (primary): exterior points are parametrized by the
   normal angle phi1 of one support line and the gap delta in (0, pi) to
@@ -17,6 +18,9 @@ f(omega) over the whole exterior are evaluated two independent ways:
   the cutoff radius 40*a0, with the tangent lines of all radial nodes of a
   block of directions solved in one batch, plus a fitted 1/r^2 tail for the
   remainder.  Its visual-angle field is cached per (body, config) too.
+
+* closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
+  that follow from the kernel's coefficients.
 
 The tangent lines through a point come from one scan of
 g(phi) = <P, N(phi)> - p(phi) and one polish of its roots (`_tangent_angles`).
@@ -83,10 +87,6 @@ class Kernel:
     def linear_term(self) -> float:
         """Maclaurin coefficient of omega; must vanish for integrability."""
         return self.omega_coeff + math.fsum(k * a for k, a in self.sin_coeffs)
-
-    @property
-    def cubic_term(self) -> float:
-        return math.fsum(-a * k**3 / 6.0 for k, a in self.sin_coeffs)
 
     def check_integrable(self) -> None:
         scale = abs(self.omega_coeff) + math.fsum(abs(k * a) for k, a in self.sin_coeffs)
@@ -193,10 +193,6 @@ class TangentPair:
     omega: float
     t1: float
     t2: float
-
-    @property
-    def delta(self) -> float:
-        return (self.phi2 - self.phi1) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -411,6 +407,40 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     return IntegralResult(fine, err, "tangent_coords", levels[0][3])
 
 
+@lru_cache(maxsize=32)
+def _spectral_weights(kernel: Kernel) -> tuple[float, float, tuple[float, ...]]:
+    """The kernel-only part of `spectral_integral`, cached per kernel: w(0),
+    alpha0/2 and E(n) for n = 0..k_max, the largest sin frequency; E(n) = E(k_max) above."""
+    kernel.check_integrable()
+    moments = [(k, k * k * a) for k, a in kernel.sin_coeffs]
+    w0 = -kernel.omega_coeff - 2.0 * math.fsum(m for _, m in moments)
+    corr = tuple(
+        math.fsum(m for k, m in moments if (n % 2 == 0 and k > n) or (k % 2 == 0 and k <= n))
+        for n in range(max((k for k, _ in moments), default=0) + 1)
+    )
+    return w0, 0.5 * kernel.omega_coeff, corr
+
+
+def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
+    """Integral of kernel(omega(P)) over the exterior, in closed form.
+
+    For f = alpha0*omega + sum alpha_k sin(k omega) it is pi^2 [w(0) a0^2 +
+    sum_{n>=2} w(n) c_n^2], each weight the transform of one harmonic's part of
+    the tangent field (Santalo 1976): w(0) = -alpha0 - 2 sum k^2 alpha_k and
+    w(n) = alpha0 (n^2-1)/2 - E(n), E(n) the sum of k^2 alpha_k over the k with
+    (n even and k > n) or (k even and k <= n).  The n = 1 harmonic cancels.
+    """
+    _require_validated(body)
+    w0, half, corr = _spectral_weights(kernel)
+    last = len(corr) - 1
+    terms = [w0 * body.a0 * body.a0]
+    for h in body.harmonics:
+        n = h.n
+        if n >= 2:
+            terms.append((half * (n * n - 1) - corr[n if n < last else last]) * h.c_sq)
+    return IntegralResult(PI * PI * math.fsum(terms), 0.0, "spectral", 0)
+
+
 # ---------------------------------------------------------------------------
 # Polar-grid oracle
 
@@ -507,19 +537,3 @@ def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorCo
     collar_err = abs(kernel(PI)) * ring_mass if kernel(PI) != 0.0 else 0.1 * ring_mass
     err = 2.0 * abs(main - coarse) + tail_err + collar_err + 1e-12 * abs(main)
     return IntegralResult(main + tail, err, "polar_grid", omegas.size)
-
-
-def visual_moment(body: TrigSupport, n: int, config: ExteriorConfig | None = None) -> tuple[float, float]:
-    """Exterior moment of order n, numerically and in closed form.
-
-    numeric: exterior integral of the order-n moment kernel;
-    spectral: L^2 + (-1)^n pi^2 (n^2 - 1) c_n^2 with c_n about the Steiner
-    point.  Returned together so each path can audit the other.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise BadOrder(f"moment order must be an integer >= 2, got {n!r}")
-    numeric = exterior_integral(body, moment_kernel(n), config).value
-    centered = recenter_to_steiner(body)
-    L = TWO_PI * body.a0
-    spectral = L * L + (-1.0) ** n * PI * PI * (n * n - 1.0) * centered.c_sq(n)
-    return numeric, spectral

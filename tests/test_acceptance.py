@@ -33,10 +33,10 @@ from hurwitzlab import (
     sample_hypocycloid,
     shoelace_area,
     sin_cubed_kernel,
+    spectral_integral,
     verify,
     visual_deficit_cw_kernel,
     visual_deficit_kernel,
-    visual_moment,
 )
 
 PI = math.pi
@@ -113,12 +113,9 @@ def test_03_constant_width_sharpening(sweep_bodies, delt_body):
 def test_04_visual_angle_identities(ast_body, delt_body, circle_body):
     """Moments and Crofton against closed forms, within 0.5%."""
     with criterion(4, "visual-angle moments, Crofton and the sin^3 identity (0.5%)"):
-        numeric, spectral = visual_moment(ast_body, 2)
-        assert spectral == pytest.approx(4.12 * PI**2, rel=1e-13)
-        assert numeric == pytest.approx(4.12 * PI**2, rel=5e-3)
-        numeric, spectral = visual_moment(delt_body, 3)
-        assert spectral == pytest.approx(3.92 * PI**2, rel=1e-13)
-        assert numeric == pytest.approx(3.92 * PI**2, rel=5e-3)
+        for body, n, expect in ((ast_body, 2, 4.12 * PI**2), (delt_body, 3, 3.92 * PI**2)):
+            assert spectral_integral(body, moment_kernel(n)).value == pytest.approx(expect, rel=1e-13)
+            assert exterior_integral(body, moment_kernel(n)).value == pytest.approx(expect, rel=5e-3)
         res = exterior_integral(circle_body, crofton_kernel())
         assert res.value == pytest.approx(PI**2, rel=5e-3)
         for body in (ast_body, delt_body, circle_body):

@@ -76,6 +76,22 @@ class TestSpectralFixtures:
         assert fs1.delta2_sq == pytest.approx(fs0.delta2_sq, rel=1e-13)
         assert fs1.steiner == pytest.approx((0.7, -0.4))
 
+    def test_cn_sq_in_one_pass(self, monkeypatch):
+        # c_n^2 for n = 2..N come from one pass over the harmonics, with at
+        # most one TrigSupport.harmonic scan; the values are those of c_sq(n)
+        from hurwitzlab import random_body, recenter_to_steiner
+
+        body = random_body(3, 64, index=1)
+        assert len(body.harmonics) == 64
+        calls = []
+        harmonic = TrigSupport.harmonic
+        monkeypatch.setattr(TrigSupport, "harmonic", lambda self, n: calls.append(n) or harmonic(self, n))
+        fs = functionals_spectral(body)
+        monkeypatch.undo()
+        assert len(calls) <= 1
+        centered = recenter_to_steiner(body)
+        assert fs.cn_sq == tuple((n, centered.c_sq(n)) for n in range(2, 65))
+
 
 class TestQuadratureAgreement:
     def test_ast_exact_at_64_nodes(self, ast_body):

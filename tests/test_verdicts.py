@@ -19,7 +19,7 @@ from hurwitzlab import (
 )
 from hurwitzlab import verdicts
 from hurwitzlab.errors import NotValidated
-from hurwitzlab.verdicts import SPECTRAL_INTEGRALS, THEOREMS, Verdict
+from hurwitzlab.verdicts import THEOREMS, Verdict
 from hurwitzlab.visual_angle import KERNELS
 
 PI = math.pi
@@ -262,9 +262,9 @@ class TestTheoremTable:
     def test_one_entry_per_theorem(self):
         assert list(THEOREMS) == list(TheoremId)
 
-    def test_integrals_have_kernel_and_closed_form(self):
+    def test_integrals_have_kernel(self):
         for tid, t in THEOREMS.items():
-            assert t.integral is None or (t.integral in KERNELS and t.integral in SPECTRAL_INTEGRALS), tid
+            assert t.integral is None or t.integral in KERNELS, tid
             assert (t.weight > 0.0) == (t.integral is not None), tid
 
     def test_suite_order_is_theorem_order(self, mix_body):
@@ -306,13 +306,14 @@ class TestEvaluator:
 
         def spy(fn):
             def wrapped(*args, **kwargs):
-                calls[args[1].name if fn.__name__ == "exterior_integral" else fn.__name__] += 1
+                calls[(fn.__name__, args[1].name) if fn.__name__.endswith("integral") else fn.__name__] += 1
                 return fn(*args, **kwargs)
 
             return wrapped
 
-        for fn in ("functionals_spectral", "functionals_quadrature", "exterior_integral"):
+        for fn in ("functionals_spectral", "functionals_quadrature", "exterior_integral", "spectral_integral"):
             monkeypatch.setattr(verdicts, fn, spy(getattr(verdicts, fn)))
         run_suite(request.getfixturevalue(f"{name}_body"), SuiteConfig(path="both"))
         assert calls["functionals_spectral"] == calls["functionals_quadrature"] == 1
-        assert sorted(calls[k] for k in KERNELS if k in calls) == [1] * kernels
+        for fn in ("exterior_integral", "spectral_integral"):
+            assert sorted(calls[fn, k] for k in KERNELS if (fn, k) in calls) == [1] * kernels, fn

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hurwitzlab import (
     CircleSpec,
     ExteriorConfig,
+    IntegralResult,
     Kernel,
+    TrigSupport,
     construct,
     crofton_kernel,
     eval_support,
@@ -21,10 +23,11 @@ from hurwitzlab import (
     recenter_to_steiner,
     rigid_motion,
     sin_cubed_kernel,
+    spectral_integral,
     support_line_angles,
+    validate_convex,
     visual_deficit_cw_kernel,
     visual_deficit_kernel,
-    visual_moment,
 )
 from hurwitzlab import visual_angle
 from hurwitzlab.bodies import _eval, boundary_point
@@ -471,34 +474,147 @@ class TestExteriorIntegral:
             ExteriorConfig(r_max=r_max)
 
 
+def moment_pair(body, n):
+    """Order-n moment integrated in tangent coordinates and in closed form."""
+    kernel = moment_kernel(n)
+    return exterior_integral(body, kernel).value, spectral_integral(body, kernel).value
+
+
 class TestVisualMoment:
     def test_ast_order2(self, ast_body):
         # L^2 + pi^2 * 3 * c2^2 = (4 + 0.12) pi^2
-        numeric, spectral = visual_moment(ast_body, 2)
+        numeric, spectral = moment_pair(ast_body, 2)
         assert spectral == pytest.approx(4.12 * PI**2, rel=1e-14)
         assert numeric == pytest.approx(spectral, rel=5e-3)
 
     def test_delt_order3(self, delt_body):
         # sign flips for odd order: L^2 - pi^2 * 8 * c3^2 = 3.92 pi^2
-        numeric, spectral = visual_moment(delt_body, 3)
+        numeric, spectral = moment_pair(delt_body, 3)
         assert spectral == pytest.approx(3.92 * PI**2, rel=1e-14)
         assert numeric == pytest.approx(spectral, rel=5e-3)
 
     def test_circle_any_order(self, circle_body):
         for n in (2, 3, 5):
-            numeric, spectral = visual_moment(circle_body, n)
+            numeric, spectral = moment_pair(circle_body, n)
             assert spectral == pytest.approx(4 * PI**2, rel=1e-15)
             assert numeric == pytest.approx(4 * PI**2, rel=5e-3)
-
-    def test_bad_order(self, circle_body):
-        with pytest.raises(BadOrder):
-            visual_moment(circle_body, 1)
 
     @given(convex_bodies(max_degree=5), st.integers(2, 5))
     @settings(max_examples=8, deadline=None)
     def test_dual_paths_agree(self, body, n):
-        numeric, spectral = visual_moment(body, n)
+        numeric, spectral = moment_pair(body, n)
         assert numeric == pytest.approx(spectral, rel=1e-5)
+
+
+def _tangent_field_harmonic(n, delta):
+    """Part g_n of the tangent field G(delta) = a0^2 g_0 + sum c_n^2 g_n, from
+    Parseval on the phi1 integral of -u1*u2 (independent of spectral_integral)."""
+    c, s = np.cos(delta), np.sin(delta)
+    if n == 0:
+        return TWO_PI * np.tan(0.5 * delta) ** 2 / s
+    cn, sn = np.cos(n * delta), np.sin(n * delta)
+    return PI * (((1.0 + c * c) * cn - 2.0 * c) / s**3 + 2.0 * n * c * sn / s**2 - n * n * cn / s)
+
+
+def _weight(kernel, n):
+    """w(n) of `spectral_integral`, read off one body: a0 = 1 plus c cos(n phi)."""
+    w0 = spectral_integral(construct(CircleSpec(1.0)), kernel).value / PI**2
+    if n == 0:
+        return w0
+    c = 0.5 / (n * n - 1)
+    body = validate_convex(TrigSupport(1.0, ((n, c, 0.0),)))
+    return (spectral_integral(body, kernel).value / PI**2 - w0) / (c * c)
+
+
+def _hand_forms(fs):
+    """Hand-derived closed forms of the named kernels' integrals, keyed like KERNELS."""
+    c2, c3 = (dict(fs.cn_sq).get(n, 0.0) for n in (2, 3))
+    return {
+        "crofton": 0.5 * fs.L**2 - PI * fs.F,
+        "sin_cubed": 0.75 * (fs.L**2 + 3.0 * PI**2 * c2),
+        "visual_deficit": -PI * fs.F - 1.5 * PI**2 * c2,
+        "visual_deficit_cw": 0.25 * fs.L**2 - PI * fs.F - 2.25 * PI**2 * c2 - 4.0 * PI**2 * c3,
+    }
+
+
+FIXTURES = ("circle", "ast", "delt", "cw35", "mix", "hd17")
+
+
+class TestSpectralIntegral:
+    @pytest.mark.parametrize("k", [None] + list(range(2, 13)))
+    def test_rule_is_the_tangent_field_transform(self, k):
+        # w(n) = int_0^pi f(pi - delta) g_n(delta) d delta / pi^2 for crofton
+        # (k None) and sin(k w) - k sin(w): even k act at every n >= k
+        kernel = crofton_kernel() if k is None else Kernel(f"sin{k}", 0.0, ((1, -float(k)), (k, 1.0)))
+        graded = PI * (1.0 - (1.0 - np.linspace(0.0, 1.0, 65)) ** 2)
+        edges = np.concatenate([[0.0], np.geomspace(1e-3, graded[1], 8)[:-1], graded[1:]])
+        x, w = gauss_panels(edges, points=16)
+        f = kernel(PI - x)
+        for n in [0] + list(range(2, 15)):
+            transform = float(np.sum(w * f * _tangent_field_harmonic(n, x))) / PI**2
+            rule = _weight(kernel, n)
+            assert 2.0 * rule == pytest.approx(round(2.0 * rule), abs=1e-6), (n, rule)
+            assert transform == pytest.approx(rule, abs=1e-3), n
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_hand_forms(self, request, name):
+        body = request.getfixturevalue(f"{name}_body")
+        fs = functionals_spectral(body)
+        scale = max(fs.L**2, PI * abs(fs.Fe))
+        for kernel_name, hand in _hand_forms(fs).items():
+            value = spectral_integral(body, KERNELS[kernel_name]()).value
+            assert abs(value - hand) <= 4.0 * np.spacing(scale), kernel_name
+
+    @pytest.mark.parametrize("name", ["hd17", "random17", "random17_moved"])
+    def test_moments(self, request, name):
+        # L^2 + (-1)^n pi^2 (n^2 - 1) c_n^2, c_n about the Steiner point, up to
+        # the rounding of the kernel's coefficients, which cancel in w(0)
+        if name == "hd17":
+            body = request.getfixturevalue("hd17_body")
+        else:
+            body = random_body(4, 17, index=2)
+            if name.endswith("moved"):
+                body = rigid_motion(body, 0.4, (3.0, -7.0))
+        L = TWO_PI * body.a0
+        c_sq = recenter_to_steiner(body).c_sq
+        for n in range(2, 17):
+            kernel = moment_kernel(n)
+            expect = L * L + (-1) ** n * PI**2 * (n * n - 1) * c_sq(n)
+            bound = np.spacing(1.0) * sum(k * k * abs(a) for k, a in kernel.sin_coeffs) * L * L
+            assert abs(spectral_integral(body, kernel).value - expect) <= bound, n
+
+    def test_result_shape_and_checks(self, ast_body):
+        res = spectral_integral(ast_body, crofton_kernel())
+        assert res == IntegralResult(res.value, 0.0, "spectral", 0)
+        with pytest.raises(NotValidated):
+            spectral_integral(TrigSupport(1.0), crofton_kernel())
+        with pytest.raises(NonIntegrableKernel):
+            spectral_integral(ast_body, Kernel("bad", 1.0, ()))
+
+    @pytest.mark.parametrize("name", FIXTURES + ("random9", "random9_cw"))
+    def test_named_kernels_within_tangent_bar(self, request, name):
+        if name.startswith("random"):
+            body = random_body(2, 9, constant_width=name.endswith("cw"), index=3)
+        else:
+            body = request.getfixturevalue(f"{name}_body")
+        for kernel_name, make in KERNELS.items():
+            res = exterior_integral(body, make())
+            assert abs(res.value - spectral_integral(body, make()).value) <= res.error_bar, kernel_name
+
+
+# The tangent bar's round-off allowance 1e-14*|value| misses the kernel
+# evaluation cancellation of even moment orders >= 4: err/bar is 1.04, 1.87,
+# 2.1 and 2.0 at n = 4, 6, 8 and 10, at a nearly body-independent relative
+# error of 1.2e-14 to 6.0e-14 (ROADMAP, known defects).
+_BAR_MISSES = pytest.mark.xfail(strict=True, reason="tangent bar under-reports even moments n >= 4")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 9] + [pytest.param(n, marks=_BAR_MISSES) for n in (4, 6, 8, 10)])
+def test_moment_kernels_within_tangent_bar(n):
+    for seed in (1, 2, 3):
+        body = random_body(seed, 9, index=3)
+        res = exterior_integral(body, moment_kernel(n))
+        assert abs(res.value - spectral_integral(body, moment_kernel(n)).value) <= res.error_bar, seed
 
 
 class TestPolarOracle:
