@@ -16,13 +16,12 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hurwitzlab import (  # noqa: E402
-    AstroidParallelSpec,
-    DeltoidParallelSpec,
     HypocycloidSpec,
     Polyline,
     Scene,
     Style,
-    construct,
+    astroid_parallel,
+    deltoid_parallel,
     sample_curve,
     sample_hypocycloid,
     write_svg,
@@ -36,7 +35,7 @@ PURPLE = Style(stroke="#762a83", dash=(0.06, 0.04))
 
 
 def shifted(poly: Polyline, dx: float, dy: float = 0.0) -> Polyline:
-    return Polyline(poly.vertices + np.array([dx, dy]), closed=poly.closed)
+    return Polyline(poly.vertices + np.array([dx, dy]))
 
 
 def fig1(out: pathlib.Path) -> None:
@@ -52,8 +51,8 @@ def fig1(out: pathlib.Path) -> None:
 
 
 def fig2(out: pathlib.Path) -> None:
-    ast = construct(AstroidParallelSpec(1.0, 0.2))
-    delt = construct(DeltoidParallelSpec(1.0, 0.1))
+    ast = astroid_parallel(1.0, 0.2)
+    delt = deltoid_parallel(1.0, 0.1)
     scene = Scene(layers=[])
     for i, body in enumerate((ast, delt)):
         dx = 5.0 * i
@@ -63,8 +62,8 @@ def fig2(out: pathlib.Path) -> None:
 
 
 def fig3(out: pathlib.Path) -> None:
-    ast = construct(AstroidParallelSpec(1.0, 0.2))
-    delt = construct(DeltoidParallelSpec(1.0, 0.1))
+    ast = astroid_parallel(1.0, 0.2)
+    delt = deltoid_parallel(1.0, 0.1)
     scene = Scene(layers=[])
     for i, body in enumerate((ast, delt)):
         dx = 6.5 * i

@@ -13,22 +13,20 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hurwitzlab import (  # noqa: E402
-    AstroidParallelSpec,
-    CircleSpec,
-    DeltoidParallelSpec,
     Harmonic,
     SuiteConfig,
     TrigSupport,
-    construct,
+    astroid_parallel,
+    deltoid_parallel,
     run_suite,
     validate_convex,
 )
 
 
 FIXTURES = {
-    "disk": construct(CircleSpec(1.0)),
-    "astroid parallel": construct(AstroidParallelSpec(1.0, 0.2)),
-    "steiner parallel": construct(DeltoidParallelSpec(1.0, 0.1)),
+    "disk": validate_convex(TrigSupport(1.0)),
+    "astroid parallel": astroid_parallel(1.0, 0.2),
+    "steiner parallel": deltoid_parallel(1.0, 0.1),
     "constant width 3+5": validate_convex(
         TrigSupport(1.0, (Harmonic(3, 0.05, 0.0), Harmonic(5, 0.0, 0.01)))
     ),

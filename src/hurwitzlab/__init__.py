@@ -2,20 +2,15 @@
 on planar convex bodies represented by trigonometric support functions."""
 
 from .bodies import (
-    AstroidParallelSpec,
-    CircleSpec,
-    DeltoidParallelSpec,
-    ExplicitSpec,
     Harmonic,
-    HypocycloidParallelSpec,
     HypocycloidSpec,
-    RandomBodySpec,
     TrigSupport,
+    astroid_parallel,
     body_from_dict,
     body_to_dict,
-    construct,
+    deltoid_parallel,
     eval_support,
-    from_samples,
+    hypocycloid_parallel,
     is_constant_width,
     min_curvature_radius,
     minkowski_sum,
@@ -31,9 +26,6 @@ from .functionals import (
     functionals_quadrature,
     functionals_spectral,
     generalized_area,
-    steiner_polynomial,
-    wirtinger_deficit,
-    wirtinger_gap,
 )
 from .quadrature import QuadratureGrid, grid_for_degree, periodic_integral
 from .render import (

@@ -18,7 +18,10 @@ of rho.
 Coefficients are kept as a sparse, frequency-sorted tuple.  The extremal
 bodies of interest (parallels of astroids, Steiner curves, five-cusped
 hypocycloids and their Minkowski sums) have one to three harmonics, so the
-sparse form keeps every downstream spectral sum exact.
+sparse form keeps every downstream spectral sum exact.  `astroid_parallel`,
+`deltoid_parallel` and `hypocycloid_parallel` build those parallels,
+`random_body` draws reproducible test bodies, and `HypocycloidSpec` names
+the cusped curve itself, which is drawn but is not a body.
 
 Conventions: angles in radians, positive rotation counterclockwise, a
 rotation by theta maps p to p(phi - theta).
@@ -28,15 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     AmplitudeTooLarge,
     BadSpec,
-    GridNotUniform,
-    InsufficientSamples,
     NonpositiveMean,
     NotStrictlyConvex,
     NotValidated,
@@ -89,8 +90,7 @@ class TrigSupport:
 
     def __post_init__(self):
         object.__setattr__(self, "a0", float(self.a0))
-        hs = tuple(h if isinstance(h, Harmonic) else Harmonic(*h) for h in self.harmonics)
-        hs = tuple(sorted((h for h in hs if h.a != 0.0 or h.b != 0.0), key=lambda h: h.n))
+        hs = tuple(sorted((h for h in self.harmonics if h.a != 0.0 or h.b != 0.0), key=lambda h: h.n))
         seen = [h.n for h in hs]
         if len(set(seen)) != len(seen):
             raise ValueError(f"duplicate harmonic frequencies: {seen}")
@@ -106,14 +106,6 @@ class TrigSupport:
             if h.n == n:
                 return h
         return Harmonic(max(n, 1), 0.0, 0.0)
-
-    def c_sq(self, n: int) -> float:
-        return self.harmonic(n).c_sq
-
-    def coeff_scale(self) -> float:
-        """Magnitude scale used for tolerances on this body."""
-        amps = [abs(self.a0)] + [max(abs(h.a), abs(h.b)) for h in self.harmonics]
-        return max(amps)
 
 
 def _require_validated(body: TrigSupport) -> None:
@@ -155,11 +147,6 @@ def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
     return tuple(float(v) for v in vals) if phi.ndim == 0 else tuple(vals)
 
 
-def _eval(body: TrigSupport, phi, order: int):
-    """The order-th derivative of p at phi (scalar or array), by `_derivs`."""
-    return _derivs(body, phi, (order,))[0]
-
-
 def eval_support(body: TrigSupport, phi, order: int = 0):
     """p, p', p'' or p''' at phi, by Horner's rule in z = e^{i phi}.
 
@@ -168,7 +155,7 @@ def eval_support(body: TrigSupport, phi, order: int = 0):
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be one of 0,1,2,3, got {order}")
-    return _eval(body, phi, order)
+    return _derivs(body, phi, (order,))[0]
 
 
 def boundary_point(body: TrigSupport, phi):
@@ -244,7 +231,7 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     # grid blocks keep each basis table near _TABLE_ENTRIES entries at high degree
     blocks = -(-n_grid * n.size // _TABLE_ENTRIES)
     rho = body.a0 + np.concatenate([terms(x)[:, 0] for x in np.array_split(phis, blocks)])
-    scale = max(body.coeff_scale(), 1e-300)
+    scale = max(abs(body.a0), *(max(abs(h.a), abs(h.b)) for h in body.harmonics), 1e-300)
 
     x = phis[(rho <= np.roll(rho, 1)) & (rho <= np.roll(rho, -1))]
     h = TWO_PI / n_grid
@@ -398,111 +385,17 @@ def wigner_support(body: TrigSupport) -> TrigSupport:
     return TrigSupport(0.0, hs)
 
 
-def is_constant_width(body: TrigSupport, tol: float | None = None) -> tuple[bool, float]:
+def is_constant_width(body: TrigSupport) -> tuple[bool, float]:
     """Whether p(phi) + p(phi + pi) is constant, and the width w = 2*a0.
 
     Constant width is equivalent to all even harmonics (n >= 2) vanishing;
-    they are compared against tol (default 1e-10 * a0).
+    they are compared against tol = 1e-10 * a0.
     """
-    if tol is None:
-        tol = 1e-10 * max(abs(body.a0), 1e-300)
+    tol = 1e-10 * max(abs(body.a0), 1e-300)
     flag = all(
         max(abs(h.a), abs(h.b)) <= tol for h in body.harmonics if h.n >= 2 and h.n % 2 == 0
     )
     return flag, 2.0 * body.a0
-
-
-def from_samples(values: Iterable[tuple[float, float]], degree: int) -> TrigSupport:
-    """Discrete Fourier analysis of (phi, p) samples on a uniform grid.
-
-    With M >= 2*degree + 2 equispaced samples the projection is exact (to
-    round-off) whenever the data comes from a trigonometric polynomial of
-    degree <= `degree`.  Coefficients below 1e-13 of the sample scale are
-    pruned.
-    """
-    pts = sorted((float(phi), float(p)) for phi, p in values)
-    m = len(pts)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if m < 2 * degree + 2:
-        raise InsufficientSamples(f"need at least {2 * degree + 2} samples for degree {degree}, got {m}")
-    phis = np.array([q[0] for q in pts])
-    ps = np.array([q[1] for q in pts])
-    step = TWO_PI / m
-    gaps = np.diff(np.append(phis, phis[0] + TWO_PI))
-    if np.any(np.abs(gaps - step) > 1e-9):
-        raise GridNotUniform("sample angles are not equispaced on [0, 2*pi)")
-
-    a0 = math.fsum(ps.tolist()) / m
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(ps))))
-    hs = []
-    for n in range(1, degree + 1):
-        an = 2.0 / m * math.fsum((ps * np.cos(n * phis)).tolist())
-        bn = 2.0 / m * math.fsum((ps * np.sin(n * phis)).tolist())
-        if max(abs(an), abs(bn)) > tol:
-            hs.append(Harmonic(n, an, bn))
-    return TrigSupport(a0, tuple(hs))
-
-
-# ---------------------------------------------------------------------------
-# Named body specifications
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    radius: float
-
-
-@dataclass(frozen=True)
-class AstroidParallelSpec:
-    """Outer parallel of an astroid: p = a0 + amp*sin(2 phi); needs |amp| < a0/3."""
-
-    a0: float
-    amp: float
-
-
-@dataclass(frozen=True)
-class DeltoidParallelSpec:
-    """Outer parallel of a Steiner curve: p = a0 + amp*cos(3 phi); needs |amp| < a0/8."""
-
-    a0: float
-    amp: float
-
-
-@dataclass(frozen=True)
-class HypocycloidParallelSpec:
-    """Outer parallel of a hypocycloid: p = a0 + amp*cos(k phi).
-
-    The hypocycloid, the envelope of amp*cos(k phi), has k cusps for odd k
-    (traced twice) and 2k cusps for even k; the 4-cusped astroid is
-    `AstroidParallelSpec`.
-    """
-
-    k: int
-    a0: float
-    amp: float
-
-
-@dataclass(frozen=True)
-class RandomBodySpec:
-    seed: int
-    degree: int
-    constant_width: bool = False
-
-
-@dataclass(frozen=True)
-class ExplicitSpec:
-    body: TrigSupport
-
-
-BodySpec = Union[
-    CircleSpec,
-    AstroidParallelSpec,
-    DeltoidParallelSpec,
-    HypocycloidParallelSpec,
-    RandomBodySpec,
-    ExplicitSpec,
-]
 
 
 @dataclass(frozen=True)
@@ -537,9 +430,8 @@ def random_body(
     degree: int,
     constant_width: bool = False,
     index: int = 0,
-    a0: float = 1.0,
 ) -> TrigSupport:
-    """Reproducible random validated body with |c_n| <= 0.5*a0*n^-3 decay.
+    """Reproducible random validated body, a0 = 1 and |c_n| <= 0.5*n^-3.
 
     Randomness flows from a counter-based generator keyed on (seed, index)
     so sweeps are reproducible and order-independent.  Amplitudes are
@@ -552,12 +444,12 @@ def random_body(
     rng = np.random.Generator(np.random.Philox(seed=ss))
     hs = []
     for n in range(1, degree + 1):
-        mag = rng.uniform(0.0, 0.5) * a0 / n**3
+        mag = rng.uniform(0.0, 0.5) / n**3
         phase = rng.uniform(0.0, TWO_PI)
         if constant_width and n >= 2 and n % 2 == 0:
             continue
         hs.append(Harmonic(n, mag * math.cos(phase), mag * math.sin(phase)))
-    body = TrigSupport(a0, tuple(hs))
+    body = TrigSupport(1.0, tuple(hs))
     for _ in range(60):
         try:
             return validate_convex(body)
@@ -568,41 +460,41 @@ def random_body(
     raise AmplitudeTooLarge("random draw could not be rescaled to a convex body")
 
 
-def construct(spec: BodySpec) -> TrigSupport:
-    """Build and validate the body described by a spec.
+# ---------------------------------------------------------------------------
+# Parallels of hypocycloids: the equality bodies, one harmonic of frequency k
 
-    Amplitude bounds are checked eagerly so misuse fails before any
-    computation: |amp|*(k^2 - 1) < a0 keeps p + p'' positive for a single
-    harmonic of frequency k.
+
+def _parallel(a0: float, h: Harmonic) -> TrigSupport:
+    """The validated body a0 + h, h of frequency k and amplitude |amp|; checks
+    first that |amp|*(k^2 - 1) < a0, which keeps p + p'' > 0 (AmplitudeTooLarge)."""
+    amp = math.hypot(h.a, h.b)
+    if (h.n * h.n - 1) * amp >= a0:
+        raise AmplitudeTooLarge(
+            f"parallel of frequency k={h.n} needs |amp|*(k^2-1) < a0, got |amp|={amp:.6g}, a0={a0:.6g}"
+        )
+    return validate_convex(TrigSupport(a0, (h,)))
+
+
+def astroid_parallel(a0: float, amp: float) -> TrigSupport:
+    """Outer parallel of an astroid: p = a0 + amp*sin(2 phi); needs |amp| < a0/3."""
+    return _parallel(a0, Harmonic(2, 0.0, amp))
+
+
+def deltoid_parallel(a0: float, amp: float) -> TrigSupport:
+    """Outer parallel of a Steiner curve: p = a0 + amp*cos(3 phi); needs |amp| < a0/8."""
+    return _parallel(a0, Harmonic(3, amp, 0.0))
+
+
+def hypocycloid_parallel(k: int, a0: float, amp: float) -> TrigSupport:
+    """Outer parallel of a hypocycloid: p = a0 + amp*cos(k phi), integer k >= 3.
+
+    The hypocycloid, the envelope of amp*cos(k phi), has k cusps for odd k
+    (traced twice) and 2k cusps for even k; the 4-cusped astroid is
+    `astroid_parallel`.
     """
-    if isinstance(spec, CircleSpec):
-        return validate_convex(TrigSupport(spec.radius))
-    if isinstance(spec, AstroidParallelSpec):
-        if 3.0 * abs(spec.amp) >= spec.a0:
-            raise AmplitudeTooLarge(
-                f"astroid parallel needs |amp| < a0/3, got amp={spec.amp:.6g}, a0={spec.a0:.6g}"
-            )
-        return validate_convex(TrigSupport(spec.a0, (Harmonic(2, 0.0, spec.amp),)))
-    if isinstance(spec, DeltoidParallelSpec):
-        if 8.0 * abs(spec.amp) >= spec.a0:
-            raise AmplitudeTooLarge(
-                f"deltoid parallel needs |amp| < a0/8, got amp={spec.amp:.6g}, a0={spec.a0:.6g}"
-            )
-        return validate_convex(TrigSupport(spec.a0, (Harmonic(3, spec.amp, 0.0),)))
-    if isinstance(spec, HypocycloidParallelSpec):
-        if not isinstance(spec.k, (int, np.integer)) or spec.k < 3:
-            raise BadSpec(f"hypocycloid parallel needs integer k >= 3, got {spec.k!r}")
-        if (spec.k**2 - 1) * abs(spec.amp) >= spec.a0:
-            raise AmplitudeTooLarge(
-                f"hypocycloid parallel needs |amp|*(k^2-1) < a0, got amp={spec.amp:.6g}, "
-                f"k={spec.k}, a0={spec.a0:.6g}"
-            )
-        return validate_convex(TrigSupport(spec.a0, (Harmonic(int(spec.k), spec.amp, 0.0),)))
-    if isinstance(spec, RandomBodySpec):
-        return random_body(spec.seed, spec.degree, spec.constant_width)
-    if isinstance(spec, ExplicitSpec):
-        return validate_convex(spec.body)
-    raise BadSpec(f"unknown body spec {spec!r}")
+    if not isinstance(k, (int, np.integer)) or k < 3:
+        raise BadSpec(f"hypocycloid parallel needs integer k >= 3, got {k!r}")
+    return _parallel(a0, Harmonic(int(k), amp, 0.0))
 
 
 # ---------------------------------------------------------------------------

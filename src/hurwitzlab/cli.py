@@ -48,18 +48,17 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 
 def parse_spec(text: str):
-    """Parse --spec NAME:params into a body or hypocycloid spec."""
+    """Parse --spec NAME:params into a validated body, or a HypocycloidSpec
+    for the cusped curve `hypocycloid:m/n,r`."""
     name, _, args = text.partition(":")
     name = name.strip().lower()
     if name == "circle":
         (r,) = _parse_floats(args, 1, "circle")
-        return B.CircleSpec(r)
+        return B.validate_convex(B.TrigSupport(r))
     if name == "astroid":
-        a0, amp = _parse_floats(args, 2, "astroid")
-        return B.AstroidParallelSpec(a0, amp)
+        return B.astroid_parallel(*_parse_floats(args, 2, "astroid"))
     if name == "deltoid":
-        a0, amp = _parse_floats(args, 2, "deltoid")
-        return B.DeltoidParallelSpec(a0, amp)
+        return B.deltoid_parallel(*_parse_floats(args, 2, "deltoid"))
     if name == "hypocycloid":
         parts = [p for p in args.split(",") if p]
         if len(parts) == 2:
@@ -69,31 +68,31 @@ def parse_spec(text: str):
             k = float(parts[0])
             if not k.is_integer():
                 raise HurwitzLabError("hypocycloid body spec needs an integer k (use k,a0,amp)")
-            return B.HypocycloidParallelSpec(int(k), float(parts[1]), float(parts[2]))
+            return B.hypocycloid_parallel(int(k), float(parts[1]), float(parts[2]))
         raise HurwitzLabError("hypocycloid spec takes 'm/n,r' (curve) or 'k,a0,amp' (body)")
     if name == "random":
         parts = [p for p in args.split(",") if p]
         cw = parts[2].lower() if len(parts) == 3 else "no"
         if len(parts) not in (2, 3) or cw not in ("cw", "1", "true", "yes", "0", "false", "no"):
             raise HurwitzLabError("random spec takes 'seed,degree[,cw]', cw one of cw|1|true|yes|0|false|no")
-        return B.RandomBodySpec(int(parts[0]), int(parts[1]), cw in ("cw", "1", "true", "yes"))
+        return B.random_body(int(parts[0]), int(parts[1]), cw in ("cw", "1", "true", "yes"))
     raise HurwitzLabError(
         f"unknown spec {name!r}; expected circle, astroid, deltoid, hypocycloid or random"
     )
 
 
 def _load_body(args) -> B.TrigSupport:
-    if getattr(args, "body", None) and getattr(args, "spec", None):
+    if args.body and args.spec:
         raise HurwitzLabError("give exactly one of --body or --spec")
-    if getattr(args, "body", None):
+    if args.body:
         with open(args.body, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return B.validate_convex(B.body_from_dict(data))
-    if getattr(args, "spec", None):
-        spec = parse_spec(args.spec)
-        if isinstance(spec, B.HypocycloidSpec):
+    if args.spec:
+        body = parse_spec(args.spec)
+        if isinstance(body, B.HypocycloidSpec):
             raise HurwitzLabError("a rational hypocycloid is a curve spec; use `render --kind curve`")
-        return B.construct(spec)
+        return body
     raise HurwitzLabError("a body source is required: --body FILE or --spec NAME:params")
 
 
@@ -106,16 +105,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _exterior_config(args) -> ExteriorConfig:
-    kwargs = {}
-    if getattr(args, "exterior_nodes", None):
-        parts = [int(p) for p in args.exterior_nodes.split(",")]
-        if len(parts) > 2:
-            raise HurwitzLabError(f"--exterior-nodes expects N or NPHI,NDELTA, got {args.exterior_nodes!r}")
-        kwargs["nodes_phi"] = parts[0]
-        kwargs["nodes_delta"] = parts[-1]
-    if getattr(args, "collar", None) is not None:
-        kwargs["delta_min"] = args.collar
-    return ExteriorConfig(**kwargs)
+    if not args.exterior_nodes:
+        return ExteriorConfig()
+    parts = [int(p) for p in args.exterior_nodes.split(",")]
+    if len(parts) > 2:
+        raise HurwitzLabError(f"--exterior-nodes expects N or NPHI,NDELTA, got {args.exterior_nodes!r}")
+    return ExteriorConfig(nodes_phi=parts[0], nodes_delta=parts[-1])
 
 
 def cmd_report(args) -> int:
@@ -130,7 +125,7 @@ def cmd_report(args) -> int:
             "spectral": functionals_spectral(body).to_dict(),
             "quadrature": functionals_quadrature(body, grid=grid).to_dict(),
         }
-    _emit(jsonio.dumps(payload, indent=2) + "\n", args.out)
+    _emit(jsonio.dumps(payload) + "\n", args.out)
     return 0
 
 
@@ -159,7 +154,7 @@ def cmd_verify(args) -> int:
           f"(support {list(report.equality_class.support)})")
     print("overall:", "pass" if report.passed else "FAIL")
     if args.out:
-        _emit(jsonio.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        _emit(jsonio.dumps(report.to_dict()) + "\n", args.out)
     return 0 if report.passed else 1
 
 
@@ -169,8 +164,8 @@ def cmd_render(args) -> int:
         raise HurwitzLabError("--kind needs at least one curve kind")
     palette = ["#000000", "#b2182b", "#2166ac", "#1b7837", "#762a83", "#e08214"]
     scene = Scene(layers=[])
-    spec = parse_spec(args.spec) if args.spec else None
     if kinds == ["curve"]:
+        spec = parse_spec(args.spec) if args.spec else None
         if not isinstance(spec, B.HypocycloidSpec):
             raise HurwitzLabError("--kind curve needs --spec hypocycloid:m/n,r")
         scene.add(sample_hypocycloid(spec, m=args.samples), Style(stroke=palette[0]))
@@ -225,7 +220,7 @@ def cmd_sweep(args) -> int:
         "violations": violations,
         "pass": not violations,
     }
-    _emit(jsonio.dumps(summary, indent=2) + "\n", args.out)
+    _emit(jsonio.dumps(summary) + "\n", args.out)
     return 0 if not violations else 1
 
 
@@ -252,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", default="spectral", choices=["spectral", "geometric", "both"])
     p.add_argument("--nodes", type=int)
     p.add_argument("--exterior-nodes", help="N or NPHI,NDELTA for exterior integrals")
-    p.add_argument("--collar", type=float, help="near-boundary gap cutoff delta_min")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)
@@ -270,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--path", default="spectral", choices=["spectral", "both"])
     p.add_argument("--exterior-nodes")
-    p.add_argument("--collar", type=float)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

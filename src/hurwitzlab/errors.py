@@ -24,24 +24,12 @@ class AmplitudeTooLarge(HurwitzLabError):
     """Requested harmonic amplitude violates the strict convexity bound."""
 
 
-class GridNotUniform(HurwitzLabError):
-    """Sample angles are not an equispaced grid on the period."""
-
-
-class InsufficientSamples(HurwitzLabError):
-    """Too few samples to resolve the requested harmonic degree."""
-
-
 class EmptyGrid(HurwitzLabError):
     """A quadrature rule received fewer than two samples."""
 
 
 class NotValidated(HurwitzLabError):
     """Operation requires a body blessed by validate_convex."""
-
-
-class BadInterval(HurwitzLabError):
-    """Integration interval has nonpositive length."""
 
 
 class InteriorPoint(HurwitzLabError):
@@ -70,10 +58,6 @@ class BadOrder(HurwitzLabError):
 
 class BadSpec(HurwitzLabError):
     """Malformed body or curve specification."""
-
-
-class OpenPolyline(HurwitzLabError):
-    """Operation requires a closed polyline."""
 
 
 class EmptyScene(HurwitzLabError):

@@ -17,6 +17,10 @@ Closed forms, with c_n^2 taken about the Steiner point where it matters:
     Aw   = -(pi/2) * sum_{odd n>=3} (n^2-1) c_n^2          (Wigner caustic, signed)
     Wq   = pi * sum_{n>=2} (n^2-1) c_n^2                   (Wirtinger deficit of p - L/2pi)
 
+so Delta = 2*pi*Wq (to round-off on the quadrature path).  There Fe and Aw are
+full-period `generalized_area`s of the evolute's and the Wigner caustic's
+generalized supports.
+
 The Wigner area convention used throughout ("full-period swept area of the
 caustic's generalized support") makes Delta >= 4*pi*|Aw| an identity-backed
 inequality with equality exactly at constant width.  Under this convention
@@ -40,8 +44,7 @@ from .bodies import (
     steiner_point,
     wigner_support,
 )
-from .errors import BadInterval
-from .quadrature import PI, TWO_PI, QuadratureGrid, gauss_panels, grid_for_degree, periodic_integral
+from .quadrature import PI, TWO_PI, QuadratureGrid, grid_for_degree, periodic_integral
 
 
 @dataclass(frozen=True)
@@ -172,70 +175,16 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     )
 
 
-def generalized_area(f, a: float = 0.0, b: float = TWO_PI, grid: QuadratureGrid | None = None) -> float:
+def generalized_area(f: TrigSupport, grid: QuadratureGrid | None = None) -> float:
     """Signed area (with multiplicities) swept by the curve enveloping
-    x*cos(t) + y*sin(t) = f(t): one half of the integral of f*(f + f'').
+    x*cos(t) + y*sin(t) = f(t): one half of the integral of f*(f + f'')
+    over a full period.
 
     `f` is a TrigSupport holding the coefficients of a generalized support
-    function, or an array of full-period uniform samples (differentiated
-    spectrally).  A full period uses the periodic trapezoid rule on `grid`;
-    other intervals use 16-point Gauss panels of width <= 4/N on the
-    coefficient form, exact to round-off for the degree-2N integrand.
+    function; the periodic trapezoid rule on `grid` (default
+    `grid_for_degree`) integrates the degree-2N integrand exactly.
     """
-    if b <= a:
-        raise BadInterval(f"need b > a, got [{a}, {b}]")
-    full_period = abs((b - a) - TWO_PI) <= 1e-12
-
-    if isinstance(f, TrigSupport):
-        if full_period:
-            if grid is None:
-                grid = grid_for_degree(f.max_degree)
-            ts = a + (grid.phis / TWO_PI) * (b - a)
-            vals, dd = _derivs(f, ts, (0, 2))
-            return 0.5 * periodic_integral(vals * (vals + dd))
-        panels = math.ceil((b - a) * max(f.max_degree, 1) / 4.0)
-        ts, ws = gauss_panels(np.linspace(a, b, panels + 1))
-        vals, dd = _derivs(f, ts, (0, 2))
-        return 0.5 * math.fsum((ws * vals * (vals + dd)).tolist())
-
-    samples = np.asarray(f, dtype=float).ravel()
-    if not full_period:
-        raise BadInterval("sample-based generalized areas are only defined on a full period")
-    m = samples.size
-    if m < 2:
-        raise BadInterval("need at least 2 samples")
-    freqs = np.fft.rfftfreq(m, d=1.0 / m)
-    second = np.fft.irfft(np.fft.rfft(samples) * -(freqs**2), n=m)
-    return 0.5 * periodic_integral(samples * (samples + second))
-
-
-def steiner_polynomial(body: TrigSupport, r: float) -> float:
-    """Area of the r-parallel set: pi*r^2 + L*r + F.
-
-    Its minimum over r sits at -L/(2*pi) with value F - L^2/(4*pi), so the
-    isoperimetric deficit equals 4*pi times the magnitude of that minimum.
-    """
-    _require_validated(body)
-    fs = functionals_spectral(body)
-    return PI * r * r + fs.L * r + fs.F
-
-
-def wirtinger_deficit(f: TrigSupport, grid: QuadratureGrid | None = None) -> float:
-    """Wirtinger deficit W_f = integral of (f'^2 - f^2) over one period.
-
-    Spectrally W_f = -2*pi*a0^2 + pi * sum_{n>=1} (n^2 - 1) c_n^2, which is
-    nonnegative for zero-mean f.  Pass a grid to force the quadrature path.
-    """
-    if grid is not None:
-        vals, dv = _derivs(f, grid.phis, (0, 1))
-        return periodic_integral(dv * dv - vals * vals)
-    return -2.0 * PI * f.a0 * f.a0 + PI * _weighted_sum(f, lambda n: float(n * n - 1))
-
-
-def wirtinger_gap(f: TrigSupport) -> float:
-    """Slack of W_{f'} >= 4*W_f + (2/pi) * (integral of f)^2.
-
-    Equals pi * sum_n (n^2-1)(n^2-4) c_n^2, hence zero exactly when f has
-    no harmonics above degree 2.
-    """
-    return PI * _weighted_sum(f, lambda n: float((n * n - 1) * (n * n - 4)))
+    if grid is None:
+        grid = grid_for_degree(f.max_degree)
+    vals, dd = _derivs(f, grid.phis, (0, 2))
+    return 0.5 * periodic_integral(vals * (vals + dd))

@@ -18,16 +18,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int = 0, _level: int = 0) -> str:
-    """Serialize dicts/lists/scalars; float values get 17 significant digits.
+def dumps(obj, _level: int = 0) -> str:
+    """Serialize dicts/lists/scalars, indented by two spaces per level;
+    float values get 17 significant digits.
 
     Key order is insertion order, matching the dataclass to_dict methods,
     so output is byte-stable across runs.
     """
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    colon = ": "
+    pad, end_pad = "  " * (_level + 1), "  " * _level
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -41,16 +39,11 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            pad + dumps(str(k), indent, _level + 1) + colon + dumps(v, indent, _level + 1)
-            for k, v in obj.items()
-        ]
-        open_, close = ("{\n", "\n" + end_pad + "}") if indent else ("{", "}")
-        return open_ + sep.join(items) + close
+        items = [pad + dumps(str(k), _level + 1) + ": " + dumps(v, _level + 1) for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [pad + dumps(v, indent, _level + 1) for v in obj]
-        open_, close = ("[\n", "\n" + end_pad + "]") if indent else ("[", "]")
-        return open_ + sep.join(items) + close
+        items = [pad + dumps(v, _level + 1) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -1,9 +1,11 @@
 """Sampled curves (boundary, evolute, pedal, parallels, Wigner caustic,
 hypocycloids), a shoelace area oracle and a deterministic SVG writer.
 
-The polylines double as independent geometric oracles: the shoelace area
-of a sampled boundary converges to the body area at second order in the
-sample count, with no shared code with either functional path.
+Every curve is a closed polygon.  The polygons double as independent
+geometric oracles: the shoelace area of a sampled boundary converges to the
+body area at second order in the sample count, with no shared code with
+either functional path.  The SVG writer pads the drawing by 5% of its span
+and strokes every layer at 0.4% of the viewbox diagonal.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .bodies import (
     steiner_point,
     wigner_support,
 )
-from .errors import EmptyScene, OpenPolyline
+from .errors import EmptyScene
 from .quadrature import TWO_PI
 
 CURVE_KINDS = ("boundary", "evolute", "pedal", "parallel", "wigner")
 # Largest sample count of a curve: 2^20 vertices are 16 MiB of coordinates.
 _MAX_SAMPLES = 1 << 20
+# Padding of the SVG viewbox around the drawing, as a fraction of its span.
+_MARGIN = 0.05
 
 
 def _check_samples(m: int) -> None:
@@ -39,8 +43,9 @@ def _check_samples(m: int) -> None:
 
 @dataclass
 class Polyline:
+    """Closed polygon through the rows of `vertices`, at least 3 finite points."""
+
     vertices: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -48,12 +53,9 @@ class Polyline:
             raise ValueError(f"vertices must have shape (N, 2), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
-        if self.closed and len(v) < 3:
+        if len(v) < 3:
             raise ValueError("closed polyline needs at least 3 vertices")
         self.vertices = v
-
-    def to_json_list(self) -> list[list[float]]:
-        return [[float(x), float(y)] for x, y in self.vertices]
 
 
 def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = None) -> Polyline:
@@ -92,7 +94,7 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
         verts = boundary_point(wigner_support(body), phis)
     else:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
-    return Polyline(verts, closed=True)
+    return Polyline(verts)
 
 
 def sample_hypocycloid(spec: HypocycloidSpec, m: int = 2048) -> Polyline:
@@ -103,13 +105,11 @@ def sample_hypocycloid(spec: HypocycloidSpec, m: int = 2048) -> Polyline:
     t = np.linspace(0.0, TWO_PI * spec.n, m, endpoint=False)
     x = r * (k - 1.0) * np.sin(t) - r * np.sin((k - 1.0) * t)
     y = r * (k - 1.0) * np.cos(t) + r * np.cos((k - 1.0) * t)
-    return Polyline(np.stack([x, y], axis=1), closed=True)
+    return Polyline(np.stack([x, y], axis=1))
 
 
 def shoelace_area(poly: Polyline) -> float:
     """Signed polygon area, positive for counterclockwise orientation."""
-    if not poly.closed:
-        raise OpenPolyline("shoelace area needs a closed polyline")
     v = poly.vertices
     w = np.roll(v, -1, axis=0)
     cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
@@ -152,14 +152,12 @@ def count_cusps(poly: Polyline, angle_threshold: float = 1.0) -> int:
 @dataclass(frozen=True)
 class Style:
     stroke: str = "#000000"
-    width: float | None = None  # None: 0.4% of the viewbox diagonal
     dash: tuple[float, ...] | None = None
 
 
 @dataclass
 class Scene:
     layers: list[tuple[Polyline, Style]]
-    margin: float = 0.05
 
     def add(self, poly: Polyline, style: Style | None = None) -> "Scene":
         self.layers.append((poly, style or Style()))
@@ -198,11 +196,11 @@ def write_svg(scene: Scene) -> bytes:
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
     span = max(x1 - x0, y1 - y0, 1e-9)
-    pad = scene.margin * span
+    pad = _MARGIN * span
     x0, y0 = x0 - pad, y0 - pad
     w, h = (x1 - x0) + pad, (y1 - y0) + pad
     diag = math.hypot(w, h)
-    default_width = 0.004 * diag
+    stroke_w = 0.004 * diag
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -211,8 +209,7 @@ def write_svg(scene: Scene) -> bytes:
     ]
     for poly, style in scene.layers:
         verts = poly.vertices
-        stroke_w = style.width if style.width is not None else default_width
-        extent = float(np.max(np.abs(verts - verts[0]))) if len(verts) else 0.0
+        extent = float(np.max(np.abs(verts - verts[0])))
         if extent < 1e-9 * max(1.0, diag):
             cx, cy = verts[0]
             lines.append(
@@ -221,14 +218,13 @@ def write_svg(scene: Scene) -> bytes:
             )
             continue
         coords = _points(verts)
-        tag = "polygon" if poly.closed else "polyline"
         dash = (
             f' stroke-dasharray="{",".join(_fmt(d) for d in style.dash)}"'
             if style.dash
             else ""
         )
         lines.append(
-            f'<{tag} fill="none" stroke="{style.stroke}" '
+            f'<polygon fill="none" stroke="{style.stroke}" '
             f'stroke-width="{_fmt(stroke_w)}"{dash} points="{coords}"/>'
         )
     lines.append("</svg>")

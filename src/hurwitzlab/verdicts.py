@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
@@ -48,10 +49,11 @@ class Theorem:
     """One inequality lhs >= rhs and its predicted equality case.
 
     lhs and rhs take the functionals and the value of the exterior integral
-    named by `integral` (None when the bound needs none); `weight` is
-    |d rhs / d integral|, which scales that integral's error bar.  Equality
-    is predicted when the harmonic support lies in `equality_support` (None:
-    any support) and, if `equality_needs_cw`, the body has constant width.
+    named by `integral` (None when the bound needs none); `weight`, derived
+    from rhs, is |d rhs / d integral|, which scales that integral's error
+    bar.  Equality is predicted when the harmonic support lies in
+    `equality_support` (None: any support) and, if `equality_needs_cw`, the
+    body has constant width.
     `cw_notes` is appended on constant-width bodies; `companion` is a second
     bound (name, lhs, rhs) that must hold alongside the first.
     """
@@ -62,10 +64,20 @@ class Theorem:
     equality_needs_cw: bool = False
     cw_only: bool = False
     integral: str | None = None
-    weight: float = 0.0
     notes: str = ""
     cw_notes: str = ""
     companion: tuple[str, Callable[[FunctionalSet], float], Callable[[FunctionalSet], float]] | None = None
+
+    @cached_property
+    def weight(self) -> float:
+        """|rhs(Z, 1) - rhs(Z, 0)| on all-zero functionals Z: rhs is affine in
+        the integral, so this is its slope (0 for a bound with no integral)."""
+        return abs(self.rhs(_ZERO, 1.0) - self.rhs(_ZERO, 0.0))
+
+
+_ZERO = FunctionalSet(
+    **dict.fromkeys(FunctionalSet.FIELD_NAMES, 0.0), steiner=(0.0, 0.0), cn_sq=(), path="zero"
+)
 
 
 def _deficit(fs: FunctionalSet, _=None) -> float:
@@ -88,16 +100,16 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.HURWITZ: Theorem(lambda fs, _: PI * abs(fs.Fe), _delta, frozenset({2})),
     TheoremId.VISUAL: Theorem(
         _deficit, lambda fs, i: 1.25 * (fs.L * fs.L) + 5.0 * i, frozenset({2, 3}),
-        integral="visual_deficit", weight=5.0,
+        integral="visual_deficit",
     ),
     TheoremId.PEDAL: Theorem(
         _deficit,
         lambda fs, i: (40.0 / 9.0) * (PI * fs.AmF + (2.0 / 3.0) * (fs.L * fs.L) - (8.0 / 9.0) * i),
-        frozenset({2, 3}), integral="sin_cubed", weight=(40.0 / 9.0) * (8.0 / 9.0),
+        frozenset({2, 3}), integral="sin_cubed",
     ),
     TheoremId.STEINER_DISK: Theorem(
         _deficit, lambda fs, i: 20.0 * (PI * fs.delta2_sq + (fs.L * fs.L) / 3.0 - (4.0 / 9.0) * i),
-        frozenset({2, 3}), integral="sin_cubed", weight=20.0 * (4.0 / 9.0),
+        frozenset({2, 3}), integral="sin_cubed",
     ),
     TheoremId.HURWITZ_CW: Theorem(
         lambda fs, _: (4.0 / 9.0) * (PI * abs(fs.Fe)), _delta, frozenset({3}),
@@ -110,7 +122,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.VISUAL_CW: Theorem(
         lambda fs, _: (4.0 / 9.0) * (PI * abs(fs.Fe)) - fs.Delta, lambda fs, i: (64.0 / 9.0) * i,
         frozenset({3, 5}), equality_needs_cw=True, cw_only=True,
-        integral="visual_deficit_cw", weight=64.0 / 9.0,
+        integral="visual_deficit_cw",
     ),
     TheoremId.PEDAL_CW: Theorem(
         _deficit, lambda fs, _: (40.0 / 9.0) * PI * fs.AmF, frozenset({3}),

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -73,26 +74,30 @@ _POLAR_BLOCK_ENTRIES = 1 << 15
 _POLAR_R_MAX = 40.0
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
 _TANGENT_COLLAR = 1e-9
+# Near-boundary collar of the tangent integrator: gaps below it are dropped,
+# and the dropped mass is bounded inside the error bar.
+_DELTA_MIN = 1e-4
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Exterior kernel f(omega) = omega_coeff*omega + sum alpha_k sin(k omega)."""
+    """Exterior kernel f(omega) = omega_coeff*omega + sum alpha_k sin(k omega).
+
+    An alpha_k may be a `fractions.Fraction`, kept exact where the closed
+    form sums it (`spectral_integral`) and rounded once where f is evaluated.
+    """
 
     name: str
     omega_coeff: float
-    sin_coeffs: tuple[tuple[int, float], ...]
-
-    @property
-    def linear_term(self) -> float:
-        """Maclaurin coefficient of omega; must vanish for integrability."""
-        return self.omega_coeff + math.fsum(k * a for k, a in self.sin_coeffs)
+    sin_coeffs: tuple[tuple[int, float | Fraction], ...]
 
     def check_integrable(self) -> None:
+        """Raise unless the Maclaurin coefficient of omega vanishes."""
+        linear = self.omega_coeff + math.fsum(k * a for k, a in self.sin_coeffs)
         scale = abs(self.omega_coeff) + math.fsum(abs(k * a) for k, a in self.sin_coeffs)
-        if abs(self.linear_term) > 1e-12 * max(scale, 1.0):
+        if abs(linear) > 1e-12 * max(scale, 1.0):
             raise NonIntegrableKernel(
-                f"kernel {self.name!r} behaves like {self.linear_term:.3g}*omega near 0; "
+                f"kernel {self.name!r} behaves like {linear:.3g}*omega near 0; "
                 "exterior integrals need O(omega^3)"
             )
 
@@ -104,7 +109,7 @@ class Kernel:
         for k, a in self.sin_coeffs:
             term = float(k)
             for j in range(_SERIES_TERMS):
-                coeffs[j] += a * term
+                coeffs[j] += float(a) * term
                 term *= -(k * k) / ((2 * j + 2) * (2 * j + 3))
         return coeffs
 
@@ -112,7 +117,7 @@ class Kernel:
         om = np.asarray(omega, dtype=float)
         out = self.omega_coeff * om
         for k, a in self.sin_coeffs:
-            out = out + a * np.sin(k * om)
+            out = out + float(a) * np.sin(k * om)
         small = np.abs(om) < _SERIES_CUTOFF
         if np.any(small):
             om_s = np.where(small, om, 0.0)
@@ -126,10 +131,12 @@ class Kernel:
         return out
 
 
-def _merge_sin(terms: list[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    acc: dict[int, float] = {}
+def _merge_sin(terms: list[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+    """Sum the coefficients of equal frequencies; sums start from the integer
+    0, so exact Fraction terms stay exact."""
+    acc: dict[int, Fraction] = {}
     for k, a in terms:
-        acc[k] = acc.get(k, 0.0) + a
+        acc[k] = acc.get(k, 0) + a
     return tuple(sorted((k, a) for k, a in acc.items() if a != 0.0))
 
 
@@ -148,13 +155,13 @@ def moment_kernel(n: int) -> Kernel:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise BadOrder(f"moment order must be an integer >= 2, got {n!r}")
     n = int(n)
-    terms = [(1, -2.0), (n - 1, (n + 1) / (n - 1)), (n + 1, -(n - 1) / (n + 1))]
+    terms = [(1, Fraction(-2)), (n - 1, Fraction(n + 1, n - 1)), (n + 1, Fraction(1 - n, n + 1))]
     return Kernel(f"moment_{n}", 0.0, _merge_sin(terms))
 
 
 def visual_deficit_kernel() -> Kernel:
     """omega - sin(omega) - (2/3) sin^3(omega), the general deficit kernel."""
-    return Kernel("visual_deficit", 1.0, ((1, -1.5), (3, 1.0 / 6.0)))
+    return Kernel("visual_deficit", 1.0, ((1, -1.5), (3, Fraction(1, 6))))
 
 
 def visual_deficit_cw_kernel() -> Kernel:
@@ -201,22 +208,19 @@ class ExteriorConfig:
 
     nodes_phi: periodic trapezoid nodes in the angular direction.
     nodes_delta: total Gauss points along the gap direction (16 per panel).
-    delta_min: collar excluded near the boundary (delta -> 0); its dropped
-        mass is bounded and reported inside the error bar.
-    The polar oracle uses nodes_phi directions and the cutoff radius 40*a0.
-    Node counts must lie in [16, 2^20] (ValueError, raised before any
-    allocation).
+    Gaps below the fixed collar _DELTA_MIN = 1e-4 (delta -> 0) are
+    excluded; their dropped mass is bounded and reported inside the error
+    bar.  The polar oracle uses nodes_phi directions and the cutoff radius
+    40*a0.  Node counts must lie in [16, 2^20] (ValueError, raised before
+    any allocation).
     """
 
     nodes_phi: int = 256
     nodes_delta: int = 256
-    delta_min: float = 1e-4
 
     def __post_init__(self):
         if not all(16 <= n <= MAX_NODES for n in (self.nodes_phi, self.nodes_delta)):
             raise ValueError(f"node counts must lie in [16, {MAX_NODES}]")
-        if not (0.0 < self.delta_min < PI / 64.0):
-            raise ValueError(f"delta_min must lie in (0, pi/64), got {self.delta_min}")
 
 
 @dataclass(frozen=True)
@@ -369,22 +373,22 @@ def _gap_mass(body: TrigSupport, delta, nodes_phi: int):
     return TWO_PI / nodes_phi * np.array(sums) / np.array([math.sin(d) for d in deltas])
 
 
-def _delta_edges(delta_min: float, panels: int) -> np.ndarray:
+def _delta_edges(panels: int) -> np.ndarray:
     s = np.linspace(0.0, 1.0, panels + 1)
-    return delta_min + (PI - delta_min) * (1.0 - (1.0 - s) ** 2)
+    return _DELTA_MIN + (PI - _DELTA_MIN) * (1.0 - (1.0 - s) ** 2)
 
 
 @lru_cache(maxsize=8)
 def _tangent_field(body: TrigSupport, cfg: ExteriorConfig):
     """Kernel-independent part of `exterior_integral`, cached for the last 8
     (body, config) pairs as the polar field is: (gap nodes, Gauss weights, G at
-    the nodes, node count) for the fine and the coarse level, and G(delta_min)."""
+    the nodes, node count) for the fine and the coarse level, and G(_DELTA_MIN)."""
     panels = max(4, cfg.nodes_delta // 16)
     levels = []
     for nodes_phi, n in ((cfg.nodes_phi, panels), (max(16, cfg.nodes_phi // 2), max(2, panels // 2))):
-        nodes, weights = gauss_panels(_delta_edges(cfg.delta_min, n), points=16)
+        nodes, weights = gauss_panels(_delta_edges(n), points=16)
         levels.append((nodes, weights, _gap_mass(body, nodes, nodes_phi), nodes.size * nodes_phi))
-    return tuple(levels), float(_gap_mass(body, cfg.delta_min, cfg.nodes_phi)[0])
+    return tuple(levels), float(_gap_mass(body, _DELTA_MIN, cfg.nodes_phi)[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -401,8 +405,8 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     cfg = config or ExteriorConfig()
     levels, collar_row = _tangent_field(body, cfg)
     fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for x, w, mass, _ in levels)
-    # the dropped collar mass is ~ 0.5*delta_min*row; report twice that for safety
-    collar_err = cfg.delta_min * abs(kernel(PI - cfg.delta_min)) * collar_row
+    # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
+    collar_err = _DELTA_MIN * abs(kernel(PI - _DELTA_MIN)) * collar_row
     err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
     return IntegralResult(fine, err, "tangent_coords", levels[0][3])
 
@@ -410,12 +414,13 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
 @lru_cache(maxsize=32)
 def _spectral_weights(kernel: Kernel) -> tuple[float, float, tuple[float, ...]]:
     """The kernel-only part of `spectral_integral`, cached per kernel: w(0),
-    alpha0/2 and E(n) for n = 0..k_max, the largest sin frequency; E(n) = E(k_max) above."""
+    alpha0/2 and E(n) for n = 0..k_max, the largest sin frequency; E(n) = E(k_max) above.
+    The sums of k^2 alpha_k are exact in fractions and rounded once."""
     kernel.check_integrable()
-    moments = [(k, k * k * a) for k, a in kernel.sin_coeffs]
-    w0 = -kernel.omega_coeff - 2.0 * math.fsum(m for _, m in moments)
+    moments = [(k, k * k * Fraction(a)) for k, a in kernel.sin_coeffs]
+    w0 = float(-Fraction(kernel.omega_coeff) - 2 * sum(m for _, m in moments))
     corr = tuple(
-        math.fsum(m for k, m in moments if (n % 2 == 0 and k > n) or (k % 2 == 0 and k <= n))
+        float(sum(m for k, m in moments if (n % 2 == 0 and k > n) or (k % 2 == 0 and k <= n)))
         for n in range(max((k for k, _ in moments), default=0) + 1)
     )
     return w0, 0.5 * kernel.omega_coeff, corr

@@ -1,11 +1,11 @@
 import pytest
 
-from hurwitzlab import CircleSpec, Harmonic, TrigSupport, construct, random_body, validate_convex
+from hurwitzlab import Harmonic, TrigSupport, random_body, validate_convex
 
 
 @pytest.fixture(scope="session")
 def circle_body():
-    return construct(CircleSpec(1.0))
+    return validate_convex(TrigSupport(1.0))
 
 
 @pytest.fixture(scope="session")

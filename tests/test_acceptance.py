@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from hurwitzlab import (
-    AstroidParallelSpec,
     ExteriorConfig,
     HypocycloidSpec,
     TheoremId,
+    astroid_parallel,
     classify_equality,
-    construct,
     crofton_kernel,
     expected_equality,
     exterior_integral,
@@ -86,10 +85,9 @@ def test_02_hurwitz_inequality(sweep_bodies, ast_body):
                 (n**4 - 5 * n**2 + 4) * v for n, v in fq.cn_sq if n >= 3
             )
             assert abs(fs.hurwitz_deficit - direct) <= 1e-12 * max(abs(direct), scale * 1e-9)
-        specs = [AstroidParallelSpec(1.0, 0.2), AstroidParallelSpec(2.5, 0.4),
-                 AstroidParallelSpec(1.0, 0.33), AstroidParallelSpec(0.7, 0.1)]
+        specs = [(1.0, 0.2), (2.5, 0.4), (1.0, 0.33), (0.7, 0.1)]
         for spec in [None] + specs:
-            body = ast_body if spec is None else construct(spec)
+            body = ast_body if spec is None else astroid_parallel(*spec)
             fs = functionals_spectral(body)
             scale = max(fs.L**2, PI * abs(fs.Fe))
             assert abs(fs.hurwitz_deficit) <= 1e-12 * scale

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,18 +8,15 @@ from hypothesis import strategies as st
 
 from hurwitzlab import bodies
 from hurwitzlab import (
-    AstroidParallelSpec,
-    DeltoidParallelSpec,
     Harmonic,
-    HypocycloidParallelSpec,
-    RandomBodySpec,
     TrigSupport,
+    astroid_parallel,
     body_from_dict,
     body_to_dict,
-    construct,
+    deltoid_parallel,
     eval_support,
-    from_samples,
     functionals_quadrature,
+    hypocycloid_parallel,
     is_constant_width,
     min_curvature_radius,
     minkowski_sum,
@@ -32,8 +30,6 @@ from hurwitzlab import (
 from hurwitzlab.errors import (
     AmplitudeTooLarge,
     BadSpec,
-    GridNotUniform,
-    InsufficientSamples,
     NonpositiveMean,
     NotStrictlyConvex,
 )
@@ -127,19 +123,6 @@ class _Searched(Exception):
 
 def _no_search(body):
     raise _Searched
-
-
-@st.composite
-def trig_polys(draw, max_degree=6):
-    a0 = draw(st.floats(-2.0, 2.0))
-    degree = draw(st.integers(0, max_degree))
-    hs = []
-    for n in range(1, degree + 1):
-        a = draw(st.floats(-2.0, 2.0))
-        b = draw(st.floats(-2.0, 2.0))
-        if a != 0.0 or b != 0.0:
-            hs.append(Harmonic(n, a, b))
-    return TrigSupport(a0, tuple(hs))
 
 
 @st.composite
@@ -384,7 +367,7 @@ class TestSteiner:
         once = recenter_to_steiner(body)
         assert recenter_to_steiner(once) == once
         for n in range(2, body.max_degree + 1):
-            assert once.c_sq(n) == body.c_sq(n)
+            assert once.harmonic(n).c_sq == body.harmonic(n).c_sq
 
 
 class TestMinkowski:
@@ -449,7 +432,7 @@ class TestRigidMotion:
     def test_cn_sq_invariant(self, body, theta, vx, vy):
         out = rigid_motion(body, theta, (vx, vy))
         for n in range(2, body.max_degree + 1):
-            assert out.c_sq(n) == pytest.approx(body.c_sq(n), rel=1e-12, abs=1e-300)
+            assert out.harmonic(n).c_sq == pytest.approx(body.harmonic(n).c_sq, rel=1e-12, abs=1e-300)
 
     @given(convex_bodies(), st.floats(-6, 6))
     @settings(max_examples=25, deadline=None)
@@ -461,69 +444,60 @@ class TestRigidMotion:
         )
 
 
-class TestFromSamples:
-    def test_round_trip_ast(self, ast_body):
-        phis = np.linspace(0, TWO_PI, 64, endpoint=False)
-        rec = from_samples(zip(phis, eval_support(ast_body, phis)), 4)
-        assert rec.a0 == pytest.approx(1.0, abs=1e-13)
-        assert rec.harmonic(2).b == pytest.approx(0.2, abs=1e-13)
-        assert rec.harmonic(2).a == pytest.approx(0.0, abs=1e-13)
-        assert rec.max_degree == 2
-
-    def test_circle_collapses(self):
-        phis = np.linspace(0, TWO_PI, 64, endpoint=False)
-        rec = from_samples(zip(phis, np.full(64, 2.0)), 4)
-        assert rec == TrigSupport(2.0)
-
-    def test_insufficient(self):
-        phis = np.linspace(0, TWO_PI, 6, endpoint=False)
-        with pytest.raises(InsufficientSamples):
-            from_samples(zip(phis, np.ones(6)), 4)
-
-    def test_nonuniform(self):
-        phis = np.linspace(0, TWO_PI, 32, endpoint=False).copy()
-        phis[3] += 0.01
-        with pytest.raises(GridNotUniform):
-            from_samples(zip(phis, np.ones(32)), 4)
-
-    @given(convex_bodies())
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, body):
-        m = 4 * (body.max_degree + 1) + 2
-        phis = np.linspace(0, TWO_PI, m, endpoint=False)
-        rec = from_samples(zip(phis, eval_support(body, phis)), body.max_degree)
-        assert rec.a0 == pytest.approx(body.a0, rel=1e-12, abs=1e-12)
-        for n in range(1, body.max_degree + 1):
-            assert rec.harmonic(n).a == pytest.approx(body.harmonic(n).a, abs=1e-12)
-            assert rec.harmonic(n).b == pytest.approx(body.harmonic(n).b, abs=1e-12)
-
-
 class TestConstruct:
     def test_astroid(self, ast_body):
-        body = construct(AstroidParallelSpec(1.0, 0.2))
+        body = astroid_parallel(1.0, 0.2)
         assert body.harmonics == ast_body.harmonics and body.validated
 
     def test_deltoid_bound(self):
         with pytest.raises(AmplitudeTooLarge):
-            construct(DeltoidParallelSpec(1.0, 0.13))
+            deltoid_parallel(1.0, 0.13)
 
     def test_astroid_bound(self):
         with pytest.raises(AmplitudeTooLarge):
-            construct(AstroidParallelSpec(1.0, 0.4))
+            astroid_parallel(1.0, 0.4)
 
     def test_hypocycloid_parallel(self):
-        body = construct(HypocycloidParallelSpec(5, 1.0, 0.02))
+        body = hypocycloid_parallel(5, 1.0, 0.02)
         assert body.harmonic(5).a == 0.02
         with pytest.raises(AmplitudeTooLarge):
-            construct(HypocycloidParallelSpec(5, 1.0, 0.05))
+            hypocycloid_parallel(5, 1.0, 0.05)
         with pytest.raises(BadSpec):
-            construct(HypocycloidParallelSpec(2, 1.0, 0.01))
+            hypocycloid_parallel(2, 1.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "k, make",
+        [(2, astroid_parallel), (3, deltoid_parallel)]
+        + [(k, functools.partial(hypocycloid_parallel, k)) for k in (3, 4, 5, 7)],
+        ids=["astroid", "deltoid", "k3", "k4", "k5", "k7"],
+    )
+    def test_amplitude_bound_is_sharp(self, k, make):
+        # rho = a0 - (k^2 - 1)|amp| at the cusp directions: either sign of amp
+        # just inside the bound gives a validated body, at or past it none
+        a0 = 1.5
+        edge = a0 / (k * k - 1)
+        for amp in (0.999 * edge, -0.999 * edge):
+            body = make(a0, amp)
+            assert body.validated and body.max_degree == k
+            assert math.hypot(body.harmonic(k).a, body.harmonic(k).b) == abs(amp)
+            assert min_curvature_radius(body)[0] == pytest.approx(0.001 * a0, rel=1e-6)
+        for amp in (1.001 * edge, -1.001 * edge, 2 * edge):
+            with pytest.raises(AmplitudeTooLarge):
+                make(a0, amp)
+
+    @pytest.mark.parametrize("k", [2, 0, -5, 3.0, "5"])
+    def test_hypocycloid_frequency_rejected(self, k):
+        with pytest.raises(BadSpec):
+            hypocycloid_parallel(k, 1.0, 0.01)
+
+    def test_deltoid_is_three_cusped_parallel(self, delt_body):
+        assert deltoid_parallel(1.0, 0.1) == hypocycloid_parallel(3, 1.0, 0.1) == delt_body
 
     def test_random_constant_width(self):
-        body = construct(RandomBodySpec(seed=7, degree=6, constant_width=True))
+        body = random_body(seed=7, degree=6, constant_width=True)
         assert body.validated
         for n in (2, 4, 6):
-            assert body.c_sq(n) == 0.0
+            assert body.harmonic(n).c_sq == 0.0
 
     def test_random_reproducible(self):
         a = random_body(11, 5, index=3)

@@ -9,8 +9,10 @@ import pytest
 
 import hurwitzlab
 from hurwitzlab import FunctionalSet
-from hurwitzlab.bodies import RandomBodySpec
+from hurwitzlab import bodies as B
+from hurwitzlab.bodies import random_body
 from hurwitzlab.cli import main, parse_spec
+from hurwitzlab.errors import HurwitzLabError
 
 PI = math.pi
 
@@ -278,7 +280,32 @@ def test_render_samples_out_of_range_exit_2(capsys, argv, samples):
 
 @pytest.mark.parametrize("flag, cw", [("", False), (",no", False), (",0", False), (",cw", True), (",YES", True)])
 def test_random_spec_constant_width_flag(flag, cw):
-    assert parse_spec(f"random:1,3{flag}") == RandomBodySpec(1, 3, cw)
+    assert parse_spec(f"random:1,3{flag}") == random_body(1, 3, cw)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("circle:2", lambda: B.validate_convex(B.TrigSupport(2.0))),
+        ("astroid:1,0.2", lambda: B.astroid_parallel(1.0, 0.2)),
+        (" Deltoid :1,0.1", lambda: B.deltoid_parallel(1.0, 0.1)),
+        ("hypocycloid:5,1,0.02", lambda: B.hypocycloid_parallel(5, 1.0, 0.02)),
+        ("hypocycloid:5.0,1,0.02", lambda: B.hypocycloid_parallel(5, 1.0, 0.02)),
+        ("hypocycloid:5/2,1", lambda: B.HypocycloidSpec(m=5, n=2, r=1.0)),
+    ],
+)
+def test_parse_spec_families(text, expected):
+    # each family parses to its validated body; only the cusped curve stays a spec
+    assert parse_spec(text) == expected()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["hypocycloid:4.5,1,0.01", "hypocycloid:2,1,0.01", "hypocycloid:5", "astroid:1", "circle:1,2", "ellipse:1,2"],
+)
+def test_parse_spec_rejects(text):
+    with pytest.raises(HurwitzLabError):
+        parse_spec(text)
 
 
 @pytest.mark.parametrize("n", ["2.7", "Infinity"])

@@ -13,18 +13,17 @@ from hurwitzlab import (
     functionals_quadrature,
     functionals_spectral,
     generalized_area,
-    steiner_polynomial,
-    wirtinger_deficit,
-    wirtinger_gap,
+    offset,
 )
 from hurwitzlab.bodies import evolute_support
-from hurwitzlab.errors import BadInterval, NotValidated
+from hurwitzlab.errors import NotValidated
 from hurwitzlab.quadrature import grid_for_degree, periodic_integral
 
-from .test_bodies import convex_bodies, trig_polys
+from .test_bodies import convex_bodies
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+PATHS = {"spectral": functionals_spectral, "quadrature": functionals_quadrature}
 
 
 class TestSpectralFixtures:
@@ -90,7 +89,7 @@ class TestSpectralFixtures:
         monkeypatch.undo()
         assert len(calls) <= 1
         centered = recenter_to_steiner(body)
-        assert fs.cn_sq == tuple((n, centered.c_sq(n)) for n in range(2, 65))
+        assert fs.cn_sq == tuple((n, centered.harmonic(n).c_sq) for n in range(2, 65))
 
 
 class TestQuadratureAgreement:
@@ -145,103 +144,55 @@ class TestGeneralizedArea:
         f = TrigSupport(0.0, (Harmonic(3, 0.0, 0.1),))
         assert generalized_area(f) == pytest.approx(-0.04 * PI, rel=1e-13)
 
-    def test_sample_input(self):
-        phis = np.linspace(0, TWO_PI, 64, endpoint=False)
-        f = TrigSupport(0.0, (Harmonic(3, 0.0, 0.1),))
-        vals = eval_support(f, phis)
-        assert generalized_area(vals) == pytest.approx(-0.04 * PI, rel=1e-12)
-
-    def test_subinterval_simpson(self):
-        # astroid-type support 2 sin(2t) over the half period [0, pi]:
-        # (1/2) int 2sin(2t) * (-6 sin 2t) = -6 * (pi/2) = -3 pi
-        f = TrigSupport(0.0, (Harmonic(2, 0.0, 2.0),))
-        assert generalized_area(f, 0.0, PI) == pytest.approx(-3 * PI, rel=1e-10)
-
     @pytest.mark.parametrize("n", [2, 5, 13, 32])
-    def test_subinterval_single_harmonic(self, n):
-        # f = c sin(nt): f + f'' = (1 - n^2) f, so the area is
-        # (1/2)(1 - n^2) c^2 int_a^b sin^2(nt) dt in closed form
+    def test_single_harmonic(self, n):
+        # f = a0 + c sin(nt): f + f'' = a0 + (1 - n^2) c sin(nt), so the area is
+        # pi a0^2 + (pi/2)(1 - n^2) c^2 in closed form, on any exact grid
         rng = np.random.default_rng(n)
-        c = rng.uniform(0.1, 2.0)
-        a = rng.uniform(-PI, PI)
-        b = a + rng.uniform(1.0, 6.0)
-        exact = 0.5 * (1 - n * n) * c * c * (
-            (b - a) / 2 - (math.sin(2 * n * b) - math.sin(2 * n * a)) / (4 * n)
-        )
-        f = TrigSupport(0.0, (Harmonic(n, 0.0, c),))
-        assert generalized_area(f, a, b) == pytest.approx(exact, rel=1e-12)
-
-    def test_bad_interval(self):
-        with pytest.raises(BadInterval):
-            generalized_area(TrigSupport(1.0), 1.0, 1.0)
+        a0, c = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 2.0)
+        exact = PI * a0 * a0 + 0.5 * PI * (1 - n * n) * c * c
+        f = TrigSupport(a0, (Harmonic(n, 0.0, c),))
+        for grid in (None, grid_for_degree(n), grid_for_degree(4 * n)):
+            assert generalized_area(f, grid=grid) == pytest.approx(exact, rel=1e-12)
 
 
-class TestSteinerPolynomial:
+class TestParallelBodies:
+    # The parallel body p + r has perimeter L + 2 pi r and area given by the
+    # Steiner polynomial F + L r + pi r^2.  Every deficit the theorems compare
+    # is built from q = p - L/(2 pi) and the evolute, which p + r shares.
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("r", [0.25, 3.0])
+    def test_steiner_formula(self, mix_body, path, r):
+        fs, fr = PATHS[path](mix_body), PATHS[path](offset(mix_body, r))
+        assert fr.L == pytest.approx(fs.L + TWO_PI * r, rel=1e-14)
+        assert fr.F == pytest.approx(fs.F + fs.L * r + PI * r * r, rel=1e-13)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @given(body=convex_bodies(), r=st.floats(0.0, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_deficits_invariant(self, path, body, r):
+        fs, fr = PATHS[path](body), PATHS[path](offset(body, r))
+        scale = 1e-12 * fr.L**2
+        for name in ("Delta", "Fe", "hurwitz_deficit", "AmF", "delta2_sq", "Aw", "Wq"):
+            assert getattr(fr, name) == pytest.approx(getattr(fs, name), rel=1e-12, abs=scale)
+
     def test_circle_shrinks_to_point(self, circle_body):
-        assert steiner_polynomial(circle_body, -1.0) == pytest.approx(0.0, abs=1e-14)
+        assert generalized_area(offset(circle_body, -1.0)) == 0.0
 
     def test_ast_inner_minimum(self, ast_body):
-        # F - L^2/(4 pi) = 0.94 pi - pi = -0.06 pi,
-        # and Delta = 4 pi |F_{-L/2pi}| recovers 0.24 pi^2
-        val = steiner_polynomial(ast_body, -1.0)
-        assert val == pytest.approx(-0.06 * PI, rel=1e-12)
-        assert 4 * PI * abs(val) == pytest.approx(functionals_spectral(ast_body).Delta, rel=1e-12)
-
-    def test_r_zero_is_area(self, ast_body):
-        assert steiner_polynomial(ast_body, 0.0) == pytest.approx(0.94 * PI, rel=1e-14)
+        # the Steiner polynomial is least at r = -L/(2 pi): F - L^2/(4 pi) =
+        # 0.94 pi - pi = -0.06 pi, and Delta = 4 pi |F_r| recovers 0.24 pi^2
+        val = generalized_area(offset(ast_body, -1.0))
+        assert val == pytest.approx(-0.06 * PI, rel=1e-13)
+        assert 4 * PI * abs(val) == pytest.approx(functionals_spectral(ast_body).Delta, rel=1e-13)
 
     @given(convex_bodies())
     @settings(max_examples=25, deadline=None)
-    def test_deficit_identity(self, body):
-        # Delta = 4 pi |F_r| at the minimizing inner offset r = -L/(2 pi)
+    def test_deficit_is_inner_parallel_area(self, body):
+        # Delta = -4 pi F_r at the minimising inner offset r = -L/(2 pi)
         fs = functionals_spectral(body)
-        val = steiner_polynomial(body, -fs.L / TWO_PI)
-        assert 4 * PI * abs(val) == pytest.approx(fs.Delta, rel=1e-10, abs=1e-12)
-
-
-class TestWirtinger:
-    def test_recentred_ast(self):
-        # q = 0.2 sin(2 phi): W_q = pi(4-1)(0.04) = 0.12 pi, W_q' = 0.48 pi,
-        # gap vanishes exactly for degree <= 2
-        q = TrigSupport(0.0, (Harmonic(2, 0.0, 0.2),))
-        assert wirtinger_deficit(q) == pytest.approx(0.12 * PI, rel=1e-14)
-        from hurwitzlab.bodies import derivative
-
-        assert wirtinger_deficit(derivative(q)) == pytest.approx(0.48 * PI, rel=1e-14)
-        assert wirtinger_gap(q) == pytest.approx(0.0, abs=1e-15)
-
-    def test_degree_three(self):
-        q = TrigSupport(0.0, (Harmonic(3, 0.1, 0.0),))
-        assert wirtinger_deficit(q) == pytest.approx(0.08 * PI, rel=1e-14)
-        from hurwitzlab.bodies import derivative
-
-        assert wirtinger_deficit(derivative(q)) == pytest.approx(0.72 * PI, rel=1e-14)
-
-    def test_constant(self):
-        assert wirtinger_deficit(TrigSupport(0.7)) == pytest.approx(-2 * PI * 0.49, rel=1e-14)
-
-    def test_quadrature_path_matches(self):
-        q = TrigSupport(0.3, (Harmonic(2, 0.1, -0.05), Harmonic(5, 0.01, 0.02)))
-        assert wirtinger_deficit(q, grid=grid_for_degree(5)) == pytest.approx(
-            wirtinger_deficit(q), rel=1e-12
-        )
-
-    @given(trig_polys())
-    @settings(max_examples=60, deadline=None)
-    def test_gap_nonnegative_with_equality_iff_degree_two(self, q):
-        gap = wirtinger_gap(q)
-        assert gap >= -1e-12
-        if q.max_degree <= 2:
-            assert gap == pytest.approx(0.0, abs=1e-12)
-        # direct check against the definition of the gap
-        from hurwitzlab.bodies import derivative
-
-        direct = (
-            wirtinger_deficit(derivative(q))
-            - 4 * wirtinger_deficit(q)
-            - (2 / PI) * (TWO_PI * q.a0) ** 2
-        )
-        assert gap == pytest.approx(direct, rel=1e-10, abs=1e-9)
+        val = generalized_area(offset(body, -fs.L / TWO_PI))
+        assert -4 * PI * val == pytest.approx(fs.Delta, rel=1e-10, abs=1e-12)
 
 
 class TestDeficitIdentities:
@@ -259,15 +210,11 @@ class TestDeficitIdentities:
     @given(convex_bodies())
     @settings(max_examples=30, deadline=None)
     def test_deficit_vs_wirtinger(self, body):
-        # pi|Fe| - Delta = (pi/2) (W_{q'} - 4 W_q) with q = p - L/(2 pi)
-        from dataclasses import replace
-
-        from hurwitzlab.bodies import derivative
-
-        fs = functionals_spectral(body)
-        q = replace(body, a0=0.0, validated=False)
-        rhs = 0.5 * PI * (wirtinger_deficit(derivative(q)) - 4 * wirtinger_deficit(q))
-        assert fs.hurwitz_deficit == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+        # pi|Fe| - Delta = (pi/2) (W_{q'} - 4 W_q) with q = p - L/(2 pi): the
+        # Wirtinger deficit of q' is 2|Fe|, that of q is the functional Wq
+        for fs in (functionals_spectral(body), functionals_quadrature(body)):
+            rhs = 0.5 * PI * (2.0 * abs(fs.Fe) - 4.0 * fs.Wq)
+            assert fs.hurwitz_deficit == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_pedal_dominates_wigner_fixed(self, sweep_bodies):
         for body in sweep_bodies[:50]:

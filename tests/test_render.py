@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from hurwitzlab import render
 from hurwitzlab import (
-    HypocycloidParallelSpec,
     HypocycloidSpec,
     Polyline,
     Scene,
     Style,
-    construct,
     count_cusps,
     functionals_spectral,
+    hypocycloid_parallel,
     sample_curve,
     sample_hypocycloid,
     shoelace_area,
     write_svg,
 )
-from hurwitzlab.errors import BadSpec, EmptyScene, NotValidated, OpenPolyline
+from hurwitzlab.errors import BadSpec, EmptyScene, NotValidated
 
 PI = math.pi
 
@@ -38,11 +37,6 @@ class TestShoelace:
         t = np.linspace(0, 2 * PI, 1000, endpoint=False)
         poly = Polyline(np.stack([np.cos(t), np.sin(t)], axis=1))
         assert shoelace_area(poly) == pytest.approx(PI, abs=1e-4)
-
-    def test_open_polyline_rejected(self):
-        open_poly = Polyline(np.array([[0, 0], [1, 0], [1, 1]], float), closed=False)
-        with pytest.raises(OpenPolyline):
-            shoelace_area(open_poly)
 
 
 class TestSampleCurve:
@@ -149,7 +143,7 @@ class TestHypocycloid:
     def test_hypocycloid_parallel_cusps(self, k, traversal, distinct):
         # the evolute of p = a0 + amp*cos(k phi) has cusps at phi = j*pi/k, j < 2k;
         # for odd k it retraces them after a half turn, for even k they are 2k distinct points
-        body = construct(HypocycloidParallelSpec(k, 1.0, 0.5 / (k * k - 1)))
+        body = hypocycloid_parallel(k, 1.0, 0.5 / (k * k - 1))
         evolute = sample_curve(body, "evolute", 2 * k * 64)
         assert count_cusps(evolute) == traversal
         assert len(np.unique(np.round(evolute.vertices[::64], 9), axis=0)) == distinct
@@ -181,10 +175,6 @@ class TestSvg:
     def test_empty_scene(self):
         with pytest.raises(EmptyScene):
             write_svg(Scene(layers=[]))
-
-    def test_polyline_json_export(self):
-        poly = Polyline(np.array([[0, 0], [1, 0], [0, 1]], float))
-        assert poly.to_json_list() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def _fmt_join(verts):

@@ -155,9 +155,9 @@ class TestClassification:
         assert classify_equality(mix_body).support == (2, 5)
 
     def test_hypocycloid5_alone(self):
-        from hurwitzlab import HypocycloidParallelSpec, construct
+        from hurwitzlab import hypocycloid_parallel
 
-        body = construct(HypocycloidParallelSpec(5, 1.0, 0.02))
+        body = hypocycloid_parallel(5, 1.0, 0.02)
         assert classify_equality(body).kind == "hypocycloid5_parallel"
 
     def test_translation_does_not_change_class(self, ast_body):
@@ -266,6 +266,16 @@ class TestTheoremTable:
         for tid, t in THEOREMS.items():
             assert t.integral is None or t.integral in KERNELS, tid
             assert (t.weight > 0.0) == (t.integral is not None), tid
+
+    def test_weights_derived_from_rhs(self):
+        # |d rhs / d integral|, bit for bit the slopes 5, (40/9)(8/9), 20(4/9), 64/9
+        weights = {tid: t.weight for tid, t in THEOREMS.items() if t.integral is not None}
+        assert weights == {
+            TheoremId.VISUAL: 5.0,
+            TheoremId.PEDAL: 3.950617283950617,
+            TheoremId.STEINER_DISK: 8.88888888888889,
+            TheoremId.VISUAL_CW: 7.111111111111111,
+        }
 
     def test_suite_order_is_theorem_order(self, mix_body):
         spectral = run_suite(mix_body)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab import (
-    CircleSpec,
     ExteriorConfig,
+    Harmonic,
     IntegralResult,
     Kernel,
     TrigSupport,
-    construct,
     crofton_kernel,
     eval_support,
     exterior_integral,
@@ -30,7 +29,7 @@ from hurwitzlab import (
     visual_deficit_kernel,
 )
 from hurwitzlab import visual_angle
-from hurwitzlab.bodies import _eval, boundary_point
+from hurwitzlab.bodies import boundary_point
 from hurwitzlab.errors import (
     BadOrder,
     BoundaryCollar,
@@ -273,7 +272,7 @@ def _reference_radial(body, theta):
 class TestRadialBoundary:
     def test_centred_circle(self):
         thetas = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-        rb, _ = _radial_boundary(construct(CircleSpec(2.5)), thetas)
+        rb, _ = _radial_boundary(validate_convex(TrigSupport(2.5)), thetas)
         assert rb == pytest.approx(np.full(16, 2.5), rel=1e-15)
 
     @pytest.mark.parametrize("name", ["ast_body", "mix_body"])
@@ -350,15 +349,15 @@ class TestExteriorPoint:
 def _reference_corners(body, phi1, deltas):
     """Per-gap corner solve, one gap at a time: the reference for the block form."""
     c1, s1 = np.cos(phi1), np.sin(phi1)
-    p1, dp1 = _eval(body, phi1, 0), _eval(body, phi1, 1)
+    p1, dp1 = eval_support(body, phi1, 0), eval_support(body, phi1, 1)
     for d in deltas:
         phi2 = phi1 + d
         c2, s2 = np.cos(phi2), np.sin(phi2)
         sd = math.sin(d)
-        p2 = _eval(body, phi2, 0)
+        p2 = eval_support(body, phi2, 0)
         px = (p1 * s2 - p2 * s1) / sd
         py = (p2 * c1 - p1 * c2) / sd
-        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - _eval(body, phi2, 1)
+        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - eval_support(body, phi2, 1)
 
 
 def _reference_gap_mass(body, deltas, nodes_phi):
@@ -410,7 +409,7 @@ class TestTangentField:
         calls = []
         monkeypatch.setattr(visual_angle, "_gap_mass", lambda *args: calls.append(args) or _gap_mass(*args))
         _tangent_field.cache_clear()
-        body, cfg = construct(CircleSpec(1.37)), ExteriorConfig(nodes_phi=32, nodes_delta=32)
+        body, cfg = validate_convex(TrigSupport(1.37)), ExteriorConfig(nodes_phi=32, nodes_delta=32)
         for make in KERNELS.values():
             exterior_integral(body, make(), cfg)
         assert len(calls) == 3
@@ -418,7 +417,7 @@ class TestTangentField:
     def test_field_cache_is_bounded(self):
         cfg = ExteriorConfig(nodes_phi=16, nodes_delta=16)
         for i in range(10):
-            body = construct(CircleSpec(1.0 + 0.1 * i))
+            body = validate_convex(TrigSupport(1.0 + 0.1 * i))
             exterior_integral(body, crofton_kernel(), cfg)
         assert _tangent_field.cache_info().currsize <= 8
 
@@ -462,8 +461,6 @@ class TestExteriorIntegral:
             with pytest.raises(ValueError):
                 ExteriorConfig(**nodes)
         assert ExteriorConfig(nodes_phi=2**20, nodes_delta=2**20).nodes_delta == 2**20
-        with pytest.raises(ValueError):
-            ExteriorConfig(delta_min=1.0)
         with pytest.raises(TypeError):
             ExteriorConfig(method="magic")
 
@@ -518,11 +515,11 @@ def _tangent_field_harmonic(n, delta):
 
 def _weight(kernel, n):
     """w(n) of `spectral_integral`, read off one body: a0 = 1 plus c cos(n phi)."""
-    w0 = spectral_integral(construct(CircleSpec(1.0)), kernel).value / PI**2
+    w0 = spectral_integral(validate_convex(TrigSupport(1.0)), kernel).value / PI**2
     if n == 0:
         return w0
     c = 0.5 / (n * n - 1)
-    body = validate_convex(TrigSupport(1.0, ((n, c, 0.0),)))
+    body = validate_convex(TrigSupport(1.0, (Harmonic(n, c, 0.0),)))
     return (spectral_integral(body, kernel).value / PI**2 - w0) / (c * c)
 
 
@@ -567,8 +564,9 @@ class TestSpectralIntegral:
 
     @pytest.mark.parametrize("name", ["hd17", "random17", "random17_moved"])
     def test_moments(self, request, name):
-        # L^2 + (-1)^n pi^2 (n^2 - 1) c_n^2, c_n about the Steiner point, up to
-        # the rounding of the kernel's coefficients, which cancel in w(0)
+        # L^2 + (-1)^n pi^2 (n^2 - 1) c_n^2, c_n about the Steiner point; the
+        # kernel's coefficients are exact fractions, so w(0) = 4 exactly and
+        # only the final sums round
         if name == "hd17":
             body = request.getfixturevalue("hd17_body")
         else:
@@ -576,12 +574,10 @@ class TestSpectralIntegral:
             if name.endswith("moved"):
                 body = rigid_motion(body, 0.4, (3.0, -7.0))
         L = TWO_PI * body.a0
-        c_sq = recenter_to_steiner(body).c_sq
+        centered = recenter_to_steiner(body)
         for n in range(2, 17):
-            kernel = moment_kernel(n)
-            expect = L * L + (-1) ** n * PI**2 * (n * n - 1) * c_sq(n)
-            bound = np.spacing(1.0) * sum(k * k * abs(a) for k, a in kernel.sin_coeffs) * L * L
-            assert abs(spectral_integral(body, kernel).value - expect) <= bound, n
+            expect = L * L + (-1) ** n * PI**2 * (n * n - 1) * centered.harmonic(n).c_sq
+            assert abs(spectral_integral(body, moment_kernel(n)).value - expect) <= 2.0 * np.spacing(L * L), n
 
     def test_result_shape_and_checks(self, ast_body):
         res = spectral_integral(ast_body, crofton_kernel())
@@ -645,7 +641,7 @@ class TestPolarOracle:
     def test_field_cache_is_bounded(self):
         cfg = ExteriorConfig(nodes_phi=16)
         for i in range(10):
-            body = construct(CircleSpec(1.0 + 0.1 * i))
+            body = validate_convex(TrigSupport(1.0 + 0.1 * i))
             exterior_integral_grid(body, crofton_kernel(), cfg)
         assert _polar_field.cache_info().currsize <= 8
 
