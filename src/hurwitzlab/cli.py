@@ -13,6 +13,7 @@ Identical invocations with identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -194,7 +195,7 @@ def cmd_sweep(args) -> int:
     if args.count < 1:
         raise HurwitzLabError(f"--count must be >= 1, got {args.count}")
     cfg = SuiteConfig(path="spectral", tol=args.tol, exterior=_exterior_config(args))
-    geo_cfg = SuiteConfig(path="both", tol=args.tol, exterior=_exterior_config(args))
+    geo_cfg = dataclasses.replace(cfg, path="both")
     geo_stride = max(1, args.count // 8)
     stats: dict[str, dict] = {}
     violations = []

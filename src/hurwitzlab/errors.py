@@ -41,7 +41,7 @@ class BoundaryCollar(HurwitzLabError):
 
 
 class RootCountAnomaly(HurwitzLabError):
-    """Support-line root finding did not isolate exactly two roots."""
+    """The polished support-line roots do not span a positive arc shorter than pi."""
 
 
 class DegenerateGap(HurwitzLabError):

@@ -159,15 +159,12 @@ class Verdict:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        def num(x):
-            return None if x != x else x  # NaN -> null
-
         return {
             "id": self.id.value,
             "applicable": self.applicable,
-            "lhs": num(self.lhs),
-            "rhs": num(self.rhs),
-            "residual": num(self.residual),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "residual": self.residual,
             "equality": self.equality,
             "path": self.path,
             "error_bar": self.error_bar,

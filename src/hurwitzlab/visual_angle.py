@@ -22,8 +22,10 @@ quadratures and in closed form:
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
 
-The tangent lines through a point come from one scan of
-g(phi) = <P, N(phi)> - p(phi) and one polish of its roots (`_tangent_angles`).
+The tangent lines through a point P are the roots of
+g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
+where the ray from the Steiner point through P leaves the body, and
+polished together (`_tangent_angles`).
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -51,6 +53,7 @@ from .bodies import (
     _require_validated,
     boundary_point,
     recenter_to_steiner,
+    steiner_point,
 )
 from .errors import (
     BadOrder,
@@ -68,8 +71,8 @@ _SERIES_TERMS = 16
 _POLAR_PANELS = 6
 # Entries (gaps x phi1) per block of the corner solve in _gap_mass.
 _BLOCK_ENTRIES = 1 << 12
-# Entries (points x scan angles) per block of the polar oracle's tangent solve.
-_POLAR_BLOCK_ENTRIES = 1 << 15
+# Points per block of the polar oracle's tangent solve.
+_POLAR_BLOCK_POINTS = 1 << 12
 # Cutoff radius of the polar oracle, in units of a0.
 _POLAR_R_MAX = 40.0
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -235,69 +238,47 @@ class IntegralResult:
 # Tangent root finding
 
 
-def _g(body: TrigSupport, px, py, phi, orders):
-    """Derivatives of the given orders (0, 1 or 2), and only those, of g(phi) = <P, N(phi)> - p(phi)."""
+def _g(body: TrigSupport, px, py, phi):
+    """g(phi) = <P, N(phi)> - p(phi) and its derivative g'(phi)."""
     c, s = np.cos(phi), np.sin(phi)
-    geo = (lambda: px * c + py * s, lambda: -px * s + py * c, lambda: -(px * c + py * s))
-    return tuple(geo[k]() - v for k, v in zip(orders, _derivs(body, phi, orders, (c, s))))
+    p, dp = _derivs(body, phi, (0, 1), (c, s))
+    return px * c + py * s - p, -px * s + py * c - dp
 
 
 def _tangent_angles(body: TrigSupport, points):
     """Arrays (phi1, phi2, omega) of the support lines through each row of points.
 
-    g(phi) = <P, N(phi)> - p(phi) is scanned once, for all points at once, on
-    max(64, 8N) angles.  For an exterior point g is positive, and concave
-    (g'' = -g - rho), on one arc shorter than pi, so the scan shows two sign
-    changes or, when the arc fits between two scan angles, none.  A grid
-    maximum top at or below max(tol, collar) is polished as a root of g'; its
-    value decides InteriorPoint and BoundaryCollar (a clearance below
-    _TANGENT_COLLAR * a0), and with no sign change its position and top -/+ h
-    bracket the roots.  All roots are polished together to
-    |g| <= tol = 1e-13 * (|P| + a0).  g rises through zero at phi1 and is
-    positive on the counterclockwise arc of length delta = pi - omega to phi2.
-    RootCountAnomaly means a sign-change count other than 0 or 2, or an arc
+    The ray from the Steiner point S through P leaves the body at distance rb,
+    at the boundary point with normal angle phi_b (`_radial_boundary`).  There
+    g(phi) = <P, N(phi)> - p(phi) equals (|P - S| - rb) * cos(theta - phi_b), a
+    lower bound on the clearance max g: InteriorPoint means it is at most
+    tol = 1e-13 * (|P| + a0), BoundaryCollar at most _TANGENT_COLLAR * a0.
+    Otherwise g is positive on one arc shorter than pi that contains phi_b, so
+    g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
+    (phi_b, phi_b + pi).  Both are polished together to |g| <= tol from
+    phi_b -/+ arccos(rb / |P - S|), the roots for a circle of radius rb.
+    g rises through zero at phi1 and is positive on the counterclockwise arc
+    of length delta = pi - omega to phi2; RootCountAnomaly means that arc is
     not shorter than pi.  Each point is solved on its own, bit for bit.
     """
     px, py = points[:, 0], points[:, 1]
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
     collar = _TANGENT_COLLAR * body.a0
-    n_scan = max(64, 8 * body.max_degree)
-    phis = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-    h = TWO_PI / n_scan
-    (g,) = _g(body, px[:, None], py[:, None], phis, (0,))
-    g_next = np.roll(g, -1, axis=1)
-    up, down = (g <= 0.0) & (g_next > 0.0), (g > 0.0) & (g_next <= 0.0)
-    count = up.sum(axis=1) + down.sum(axis=1)
-    i_up, i_down = up.argmax(axis=1), down.argmax(axis=1)
-    # column 0: rising root, column 1: falling root
-    neg = np.stack([phis[i_up], phis[i_down] + h], axis=1)
-    pos = np.stack([phis[i_up] + h, phis[i_down]], axis=1)
-    gmax = g.max(axis=1)
-    low = gmax <= np.maximum(tol, collar)
-    if low.any():
-        qx, qy, top = px[low], py[low], phis[g[low].argmax(axis=1)]
-        (d_lo,), (d_hi,) = _g(body, qx, qy, top - h, (1,)), _g(body, qx, qy, top + h, (1,))
-        x_top, (_, _, g_top) = _polish_roots(
-            lambda x: _g(body, qx, qy, x, (1, 2, 0)),
-            top, neg=top + h, pos=top - h, tol=tol[low], active=(d_lo >= 0.0) & (d_hi <= 0.0),
-        )
-        gmax[low] = np.maximum(gmax[low], g_top)
-        arc = count[low] == 0
-        rows = np.flatnonzero(low)[arc]
-        neg[rows] = np.stack([top - h, top + h], axis=1)[arc]
-        pos[rows] = x_top[arc, None]
-    inside = gmax <= tol
+    sx, sy = steiner_point(body)
+    r, theta = np.hypot(px - sx, py - sy), np.arctan2(py - sy, px - sx)
+    rb, phi_b = _radial_boundary(recenter_to_steiner(body), theta)
+    clearance = (r - rb) * np.cos(theta - phi_b)
+    inside = clearance <= tol
     if inside.any():
         raise InteriorPoint(f"point {points[inside][0].tolist()} lies inside the body")
-    thin = gmax <= collar
+    thin = clearance <= collar
     if thin.any():
-        raise BoundaryCollar(f"point clears the boundary by {gmax[thin][0]:.3g}, below collar {collar:.3g}")
-    odd = (count != 0) & (count != 2)
-    if odd.any():
-        raise RootCountAnomaly(f"scan shows {count[odd][0]} sign changes of g, not 0 or 2")
+        raise BoundaryCollar(f"point clears the boundary by {clearance[thin][0]:.3g}, below collar {collar:.3g}")
+    # column 0: rising root, column 1: falling root
+    side, b = np.array([-1.0, 1.0]), phi_b[:, None]
     x, _ = _polish_roots(
-        lambda x: _g(body, px[:, None], py[:, None], x, (0, 1)),
-        0.5 * (neg + pos), neg, pos, tol[:, None], True,
+        lambda x: _g(body, px[:, None], py[:, None], x),
+        b + side * np.arccos(rb / r)[:, None], neg=b + side * PI, pos=b, tol=tol[:, None], active=True,
     )
     roots = x % TWO_PI
     delta = (roots[:, 1] - roots[:, 0]) % TWO_PI
@@ -310,11 +291,12 @@ def _tangent_angles(body: TrigSupport, points):
 def support_line_angles(body: TrigSupport, point) -> TangentPair:
     """Normal angles of the two support lines through an exterior point.
 
-    Roots of g(phi) = <P, N(phi)> - p(phi) are bracketed by one scan and
-    polished to |g| <= 1e-13 * (|P| + a0) (the one-point case of
-    `_tangent_angles`).  Raises InteriorPoint when g never becomes positive
-    and BoundaryCollar when the point clears the boundary by less than
-    1e-9 * a0.
+    Roots of g(phi) = <P, N(phi)> - p(phi) are bracketed on either side of
+    the normal angle where the ray from the Steiner point through P leaves the
+    body, and polished to |g| <= 1e-13 * (|P| + a0) (the one-point case of
+    `_tangent_angles`).  Raises InteriorPoint when P is not outside that
+    boundary point and BoundaryCollar when g there, a lower bound on the
+    clearance, is below 1e-9 * a0.
     """
     _require_validated(body)
     point = np.asarray(point, dtype=float)
@@ -506,7 +488,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         points.append(np.outer(rs, (math.cos(theta), math.sin(theta))))
         weights.append(w_theta * ws * rs)
         ring_mass += w_theta * rb * collar
-    rows = max(1, _POLAR_BLOCK_ENTRIES // (weights[0].size * max(64, 8 * centered.max_degree)))
+    rows = max(1, _POLAR_BLOCK_POINTS // weights[0].size)
     omegas = [_tangent_angles(centered, np.concatenate(points[i : i + rows]))[2] for i in range(0, n_theta, rows)]
     return np.concatenate(omegas).reshape(n_theta, -1), np.array(weights), far_nodes, ring_mass
 

@@ -11,7 +11,9 @@ from hurwitzlab import (
     IntegralResult,
     Kernel,
     TrigSupport,
+    astroid_parallel,
     crofton_kernel,
+    deltoid_parallel,
     eval_support,
     exterior_integral,
     exterior_integral_grid,
@@ -161,6 +163,17 @@ class TestSupportLineAngles:
             tp = support_line_angles(mix_body, edge + s * normal)
             assert 0.0 < tp.omega < PI
 
+    @pytest.mark.parametrize("body", [astroid_parallel(1.0, 0.33), deltoid_parallel(1.0, 0.124)], ids=["ast", "delt"])
+    def test_collar_on_near_degenerate_bodies(self, body):
+        # rho_min is 0.01*a0 and 0.008*a0; along every normal g(phi_b) stays
+        # close enough to the clearance that 2x the collar is solved and half
+        # the collar is rejected
+        phis = np.linspace(0.0, TWO_PI, 4000, endpoint=False)
+        _check_batch(body, _exterior_points(body, phis, np.full(phis.size, 2e-9 * body.a0)), every=400)
+        for point in _exterior_points(body, phis, np.full(phis.size, 5e-10 * body.a0)):
+            with pytest.raises(BoundaryCollar):
+                support_line_angles(body, point)
+
     @pytest.mark.parametrize(
         "name, clearance, picks",
         [
@@ -175,13 +188,12 @@ class TestSupportLineAngles:
         ],
     )
     def test_clearance_above_collar_is_not_rejected(self, name, clearance, picks, request):
-        # The first three cases clear the boundary by 2-10x the collar, 1e-9*a0,
-        # but their grid maximum of g lies below it; the grid maximum used to be
-        # polished only below 1e-13*(|P| + a0), so each raised a false
-        # BoundaryCollar.  From a clearance of about 3e-6*a0 down, the positive
-        # arc of g fits between two scan angles for most directions, so the
-        # polished maximum has to bracket the roots.  Below the collar every
-        # point is rejected.
+        # BoundaryCollar tests g(phi_b), a lower bound on the clearance, against
+        # the collar, 1e-9*a0: at 2x the collar and above every point is solved.
+        # The first three cases are directions where the largest sample of g on
+        # a 64-angle grid lies below the collar, and from a clearance of about
+        # 3e-6*a0 down the positive arc of g is shorter than that grid's spacing
+        # for most directions.  Below the collar every point is rejected.
         body = random_body(3, 8, index=2) if name == "random8" else request.getfixturevalue(f"{name}_body")
         phis = np.random.default_rng(0).uniform(0.0, TWO_PI, 2000)[picks]
         points = _exterior_points(body, phis, np.full(phis.size, clearance * body.a0))
@@ -225,11 +237,15 @@ def _check_batch(body, points, every=1):
 class TestBatchedTangents:
     @given(
         convex_bodies(max_degree=8),
-        st.lists(st.tuples(st.floats(0.0, TWO_PI), st.floats(-5.0, 2.0)), min_size=1, max_size=12),
+        st.lists(st.tuples(st.floats(0.0, TWO_PI), st.floats(-5.0, 6.0)), min_size=1, max_size=12),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, TWO_PI),
     )
     @settings(max_examples=40, deadline=None)
-    def test_batch_matches_single_points(self, body, draws):
-        # clearances from the polar oracle's collar, 1e-5*a0, out to 100*a0
+    def test_batch_matches_single_points(self, body, draws, shift, heading):
+        # clearances from the polar oracle's collar, 1e-5*a0, out to 1e6*a0, on
+        # the body translated by up to 1e3*a0
+        body = rigid_motion(body, 0.0, shift * body.a0 * np.array([math.cos(heading), math.sin(heading)]))
         phis = [phi for phi, _ in draws]
         gaps = [body.a0 * 10.0**u for _, u in draws]
         _check_batch(body, _exterior_points(body, phis, gaps))
@@ -248,9 +264,9 @@ class TestBatchedTangents:
         for got, head, tail in zip(whole, _tangent_angles(body, points[:cut]), _tangent_angles(body, points[cut:])):
             assert np.array_equal(got, np.concatenate([head, tail]))
 
-    def test_scan_doubling_near_mix_boundary(self, mix_body):
-        # each positive arc lies inside one cell of the 64-angle scan, so the
-        # scan sees no sign change and the polished maximum of g brackets the roots
+    def test_arcs_shorter_than_2pi_over_64_are_resolved(self, mix_body):
+        # at clearance 1e-4*a0 each positive arc of g lies inside one cell of a
+        # 64-angle grid, so no sample of g on that grid is positive
         h = TWO_PI / 64
         phis = (np.arange(0, 64, 5) + 0.5) * h
         points = _exterior_points(mix_body, phis, np.full(phis.size, 1e-4))
@@ -678,8 +694,9 @@ def polar_body(request):
 
 
 class TestPolarBlocks:
-    # up to degree 8 a block holds 5 directions, so 16, 17 and 96 end on a partial block
-    @pytest.mark.parametrize("nodes_phi", [16, 17, 96, 100])
+    # a block holds 42 directions of 96 radial nodes, so 84 ends on a full block
+    # and 16, 17, 96 and 100 on a partial one
+    @pytest.mark.parametrize("nodes_phi", [16, 17, 84, 96, 100])
     def test_block_field_equals_per_direction_loop(self, polar_body, nodes_phi):
         cfg = ExteriorConfig(nodes_phi=nodes_phi)
         got, want = _polar_field(polar_body, cfg), _reference_polar_field(polar_body, cfg)
@@ -693,5 +710,6 @@ class TestPolarBlocks:
             visual_angle, "_tangent_angles", lambda body, points: sizes.append(len(points)) or _tangent_angles(body, points)
         )
         _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
-        # 96 radial nodes x 64 scan angles per direction: 19 blocks of 5 directions, then one of 1
-        assert sizes == [5 * 96] * 19 + [96]
+        # 96 radial nodes per direction, at most 4096 points per block: two blocks
+        # of 42 directions, then one of 12
+        assert sizes == [42 * 96] * 2 + [12 * 96]
