@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_body_source(p)
     p.add_argument("--path", default="spectral", choices=["spectral", "geometric", "both"])
     p.add_argument("--nodes", type=int)
-    p.add_argument("--exterior-nodes", help="N or NPHI,NDELTA for exterior integrals")
+    p.add_argument("--exterior-nodes",
+                   help="N or NPHI,NDELTA for exterior integrals (a single N sets both). The tangent "
+                        "integrator reads only NDELTA: it takes max(16, 2D+1) phi nodes for a body of "
+                        "degree D, where its phi rule is exact; NPHI counts the polar oracle's directions")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)

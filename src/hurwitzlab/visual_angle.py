@@ -11,13 +11,19 @@ quadratures and in closed form:
   t_i are the tangent-segment lengths.  The domain is the finite rectangle
   [0,2*pi) x (0,pi) and the integrand stays bounded because every admitted
   kernel vanishes like omega^3 while the area element grows like
-  omega^-3 as delta -> pi.  Its phi1 integral G(delta), the tangent
-  field, is kernel independent and cached per (body, config).
+  omega^-3 as delta -> pi.  Its phi1 integral G(delta), the tangent field,
+  is kernel independent and cached per (body, nodes_delta).  At a fixed
+  gap the phi1 integrand t1*t2/sin(omega) = -u1*u2/sin(delta), with signed
+  tangent lengths u1 = (p2 - p1 cos delta)/sin delta - p1' and
+  u2 = (p2 cos delta - p1)/sin delta - p2' (p_i, p_i' at phi1 and
+  phi1 + delta), is a product of two trigonometric polynomials of degree N
+  in phi1, so of degree 2N: the periodic trapezoid on 2N + 1 nodes is
+  exact, and on 2N nodes it aliases.  The integrator takes max(16, 2N + 1).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
   the cutoff radius 40*a0, with the tangent lines of all radial nodes of a
   block of directions solved in one batch, plus a fitted 1/r^2 tail for the
-  remainder.  Its visual-angle field is cached per (body, config) too.
+  remainder.  Its visual-angle field is cached per (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
@@ -69,8 +75,10 @@ _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
 # 8-point Gauss panels per radial zone (near and far) of the polar oracle.
 _POLAR_PANELS = 6
-# Entries (gaps x phi1) per block of the corner solve in _gap_mass.
-_BLOCK_ENTRIES = 1 << 12
+# Entries (gaps x phi1) per block of the corner solve in _gap_mass; at degree
+# 128 blocks of 2^12 spent a third of the solve on the per-call overhead of
+# the Horner loop in _derivs.
+_BLOCK_ENTRIES = 1 << 13
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
 # Cutoff radius of the polar oracle, in units of a0.
@@ -209,13 +217,14 @@ class TangentPair:
 class ExteriorConfig:
     """Controls for exterior integrals.
 
-    nodes_phi: periodic trapezoid nodes in the angular direction.
+    nodes_phi: directions of the polar oracle.  The tangent integrator does
+      not read it: it takes max(16, 2N + 1) phi1 nodes for a body of degree
+      N, the fewest on which its phi1 rule is exact (module docstring).
     nodes_delta: total Gauss points along the gap direction (16 per panel).
     Gaps below the fixed collar _DELTA_MIN = 1e-4 (delta -> 0) are
     excluded; their dropped mass is bounded and reported inside the error
-    bar.  The polar oracle uses nodes_phi directions and the cutoff radius
-    40*a0.  Node counts must lie in [16, 2^20] (ValueError, raised before
-    any allocation).
+    bar.  The polar oracle's cutoff radius is 40*a0.  Node counts must lie
+    in [16, 2^20] (ValueError, raised before any allocation).
     """
 
     nodes_phi: int = 256
@@ -361,16 +370,22 @@ def _delta_edges(panels: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _tangent_field(body: TrigSupport, cfg: ExteriorConfig):
+def _tangent_field(body: TrigSupport, nodes_delta: int):
     """Kernel-independent part of `exterior_integral`, cached for the last 8
-    (body, config) pairs as the polar field is: (gap nodes, Gauss weights, G at
-    the nodes, node count) for the fine and the coarse level, and G(_DELTA_MIN)."""
-    panels = max(4, cfg.nodes_delta // 16)
+    (body, nodes_delta) pairs: (gap nodes, Gauss weights, G at the nodes,
+    node count) for the fine and the coarse level, and G(_DELTA_MIN).
+
+    G's phi1 rule is exact on max(16, 2N + 1) nodes (module docstring), and
+    both levels and the collar row sample phi1 on that many; the coarse level
+    halves only the delta panels, so fine - coarse measures the delta rule.
+    """
+    nodes_phi = max(16, 2 * body.max_degree + 1)
+    panels = max(4, nodes_delta // 16)
     levels = []
-    for nodes_phi, n in ((cfg.nodes_phi, panels), (max(16, cfg.nodes_phi // 2), max(2, panels // 2))):
+    for n in (panels, max(2, panels // 2)):
         nodes, weights = gauss_panels(_delta_edges(n), points=16)
         levels.append((nodes, weights, _gap_mass(body, nodes, nodes_phi), nodes.size * nodes_phi))
-    return tuple(levels), float(_gap_mass(body, _DELTA_MIN, cfg.nodes_phi)[0])
+    return tuple(levels), float(_gap_mass(body, _DELTA_MIN, nodes_phi)[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -378,14 +393,16 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
 
     Composite Gauss panels in the gap direction (graded toward delta = pi,
     where the integrand has a removable limit) and a periodic trapezoid in
-    the angular direction.  The error bar combines a coarse/fine difference
-    with a bound on the mass dropped inside the near-boundary collar.  The
-    tangent field is kernel independent and cached per (body, config).
+    the angular direction on max(16, 2N + 1) nodes, exact for the degree-2N
+    phi1 integrand; config.nodes_phi is not read.  The error bar combines the
+    difference from a coarse level that halves only the delta panels with a
+    bound on the mass dropped inside the near-boundary collar.  The tangent
+    field is kernel independent and cached per (body, nodes_delta).
     """
     _require_validated(body)
     kernel.check_integrable()
     cfg = config or ExteriorConfig()
-    levels, collar_row = _tangent_field(body, cfg)
+    levels, collar_row = _tangent_field(body, cfg.nodes_delta)
     fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for x, w, mass, _ in levels)
     # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
     collar_err = _DELTA_MIN * abs(kernel(PI - _DELTA_MIN)) * collar_row

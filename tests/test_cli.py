@@ -214,6 +214,18 @@ def test_malformed_exterior_nodes_exit_2(capsys, argv, nodes):
     assert err
 
 
+def test_exterior_nodes_phi_leaves_verify_unchanged(capsys, tmp_path):
+    # the tangent integrator takes max(16, 2D + 1) phi nodes whatever NPHI is
+    body = pathlib.Path(__file__).parent / "golden" / "hd17.body.json"
+    outputs = []
+    for flags in ((), ("--exterior-nodes", "16,256"), ("--exterior-nodes", "512,256")):
+        out = tmp_path / f"{len(outputs)}.json"
+        code, text, _ = run(capsys, "verify", "--path", "both", "--body", str(body), "--out", str(out), *flags)
+        assert code == 0
+        outputs.append((text, out.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

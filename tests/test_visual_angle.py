@@ -471,8 +471,9 @@ class TestExteriorIntegral:
             exterior_integral(TrigSupport(1.0), crofton_kernel())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExteriorConfig(nodes_phi=4)
+        for nodes in ({"nodes_phi": 4}, {"nodes_phi": 0}, {"nodes_delta": 8}):
+            with pytest.raises(ValueError):
+                ExteriorConfig(**nodes)
         for nodes in ({"nodes_phi": 2**20 + 1}, {"nodes_delta": 2**20 + 1}):
             with pytest.raises(ValueError):
                 ExteriorConfig(**nodes)
@@ -627,6 +628,51 @@ def test_moment_kernels_within_tangent_bar(n):
         body = random_body(seed, 9, index=3)
         res = exterior_integral(body, moment_kernel(n))
         assert abs(res.value - spectral_integral(body, moment_kernel(n)).value) <= res.error_bar, seed
+
+
+_DEGREES = (8, 32, 128)
+
+
+@pytest.fixture(scope="module", params=_DEGREES)
+def degree_body(request):
+    return request.param, random_body(3, request.param, index=1)
+
+
+class TestDegreeExactGrid:
+    """The tangent field's phi1 rule: max(16, 2N + 1) nodes, exact for the
+    degree-2N integrand -u1*u2, whatever the config's nodes_phi."""
+
+    def test_fine_level_is_exact(self, degree_body):
+        n, body = degree_body
+        (gaps, _, fine, _), _ = _tangent_field(body, ExteriorConfig().nodes_delta)[0]
+        ref = _gap_mass(body, gaps, 8 * n + 1)
+        # 1e-14 relative; below delta = 0.05 each sample's round-off grows like
+        # u/delta (corners of nearly parallel lines) whatever the grid
+        assert np.all(np.abs(fine - ref) <= np.maximum(1e-14, 5e-16 / gaps) * np.abs(ref))
+        # on 2N nodes the trapezoid aliases: 1.4e-7 relative at N = 128
+        assert np.max(np.abs(_gap_mass(body, gaps, 2 * n) - ref) / np.abs(ref)) > 1e-9
+
+    @pytest.mark.parametrize("name", ["circle", "hd17"] + [f"random{n}" for n in _DEGREES])
+    def test_bar_is_honest(self, request, name):
+        # |tangent - closed form| / bar <= 1; at N = 128 the bar no longer
+        # carries an aliased coarse level, so it is within 10x of the error
+        # (about 0.45), except sin_cubed's: its collar term vanishes and the
+        # coarse level's 128 gaps under-resolve G there (err/bar 0.004)
+        if name.startswith("random"):
+            body = random_body(3, int(name[6:]), index=1)
+        else:
+            body = request.getfixturevalue(f"{name}_body")
+        for kernel_name, make in KERNELS.items():
+            res = exterior_integral(body, make())
+            ratio = abs(res.value - spectral_integral(body, make()).value) / res.error_bar
+            assert ratio <= 1.0, kernel_name
+            if body.max_degree == 128 and kernel_name != "sin_cubed":
+                assert ratio >= 0.1, kernel_name
+
+    @pytest.mark.parametrize("n", [0, 7, 8, 128])
+    def test_default_node_count(self, circle_body, n):
+        body = circle_body if n == 0 else random_body(3, n, index=1)
+        assert exterior_integral(body, crofton_kernel()).nodes == 256 * max(16, 2 * n + 1)
 
 
 class TestPolarOracle:
