@@ -365,17 +365,6 @@ def rigid_motion(body: TrigSupport, theta: float = 0.0, v: Sequence[float] = (0.
     return _bounded(TrigSupport(body.a0, hs, validated=body.validated))
 
 
-def derivative(body: TrigSupport) -> TrigSupport:
-    """Coefficients of p'; a generalized support, not a convex body."""
-    hs = tuple(Harmonic(h.n, h.n * h.b, -h.n * h.a) for h in body.harmonics)
-    return TrigSupport(0.0, hs)
-
-
-def evolute_support(body: TrigSupport) -> TrigSupport:
-    """Generalized support function of the evolute, p'(phi - pi/2)."""
-    return rigid_motion(derivative(body), theta=math.pi / 2.0)
-
-
 def wigner_support(body: TrigSupport) -> TrigSupport:
     """Generalized support of the Wigner caustic, (p(phi) - p(phi + pi)) / 2.
 

@@ -22,7 +22,7 @@ from . import bodies as B
 from . import jsonio
 from .errors import HurwitzLabError
 from .functionals import functionals_quadrature, functionals_spectral
-from .quadrature import TWO_PI, QuadratureGrid
+from .quadrature import TWO_PI
 from .render import CURVE_KINDS, Scene, Style, sample_curve, sample_hypocycloid, write_svg
 from .verdicts import THEOREMS, SuiteConfig, run_suite
 from .visual_angle import ExteriorConfig
@@ -106,25 +106,21 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _exterior_config(args) -> ExteriorConfig:
-    if not args.exterior_nodes:
+    if args.exterior_nodes is None:
         return ExteriorConfig()
-    parts = [int(p) for p in args.exterior_nodes.split(",")]
-    if len(parts) > 2:
-        raise HurwitzLabError(f"--exterior-nodes expects N or NPHI,NDELTA, got {args.exterior_nodes!r}")
-    return ExteriorConfig(nodes_phi=parts[0], nodes_delta=parts[-1])
+    return ExteriorConfig(nodes_delta=args.exterior_nodes)
 
 
 def cmd_report(args) -> int:
     body = _load_body(args)
-    grid = QuadratureGrid(args.nodes) if args.nodes is not None else None
     if args.path == "spectral":
         payload = functionals_spectral(body).to_dict()
     elif args.path in ("geometric", "quadrature"):
-        payload = functionals_quadrature(body, grid=grid).to_dict()
+        payload = functionals_quadrature(body).to_dict()
     else:
         payload = {
             "spectral": functionals_spectral(body).to_dict(),
-            "quadrature": functionals_quadrature(body, grid=grid).to_dict(),
+            "quadrature": functionals_quadrature(body).to_dict(),
         }
     _emit(jsonio.dumps(payload) + "\n", args.out)
     return 0
@@ -132,12 +128,7 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     body = _load_body(args)
-    cfg = SuiteConfig(
-        path=args.path,
-        tol=args.tol,
-        exterior=_exterior_config(args),
-        grid=QuadratureGrid(args.nodes) if args.nodes is not None else None,
-    )
+    cfg = SuiteConfig(path=args.path, tol=args.tol, exterior=_exterior_config(args))
     report = run_suite(body, cfg)
     header = f"{'theorem':<24} {'path':<10} {'lhs':>14} {'rhs':>14} {'residual':>12}  flags"
     print(header)
@@ -239,18 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit the functionals of one body as JSON")
     add_body_source(p)
     p.add_argument("--path", default="both", choices=["spectral", "geometric", "quadrature", "both"])
-    p.add_argument("--nodes", type=int, help="periodic quadrature node count (power of two)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="run all inequality verdicts on one body")
     add_body_source(p)
     p.add_argument("--path", default="spectral", choices=["spectral", "geometric", "both"])
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--exterior-nodes",
-                   help="N or NPHI,NDELTA for exterior integrals (a single N sets both). The tangent "
-                        "integrator reads only NDELTA: it takes max(16, 2D+1) phi nodes for a body of "
-                        "degree D, where its phi rule is exact; NPHI counts the polar oracle's directions")
+    p.add_argument("--exterior-nodes", type=int, metavar="NDELTA",
+                   help="gap nodes of the tangent-coordinate exterior integrator (default 256); its "
+                        "phi rule takes max(16, 2D+1) nodes for a body of degree D, where it is exact")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)
@@ -267,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--path", default="spectral", choices=["spectral", "both"])
-    p.add_argument("--exterior-nodes")
+    p.add_argument("--exterior-nodes", type=int, metavar="NDELTA")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

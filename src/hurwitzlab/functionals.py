@@ -2,8 +2,9 @@
 
 Every quantity is available both as a closed-form sum over the squared
 harmonic amplitudes c_n^2 (path "spectral") and as a periodic-quadrature
-integral over sampled integrands (path "quadrature").  The two paths share
-no code beyond body evaluation, so each serves as the other's oracle.
+integral over one sampling of p and its first three derivatives (path
+"quadrature").  The two paths share no code beyond body evaluation, so each
+serves as the other's oracle.
 
 Closed forms, with c_n^2 taken about the Steiner point where it matters:
 
@@ -18,8 +19,9 @@ Closed forms, with c_n^2 taken about the Steiner point where it matters:
     Wq   = pi * sum_{n>=2} (n^2-1) c_n^2                   (Wirtinger deficit of p - L/2pi)
 
 so Delta = 2*pi*Wq (to round-off on the quadrature path).  There Fe and Aw are
-full-period `generalized_area`s of the evolute's and the Wigner caustic's
-generalized supports.
+the full-period swept areas of the evolute's and the Wigner caustic's
+generalized supports, read off the body's own samples; `generalized_area`,
+the same area from a support's coefficients, is their test oracle.
 
 The Wigner area convention used throughout ("full-period swept area of the
 caustic's generalized support") makes Delta >= 4*pi*|Aw| an identity-backed
@@ -31,19 +33,11 @@ ones; see `verdicts` for how that residual is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bodies import (
-    TrigSupport,
-    _derivs,
-    _require_validated,
-    evolute_support,
-    recenter_to_steiner,
-    steiner_point,
-    wigner_support,
-)
+from .bodies import TrigSupport, _derivs, _require_validated, recenter_to_steiner, steiner_point
 from .quadrature import PI, TWO_PI, QuadratureGrid, grid_for_degree, periodic_integral
 
 
@@ -69,26 +63,14 @@ class FunctionalSet:
         return dict(self.cn_sq)
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "L": self.L,
-            "F": self.F,
-            "Delta": self.Delta,
-            "Fe": self.Fe,
-            "hurwitz_deficit": self.hurwitz_deficit,
-            "A": self.A,
-            "AmF": self.AmF,
-            "delta2_sq": self.delta2_sq,
-            "Aw": self.Aw,
-            "Wq": self.Wq,
-            "steiner": list(self.steiner),
-            "cn_sq": {str(n): v for n, v in self.cn_sq},
-        }
+        """The fields in order, path first, as JSON values."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"path": d.pop("path"), **d, "steiner": list(self.steiner),
+                "cn_sq": {str(n): v for n, v in self.cn_sq}}
 
-    FIELD_NAMES = (
-        "L", "F", "Delta", "Fe", "hurwitz_deficit", "A", "AmF",
-        "delta2_sq", "Aw", "Wq",
-    )
+
+# the scalar functionals, in field order
+FunctionalSet.FIELD_NAMES = tuple(f.name for f in fields(FunctionalSet) if f.type == "float")
 
 
 def _weighted_sum(body: TrigSupport, weight) -> float:
@@ -128,14 +110,18 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
 
 
 def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None) -> FunctionalSet:
-    """Periodic trapezoid quadrature on sampled integrands.
+    """Periodic trapezoid quadrature on the samples of one Horner pass.
 
     All integrands are trigonometric polynomials of degree <= 2N, so any
     grid with m >= 4N + 8 nodes integrates them exactly; agreement with
-    the spectral path is limited only by round-off.  p and p' come from one
-    Horner pass (`bodies._derivs`) that shares cos/sin of the grid angles
-    with the centred p and the Steiner point; the Fourier projections read
-    cos(n phi), sin(n phi) directly.
+    the spectral path is limited only by round-off.  One `bodies._derivs`
+    pass samples p, p', p'' and p''' and every integrand reads those
+    samples.  The evolute's support p'(phi - pi/2) is p' a quarter turn on,
+    and a full period does not see the shift: Fe = (1/2) int p'(p' + p''').
+    The Wigner support w = (p(phi) - p(phi + pi))/2 and w'' are the same
+    difference of p and p'', a half turn being an index shift of m/2.  The
+    Steiner-centred pc is p less its degree-one term, and one real FFT of
+    pc gives every c_n^2.
     """
     _require_validated(body)
     if grid is None:
@@ -147,27 +133,26 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
         )
     phis = grid.phis
     cs = np.cos(phis), np.sin(phis)
-    p, dp = _derivs(body, phis, (0, 1), cs)
-    centered = recenter_to_steiner(body)
-    (pc,) = _derivs(centered, phis, (0,), cs)
+    p, dp, ddp, dddp = _derivs(body, phis, (0, 1, 2, 3), cs)
+    a1, b1 = steiner_point(body)
+    pc = p - (a1 * cs[0] + b1 * cs[1])
+    w, ddw = (0.5 * (f - np.roll(f, grid.m // 2)) for f in (p, ddp))
 
     L = periodic_integral(p)
     F = 0.5 * periodic_integral(p * p - dp * dp)
     Delta = L * L - 4.0 * PI * F
-    Fe = generalized_area(evolute_support(body), grid=grid)
+    Fe = 0.5 * periodic_integral(dp * (dp + dddp))
     hurwitz_deficit = PI * abs(Fe) - Delta
     A = 0.5 * periodic_integral(pc * pc)
-    delta2_sq = periodic_integral((pc - centered.a0) ** 2)
-    Aw = generalized_area(wigner_support(body), grid=grid)
+    delta2_sq = periodic_integral((pc - body.a0) ** 2)
+    Aw = 0.5 * periodic_integral(w * (w + ddw))
     q = p - L / TWO_PI
     Wq = periodic_integral(dp * dp - q * q)
     sx = periodic_integral(p * cs[0]) / PI
     sy = periodic_integral(p * cs[1]) / PI
-    cn = []
-    for n in range(2, body.max_degree + 1):
-        an = periodic_integral(pc * np.cos(n * phis)) / PI
-        bn = periodic_integral(pc * np.sin(n * phis)) / PI
-        cn.append((n, an * an + bn * bn))
+    # (2/m) rfft(pc)[n] = a_n - i b_n, exact for n < m/2
+    coef = np.fft.rfft(pc)[2 : body.max_degree + 1] * (2.0 / grid.m)
+    cn = zip(range(2, body.max_degree + 1), (coef.real**2 + coef.imag**2).tolist())
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
         A=A, AmF=A - F, delta2_sq=delta2_sq, Aw=Aw, Wq=Wq,

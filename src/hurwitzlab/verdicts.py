@@ -16,14 +16,14 @@ form follows from the kernel's coefficients, or by `exterior_integral`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable
 
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
-from .quadrature import PI, QuadratureGrid
+from .quadrature import PI
 from .visual_angle import KERNELS, ExteriorConfig, exterior_integral, spectral_integral
 
 
@@ -159,17 +159,7 @@ class Verdict:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id.value,
-            "applicable": self.applicable,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "equality": self.equality,
-            "path": self.path,
-            "error_bar": self.error_bar,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "id": self.id.value}
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,7 @@ def _verdicts(body: TrigSupport, theorems, path: str, cfg: SuiteConfig) -> tuple
     if path not in ("spectral", "geometric"):
         raise ValueError(f"path must be 'spectral' or 'geometric', got {path!r}")
     cw, _ = is_constant_width(body)
-    fs = functionals_spectral(body) if path == "spectral" else functionals_quadrature(body, grid=cfg.grid)
+    fs = functionals_spectral(body) if path == "spectral" else functionals_quadrature(body)
     scale = max(fs.L * fs.L, PI * abs(fs.Fe))
     integrals = {None: (None, 0.0)}  # name -> (value, error bar)
     out = []
@@ -269,7 +259,6 @@ def verify(
     path: str = "spectral",
     tol: float = 1e-9,
     config: ExteriorConfig | None = None,
-    grid: QuadratureGrid | None = None,
 ) -> Verdict:
     """Evaluate one inequality on a validated body: the one-theorem case of
     the evaluator `run_suite` uses, with bit-identical results.
@@ -281,7 +270,7 @@ def verify(
     (geometric runs widen the tolerance to three error bars).  tol must be
     finite and nonnegative (ValueError), as in SuiteConfig.
     """
-    cfg = SuiteConfig(tol=tol, exterior=config or ExteriorConfig(), grid=grid)
+    cfg = SuiteConfig(tol=tol, exterior=config or ExteriorConfig())
     return _verdicts(body, (TheoremId(theorem),), path, cfg)[1][0]
 
 
@@ -290,7 +279,6 @@ class SuiteConfig:
     path: str = "spectral"  # spectral | geometric | both
     tol: float = 1e-9
     exterior: ExteriorConfig = field(default_factory=ExteriorConfig)
-    grid: QuadratureGrid | None = None
 
     def __post_init__(self):
         if self.path not in ("spectral", "geometric", "both"):

@@ -18,7 +18,10 @@ PI = math.pi
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -214,28 +217,27 @@ def test_malformed_exterior_nodes_exit_2(capsys, argv, nodes):
     assert err
 
 
-def test_exterior_nodes_phi_leaves_verify_unchanged(capsys, tmp_path):
-    # the tangent integrator takes max(16, 2D + 1) phi nodes whatever NPHI is
+def test_exterior_nodes_is_one_gap_count(capsys, tmp_path):
+    # --exterior-nodes sets only the gap count NDELTA, default 256 (the
+    # NPHI,NDELTA form is a removed option, see test_surface)
     body = pathlib.Path(__file__).parent / "golden" / "hd17.body.json"
     outputs = []
-    for flags in ((), ("--exterior-nodes", "16,256"), ("--exterior-nodes", "512,256")):
+    for flags in ((), ("--exterior-nodes", "256"), ("--exterior-nodes", "64")):
         out = tmp_path / f"{len(outputs)}.json"
         code, text, _ = run(capsys, "verify", "--path", "both", "--body", str(body), "--out", str(out), *flags)
         assert code == 0
         outputs.append((text, out.read_bytes()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] != outputs[2]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("report", "--spec", "astroid:1,0.2", "--nodes", "0"),
-        ("verify", "--spec", "astroid:1,0.2", "--nodes", "0"),
         ("report", "--spec", "random:1,3,bogus"),
         ("report", "--spec", "random:1,3,cw,7"),
     ],
 )
-def test_malformed_nodes_or_random_spec_exit_2(capsys, argv):
+def test_malformed_random_spec_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -245,10 +247,9 @@ def test_malformed_nodes_or_random_spec_exit_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (("report", "--spec", "astroid:1,0.2", "--nodes", "1099511627776"), "node count"),
-        (("verify", "--spec", "astroid:1,0.2", "--nodes", "2097152"), "node count"),
+        (("verify", "--spec", "astroid:1,0.2", "--exterior-nodes", "2097152"), "node counts"),
         (("verify", "--path", "both", "--spec", "astroid:1,0.2", "--exterior-nodes", "100000000000"), "node counts"),
-        (("verify", "--path", "both", "--spec", "astroid:1,0.2", "--exterior-nodes", "64,100000000000"), "node counts"),
+        (("sweep", "--count", "1", "--path", "both", "--exterior-nodes", "2097152"), "node counts"),
     ],
 )
 def test_node_counts_above_2_20_exit_2(capsys, argv, option):

@@ -14,8 +14,10 @@ from hurwitzlab import (
     functionals_spectral,
     generalized_area,
     offset,
+    rigid_motion,
 )
-from hurwitzlab.bodies import evolute_support
+from hurwitzlab import functionals
+from hurwitzlab.bodies import wigner_support
 from hurwitzlab.errors import NotValidated
 from hurwitzlab.quadrature import grid_for_degree, periodic_integral
 
@@ -24,6 +26,13 @@ from .test_bodies import convex_bodies
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 PATHS = {"spectral": functionals_spectral, "quadrature": functionals_quadrature}
+
+
+def evolute_support(body):
+    """The evolute's generalized support p'(phi - pi/2), from the coefficients
+    of p' = sum n (b_n cos(n phi) - a_n sin(n phi)) turned a quarter turn."""
+    derivative = TrigSupport(0.0, tuple(Harmonic(h.n, h.n * h.b, -h.n * h.a) for h in body.harmonics))
+    return rigid_motion(derivative, theta=PI / 2.0)
 
 
 class TestSpectralFixtures:
@@ -126,6 +135,36 @@ class TestQuadratureAgreement:
         assert fq.steiner == pytest.approx(fs.steiner, abs=1e-12)
         for (n1, v1), (n2, v2) in zip(fs.cn_sq, fq.cn_sq):
             assert n1 == n2 and v1 == pytest.approx(v2, rel=1e-10, abs=1e-14)
+
+
+class TestOnePass:
+    def test_one_horner_pass_and_no_other_body(self, monkeypatch):
+        # every integrand reads the samples of one _derivs call, and no
+        # evolute, Wigner or centred TrigSupport is built
+        from hurwitzlab import random_body
+
+        body = random_body(3, 64, index=1)
+        calls, built = [], []
+        derivs, post_init = functionals._derivs, TrigSupport.__post_init__
+        monkeypatch.setattr(functionals, "_derivs", lambda *a, **k: calls.append(a[2]) or derivs(*a, **k))
+        monkeypatch.setattr(TrigSupport, "__post_init__", lambda self: built.append(self) or post_init(self))
+        fq = functionals_quadrature(body)
+        monkeypatch.undo()
+        assert calls == [(0, 1, 2, 3)] and built == []
+        assert len(fq.cn_sq) == 63
+
+    @given(convex_bodies(max_degree=12))
+    @settings(max_examples=30, deadline=None)
+    def test_fe_aw_against_generalized_area(self, body):
+        # on the smallest exact power-of-two grid (m >= 4N + 8) and on 4x it,
+        # Fe and Aw are the swept areas of the evolute's and the Wigner
+        # caustic's supports, built here from the coefficients
+        m = max(16, 1 << (4 * body.max_degree + 7).bit_length())
+        for grid in (QuadratureGrid(m), QuadratureGrid(4 * m)):
+            fq = functionals_quadrature(body, grid)
+            scale = max(fq.L**2, PI * abs(fq.Fe))
+            assert abs(fq.Fe - generalized_area(evolute_support(body), grid)) <= 1e-13 * scale
+            assert abs(fq.Aw - generalized_area(wigner_support(body), grid)) <= 1e-13 * scale
 
 
 class TestGeneralizedArea:

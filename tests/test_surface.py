@@ -22,8 +22,10 @@ ORACLES = {
     "eval_support",  # p and its derivatives at given angles
     "expected_equality",  # the paper's equality cases from the harmonic support
     "exterior_point",  # one corner of the tangent-coordinate parametrization
+    "generalized_area",  # swept area of a support, against the quadrature Fe and Aw
     "minkowski_sum",  # the equality bodies' Minkowski sums
     "moment_kernel",  # the moment kernels of the closed-form integrals
+    "rigid_motion",  # rotations and translations: the invariances, and the evolute's support
     "shoelace_area",  # polygon area, independent of both functional paths
     "verify",  # one theorem on one body
 }
@@ -61,15 +63,29 @@ def test_every_export_has_a_caller():
     assert sorted(exported - _callers() - ORACLES - MEASURED) == []
 
 
+VERIFY, SWEEP = ["verify", "--spec", "circle:1"], ["sweep", "--count", "1"]
+
+
 @pytest.mark.parametrize(
-    "argv", [["verify", "--spec", "circle:1"], ["sweep", "--count", "1"]], ids=["verify", "sweep"]
+    "argv, option",
+    [
+        (VERIFY, ["--collar", "1e-3"]),
+        (SWEEP, ["--collar", "1e-3"]),
+        (["report", "--spec", "circle:1"], ["--nodes", "64"]),
+        (VERIFY, ["--nodes", "64"]),
+        (VERIFY, ["--exterior-nodes", "96,256"]),
+        (SWEEP, ["--exterior-nodes", "96,256"]),
+    ],
+    ids=["collar-verify", "collar-sweep", "nodes-report", "nodes-verify",
+         "exterior-nodes-pair-verify", "exterior-nodes-pair-sweep"],
 )
-def test_collar_flag_is_gone(capsys, argv):
-    # the near-boundary collar is a fixed 1e-4; the same commands without the
-    # flag succeed
+def test_removed_option_exits_2(capsys, argv, option):
+    # the near-boundary collar is a fixed 1e-4, the quadrature grid follows
+    # the degree and the CLI sets no polar-oracle direction count; the same
+    # commands without the option succeed
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--collar", "1e-3"])
+        main([*argv, *option])
     out = capsys.readouterr()
     assert exc.value.code == 2
-    assert out.out == "" and "--collar" in out.err
+    assert out.out == "" and option[0] in out.err
     assert main(argv) == 0
