@@ -48,10 +48,10 @@ from .quadrature import MAX_NODES, TWO_PI
 _CERT_MARGIN = 1e-15
 # Largest accepted magnitude a0 + sum n^2 |c_n| of a body (see validate_convex).
 _MAX_MAGNITUDE = 1e100
+# Smallest accepted mean term a0, the mirror of _MAX_MAGNITUDE (see validate_convex).
+_MIN_MEAN = 1e-100
 # Largest harmonic degree: grid_for_degree needs 4N + 8 <= MAX_NODES nodes.
 _MAX_DEGREE = (MAX_NODES - 8) // 4
-# Entries per basis table in the curvature-minimum search.
-_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -198,53 +198,39 @@ def _polish_roots(f, x, neg, pos, tol, active):
 def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     """Global minimum of the curvature radius rho = p + p'' and its angle.
 
-    rho has the coefficients (1 - n^2)(a_n, b_n), so on any set of angles
-    rho, rho' and rho'' are one product of the basis table
-    [cos(n phi) | sin(n phi)] (an outer(phi, n) product) with a coefficient
-    matrix.  Dense sampling at 16*max(N,4) points finds the local-minimum
-    candidates, and `_polish_roots` finds the roots of rho' in all
-    bracketed candidates at once, down to |rho'| <= 1e-12 * scale; the
-    table of its last step gives the final rho values.
+    Everything is read off the one spectrum of rho = a0 + Re sum_n r_n e^{in phi},
+    r_n = (1 - n^2)(a_n - i b_n).  On the 16*max(N,4) grid angles rho is one
+    inverse real FFT of r_n / 2; every n lies below half the grid, and the
+    "forward" norm never scales the spectrum by the grid size, so it cannot
+    overflow before the values do.  The grid's local minima at which rho'
+    changes sign between x - h and x + h are the candidates, and
+    `_polish_roots` finds the roots of rho' in all of them at once, down to
+    |rho'| <= 1e-12 * scale; there rho, rho' and rho'' are the real part of
+    one product of e^{i n x} with the columns (in)^k r_n, k = 0, 1, 2.  A
+    spectrum past the float range gives NaN or -inf, never a false minimum.
     """
     if not body.harmonics:
         return body.a0, 0.0
-    n = np.array([h.n for h in body.harmonics], dtype=float)
-    a = np.array([h.a for h in body.harmonics])
-    b = np.array([h.b for h in body.harmonics])
-    w = 1.0 - n * n
-    # columns: rho - a0, rho', rho'' on the basis [cos(n phi) | sin(n phi)]
-    coef = np.stack(
-        [
-            np.concatenate([w * a, w * b]),
-            np.concatenate([n * w * b, -n * w * a]),
-            np.concatenate([-n * n * w * a, -n * n * w * b]),
-        ],
-        axis=1,
-    )
-
-    def terms(x):
-        arg = np.outer(x, n)
-        return np.hstack([np.cos(arg), np.sin(arg)]) @ coef
-
+    n = np.array([h.n for h in body.harmonics])
+    r = (1 - n * n) * np.array([complex(h.a, -h.b) for h in body.harmonics])
+    coef = np.stack([r, 1j * n * r, -(n * n) * r], axis=1)
     n_grid = 16 * max(body.max_degree, 4)
+    spec = np.zeros(n_grid // 2 + 1, dtype=complex)
+    spec[n] = 0.5 * r
+    rho = body.a0 + np.fft.irfft(spec, n_grid, norm="forward")
     phis = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    # grid blocks keep each basis table near _TABLE_ENTRIES entries at high degree
-    blocks = -(-n_grid * n.size // _TABLE_ENTRIES)
-    rho = body.a0 + np.concatenate([terms(x)[:, 0] for x in np.array_split(phis, blocks)])
     scale = max(abs(body.a0), *(max(abs(h.a), abs(h.b)) for h in body.harmonics), 1e-300)
 
-    x = phis[(rho <= np.roll(rho, 1)) & (rho <= np.roll(rho, -1))]
+    def slope(x):
+        vals, d1, d2 = (np.exp(1j * np.outer(x, n)) @ coef).real.T
+        return d1, d2, body.a0 + vals
+
+    x = phis[~((rho > np.roll(rho, 1)) | (rho > np.roll(rho, -1)))]  # NaN samples stay candidates
     h = TWO_PI / n_grid
     lo, hi = x - h, x + h
-    ends = terms(np.concatenate([lo, hi]))[:, 1]
+    ends = slope(np.concatenate([lo, hi]))[0]
     active = (ends[: x.size] <= 0.0) & (0.0 <= ends[x.size :])
-
-    def slope(x):
-        t = terms(x)
-        return t[:, 1], t[:, 2], t[:, 0]
-
-    x, (_, _, rho) = _polish_roots(slope, x, lo, hi, 1e-12 * scale, active)
-    vals = body.a0 + rho
+    x, (_, _, vals) = _polish_roots(slope, x, lo, hi, 1e-12 * scale, active)
     best = int(np.argmin(vals))
     return float(vals[best]), float(x[best] % TWO_PI)
 
@@ -261,13 +247,17 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     _MAX_MAGNITUDE = 1e100 raises BadSpec: every functional and integral
     is quadratic in p, so M <= 1e100 keeps it below 1e200 times its largest
     factor (about 1e13, the tangent-coordinate area element at the last gap
-    node), far inside the float range.
+    node), far inside the float range.  The mirror bound: a0 below
+    _MIN_MEAN = 1e-100 raises BadSpec, since a0 >= 1e-100 keeps a0^2 >=
+    1e-200, above the underflow of every quadratic functional.
 
     The certificate decides first: rho(phi) >= slack = a0 - sum_{n>=2}
     (n^2 - 1)|c_n| for every phi, so slack >= eps proves strict convexity.
     It must clear eps by _CERT_MARGIN * a0, a few ulps of a0 that cover the
     round-off of slack, so it never certifies a body whose true rho_min
-    sits at eps.  Only when it fails does `min_curvature_radius` search.
+    sits at eps.  Only when it fails does `min_curvature_radius` search,
+    and only a minimum that is at least eps certifies: a spectrum past the
+    float range gives a NaN minimum, which never does.
     """
     coeffs = [body.a0] + [c for h in body.harmonics for c in (h.a, h.b)]
     if not all(math.isfinite(c) for c in coeffs):
@@ -276,6 +266,8 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         raise BadSpec(f"harmonic degree {body.max_degree} exceeds {_MAX_DEGREE}")
     if body.a0 <= 0.0:
         raise NonpositiveMean(f"mean term a0={body.a0:.6g} must be positive")
+    if body.a0 < _MIN_MEAN:
+        raise BadSpec(f"mean term a0={body.a0:.3g} is below {_MIN_MEAN:.0e}")
     if eps is None:
         eps = 1e-9 * body.a0
     if not eps > 0.0:
@@ -286,7 +278,7 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         slack = -math.inf
     if slack < eps + _CERT_MARGIN * body.a0:
         rho_min, phi_at = min_curvature_radius(body)
-        if rho_min < eps:
+        if not rho_min >= eps:
             raise NotStrictlyConvex(rho_min, phi_at)
     return _bounded(replace(body, validated=True))
 

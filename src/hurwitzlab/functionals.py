@@ -120,8 +120,10 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     and a full period does not see the shift: Fe = (1/2) int p'(p' + p''').
     The Wigner support w = (p(phi) - p(phi + pi))/2 and w'' are the same
     difference of p and p'', a half turn being an index shift of m/2.  The
-    Steiner-centred pc is p less its degree-one term, and one real FFT of
-    pc gives every c_n^2.
+    samples are those of the Steiner-centred body, so no integrand squares
+    the translation (its round-off would grow like u*|v|^2); the Steiner
+    point is (a1, b1) plus the centred moments, and one real FFT of p gives
+    every c_n^2.
     """
     _require_validated(body)
     if grid is None:
@@ -133,9 +135,8 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
         )
     phis = grid.phis
     cs = np.cos(phis), np.sin(phis)
-    p, dp, ddp, dddp = _derivs(body, phis, (0, 1, 2, 3), cs)
+    p, dp, ddp, dddp = _derivs(recenter_to_steiner(body), phis, (0, 1, 2, 3), cs)
     a1, b1 = steiner_point(body)
-    pc = p - (a1 * cs[0] + b1 * cs[1])
     w, ddw = (0.5 * (f - np.roll(f, grid.m // 2)) for f in (p, ddp))
 
     L = periodic_integral(p)
@@ -143,15 +144,15 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     Delta = L * L - 4.0 * PI * F
     Fe = 0.5 * periodic_integral(dp * (dp + dddp))
     hurwitz_deficit = PI * abs(Fe) - Delta
-    A = 0.5 * periodic_integral(pc * pc)
-    delta2_sq = periodic_integral((pc - body.a0) ** 2)
+    A = 0.5 * periodic_integral(p * p)
+    delta2_sq = periodic_integral((p - body.a0) ** 2)
     Aw = 0.5 * periodic_integral(w * (w + ddw))
     q = p - L / TWO_PI
     Wq = periodic_integral(dp * dp - q * q)
-    sx = periodic_integral(p * cs[0]) / PI
-    sy = periodic_integral(p * cs[1]) / PI
-    # (2/m) rfft(pc)[n] = a_n - i b_n, exact for n < m/2
-    coef = np.fft.rfft(pc)[2 : body.max_degree + 1] * (2.0 / grid.m)
+    sx = a1 + periodic_integral(p * cs[0]) / PI
+    sy = b1 + periodic_integral(p * cs[1]) / PI
+    # (2/m) rfft(p)[n] = a_n - i b_n, exact for n < m/2
+    coef = np.fft.rfft(p)[2 : body.max_degree + 1] * (2.0 / grid.m)
     cn = zip(range(2, body.max_degree + 1), (coef.real**2 + coef.imag**2).tolist())
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,

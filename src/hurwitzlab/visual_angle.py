@@ -378,7 +378,11 @@ def _tangent_field(body: TrigSupport, nodes_delta: int):
     G's phi1 rule is exact on max(16, 2N + 1) nodes (module docstring), and
     both levels and the collar row sample phi1 on that many; the coarse level
     halves only the delta panels, so fine - coarse measures the delta rule.
+    G is translation invariant, and the corners are solved on the
+    Steiner-centred body, where their round-off does not grow with the
+    translation.
     """
+    body = recenter_to_steiner(body)
     nodes_phi = max(16, 2 * body.max_degree + 1)
     panels = max(4, nodes_delta // 16)
     levels = []

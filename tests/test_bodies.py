@@ -84,6 +84,21 @@ def _reference_rho_min(body):
     return best
 
 
+def _companion_rho_min(body):
+    """min rho over the arguments of the roots of z^N rho'(z), found by
+    np.roots (the eigenvalues of the companion matrix): an oracle for the
+    search that shares neither its grid nor its polish.  On |z| = 1,
+    rho' = (1/2) sum_n (q_n z^n + conj(q_n) z^-n) with q_n = in(1 - n^2)(a_n - i b_n);
+    the arguments of roots off the unit circle only add angles to the minimum."""
+    degree = body.max_degree
+    coeffs = np.zeros(2 * degree + 1, dtype=complex)  # coeffs[k] multiplies z^k
+    for h in body.harmonics:
+        q = 0.5j * h.n * (1 - h.n**2) * complex(h.a, -h.b)
+        coeffs[degree + h.n] += q
+        coeffs[degree - h.n] += q.conjugate()
+    return float(np.min(_rho(body, np.angle(np.roots(coeffs[::-1])))))
+
+
 # strategy for bodies near the convexity boundary, where the certificate
 # fails and validation needs the curvature search: |c_n| ~ n^-2 up to
 # degree 8-64, with a0 set so that rho_min / a0 lies in [1e-3, 0.1]
@@ -239,6 +254,24 @@ class TestMinCurvature:
         assert abs(rho - _reference_rho_min(body)) <= 1e-10 * body.a0
         assert abs(_rho(body, phi) - rho) <= 1e-10 * body.a0
 
+    @given(near_convex_bodies())
+    @settings(max_examples=15, deadline=None)
+    def test_near_convex_matches_companion_oracle(self, body):
+        assert abs(min_curvature_radius(body)[0] - _companion_rho_min(body)) <= 1e-12 * body.a0
+
+    @pytest.mark.parametrize("share", [0.999, 1.0 - 1e-9, 1.0, 1.001])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+    def test_amplitude_edge_matches_companion_oracle(self, k, share):
+        # the parallels a0 + amp cos(k phi) (or sin) with (k^2 - 1)|amp| at and
+        # about a0, where rho_min = a0 - (k^2 - 1)|amp| crosses zero
+        a0 = 1.5
+        amp = share * a0 / (k * k - 1)
+        for h in (Harmonic(k, amp, 0.0), Harmonic(k, -amp, 0.0), Harmonic(k, 0.0, amp), Harmonic(k, 0.0, -amp)):
+            body = TrigSupport(a0, (h,))
+            rho, _ = min_curvature_radius(body)
+            assert abs(rho - _companion_rho_min(body)) <= 1e-12 * a0
+            assert rho == pytest.approx((1.0 - share) * a0, abs=1e-14 * a0)
+
 
 class TestCertificate:
     def test_search_skipped_unless_certificate_fails(
@@ -276,11 +309,18 @@ class TestCertificate:
         phis = np.linspace(0, TWO_PI, 4096, endpoint=False)
         assert np.min(_rho(body, phis)) >= eps
 
-    def test_certificate_overflow_falls_back_to_search(self):
-        # the weighted amplitudes sum past the float range
-        body = TrigSupport(1.0, (Harmonic(2, 5e307, 0.0), Harmonic(3, 1.9e307, 0.0)))
-        with np.errstate(all="ignore"), pytest.raises(NotStrictlyConvex):
-            validate_convex(body)
+    @pytest.mark.parametrize(
+        "hs", [((2, 5e307, 0.0), (3, 1.9e307, 0.0)), ((2, 1e308, 0.0),), ((2, 1e308, 1e308), (40, 1e305, 0.0))]
+    )
+    def test_certificate_overflow_falls_back_to_search(self, hs):
+        # the weighted amplitudes sum past the float range, and so do the
+        # search's grid values or its spectrum itself (1e308 * (1 - n^2) is
+        # inf): its minimum is NaN or -inf, and neither certifies
+        body = TrigSupport(1.0, tuple(Harmonic(*h) for h in hs))
+        with np.errstate(all="ignore"):
+            assert not min_curvature_radius(body)[0] >= 0.0
+            with pytest.raises(NotStrictlyConvex):
+                validate_convex(body)
 
     def test_exact_boundary_astroid_rejected(self):
         with pytest.raises(NotStrictlyConvex):
@@ -315,6 +355,13 @@ class TestValidate:
         # the degree-1 term leaves rho alone but enters every |p|^2
         with pytest.raises(BadSpec, match="magnitude"):
             validate_convex(TrigSupport(1.0, (Harmonic(1, 1e101, 0.0),)))
+
+    def test_mean_bound(self):
+        # the mirror of the magnitude bound: a0 >= 1e-100 keeps a0^2 clear of underflow
+        assert validate_convex(TrigSupport(1e-100, (Harmonic(2, 0.0, 2e-101),))).validated
+        for a0 in (9.9e-101, 1e-200, 5e-324):
+            with pytest.raises(BadSpec, match="below"):
+                validate_convex(TrigSupport(a0, (Harmonic(2, 0.0, 0.2 * a0),)))
 
     def test_degree_bound(self):
         # 262142 = (MAX_NODES - 8) // 4 is the largest degree grid_for_degree

@@ -361,6 +361,74 @@ def test_body_below_magnitude_bound_stays_finite(capsys, tmp_path):
             assert all(math.isfinite(v[k]) for k in ("lhs", "rhs", "residual", "error_bar"))
 
 
+@pytest.mark.parametrize("a0", ["1e-160", "1e-200", "1e-320"])
+def test_body_below_smallest_mean_exit_2(capsys, tmp_path, a0):
+    # below a0 ~ 1e-155 the quadratic functionals underflow: these astroid
+    # parallels used to FAIL (1e-160), pass as disks with a strict Wigner
+    # row at equality (1e-200) or die on eps = 1e-9 * a0 = 0 (1e-320)
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"a0": float(a0), "harmonics": [{"n": 2, "a": 0.0, "b": 0.2 * float(a0)}]}))
+    code, out, err = run(capsys, "verify", "--path", "both", "--body", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("BadSpec") and "1e-100" in err
+
+
+def test_smallest_mean_keeps_unit_flags(capsys, tmp_path):
+    reports = []
+    for a0 in (1.0, 1e-100):
+        path, out = tmp_path / f"{a0}.body.json", tmp_path / f"{a0}.verify.json"
+        path.write_text(json.dumps({"a0": a0, "harmonics": [{"n": 2, "a": 0.0, "b": 0.2 * a0}]}))
+        code, _, _ = run(capsys, "verify", "--path", "both", "--body", str(path), "--out", str(out))
+        assert code == 0
+        report = json.loads(out.read_text())
+        rows = [(v["id"], v["path"], v["applicable"], v["equality"]) for v in report["verdicts"]]
+        reports.append((rows, report["equality_class"], report["pass"]))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("report", "--spec", "circle:abc"), "bad number"),
+        (("render", "--kind", "curve", "--spec", "hypocycloid:2.5,1"), "integer or m/n"),
+        (("report", "--body", "F", "--spec", "S"), "exactly one"),
+        (("verify", "--spec", "hypocycloid:5/2,1"), "curve spec"),
+        (("render", "--kind", ",", "--spec", "circle:1"), "at least one"),
+        (("render", "--kind", "curve", "--spec", "circle:1"), "needs --spec hypocycloid"),
+        (("render", "--kind", "curve,boundary", "--spec", "circle:1"), "cannot be mixed"),
+    ],
+)
+def test_rejected_command_lines_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("HurwitzLabError: ") and message in err
+
+
+def test_integer_hypocycloid_curve(capsys, tmp_path):
+    out = tmp_path / "curve.svg"
+    code, _, _ = run(capsys, "render", "--kind", "curve", "--spec", "hypocycloid:5,1", "--out", str(out))
+    assert code == 0
+    assert b"<polygon" in out.read_bytes()
+
+
+@pytest.mark.parametrize("path", ["quadrature", "geometric"])
+def test_report_single_geometric_path_is_member_of_both(capsys, path):
+    _, both, _ = run(capsys, "report", "--spec", "random:2,9")
+    code, single, _ = run(capsys, "report", "--spec", "random:2,9", "--path", path)
+    assert code == 0
+    assert json.loads(single) == json.loads(both)["quadrature"]
+
+
+def test_render_to_stdout_matches_out_file(capsysbinary, tmp_path):
+    argv = ["render", "--spec", "deltoid:1,0.1", "--kind", "boundary,evolute"]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "fig.svg")]) == 0
+    assert stdout == (tmp_path / "fig.svg").read_bytes()
+
+
 def test_cli_imports_numpy_only():
     # a fresh interpreter: which top-level packages do `import hurwitzlab.cli`
     # and a run of `verify --path both` and `report` load?  A lazy import of a

@@ -138,19 +138,19 @@ class TestQuadratureAgreement:
 
 
 class TestOnePass:
-    def test_one_horner_pass_and_no_other_body(self, monkeypatch):
-        # every integrand reads the samples of one _derivs call, and no
-        # evolute, Wigner or centred TrigSupport is built
+    def test_one_horner_pass_on_the_centred_body(self, monkeypatch):
+        # every integrand reads the samples of one _derivs call, made on a
+        # body with no degree-one harmonic (the Steiner-centred one)
         from hurwitzlab import random_body
 
         body = random_body(3, 64, index=1)
-        calls, built = [], []
-        derivs, post_init = functionals._derivs, TrigSupport.__post_init__
-        monkeypatch.setattr(functionals, "_derivs", lambda *a, **k: calls.append(a[2]) or derivs(*a, **k))
-        monkeypatch.setattr(TrigSupport, "__post_init__", lambda self: built.append(self) or post_init(self))
+        calls = []
+        derivs = functionals._derivs
+        monkeypatch.setattr(functionals, "_derivs", lambda *a, **k: calls.append(a[::2]) or derivs(*a, **k))
         fq = functionals_quadrature(body)
         monkeypatch.undo()
-        assert calls == [(0, 1, 2, 3)] and built == []
+        assert [orders for _, orders in calls] == [(0, 1, 2, 3)]
+        assert body.harmonic(1).c_sq > 0.0 and calls[0][0].harmonic(1).c_sq == 0.0
         assert len(fq.cn_sq) == 63
 
     @given(convex_bodies(max_degree=12))

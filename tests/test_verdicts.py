@@ -1,23 +1,30 @@
 import dataclasses
+import json
 import math
 from collections import Counter
 
 import pytest
 
 from hurwitzlab import (
+    FunctionalSet,
     SuiteConfig,
     TheoremId,
+    body_to_dict,
     classify_equality,
     expected_equality,
+    exterior_integral,
+    functionals_quadrature,
     functionals_spectral,
     is_constant_width,
     minkowski_sum,
     random_body,
     rigid_motion,
     run_suite,
+    spectral_integral,
     verify,
 )
 from hurwitzlab import verdicts
+from hurwitzlab.cli import main
 from hurwitzlab.errors import NotValidated
 from hurwitzlab.verdicts import THEOREMS, Verdict
 from hurwitzlab.visual_angle import KERNELS
@@ -256,6 +263,35 @@ class TestInvariants:
                 if v0.applicable:
                     scale = max(abs(v0.lhs), abs(v0.rhs), 1e-6)
                     assert abs(v0.residual - v1.residual) <= 1e-10 * scale
+
+
+def _verify_flags(body, tmp_path, name):
+    """(exit code, [(id, path, applicable, equality)]) of `verify --path both`."""
+    body_file, out = tmp_path / f"{name}.body.json", tmp_path / f"{name}.verify.json"
+    body_file.write_text(json.dumps(body_to_dict(body)))
+    code = main(["verify", "--path", "both", "--body", str(body_file), "--out", str(out)])
+    rows = json.loads(out.read_text())["verdicts"]
+    return code, [(v["id"], v["path"], v["applicable"], v["equality"]) for v in rows]
+
+
+class TestTranslation:
+    """The geometric path works in the Steiner frame: moving a body by v
+    changes none of its numbers beyond round-off of the unmoved body, where
+    sampling the moved support would lose u*|v|^2."""
+
+    @pytest.mark.parametrize("v", [1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("name", ["circle", "ast", "delt", "cw35", "mix", "hd17"])
+    def test_moved_body_keeps_its_numbers(self, request, tmp_path, name, v):
+        body = request.getfixturevalue(f"{name}_body")
+        moved = rigid_motion(body, 0.0, (0.6 * v, -0.8 * v))
+        fs, fq = functionals_spectral(moved), functionals_quadrature(moved)
+        scale = max(fs.L * fs.L, PI * abs(fs.Fe))
+        for key in FunctionalSet.FIELD_NAMES:
+            assert abs(getattr(fq, key) - getattr(fs, key)) <= 1e-14 * scale, key
+        for kernel in KERNELS.values():
+            tangent = exterior_integral(moved, kernel())
+            assert abs(tangent.value - spectral_integral(moved, kernel()).value) <= tangent.error_bar
+        assert _verify_flags(moved, tmp_path, "moved") == _verify_flags(body, tmp_path, "body")
 
 
 class TestTheoremTable:
