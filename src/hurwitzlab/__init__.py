@@ -27,7 +27,7 @@ from .functionals import (
     functionals_spectral,
     generalized_area,
 )
-from .quadrature import QuadratureGrid, grid_for_degree, periodic_integral
+from .quadrature import grid_for_degree, periodic_integral
 from .render import (
     Polyline,
     Scene,

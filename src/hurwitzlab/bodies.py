@@ -30,6 +30,7 @@ rotation by theta maps p to p(phi - theta).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -205,9 +206,12 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     overflow before the values do.  The grid's local minima at which rho'
     changes sign between x - h and x + h are the candidates, and
     `_polish_roots` finds the roots of rho' in all of them at once, down to
-    |rho'| <= 1e-12 * scale; there rho, rho' and rho'' are the real part of
-    one product of e^{i n x} with the columns (in)^k r_n, k = 0, 1, 2.  A
-    spectrum past the float range gives NaN or -inf, never a false minimum.
+    |rho'| <= 1e-12 * scale or, at high degree, the round-off bound
+    u * sum_n n|r_n|(1 + 2 pi n) of rho' itself (the phase n*x of each term
+    is off by up to u*2*pi*n), below which Newton only stalls; there rho,
+    rho' and rho'' are the real part of one product of e^{i n x} with the
+    columns (in)^k r_n, k = 0, 1, 2.  A spectrum past the float range gives
+    NaN or -inf, never a false minimum.
     """
     if not body.harmonics:
         return body.a0, 0.0
@@ -230,7 +234,8 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     lo, hi = x - h, x + h
     ends = slope(np.concatenate([lo, hi]))[0]
     active = (ends[: x.size] <= 0.0) & (0.0 <= ends[x.size :])
-    x, (_, _, vals) = _polish_roots(slope, x, lo, hi, 1e-12 * scale, active)
+    floor = 2.0**-52 * float(np.sum(n * np.abs(r) * (1.0 + TWO_PI * n)))
+    x, (_, _, vals) = _polish_roots(slope, x, lo, hi, max(1e-12 * scale, floor), active)
     best = int(np.argmin(vals))
     return float(vals[best]), float(x[best] % TWO_PI)
 
@@ -489,8 +494,15 @@ def body_to_dict(body: TrigSupport) -> dict:
     }
 
 
+def _number(value) -> float:
+    """A number as a float; strings, booleans and null raise BadSpec."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadSpec(f"body values must be JSON numbers, got {value!r}")
+    return float(value)
+
+
 def _frequency(value) -> int:
-    n = float(value)
+    n = _number(value)
     if not n.is_integer():
         raise BadSpec(f"harmonic frequency must be an integer, got {value!r}")
     return int(n)
@@ -498,8 +510,8 @@ def _frequency(value) -> int:
 
 def body_from_dict(data: dict) -> TrigSupport:
     try:
-        a0 = float(data["a0"])
-        hs = tuple(Harmonic(_frequency(h["n"]), float(h["a"]), float(h["b"])) for h in data.get("harmonics", ()))
+        a0 = _number(data["a0"])
+        hs = tuple(Harmonic(_frequency(h["n"]), _number(h["a"]), _number(h["b"])) for h in data.get("harmonics", ()))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadSpec(f"malformed body JSON: {exc}") from exc
     try:

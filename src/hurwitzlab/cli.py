@@ -25,7 +25,6 @@ from .functionals import functionals_quadrature, functionals_spectral
 from .quadrature import TWO_PI
 from .render import CURVE_KINDS, Scene, Style, sample_curve, sample_hypocycloid, write_svg
 from .verdicts import THEOREMS, SuiteConfig, run_suite
-from .visual_angle import ExteriorConfig
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
@@ -105,12 +104,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _exterior_config(args) -> ExteriorConfig:
-    if args.exterior_nodes is None:
-        return ExteriorConfig()
-    return ExteriorConfig(nodes_delta=args.exterior_nodes)
-
-
 def cmd_report(args) -> int:
     body = _load_body(args)
     if args.path == "spectral":
@@ -128,7 +121,7 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     body = _load_body(args)
-    cfg = SuiteConfig(path=args.path, tol=args.tol, exterior=_exterior_config(args))
+    cfg = SuiteConfig(path=args.path, tol=args.tol)
     report = run_suite(body, cfg)
     header = f"{'theorem':<24} {'path':<10} {'lhs':>14} {'rhs':>14} {'residual':>12}  flags"
     print(header)
@@ -185,7 +178,7 @@ def cmd_render(args) -> int:
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise HurwitzLabError(f"--count must be >= 1, got {args.count}")
-    cfg = SuiteConfig(path="spectral", tol=args.tol, exterior=_exterior_config(args))
+    cfg = SuiteConfig(path="spectral", tol=args.tol)
     geo_cfg = dataclasses.replace(cfg, path="both")
     geo_stride = max(1, args.count // 8)
     stats: dict[str, dict] = {}
@@ -236,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run all inequality verdicts on one body")
     add_body_source(p)
     p.add_argument("--path", default="spectral", choices=["spectral", "geometric", "both"])
-    p.add_argument("--exterior-nodes", type=int, metavar="NDELTA",
-                   help="gap nodes of the tangent-coordinate exterior integrator (default 256); its "
-                        "phi rule takes max(16, 2D+1) nodes for a body of degree D, where it is exact")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)
@@ -255,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--path", default="spectral", choices=["spectral", "both"])
-    p.add_argument("--exterior-nodes", type=int, metavar="NDELTA")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bodies import TrigSupport, _derivs, _require_validated, recenter_to_steiner, steiner_point
-from .quadrature import PI, TWO_PI, QuadratureGrid, grid_for_degree, periodic_integral
+from .quadrature import PI, TWO_PI, grid_for_degree, periodic_integral
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,13 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     )
 
 
-def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None) -> FunctionalSet:
+def functionals_quadrature(body: TrigSupport) -> FunctionalSet:
     """Periodic trapezoid quadrature on the samples of one Horner pass.
 
-    All integrands are trigonometric polynomials of degree <= 2N, so any
-    grid with m >= 4N + 8 nodes integrates them exactly; agreement with
-    the spectral path is limited only by round-off.  One `bodies._derivs`
+    All integrands are trigonometric polynomials of degree <= 2N, and the
+    grid `grid_for_degree(N)`, the only one this path samples, has
+    m >= 4N + 8 nodes, so it integrates them exactly; agreement with the
+    spectral path is limited only by round-off.  One `bodies._derivs`
     pass samples p, p', p'' and p''' and every integrand reads those
     samples.  The evolute's support p'(phi - pi/2) is p' a quarter turn on,
     and a full period does not see the shift: Fe = (1/2) int p'(p' + p''').
@@ -126,18 +127,11 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     every c_n^2.
     """
     _require_validated(body)
-    if grid is None:
-        grid = grid_for_degree(body.max_degree)
-    if grid.m < 4 * body.max_degree + 8:
-        raise ValueError(
-            f"grid with {grid.m} nodes too coarse for degree {body.max_degree}; need >= "
-            f"{4 * body.max_degree + 8}"
-        )
-    phis = grid.phis
+    phis = grid_for_degree(body.max_degree)
     cs = np.cos(phis), np.sin(phis)
     p, dp, ddp, dddp = _derivs(recenter_to_steiner(body), phis, (0, 1, 2, 3), cs)
     a1, b1 = steiner_point(body)
-    w, ddw = (0.5 * (f - np.roll(f, grid.m // 2)) for f in (p, ddp))
+    w, ddw = (0.5 * (f - np.roll(f, phis.size // 2)) for f in (p, ddp))
 
     L = periodic_integral(p)
     F = 0.5 * periodic_integral(p * p - dp * dp)
@@ -152,7 +146,7 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     sx = a1 + periodic_integral(p * cs[0]) / PI
     sy = b1 + periodic_integral(p * cs[1]) / PI
     # (2/m) rfft(p)[n] = a_n - i b_n, exact for n < m/2
-    coef = np.fft.rfft(p)[2 : body.max_degree + 1] * (2.0 / grid.m)
+    coef = np.fft.rfft(p)[2 : body.max_degree + 1] * (2.0 / phis.size)
     cn = zip(range(2, body.max_degree + 1), (coef.real**2 + coef.imag**2).tolist())
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
@@ -161,16 +155,14 @@ def functionals_quadrature(body: TrigSupport, grid: QuadratureGrid | None = None
     )
 
 
-def generalized_area(f: TrigSupport, grid: QuadratureGrid | None = None) -> float:
+def generalized_area(f: TrigSupport) -> float:
     """Signed area (with multiplicities) swept by the curve enveloping
     x*cos(t) + y*sin(t) = f(t): one half of the integral of f*(f + f'')
     over a full period.
 
     `f` is a TrigSupport holding the coefficients of a generalized support
-    function; the periodic trapezoid rule on `grid` (default
-    `grid_for_degree`) integrates the degree-2N integrand exactly.
+    function; the periodic trapezoid rule on `grid_for_degree(N)`
+    integrates the degree-2N integrand exactly.
     """
-    if grid is None:
-        grid = grid_for_degree(f.max_degree)
-    vals, dd = _derivs(f, grid.phis, (0, 2))
+    vals, dd = _derivs(f, grid_for_degree(f.max_degree), (0, 2))
     return 0.5 * periodic_integral(vals * (vals + dd))

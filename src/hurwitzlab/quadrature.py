@@ -6,15 +6,14 @@ functionals here integrate such polynomials, so the quadrature path is
 exact to round-off once the grid is fine enough.  Composite Gauss-Legendre
 panels cover the non-periodic intervals.  Sums are accumulated with
 math.fsum in a fixed index order, so results are bit-reproducible
-regardless of how work is scheduled.  A grid is only its node count; the
-callers sample their integrands at its angles by the Horner evaluation of
-`bodies`.
+regardless of how work is scheduled.  A grid is only its angles,
+`grid_for_degree` the one rule that sizes it; the callers sample their
+integrands there by the Horner evaluation of `bodies`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,32 +41,11 @@ def periodic_integral(samples) -> float:
     return TWO_PI / arr.size * math.fsum(arr.tolist())
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform periodic grid of [0, 2*pi) with a power-of-two node count m,
-    16 <= m <= MAX_NODES (ValueError, raised before any allocation)."""
-
-    m: int
-
-    def __post_init__(self):
-        if not 16 <= self.m <= MAX_NODES or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"node count must be a power of two in [16, {MAX_NODES}], got {self.m}")
-
-    @property
-    def phis(self) -> np.ndarray:
-        return np.linspace(0.0, TWO_PI, self.m, endpoint=False)
-
-
-def grid_for_degree(degree: int) -> QuadratureGrid:
-    """Default grid: at least 256 nodes and exact for degree-2N products."""
-    return QuadratureGrid(max(256, _next_pow2(4 * max(degree, 0) + 8)))
+def grid_for_degree(degree: int) -> np.ndarray:
+    """The angles of the uniform grid of [0, 2*pi) the quadrature path samples:
+    at least 256 nodes, a power of two, and exact for degree-2N products."""
+    m = max(256, 1 << (4 * max(degree, 0) + 7).bit_length())
+    return np.linspace(0.0, TWO_PI, m, endpoint=False)
 
 
 @lru_cache(maxsize=None)

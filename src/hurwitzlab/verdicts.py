@@ -16,7 +16,7 @@ form follows from the kernel's coefficients, or by `exterior_integral`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -24,7 +24,7 @@ from typing import Callable
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
 from .quadrature import PI
-from .visual_angle import KERNELS, ExteriorConfig, exterior_integral, spectral_integral
+from .visual_angle import KERNELS, exterior_integral, spectral_integral
 
 
 class TheoremId(str, Enum):
@@ -207,7 +207,7 @@ def expected_equality(theorem: TheoremId, support, constant_width: bool) -> bool
     return support_ok and (constant_width or not t.equality_needs_cw)
 
 
-def _verdicts(body: TrigSupport, theorems, path: str, cfg: SuiteConfig) -> tuple[FunctionalSet, list[Verdict]]:
+def _verdicts(body: TrigSupport, theorems, path: str, tol: float) -> tuple[FunctionalSet, list[Verdict]]:
     """The path's functionals and the verdicts of `theorems` on that path.
 
     The constant-width test, the functionals, the scale max(L^2, pi |Fe|)
@@ -231,13 +231,13 @@ def _verdicts(body: TrigSupport, theorems, path: str, cfg: SuiteConfig) -> tuple
         if t.integral not in integrals:
             kernel = KERNELS[t.integral]()
             res = (spectral_integral(body, kernel) if path == "spectral"
-                   else exterior_integral(body, kernel, cfg.exterior))
+                   else exterior_integral(body, kernel))
             integrals[t.integral] = (res.value, res.error_bar)
         value, int_err = integrals[t.integral]
         rhs_err = (0.0 if path == "spectral" else 1e-12 * scale) + t.weight * int_err
         lhs, rhs = t.lhs(fs, value), t.rhs(fs, value)
         residual = lhs - rhs
-        eq_tol = max(cfg.tol * scale, 3.0 * rhs_err)
+        eq_tol = max(tol * scale, 3.0 * rhs_err)
         equality = abs(residual) <= eq_tol
         notes = t.notes + (t.cw_notes if cw else "")
         if t.companion:
@@ -258,7 +258,6 @@ def verify(
     theorem: TheoremId,
     path: str = "spectral",
     tol: float = 1e-9,
-    config: ExteriorConfig | None = None,
 ) -> Verdict:
     """Evaluate one inequality on a validated body: the one-theorem case of
     the evaluator `run_suite` uses, with bit-identical results.
@@ -270,15 +269,13 @@ def verify(
     (geometric runs widen the tolerance to three error bars).  tol must be
     finite and nonnegative (ValueError), as in SuiteConfig.
     """
-    cfg = SuiteConfig(tol=tol, exterior=config or ExteriorConfig())
-    return _verdicts(body, (TheoremId(theorem),), path, cfg)[1][0]
+    return _verdicts(body, (TheoremId(theorem),), path, SuiteConfig(tol=tol).tol)[1][0]
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     path: str = "spectral"  # spectral | geometric | both
     tol: float = 1e-9
-    exterior: ExteriorConfig = field(default_factory=ExteriorConfig)
 
     def __post_init__(self):
         if self.path not in ("spectral", "geometric", "both"):
@@ -316,7 +313,7 @@ def run_suite(body: TrigSupport, config: SuiteConfig | None = None) -> SuiteRepo
     """
     cfg = config or SuiteConfig()
     paths = ("spectral", "geometric") if cfg.path == "both" else (cfg.path,)
-    results = [_verdicts(body, THEOREMS, path, cfg) for path in paths]
+    results = [_verdicts(body, THEOREMS, path, cfg.tol) for path in paths]
     verdicts = tuple(v for row in zip(*(vs for _, vs in results)) for v in row)
     eq_class = classify_equality(body, tol=cfg.tol)
     fs = results[0][0] if paths[0] == "spectral" else functionals_spectral(body)

@@ -12,7 +12,7 @@ quadratures and in closed form:
   [0,2*pi) x (0,pi) and the integrand stays bounded because every admitted
   kernel vanishes like omega^3 while the area element grows like
   omega^-3 as delta -> pi.  Its phi1 integral G(delta), the tangent field,
-  is kernel independent and cached per (body, nodes_delta).  At a fixed
+  is kernel independent and cached per body.  At a fixed
   gap the phi1 integrand t1*t2/sin(omega) = -u1*u2/sin(delta), with signed
   tangent lengths u1 = (p2 - p1 cos delta)/sin delta - p1' and
   u2 = (p2 cos delta - p1)/sin delta - p2' (p_i, p_i' at phi1 and
@@ -88,6 +88,9 @@ _TANGENT_COLLAR = 1e-9
 # Near-boundary collar of the tangent integrator: gaps below it are dropped,
 # and the dropped mass is bounded inside the error bar.
 _DELTA_MIN = 1e-4
+# 16-point Gauss panels in the gap direction of the tangent integrator's fine
+# level; its coarse level halves them.
+_DELTA_PANELS = 16
 
 
 @dataclass(frozen=True)
@@ -215,24 +218,22 @@ class TangentPair:
 
 @dataclass(frozen=True)
 class ExteriorConfig:
-    """Controls for exterior integrals.
+    """Controls of the polar oracle `exterior_integral_grid`.
 
-    nodes_phi: directions of the polar oracle.  The tangent integrator does
-      not read it: it takes max(16, 2N + 1) phi1 nodes for a body of degree
-      N, the fewest on which its phi1 rule is exact (module docstring).
-    nodes_delta: total Gauss points along the gap direction (16 per panel).
-    Gaps below the fixed collar _DELTA_MIN = 1e-4 (delta -> 0) are
-    excluded; their dropped mass is bounded and reported inside the error
-    bar.  The polar oracle's cutoff radius is 40*a0.  Node counts must lie
-    in [16, 2^20] (ValueError, raised before any allocation).
+    nodes_phi: its directions, in [16, 2^20] (ValueError, raised before any
+    allocation); its cutoff radius is 40*a0.  The tangent integrator reads
+    no config: its rule follows the body, max(16, 2N + 1) phi1 nodes for a
+    body of degree N (the fewest on which it is exact, module docstring) and
+    _DELTA_PANELS = 16 Gauss panels of 16 points in the gap, gaps below the
+    fixed collar _DELTA_MIN = 1e-4 excluded and their dropped mass bounded
+    inside the error bar.
     """
 
     nodes_phi: int = 256
-    nodes_delta: int = 256
 
     def __post_init__(self):
-        if not all(16 <= n <= MAX_NODES for n in (self.nodes_phi, self.nodes_delta)):
-            raise ValueError(f"node counts must lie in [16, {MAX_NODES}]")
+        if not 16 <= self.nodes_phi <= MAX_NODES:
+            raise ValueError(f"nodes_phi must lie in [16, {MAX_NODES}], got {self.nodes_phi!r}")
 
 
 @dataclass(frozen=True)
@@ -370,23 +371,23 @@ def _delta_edges(panels: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _tangent_field(body: TrigSupport, nodes_delta: int):
+def _tangent_field(body: TrigSupport):
     """Kernel-independent part of `exterior_integral`, cached for the last 8
-    (body, nodes_delta) pairs: (gap nodes, Gauss weights, G at the nodes,
-    node count) for the fine and the coarse level, and G(_DELTA_MIN).
+    bodies: (gap nodes, Gauss weights, G at the nodes, node count) for the
+    fine and the coarse level, and G(_DELTA_MIN).
 
     G's phi1 rule is exact on max(16, 2N + 1) nodes (module docstring), and
-    both levels and the collar row sample phi1 on that many; the coarse level
-    halves only the delta panels, so fine - coarse measures the delta rule.
+    both levels and the collar row sample phi1 on that many; the fine level
+    takes _DELTA_PANELS gap panels and the coarse level half as many, so
+    fine - coarse measures the delta rule.
     G is translation invariant, and the corners are solved on the
     Steiner-centred body, where their round-off does not grow with the
     translation.
     """
     body = recenter_to_steiner(body)
     nodes_phi = max(16, 2 * body.max_degree + 1)
-    panels = max(4, nodes_delta // 16)
     levels = []
-    for n in (panels, max(2, panels // 2)):
+    for n in (_DELTA_PANELS, _DELTA_PANELS // 2):
         nodes, weights = gauss_panels(_delta_edges(n), points=16)
         levels.append((nodes, weights, _gap_mass(body, nodes, nodes_phi), nodes.size * nodes_phi))
     return tuple(levels), float(_gap_mass(body, _DELTA_MIN, nodes_phi)[0])
@@ -398,15 +399,16 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     Composite Gauss panels in the gap direction (graded toward delta = pi,
     where the integrand has a removable limit) and a periodic trapezoid in
     the angular direction on max(16, 2N + 1) nodes, exact for the degree-2N
-    phi1 integrand; config.nodes_phi is not read.  The error bar combines the
-    difference from a coarse level that halves only the delta panels with a
-    bound on the mass dropped inside the near-boundary collar.  The tangent
-    field is kernel independent and cached per (body, nodes_delta).
+    phi1 integrand.  The error bar combines the difference from a coarse
+    level that halves only the delta panels with a bound on the mass dropped
+    inside the near-boundary collar.  The tangent field is kernel
+    independent and cached per body.  `config` is accepted, so the call
+    reads like `exterior_integral_grid`'s, and not read: the rule follows
+    the body alone.
     """
     _require_validated(body)
     kernel.check_integrable()
-    cfg = config or ExteriorConfig()
-    levels, collar_row = _tangent_field(body, cfg.nodes_delta)
+    levels, collar_row = _tangent_field(body)
     fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for x, w, mass, _ in levels)
     # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
     collar_err = _DELTA_MIN * abs(kernel(PI - _DELTA_MIN)) * collar_row

@@ -273,6 +273,22 @@ class TestMinCurvature:
             assert rho == pytest.approx((1.0 - share) * a0, abs=1e-14 * a0)
 
 
+    def test_polish_stops_at_round_off_floor(self, monkeypatch):
+        # at N = 512 about 100 brackets stall at |rho'| ~ 1e-12 * scale, the
+        # round-off of rho' itself; polishing them to the 120-step cap took
+        # 121 evaluations
+        body = random_body(3, 512, index=1)
+        calls = []
+        polish = bodies._polish_roots
+        monkeypatch.setattr(
+            bodies, "_polish_roots", lambda f, *args: polish(lambda x: calls.append(x.size) or f(x), *args)
+        )
+        rho, _ = min_curvature_radius(body)
+        monkeypatch.undo()
+        assert 1 <= len(calls) <= 10
+        assert abs(rho - _reference_rho_min(body)) <= 1e-12 * body.a0
+
+
 class TestCertificate:
     def test_search_skipped_unless_certificate_fails(
         self, monkeypatch, circle_body, ast_body, delt_body, cw35_body, mix_body

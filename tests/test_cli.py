@@ -206,30 +206,6 @@ def test_invalid_tol_exit_2(capsys, argv, tol):
     assert "tol" in err
 
 
-@pytest.mark.parametrize("nodes", ["64,64,64", "64,abc"])
-@pytest.mark.parametrize(
-    "argv", [("verify", "--spec", "astroid:1,0.2"), ("sweep", "--count", "5")]
-)
-def test_malformed_exterior_nodes_exit_2(capsys, argv, nodes):
-    code, out, err = run(capsys, *argv, "--exterior-nodes", nodes)
-    assert code == 2
-    assert out == ""
-    assert err
-
-
-def test_exterior_nodes_is_one_gap_count(capsys, tmp_path):
-    # --exterior-nodes sets only the gap count NDELTA, default 256 (the
-    # NPHI,NDELTA form is a removed option, see test_surface)
-    body = pathlib.Path(__file__).parent / "golden" / "hd17.body.json"
-    outputs = []
-    for flags in ((), ("--exterior-nodes", "256"), ("--exterior-nodes", "64")):
-        out = tmp_path / f"{len(outputs)}.json"
-        code, text, _ = run(capsys, "verify", "--path", "both", "--body", str(body), "--out", str(out), *flags)
-        assert code == 0
-        outputs.append((text, out.read_bytes()))
-    assert outputs[0] == outputs[1] != outputs[2]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -242,22 +218,6 @@ def test_malformed_random_spec_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err
-
-
-@pytest.mark.parametrize(
-    "argv, option",
-    [
-        (("verify", "--spec", "astroid:1,0.2", "--exterior-nodes", "2097152"), "node counts"),
-        (("verify", "--path", "both", "--spec", "astroid:1,0.2", "--exterior-nodes", "100000000000"), "node counts"),
-        (("sweep", "--count", "1", "--path", "both", "--exterior-nodes", "2097152"), "node counts"),
-    ],
-)
-def test_node_counts_above_2_20_exit_2(capsys, argv, option):
-    # rejected before any array is allocated: no MemoryError traceback
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("ValueError") and option in err
 
 
 @pytest.mark.parametrize(
@@ -330,6 +290,31 @@ def test_non_integral_frequency_exit_2(capsys, tmp_path, command, n):
     assert code == 2
     assert out == ""
     assert "BadSpec" in err and "integer" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"a0": "1.5"},
+        {"a0": True},
+        {"a0": None},
+        {"a0": 1, "harmonics": [{"n": True, "a": 0.1, "b": 0}]},
+        {"a0": 1, "harmonics": [{"n": "2", "a": 0.1, "b": 0}]},
+        {"a0": 1, "harmonics": [{"n": 2, "a": "0.1", "b": 0}]},
+        {"a0": 1, "harmonics": [{"n": 2, "a": 0.1, "b": False}]},
+        {"a0": 1, "harmonics": [{"n": 2, "a": [0.1], "b": 0}]},
+    ],
+    ids=["a0-string", "a0-bool", "a0-null", "n-bool", "n-string", "a-string", "b-bool", "a-list"],
+)
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_body_values_must_be_json_numbers(capsys, tmp_path, command, body):
+    # a string or a boolean is not read as the number it spells
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, command, "--body", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("BadSpec")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hurwitzlab import (
     Harmonic,
-    QuadratureGrid,
     TrigSupport,
     eval_support,
     functionals_quadrature,
@@ -15,6 +14,7 @@ from hurwitzlab import (
     generalized_area,
     offset,
     rigid_motion,
+    validate_convex,
 )
 from hurwitzlab import functionals
 from hurwitzlab.bodies import wigner_support
@@ -102,26 +102,21 @@ class TestSpectralFixtures:
 
 
 class TestQuadratureAgreement:
-    def test_ast_exact_at_64_nodes(self, ast_body):
-        fq = functionals_quadrature(ast_body, QuadratureGrid(64))
-        fs = functionals_spectral(ast_body)
+    @pytest.mark.parametrize("degree", [62, 126])
+    def test_exact_on_a_grid_of_4n_plus_8(self, degree):
+        # grid_for_degree(N) has exactly 4N + 8 nodes here (256 and 512), the
+        # edge of the exact rule; the top harmonic carries most of Fe
+        c = 1.0 / (degree * degree - 1)
+        hs = (Harmonic(1, 0.3, -0.2), Harmonic(2, 0.05, 0.02), Harmonic(3, 0.01, 0.0),
+              Harmonic(degree - 1, 0.2 * c, 0.1 * c), Harmonic(degree, 0.3 * c, 0.2 * c))
+        body = validate_convex(TrigSupport(1.0, hs))
+        assert grid_for_degree(degree).size == 4 * degree + 8
+        fq, fs = functionals_quadrature(body), functionals_spectral(body)
         for name in fs.FIELD_NAMES:
-            assert getattr(fq, name) == pytest.approx(getattr(fs, name), rel=1e-12, abs=1e-12)
-
-    def test_delt_exact_at_64_nodes(self, delt_body):
-        fq = functionals_quadrature(delt_body, QuadratureGrid(64))
-        fs = functionals_spectral(delt_body)
-        for name in fs.FIELD_NAMES:
-            assert getattr(fq, name) == pytest.approx(getattr(fs, name), rel=1e-12, abs=1e-12)
-
-    def test_circle_small_grid(self, circle_body):
-        fq = functionals_quadrature(circle_body, QuadratureGrid(16))
-        assert fq.L == pytest.approx(TWO_PI, rel=1e-15)
-        assert fq.F == pytest.approx(PI, rel=1e-15)
-
-    def test_grid_too_coarse(self, cw35_body):
-        with pytest.raises(ValueError):
-            functionals_quadrature(cw35_body, QuadratureGrid(16))
+            assert getattr(fq, name) == pytest.approx(getattr(fs, name), rel=1e-12, abs=1e-12), name
+        assert fq.steiner == pytest.approx(fs.steiner, abs=1e-12)
+        for (n1, v1), (n2, v2) in zip(fs.cn_sq, fq.cn_sq, strict=True):
+            assert n1 == n2 and v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
 
     @given(convex_bodies())
     @settings(max_examples=25, deadline=None)
@@ -156,15 +151,12 @@ class TestOnePass:
     @given(convex_bodies(max_degree=12))
     @settings(max_examples=30, deadline=None)
     def test_fe_aw_against_generalized_area(self, body):
-        # on the smallest exact power-of-two grid (m >= 4N + 8) and on 4x it,
         # Fe and Aw are the swept areas of the evolute's and the Wigner
         # caustic's supports, built here from the coefficients
-        m = max(16, 1 << (4 * body.max_degree + 7).bit_length())
-        for grid in (QuadratureGrid(m), QuadratureGrid(4 * m)):
-            fq = functionals_quadrature(body, grid)
-            scale = max(fq.L**2, PI * abs(fq.Fe))
-            assert abs(fq.Fe - generalized_area(evolute_support(body), grid)) <= 1e-13 * scale
-            assert abs(fq.Aw - generalized_area(wigner_support(body), grid)) <= 1e-13 * scale
+        fq = functionals_quadrature(body)
+        scale = max(fq.L**2, PI * abs(fq.Fe))
+        assert abs(fq.Fe - generalized_area(evolute_support(body))) <= 1e-13 * scale
+        assert abs(fq.Aw - generalized_area(wigner_support(body))) <= 1e-13 * scale
 
 
 class TestGeneralizedArea:
@@ -186,13 +178,12 @@ class TestGeneralizedArea:
     @pytest.mark.parametrize("n", [2, 5, 13, 32])
     def test_single_harmonic(self, n):
         # f = a0 + c sin(nt): f + f'' = a0 + (1 - n^2) c sin(nt), so the area is
-        # pi a0^2 + (pi/2)(1 - n^2) c^2 in closed form, on any exact grid
+        # pi a0^2 + (pi/2)(1 - n^2) c^2 in closed form
         rng = np.random.default_rng(n)
         a0, c = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 2.0)
         exact = PI * a0 * a0 + 0.5 * PI * (1 - n * n) * c * c
         f = TrigSupport(a0, (Harmonic(n, 0.0, c),))
-        for grid in (None, grid_for_degree(n), grid_for_degree(4 * n)):
-            assert generalized_area(f, grid=grid) == pytest.approx(exact, rel=1e-12)
+        assert generalized_area(f) == pytest.approx(exact, rel=1e-12)
 
 
 class TestParallelBodies:
@@ -240,8 +231,7 @@ class TestDeficitIdentities:
     def test_area_minus_evolute_area(self, body):
         # F - Fe = (1/2) int (p + p'')^2, both areas with multiplicities
         fs = functionals_spectral(body)
-        grid = grid_for_degree(body.max_degree)
-        phis = grid.phis
+        phis = grid_for_degree(body.max_degree)
         rho = eval_support(body, phis, 0) + eval_support(body, phis, 2)
         rhs = 0.5 * periodic_integral(rho**2)
         assert fs.F - fs.Fe == pytest.approx(rhs, rel=1e-10)

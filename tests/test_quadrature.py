@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hurwitzlab import QuadratureGrid, grid_for_degree, periodic_integral
+from hurwitzlab import grid_for_degree, periodic_integral
 from hurwitzlab.errors import EmptyGrid
-from hurwitzlab.quadrature import gauss_panels
+from hurwitzlab.quadrature import MAX_NODES, gauss_panels
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -41,19 +41,14 @@ def test_empty_grid():
         periodic_integral([1.0])
 
 
-def test_grid_invariants():
-    with pytest.raises(ValueError):
-        QuadratureGrid(100)  # not a power of two
-    with pytest.raises(ValueError):
-        QuadratureGrid(8)  # too small
-    with pytest.raises(ValueError):
-        QuadratureGrid(2**21)  # above 2^20, rejected before any allocation
-    assert QuadratureGrid(2**20).m == 2**20
-    g = grid_for_degree(8)
-    assert g.m == 256
-    assert g.m >= 4 * 8 + 8
-    assert grid_for_degree(100).m == 512
-    assert g.phis[0] == 0.0 and len(g.phis) == g.m
+def test_grid_for_degree():
+    # the smallest power of two >= max(256, 4N + 8), which is 4N + 8 itself at
+    # N = 62, 126 and at the largest accepted degree (MAX_NODES - 8) / 4
+    for degree, m in ((0, 256), (8, 256), (62, 256), (63, 512), (100, 512), (126, 512), (127, 1024)):
+        phis = grid_for_degree(degree)
+        assert phis.size == m
+        assert np.array_equal(phis, np.linspace(0.0, TWO_PI, m, endpoint=False))
+    assert grid_for_degree((MAX_NODES - 8) // 4).size == MAX_NODES
 
 
 def test_gauss_panels_polynomial():

@@ -425,16 +425,15 @@ class TestTangentField:
         calls = []
         monkeypatch.setattr(visual_angle, "_gap_mass", lambda *args: calls.append(args) or _gap_mass(*args))
         _tangent_field.cache_clear()
-        body, cfg = validate_convex(TrigSupport(1.37)), ExteriorConfig(nodes_phi=32, nodes_delta=32)
+        body = validate_convex(TrigSupport(1.37))
         for make in KERNELS.values():
-            exterior_integral(body, make(), cfg)
+            exterior_integral(body, make())
         assert len(calls) == 3
 
     def test_field_cache_is_bounded(self):
-        cfg = ExteriorConfig(nodes_phi=16, nodes_delta=16)
         for i in range(10):
             body = validate_convex(TrigSupport(1.0 + 0.1 * i))
-            exterior_integral(body, crofton_kernel(), cfg)
+            exterior_integral(body, crofton_kernel())
         assert _tangent_field.cache_info().currsize <= 8
 
 
@@ -470,16 +469,23 @@ class TestExteriorIntegral:
         with pytest.raises(NotValidated):
             exterior_integral(TrigSupport(1.0), crofton_kernel())
 
+    def test_config_is_accepted_and_unread(self, mix_body):
+        # the third positional argument reads like exterior_integral_grid's;
+        # the tangent rule follows the body alone
+        for make in KERNELS.values():
+            got = exterior_integral(mix_body, make(), ExteriorConfig(nodes_phi=96))
+            assert got == exterior_integral(mix_body, make())
+
     def test_config_validation(self):
-        for nodes in ({"nodes_phi": 4}, {"nodes_phi": 0}, {"nodes_delta": 8}):
+        for nodes_phi in (4, 0, 15, 2**20 + 1):
             with pytest.raises(ValueError):
-                ExteriorConfig(**nodes)
-        for nodes in ({"nodes_phi": 2**20 + 1}, {"nodes_delta": 2**20 + 1}):
-            with pytest.raises(ValueError):
-                ExteriorConfig(**nodes)
-        assert ExteriorConfig(nodes_phi=2**20, nodes_delta=2**20).nodes_delta == 2**20
-        with pytest.raises(TypeError):
-            ExteriorConfig(method="magic")
+                ExteriorConfig(nodes_phi=nodes_phi)
+        assert ExteriorConfig(nodes_phi=16).nodes_phi == 16
+        assert ExteriorConfig(nodes_phi=2**20).nodes_phi == 2**20
+        # the gap rule is a fixed 16 panels: nodes_delta is no field
+        for field in ({"nodes_delta": 256}, {"method": "magic"}):
+            with pytest.raises(TypeError):
+                ExteriorConfig(**field)
 
     @pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_max_rejected(self, r_max):
@@ -644,7 +650,7 @@ class TestDegreeExactGrid:
 
     def test_fine_level_is_exact(self, degree_body):
         n, body = degree_body
-        (gaps, _, fine, _), _ = _tangent_field(body, ExteriorConfig().nodes_delta)[0]
+        (gaps, _, fine, _), _ = _tangent_field(body)[0]
         ref = _gap_mass(body, gaps, 8 * n + 1)
         # 1e-14 relative; below delta = 0.05 each sample's round-off grows like
         # u/delta (corners of nearly parallel lines) whatever the grid
