@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -209,7 +210,9 @@ def cmd_sweep(args) -> int:
     return 0 if not violations else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hurwitzlab",
         description="Verification laboratory for reverse isoperimetric inequalities",

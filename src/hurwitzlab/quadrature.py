@@ -58,17 +58,14 @@ def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_panels(edges, points: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights over consecutive panels.
 
-    `edges` is an increasing sequence of panel boundaries; nodes are
-    returned flattened in panel order so downstream compensated sums see a
-    fixed ordering.  The rule is cached per point count as read-only arrays.
+    `edges` holds increasing panel boundaries along its last axis, one
+    rule per row; each row's nodes are returned flattened in panel order
+    so downstream compensated sums see a fixed ordering.  The rule is
+    cached per point count as read-only arrays.
     """
     edges = np.asarray(edges, dtype=float)
     x, w = _leggauss(points)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    half = 0.5 * (hi - lo)
+    shape = edges.shape[:-1] + (-1,)
+    return (0.5 * (hi + lo) + half * x).reshape(shape), (half * w).reshape(shape)

@@ -16,7 +16,7 @@ form follows from the kernel's coefficients, or by `exterior_integral`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -159,7 +159,8 @@ class Verdict:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "id": self.id.value}
+        """The fields in order, as JSON values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"id": self.id.value}
 
 
 @dataclass(frozen=True)

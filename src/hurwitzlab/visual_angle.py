@@ -21,9 +21,11 @@ quadratures and in closed form:
   exact, and on 2N nodes it aliases.  The integrator takes max(16, 2N + 1).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
-  the cutoff radius 40*a0, with the tangent lines of all radial nodes of a
-  block of directions solved in one batch, plus a fitted 1/r^2 tail for the
-  remainder.  Its visual-angle field is cached per (body, config).
+  the cutoff radius 40*a0, plus a fitted 1/r^2 tail for the remainder.
+  Each direction's boundary exit is solved once and shared by that ray's
+  radial nodes, and the tangent lines of all nodes of a block of directions
+  are solved in one batch.  Its visual-angle field is cached per
+  (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
@@ -31,7 +33,7 @@ quadratures and in closed form:
 The tangent lines through a point P are the roots of
 g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
 where the ray from the Steiner point through P leaves the body, and
-polished together (`_tangent_angles`).
+polished together (`_tangent_solve`).
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -132,14 +134,15 @@ class Kernel:
         out = self.omega_coeff * om
         for k, a in self.sin_coeffs:
             out = out + float(a) * np.sin(k * om)
+        out = np.asarray(out)
         small = np.abs(om) < _SERIES_CUTOFF
         if np.any(small):
-            om_s = np.where(small, om, 0.0)
+            om_s = om[small]
             acc = np.zeros_like(om_s)
             sq = om_s * om_s
             for c in self._series[::-1]:
                 acc = acc * sq + c
-            out = np.where(small, acc * om_s, out)
+            out[small] = acc * om_s
         if np.ndim(omega) == 0:
             return float(out)
         return out
@@ -256,46 +259,57 @@ def _g(body: TrigSupport, px, py, phi):
 
 
 def _tangent_angles(body: TrigSupport, points):
-    """Arrays (phi1, phi2, omega) of the support lines through each row of points.
+    """Arrays (phi1, phi2, omega) of the support lines through each row of
+    points: the ray from the Steiner point S through each P is solved by
+    `_radial_boundary` and handed to `_tangent_solve`.  Each point is solved
+    on its own, bit for bit.
+    """
+    px, py = points[:, 0], points[:, 1]
+    sx, sy = steiner_point(body)
+    theta = np.arctan2(py - sy, px - sx)
+    rb, phi_b = _radial_boundary(recenter_to_steiner(body), theta)
+    return _tangent_solve(body, px, py, np.hypot(px - sx, py - sy), theta, rb, phi_b)
 
-    The ray from the Steiner point S through P leaves the body at distance rb,
-    at the boundary point with normal angle phi_b (`_radial_boundary`).  There
-    g(phi) = <P, N(phi)> - p(phi) equals (|P - S| - rb) * cos(theta - phi_b), a
-    lower bound on the clearance max g: InteriorPoint means it is at most
+
+def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b):
+    """Arrays (phi1, phi2, omega) of the support lines through the points (px, py).
+
+    The point lies at distance r from the Steiner point S in the direction
+    theta, and the ray leaves the body at distance rb, at the boundary point
+    with normal angle phi_b.  The arguments broadcast, so the polar oracle
+    solves each direction's exit once and shares it by that ray's nodes.  At
+    phi_b, g(phi) = <P, N(phi)> - p(phi) equals (r - rb) * cos(theta - phi_b),
+    a lower bound on the clearance max g: InteriorPoint means it is at most
     tol = 1e-13 * (|P| + a0), BoundaryCollar at most _TANGENT_COLLAR * a0.
     Otherwise g is positive on one arc shorter than pi that contains phi_b, so
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
     (phi_b, phi_b + pi).  Both are polished together to |g| <= tol from
-    phi_b -/+ arccos(rb / |P - S|), the roots for a circle of radius rb.
+    phi_b -/+ arccos(rb / r), the roots for a circle of radius rb.
     g rises through zero at phi1 and is positive on the counterclockwise arc
     of length delta = pi - omega to phi2; RootCountAnomaly means that arc is
-    not shorter than pi.  Each point is solved on its own, bit for bit.
+    not shorter than pi.
     """
-    px, py = points[:, 0], points[:, 1]
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
     collar = _TANGENT_COLLAR * body.a0
-    sx, sy = steiner_point(body)
-    r, theta = np.hypot(px - sx, py - sy), np.arctan2(py - sy, px - sx)
-    rb, phi_b = _radial_boundary(recenter_to_steiner(body), theta)
     clearance = (r - rb) * np.cos(theta - phi_b)
     inside = clearance <= tol
     if inside.any():
-        raise InteriorPoint(f"point {points[inside][0].tolist()} lies inside the body")
+        raise InteriorPoint(f"point {[float(px[inside][0]), float(py[inside][0])]} lies inside the body")
     thin = clearance <= collar
     if thin.any():
         raise BoundaryCollar(f"point clears the boundary by {clearance[thin][0]:.3g}, below collar {collar:.3g}")
-    # column 0: rising root, column 1: falling root
-    side, b = np.array([-1.0, 1.0]), phi_b[:, None]
+    # last axis, entry 0: rising root, entry 1: falling root
+    side, b = np.array([-1.0, 1.0]), phi_b[..., None]
     x, _ = _polish_roots(
-        lambda x: _g(body, px[:, None], py[:, None], x),
-        b + side * np.arccos(rb / r)[:, None], neg=b + side * PI, pos=b, tol=tol[:, None], active=True,
+        lambda x: _g(body, px[..., None], py[..., None], x),
+        b + side * np.arccos(rb / r)[..., None], neg=b + side * PI, pos=b, tol=tol[..., None], active=True,
     )
     roots = x % TWO_PI
-    delta = (roots[:, 1] - roots[:, 0]) % TWO_PI
+    delta = (roots[..., 1] - roots[..., 0]) % TWO_PI
     wide = ~((0.0 < delta) & (delta < PI))
     if wide.any():
         raise RootCountAnomaly(f"positive arc has length {delta[wide][0]:.6g}, outside (0, pi)")
-    return roots[:, 0], roots[:, 1], PI - delta
+    return roots[..., 0], roots[..., 1], PI - delta
 
 
 def support_line_angles(body: TrigSupport, point) -> TangentPair:
@@ -481,39 +495,34 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
 
     Returns (omegas, weights, far_r, bound_mass):
       omegas/weights: one row of radial nodes per theta out to the cutoff
-        radius _POLAR_R_MAX * a0, with full area measure r*dr*dtheta; the
-        tangent lines of a block of rows are solved in one batch;
+        radius _POLAR_R_MAX * a0, with full area measure r*dr*dtheta; each
+        direction's boundary exit is solved once, by one `_radial_boundary`
+        call for all of them, and shared by that ray's nodes, and the tangent
+        lines of a block of rows are solved in one batch (`_tangent_solve`);
       far_r: the outer radial nodes, the last columns of every row, for tail fits;
       bound_mass: integral of r over the collar ring, bounding dropped area.
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
     centered = recenter_to_steiner(body)
-    a0 = centered.a0
-    collar = 1e-5 * a0
+    collar = 1e-5 * centered.a0
     n_theta = cfg.nodes_phi
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     w_theta = TWO_PI / n_theta
 
-    rbs, _ = _radial_boundary(centered, thetas)
+    rbs, phi_bs = _radial_boundary(centered, thetas)
     r1 = 3.0 * float(np.max(rbs))
-    far_edges = np.geomspace(r1, _POLAR_R_MAX * a0, _POLAR_PANELS + 1)
-    far_nodes, far_w = gauss_panels(far_edges, points=8)
-
-    points = []
-    weights = []
-    ring_mass = 0.0
-    for theta, rb in zip(thetas, rbs):
-        # near zone: r = rb + u^2 smooths the sqrt-type onset of omega(r)
-        u_lo, u_hi = math.sqrt(collar), math.sqrt(r1 - rb)
-        u_nodes, u_w = gauss_panels(np.linspace(u_lo, u_hi, _POLAR_PANELS + 1), points=8)
-        rs = np.concatenate([rb + u_nodes**2, far_nodes])
-        ws = np.concatenate([2.0 * u_nodes * u_w, far_w])
-        points.append(np.outer(rs, (math.cos(theta), math.sin(theta))))
-        weights.append(w_theta * ws * rs)
-        ring_mass += w_theta * rb * collar
-    rows = max(1, _POLAR_BLOCK_POINTS // weights[0].size)
-    omegas = [_tangent_angles(centered, np.concatenate(points[i : i + rows]))[2] for i in range(0, n_theta, rows)]
-    return np.concatenate(omegas).reshape(n_theta, -1), np.array(weights), far_nodes, ring_mass
+    far_nodes, far_w = gauss_panels(np.geomspace(r1, _POLAR_R_MAX * centered.a0, _POLAR_PANELS + 1), points=8)
+    # near zone: r = rb + u^2 smooths the sqrt-type onset of omega(r); one row of panels per direction
+    u_edges = np.linspace(math.sqrt(collar), np.sqrt(r1 - rbs), _POLAR_PANELS + 1, axis=1)
+    u_nodes, u_w = gauss_panels(u_edges, points=8)
+    rs = np.hstack([rbs[:, None] + u_nodes**2, np.tile(far_nodes, (n_theta, 1))])
+    weights = w_theta * np.hstack([2.0 * u_nodes * u_w, np.tile(far_w, (n_theta, 1))]) * rs
+    ring_mass = float(np.cumsum(w_theta * rbs * collar)[-1])  # summed in order, direction by direction
+    exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
+    rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
+    rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
+    omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays))[2] for i in range(0, n_theta, rows)]
+    return np.concatenate(omegas), weights, far_nodes, ring_mass
 
 
 def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:

@@ -11,7 +11,7 @@ import hurwitzlab
 from hurwitzlab import FunctionalSet
 from hurwitzlab import bodies as B
 from hurwitzlab.bodies import random_body
-from hurwitzlab.cli import main, parse_spec
+from hurwitzlab.cli import build_parser, main, parse_spec
 from hurwitzlab.errors import HurwitzLabError
 
 PI = math.pi
@@ -412,6 +412,38 @@ def test_render_to_stdout_matches_out_file(capsysbinary, tmp_path):
     stdout = capsysbinary.readouterr().out
     assert main([*argv, "--out", str(tmp_path / "fig.svg")]) == 0
     assert stdout == (tmp_path / "fig.svg").read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_emits_what_a_fresh_one_does(capsysbinary):
+    # each command line run in turn on the one parser, then each on a parser of
+    # its own: the same exit codes and bytes, the rejected line included
+    argvs = [
+        ["report", "--spec", "astroid:1,0.2"],
+        ["verify", "--spec", "deltoid:1,0.1", "--path", "both"],
+        ["render", "--spec", "circle:1", "--kind", "boundary,pedal", "--samples", "64"],
+        ["sweep", "--count", "3", "--seed", "2"],
+        ["verify", "--spec", "circle:1", "--path", "sideways"],
+    ]
+
+    def run_bytes(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsysbinary.readouterr()
+        return code, out.out, out.err
+
+    in_turn = [run_bytes(argv) for argv in argvs]
+    alone = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        alone.append(run_bytes(argv))
+    assert [code for code, _, _ in in_turn] == [0, 0, 0, 0, 2]
+    assert in_turn == alone
 
 
 def test_cli_imports_numpy_only():

@@ -51,6 +51,16 @@ def test_grid_for_degree():
     assert grid_for_degree((MAX_NODES - 8) // 4).size == MAX_NODES
 
 
+def test_gauss_panels_rows_match_one_row_calls():
+    # a 2-D edges array is one rule per row, bit for bit the 1-D rule of that row
+    edges = np.linspace(0.1, np.array([0.5, 1.0, 3.0]), 7, axis=1)
+    nodes, weights = gauss_panels(edges, points=8)
+    assert nodes.shape == weights.shape == (3, 48)
+    for row, x, w in zip(edges, nodes, weights):
+        x1, w1 = gauss_panels(row, points=8)
+        assert np.array_equal(x, x1) and np.array_equal(w, w1)
+
+
 def test_gauss_panels_polynomial():
     nodes, weights = gauss_panels([0.0, 0.4, 1.0], points=8)
     val = float(np.sum(weights * nodes**7))

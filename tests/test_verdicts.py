@@ -227,6 +227,16 @@ class TestRunSuite:
         assert set(hw) == {"id", "applicable", "lhs", "rhs", "residual",
                            "equality", "path", "error_bar", "notes"}
 
+    def test_verdict_dict_is_the_asdict_form(self, mix_body):
+        # mix is not of constant width, so the both-path suite holds NaN rows
+        verdicts = run_suite(mix_body, SuiteConfig(path="both")).verdicts
+        assert any(not v.applicable and math.isnan(v.lhs) for v in verdicts)
+        for v in verdicts:
+            want = {**dataclasses.asdict(v), "id": v.id.value}
+            got = v.to_dict()
+            assert list(got) == list(want)
+            assert repr(got) == repr(want)
+
 
 class TestInvariants:
     def test_monotone_chain_termwise(self, sweep_bodies):

@@ -49,6 +49,7 @@ from hurwitzlab.visual_angle import (
     _radial_boundary,
     _tangent_angles,
     _tangent_field,
+    _tangent_solve,
 )
 
 from .test_bodies import convex_bodies
@@ -94,6 +95,17 @@ class TestKernels:
                 - 0.25 * math.sin(4 * w) - math.sin(w) ** 3
             )
             assert k(w) == pytest.approx(direct, rel=1e-10, abs=1e-18)
+
+    def test_array_call_matches_scalar_calls(self):
+        # the series covers only the entries below the cutoff; a 2-D array
+        # mixing both branches gives each entry the bits of its scalar call
+        om = np.array([[0.0, 1e-9, 0.2499, 0.25], [0.2501, 1.0, PI - 1e-9, -0.1]])
+        for maker in KERNELS.values():
+            k = maker()
+            got = k(om)
+            assert got.shape == om.shape
+            assert np.array_equal(got, [[k(float(w)) for w in row] for row in om])
+            assert isinstance(k(np.float64(0.1)), float)
 
     def test_non_integrable_rejected(self, circle_body):
         bad = Kernel("sin", 0.0, ((1, 1.0),))
@@ -715,25 +727,28 @@ class TestPolarOracle:
 
 
 def _reference_polar_field(body, cfg):
-    """Per-direction loop, one tangent solve per theta: the reference for the block form."""
+    """Per-direction loop, each ray's own Gauss rule and one tangent solve per
+    theta fed that ray's (theta, rb, phi_b): the reference for the broadcast
+    grid and the block solve.  Also returns the nodes' points, one row per theta."""
     centered = recenter_to_steiner(body)
     a0 = centered.a0
     collar = 1e-5 * a0
     thetas = np.linspace(0.0, TWO_PI, cfg.nodes_phi, endpoint=False)
     w_theta = TWO_PI / cfg.nodes_phi
-    rbs, _ = _radial_boundary(centered, thetas)
+    rbs, phi_bs = _radial_boundary(centered, thetas)
     r1 = 3.0 * float(np.max(rbs))
     far_nodes, far_w = gauss_panels(np.geomspace(r1, 40.0 * a0, visual_angle._POLAR_PANELS + 1), points=8)
-    omegas, weights, ring_mass = [], [], 0.0
-    for theta, rb in zip(thetas, rbs):
+    omegas, weights, points, ring_mass = [], [], [], 0.0
+    for theta, rb, phi_b, c, s in zip(thetas, rbs, phi_bs, np.cos(thetas), np.sin(thetas)):
         u_edges = np.linspace(math.sqrt(collar), math.sqrt(r1 - rb), visual_angle._POLAR_PANELS + 1)
         u_nodes, u_w = gauss_panels(u_edges, points=8)
         rs = np.concatenate([rb + u_nodes**2, far_nodes])
         ws = np.concatenate([2.0 * u_nodes * u_w, far_w])
-        omegas.append(_tangent_angles(centered, np.outer(rs, (math.cos(theta), math.sin(theta))))[2])
+        omegas.append(_tangent_solve(centered, rs * c, rs * s, rs, theta, rb, phi_b)[2])
         weights.append(w_theta * ws * rs)
+        points.append(np.stack([rs * c, rs * s], axis=1))
         ring_mass += w_theta * rb * collar
-    return np.array(omegas), np.array(weights), far_nodes, ring_mass
+    return (np.array(omegas), np.array(weights), far_nodes, ring_mass), np.array(points)
 
 
 @pytest.fixture(scope="module", params=["circle", "mix", "random8", "random33", "translated"])
@@ -751,15 +766,34 @@ class TestPolarBlocks:
     @pytest.mark.parametrize("nodes_phi", [16, 17, 84, 96, 100])
     def test_block_field_equals_per_direction_loop(self, polar_body, nodes_phi):
         cfg = ExteriorConfig(nodes_phi=nodes_phi)
-        got, want = _polar_field(polar_body, cfg), _reference_polar_field(polar_body, cfg)
+        got, (want, _) = _polar_field(polar_body, cfg), _reference_polar_field(polar_body, cfg)
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b)
         assert got[3:] == want[3:]
 
+    @pytest.mark.parametrize("nodes_phi", [16, 17, 84, 96, 100])
+    def test_shared_exit_matches_per_point_solve(self, polar_body, nodes_phi):
+        # each ray's exit is solved once and shared by its nodes; solving every
+        # node's own exit from its own point moves omega by round-off only
+        cfg = ExteriorConfig(nodes_phi=nodes_phi)
+        _, points = _reference_polar_field(polar_body, cfg)
+        per_point = _tangent_angles(recenter_to_steiner(polar_body), points.reshape(-1, 2))[2]
+        assert np.max(np.abs(_polar_field(polar_body, cfg)[0].ravel() - per_point)) <= 1e-11
+
+    def test_one_exit_solve_per_field(self, mix_body, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            visual_angle, "_radial_boundary",
+            lambda body, thetas: sizes.append(np.size(thetas)) or _radial_boundary(body, thetas),
+        )
+        _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
+        assert sizes == [96]
+
     def test_one_tangent_solve_per_block(self, mix_body, monkeypatch):
         sizes = []
         monkeypatch.setattr(
-            visual_angle, "_tangent_angles", lambda body, points: sizes.append(len(points)) or _tangent_angles(body, points)
+            visual_angle, "_tangent_solve",
+            lambda body, px, *ray: sizes.append(np.size(px)) or _tangent_solve(body, px, *ray),
         )
         _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
         # 96 radial nodes per direction, at most 4096 points per block: two blocks
