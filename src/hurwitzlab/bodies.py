@@ -117,9 +117,9 @@ def _require_validated(body: TrigSupport) -> None:
 def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
     """p^(k)(phi) for each order k (0 to 3) in `orders`, in one Horner pass.
 
-    The one per-harmonic evaluation loop: with z = e^{i phi},
-    p^(k)(phi) = [k=0] a0 + Re sum_n (in)^k (a_n - i b_n) z^n, summed by
-    Horner over every degree N, ..., 1, with an error of about
+    The evaluation at scattered angles (uniform grids take `_grid_derivs`):
+    with z = e^{i phi}, p^(k)(phi) = [k=0] a0 + Re sum_n (in)^k (a_n - i b_n) z^n,
+    summed by Horner over every degree N, ..., 1, with an error of about
     N*u*sum_n n^k |c_n| (Higham 2002, ch. 5).  A caller that holds
     (cos phi, sin phi) passes it as `cs`.  The accumulators of all orders
     form one real (re, im) pair of arrays, updated by real multiplies and
@@ -146,6 +146,30 @@ def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
             re, im = re * c - im * s + dre[i], re * s + im * c + dim[i]
         vals = re * c - im * s + vals
     return tuple(float(v) for v in vals) if phi.ndim == 0 else tuple(vals)
+
+
+def _grid_derivs(body: TrigSupport, m: int, orders, shifts=None) -> tuple:
+    """p^(k)(2*pi*j/m + s), j = 0..m-1, for each order k (0 to 3) in `orders`
+    and each s of the 1-D `shifts` (one row each; no row axis when None).
+
+    One "forward"-norm inverse real FFT, which never scales by the grid size,
+    of the rotated spectrum [k=0] a0 + (in)^k (a_n - i b_n) e^{ins} / 2 gives
+    the values at the grid's exact angles, with round-off about
+    u*log2(m)*sum_n n^k |c_n| (Higham 2002, ch. 24) against Horner's
+    N*u*sum_n n^k |c_n|.  A grid of m <= 2N nodes is sampled on the smallest
+    multiple q*m > 2N, every q-th value kept, so no harmonic aliases.  Each
+    row is its own transform: its bits do not depend on the other shifts.
+    """
+    n = np.array([h.n for h in body.harmonics], dtype=int)
+    q = 2 * body.max_degree // m + 1
+    half = 0.5 * np.array([complex(h.a, -h.b) for h in body.harmonics])
+    if shifts is not None:
+        half = half * np.exp(1j * np.outer(shifts, n))
+    spec = np.zeros((len(orders),) + half.shape[:-1] + (q * m // 2 + 1,), dtype=complex)
+    for row, k in zip(spec, orders):
+        row[..., 0] = body.a0 if k == 0 else 0.0
+        row[..., n] = (1, 1j, -1, -1j)[k] * n**k * half
+    return tuple(np.fft.irfft(spec, q * m, norm="forward")[..., ::q])
 
 
 def eval_support(body: TrigSupport, phi, order: int = 0):

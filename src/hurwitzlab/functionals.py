@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bodies import TrigSupport, _derivs, _require_validated, recenter_to_steiner, steiner_point
+from .bodies import TrigSupport, _derivs, _grid_derivs, _require_validated, recenter_to_steiner, steiner_point
 from .quadrature import PI, TWO_PI, grid_for_degree, periodic_integral
 
 
@@ -110,13 +110,13 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
 
 
 def functionals_quadrature(body: TrigSupport) -> FunctionalSet:
-    """Periodic trapezoid quadrature on the samples of one Horner pass.
+    """Periodic trapezoid quadrature on the samples of one inverse FFT.
 
     All integrands are trigonometric polynomials of degree <= 2N, and the
     grid `grid_for_degree(N)`, the only one this path samples, has
     m >= 4N + 8 nodes, so it integrates them exactly; agreement with the
-    spectral path is limited only by round-off.  One `bodies._derivs`
-    pass samples p, p', p'' and p''' and every integrand reads those
+    spectral path is limited only by round-off.  One `bodies._grid_derivs`
+    call samples p, p', p'' and p''' and every integrand reads those
     samples.  The evolute's support p'(phi - pi/2) is p' a quarter turn on,
     and a full period does not see the shift: Fe = (1/2) int p'(p' + p''').
     The Wigner support w = (p(phi) - p(phi + pi))/2 and w'' are the same
@@ -129,7 +129,7 @@ def functionals_quadrature(body: TrigSupport) -> FunctionalSet:
     _require_validated(body)
     phis = grid_for_degree(body.max_degree)
     cs = np.cos(phis), np.sin(phis)
-    p, dp, ddp, dddp = _derivs(recenter_to_steiner(body), phis, (0, 1, 2, 3), cs)
+    p, dp, ddp, dddp = _grid_derivs(recenter_to_steiner(body), phis.size, (0, 1, 2, 3))
     a1, b1 = steiner_point(body)
     w, ddw = (0.5 * (f - np.roll(f, phis.size // 2)) for f in (p, ddp))
 

@@ -8,7 +8,7 @@ panels cover the non-periodic intervals.  Sums are accumulated with
 math.fsum in a fixed index order, so results are bit-reproducible
 regardless of how work is scheduled.  A grid is only its angles,
 `grid_for_degree` the one rule that sizes it; the callers sample their
-integrands there by the Horner evaluation of `bodies`.
+integrands there by one inverse FFT (`bodies._grid_derivs`).
 """
 
 from __future__ import annotations

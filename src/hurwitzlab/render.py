@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bodies import (
     HypocycloidSpec,
     TrigSupport,
-    _derivs,
+    _grid_derivs,
     _require_validated,
-    boundary_point,
     offset,
     recenter_to_steiner,
     steiner_point,
@@ -58,6 +58,16 @@ class Polyline:
         self.vertices = v
 
 
+@lru_cache(maxsize=4)
+def _normals(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the m normal angles of `sample_curve`, read-only; cached,
+    since a figure samples every curve kind on the same angles."""
+    phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
+    c, s = np.cos(phis), np.sin(phis)
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
 def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = None) -> Polyline:
     """Uniform-in-normal-angle sample of a curve attached to the body.
 
@@ -68,33 +78,31 @@ def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = N
     wigner:   envelope of the caustic support (p(phi) - p(phi + pi)) / 2
 
     The m normal angles are np.linspace(0, 2*pi, m, endpoint=False); every
-    kind evaluates p and the derivatives it needs in one Horner pass
-    (`bodies._derivs`).  m must lie in [64, 2^20] (ValueError, raised
-    before any allocation).
+    kind samples p and the derivatives it needs on that grid by one inverse
+    FFT (`bodies._grid_derivs`).  m must lie in [64, 2^20] (ValueError,
+    raised before any allocation).
     """
     _require_validated(body)
     _check_samples(m)
-    phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    if kind == "boundary":
-        verts = boundary_point(body, phis)
-    elif kind == "evolute":
-        c, s = np.cos(phis), np.sin(phis)
-        dp, ddp = _derivs(body, phis, (1, 2), (c, s))
-        verts = np.stack([-ddp * c - dp * s, -ddp * s + dp * c], axis=1)
-    elif kind == "pedal":
-        c, s = np.cos(phis), np.sin(phis)
-        (p,) = _derivs(recenter_to_steiner(body), phis, (0,), (c, s))
-        sx, sy = steiner_point(body)
-        verts = np.stack([sx + p * c, sy + p * s], axis=1)
-    elif kind == "parallel":
-        if r is None:
-            raise ValueError("parallel curves need the offset r")
-        verts = boundary_point(offset(body, r), phis)
-    elif kind == "wigner":
-        verts = boundary_point(wigner_support(body), phis)
-    else:
+    if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
-    return Polyline(verts)
+    if kind == "parallel" and r is None:
+        raise ValueError("parallel curves need the offset r")
+    c, s = _normals(m)
+    if kind == "evolute":
+        dp, ddp = _grid_derivs(body, m, (1, 2))
+        return Polyline(np.stack([-ddp * c - dp * s, -ddp * s + dp * c], axis=1))
+    if kind == "pedal":
+        (p,) = _grid_derivs(recenter_to_steiner(body), m, (0,))
+        sx, sy = steiner_point(body)
+        return Polyline(np.stack([sx + p * c, sy + p * s], axis=1))
+    # the boundary gamma = p N + p' N' of the body, its parallel or the caustic's support
+    if kind == "parallel":
+        body = offset(body, r)
+    elif kind == "wigner":
+        body = wigner_support(body)
+    p, dp = _grid_derivs(body, m, (0, 1))
+    return Polyline(np.stack([p * c - dp * s, p * s + dp * c], axis=1))
 
 
 def sample_hypocycloid(spec: HypocycloidSpec, m: int = 2048) -> Polyline:

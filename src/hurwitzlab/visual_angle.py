@@ -18,7 +18,9 @@ quadratures and in closed form:
   u2 = (p2 cos delta - p1)/sin delta - p2' (p_i, p_i' at phi1 and
   phi1 + delta), is a product of two trigonometric polynomials of degree N
   in phi1, so of degree 2N: the periodic trapezoid on 2N + 1 nodes is
-  exact, and on 2N nodes it aliases.  The integrator takes max(16, 2N + 1).
+  exact, and on 2N nodes it aliases.  The integrator takes max(16, 2N + 1),
+  and p, p' on that grid shifted by each gap are rows of one inverse FFT
+  of the rotated spectrum per block of gaps (`bodies._grid_derivs`).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point out to
   the cutoff radius 40*a0, plus a fitted 1/r^2 tail for the remainder.
@@ -57,6 +59,7 @@ import numpy as np
 from .bodies import (
     TrigSupport,
     _derivs,
+    _grid_derivs,
     _polish_roots,
     _require_validated,
     boundary_point,
@@ -77,9 +80,10 @@ _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
 # 8-point Gauss panels per radial zone (near and far) of the polar oracle.
 _POLAR_PANELS = 6
-# Entries (gaps x phi1) per block of the corner solve in _gap_mass; at degree
-# 128 blocks of 2^12 spent a third of the solve on the per-call overhead of
-# the Horner loop in _derivs.
+# Entries (gaps x phi1) per block of _gap_mass, one _grid_derivs call each:
+# blocks keep the field's memory flat in the degree (unblocked, degree 262142
+# would take about 6 GB); 2^13 to 2^16 timed within 20% of each other at
+# degrees 8 to 512, and 2^11 was 2.4x slower at 512.
 _BLOCK_ENTRIES = 1 << 13
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
@@ -329,16 +333,16 @@ def support_line_angles(body: TrigSupport, point) -> TangentPair:
     return TangentPair(phi1=phi1, phi2=phi2, omega=omega, t1=t1, t2=t2)
 
 
-def _corners(body: TrigSupport, phi1, deltas):
+def _corners(phi1, deltas, at1, at2):
     """(px, py, u1, u2), one row per gap delta and one column per phi1: the
     corner P where the support lines at phi1 and phi1 + delta meet, and the
-    signed tangent lengths from P to their tangency points."""
+    signed tangent lengths from P to their tangency points, from (p, p') at
+    phi1 (at1) and at phi1 + delta (at2, one row per gap)."""
+    (p1, dp1), (p2, dp2) = at1, at2
     c1, s1 = np.cos(phi1), np.sin(phi1)
-    p1, dp1 = _derivs(body, phi1, (0, 1), (c1, s1))
     phi2 = phi1 + deltas[:, None]
     c2, s2 = np.cos(phi2), np.sin(phi2)
     sd = np.array([math.sin(d) for d in deltas])[:, None]
-    p2, dp2 = _derivs(body, phi2, (0, 1), (c2, s2))
     px = (p1 * s2 - p2 * s1) / sd
     py = (p2 * c1 - p1 * c2) / sd
     return px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
@@ -354,7 +358,8 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
     _require_validated(body)
     if not (0.0 < delta < PI):
         raise DegenerateGap(f"delta must lie in (0, pi), got {delta}")
-    px, py, u1, u2 = (float(v[0, 0]) for v in _corners(body, phi1, np.array([delta])))
+    corner = _corners(phi1, np.array([delta]), _derivs(body, phi1, (0, 1)), _derivs(body, phi1 + delta, (0, 1)))
+    px, py, u1, u2 = (float(v[0, 0]) for v in corner)
     return np.array([px, py]), abs(u1 * u2) / math.sin(delta), PI - delta
 
 
@@ -365,16 +370,20 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
 def _gap_mass(body: TrigSupport, delta, nodes_phi: int):
     """Integral over phi1 of the area-element factor at fixed gap delta.
 
-    Vectorized over gaps in blocks of _BLOCK_ENTRIES corners; returns the
-    kernel-independent tangent field G (cached by `_tangent_field`) with
-    integral_exterior f(omega) dP = integral_0^pi f(pi - delta) G(delta) ddelta.
+    Returns the kernel-independent tangent field G (cached by
+    `_tangent_field`) with integral_exterior f(omega) dP =
+    integral_0^pi f(pi - delta) G(delta) ddelta.  p and p' on the phi1 grid,
+    shifted by each gap, are one `_grid_derivs` call per block of
+    _BLOCK_ENTRIES corners, one row per gap.
     """
     phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
     rows = max(1, _BLOCK_ENTRIES // nodes_phi)
+    at1 = _grid_derivs(body, nodes_phi, (0, 1))
     sums = []
     for start in range(0, deltas.size, rows):
-        _, _, u1, u2 = _corners(body, phi1, deltas[start : start + rows])
+        block = deltas[start : start + rows]
+        _, _, u1, u2 = _corners(phi1, block, at1, _grid_derivs(body, nodes_phi, (0, 1), block))
         sums.extend(map(math.fsum, np.abs(u1 * u2).tolist()))
     return TWO_PI / nodes_phi * np.array(sums) / np.array([math.sin(d) for d in deltas])
 

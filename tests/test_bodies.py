@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,6 +221,78 @@ class TestEvalSupport:
             single = bodies._derivs(body, np.array([phi]), subset)
             for k, vs, v1 in zip(subset, scalar, single):
                 assert np.float64(vs).tobytes() == v1.tobytes() == full[k].ravel()[i].tobytes()
+
+
+def _mp_grid_derivatives(body, m):
+    """p^(k) for k = 0..3 at the exact angles 2*pi*j/m, j = 0..m-1: n*x_j is
+    2*pi*((n*j) mod m)/m, so one table of m angles from 40-digit mpmath
+    serves every harmonic; the sums are exact in integers of 2^-160."""
+    import mpmath
+
+    one = 1 << 160
+    with mpmath.workdps(40):
+        angles = [2 * mpmath.pi * t / m for t in range(m)]
+        table = [(int(mpmath.nint(mpmath.cos(x) * one)), int(mpmath.nint(mpmath.sin(x) * one))) for x in angles]
+    coef = [(h.n, round(Fraction(h.a) * one), round(Fraction(h.b) * one)) for h in body.harmonics]
+    out = np.zeros((4, m))
+    for j in range(m):
+        sums = [round(Fraction(body.a0) * one) * one, 0, 0, 0]
+        for n, a, b in coef:
+            c, s = table[n * j % m]
+            for k in range(4):  # d/dphi maps (cos, sin)(n phi) to n * (-sin, cos)(n phi)
+                sums[k] += n**k * (a * c + b * s)
+                c, s = -s, c
+        out[:, j] = [float(Fraction(v, one * one)) for v in sums]
+    return out
+
+
+def _abs_sum(body, k):
+    """sum_n n^k |c_n|, plus |a0| for k = 0: the scale of the round-off of p^(k)."""
+    return math.fsum(h.n**k * math.hypot(h.a, h.b) for h in body.harmonics) + (abs(body.a0) if k == 0 else 0.0)
+
+
+class TestGridDerivs:
+    def test_error_within_fft_bound(self):
+        # the FFT's error: about u*log2(m)*sum_n n^k |c_n| (Higham 2002, ch. 24)
+        body = recenter_to_steiner(random_body(3, 128, index=1))
+        m = 512
+        exact = _mp_grid_derivatives(body, m)
+        got = bodies._grid_derivs(body, m, (0, 1, 2, 3))
+        for k in range(4):
+            assert np.max(np.abs(got[k] - exact[k])) <= 2.0**-53 * math.log2(m) * _abs_sum(body, k)
+
+    @pytest.mark.parametrize("shifts", [None, np.array([0.3, -1.2, 2.9])])
+    def test_grid_below_the_degree_matches_horner(self, shifts):
+        # m = 64 against harmonics at, around and past m/2 and m: the samples
+        # come from the oversampled transform, so none aliases.  Horner is
+        # off by 4(N+1)*u*sum n^k |c_n| at its float angles, which are off the
+        # exact ones by at most 4u(2*pi + |s|) (rounding of 2*pi, j*h and + s)
+        hs = tuple(Harmonic(n, 0.01 * (-1) ** n, 0.02 / (1 + n % 5)) for n in (31, 32, 33, 64, 100))
+        body = TrigSupport(1.0, hs)
+        m = 64
+        phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
+        got = bodies._grid_derivs(body, m, (0, 1, 2, 3), shifts)
+        for row, s in enumerate([0.0] if shifts is None else shifts):
+            angle_err = 4 * 2.0**-53 * (TWO_PI + abs(s))
+            want = bodies._derivs(body, phis + s, (0, 1, 2, 3))
+            for k in range(4):
+                bound = 4 * (body.max_degree + 1) * 2.0**-53 * _abs_sum(body, k) + angle_err * _abs_sum(body, k + 1)
+                have = got[k] if shifts is None else got[k][row]
+                assert np.max(np.abs(have - want[k])) <= bound
+
+    @pytest.mark.parametrize("m", [81, 128, 1024])
+    def test_rows_equal_single_row_calls(self, m):
+        # each shift's row has the bits of a call with that shift alone
+        body = random_body(5, 40, index=2)
+        shifts = np.random.default_rng(m).uniform(0.0, PI, 9)
+        rows = bodies._grid_derivs(body, m, (0, 1), shifts)
+        for i, s in enumerate(shifts):
+            for k, single in enumerate(bodies._grid_derivs(body, m, (0, 1), np.array([s]))):
+                assert np.array_equal(rows[k][i], single[0])
+
+    def test_disk_is_its_mean(self):
+        p, dp = bodies._grid_derivs(TrigSupport(2.5), 64, (0, 1))
+        assert np.array_equal(p, np.full(64, 2.5)) and np.array_equal(dp, np.zeros(64))
 
 
 class TestMinCurvature:

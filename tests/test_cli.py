@@ -234,7 +234,22 @@ def test_harmonic_degree_above_bound_exit_2(capsys, tmp_path, argv, n):
     assert err.startswith("BadSpec") and "degree" in err
 
 
-@pytest.mark.parametrize("samples", ["100000000000", "1048577", "63"])
+def test_report_both_paths_at_the_largest_degree(capsys, tmp_path):
+    # one harmonic at _MAX_DEGREE: the quadrature path samples its grid of
+    # 2^20 nodes by one inverse FFT and agrees with the spectral sums
+    body, out = tmp_path / "body.json", tmp_path / "report.json"
+    body.write_text(json.dumps({"a0": 1, "harmonics": [{"n": B._MAX_DEGREE, "a": 1e-20, "b": 0}]}))
+    code, _, err = run(capsys, "report", "--path", "both", "--body", str(body), "--out", str(out))
+    assert (code, err) == (0, "")
+    data = json.loads(out.read_text())
+    spectral, quadrature = data["spectral"], data["quadrature"]
+    scale = max(spectral["L"] ** 2, PI * abs(spectral["Fe"]))
+    for name in FunctionalSet.FIELD_NAMES:
+        assert abs(quadrature[name] - spectral[name]) <= 1e-12 * scale, name
+    assert len(quadrature["cn_sq"]) == len(spectral["cn_sq"]) == B._MAX_DEGREE - 1
+
+
+@pytest.mark.parametrize("samples",["100000000000", "1048577", "63"])
 @pytest.mark.parametrize(
     "argv",
     [

@@ -133,15 +133,17 @@ class TestQuadratureAgreement:
 
 
 class TestOnePass:
-    def test_one_horner_pass_on_the_centred_body(self, monkeypatch):
-        # every integrand reads the samples of one _derivs call, made on a
-        # body with no degree-one harmonic (the Steiner-centred one)
+    def test_one_grid_pass_on_the_centred_body(self, monkeypatch):
+        # every integrand reads the samples of one _grid_derivs call, made on
+        # a body with no degree-one harmonic (the Steiner-centred one), and
+        # no Horner pass runs
         from hurwitzlab import random_body
 
         body = random_body(3, 64, index=1)
         calls = []
-        derivs = functionals._derivs
-        monkeypatch.setattr(functionals, "_derivs", lambda *a, **k: calls.append(a[::2]) or derivs(*a, **k))
+        grid_derivs = functionals._grid_derivs
+        monkeypatch.setattr(functionals, "_grid_derivs", lambda *a, **k: calls.append(a[::2]) or grid_derivs(*a, **k))
+        monkeypatch.setattr(functionals, "_derivs", lambda *a, **k: calls.append(("_derivs", a[2])))
         fq = functionals_quadrature(body)
         monkeypatch.undo()
         assert [orders for _, orders in calls] == [(0, 1, 2, 3)]

@@ -31,7 +31,7 @@ from hurwitzlab import (
     visual_deficit_kernel,
 )
 from hurwitzlab import visual_angle
-from hurwitzlab.bodies import boundary_point
+from hurwitzlab.bodies import _derivs, _grid_derivs, boundary_point
 from hurwitzlab.errors import (
     BadOrder,
     BoundaryCollar,
@@ -374,30 +374,45 @@ class TestExteriorPoint:
             assert abs(u[0] * v[1] - u[1] * v[0]) == pytest.approx(jac, rel=1e-6)
 
 
-def _reference_corners(body, phi1, deltas):
-    """Per-gap corner solve, one gap at a time: the reference for the block form."""
+def _reference_corners(phi1, deltas, p1, dp1, ends):
+    """Per-gap corner solve, one gap at a time, from p and p' at phi1 and,
+    by ends(d), at phi1 + d: the reference for the block form."""
     c1, s1 = np.cos(phi1), np.sin(phi1)
-    p1, dp1 = eval_support(body, phi1, 0), eval_support(body, phi1, 1)
     for d in deltas:
         phi2 = phi1 + d
         c2, s2 = np.cos(phi2), np.sin(phi2)
         sd = math.sin(d)
-        p2 = eval_support(body, phi2, 0)
+        p2, dp2 = ends(d)
         px = (p1 * s2 - p2 * s1) / sd
         py = (p2 * c1 - p1 * c2) / sd
-        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - eval_support(body, phi2, 1)
+        yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
 
 
-def _reference_gap_mass(body, deltas, nodes_phi):
+def _grid_corners(body, nodes_phi, deltas):
+    """Corners on the phi1 grid from one `_grid_derivs` call per gap."""
     phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
+    ends = lambda d: tuple(v[0] for v in _grid_derivs(body, nodes_phi, (0, 1), np.array([d])))  # noqa: E731
+    return _reference_corners(phi1, deltas, *_grid_derivs(body, nodes_phi, (0, 1)), ends)
+
+
+def _mass_from_corners(deltas, nodes_phi, corners):
     return np.array([
         TWO_PI / nodes_phi * math.fsum(np.abs(u1 * u2).tolist()) / math.sin(d)
-        for d, (_, _, u1, u2) in zip(deltas, _reference_corners(body, phi1, deltas))
+        for d, (_, _, u1, u2) in zip(deltas, corners)
     ])
 
 
+def _reference_gap_mass(body, deltas, nodes_phi):
+    """G at each gap from Horner values at the shifted angles, one gap at a time."""
+    phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
+    corners = _reference_corners(phi1, deltas, *_derivs(body, phi1, (0, 1)), lambda d: _derivs(body, phi1 + d, (0, 1)))
+    return _mass_from_corners(deltas, nodes_phi, corners)
+
+
 def _reference_exterior_point(body, phi1, delta):
-    px, py, u1, u2 = next(_reference_corners(body, phi1, (delta,)))
+    p1, dp1 = eval_support(body, phi1, 0), eval_support(body, phi1, 1)
+    ends = lambda d: (eval_support(body, phi1 + d, 0), eval_support(body, phi1 + d, 1))  # noqa: E731
+    px, py, u1, u2 = next(_reference_corners(phi1, (delta,), p1, dp1, ends))
     return np.array([px, py]), float(abs(u1 * u2)) / math.sin(delta), PI - delta
 
 
@@ -408,20 +423,54 @@ def field_body(request):
     return request.getfixturevalue(f"{request.param}_body")
 
 
+def _field_gaps(nodes_phi):
+    rows = max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
+    rng = np.random.default_rng(nodes_phi)
+    gaps = np.concatenate([[1e-4, PI - 1e-9], rng.uniform(1e-4, PI, 2 * rows + 1)])
+    assert gaps.size % rows != 0
+    return gaps
+
+
 class TestTangentField:
     @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
     def test_block_gap_mass_equals_per_gap_loop(self, field_body, nodes_phi):
-        rows = max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
-        rng = np.random.default_rng(nodes_phi)
-        gaps = np.concatenate([[1e-4, PI - 1e-9], rng.uniform(1e-4, PI, 2 * rows + 1)])
-        assert gaps.size % rows != 0
+        # the blocks' rows are bit for bit one _grid_derivs call per gap
+        gaps = _field_gaps(nodes_phi)
         block = _gap_mass(field_body, gaps, nodes_phi)
-        assert np.array_equal(block, _reference_gap_mass(field_body, gaps, nodes_phi))
+        assert np.array_equal(block, _mass_from_corners(gaps, nodes_phi, _grid_corners(field_body, nodes_phi, gaps)))
+
+    @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
+    def test_gap_mass_matches_horner(self, field_body, nodes_phi):
+        # 1e-12 relative; below delta = 5e-4 both evaluations' round-off grows
+        # like u/delta (corners of nearly parallel lines): at delta = 1e-4 the
+        # Horner form is itself 2.2e-12 off a 40-digit G on mix, 16 nodes
+        gaps = _field_gaps(nodes_phi)
+        ref = _reference_gap_mass(field_body, gaps, nodes_phi)
+        got = _gap_mass(field_body, gaps, nodes_phi)
+        assert np.all(np.abs(got - ref) <= np.maximum(1e-12, 5e-16 / gaps) * np.abs(ref))
+
+    @pytest.mark.parametrize("nodes_phi", [16, 100, 1 << 14])
+    def test_gap_mass_blocks_bound_memory(self, monkeypatch, nodes_phi):
+        # no _grid_derivs call covers more gaps than a block of _BLOCK_ENTRIES
+        # corners holds, and together they cover every gap once
+        body = random_body(5, degree=64)
+        gaps = np.linspace(1e-3, 3.0, 2 * max(1, visual_angle._BLOCK_ENTRIES // nodes_phi) + 3)
+        sizes = []
+        grid_derivs = visual_angle._grid_derivs
+        monkeypatch.setattr(
+            visual_angle, "_grid_derivs",
+            lambda body, m, orders, shifts=None: sizes.append(0 if shifts is None else len(shifts))
+            or grid_derivs(body, m, orders, shifts),
+        )
+        _gap_mass(body, gaps, nodes_phi)
+        assert max(sizes) <= max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
+        assert sum(sizes) == gaps.size
 
     def test_block_corners_keep_row_order(self, mix_body):
         phi1 = np.linspace(0.0, TWO_PI, 40, endpoint=False)
         gaps = np.linspace(0.1, 3.0, 7)
-        for got, want in zip(_corners(mix_body, phi1, gaps), zip(*_reference_corners(mix_body, phi1, gaps))):
+        rows = _corners(phi1, gaps, _grid_derivs(mix_body, 40, (0, 1)), _grid_derivs(mix_body, 40, (0, 1), gaps))
+        for got, want in zip(rows, zip(*_grid_corners(mix_body, 40, gaps))):
             assert np.array_equal(got, np.array(want))
 
     def test_exterior_point_unchanged_on_mix(self, mix_body):
