@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,16 @@ class TrigSupport:
     def max_degree(self) -> int:
         return self.harmonics[-1].n if self.harmonics else 0
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frequencies n and halves (a_n - i b_n) / 2 of `_grid_derivs`,
+        read-only; cached in the instance dict, so no field, comparison,
+        hash or repr sees it."""
+        n = np.array([h.n for h in self.harmonics], dtype=int)
+        half = 0.5 * np.array([complex(h.a, -h.b) for h in self.harmonics])
+        n.flags.writeable = half.flags.writeable = False
+        return n, half
+
     def harmonic(self, n: int) -> Harmonic:
         """The harmonic at frequency n (zero harmonic if absent)."""
         for h in self.harmonics:
@@ -160,9 +171,8 @@ def _grid_derivs(body: TrigSupport, m: int, orders, shifts=None) -> tuple:
     multiple q*m > 2N, every q-th value kept, so no harmonic aliases.  Each
     row is its own transform: its bits do not depend on the other shifts.
     """
-    n = np.array([h.n for h in body.harmonics], dtype=int)
+    n, half = body._spectrum
     q = 2 * body.max_degree // m + 1
-    half = 0.5 * np.array([complex(h.a, -h.b) for h in body.harmonics])
     if shifts is not None:
         half = half * np.exp(1j * np.outer(shifts, n))
     spec = np.zeros((len(orders),) + half.shape[:-1] + (q * m // 2 + 1,), dtype=complex)

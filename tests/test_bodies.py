@@ -294,6 +294,19 @@ class TestGridDerivs:
         p, dp = bodies._grid_derivs(TrigSupport(2.5), 64, (0, 1))
         assert np.array_equal(p, np.full(64, 2.5)) and np.array_equal(dp, np.zeros(64))
 
+    def test_spectrum_is_built_once_per_body_outside_its_fields(self):
+        body = random_body(5, 40, index=2)
+        twin = TrigSupport(body.a0, body.harmonics, validated=body.validated)
+        seen = (repr(body), hash(body), body_to_dict(body))
+        first = bodies._grid_derivs(body, 128, (0, 1))
+        spectrum = vars(body)["_spectrum"]
+        assert all(not a.flags.writeable for a in spectrum)
+        second = bodies._grid_derivs(body, 128, (0, 1))
+        assert body._spectrum is spectrum
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert (repr(body), hash(body), body_to_dict(body)) == seen == (repr(twin), hash(twin), body_to_dict(twin))
+        assert body == twin and "_spectrum" not in vars(twin)
+
 
 class TestMinCurvature:
     def test_ast(self, ast_body):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hurwitzlab import (
     Harmonic,
+    SuiteConfig,
     TrigSupport,
     eval_support,
     functionals_quadrature,
@@ -14,9 +15,10 @@ from hurwitzlab import (
     generalized_area,
     offset,
     rigid_motion,
+    run_suite,
     validate_convex,
 )
-from hurwitzlab import functionals
+from hurwitzlab import functionals, jsonio
 from hurwitzlab.bodies import wigner_support
 from hurwitzlab.errors import NotValidated
 from hurwitzlab.quadrature import grid_for_degree, periodic_integral
@@ -264,7 +266,46 @@ class TestSerialization:
         assert d["cn_sq"] == pytest.approx({"2": 0.0, "3": 0.0025, "4": 0.0, "5": 0.0001})
 
     def test_seventeen_digit_emission(self, ast_body):
-        from hurwitzlab import jsonio
-
         text = jsonio.dumps(functionals_spectral(ast_body).to_dict())
         assert '"L": 6.2831853071795862' in text
+
+    @pytest.mark.parametrize("name", ["circle", "ast", "delt", "cw35", "mix", "hd17"])
+    def test_dumps_equals_recursive_form_on_golden_payloads(self, request, name):
+        body = request.getfixturevalue(f"{name}_body")
+        for payload in (
+            functionals_spectral(body).to_dict(),
+            functionals_quadrature(body).to_dict(),
+            run_suite(body, SuiteConfig(path="both")).to_dict(),
+        ):
+            assert jsonio.dumps(payload) == _recursive_dumps(payload)
+
+    def test_dumps_of_non_finite_and_mixed_lists(self):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 1e-320]
+        assert jsonio.dumps(floats) == '[\n  null,\n  "inf",\n  "-inf",\n  -0,\n  9.9998886718268301e-321\n]'
+        mixed = floats + [True, 3]
+        nested = {"inf": floats, "nan": dict(zip("abcde", floats)), "n": {"t": True, "x": 1.5}, "np": [np.float64(0.1)]}
+        for obj in (floats, tuple(floats), mixed, nested, [[math.inf], []], {"-inf": -math.inf}):
+            assert jsonio.dumps(obj) == _recursive_dumps(obj)
+
+    @given(st.lists(st.floats()), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_dumps_of_float_lists_equals_recursive_form(self, values, as_dict):
+        obj = {f"k{i}": v for i, v in enumerate(values)} if as_dict else values
+        assert jsonio.dumps(obj, 1) == _recursive_dumps(obj, 1)
+
+
+def _recursive_dumps(obj, level=0):
+    """jsonio.dumps as one recursive call per leaf, the form its one-pass
+    float lists replaced."""
+    pad, end_pad = "  " * (level + 1), "  " * level
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return jsonio.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [pad + jsonio.dumps(str(k)) + ": " + _recursive_dumps(v, level + 1) for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
+    if not obj:
+        return "[]"
+    items = [pad + _recursive_dumps(v, level + 1) for v in obj]
+    return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"

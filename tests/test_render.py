@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hurwitzlab import render
 from hurwitzlab import (
@@ -195,3 +196,83 @@ _coords = st.one_of(
 def test_points_text_equals_per_vertex_format(pairs):
     verts = np.array(pairs, dtype=float)
     assert render._points(verts) == _fmt_join(verts)
+
+
+def _join_oracle(verts):
+    """The points text as one %-join of "%.6f", the formatter `_points` replaced."""
+    xy = np.column_stack([verts[:, 0], -verts[:, 1]])
+    text = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
+    return text.replace("-0.000000", "0.000000")
+
+
+# finite doubles from subnormal to 1e300, weighted toward the fixed-point range
+_finite = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-(2.0**34), 2.0**34),
+    st.floats(-1e-3, 1e-3),
+    st.builds(lambda m, e: m * 2.0**e, st.integers(-(2**20), 2**20), st.integers(-1074, 20)),
+)
+
+
+@given(arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=_finite))
+@settings(max_examples=300, deadline=None)
+def test_points_text_equals_join_oracle(verts):
+    assert render._points(verts) == _join_oracle(verts)
+
+
+def _edge_values():
+    odd = np.arange(1.0, 2001.0, 2.0)
+    ties = np.concatenate([odd * 2.0**-e for e in range(7, 30)])  # exact x 10^6 half-integers too
+    halves = (np.arange(-5000, 5000) + 0.5) / 1e6  # nearest doubles to decimal halves
+    near = np.concatenate([halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)])
+    big = np.array([2.0**33 - 1, np.nextafter(2.0**33, 0.0), 8589934591.9999995, 12345678.9999995])
+    small = np.array([0.0, -0.0, 1e-9, -1e-9, 1e-300, 5e-324, 2.5e-6, -2.5e-6, 999.9999995])
+    return {"ties": np.concatenate([ties, -ties]), "halves": near, "big": np.concatenate([big, -big]),
+            "small": small}
+
+
+@pytest.mark.parametrize("case", ["ties", "halves", "big", "small"])
+def test_points_edge_values_equal_join_oracle(case):
+    values = _edge_values()[case]
+    verts = np.resize(values, (len(values) + 1) // 2 * 2).reshape(-1, 2)
+    assert render._points(verts) == _join_oracle(verts)
+    assert render._points(verts[::-1, ::-1]) == _join_oracle(verts[::-1, ::-1])
+
+
+@pytest.mark.parametrize("vertex", [[0.0, -0.0], [-0.0, 0.0], [-4e-7, 4e-7], [2.0**33, -1.0], [-(2.0**40), 1e300]])
+def test_one_vertex_and_the_2_33_edge(vertex):
+    verts = np.array([vertex])
+    assert render._points(verts) == _join_oracle(verts)
+
+
+def test_near_tie_values_are_read_back_from_their_format(monkeypatch):
+    # 2.5e-6 * 1e6 rounds to the tie 2.5, which rint takes to 2, but the
+    # double 2.5e-6 lies above 2.5e-6, so "%.6f" writes 0.000003
+    assert np.rint(2.5e-6 * 1e6) == 2.0 and "%.6f" % 2.5e-6 == "0.000003"
+    seen = []
+    real = render._format_rounded
+    monkeypatch.setattr(render, "_format_rounded", lambda xs: seen.append(xs.tolist()) or real(xs))
+    verts = np.array([[2.5e-6, 0.25], [1.0, -3.5e-6], [0.1, 0.2]])
+    assert render._points(verts) == _join_oracle(verts) == "0.000003,-0.250000 1.000000,0.000003 0.100000,-0.200000"
+    assert seen == [[2.5e-6, 3.5e-6]]
+
+
+def test_layers_reaching_2_33_take_the_join(monkeypatch):
+    def fail(xy):
+        raise AssertionError("fixed-point block ran on a layer reaching 2^33")
+
+    monkeypatch.setattr(render, "_fixed_block", fail)
+    for top in (2.0**33, -(2.0**33), 1e300):
+        verts = np.array([[0.5, -0.0], [top, 1.25e-7], [3.0, 4.0]])
+        assert render._points(verts) == _join_oracle(verts)
+
+
+def test_smaller_blocks_give_the_same_bytes(monkeypatch, ast_body):
+    verts = np.concatenate([sample_curve(ast_body, "evolute", 512).vertices, [[1e9, -2.5e-6]]])
+    whole = render._points(verts)
+    calls = []
+    real = render._fixed_block
+    monkeypatch.setattr(render, "_fixed_block", lambda xy: calls.append(len(xy)) or real(xy))
+    monkeypatch.setattr(render, "_BLOCK_TOKENS", 6)
+    assert render._points(verts) == whole == _join_oracle(verts)
+    assert calls == [3] * 171  # 513 vertices, 3 per block of 6 coordinates
