@@ -10,10 +10,12 @@ outward normal N(phi) = (cos phi, sin phi).  The boundary is recovered as
 gamma(phi) = p N + p' N' and the curvature radius is rho = p + p''.
 A support function describes a strictly convex body exactly when rho > 0
 everywhere; operations that rely on convexity only accept bodies blessed
-by `validate_convex`.  It decides by the certificate
-a0 - sum_{n>=2} (n^2 - 1)|c_n| >= eps, a lower bound on rho, and only when
-that fails by `min_curvature_radius`, a vectorized search for the minimum
-of rho.
+by `validate_convex`.  It decides in three stages, each run only when the
+one before cannot certify: the certificate a0 - sum_{n>=2} (n^2 - 1)|c_n|
+>= eps, a lower bound on rho; the dense grid of rho with a proven bound
+between and at its samples (`_rho_grid`); and `min_curvature_radius`, a
+vectorized search for the minimum of rho, which also supplies the minimum
+a rejection reports.
 
 Coefficients are kept as a sparse, frequency-sorted tuple.  The extremal
 bodies of interest (parallels of astroids, Steiner curves, five-cusped
@@ -54,6 +56,12 @@ _MAX_MAGNITUDE = 1e100
 _MIN_MEAN = 1e-100
 # Largest harmonic degree: grid_for_degree needs 4N + 8 <= MAX_NODES nodes.
 _MAX_DEGREE = (MAX_NODES - 8) // 4
+# Round-off per level of the inverse FFT allowed for by `_rho_grid`: 64u,
+# over ten times the 6u of a radix-2 level.
+_FFT_LEVEL_ERR = 2.0**-47
+# Entries (brackets x harmonics) per block of the polish table of
+# `min_curvature_radius`, so its memory stays flat in the degree.
+_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -230,41 +238,79 @@ def _polish_roots(f, x, neg, pos, tol, active):
     return x, vals
 
 
+def _rho_grid(body: TrigSupport) -> tuple:
+    """rho = p + p'' on a dense grid, with proven bounds between and at its samples.
+
+    Returns (n, r, rho, dip, err):
+
+    - n and r_n = (1 - n^2)(a_n - i b_n), the spectrum of
+      rho = a0 + Re sum_n r_n e^{in phi};
+    - rho at the m = 16*max(N, 4) angles 2*pi*j/m: a0 plus one inverse real
+      FFT of r_n / 2.  Every n lies below m/2, and the "forward" norm never
+      scales the spectrum by m, so it cannot overflow before the values do;
+    - dip = M2 h^2 / 8 with M2 = sum_n n^2 |r_n| >= |rho''| and h = 2*pi/m:
+      rho stays within M2 h^2 / 8 of its chord on a cell between two
+      samples, so rho >= min(rho_j, rho_{j+1}) - dip there;
+    - err >= |computed rho_j - rho(2*pi*j/m)|.  Higham (2002, Thm 24.2)
+      bounds the 2-norm error of an FFT of L = log2(m) radix-2 levels by
+      L*eta/(1 - L*eta) * ||y||_2, eta = mu + gamma_4(sqrt(2) + mu) ~ 6u for
+      twiddles off by mu ~ u; the largest error is at most the 2-norm one,
+      and ||y||_2 = sqrt(m/2) ||r||_2 <= sqrt(m) sum_n |r_n|.  err takes
+      eta = `_FFT_LEVEL_ERR` = 64u, which leaves room for pocketfft's
+      higher-radix and Bluestein levels and for the rounding of r_n, plus
+      2u*a0 for the addition of a0.
+
+    dip and err are rounded up past the round-off of their own sums
+    (relative K*u for K < 2^18 harmonics) by the factor 1 + 2^-30.  A
+    spectrum past the float range gives inf or NaN, which certify nothing.
+    """
+    n = np.array([h.n for h in body.harmonics], dtype=int)
+    r = (1 - n * n) * np.array([complex(h.a, -h.b) for h in body.harmonics], dtype=complex)
+    m = 16 * max(body.max_degree, 4)
+    spec = np.zeros(m // 2 + 1, dtype=complex)
+    spec[n] = 0.5 * r
+    rho = body.a0 + np.fft.irfft(spec, m, norm="forward")
+    mag = np.abs(r)
+    up = 1.0 + 2.0**-30
+    dip = up * float(np.sum(n * n * mag)) * (TWO_PI / m) ** 2 / 8.0
+    err = up * (_FFT_LEVEL_ERR * math.log2(m) * math.sqrt(m) * float(np.sum(mag)) + 2.0**-52 * body.a0)
+    return n, r, rho, dip, err
+
+
 def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     """Global minimum of the curvature radius rho = p + p'' and its angle.
 
-    Everything is read off the one spectrum of rho = a0 + Re sum_n r_n e^{in phi},
-    r_n = (1 - n^2)(a_n - i b_n).  On the 16*max(N,4) grid angles rho is one
-    inverse real FFT of r_n / 2; every n lies below half the grid, and the
-    "forward" norm never scales the spectrum by the grid size, so it cannot
-    overflow before the values do.  The grid's local minima at which rho'
-    changes sign between x - h and x + h are the candidates, and
-    `_polish_roots` finds the roots of rho' in all of them at once, down to
-    |rho'| <= 1e-12 * scale or, at high degree, the round-off bound
-    u * sum_n n|r_n|(1 + 2 pi n) of rho' itself (the phase n*x of each term
-    is off by up to u*2*pi*n), below which Newton only stalls; there rho,
-    rho' and rho'' are the real part of one product of e^{i n x} with the
-    columns (in)^k r_n, k = 0, 1, 2.  A spectrum past the float range gives
-    NaN or -inf, never a false minimum.
+    Everything is read off the spectrum r_n of `_rho_grid`, which also gives
+    rho on the 16*max(N,4) grid.  The grid's local minima x at which rho'
+    changes sign between x - h and x + h are the brackets.  A bracket can
+    hold the global minimum only if its cell bound rho(x) - dip reaches the
+    smallest sample, within the round-off of the samples (err) and of the
+    polished values, sums of K terms whose phases n*x are off by up to
+    u*2*pi*n; only those brackets are polished.  `_polish_roots` finds the
+    roots of rho' in all of them at once, down to |rho'| <= 1e-12 * scale
+    or, at high degree, the round-off bound u * sum_n n|r_n|(1 + 2 pi n) of
+    rho' itself, below which Newton only stalls; there rho, rho' and rho''
+    are the real part of the product of e^{i n x} with the columns
+    (in)^k r_n, k = 0, 1, 2, built `_BLOCK_ENTRIES` entries at a time.  A
+    spectrum past the float range gives NaN or -inf, never a false minimum.
     """
     if not body.harmonics:
         return body.a0, 0.0
-    n = np.array([h.n for h in body.harmonics])
-    r = (1 - n * n) * np.array([complex(h.a, -h.b) for h in body.harmonics])
+    n, r, rho, dip, err = _rho_grid(body)
     coef = np.stack([r, 1j * n * r, -(n * n) * r], axis=1)
-    n_grid = 16 * max(body.max_degree, 4)
-    spec = np.zeros(n_grid // 2 + 1, dtype=complex)
-    spec[n] = 0.5 * r
-    rho = body.a0 + np.fft.irfft(spec, n_grid, norm="forward")
-    phis = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+    phis = np.linspace(0.0, TWO_PI, rho.size, endpoint=False)
     scale = max(abs(body.a0), *(max(abs(h.a), abs(h.b)) for h in body.harmonics), 1e-300)
+    rows = max(1, _BLOCK_ENTRIES // n.size)
 
     def slope(x):
-        vals, d1, d2 = (np.exp(1j * np.outer(x, n)) @ coef).real.T
+        blocks = [np.exp(1j * np.outer(x[i : i + rows], n)) @ coef for i in range(0, x.size, rows)]
+        vals, d1, d2 = np.concatenate(blocks).real.T
         return d1, d2, body.a0 + vals
 
-    x = phis[~((rho > np.roll(rho, 1)) | (rho > np.roll(rho, -1)))]  # NaN samples stay candidates
-    h = TWO_PI / n_grid
+    slop = 2.0 * err + 2.0**-51 * float(np.sum(np.abs(r) * (n.size + TWO_PI * n)))
+    local = ~((rho > np.roll(rho, 1)) | (rho > np.roll(rho, -1)))  # NaN samples stay candidates
+    x = phis[local & ~(rho - dip > np.min(rho) + slop)]
+    h = TWO_PI / rho.size
     lo, hi = x - h, x + h
     ends = slope(np.concatenate([lo, hi]))[0]
     active = (ends[: x.size] <= 0.0) & (0.0 <= ends[x.size :])
@@ -290,13 +336,23 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     _MIN_MEAN = 1e-100 raises BadSpec, since a0 >= 1e-100 keeps a0^2 >=
     1e-200, above the underflow of every quadratic functional.
 
-    The certificate decides first: rho(phi) >= slack = a0 - sum_{n>=2}
-    (n^2 - 1)|c_n| for every phi, so slack >= eps proves strict convexity.
-    It must clear eps by _CERT_MARGIN * a0, a few ulps of a0 that cover the
-    round-off of slack, so it never certifies a body whose true rho_min
-    sits at eps.  Only when it fails does `min_curvature_radius` search,
-    and only a minimum that is at least eps certifies: a spectrum past the
-    float range gives a NaN minimum, which never does.
+    Three stages decide, each only when the one before cannot certify:
+
+    1. The certificate: rho(phi) >= slack = a0 - sum_{n>=2} (n^2 - 1)|c_n|
+       for every phi, so slack >= eps proves strict convexity.
+    2. The dense grid of `_rho_grid`: rho >= min_j rho_j - dip - err
+       everywhere, the least sample less the cell bound M2 h^2 / 8 and the
+       proven round-off of the samples, so that bound >= eps proves it too.
+    3. `min_curvature_radius` searches, and only a minimum that is at least
+       eps certifies: a spectrum past the float range gives a NaN minimum,
+       which never does.  A rejected body's NotStrictlyConvex carries the
+       searched minimum.
+
+    Stages 1 and 2 must clear eps by _CERT_MARGIN * a0, a few ulps of a0
+    that cover the round-off of their last sums (rho averages to a0, so a
+    bound that clears eps lies below a0), and so never certify a body whose
+    true rho_min sits at eps.  Both bound rho from below, so they certify no
+    body the search would reject.
     """
     coeffs = [body.a0] + [c for h in body.harmonics for c in (h.a, h.b)]
     if not all(math.isfinite(c) for c in coeffs):
@@ -315,10 +371,13 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         slack = body.a0 - math.fsum((h.n * h.n - 1) * math.hypot(h.a, h.b) for h in body.harmonics)
     except OverflowError:  # the sum passed the float range, far above a0
         slack = -math.inf
-    if slack < eps + _CERT_MARGIN * body.a0:
-        rho_min, phi_at = min_curvature_radius(body)
-        if not rho_min >= eps:
-            raise NotStrictlyConvex(rho_min, phi_at)
+    floor = eps + _CERT_MARGIN * body.a0
+    if slack < floor:
+        _, _, rho, dip, err = _rho_grid(body)
+        if not float(np.min(rho)) - dip - err >= floor:
+            rho_min, phi_at = min_curvature_radius(body)
+            if not rho_min >= eps:
+                raise NotStrictlyConvex(rho_min, phi_at)
     return _bounded(replace(body, validated=True))
 
 

@@ -226,8 +226,9 @@ def _fixed_block(xy: np.ndarray) -> bytes:
     return _words()[idx].tobytes().translate(None, b"\0")
 
 
-def _points(verts: np.ndarray) -> str:
-    """SVG points "x,-y x,-y ..." at 6 decimals, "-0.000000" written as "0.000000".
+def _points(verts: np.ndarray) -> bytes:
+    """SVG points "x,-y x,-y ..." at 6 decimals, "-0.000000" written as "0.000000",
+    as ASCII bytes (the bytearray it is built in, not a decoded copy).
 
     The text equals the "%.6f" of every value.  Below 2^33 in magnitude
     (`_FIXED_LIMIT`) each value is k = x 10^6 rounded half to even on its
@@ -240,13 +241,13 @@ def _points(verts: np.ndarray) -> str:
     if not max(-verts.min(), verts.max()) < _FIXED_LIMIT:
         xy = np.column_stack([verts[:, 0], -verts[:, 1]])
         text = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
-        return text.replace("-0.000000", "0.000000")
+        return text.replace("-0.000000", "0.000000").encode("ascii")
     rows = _BLOCK_TOKENS // 2
     text = bytearray()
     for start in range(0, len(verts), rows):
         text += _fixed_block(verts[start : start + rows] * [1.0, -1.0])
     del text[0]
-    return text.decode("ascii")
+    return text
 
 
 def write_svg(scene: Scene) -> bytes:
@@ -259,14 +260,17 @@ def write_svg(scene: Scene) -> bytes:
     coordinates, values within round-off of a tie formatted by "%.6f"
     itself, and one %-join for a layer reaching 2^33 in magnitude.
     Degenerate layers (all vertices coincident, like the evolute of a
-    circle) are drawn as a small dot marker.
+    circle) are drawn as a small dot marker.  The viewbox comes from each
+    layer's extremes, and the document is one join of the lines' bytes with
+    every layer's points bytes, so it is held once next to those.
     """
     if not scene.layers:
         raise EmptyScene("no layers to draw")
-    pts = np.concatenate([poly.vertices for poly, _ in scene.layers])
-    xs, ys = pts[:, 0], -pts[:, 1]  # SVG y-axis points down
-    x0, x1 = float(np.min(xs)), float(np.max(xs))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
+    layers = [poly.vertices for poly, _ in scene.layers]
+    x0 = min(float(np.min(v[:, 0])) for v in layers)
+    x1 = max(float(np.max(v[:, 0])) for v in layers)
+    y0 = -max(float(np.max(v[:, 1])) for v in layers)  # SVG y-axis points down
+    y1 = -min(float(np.min(v[:, 1])) for v in layers)
     span = max(x1 - x0, y1 - y0, 1e-9)
     pad = _MARGIN * span
     x0, y0 = x0 - pad, y0 - pad
@@ -274,30 +278,30 @@ def write_svg(scene: Scene) -> bytes:
     diag = math.hypot(w, h)
     stroke_w = 0.004 * diag
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        b'<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">',
+        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">\n'.encode("utf-8"),
     ]
     for poly, style in scene.layers:
         verts = poly.vertices
         extent = float(np.max(np.abs(verts - verts[0])))
         if extent < 1e-9 * max(1.0, diag):
             cx, cy = verts[0]
-            lines.append(
+            parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(0.01 * diag)}" '
-                f'fill="{style.stroke}"/>'
+                f'fill="{style.stroke}"/>\n'.encode("utf-8")
             )
             continue
-        coords = _points(verts)
         dash = (
             f' stroke-dasharray="{",".join(_fmt(d) for d in style.dash)}"'
             if style.dash
             else ""
         )
-        lines.append(
+        parts.append(
             f'<polygon fill="none" stroke="{style.stroke}" '
-            f'stroke-width="{_fmt(stroke_w)}"{dash} points="{coords}"/>'
+            f'stroke-width="{_fmt(stroke_w)}"{dash} points="'.encode("utf-8")
         )
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        parts += [_points(verts), b'"/>\n']
+    parts.append(b"</svg>\n")
+    return b"".join(parts)

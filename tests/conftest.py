@@ -32,8 +32,8 @@ def mix_body():
 @pytest.fixture(scope="session")
 def hd17_body():
     # 17 harmonics of size 0.3/n^3 with scrambled signs: the convexity
-    # certificate fails (slack -0.29), the curvature-minimum search decides
-    # (rho_min 0.595); coefficients use division only, so they are exact
+    # certificate fails (slack -0.29), the dense-grid bound decides (0.592,
+    # below rho_min 0.595); coefficients use division only, so they are exact
     hs = tuple(
         Harmonic(n, 0.3 * ((7 * n) % 5 - 2) / n**3, 0.3 * ((3 * n) % 5 - 2) / n**3) for n in range(1, 18)
     )

@@ -133,6 +133,13 @@ def certificate_edge_bodies(draw):
     return TrigSupport(a0, tuple(hs))
 
 
+def _ripple_body(degree):
+    """a0 = 3, a_n = 0.3/n^3, b_n = 0.2/n^3 for n = 2..degree.  Its certificate
+    slack a0 - 0.36 sum (n^2 - 1)/n^3 is 0.23 at degree 4096 and turns
+    negative past degree 7660 (-0.27 at 16384), where the dense grid decides."""
+    return TrigSupport(3.0, tuple(Harmonic(n, 0.3 / n**3, 0.2 / n**3) for n in range(2, degree + 1)))
+
+
 class _Searched(Exception):
     pass
 
@@ -308,6 +315,36 @@ class TestGridDerivs:
         assert body == twin and "_spectrum" not in vars(twin)
 
 
+class TestRhoGrid:
+    @pytest.mark.parametrize(
+        "ns",
+        [(2, 3), (2, 17), (5, 1009), (2, 3, 500, 1009), tuple(range(2, 65)), (7, 4096), (3, 12289)],
+        ids=["deg3", "deg17", "prime1009", "sparse1009", "dense64", "pow2", "prime12289"],
+    )
+    def test_err_bounds_the_fft_round_off(self, ns):
+        # against rho at the exact grid angles in extended precision; a prime
+        # degree p makes pocketfft transform 16p points by Bluestein's method
+        if np.finfo(np.longdouble).precision < 18:
+            pytest.skip("needs an extended-precision long double")
+        rng = np.random.default_rng(len(ns))
+        body = TrigSupport(1.0, tuple(Harmonic(n, *(rng.standard_normal(2) / n**2)) for n in ns))
+        _, _, rho, _, err = bodies._rho_grid(body)
+        m = rho.size
+        j = np.arange(m)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        exact = np.full(m, np.longdouble(body.a0))
+        for h in body.harmonics:
+            angle = 2 * pi * ((h.n * j) % m).astype(np.longdouble) / m
+            exact += np.longdouble(1 - h.n**2) * (np.longdouble(h.a) * np.cos(angle) + np.longdouble(h.b) * np.sin(angle))
+        assert float(np.max(np.abs(rho.astype(np.longdouble) - exact))) <= err
+
+    def test_cell_bound(self):
+        # rho = 1 - 0.6 sin(2 phi) - 0.4 cos(3 phi): M2 = 4*0.6 + 9*0.4 = 6, h = 2 pi / 64
+        _, _, rho, dip, _ = bodies._rho_grid(TrigSupport(1.0, (Harmonic(2, 0.0, 0.2), Harmonic(3, 0.05, 0.0))))
+        assert rho.size == 64
+        assert dip == pytest.approx(6.0 * (TWO_PI / 64) ** 2 / 8, rel=1e-9) and dip >= 6.0 * (TWO_PI / 64) ** 2 / 8
+
+
 class TestMinCurvature:
     def test_ast(self, ast_body):
         # rho = 1 - 0.6 sin(2 phi): minimum 0.4 at phi = pi/4
@@ -374,29 +411,109 @@ class TestMinCurvature:
         assert 1 <= len(calls) <= 10
         assert abs(rho - _reference_rho_min(body)) <= 1e-12 * body.a0
 
+    def test_minimum_away_from_the_least_sample(self):
+        # the least of the 64 samples lies in one well of rho, and the true
+        # minimum 0.04 lower in another well, between samples: only the cell
+        # bound, not the sample values, sends that well's bracket to the polish
+        body = TrigSupport(4.0, (Harmonic(2, -0.34, 0.44), Harmonic(3, 0.1, 0.06), Harmonic(4, -0.15, 0.1)))
+        rho, phi = min_curvature_radius(body)
+        _, _, samples, _, _ = bodies._rho_grid(body)
+        least = TWO_PI / samples.size * np.argmin(samples)
+        assert abs(math.remainder(phi - least, TWO_PI)) > 10 * TWO_PI / samples.size
+        assert abs(rho - _companion_rho_min(body)) <= 1e-12 * body.a0
+
+    def test_full_ripple_polishes_one_bracket(self, monkeypatch):
+        # a0 = 3, c_n = (0.3 - 0.2i)/n^3 for n = 2..4096: rho has a grid-local
+        # minimum in about every period of the top harmonic, and before the
+        # cell bound every one of them was polished, a table of about N^2
+        # entries.  Only the 2 cells about the least sample reach the bound.
+        body = _ripple_body(4096)
+        sizes = []
+        polish = bodies._polish_roots
+        monkeypatch.setattr(bodies, "_polish_roots", lambda f, x, *args: sizes.append(x.size) or polish(f, x, *args))
+        rho, phi = min_curvature_radius(body)
+        assert sizes == [1]
+        m = 8 * 16 * body.max_degree
+        spec = np.zeros(m // 2 + 1, dtype=complex)
+        for h in body.harmonics:
+            spec[h.n] = 0.5 * (1 - h.n**2) * complex(h.a, -h.b)
+        dense = body.a0 + np.fft.irfft(spec, m, norm="forward")
+        assert rho <= np.min(dense) + 1e-12 * body.a0
+        assert abs(_rho(body, phi) - rho) <= 1e-12 * body.a0
+
+    def test_blocked_polish_table_gives_the_same_minimum(self, monkeypatch):
+        # 8-fold symmetric: 8 brackets of equal minima reach the polish, one
+        # table row per block when a block holds only K = 8 entries
+        body = TrigSupport(1.0, tuple(Harmonic(8 * j, 0.3 / (8 * j) ** 2, 0.1 / (8 * j) ** 2) for j in range(1, 9)))
+        whole = min_curvature_radius(body)
+        monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 8)
+        rho, phi = min_curvature_radius(body)
+        # the 8 minima tie to round-off, so either run may pick another one
+        assert abs(rho - whole[0]) <= 1e-14 * body.a0 and abs(_rho(body, phi) - rho) <= 1e-12 * body.a0
+        assert abs(rho - _companion_rho_min(body)) <= 1e-12 * body.a0
+
 
 class TestCertificate:
-    def test_search_skipped_unless_certificate_fails(
-        self, monkeypatch, circle_body, ast_body, delt_body, cw35_body, mix_body
+    def test_each_stage_decides_its_bodies(
+        self, monkeypatch, circle_body, ast_body, delt_body, cw35_body, mix_body, hd17_body
     ):
-        calls = []
-        search = bodies.min_curvature_radius
+        grids, searches = [], []
+        grid, search = bodies._rho_grid, bodies.min_curvature_radius
+        monkeypatch.setattr(bodies, "_rho_grid", lambda body: grids.append(body) or grid(body))
+        monkeypatch.setattr(bodies, "min_curvature_radius", lambda body: searches.append(body) or search(body))
 
-        def spy(body):
-            calls.append(body)
-            return search(body)
+        def stages():
+            reached = 1 + bool(grids) + bool(searches)
+            grids.clear()
+            searches.clear()
+            return reached
 
-        monkeypatch.setattr(bodies, "min_curvature_radius", spy)
+        # stage 1, the certificate: the fixtures and the sweep draws
         for body in (circle_body, ast_body, delt_body, cw35_body, mix_body):
             validate_convex(body)
         for seed in range(3):
             for degree in range(1, 9):
                 random_body(seed, degree)
                 random_body(seed, degree, constant_width=True, index=1)
-        assert calls == []
-        # slack 1 - 3*0.2 - 8*0.05 = 0, yet rho_min ~ 0.049
-        body = validate_convex(TrigSupport(1.0, (Harmonic(2, 0.0, 0.2), Harmonic(3, 0.05, 0.0))))
-        assert body.validated and len(calls) == 1
+        assert stages() == 1
+        # stage 2, the dense grid: slack 1 - 3*0.2 - 8*0.05 = 0, yet rho_min ~ 0.049;
+        # hd17 (slack -0.29, rho_min 0.595); the ripple body at degree 16384
+        for body in (TrigSupport(1.0, (Harmonic(2, 0.0, 0.2), Harmonic(3, 0.05, 0.0))), hd17_body, _ripple_body(16384)):
+            assert validate_convex(body).validated
+            assert stages() == 2
+        # stage 3, the search: a convex body whose minimum lies below the
+        # cell bound (the slack-0 body lowered to rho_min = 1e-3) ...
+        hs = (Harmonic(2, 0.0, 0.2), Harmonic(3, 0.05, 0.0))
+        low = TrigSupport(1.0 - search(TrigSupport(1.0, hs))[0] + 1e-3, hs)
+        assert validate_convex(low).validated
+        assert stages() == 3
+        # ... and every rejection, which reports the searched minimum.  A
+        # one-harmonic parallel has rho_min equal to its certificate slack
+        # (share 0.999 is certified at stage 1), so it reaches stage 3 only
+        # to be rejected, as at the amplitude edge
+        for share in (1.0, 1.001):
+            body = TrigSupport(1.5, (Harmonic(3, share * 1.5 / 8, 0.0),))
+            with pytest.raises(NotStrictlyConvex) as info:
+                validate_convex(body)
+            assert stages() == 3
+            assert info.value.rho_min == search(body)[0] == pytest.approx((1.0 - share) * 1.5, abs=1e-14)
+
+    @given(st.one_of(near_convex_bodies(), certificate_edge_bodies()), st.floats(1e-12, 0.1))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_bound_below_companion_minimum(self, body, eps_rel):
+        # the stage-2 bound is a lower bound on the true minimum, and a body
+        # certified without the search has its minimum at or above eps
+        _, _, rho, dip, err = bodies._rho_grid(body)
+        companion = _companion_rho_min(body)
+        assert float(np.min(rho)) - dip - err <= companion
+        eps = eps_rel * body.a0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bodies, "min_curvature_radius", _no_search)
+            try:
+                validate_convex(body, eps=eps)
+            except _Searched:
+                return
+        assert companion >= eps
 
     @given(certificate_edge_bodies(), st.floats(1e-12, 0.1))
     @settings(max_examples=60, deadline=None)

@@ -180,7 +180,7 @@ class TestSvg:
 
 def _fmt_join(verts):
     """The per-vertex points text that write_svg built before `_points`."""
-    return " ".join(f"{render._fmt(x)},{render._fmt(-y)}" for x, y in verts)
+    return " ".join(f"{render._fmt(x)},{render._fmt(-y)}" for x, y in verts).encode("ascii")
 
 
 _coords = st.one_of(
@@ -202,7 +202,7 @@ def _join_oracle(verts):
     """The points text as one %-join of "%.6f", the formatter `_points` replaced."""
     xy = np.column_stack([verts[:, 0], -verts[:, 1]])
     text = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
-    return text.replace("-0.000000", "0.000000")
+    return text.replace("-0.000000", "0.000000").encode("ascii")
 
 
 # finite doubles from subnormal to 1e300, weighted toward the fixed-point range
@@ -253,7 +253,7 @@ def test_near_tie_values_are_read_back_from_their_format(monkeypatch):
     real = render._format_rounded
     monkeypatch.setattr(render, "_format_rounded", lambda xs: seen.append(xs.tolist()) or real(xs))
     verts = np.array([[2.5e-6, 0.25], [1.0, -3.5e-6], [0.1, 0.2]])
-    assert render._points(verts) == _join_oracle(verts) == "0.000003,-0.250000 1.000000,0.000003 0.100000,-0.200000"
+    assert render._points(verts) == _join_oracle(verts) == b"0.000003,-0.250000 1.000000,0.000003 0.100000,-0.200000"
     assert seen == [[2.5e-6, 3.5e-6]]
 
 
