@@ -177,7 +177,9 @@ def _grid_derivs(body: TrigSupport, m: int, orders, shifts=None) -> tuple:
     u*log2(m)*sum_n n^k |c_n| (Higham 2002, ch. 24) against Horner's
     N*u*sum_n n^k |c_n|.  A grid of m <= 2N nodes is sampled on the smallest
     multiple q*m > 2N, every q-th value kept, so no harmonic aliases.  Each
-    row is its own transform: its bits do not depend on the other shifts.
+    row is its own transform: its bits do not depend on the other shifts,
+    except for a one-harmonic body called with one shift, whose one-element
+    rotation numpy rounds without the fused multiply-add of its array loop.
     """
     n, half = body._spectrum
     q = 2 * body.max_degree // m + 1
@@ -521,12 +523,15 @@ def random_body(
         raise ValueError(f"degree must lie in [1, {_MAX_DEGREE}], got {degree}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     rng = np.random.Generator(np.random.Philox(seed=ss))
+    # (magnitude, phase) uniforms per frequency, in the order scalar draws
+    # take them; rng.uniform(0, h) is 0 + h*u, so h*u is the same double
+    u = rng.random(2 * degree).tolist()
     hs = []
     for n in range(1, degree + 1):
-        mag = rng.uniform(0.0, 0.5) / n**3
-        phase = rng.uniform(0.0, TWO_PI)
         if constant_width and n >= 2 and n % 2 == 0:
             continue
+        mag = 0.5 * u[2 * n - 2] / n**3
+        phase = TWO_PI * u[2 * n - 1]
         hs.append(Harmonic(n, mag * math.cos(phase), mag * math.sin(phase)))
     body = TrigSupport(1.0, tuple(hs))
     for _ in range(60):

@@ -333,16 +333,17 @@ def support_line_angles(body: TrigSupport, point) -> TangentPair:
     return TangentPair(phi1=phi1, phi2=phi2, omega=omega, t1=t1, t2=t2)
 
 
-def _corners(phi1, deltas, at1, at2):
+def _corners(phi1, deltas, at1, at2, sins):
     """(px, py, u1, u2), one row per gap delta and one column per phi1: the
     corner P where the support lines at phi1 and phi1 + delta meet, and the
     signed tangent lengths from P to their tangency points, from (p, p') at
-    phi1 (at1) and at phi1 + delta (at2, one row per gap)."""
+    phi1 (at1) and at phi1 + delta (at2, one row per gap) and the gaps'
+    `math.sin` values (sins)."""
     (p1, dp1), (p2, dp2) = at1, at2
     c1, s1 = np.cos(phi1), np.sin(phi1)
     phi2 = phi1 + deltas[:, None]
     c2, s2 = np.cos(phi2), np.sin(phi2)
-    sd = np.array([math.sin(d) for d in deltas])[:, None]
+    sd = sins[:, None]
     px = (p1 * s2 - p2 * s1) / sd
     py = (p2 * c1 - p1 * c2) / sd
     return px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
@@ -358,39 +359,66 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
     _require_validated(body)
     if not (0.0 < delta < PI):
         raise DegenerateGap(f"delta must lie in (0, pi), got {delta}")
-    corner = _corners(phi1, np.array([delta]), _derivs(body, phi1, (0, 1)), _derivs(body, phi1 + delta, (0, 1)))
+    sd = math.sin(delta)
+    corner = _corners(
+        phi1, np.array([delta]), _derivs(body, phi1, (0, 1)), _derivs(body, phi1 + delta, (0, 1)), np.array([sd])
+    )
     px, py, u1, u2 = (float(v[0, 0]) for v in corner)
-    return np.array([px, py]), abs(u1 * u2) / math.sin(delta), PI - delta
+    return np.array([px, py]), abs(u1 * u2) / sd, PI - delta
 
 
 # ---------------------------------------------------------------------------
 # Tangent-coordinate integration
 
 
-def _gap_mass(body: TrigSupport, delta, nodes_phi: int):
-    """Integral over phi1 of the area-element factor at fixed gap delta.
+def _gap_mass(body: TrigSupport, levels, nodes_phi: int):
+    """Integral over phi1 of the area-element factor at the gaps of each
+    1-D array in `levels`, concatenated.
 
     Returns the kernel-independent tangent field G (cached by
     `_tangent_field`) with integral_exterior f(omega) dP =
-    integral_0^pi f(pi - delta) G(delta) ddelta.  p and p' on the phi1 grid,
-    shifted by each gap, are one `_grid_derivs` call per block of
-    _BLOCK_ENTRIES corners, one row per gap.
+    integral_0^pi f(pi - delta) G(delta) ddelta.  p and p' on the phi1 grid
+    are one unshifted `_grid_derivs` call for all levels, and shifted by
+    each gap one call per block of _BLOCK_ENTRIES corners, one row per gap;
+    each block's `math.sin` list serves its corners and the final division.
+    A block never spans two levels, so each level gives the bits it gives
+    alone: numpy rounds a one-element complex product, the spectrum of a
+    one-harmonic body rotated by a lone gap, without the fused multiply-add
+    of its array loop.
     """
     phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
-    deltas = np.atleast_1d(np.asarray(delta, dtype=float))
     rows = max(1, _BLOCK_ENTRIES // nodes_phi)
     at1 = _grid_derivs(body, nodes_phi, (0, 1))
-    sums = []
-    for start in range(0, deltas.size, rows):
-        block = deltas[start : start + rows]
-        _, _, u1, u2 = _corners(phi1, block, at1, _grid_derivs(body, nodes_phi, (0, 1), block))
-        sums.extend(map(math.fsum, np.abs(u1 * u2).tolist()))
-    return TWO_PI / nodes_phi * np.array(sums) / np.array([math.sin(d) for d in deltas])
+    sums, sins = [], []
+    for gaps in levels:
+        for start in range(0, len(gaps), rows):
+            block = np.asarray(gaps[start : start + rows], dtype=float)
+            sins.append(np.array([math.sin(d) for d in block]))
+            at2 = _grid_derivs(body, nodes_phi, (0, 1), block)
+            _, _, u1, u2 = _corners(phi1, block, at1, at2, sins[-1])
+            sums.extend(map(math.fsum, np.abs(u1 * u2).tolist()))
+    return TWO_PI / nodes_phi * np.array(sums) / np.concatenate(sins)
 
 
 def _delta_edges(panels: int) -> np.ndarray:
     s = np.linspace(0.0, 1.0, panels + 1)
     return _DELTA_MIN + (PI - _DELTA_MIN) * (1.0 - (1.0 - s) ** 2)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=1)
+def _gap_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(gap nodes, Gauss weights) of the fine level, _DELTA_PANELS panels of
+    16 points, and of the coarse level, half as many; body independent,
+    built on first use."""
+    panels = (_DELTA_PANELS, _DELTA_PANELS // 2)
+    return tuple(_read_only(*gauss_panels(_delta_edges(n), points=16)) for n in panels)
 
 
 @lru_cache(maxsize=8)
@@ -402,18 +430,19 @@ def _tangent_field(body: TrigSupport):
     G's phi1 rule is exact on max(16, 2N + 1) nodes (module docstring), and
     both levels and the collar row sample phi1 on that many; the fine level
     takes _DELTA_PANELS gap panels and the coarse level half as many, so
-    fine - coarse measures the delta rule.
+    fine - coarse measures the delta rule.  The two levels and the collar
+    row are one `_gap_mass` call, whose masses are split back per level.
     G is translation invariant, and the corners are solved on the
     Steiner-centred body, where their round-off does not grow with the
     translation.
     """
     body = recenter_to_steiner(body)
     nodes_phi = max(16, 2 * body.max_degree + 1)
-    levels = []
-    for n in (_DELTA_PANELS, _DELTA_PANELS // 2):
-        nodes, weights = gauss_panels(_delta_edges(n), points=16)
-        levels.append((nodes, weights, _gap_mass(body, nodes, nodes_phi), nodes.size * nodes_phi))
-    return tuple(levels), float(_gap_mass(body, _DELTA_MIN, nodes_phi)[0])
+    rules = _gap_rules()
+    mass = _gap_mass(body, [x for x, _ in rules] + [[_DELTA_MIN]], nodes_phi)
+    *masses, collar_row = np.split(mass, np.cumsum([x.size for x, _ in rules]))
+    levels = tuple((x, w, m, x.size * nodes_phi) for (x, w), m in zip(rules, masses))
+    return levels, float(collar_row[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -425,18 +454,30 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     phi1 integrand.  The error bar combines the difference from a coarse
     level that halves only the delta panels with a bound on the mass dropped
     inside the near-boundary collar.  The tangent field is kernel
-    independent and cached per body.  `config` is accepted, so the call
-    reads like `exterior_integral_grid`'s, and not read: the rule follows
-    the body alone.
+    independent and cached per body, and the kernel's values on the gap
+    nodes are body independent and cached per kernel (`_kernel_weights`).
+    `config` is accepted, so the call reads like `exterior_integral_grid`'s,
+    and not read: the rule follows the body alone.
     """
     _require_validated(body)
-    kernel.check_integrable()
+    level_f, collar_f = _kernel_weights(kernel)
     levels, collar_row = _tangent_field(body)
-    fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for x, w, mass, _ in levels)
+    fine, coarse = (math.fsum((wf * mass).tolist()) for wf, (_, _, mass, _) in zip(level_f, levels))
     # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
-    collar_err = _DELTA_MIN * abs(kernel(PI - _DELTA_MIN)) * collar_row
+    collar_err = collar_f * collar_row
     err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
     return IntegralResult(fine, err, "tangent_coords", levels[0][3])
+
+
+@lru_cache(maxsize=32)
+def _kernel_weights(kernel: Kernel) -> tuple[tuple[np.ndarray, ...], float]:
+    """The kernel-only part of `exterior_integral`, cached per kernel: w *
+    kernel(pi - x) on each level's gap rule and the collar factor
+    _DELTA_MIN * |kernel(pi - _DELTA_MIN)|.  A non-integrable kernel raises
+    on every call, since a raising call caches nothing."""
+    kernel.check_integrable()
+    levels = _read_only(*(w * kernel(PI - x) for x, w in _gap_rules()))
+    return levels, _DELTA_MIN * abs(kernel(PI - _DELTA_MIN))
 
 
 @lru_cache(maxsize=32)

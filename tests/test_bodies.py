@@ -772,6 +772,58 @@ class TestConstruct:
         assert a != random_body(11, 5, index=4)
 
 
+def _scalar_random_body(seed, degree, constant_width=False, index=0):
+    """random_body drawn one rng.uniform per magnitude and per phase, the
+    oracle of its one-array draw; it halves the amplitudes the same way."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    rng = np.random.Generator(np.random.Philox(seed=ss))
+    hs = []
+    for n in range(1, degree + 1):
+        mag = rng.uniform(0.0, 0.5) / n**3
+        phase = rng.uniform(0.0, TWO_PI)
+        if constant_width and n >= 2 and n % 2 == 0:
+            continue
+        hs.append(Harmonic(n, mag * math.cos(phase), mag * math.sin(phase)))
+    body = TrigSupport(1.0, tuple(hs))
+    for _ in range(60):
+        try:
+            return bodies.validate_convex(body)
+        except NotStrictlyConvex:
+            body = TrigSupport(body.a0, tuple(Harmonic(h.n, 0.5 * h.a, 0.5 * h.b) for h in body.harmonics))
+    raise AmplitudeTooLarge("random draw could not be rescaled to a convex body")
+
+
+class TestRandomBody:
+    @pytest.mark.parametrize("constant_width", [False, True])
+    @pytest.mark.parametrize("degree", [1, 2, 5, 8, 33])
+    def test_array_draw_equals_scalar_draws(self, degree, constant_width):
+        for seed in range(4):
+            for index in range(3):
+                got = random_body(seed, degree, constant_width, index)
+                want = _scalar_random_body(seed, degree, constant_width, index)
+                assert got == want and got.validated
+                assert [(h.a, h.b) for h in got.harmonics] == [(h.a, h.b) for h in want.harmonics]
+
+    def test_halved_draw_equals_scalar_draws(self, monkeypatch):
+        # default draws are convex at once, so a stricter check forces the
+        # halving: every coefficient must fall to 1e-3 first
+        validate = bodies.validate_convex
+        rejected = []
+
+        def strict(body, *args, **kwargs):
+            if any(max(abs(h.a), abs(h.b)) > 1e-3 for h in body.harmonics):
+                rejected.append(body)
+                raise NotStrictlyConvex(0.0, 0.0)
+            return validate(body, *args, **kwargs)
+
+        monkeypatch.setattr(bodies, "validate_convex", strict)
+        got = random_body(3, 6, index=2)
+        halvings = len(rejected)
+        want = _scalar_random_body(3, 6, index=2)
+        assert got == want
+        assert halvings == len(rejected) - halvings >= 5
+
+
 class TestConstantWidth:
     def test_delt(self, delt_body):
         flag, w = is_constant_width(delt_body)

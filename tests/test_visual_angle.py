@@ -45,6 +45,7 @@ from hurwitzlab.visual_angle import (
     KERNELS,
     _corners,
     _gap_mass,
+    _kernel_weights,
     _polar_field,
     _radial_boundary,
     _tangent_angles,
@@ -423,6 +424,28 @@ def field_body(request):
     return request.getfixturevalue(f"{request.param}_body")
 
 
+def _three_call_field(body):
+    """`_tangent_field` composed as one `_gap_mass` call per level and one
+    for the collar row, each with its own blocks."""
+    body = recenter_to_steiner(body)
+    nodes_phi = max(16, 2 * body.max_degree + 1)
+    levels = []
+    for n in (visual_angle._DELTA_PANELS, visual_angle._DELTA_PANELS // 2):
+        nodes, weights = gauss_panels(visual_angle._delta_edges(n), points=16)
+        levels.append((nodes, weights, _gap_mass(body, [nodes], nodes_phi), nodes.size * nodes_phi))
+    return tuple(levels), float(_gap_mass(body, [[visual_angle._DELTA_MIN]], nodes_phi)[0])
+
+
+def _inline_integral(body, kernel):
+    """`exterior_integral` with the kernel evaluated inline on every call."""
+    kernel.check_integrable()
+    levels, collar_row = _tangent_field(body)
+    fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for x, w, mass, _ in levels)
+    collar_err = visual_angle._DELTA_MIN * abs(kernel(PI - visual_angle._DELTA_MIN)) * collar_row
+    err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
+    return IntegralResult(fine, err, "tangent_coords", levels[0][3])
+
+
 def _field_gaps(nodes_phi):
     rows = max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
     rng = np.random.default_rng(nodes_phi)
@@ -436,7 +459,7 @@ class TestTangentField:
     def test_block_gap_mass_equals_per_gap_loop(self, field_body, nodes_phi):
         # the blocks' rows are bit for bit one _grid_derivs call per gap
         gaps = _field_gaps(nodes_phi)
-        block = _gap_mass(field_body, gaps, nodes_phi)
+        block = _gap_mass(field_body, [gaps], nodes_phi)
         assert np.array_equal(block, _mass_from_corners(gaps, nodes_phi, _grid_corners(field_body, nodes_phi, gaps)))
 
     @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
@@ -446,7 +469,7 @@ class TestTangentField:
         # Horner form is itself 2.2e-12 off a 40-digit G on mix, 16 nodes
         gaps = _field_gaps(nodes_phi)
         ref = _reference_gap_mass(field_body, gaps, nodes_phi)
-        got = _gap_mass(field_body, gaps, nodes_phi)
+        got = _gap_mass(field_body, [gaps], nodes_phi)
         assert np.all(np.abs(got - ref) <= np.maximum(1e-12, 5e-16 / gaps) * np.abs(ref))
 
     @pytest.mark.parametrize("nodes_phi", [16, 100, 1 << 14])
@@ -462,14 +485,15 @@ class TestTangentField:
             lambda body, m, orders, shifts=None: sizes.append(0 if shifts is None else len(shifts))
             or grid_derivs(body, m, orders, shifts),
         )
-        _gap_mass(body, gaps, nodes_phi)
+        _gap_mass(body, [gaps], nodes_phi)
         assert max(sizes) <= max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
         assert sum(sizes) == gaps.size
 
     def test_block_corners_keep_row_order(self, mix_body):
         phi1 = np.linspace(0.0, TWO_PI, 40, endpoint=False)
         gaps = np.linspace(0.1, 3.0, 7)
-        rows = _corners(phi1, gaps, _grid_derivs(mix_body, 40, (0, 1)), _grid_derivs(mix_body, 40, (0, 1), gaps))
+        at1, at2 = _grid_derivs(mix_body, 40, (0, 1)), _grid_derivs(mix_body, 40, (0, 1), gaps)
+        rows = _corners(phi1, gaps, at1, at2, np.array([math.sin(d) for d in gaps]))
         for got, want in zip(rows, zip(*_grid_corners(mix_body, 40, gaps))):
             assert np.array_equal(got, np.array(want))
 
@@ -482,20 +506,95 @@ class TestTangentField:
             assert (jac, omega) == (ref_jac, ref_omega)
 
     def test_kernels_share_one_field(self, monkeypatch):
-        # fine level, coarse level and collar row: 3 calls for all 4 kernels
+        # fine level, coarse level and collar row in 1 call for all 4 kernels
         calls = []
         monkeypatch.setattr(visual_angle, "_gap_mass", lambda *args: calls.append(args) or _gap_mass(*args))
         _tangent_field.cache_clear()
         body = validate_convex(TrigSupport(1.37))
         for make in KERNELS.values():
             exterior_integral(body, make())
-        assert len(calls) == 3
+        assert len(calls) == 1
+        panels = visual_angle._DELTA_PANELS
+        assert [len(gaps) for gaps in calls[0][1]] == [16 * panels, 8 * panels, 1]
+
+    # random draws (seed, degree, constant width, index): degree 2 and the
+    # constant-width degree 3 keep one harmonic once centred, where a lone
+    # gap's rotated spectrum rounds apart from the same row of a longer block
+    @pytest.mark.parametrize(
+        "name", ["circle", "ast", "delt", "cw35", "mix", "hd17"]
+        + ["random-5-8-0-1", "random-5-64-0-1", "random-5-200-0-1", "random-0-2-0-0", "random-0-3-1-3"]
+    )
+    def test_one_pass_field_equals_three_calls(self, request, name):
+        if name.startswith("random"):
+            seed, degree, cw, index = map(int, name.split("-")[1:])
+            body = random_body(seed, degree, bool(cw), index)
+        else:
+            body = request.getfixturevalue(f"{name}_body")
+        _tangent_field.cache_clear()
+        levels, collar_row = _tangent_field(body)
+        want_levels, want_collar = _three_call_field(body)
+        assert collar_row.hex() == want_collar.hex()
+        for got, want in zip(levels, want_levels, strict=True):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:3], want[:3]))
+            assert got[3] == want[3]
+
+    @pytest.mark.parametrize("degree", [8, 64, 200])
+    def test_one_pass_blocks_stay_within_levels(self, monkeypatch, degree):
+        # one unshifted call; each level's gaps in the blocks of a call of its own
+        body = random_body(5, degree, index=1)
+        sizes = []
+        grid_derivs = visual_angle._grid_derivs
+        monkeypatch.setattr(
+            visual_angle, "_grid_derivs",
+            lambda body, m, orders, shifts=None: sizes.append(None if shifts is None else len(shifts))
+            or grid_derivs(body, m, orders, shifts),
+        )
+        _tangent_field.cache_clear()
+        _tangent_field(body)
+        rows = max(1, visual_angle._BLOCK_ENTRIES // (2 * degree + 1))
+        want = [min(rows, size - start) for size in (256, 128, 1) for start in range(0, size, rows)]
+        assert sizes == [None] + want
 
     def test_field_cache_is_bounded(self):
         for i in range(10):
             body = validate_convex(TrigSupport(1.0 + 0.1 * i))
             exterior_integral(body, crofton_kernel())
         assert _tangent_field.cache_info().currsize <= 8
+
+
+_ALL_KERNELS = [make() for make in KERNELS.values()] + [moment_kernel(n) for n in range(2, 11)]
+
+
+class TestKernelWeights:
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS, ids=lambda k: k.name)
+    def test_weights_equal_inline_values(self, kernel):
+        level_f, collar_f = _kernel_weights(kernel)
+        for wf, (x, w) in zip(level_f, visual_angle._gap_rules(), strict=True):
+            assert wf.tobytes() == (w * kernel(PI - x)).tobytes()
+            assert not (wf.flags.writeable or x.flags.writeable or w.flags.writeable)
+        assert collar_f == visual_angle._DELTA_MIN * abs(kernel(PI - visual_angle._DELTA_MIN))
+
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS, ids=lambda k: k.name)
+    def test_integral_equals_inline_form(self, kernel, mix_body, hd17_body):
+        for body in (mix_body, hd17_body, random_body(5, 64, index=1)):
+            got, want = exterior_integral(body, kernel), _inline_integral(body, kernel)
+            assert (got.value.hex(), got.error_bar.hex()) == (want.value.hex(), want.error_bar.hex())
+            assert got == want
+
+    def test_equal_fresh_kernel_hits_the_cache(self, circle_body):
+        _kernel_weights.cache_clear()
+        first = exterior_integral(circle_body, crofton_kernel())
+        assert exterior_integral(circle_body, crofton_kernel()) == first
+        assert exterior_integral(circle_body, Kernel("crofton", 1.0, ((1, -1.0),))) == first
+        info = _kernel_weights.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    def test_non_integrable_raises_on_every_call(self, circle_body):
+        _kernel_weights.cache_clear()
+        for _ in range(3):
+            with pytest.raises(NonIntegrableKernel):
+                exterior_integral(circle_body, Kernel("sin", 0.0, ((1, 1.0),)))
+        assert _kernel_weights.cache_info().currsize == 0
 
 
 class TestExteriorIntegral:
@@ -712,12 +811,12 @@ class TestDegreeExactGrid:
     def test_fine_level_is_exact(self, degree_body):
         n, body = degree_body
         (gaps, _, fine, _), _ = _tangent_field(body)[0]
-        ref = _gap_mass(body, gaps, 8 * n + 1)
+        ref = _gap_mass(body, [gaps], 8 * n + 1)
         # 1e-14 relative; below delta = 0.05 each sample's round-off grows like
         # u/delta (corners of nearly parallel lines) whatever the grid
         assert np.all(np.abs(fine - ref) <= np.maximum(1e-14, 5e-16 / gaps) * np.abs(ref))
         # on 2N nodes the trapezoid aliases: 1.4e-7 relative at N = 128
-        assert np.max(np.abs(_gap_mass(body, gaps, 2 * n) - ref) / np.abs(ref)) > 1e-9
+        assert np.max(np.abs(_gap_mass(body, [gaps], 2 * n) - ref) / np.abs(ref)) > 1e-9
 
     @pytest.mark.parametrize("name", ["circle", "hd17"] + [f"random{n}" for n in _DEGREES])
     def test_bar_is_honest(self, request, name):
