@@ -112,13 +112,13 @@ class TrigSupport:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The frequencies n and halves (a_n - i b_n) / 2 of `_grid_derivs`,
-        read-only; cached in the instance dict, so no field, comparison,
-        hash or repr sees it."""
+        """The frequencies n and coefficients a_n - i b_n as arrays, read by
+        `_derivs`, `_grid_derivs` and `_rho_grid`; read-only and cached in the
+        instance dict, so no field, comparison, hash or repr sees it."""
         n = np.array([h.n for h in self.harmonics], dtype=int)
-        half = 0.5 * np.array([complex(h.a, -h.b) for h in self.harmonics])
-        n.flags.writeable = half.flags.writeable = False
-        return n, half
+        c = np.array([complex(h.a, -h.b) for h in self.harmonics], dtype=complex)
+        n.flags.writeable = c.flags.writeable = False
+        return n, c
 
     def harmonic(self, n: int) -> Harmonic:
         """The harmonic at frequency n (zero harmonic if absent)."""
@@ -153,10 +153,10 @@ def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
     if not body.harmonics:
         vals = vals + np.zeros(phi.shape)
     else:
+        freqs, c_n = body._spectrum
         n = np.arange(body.max_degree + 1.0)
         a, b = np.zeros((2, n.size))
-        for h in body.harmonics:
-            a[h.n], b[h.n] = h.a, h.b
+        a[freqs], b[freqs] = c_n.real, -c_n.imag
         turns = ((a, -b), (b, a), (-a, b), (-b, -a))  # i^k (a - ib)
         coef = np.array([[n**k * part for part in turns[k]] for k in orders])
         dre, dim = coef.transpose(1, 2, 0).reshape((2, n.size) + shape)
@@ -181,10 +181,9 @@ def _grid_derivs(body: TrigSupport, m: int, orders, shifts=None) -> tuple:
     except for a one-harmonic body called with one shift, whose one-element
     rotation numpy rounds without the fused multiply-add of its array loop.
     """
-    n, half = body._spectrum
+    n, coef = body._spectrum
     q = 2 * body.max_degree // m + 1
-    if shifts is not None:
-        half = half * np.exp(1j * np.outer(shifts, n))
+    half = 0.5 * coef if shifts is None else 0.5 * coef * np.exp(1j * np.outer(shifts, n))
     spec = np.zeros((len(orders),) + half.shape[:-1] + (q * m // 2 + 1,), dtype=complex)
     for row, k in zip(spec, orders):
         row[..., 0] = body.a0 if k == 0 else 0.0
@@ -266,8 +265,8 @@ def _rho_grid(body: TrigSupport) -> tuple:
     (relative K*u for K < 2^18 harmonics) by the factor 1 + 2^-30.  A
     spectrum past the float range gives inf or NaN, which certify nothing.
     """
-    n = np.array([h.n for h in body.harmonics], dtype=int)
-    r = (1 - n * n) * np.array([complex(h.a, -h.b) for h in body.harmonics], dtype=complex)
+    n, coef = body._spectrum
+    r = (1 - n * n) * coef
     m = 16 * max(body.max_degree, 4)
     spec = np.zeros(m // 2 + 1, dtype=complex)
     spec[n] = 0.5 * r

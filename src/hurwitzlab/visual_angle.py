@@ -22,11 +22,11 @@ quadratures and in closed form:
   and p, p' on that grid shifted by each gap are rows of one inverse FFT
   of the rotated spectrum per block of gaps (`bodies._grid_derivs`).
 
-* polar grid (oracle): direct 2D quadrature about the Steiner point out to
-  the cutoff radius 40*a0, plus a fitted 1/r^2 tail for the remainder.
-  Each direction's boundary exit is solved once and shared by that ray's
-  radial nodes, and the tangent lines of all nodes of a block of directions
-  are solved in one batch.  Its visual-angle field is cached per
+* polar grid (oracle): direct 2D quadrature about the Steiner point, the
+  far zone mapped to s = r1/r on (0, 1] with no cutoff and the boundary
+  collar added to first order (`_polar_field`).  Each ray's boundary exit
+  is solved once and shared by its radial nodes, and the tangent lines of
+  a block of directions are solved in one batch; the field is cached per
   (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
@@ -87,8 +87,8 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 13
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
-# Cutoff radius of the polar oracle, in units of a0.
-_POLAR_R_MAX = 40.0
+# Collar of the polar oracle, in units of a0; its ring enters to first order.
+_POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
 _TANGENT_COLLAR = 1e-9
 # Near-boundary collar of the tangent integrator: gaps below it are dropped,
@@ -228,7 +228,7 @@ class ExteriorConfig:
     """Controls of the polar oracle `exterior_integral_grid`.
 
     nodes_phi: its directions, in [16, 2^20] (ValueError, raised before any
-    allocation); its cutoff radius is 40*a0.  The tangent integrator reads
+    allocation), each with 96 radial nodes.  The tangent integrator reads
     no config: its rule follows the body, max(16, 2N + 1) phi1 nodes for a
     body of degree N (the fewest on which it is exact, module docstring) and
     _DELTA_PANELS = 16 Gauss panels of 16 points in the gap, gaps below the
@@ -424,8 +424,8 @@ def _gap_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 @lru_cache(maxsize=8)
 def _tangent_field(body: TrigSupport):
     """Kernel-independent part of `exterior_integral`, cached for the last 8
-    bodies: (gap nodes, Gauss weights, G at the nodes, node count) for the
-    fine and the coarse level, and G(_DELTA_MIN).
+    bodies: (G at the gap nodes of the fine and of the coarse level of
+    `_gap_rules`, the fine level's node count, G(_DELTA_MIN)).
 
     G's phi1 rule is exact on max(16, 2N + 1) nodes (module docstring), and
     both levels and the collar row sample phi1 on that many; the fine level
@@ -438,11 +438,10 @@ def _tangent_field(body: TrigSupport):
     """
     body = recenter_to_steiner(body)
     nodes_phi = max(16, 2 * body.max_degree + 1)
-    rules = _gap_rules()
-    mass = _gap_mass(body, [x for x, _ in rules] + [[_DELTA_MIN]], nodes_phi)
-    *masses, collar_row = np.split(mass, np.cumsum([x.size for x, _ in rules]))
-    levels = tuple((x, w, m, x.size * nodes_phi) for (x, w), m in zip(rules, masses))
-    return levels, float(collar_row[0])
+    gaps = [x for x, _ in _gap_rules()]
+    mass = _gap_mass(body, gaps + [[_DELTA_MIN]], nodes_phi)
+    *masses, collar_row = np.split(mass, np.cumsum([x.size for x in gaps]))
+    return _read_only(*masses), gaps[0].size * nodes_phi, float(collar_row[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -461,12 +460,12 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     """
     _require_validated(body)
     level_f, collar_f = _kernel_weights(kernel)
-    levels, collar_row = _tangent_field(body)
-    fine, coarse = (math.fsum((wf * mass).tolist()) for wf, (_, _, mass, _) in zip(level_f, levels))
+    masses, nodes, collar_row = _tangent_field(body)
+    fine, coarse = (math.fsum((wf * mass).tolist()) for wf, mass in zip(level_f, masses))
     # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
     collar_err = collar_f * collar_row
     err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
-    return IntegralResult(fine, err, "tangent_coords", levels[0][3])
+    return IntegralResult(fine, err, "tangent_coords", nodes)
 
 
 @lru_cache(maxsize=32)
@@ -543,66 +542,62 @@ def _radial_boundary(body: TrigSupport, thetas):
 def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     """Visual-angle field on a polar grid about the Steiner point.
 
-    Returns (omegas, weights, far_r, bound_mass):
-      omegas/weights: one row of radial nodes per theta out to the cutoff
-        radius _POLAR_R_MAX * a0, with full area measure r*dr*dtheta; each
+    Returns (omegas, weights, ring_mass):
+      omegas/weights: one row of radial nodes per theta, with full area
+        measure r*dr*dtheta; the near zone, from the collar _POLAR_COLLAR * a0
+        off the boundary out to r1 = 3 * max rb, in r = rb + u^2, then the far
+        zone r > r1 in s = r1/r on (0, 1], where r dr = r1^2 s^-3 ds; each
         direction's boundary exit is solved once, by one `_radial_boundary`
         call for all of them, and shared by that ray's nodes, and the tangent
         lines of a block of rows are solved in one batch (`_tangent_solve`);
-      far_r: the outer radial nodes, the last columns of every row, for tail fits;
-      bound_mass: integral of r over the collar ring, bounding dropped area.
+      ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
     centered = recenter_to_steiner(body)
-    collar = 1e-5 * centered.a0
+    collar = _POLAR_COLLAR * centered.a0
     n_theta = cfg.nodes_phi
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     w_theta = TWO_PI / n_theta
 
     rbs, phi_bs = _radial_boundary(centered, thetas)
     r1 = 3.0 * float(np.max(rbs))
-    far_nodes, far_w = gauss_panels(np.geomspace(r1, _POLAR_R_MAX * centered.a0, _POLAR_PANELS + 1), points=8)
+    # far zone: admitted kernels vanish like omega^3 and omega ~ width/r, so f(omega) s^-3 stays bounded as s -> 0
+    s_nodes, s_w = gauss_panels(np.linspace(0.0, 1.0, _POLAR_PANELS + 1), points=8)
     # near zone: r = rb + u^2 smooths the sqrt-type onset of omega(r); one row of panels per direction
     u_edges = np.linspace(math.sqrt(collar), np.sqrt(r1 - rbs), _POLAR_PANELS + 1, axis=1)
     u_nodes, u_w = gauss_panels(u_edges, points=8)
-    rs = np.hstack([rbs[:, None] + u_nodes**2, np.tile(far_nodes, (n_theta, 1))])
-    weights = w_theta * np.hstack([2.0 * u_nodes * u_w, np.tile(far_w, (n_theta, 1))]) * rs
-    ring_mass = float(np.cumsum(w_theta * rbs * collar)[-1])  # summed in order, direction by direction
+    near_r = rbs[:, None] + u_nodes**2
+    rs = np.hstack([near_r, np.tile(r1 / s_nodes, (n_theta, 1))])
+    weights = w_theta * np.hstack([2.0 * u_nodes * u_w * near_r, np.tile(r1 * r1 * s_w / s_nodes**3, (n_theta, 1))])
+    ring_mass = w_theta * math.fsum((rbs * collar + 0.5 * collar * collar).tolist())
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
     omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays))[2] for i in range(0, n_theta, rows)]
-    return np.concatenate(omegas), weights, far_nodes, ring_mass
+    return np.concatenate(omegas), weights, ring_mass
 
 
 def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
     """Polar-grid oracle for the exterior integral.
 
-    2D quadrature about the Steiner point up to r_max = 40*a0, followed by a tail
-    of the form C/r^2 fitted on the outermost decade of radii.  Much
-    coarser than the tangent integrator; its honest error bar combines an
-    angular-resolution difference, the tail-fit scatter and the dropped
-    collar ring.
+    2D quadrature about the Steiner point (`_polar_field`): Gauss panels in
+    the radius, the far zone mapped to s = r1/r so the rule reaches infinity
+    with no cutoff, and the periodic trapezoid in the direction.  The collar
+    ring within _POLAR_COLLAR * a0 of the boundary adds f(pi) * ring_mass, its
+    first order.  The error bar is twice the difference from every other
+    direction, plus ring_mass * max_theta |f(omega at the innermost node) -
+    f(pi)|, a bound on the collar's next order, plus 1e-12 * |value|.
     """
     _require_validated(body)
     kernel.check_integrable()
-    cfg = config or ExteriorConfig()
-    omegas, weights, far_r, ring_mass = _polar_field(body, cfg)
-    r_max = _POLAR_R_MAX * body.a0
+    omegas, weights, ring_mass = _polar_field(body, config or ExteriorConfig())
     fvals = kernel(omegas)
     mass = weights * fvals
-    main = math.fsum(mass.ravel().tolist())
+    field = math.fsum(mass.ravel().tolist())
     # angular-resolution estimate: same field restricted to every other theta
     coarse = 2.0 * math.fsum(mass[::2].ravel().tolist())
-
-    # tail: theta-averaged ring mass m(r) = r * mean_theta f; fit m ~ C/r^2
-    ring = far_r * np.mean(fvals[:, -far_r.size :], axis=0) * TWO_PI
-    fit_mask = far_r >= far_r[-1] / 10.0
-    scaled = ring[fit_mask] * far_r[fit_mask] ** 2
-    c_fit = float(np.mean(scaled))
-    tail = c_fit / r_max
-    tail_err = (float(np.max(np.abs(scaled - c_fit))) if scaled.size else 0.0) / r_max + 0.2 * abs(tail)
-
-    collar_err = abs(kernel(PI)) * ring_mass if kernel(PI) != 0.0 else 0.1 * ring_mass
-    err = 2.0 * abs(main - coarse) + tail_err + collar_err + 1e-12 * abs(main)
-    return IntegralResult(main + tail, err, "polar_grid", omegas.size)
+    f_pi = kernel(PI)
+    value = field + f_pi * ring_mass
+    collar_err = ring_mass * float(np.max(np.abs(fvals[:, 0] - f_pi)))
+    err = 2.0 * abs(field - coarse) + collar_err + 1e-12 * abs(value)
+    return IntegralResult(value, err, "polar_grid", omegas.size)
