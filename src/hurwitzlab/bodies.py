@@ -17,10 +17,11 @@ between and at its samples (`_rho_grid`); and `min_curvature_radius`, a
 vectorized search for the minimum of rho, which also supplies the minimum
 a rejection reports.
 
-Coefficients are kept as a sparse, frequency-sorted tuple.  The extremal
-bodies of interest (parallels of astroids, Steiner curves, five-cusped
-hypocycloids and their Minkowski sums) have one to three harmonics, so the
-sparse form keeps every downstream spectral sum exact.  `astroid_parallel`,
+A body keeps its nonzero harmonics as sorted arrays, which every spectral
+sum reads as one array expression.  The extremal bodies of interest
+(parallels of astroids, Steiner curves, five-cusped hypocycloids and their
+Minkowski sums) have one to three harmonics, so the sparse form keeps every
+downstream spectral sum exact.  `astroid_parallel`,
 `deltoid_parallel` and `hypocycloid_parallel` build those parallels,
 `random_body` draws reproducible test bodies, and `HypocycloidSpec` names
 the cusped curve itself, which is drawn but is not a body.
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .errors import (
     NotStrictlyConvex,
     NotValidated,
 )
-from .quadrature import MAX_NODES, TWO_PI
+from .quadrature import MAX_NODES, TWO_PI, _read_only
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
@@ -85,47 +87,82 @@ class Harmonic:
         return self.a * self.a + self.b * self.b
 
 
-@dataclass(frozen=True)
 class TrigSupport:
-    """Support function a0 + sum of harmonics, sorted by frequency.
+    """Support function a0 + sum_n [a_n cos(n phi) + b_n sin(n phi)].
 
-    `validated` marks that strict convexity and a positive mean term have
-    been certified by `validate_convex`.  Values are immutable; every
-    operation returns a new instance.
+    It holds a0, the read-only arrays n (sorted, zero harmonics dropped), a
+    and b, and `validated`, which marks that `validate_convex` certified
+    strict convexity and a positive mean term.  It is built from `Harmonic`
+    terms in any order and reads them out as `harmonics`.  Values are
+    immutable and compare by value; every operation returns a new instance.
     """
 
-    a0: float
-    harmonics: tuple[Harmonic, ...] = ()
-    validated: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "a0", float(self.a0))
-        hs = tuple(sorted((h for h in self.harmonics if h.a != 0.0 or h.b != 0.0), key=lambda h: h.n))
+    def __init__(self, a0: float, harmonics: Iterable[Harmonic] = (), validated: bool = False):
+        hs = sorted((h for h in harmonics if h.a != 0.0 or h.b != 0.0), key=lambda h: h.n)
         seen = [h.n for h in hs]
         if len(set(seen)) != len(seen):
             raise ValueError(f"duplicate harmonic frequencies: {seen}")
-        object.__setattr__(self, "harmonics", hs)
+        if seen and seen[-1] >= 2**63:  # no int64 holds it
+            raise ValueError(f"harmonic degree {seen[-1]} exceeds {_MAX_DEGREE}")
+        n, a, b = np.array(seen, dtype=np.int64), np.array([h.a for h in hs]), np.array([h.b for h in hs])
+        vars(self).update(vars(_body(a0, *_read_only(n, a, b), validated)))  # Harmonic holds floats
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TrigSupport is immutable: cannot set {name!r}")
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The values, -0.0 read as 0.0 (by + 0.0) in the bytes of the arrays."""
+        return self.a0, self.validated, self.n.tobytes(), (self.a + 0.0).tobytes(), (self.b + 0.0).tobytes()
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is TrigSupport else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"TrigSupport(a0={self.a0!r}, harmonics={self.harmonics!r}, validated={self.validated!r})"
+
+    @property
+    def harmonics(self) -> tuple[Harmonic, ...]:
+        return tuple(map(Harmonic, self.n.tolist(), self.a.tolist(), self.b.tolist()))
 
     @property
     def max_degree(self) -> int:
-        return self.harmonics[-1].n if self.harmonics else 0
+        return int(self.n[-1]) if self.n.size else 0
 
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The frequencies n and coefficients a_n - i b_n as arrays, read by
-        `_derivs`, `_grid_derivs` and `_rho_grid`; read-only and cached in the
-        instance dict, so no field, comparison, hash or repr sees it."""
-        n = np.array([h.n for h in self.harmonics], dtype=int)
-        c = np.array([complex(h.a, -h.b) for h in self.harmonics], dtype=complex)
-        n.flags.writeable = c.flags.writeable = False
-        return n, c
+    @property
+    def c_sq(self) -> np.ndarray:
+        """The squared amplitudes a_n^2 + b_n^2, in the order of n."""
+        return self.a * self.a + self.b * self.b
 
     def harmonic(self, n: int) -> Harmonic:
-        """The harmonic at frequency n (zero harmonic if absent)."""
-        for h in self.harmonics:
-            if h.n == n:
-                return h
-        return Harmonic(max(n, 1), 0.0, 0.0)
+        """The harmonic at frequency n, zero if absent; ValueError unless n is an integer >= 1."""
+        zero = Harmonic(n, 0.0, 0.0)
+        i = int(np.searchsorted(self.n, min(zero.n, self.max_degree)))
+        return Harmonic(zero.n, self.a[i], self.b[i]) if i < self.n.size and self.n[i] == zero.n else zero
+
+
+def _body(a0: float, n: np.ndarray, a: np.ndarray, b: np.ndarray, validated: bool = False) -> TrigSupport:
+    """The body of the read-only arrays of sorted, distinct frequencies n and
+    nonzero harmonics, which other bodies may share; no check made."""
+    body = object.__new__(TrigSupport)
+    vars(body).update(a0=float(a0), n=n, a=a, b=b, validated=validated)
+    return body
+
+
+def _nonzero(n: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """n, a and b less the zero harmonics, made read-only."""
+    keep = np.logical_or(a, b)
+    return _read_only(*((n, a, b) if keep.all() else (n[keep], a[keep], b[keep])))
+
+
+def _coef(body: TrigSupport) -> np.ndarray:
+    """The coefficients a_n - i b_n, set part by part: no complex product rounds them."""
+    c = np.empty(body.n.size, dtype=complex)
+    c.real, c.imag = body.a, -body.b
+    return c
 
 
 def _require_validated(body: TrigSupport) -> None:
@@ -150,13 +187,12 @@ def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
     c, s = (np.cos(phi), np.sin(phi)) if cs is None else cs
     shape = (len(orders),) + (1,) * phi.ndim
     vals = np.array([body.a0 if k == 0 else 0.0 for k in orders]).reshape(shape)
-    if not body.harmonics:
+    if not body.n.size:
         vals = vals + np.zeros(phi.shape)
     else:
-        freqs, c_n = body._spectrum
         n = np.arange(body.max_degree + 1.0)
         a, b = np.zeros((2, n.size))
-        a[freqs], b[freqs] = c_n.real, -c_n.imag
+        a[body.n], b[body.n] = body.a, body.b
         turns = ((a, -b), (b, a), (-a, b), (-b, -a))  # i^k (a - ib)
         coef = np.array([[n**k * part for part in turns[k]] for k in orders])
         dre, dim = coef.transpose(1, 2, 0).reshape((2, n.size) + shape)
@@ -181,7 +217,7 @@ def _grid_derivs(body: TrigSupport, m: int, orders, shifts=None) -> tuple:
     except for a one-harmonic body called with one shift, whose one-element
     rotation numpy rounds without the fused multiply-add of its array loop.
     """
-    n, coef = body._spectrum
+    n, coef = body.n, _coef(body)
     q = 2 * body.max_degree // m + 1
     half = 0.5 * coef if shifts is None else 0.5 * coef * np.exp(1j * np.outer(shifts, n))
     spec = np.zeros((len(orders),) + half.shape[:-1] + (q * m // 2 + 1,), dtype=complex)
@@ -265,8 +301,8 @@ def _rho_grid(body: TrigSupport) -> tuple:
     (relative K*u for K < 2^18 harmonics) by the factor 1 + 2^-30.  A
     spectrum past the float range gives inf or NaN, which certify nothing.
     """
-    n, coef = body._spectrum
-    r = (1 - n * n) * coef
+    n = body.n
+    r = (1 - n * n) * _coef(body)
     m = 16 * max(body.max_degree, 4)
     spec = np.zeros(m // 2 + 1, dtype=complex)
     spec[n] = 0.5 * r
@@ -295,12 +331,12 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     (in)^k r_n, k = 0, 1, 2, built `_BLOCK_ENTRIES` entries at a time.  A
     spectrum past the float range gives NaN or -inf, never a false minimum.
     """
-    if not body.harmonics:
+    if not body.n.size:
         return body.a0, 0.0
     n, r, rho, dip, err = _rho_grid(body)
     coef = np.stack([r, 1j * n * r, -(n * n) * r], axis=1)
     phis = np.linspace(0.0, TWO_PI, rho.size, endpoint=False)
-    scale = max(abs(body.a0), *(max(abs(h.a), abs(h.b)) for h in body.harmonics), 1e-300)
+    scale = max(abs(body.a0), float(np.max(np.abs([body.a, body.b]))), 1e-300)
     rows = max(1, _BLOCK_ENTRIES // n.size)
 
     def slope(x):
@@ -355,8 +391,7 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     true rho_min sits at eps.  Both bound rho from below, so they certify no
     body the search would reject.
     """
-    coeffs = [body.a0] + [c for h in body.harmonics for c in (h.a, h.b)]
-    if not all(math.isfinite(c) for c in coeffs):
+    if not (math.isfinite(body.a0) and np.isfinite(np.concatenate((body.a, body.b))).all()):
         raise BadSpec("support coefficients must be finite")
     if body.max_degree > _MAX_DEGREE:
         raise BadSpec(f"harmonic degree {body.max_degree} exceeds {_MAX_DEGREE}")
@@ -369,7 +404,7 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     try:
-        slack = body.a0 - math.fsum((h.n * h.n - 1) * math.hypot(h.a, h.b) for h in body.harmonics)
+        slack = body.a0 - math.fsum(map(operator.mul, (body.n * body.n - 1).tolist(), _amplitudes(body)))
     except OverflowError:  # the sum passed the float range, far above a0
         slack = -math.inf
     floor = eps + _CERT_MARGIN * body.a0
@@ -379,14 +414,21 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
             rho_min, phi_at = min_curvature_radius(body)
             if not rho_min >= eps:
                 raise NotStrictlyConvex(rho_min, phi_at)
-    return _bounded(replace(body, validated=True))
+    return _bounded(_body(body.a0, body.n, body.a, body.b, validated=True))
+
+
+def _amplitudes(body: TrigSupport) -> list[float]:
+    """|c_n| by math.hypot, which np.hypot differs from in some last bits.  The
+    weighted sums multiply them as Python floats, which leave the float range
+    without a warning."""
+    return list(map(math.hypot, body.a.tolist(), body.b.tolist()))
 
 
 def _bounded(body: TrigSupport) -> TrigSupport:
     """The body itself; raises BadSpec when it is validated and its magnitude
     a0 + sum_n n^2 |c_n| exceeds _MAX_MAGNITUDE (see validate_convex)."""
     if body.validated:
-        magnitude = body.a0 + sum(h.n * h.n * math.hypot(h.a, h.b) for h in body.harmonics)
+        magnitude = body.a0 + sum(map(operator.mul, (body.n * body.n).tolist(), _amplitudes(body)))
         if not magnitude <= _MAX_MAGNITUDE:
             raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
     return body
@@ -394,8 +436,7 @@ def _bounded(body: TrigSupport) -> TrigSupport:
 
 def steiner_point(body: TrigSupport) -> np.ndarray:
     """Steiner point (a1, b1): the degree-one Fourier coefficients."""
-    h1 = body.harmonic(1)
-    return np.array([h1.a, h1.b])
+    return np.array([body.a[0], body.b[0]]) if body.n.size and body.n[0] == 1 else np.zeros(2)
 
 
 def recenter_to_steiner(body: TrigSupport) -> TrigSupport:
@@ -404,8 +445,9 @@ def recenter_to_steiner(body: TrigSupport) -> TrigSupport:
     The curvature radius is unchanged (degree-1 terms cancel in p + p''),
     so a validated body stays validated.
     """
-    hs = tuple(h for h in body.harmonics if h.n != 1)
-    return replace(body, harmonics=hs)
+    if not (body.n.size and body.n[0] == 1):
+        return body
+    return _body(body.a0, body.n[1:], body.a[1:], body.b[1:], body.validated)
 
 
 def minkowski_sum(a: TrigSupport, b: TrigSupport) -> TrigSupport:
@@ -415,14 +457,13 @@ def minkowski_sum(a: TrigSupport, b: TrigSupport) -> TrigSupport:
     bodies is again strictly convex (curvature radii add).  A validated sum
     above the magnitude bound of validate_convex raises BadSpec.
     """
-    coeffs: dict[int, list[float]] = {}
+    n = np.union1d(a.n, b.n)
+    coef = np.zeros((2, n.size))
     for body in (a, b):
-        for h in body.harmonics:
-            acc = coeffs.setdefault(h.n, [0.0, 0.0])
-            acc[0] += h.a
-            acc[1] += h.b
-    hs = tuple(Harmonic(n, ab[0], ab[1]) for n, ab in sorted(coeffs.items()))
-    return _bounded(TrigSupport(a.a0 + b.a0, hs, validated=a.validated and b.validated))
+        at = np.searchsorted(n, body.n)
+        coef[0, at] += body.a
+        coef[1, at] += body.b
+    return _bounded(_body(a.a0 + b.a0, *_nonzero(n, *coef), validated=a.validated and b.validated))
 
 
 def offset(body: TrigSupport, r: float) -> TrigSupport:
@@ -432,7 +473,7 @@ def offset(body: TrigSupport, r: float) -> TrigSupport:
     validated for outward offsets of validated bodies; a validated result
     above the magnitude bound of validate_convex raises BadSpec.
     """
-    return _bounded(replace(body, a0=body.a0 + float(r), validated=body.validated and r >= 0.0))
+    return _bounded(_body(body.a0 + float(r), body.n, body.a, body.b, body.validated and r >= 0.0))
 
 
 def rigid_motion(body: TrigSupport, theta: float = 0.0, v: Sequence[float] = (0.0, 0.0)) -> TrigSupport:
@@ -444,16 +485,14 @@ def rigid_motion(body: TrigSupport, theta: float = 0.0, v: Sequence[float] = (0.
     validate_convex raises BadSpec.
     """
     vx, vy = float(v[0]), float(v[1])
-    coeffs: dict[int, list[float]] = {}
-    for h in body.harmonics:
-        c, s = math.cos(h.n * theta), math.sin(h.n * theta)
-        coeffs[h.n] = [h.a * c - h.b * s, h.a * s + h.b * c]
+    turns = (body.n * theta).tolist()  # math's trig: numpy's SIMD trig depends on the CPU
+    c, s = (np.array(list(map(f, turns)), dtype=float) for f in (math.cos, math.sin))
+    n, a, b = body.n, body.a * c - body.b * s, body.a * s + body.b * c
     if vx != 0.0 or vy != 0.0:
-        acc = coeffs.setdefault(1, [0.0, 0.0])
-        acc[0] += vx
-        acc[1] += vy
-    hs = tuple(Harmonic(n, ab[0], ab[1]) for n, ab in sorted(coeffs.items()))
-    return _bounded(TrigSupport(body.a0, hs, validated=body.validated))
+        if not (n.size and n[0] == 1):
+            n, a, b = np.concatenate(([1], n)), np.concatenate(([0.0], a)), np.concatenate(([0.0], b))
+        a[0], b[0] = a[0] + vx, b[0] + vy
+    return _bounded(_body(body.a0, *_nonzero(n, a, b), body.validated))
 
 
 def wigner_support(body: TrigSupport) -> TrigSupport:
@@ -461,8 +500,8 @@ def wigner_support(body: TrigSupport) -> TrigSupport:
 
     Keeps exactly the odd harmonics of p.
     """
-    hs = tuple(h for h in body.harmonics if h.n % 2 == 1)
-    return TrigSupport(0.0, hs)
+    odd = (body.n & 1) == 1
+    return _body(0.0, *_read_only(body.n[odd], body.a[odd], body.b[odd]))
 
 
 def is_constant_width(body: TrigSupport) -> tuple[bool, float]:
@@ -472,10 +511,8 @@ def is_constant_width(body: TrigSupport) -> tuple[bool, float]:
     they are compared against tol = 1e-10 * a0.
     """
     tol = 1e-10 * max(abs(body.a0), 1e-300)
-    flag = all(
-        max(abs(h.a), abs(h.b)) <= tol for h in body.harmonics if h.n >= 2 and h.n % 2 == 0
-    )
-    return flag, 2.0 * body.a0
+    small = np.maximum(np.abs(body.a), np.abs(body.b)) <= tol
+    return bool((small | (body.n & 1)).all()), 2.0 * body.a0  # odd n pass as they are
 
 
 @dataclass(frozen=True)
@@ -524,22 +561,17 @@ def random_body(
     rng = np.random.Generator(np.random.Philox(seed=ss))
     # (magnitude, phase) uniforms per frequency, in the order scalar draws
     # take them; rng.uniform(0, h) is 0 + h*u, so h*u is the same double
-    u = rng.random(2 * degree).tolist()
-    hs = []
-    for n in range(1, degree + 1):
-        if constant_width and n >= 2 and n % 2 == 0:
-            continue
-        mag = 0.5 * u[2 * n - 2] / n**3
-        phase = TWO_PI * u[2 * n - 1]
-        hs.append(Harmonic(n, mag * math.cos(phase), mag * math.sin(phase)))
-    body = TrigSupport(1.0, tuple(hs))
+    u = rng.random(2 * degree)
+    step = 2 if constant_width else 1  # constant width: odd n only
+    n = np.arange(1, degree + 1, step)
+    mag, phase = 0.5 * u[0 :: 2 * step] / (n * n * n), (TWO_PI * u[1 :: 2 * step]).tolist()
+    c, s = (np.array(list(map(f, phase)), dtype=float) for f in (math.cos, math.sin))  # as in rigid_motion
+    body = _body(1.0, *_nonzero(n, mag * c, mag * s))
     for _ in range(60):
         try:
             return validate_convex(body)
         except NotStrictlyConvex:
-            body = TrigSupport(
-                body.a0, tuple(Harmonic(h.n, 0.5 * h.a, 0.5 * h.b) for h in body.harmonics)
-            )
+            body = _body(body.a0, *_nonzero(body.n, 0.5 * body.a, 0.5 * body.b))
     raise AmplitudeTooLarge("random draw could not be rescaled to a convex body")
 
 
@@ -587,7 +619,7 @@ def hypocycloid_parallel(k: int, a0: float, amp: float) -> TrigSupport:
 def body_to_dict(body: TrigSupport) -> dict:
     return {
         "a0": body.a0,
-        "harmonics": [{"n": h.n, "a": h.a, "b": h.b} for h in body.harmonics],
+        "harmonics": [{"n": n, "a": a, "b": b} for n, a, b in zip(body.n.tolist(), body.a.tolist(), body.b.tolist())],
     }
 
 

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .bodies import TrigSupport, _derivs, _grid_derivs, _require_validated, recenter_to_steiner, steiner_point
-from .quadrature import PI, TWO_PI, grid_for_degree, periodic_integral
+from .quadrature import PI, TWO_PI, _read_only, grid_for_degree, periodic_integral
 
 
 @dataclass(frozen=True)
@@ -73,35 +74,44 @@ class FunctionalSet:
 FunctionalSet.FIELD_NAMES = tuple(f.name for f in fields(FunctionalSet) if f.type == "float")
 
 
-def _weighted_sum(body: TrigSupport, weight) -> float:
-    """sum_n weight(n) * c_n^2 over harmonics, compensated, ascending n."""
-    return math.fsum(weight(h.n) * h.c_sq for h in body.harmonics)
+@lru_cache(maxsize=4)
+def _functional_weights(size: int) -> np.ndarray:
+    """The weights w(n), n < size, of the six sums of `functionals_spectral`,
+    one read-only row each: n^2 - 1, n^2 (n^2 - 1), (n^2 - 1)(n^2 - 4), n^2,
+    1 and n^2 - 1 at odd n, all exact in floats.  They are 0 at n <= 1, so
+    the degree-one term, the Steiner point, adds exact zeros."""
+    n = np.arange(size)
+    n2 = (n * n).astype(float)
+    m = n2 - 1.0
+    w = np.array([m, n2 * m, m * (n2 - 4.0), n2, np.ones(size), m * (n & 1)])
+    w[:, :2] = 0.0
+    return _read_only(w)[0]
 
 
 def functionals_spectral(body: TrigSupport) -> FunctionalSet:
-    """Closed-form spectral sums over the harmonic amplitudes."""
+    """Closed-form spectral sums over the harmonic amplitudes.
+
+    Each sum_n w(n) c_n^2 is compensated (math.fsum) over its products in
+    ascending n.
+    """
     _require_validated(body)
-    a0 = body.a0
-    centered = recenter_to_steiner(body)
+    a0, n, c_sq, degree = body.a0, body.n, body.c_sq, body.max_degree
+    weights = _functional_weights(1 << degree.bit_length()).take(n, axis=1)
+    s_iso, s_evolute, s_hurwitz, s_pedal, s_gap, s_wigner = map(math.fsum, (weights * c_sq).tolist())
 
     L = TWO_PI * a0
-    s_iso = _weighted_sum(centered, lambda n: float(n * n - 1) if n >= 2 else 0.0)
     F = PI * a0 * a0 - 0.5 * PI * s_iso
     Delta = 2.0 * PI * PI * s_iso
-    Fe = -0.5 * PI * _weighted_sum(centered, lambda n: float(n * n) * (n * n - 1))
-    hurwitz_deficit = 0.5 * PI * PI * _weighted_sum(
-        centered, lambda n: float((n * n - 1) * (n * n - 4)) if n >= 3 else 0.0
-    )
-    s_pedal = _weighted_sum(centered, lambda n: float(n * n) if n >= 2 else 0.0)
+    Fe = -0.5 * PI * s_evolute
+    hurwitz_deficit = 0.5 * PI * PI * s_hurwitz
     A = F + 0.5 * PI * s_pedal
-    delta2_sq = PI * _weighted_sum(centered, lambda n: 1.0 if n >= 2 else 0.0)
-    Aw = -0.5 * PI * _weighted_sum(
-        centered, lambda n: float(n * n - 1) if (n >= 3 and n % 2 == 1) else 0.0
-    )
+    delta2_sq = PI * s_gap
+    Aw = -0.5 * PI * s_wigner
     Wq = PI * s_iso
     sx, sy = steiner_point(body)
-    c_sq = {h.n: h.c_sq for h in centered.harmonics}
-    cn = tuple((n, c_sq.get(n, 0.0)) for n in range(2, body.max_degree + 1))
+    dense = np.zeros(degree + 1)
+    dense[n] = c_sq
+    cn = tuple(zip(range(2, degree + 1), dense[2:].tolist()))
     return FunctionalSet(
         L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
         A=A, AmF=A - F, delta2_sq=delta2_sq, Aw=Aw, Wq=Wq,

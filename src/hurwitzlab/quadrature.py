@@ -48,11 +48,16 @@ def grid_for_degree(degree: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, m, endpoint=False)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache or a body hands them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(points)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _read_only(*leggauss(points))
 
 
 def gauss_panels(edges, points: int = 16) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from .bodies import (
     wigner_support,
 )
 from .errors import EmptyScene
-from .quadrature import TWO_PI
+from .quadrature import TWO_PI, _read_only
 
 CURVE_KINDS = ("boundary", "evolute", "pedal", "parallel", "wigner")
 # Largest sample count of a curve: 2^20 vertices are 16 MiB of coordinates.
@@ -70,9 +70,7 @@ def _normals(m: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of the m normal angles of `sample_curve`, read-only; cached,
     since a figure samples every curve kind on the same angles."""
     phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    c, s = np.cos(phis), np.sin(phis)
-    c.flags.writeable = s.flags.writeable = False
-    return c, s
+    return _read_only(np.cos(phis), np.sin(phis))
 
 
 def sample_curve(body: TrigSupport, kind: str, m: int = 512, r: float | None = None) -> Polyline:

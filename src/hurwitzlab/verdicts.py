@@ -21,6 +21,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
 from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
 from .quadrature import PI
@@ -188,7 +190,7 @@ def classify_equality(body: TrigSupport, tol: float = 1e-9) -> EqualityClass:
     _require_validated(body)
     centered = recenter_to_steiner(body)
     thresh = tol * max(centered.a0, 1e-300)
-    support = tuple(h.n for h in centered.harmonics if h.n >= 2 and math.sqrt(h.c_sq) > thresh)
+    support = tuple(centered.n[np.sqrt(centered.c_sq) > thresh].tolist())
     s = set(support)
     if not s:
         return EqualityClass("disk", (), support)

@@ -74,7 +74,7 @@ from .errors import (
     NonIntegrableKernel,
     RootCountAnomaly,
 )
-from .quadrature import MAX_NODES, PI, TWO_PI, gauss_panels
+from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, gauss_panels
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
@@ -405,13 +405,6 @@ def _delta_edges(panels: int) -> np.ndarray:
     return _DELTA_MIN + (PI - _DELTA_MIN) * (1.0 - (1.0 - s) ** 2)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a cache hands them to every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 @lru_cache(maxsize=1)
 def _gap_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(gap nodes, Gauss weights) of the fine level, _DELTA_PANELS panels of
@@ -480,18 +473,20 @@ def _kernel_weights(kernel: Kernel) -> tuple[tuple[np.ndarray, ...], float]:
 
 
 @lru_cache(maxsize=32)
-def _spectral_weights(kernel: Kernel) -> tuple[float, float, tuple[float, ...]]:
-    """The kernel-only part of `spectral_integral`, cached per kernel: w(0),
-    alpha0/2 and E(n) for n = 0..k_max, the largest sin frequency; E(n) = E(k_max) above.
-    The sums of k^2 alpha_k are exact in fractions and rounded once."""
+def _spectral_weights(kernel: Kernel, size: int) -> tuple[float, np.ndarray]:
+    """The kernel-only part of `spectral_integral`, cached per kernel and table
+    size: w(0) and the read-only table of w(n), n < size.  E(n) = E(k_max)
+    above the largest sin frequency k_max; the sums of k^2 alpha_k are exact
+    in fractions and rounded once."""
     kernel.check_integrable()
     moments = [(k, k * k * Fraction(a)) for k, a in kernel.sin_coeffs]
     w0 = float(-Fraction(kernel.omega_coeff) - 2 * sum(m for _, m in moments))
-    corr = tuple(
+    corr = np.array([
         float(sum(m for k, m in moments if (n % 2 == 0 and k > n) or (k % 2 == 0 and k <= n)))
         for n in range(max((k for k, _ in moments), default=0) + 1)
-    )
-    return w0, 0.5 * kernel.omega_coeff, corr
+    ])
+    n = np.arange(size)
+    return w0, _read_only(0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip"))[0]
 
 
 def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
@@ -504,13 +499,8 @@ def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
     (n even and k > n) or (k even and k <= n).  The n = 1 harmonic cancels.
     """
     _require_validated(body)
-    w0, half, corr = _spectral_weights(kernel)
-    last = len(corr) - 1
-    terms = [w0 * body.a0 * body.a0]
-    for h in body.harmonics:
-        n = h.n
-        if n >= 2:
-            terms.append((half * (n * n - 1) - corr[n if n < last else last]) * h.c_sq)
+    w0, w = _spectral_weights(kernel, 1 << body.max_degree.bit_length())
+    terms = [w0 * body.a0 * body.a0] + (w.take(body.n) * body.c_sq).tolist()  # w(1) = 0 exactly
     return IntegralResult(PI * PI * math.fsum(terms), 0.0, "spectral", 0)
 
 

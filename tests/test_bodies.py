@@ -301,18 +301,20 @@ class TestGridDerivs:
         p, dp = bodies._grid_derivs(TrigSupport(2.5), 64, (0, 1))
         assert np.array_equal(p, np.full(64, 2.5)) and np.array_equal(dp, np.zeros(64))
 
-    def test_spectrum_is_built_once_per_body_outside_its_fields(self):
+    def test_fields_are_read_only_arrays_that_evaluation_leaves_alone(self):
         body = random_body(5, 40, index=2)
         twin = TrigSupport(body.a0, body.harmonics, validated=body.validated)
         seen = (repr(body), hash(body), body_to_dict(body))
         first = bodies._grid_derivs(body, 128, (0, 1))
-        spectrum = vars(body)["_spectrum"]
-        assert all(not a.flags.writeable for a in spectrum)
+        assert all(not x.flags.writeable for x in (body.n, body.a, body.b))
         second = bodies._grid_derivs(body, 128, (0, 1))
-        assert body._spectrum is spectrum
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
         assert (repr(body), hash(body), body_to_dict(body)) == seen == (repr(twin), hash(twin), body_to_dict(twin))
-        assert body == twin and "_spectrum" not in vars(twin)
+        assert body == twin and set(vars(body)) == {"a0", "n", "a", "b", "validated", "_key"}
+        with pytest.raises(ValueError):
+            body.a[0] = 1.0
+        with pytest.raises(AttributeError):
+            body.a0 = 2.0
 
 
 class TestRhoGrid:
@@ -793,6 +795,78 @@ def _scalar_random_body(seed, degree, constant_width=False, index=0):
     raise AmplitudeTooLarge("random draw could not be rescaled to a convex body")
 
 
+def _bits(body):
+    """a0, n, a, b and the flag of a body, as bytes where they are floats:
+    equal exactly when every bit is, the sign of zero included."""
+    return np.float64(body.a0).tobytes(), body.n.tobytes(), body.a.tobytes(), body.b.tobytes(), body.validated
+
+
+# The body algebra as it was written before the harmonics became arrays, one
+# Harmonic and one dict entry at a time: the reference of the array forms.
+def _reference_minkowski_sum(a, b):
+    coeffs = {}
+    for body in (a, b):
+        for h in body.harmonics:
+            acc = coeffs.setdefault(h.n, [0.0, 0.0])
+            acc[0] += h.a
+            acc[1] += h.b
+    hs = tuple(Harmonic(n, ab[0], ab[1]) for n, ab in sorted(coeffs.items()))
+    return TrigSupport(a.a0 + b.a0, hs, validated=a.validated and b.validated)
+
+
+def _reference_rigid_motion(body, theta, v):
+    vx, vy = float(v[0]), float(v[1])
+    coeffs = {}
+    for h in body.harmonics:
+        c, s = math.cos(h.n * theta), math.sin(h.n * theta)
+        coeffs[h.n] = [h.a * c - h.b * s, h.a * s + h.b * c]
+    if vx != 0.0 or vy != 0.0:
+        acc = coeffs.setdefault(1, [0.0, 0.0])
+        acc[0] += vx
+        acc[1] += vy
+    hs = tuple(Harmonic(n, ab[0], ab[1]) for n, ab in sorted(coeffs.items()))
+    return TrigSupport(body.a0, hs, validated=body.validated)
+
+
+def _reference_recenter_to_steiner(body):
+    return TrigSupport(body.a0, tuple(h for h in body.harmonics if h.n != 1), validated=body.validated)
+
+
+def _reference_wigner_support(body):
+    return TrigSupport(0.0, tuple(h for h in body.harmonics if h.n % 2 == 1))
+
+
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.01, 0.01))
+
+
+@st.composite
+def signed_zero_bodies(draw, max_degree=9):
+    """Small bodies at distinct frequencies whose coefficients are often
+    +0.0 or -0.0, so sums and rotations meet zeros of either sign."""
+    ns = draw(st.lists(st.integers(1, max_degree), unique=True, max_size=max_degree))
+    hs = [Harmonic(n, draw(_signed), draw(_signed)) for n in ns]
+    return TrigSupport(draw(st.floats(0.5, 3.0)), hs, validated=draw(st.booleans()))
+
+
+class TestArrayAlgebraBits:
+    @given(signed_zero_bodies(), signed_zero_bodies())
+    @settings(max_examples=60, deadline=None)
+    def test_minkowski_sum(self, x, y):
+        assert _bits(minkowski_sum(x, y)) == _bits(_reference_minkowski_sum(x, y))
+
+    @given(signed_zero_bodies(), st.sampled_from([0.0, -0.0, PI]) | st.floats(-10, 10), _signed, _signed)
+    @settings(max_examples=60, deadline=None)
+    def test_rigid_motion(self, body, theta, vx, vy):
+        got = rigid_motion(body, theta, (vx, vy))
+        assert _bits(got) == _bits(_reference_rigid_motion(body, theta, (vx, vy)))
+
+    @given(signed_zero_bodies())
+    @settings(max_examples=60, deadline=None)
+    def test_recenter_and_wigner(self, body):
+        assert _bits(recenter_to_steiner(body)) == _bits(_reference_recenter_to_steiner(body))
+        assert _bits(bodies.wigner_support(body)) == _bits(_reference_wigner_support(body))
+
+
 class TestRandomBody:
     @pytest.mark.parametrize("constant_width", [False, True])
     @pytest.mark.parametrize("degree", [1, 2, 5, 8, 33])
@@ -801,8 +875,7 @@ class TestRandomBody:
             for index in range(3):
                 got = random_body(seed, degree, constant_width, index)
                 want = _scalar_random_body(seed, degree, constant_width, index)
-                assert got == want and got.validated
-                assert [(h.a, h.b) for h in got.harmonics] == [(h.a, h.b) for h in want.harmonics]
+                assert got.validated and _bits(got) == _bits(want)
 
     def test_halved_draw_equals_scalar_draws(self, monkeypatch):
         # default draws are convex at once, so a stricter check forces the
@@ -820,7 +893,7 @@ class TestRandomBody:
         got = random_body(3, 6, index=2)
         halvings = len(rejected)
         want = _scalar_random_body(3, 6, index=2)
-        assert got == want
+        assert _bits(got) == _bits(want)
         assert halvings == len(rejected) - halvings >= 5
 
 
@@ -838,6 +911,11 @@ class TestConstantWidth:
 
 
 class TestJsonFormat:
+    def test_signed_zero_is_equal_hashes_equal_and_is_kept(self):
+        neg, pos = (body_from_dict({"a0": 1, "harmonics": [{"n": 2, "a": a, "b": 0.2}]}) for a in (-0.0, 0.0))
+        assert neg == pos and hash(neg) == hash(pos)
+        assert math.copysign(1.0, body_to_dict(neg)["harmonics"][0]["a"]) == -1.0
+
     def test_round_trip(self, cw35_body):
         data = body_to_dict(cw35_body)
         assert data == {
@@ -863,6 +941,28 @@ class TestHarmonicInvariants:
     def test_frequency_positive(self):
         with pytest.raises(ValueError):
             Harmonic(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_harmonic_lookup_below_one_rejected(self, ast_body, n):
+        for body in (TrigSupport(1.0), ast_body):
+            with pytest.raises(ValueError):
+                body.harmonic(n)
+
+    def test_harmonic_lookup(self, cw35_body):
+        assert cw35_body.harmonic(5) == Harmonic(5, 0.0, 0.01)
+        for n in (1, 4, 6, 10**30):
+            assert cw35_body.harmonic(n) == Harmonic(n, 0.0, 0.0)
+        assert TrigSupport(1.0).harmonic(2) == Harmonic(2, 0.0, 0.0)
+
+    def test_hash_is_kept_after_the_first_call(self):
+        body = random_body(5, 40, index=2)
+        first = hash(body)
+        vars(body).update(n=None, a=None, b=None)  # a hash that read them again would fail
+        assert hash(body) == first
+
+    def test_frequency_past_int64_is_a_degree_past_the_bound(self):
+        with pytest.raises(ValueError, match="harmonic degree 10{30} exceeds 262142"):
+            TrigSupport(1.0, (Harmonic(10**30, 1e-20, 0.0),))
 
     def test_sorted_and_unique(self):
         body = TrigSupport(1.0, (Harmonic(5, 0.1, 0.0), Harmonic(2, 0.0, 0.1)))
