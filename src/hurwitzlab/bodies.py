@@ -132,10 +132,11 @@ class TrigSupport:
     def max_degree(self) -> int:
         return int(self.n[-1]) if self.n.size else 0
 
-    @property
+    @cached_property
     def c_sq(self) -> np.ndarray:
-        """The squared amplitudes a_n^2 + b_n^2, in the order of n."""
-        return self.a * self.a + self.b * self.b
+        """The squared amplitudes a_n^2 + b_n^2, in the order of n: one
+        read-only array, computed on first read."""
+        return _read_only(self.a * self.a + self.b * self.b)[0]
 
     def harmonic(self, n: int) -> Harmonic:
         """The harmonic at frequency n, zero if absent; ValueError unless n is an integer >= 1."""
@@ -282,9 +283,10 @@ def _rho_grid(body: TrigSupport) -> tuple:
 
     - n and r_n = (1 - n^2)(a_n - i b_n), the spectrum of
       rho = a0 + Re sum_n r_n e^{in phi};
-    - rho at the m = 16*max(N, 4) angles 2*pi*j/m: a0 plus one inverse real
-      FFT of r_n / 2.  Every n lies below m/2, and the "forward" norm never
-      scales the spectrum by m, so it cannot overflow before the values do;
+    - rho at the m = 16*max(N, 4) angles 2*pi*j/m: a0 plus the samples of
+      the body with mean 0 and spectrum r_n by `_grid_derivs`, one inverse
+      real FFT.  Every n lies below m/2, and the "forward" norm never scales
+      the spectrum by m, so it cannot overflow before the values do;
     - dip = M2 h^2 / 8 with M2 = sum_n n^2 |r_n| >= |rho''| and h = 2*pi/m:
       rho stays within M2 h^2 / 8 of its chord on a cell between two
       samples, so rho >= min(rho_j, rho_{j+1}) - dip there;
@@ -302,11 +304,10 @@ def _rho_grid(body: TrigSupport) -> tuple:
     spectrum past the float range gives inf or NaN, which certify nothing.
     """
     n = body.n
-    r = (1 - n * n) * _coef(body)
+    spectrum = _body(0.0, n, (1 - n * n) * body.a, (1 - n * n) * body.b)
     m = 16 * max(body.max_degree, 4)
-    spec = np.zeros(m // 2 + 1, dtype=complex)
-    spec[n] = 0.5 * r
-    rho = body.a0 + np.fft.irfft(spec, m, norm="forward")
+    rho = body.a0 + _grid_derivs(spectrum, m, (0,))[0]
+    r = _coef(spectrum)
     mag = np.abs(r)
     up = 1.0 + 2.0**-30
     dip = up * float(np.sum(n * n * mag)) * (TWO_PI / m) ** 2 / 8.0
@@ -314,11 +315,12 @@ def _rho_grid(body: TrigSupport) -> tuple:
     return n, r, rho, dip, err
 
 
-def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
+def min_curvature_radius(body: TrigSupport, *, _grid: tuple | None = None) -> tuple[float, float]:
     """Global minimum of the curvature radius rho = p + p'' and its angle.
 
     Everything is read off the spectrum r_n of `_rho_grid`, which also gives
-    rho on the 16*max(N,4) grid.  The grid's local minima x at which rho'
+    rho on the 16*max(N,4) grid; `validate_convex` hands over the grid it
+    already sampled as `_grid`.  The grid's local minima x at which rho'
     changes sign between x - h and x + h are the brackets.  A bracket can
     hold the global minimum only if its cell bound rho(x) - dip reaches the
     smallest sample, within the round-off of the samples (err) and of the
@@ -333,7 +335,7 @@ def min_curvature_radius(body: TrigSupport) -> tuple[float, float]:
     """
     if not body.n.size:
         return body.a0, 0.0
-    n, r, rho, dip, err = _rho_grid(body)
+    n, r, rho, dip, err = _rho_grid(body) if _grid is None else _grid
     coef = np.stack([r, 1j * n * r, -(n * n) * r], axis=1)
     phis = np.linspace(0.0, TWO_PI, rho.size, endpoint=False)
     scale = max(abs(body.a0), float(np.max(np.abs([body.a, body.b]))), 1e-300)
@@ -380,10 +382,10 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     2. The dense grid of `_rho_grid`: rho >= min_j rho_j - dip - err
        everywhere, the least sample less the cell bound M2 h^2 / 8 and the
        proven round-off of the samples, so that bound >= eps proves it too.
-    3. `min_curvature_radius` searches, and only a minimum that is at least
-       eps certifies: a spectrum past the float range gives a NaN minimum,
-       which never does.  A rejected body's NotStrictlyConvex carries the
-       searched minimum.
+    3. `min_curvature_radius` searches from stage 2's grid, not sampled
+       again, and only a minimum that is at least eps certifies: a spectrum
+       past the float range gives a NaN minimum, which never does.  A
+       rejected body's NotStrictlyConvex carries the searched minimum.
 
     Stages 1 and 2 must clear eps by _CERT_MARGIN * a0, a few ulps of a0
     that cover the round-off of their last sums (rho averages to a0, so a
@@ -409,9 +411,10 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         slack = -math.inf
     floor = eps + _CERT_MARGIN * body.a0
     if slack < floor:
-        _, _, rho, dip, err = _rho_grid(body)
+        grid = _rho_grid(body)
+        _, _, rho, dip, err = grid
         if not float(np.min(rho)) - dip - err >= floor:
-            rho_min, phi_at = min_curvature_radius(body)
+            rho_min, phi_at = min_curvature_radius(body, _grid=grid)
             if not rho_min >= eps:
                 raise NotStrictlyConvex(rho_min, phi_at)
     return _bounded(_body(body.a0, body.n, body.a, body.b, validated=True))

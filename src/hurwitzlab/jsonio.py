@@ -7,16 +7,6 @@ and downstream parsers recover the exact double.
 
 from __future__ import annotations
 
-import math
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -39,7 +29,7 @@ def dumps(obj, _level: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return _texts([float(obj)], _level)[0]
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):

@@ -41,6 +41,8 @@ _BLOCK_TOKENS = 1 << 14
 # Below this magnitude x * 10^6 is below 2^53, so its rounded value is an
 # exact int64; a layer reaching it is one %-join of "%.6f".
 _FIXED_LIMIT = 2.0**33
+# Turn angle, in radians, above which `count_cusps` counts a vertex as part of a cusp.
+_CUSP_TURN = 1.0
 
 
 def _check_samples(m: int) -> None:
@@ -129,12 +131,12 @@ def shoelace_area(poly: Polyline) -> float:
     return 0.5 * math.fsum(cross.tolist())
 
 
-def count_cusps(poly: Polyline, angle_threshold: float = 1.0) -> int:
+def count_cusps(poly: Polyline) -> int:
     """Number of cusps, counted as isolated spikes of the discrete curvature.
 
     At a cusp the tangent direction reverses, so the exterior angle between
     consecutive polyline segments approaches pi while staying tiny along
-    smooth arcs; vertices whose turn exceeds the threshold are clustered
+    smooth arcs; vertices whose turn exceeds _CUSP_TURN are clustered
     (the spike can straddle a couple of samples) and clusters are counted.
     """
     v = poly.vertices
@@ -144,7 +146,7 @@ def count_cusps(poly: Polyline, angle_threshold: float = 1.0) -> int:
     cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     dot = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
     turn = np.abs(np.arctan2(cross, dot))
-    hits = np.nonzero(turn > angle_threshold)[0]
+    hits = np.nonzero(turn > _CUSP_TURN)[0]
     if hits.size == 0:
         return 0
     n = len(v)

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import TrigSupport, _require_validated, is_constant_width, recenter_to_steiner
+from .bodies import TrigSupport, _require_validated, is_constant_width
 from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
 from .quadrature import PI
 from .visual_angle import KERNELS, exterior_integral, spectral_integral
@@ -181,16 +181,15 @@ _COMPONENT_NAMES = {2: "astroid_parallel", 3: "steiner_parallel", 5: "hypocycloi
 
 
 def classify_equality(body: TrigSupport, tol: float = 1e-9) -> EqualityClass:
-    """Extremal family of the body from its Steiner-centered spectrum.
+    """Extremal family of the body from its harmonics of degree n >= 2.
 
     Harmonics count as present when c_n exceeds tol * a0.  Supports
     contained in {2}, {3}, {5} name the single families; {2,3} and {3,5}
     are the Minkowski-sum equality families; anything else is "none".
     """
     _require_validated(body)
-    centered = recenter_to_steiner(body)
-    thresh = tol * max(centered.a0, 1e-300)
-    support = tuple(centered.n[np.sqrt(centered.c_sq) > thresh].tolist())
+    thresh = tol * max(body.a0, 1e-300)
+    support = tuple(body.n[(body.n >= 2) & (np.sqrt(body.c_sq) > thresh)].tolist())
     s = set(support)
     if not s:
         return EqualityClass("disk", (), support)

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -105,14 +105,18 @@ class Kernel:
 
     An alpha_k may be a `fractions.Fraction`, kept exact where the closed
     form sums it (`spectral_integral`) and rounded once where f is evaluated.
+    Building a kernel whose Maclaurin coefficient of omega does not vanish
+    raises NonIntegrableKernel, so every kernel has an exterior integral.
+    A kernel holds what depends on it alone, each part computed on first
+    use: its Maclaurin series, its weights on the tangent integrator's gap
+    rules and its closed-form weights.
     """
 
     name: str
     omega_coeff: float
     sin_coeffs: tuple[tuple[int, float | Fraction], ...]
 
-    def check_integrable(self) -> None:
-        """Raise unless the Maclaurin coefficient of omega vanishes."""
+    def __post_init__(self):
         linear = self.omega_coeff + math.fsum(k * a for k, a in self.sin_coeffs)
         scale = abs(self.omega_coeff) + math.fsum(abs(k * a) for k, a in self.sin_coeffs)
         if abs(linear) > 1e-12 * max(scale, 1.0):
@@ -120,6 +124,27 @@ class Kernel:
                 f"kernel {self.name!r} behaves like {linear:.3g}*omega near 0; "
                 "exterior integrals need O(omega^3)"
             )
+
+    @cached_property
+    def _gap_weights(self) -> tuple[tuple[np.ndarray, ...], float]:
+        """The kernel's part of `exterior_integral`: w * f(pi - x) on each
+        level's gap rule of `_gap_rules`, and the collar factor
+        _DELTA_MIN * |f(pi - _DELTA_MIN)|."""
+        levels = _read_only(*(w * self(PI - x) for x, w in _gap_rules()))
+        return levels, _DELTA_MIN * abs(self(PI - _DELTA_MIN))
+
+    @cached_property
+    def _closed_form(self) -> tuple[float, np.ndarray]:
+        """The kernel's part of `spectral_integral`: w(0) and the read-only
+        table of E(n), n <= k_max, the largest sin frequency; the sums of
+        k^2 alpha_k are exact in fractions and rounded once."""
+        moments = [(k, k * k * Fraction(a)) for k, a in self.sin_coeffs]
+        w0 = float(-Fraction(self.omega_coeff) - 2 * sum(m for _, m in moments))
+        corr = np.array([
+            float(sum(m for k, m in moments if (n % 2 == 0 and k > n) or (k % 2 == 0 and k <= n)))
+            for n in range(max((k for k, _ in moments), default=0) + 1)
+        ])
+        return w0, _read_only(corr)[0]
 
     @cached_property
     def _series(self) -> np.ndarray:
@@ -161,11 +186,13 @@ def _merge_sin(terms: list[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction],
     return tuple(sorted((k, a) for k, a in acc.items() if a != 0.0))
 
 
+@cache
 def crofton_kernel() -> Kernel:
     """omega - sin(omega); integrates to L^2/2 - pi*F over the exterior."""
     return Kernel("crofton", 1.0, ((1, -1.0),))
 
 
+@cache
 def sin_cubed_kernel() -> Kernel:
     """sin^3(omega) = (3 sin(omega) - sin(3 omega)) / 4."""
     return Kernel("sin_cubed", 0.0, ((1, 0.75), (3, -0.25)))
@@ -180,11 +207,13 @@ def moment_kernel(n: int) -> Kernel:
     return Kernel(f"moment_{n}", 0.0, _merge_sin(terms))
 
 
+@cache
 def visual_deficit_kernel() -> Kernel:
     """omega - sin(omega) - (2/3) sin^3(omega), the general deficit kernel."""
     return Kernel("visual_deficit", 1.0, ((1, -1.5), (3, Fraction(1, 6))))
 
 
+@cache
 def visual_deficit_cw_kernel() -> Kernel:
     """omega - 2 sin(omega) + sin(2 omega) - (1/4) sin(4 omega) - sin^3(omega).
 
@@ -446,47 +475,19 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     phi1 integrand.  The error bar combines the difference from a coarse
     level that halves only the delta panels with a bound on the mass dropped
     inside the near-boundary collar.  The tangent field is kernel
-    independent and cached per body, and the kernel's values on the gap
-    nodes are body independent and cached per kernel (`_kernel_weights`).
+    independent and cached per body, and the kernel's weighted values on the
+    gap nodes are body independent and held by the kernel.
     `config` is accepted, so the call reads like `exterior_integral_grid`'s,
     and not read: the rule follows the body alone.
     """
     _require_validated(body)
-    level_f, collar_f = _kernel_weights(kernel)
+    level_f, collar_f = kernel._gap_weights
     masses, nodes, collar_row = _tangent_field(body)
     fine, coarse = (math.fsum((wf * mass).tolist()) for wf, mass in zip(level_f, masses))
     # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
     collar_err = collar_f * collar_row
     err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
     return IntegralResult(fine, err, "tangent_coords", nodes)
-
-
-@lru_cache(maxsize=32)
-def _kernel_weights(kernel: Kernel) -> tuple[tuple[np.ndarray, ...], float]:
-    """The kernel-only part of `exterior_integral`, cached per kernel: w *
-    kernel(pi - x) on each level's gap rule and the collar factor
-    _DELTA_MIN * |kernel(pi - _DELTA_MIN)|.  A non-integrable kernel raises
-    on every call, since a raising call caches nothing."""
-    kernel.check_integrable()
-    levels = _read_only(*(w * kernel(PI - x) for x, w in _gap_rules()))
-    return levels, _DELTA_MIN * abs(kernel(PI - _DELTA_MIN))
-
-
-@lru_cache(maxsize=32)
-def _spectral_weights(kernel: Kernel, size: int) -> tuple[float, np.ndarray]:
-    """The kernel-only part of `spectral_integral`, cached per kernel and table
-    size: w(0) and the read-only table of w(n), n < size.  E(n) = E(k_max)
-    above the largest sin frequency k_max; the sums of k^2 alpha_k are exact
-    in fractions and rounded once."""
-    kernel.check_integrable()
-    moments = [(k, k * k * Fraction(a)) for k, a in kernel.sin_coeffs]
-    w0 = float(-Fraction(kernel.omega_coeff) - 2 * sum(m for _, m in moments))
-    corr = np.array([
-        float(sum(m for k, m in moments if (n % 2 == 0 and k > n) or (k % 2 == 0 and k <= n)))
-        for n in range(max((k for k, _ in moments), default=0) + 1)
-    ])
-    n = np.arange(size)
-    return w0, _read_only(0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip"))[0]
 
 
 def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
@@ -497,10 +498,15 @@ def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
     the tangent field (Santalo 1976): w(0) = -alpha0 - 2 sum k^2 alpha_k and
     w(n) = alpha0 (n^2-1)/2 - E(n), E(n) the sum of k^2 alpha_k over the k with
     (n even and k > n) or (k even and k <= n).  The n = 1 harmonic cancels.
+    The kernel holds w(0) and E(n) up to its largest sin frequency k_max, above
+    which E(n) = E(k_max); w(n) is evaluated on the body's own n and multiplies
+    the body's c_n^2.
     """
     _require_validated(body)
-    w0, w = _spectral_weights(kernel, 1 << body.max_degree.bit_length())
-    terms = [w0 * body.a0 * body.a0] + (w.take(body.n) * body.c_sq).tolist()  # w(1) = 0 exactly
+    w0, corr = kernel._closed_form
+    n = body.n
+    w = 0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip")  # w(1) = 0 exactly
+    terms = [w0 * body.a0 * body.a0] + (w * body.c_sq).tolist()
     return IntegralResult(PI * PI * math.fsum(terms), 0.0, "spectral", 0)
 
 
@@ -579,7 +585,6 @@ def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorCo
     f(pi)|, a bound on the collar's next order, plus 1e-12 * |value|.
     """
     _require_validated(body)
-    kernel.check_integrable()
     omegas, weights, ring_mass = _polar_field(body, config or ExteriorConfig())
     fvals = kernel(omegas)
     mass = weights * fvals

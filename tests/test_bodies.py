@@ -144,7 +144,7 @@ class _Searched(Exception):
     pass
 
 
-def _no_search(body):
+def _no_search(body, **_):
     raise _Searched
 
 
@@ -317,7 +317,28 @@ class TestGridDerivs:
             body.a0 = 2.0
 
 
+def _inline_rho(body):
+    """rho on the grid of `_rho_grid` by the inverse FFT of its own spectrum
+    that it took before it sampled through `_grid_derivs`: the reference."""
+    n = body.n
+    m = 16 * max(body.max_degree, 4)
+    spec = np.zeros(m // 2 + 1, dtype=complex)
+    spec[n] = 0.5 * (1 - n * n) * bodies._coef(body)
+    return body.a0 + np.fft.irfft(spec, m, norm="forward")
+
+
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.01, 0.01))
+
+
 class TestRhoGrid:
+    @given(st.integers(1, 300), _signed, _signed, st.floats(0.5, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_rho_equals_the_inline_fft(self, n, a, b, a0):
+        body = TrigSupport(a0, (Harmonic(n, a, b),))
+        _, r, rho, _, _ = bodies._rho_grid(body)
+        assert rho.tobytes() == _inline_rho(body).tobytes()
+        assert np.array_equal(r, (1 - body.n * body.n) * bodies._coef(body))
+
     @pytest.mark.parametrize(
         "ns",
         [(2, 3), (2, 17), (5, 1009), (2, 3, 500, 1009), tuple(range(2, 65)), (7, 4096), (3, 12289)],
@@ -462,7 +483,9 @@ class TestCertificate:
         grids, searches = [], []
         grid, search = bodies._rho_grid, bodies.min_curvature_radius
         monkeypatch.setattr(bodies, "_rho_grid", lambda body: grids.append(body) or grid(body))
-        monkeypatch.setattr(bodies, "min_curvature_radius", lambda body: searches.append(body) or search(body))
+        monkeypatch.setattr(
+            bodies, "min_curvature_radius", lambda body, **kw: searches.append(body) or search(body, **kw)
+        )
 
         def stages():
             reached = 1 + bool(grids) + bool(searches)
@@ -499,6 +522,17 @@ class TestCertificate:
                 validate_convex(body)
             assert stages() == 3
             assert info.value.rho_min == search(body)[0] == pytest.approx((1.0 - share) * 1.5, abs=1e-14)
+
+    def test_rejected_body_samples_rho_once(self, monkeypatch):
+        # stage 2's grid is the search's: a body of degree 4099 that the grid
+        # cannot certify and the search rejects is sampled by one inverse FFT
+        grids, grid = [], bodies._rho_grid
+        monkeypatch.setattr(bodies, "_rho_grid", lambda body: grids.append(body) or grid(body))
+        body = TrigSupport(1.0, (Harmonic(2, 0.0, 0.5), Harmonic(4099, 1e-20, 0.0)))
+        with pytest.raises(NotStrictlyConvex) as info:
+            validate_convex(body)
+        assert len(grids) == 1
+        assert (info.value.rho_min, info.value.phi_at) == min_curvature_radius(body)
 
     @given(st.one_of(near_convex_bodies(), certificate_edge_bodies()), st.floats(1e-12, 0.1))
     @settings(max_examples=40, deadline=None)
@@ -836,9 +870,6 @@ def _reference_wigner_support(body):
     return TrigSupport(0.0, tuple(h for h in body.harmonics if h.n % 2 == 1))
 
 
-_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.01, 0.01))
-
-
 @st.composite
 def signed_zero_bodies(draw, max_degree=9):
     """Small bodies at distinct frequencies whose coefficients are often
@@ -959,6 +990,16 @@ class TestHarmonicInvariants:
         first = hash(body)
         vars(body).update(n=None, a=None, b=None)  # a hash that read them again would fail
         assert hash(body) == first
+
+    def test_c_sq_is_one_read_only_array(self):
+        body = random_body(5, 40, index=2)
+        c_sq = body.c_sq
+        assert body.c_sq is c_sq and not c_sq.flags.writeable
+        assert c_sq.tobytes() == (body.a * body.a + body.b * body.b).tobytes()
+        with pytest.raises(ValueError):
+            c_sq[0] = 0.0
+        with pytest.raises(AttributeError):
+            body.c_sq = c_sq
 
     def test_frequency_past_int64_is_a_degree_past_the_bound(self):
         with pytest.raises(ValueError, match="harmonic degree 10{30} exceeds 262142"):

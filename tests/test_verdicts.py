@@ -27,7 +27,7 @@ from hurwitzlab import verdicts
 from hurwitzlab.cli import main
 from hurwitzlab.errors import NotValidated
 from hurwitzlab.verdicts import THEOREMS, Verdict
-from hurwitzlab.visual_angle import KERNELS
+from hurwitzlab.visual_angle import KERNELS, Kernel
 
 PI = math.pi
 
@@ -355,6 +355,18 @@ class TestEvaluator:
                     assert a.hex() == b.hex(), (tid, path, f.name)
                 else:
                     assert a == b, (tid, path, f.name)
+
+    @pytest.mark.parametrize("name", ["mix", "cw35"])
+    def test_suite_builds_no_kernel(self, request, monkeypatch, name):
+        body = request.getfixturevalue(f"{name}_body")
+        for make in KERNELS.values():
+            make()  # the shared kernels exist before the spy is set
+        built, init = [], Kernel.__post_init__
+        monkeypatch.setattr(Kernel, "__post_init__", lambda self: built.append(self.name) or init(self))
+        run_suite(body, SuiteConfig(path="both"))
+        assert built == []
+        Kernel("crofton", 1.0, ((1, -1.0),))  # the spy sees a construction
+        assert built == ["crofton"]
 
     @pytest.mark.parametrize("name, kernels", [("mix", 2), ("cw35", 3)])
     def test_one_pass_per_path(self, request, monkeypatch, name, kernels):

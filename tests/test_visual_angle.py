@@ -45,7 +45,6 @@ from hurwitzlab.visual_angle import (
     KERNELS,
     _corners,
     _gap_mass,
-    _kernel_weights,
     _polar_field,
     _radial_boundary,
     _tangent_angles,
@@ -81,12 +80,11 @@ class TestKernels:
         for maker in (crofton_kernel, sin_cubed_kernel, visual_deficit_kernel,
                       visual_deficit_cw_kernel):
             k = maker()
-            k.check_integrable()
             # f(w)/w^3 must stay bounded as w -> 0
             ratios = [abs(k(w)) / w**3 for w in (1e-1, 1e-2, 1e-3)]
             assert max(ratios) < 10 * (min(ratios) + 1e-9)
         for n in range(2, 9):
-            moment_kernel(n).check_integrable()
+            moment_kernel(n)  # builds, so it is integrable
 
     def test_series_matches_direct_near_cutoff(self):
         k = visual_deficit_cw_kernel()
@@ -109,9 +107,12 @@ class TestKernels:
             assert isinstance(k(np.float64(0.1)), float)
 
     def test_non_integrable_rejected(self, circle_body):
-        bad = Kernel("sin", 0.0, ((1, 1.0),))
         with pytest.raises(NonIntegrableKernel):
-            exterior_integral(circle_body, bad)
+            exterior_integral(circle_body, Kernel("sin", 0.0, ((1, 1.0),)))
+
+    def test_named_kernels_are_shared(self):
+        for name, make in KERNELS.items():
+            assert make() is make(), name
 
     def test_bad_moment_order(self):
         with pytest.raises(BadOrder):
@@ -437,7 +438,6 @@ def _three_call_field(body):
 
 def _inline_integral(body, kernel):
     """`exterior_integral` with the kernel evaluated inline on every call."""
-    kernel.check_integrable()
     masses, nodes, collar_row = _tangent_field(body)
     rules = visual_angle._gap_rules()
     fine, coarse = (math.fsum((w * kernel(PI - x) * mass).tolist()) for (x, w), mass in zip(rules, masses))
@@ -568,7 +568,7 @@ _ALL_KERNELS = [make() for make in KERNELS.values()] + [moment_kernel(n) for n i
 class TestKernelWeights:
     @pytest.mark.parametrize("kernel", _ALL_KERNELS, ids=lambda k: k.name)
     def test_weights_equal_inline_values(self, kernel):
-        level_f, collar_f = _kernel_weights(kernel)
+        level_f, collar_f = kernel._gap_weights
         for wf, (x, w) in zip(level_f, visual_angle._gap_rules(), strict=True):
             assert wf.tobytes() == (w * kernel(PI - x)).tobytes()
             assert not (wf.flags.writeable or x.flags.writeable or w.flags.writeable)
@@ -581,20 +581,19 @@ class TestKernelWeights:
             assert (got.value.hex(), got.error_bar.hex()) == (want.value.hex(), want.error_bar.hex())
             assert got == want
 
-    def test_equal_fresh_kernel_hits_the_cache(self, circle_body):
-        _kernel_weights.cache_clear()
-        first = exterior_integral(circle_body, crofton_kernel())
-        assert exterior_integral(circle_body, crofton_kernel()) == first
-        assert exterior_integral(circle_body, Kernel("crofton", 1.0, ((1, -1.0),))) == first
-        info = _kernel_weights.cache_info()
-        assert (info.hits, info.misses) == (2, 1)
+    def test_equal_fresh_kernel_gives_the_same_bits(self, mix_body):
+        # a fresh kernel works out its own weights, to the bits of the shared one
+        shared, fresh = crofton_kernel(), Kernel("crofton", 1.0, ((1, -1.0),))
+        assert fresh == shared and fresh is not shared
+        for integral in (exterior_integral, spectral_integral):
+            got, want = integral(mix_body, fresh), integral(mix_body, shared)
+            assert (got.value.hex(), got.error_bar.hex()) == (want.value.hex(), want.error_bar.hex())
+            assert got == want
 
-    def test_non_integrable_raises_on_every_call(self, circle_body):
-        _kernel_weights.cache_clear()
+    def test_non_integrable_raises_on_every_construction(self):
         for _ in range(3):
             with pytest.raises(NonIntegrableKernel):
-                exterior_integral(circle_body, Kernel("sin", 0.0, ((1, 1.0),)))
-        assert _kernel_weights.cache_info().currsize == 0
+                Kernel("sin", 0.0, ((1, 1.0),))
 
 
 class TestExteriorIntegral:
