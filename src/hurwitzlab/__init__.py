@@ -47,6 +47,7 @@ from .verdicts import (
     classify_equality,
     expected_equality,
     run_suite,
+    run_suites,
     verify,
 )
 from .visual_angle import (

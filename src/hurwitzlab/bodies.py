@@ -513,9 +513,27 @@ def is_constant_width(body: TrigSupport) -> tuple[bool, float]:
     Constant width is equivalent to all even harmonics (n >= 2) vanishing;
     they are compared against tol = 1e-10 * a0.
     """
-    tol = 1e-10 * max(abs(body.a0), 1e-300)
-    small = np.maximum(np.abs(body.a), np.abs(body.b)) <= tol
-    return bool((small | (body.n & 1)).all()), 2.0 * body.a0  # odd n pass as they are
+    return bool(_constant_width(body.a0, body.n, body.a, body.b)), 2.0 * body.a0
+
+
+def _constant_width(a0, n, a, b):
+    """The test of `is_constant_width` on the harmonics a, b at the
+    frequencies n: of one body (a0 a float), or of a chunk of bodies, a0
+    holding one mean term and a and b one row per body (`_dense`)."""
+    tol = 1e-10 * np.maximum(abs(a0), 1e-300)
+    small = np.maximum(np.abs(a), np.abs(b)) <= tol[..., None]
+    return (small | (n & 1)).all(axis=-1)  # odd n pass as they are
+
+
+def _dense(bodies: Sequence[TrigSupport]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean terms of a chunk of bodies and their a_n and b_n, one row per
+    body and one column per frequency n = 0..N, N the largest degree among
+    them; a frequency a body lacks holds 0.0."""
+    n = np.concatenate([body.n for body in bodies])
+    rows = np.repeat(np.arange(len(bodies)), [body.n.size for body in bodies])
+    a, b = np.zeros((2, len(bodies), int(n.max(initial=0)) + 1))
+    a[rows, n], b[rows, n] = (np.concatenate([getattr(body, part) for body in bodies]) for part in "ab")
+    return np.array([body.a0 for body in bodies]), a, b
 
 
 @dataclass(frozen=True)

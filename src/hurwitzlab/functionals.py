@@ -4,7 +4,9 @@ Every quantity is available both as a closed-form sum over the squared
 harmonic amplitudes c_n^2 (path "spectral") and as a periodic-quadrature
 integral over one sampling of p and its first three derivatives (path
 "quadrature").  The two paths share no code beyond body evaluation, so each
-serves as the other's oracle.
+serves as the other's oracle.  The spectral sums of a chunk of bodies come in
+one pass over their c_n^2 matrix (`functionals_spectral_rows`), with the
+bits each body gives alone.
 
 Closed forms, with c_n^2 taken about the Steiner point where it matters:
 
@@ -88,34 +90,52 @@ def _functional_weights(size: int) -> np.ndarray:
     return _read_only(w)[0]
 
 
+def _fsum_rows(terms: np.ndarray) -> list[float]:
+    """math.fsum of each row of the 2-D array `terms`."""
+    return list(map(math.fsum, terms.tolist()))
+
+
 def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     """Closed-form spectral sums over the harmonic amplitudes.
 
     Each sum_n w(n) c_n^2 is compensated (math.fsum) over its products in
-    ascending n.
+    ascending n.  This is the one-body case of `functionals_spectral_rows`.
     """
     _require_validated(body)
-    a0, n, c_sq, degree = body.a0, body.n, body.c_sq, body.max_degree
+    n, degree = body.n, body.max_degree
     weights = _functional_weights(1 << degree.bit_length()).take(n, axis=1)
-    s_iso, s_evolute, s_hurwitz, s_pedal, s_gap, s_wigner = map(math.fsum, (weights * c_sq).tolist())
-
-    L = TWO_PI * a0
-    F = PI * a0 * a0 - 0.5 * PI * s_iso
-    Delta = 2.0 * PI * PI * s_iso
-    Fe = -0.5 * PI * s_evolute
-    hurwitz_deficit = 0.5 * PI * PI * s_hurwitz
-    A = F + 0.5 * PI * s_pedal
-    delta2_sq = PI * s_gap
-    Aw = -0.5 * PI * s_wigner
-    Wq = PI * s_iso
     sx, sy = steiner_point(body)
     dense = np.zeros(degree + 1)
-    dense[n] = c_sq
+    dense[n] = body.c_sq
     cn = tuple(zip(range(2, degree + 1), dense[2:].tolist()))
+    sums = _fsum_rows(weights * body.c_sq)
+    return _spectral_set(body.a0, sums, steiner=(float(sx), float(sy)), cn_sq=cn)
+
+
+def functionals_spectral_rows(a0: np.ndarray, c_sq: np.ndarray) -> FunctionalSet:
+    """`functionals_spectral` of a chunk of bodies, each scalar field an array
+    over the bodies, bit for bit the value of each body alone.
+
+    a0 holds the bodies' mean terms and c_sq one row per body, c_sq[:, n] =
+    c_n^2 (0.0 where a body lacks n, which adds exact zeros, every weight
+    being >= 0); steiner and cn_sq stay empty.
+    """
+    size = c_sq.shape[1]
+    weights = _functional_weights(1 << (size - 1).bit_length())[:, :size]
+    return _spectral_set(a0, [np.array(_fsum_rows(w * c_sq)) for w in weights], steiner=(), cn_sq=())
+
+
+def _spectral_set(a0, sums, **parts) -> FunctionalSet:
+    """The spectral functionals from a0 and the six sums of
+    `_functional_weights`: floats for one body, or arrays over a chunk."""
+    s_iso, s_evolute, s_hurwitz, s_pedal, s_gap, s_wigner = sums
+    L = TWO_PI * a0
+    F = PI * a0 * a0 - 0.5 * PI * s_iso
+    A = F + 0.5 * PI * s_pedal
     return FunctionalSet(
-        L=L, F=F, Delta=Delta, Fe=Fe, hurwitz_deficit=hurwitz_deficit,
-        A=A, AmF=A - F, delta2_sq=delta2_sq, Aw=Aw, Wq=Wq,
-        steiner=(float(sx), float(sy)), cn_sq=cn, path="spectral",
+        L=L, F=F, Delta=2.0 * PI * PI * s_iso, Fe=-0.5 * PI * s_evolute,
+        hurwitz_deficit=0.5 * PI * PI * s_hurwitz, A=A, AmF=A - F, delta2_sq=PI * s_gap,
+        Aw=-0.5 * PI * s_wigner, Wq=PI * s_iso, path="spectral", **parts,
     )
 
 

@@ -1,14 +1,18 @@
-"""Inequality verdicts: every reverse-isoperimetric bound on one body.
+"""Inequality verdicts: every reverse-isoperimetric bound on one body or a chunk.
 
 Each check is oriented as lhs >= rhs with residual = lhs - rhs, evaluated
 on a spectral path (closed-form sums) and a geometric path (quadrature
 functionals plus the tangent-coordinate exterior integrator).
 Constant-width-only bounds are reported as inapplicable, not failed, on
 general bodies.  Each inequality is one entry of THEOREMS.  One evaluator
-works out a path's shared state once (constant width, functionals, scale
-and each named exterior integral) and then reads it for every entry,
-without knowing which theorem it is; `run_suite` calls it once per path and
-`verify` is its one-theorem case.  A named integral is the kernel
+reads a path's shared state, worked out once (constant width, functionals
+and each named exterior integral), for every entry without knowing which
+theorem it is, and gives the verdicts as rows, one per theorem: on one
+body the entries see floats, on a chunk of bodies arrays with one column
+per body.  Residual, equality, applicability and pass then follow for all
+rows in one array pass, with the same bits either way.  `run_suite` calls
+it once per path, `verify` is its one-theorem case and `run_suites` its
+spectral pass over a chunk.  A named integral is the kernel
 `visual_angle.KERNELS[name]` integrated by `spectral_integral`, whose closed
 form follows from the kernel's coefficients, or by `exterior_integral`.
 """
@@ -19,14 +23,14 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from .bodies import TrigSupport, _require_validated, is_constant_width
-from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral
+from .bodies import TrigSupport, _constant_width, _dense, _require_validated, is_constant_width
+from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral, functionals_spectral_rows
 from .quadrature import PI
-from .visual_angle import KERNELS, exterior_integral, spectral_integral
+from .visual_angle import KERNELS, exterior_integral, spectral_integral, spectral_integral_rows
 
 
 class TheoremId(str, Enum):
@@ -51,7 +55,9 @@ class Theorem:
     """One inequality lhs >= rhs and its predicted equality case.
 
     lhs and rhs take the functionals and the value of the exterior integral
-    named by `integral` (None when the bound needs none); `weight`, derived
+    named by `integral` (None when the bound needs none), floats for one body
+    or arrays over a chunk of bodies, so they use only arithmetic that works
+    on both and rounds alike (+, -, *, /, abs); `weight`, derived
     from rhs, is |d rhs / d integral|, which scales that integral's error
     bar.  Equality is predicted when the harmonic support lies in
     `equality_support` (None: any support) and, if `equality_needs_cw`, the
@@ -165,6 +171,17 @@ class Verdict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"id": self.id.value}
 
 
+_VERDICT_FIELDS = tuple(f.name for f in fields(Verdict))
+
+
+def _verdict(*values) -> Verdict:
+    """Verdict(*values), every field given, built without the one
+    `object.__setattr__` per field of the frozen dataclass's __init__."""
+    verdict = object.__new__(Verdict)
+    vars(verdict).update(zip(_VERDICT_FIELDS, values))
+    return verdict
+
+
 @dataclass(frozen=True)
 class EqualityClass:
     """Which extremal family the body belongs to, by its harmonic support."""
@@ -209,50 +226,110 @@ def expected_equality(theorem: TheoremId, support, constant_width: bool) -> bool
     return support_ok and (constant_width or not t.equality_needs_cw)
 
 
-def _verdicts(body: TrigSupport, theorems, path: str, tol: float) -> tuple[FunctionalSet, list[Verdict]]:
-    """The path's functionals and the verdicts of `theorems` on that path.
+class VerdictRows(NamedTuple):
+    """One path's verdicts, one row per theorem: each array has the shape
+    (theorems,) for one body or (theorems, bodies) for a chunk.  An
+    inapplicable entry holds NaN for lhs, rhs and residual, error bar 0.0 and
+    no equality.  `passed` tells per body whether every applicable verdict
+    passes at the spectral `scale`, max(L^2, pi |Fe|) of the spectral
+    functionals; `companions` maps a row to its companion bound's (lhs, rhs)."""
 
-    The constant-width test, the functionals, the scale max(L^2, pi |Fe|)
-    and each exterior integral an applicable theorem names are computed
-    once; every theorem then only reads them.
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: np.ndarray
+    error_bar: np.ndarray
+    equality: np.ndarray
+    applicable: np.ndarray
+    passed: np.ndarray
+    scale: np.ndarray
+    companions: dict
+
+
+def _scale(fs: FunctionalSet):
+    """max(L^2, pi |Fe|), the scale of a body's verdicts."""
+    return np.fmax(fs.L * fs.L, PI * abs(fs.Fe))
+
+
+def _evaluate(theorems, fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None) -> VerdictRows:
+    """The verdicts of `theorems` on one path, as rows.
+
+    fs holds the path's functionals and cw the constant-width test: floats
+    and a bool for one body, arrays over a chunk.  integral(name) gives the
+    named exterior integral's (value, error bar) in the same form, (None,
+    0.0) for no name.  Each entry's lhs and rhs are read once, and the
+    constant-width-only entries are skipped when no body has constant width;
+    residual, equality, applicability and pass then follow in one array
+    pass.  Equality takes the path's own scale and pass the spectral
+    `scale` (None: the path is spectral).
     """
+    cw = np.asarray(cw)
+    any_cw = cw.any()
+    own_scale = _scale(fs)
+    base = (0.0 if path == "spectral" else 1e-12) * own_scale  # the functionals' round-off
+    nan, zero, yes = own_scale * np.nan, own_scale * 0.0, cw | True  # shaped like the bodies
+    lhs, rhs, err, applicable, companions = [], [], [], [], {}
+    for i, theorem in enumerate(theorems):
+        t = THEOREMS[theorem]
+        applicable.append(cw if t.cw_only else yes)
+        if t.cw_only and not any_cw:
+            lhs.append(nan), rhs.append(nan), err.append(zero)
+            continue
+        value, int_err = integral(t.integral)
+        lhs.append(t.lhs(fs, value)), rhs.append(t.rhs(fs, value)), err.append(base + t.weight * int_err)
+        if t.companion:
+            companions[i] = t.companion[1](fs), t.companion[2](fs)
+    lhs, rhs, err = np.array([lhs, rhs, err])
+    applicable = np.array(applicable)
+    if any_cw and not cw.all():  # a chunk that mixes both kinds of body
+        lhs[~applicable], rhs[~applicable], err[~applicable] = np.nan, np.nan, 0.0
+    residual = lhs - rhs
+    # fmax is Python's max where the first argument is not NaN, as tol * scale never is
+    eq_tol = np.fmax(tol * own_scale, 3.0 * err)
+    equality = abs(residual) <= eq_tol  # False where residual is NaN
+    for i, (lhs2, rhs2) in companions.items():  # a second bound that must hold alongside
+        second = lhs2 - rhs2
+        residual[i] = np.where(second < residual[i], second, residual[i])
+        equality[i] &= abs(second) <= eq_tol[i]
+    pass_tol, scale = (eq_tol, own_scale) if scale is None else (np.fmax(tol * scale, 3.0 * err), scale)
+    passed = (residual >= -pass_tol).all(axis=0, where=applicable)
+    return VerdictRows(lhs, rhs, residual, err, equality, applicable, passed, scale, companions)
+
+
+def _verdicts(
+    body: TrigSupport, theorems, path: str, tol: float, cw: bool, scale=None
+) -> tuple[VerdictRows, list[Verdict]]:
+    """The rows and the verdicts of `theorems` on one body and path, whose
+    constant-width test is cw and spectral scale `scale` (None on the
+    spectral path).  The functionals and each exterior integral an
+    applicable theorem names are computed once."""
     _require_validated(body)
     if path not in ("spectral", "geometric"):
         raise ValueError(f"path must be 'spectral' or 'geometric', got {path!r}")
-    cw, _ = is_constant_width(body)
     fs = functionals_spectral(body) if path == "spectral" else functionals_quadrature(body)
-    scale = max(fs.L * fs.L, PI * abs(fs.Fe))
     integrals = {None: (None, 0.0)}  # name -> (value, error bar)
+
+    def integral(name):
+        if name not in integrals:
+            kernel = KERNELS[name]()
+            res = spectral_integral(body, kernel) if path == "spectral" else exterior_integral(body, kernel)
+            integrals[name] = (res.value, res.error_bar)
+        return integrals[name]
+
+    rows = _evaluate(theorems, fs, cw, integral, path, tol, scale)
     out = []
-    for theorem in theorems:
+    for i, (theorem, app, lhs, rhs, residual, equality, err) in enumerate(zip(
+        theorems, *(x.tolist() for x in (rows.applicable, rows.lhs, rows.rhs, rows.residual, rows.equality, rows.error_bar))
+    )):
         t = THEOREMS[theorem]
-        if t.cw_only and not cw:
-            nan = float("nan")
-            out.append(Verdict(theorem, False, nan, nan, nan, False, path, notes="requires constant width"))
-            continue
-        if t.integral not in integrals:
-            kernel = KERNELS[t.integral]()
-            res = (spectral_integral(body, kernel) if path == "spectral"
-                   else exterior_integral(body, kernel))
-            integrals[t.integral] = (res.value, res.error_bar)
-        value, int_err = integrals[t.integral]
-        rhs_err = (0.0 if path == "spectral" else 1e-12 * scale) + t.weight * int_err
-        lhs, rhs = t.lhs(fs, value), t.rhs(fs, value)
-        residual = lhs - rhs
-        eq_tol = max(tol * scale, 3.0 * rhs_err)
-        equality = abs(residual) <= eq_tol
-        notes = t.notes + (t.cw_notes if cw else "")
-        if t.companion:
-            name, companion_lhs, companion_rhs = t.companion
-            lhs2, rhs2 = companion_lhs(fs), companion_rhs(fs)
-            notes = f"companion bound {name}: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
-            residual = min(residual, lhs2 - rhs2)
-            equality = equality and abs(lhs2 - rhs2) <= eq_tol
-        out.append(Verdict(
-            id=theorem, applicable=True, lhs=lhs, rhs=rhs, residual=residual,
-            equality=equality, path=path, error_bar=rhs_err, notes=notes,
-        ))
-    return fs, out
+        if not app:
+            notes = "requires constant width"
+        elif i in rows.companions:
+            lhs2, rhs2 = rows.companions[i]
+            notes = f"companion bound {t.companion[0]}: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
+        else:
+            notes = t.notes + (t.cw_notes if cw else "")
+        out.append(_verdict(theorem, app, lhs, rhs, residual, equality, path, err, notes))
+    return rows, out
 
 
 def verify(
@@ -271,7 +348,9 @@ def verify(
     (geometric runs widen the tolerance to three error bars).  tol must be
     finite and nonnegative (ValueError), as in SuiteConfig.
     """
-    return _verdicts(body, (TheoremId(theorem),), path, SuiteConfig(tol=tol).tol)[1][0]
+    theorem, tol = TheoremId(theorem), SuiteConfig(tol=tol).tol
+    _require_validated(body)
+    return _verdicts(body, (theorem,), path, tol, is_constant_width(body)[0])[1][0]
 
 
 @dataclass(frozen=True)
@@ -307,21 +386,62 @@ class SuiteReport:
 def run_suite(body: TrigSupport, config: SuiteConfig | None = None) -> SuiteReport:
     """All verdicts on one body, in a fixed theorem order.
 
-    Each path is evaluated in one pass of the evaluator over THEOREMS; with
-    path "both" the spectral and geometric verdicts of each theorem sit
-    side by side.  Overall pass requires every applicable verdict to
-    satisfy residual >= -max(tol*scale, 3*error_bar), with scale taken from
-    the spectral functionals.
+    The constant-width test runs once, and each path is one pass of the
+    evaluator over THEOREMS, on floats; with path "both" the spectral and
+    geometric verdicts of each theorem sit side by side.  Overall pass
+    requires every applicable verdict to satisfy residual >=
+    -max(tol*scale, 3*error_bar), with scale taken from the spectral
+    functionals.  `run_suites` is the same evaluation over a chunk.
     """
     cfg = config or SuiteConfig()
-    paths = ("spectral", "geometric") if cfg.path == "both" else (cfg.path,)
-    results = [_verdicts(body, THEOREMS, path, cfg.tol) for path in paths]
+    _require_validated(body)
+    cw = is_constant_width(body)[0]
+    spectral = [_verdicts(body, THEOREMS, "spectral", cfg.tol, cw)] if cfg.path != "geometric" else []
+    scale = spectral[0][0].scale if spectral else _scale(functionals_spectral(body))
+    geometric = [_verdicts(body, THEOREMS, "geometric", cfg.tol, cw, scale)] if cfg.path != "spectral" else []
+    results = spectral + geometric
     verdicts = tuple(v for row in zip(*(vs for _, vs in results)) for v in row)
+    passed = all(bool(rows.passed) for rows, _ in results)
     eq_class = classify_equality(body, tol=cfg.tol)
-    fs = results[0][0] if paths[0] == "spectral" else functionals_spectral(body)
-    scale = max(fs.L * fs.L, PI * abs(fs.Fe))
-    passed = all(
-        (not v.applicable) or v.residual >= -max(cfg.tol * scale, 3.0 * v.error_bar)
-        for v in verdicts
-    )
     return SuiteReport(body=body, verdicts=verdicts, equality_class=eq_class, passed=passed)
+
+
+def run_suites(bodies: Sequence[TrigSupport], tol: float = 1e-9, geometric: Collection[int] = ()) -> VerdictRows:
+    """`run_suite`'s verdicts on a chunk of validated bodies, in array passes.
+
+    The bodies' c_n^2 form one matrix, one row per body, from which the
+    constant-width test, the functionals and each named closed-form integral
+    come in one pass each, and the evaluator reads them as arrays.  The rows
+    hold one column per verdict set: each body's spectral verdicts and, right
+    after them for a body whose position is in `geometric`, its geometric
+    ones, evaluated per body.  `passed` and `scale` hold one entry per body:
+    its pass as `run_suite` gives it with path "spectral", or "both" for the
+    bodies in `geometric`.  Every entry has the bits `run_suite` gives.  The
+    matrix has a column per frequency up to the chunk's largest degree, so
+    it is meant for chunks of low degree, such as `sweep`'s (2 to 8).
+    """
+    tol = SuiteConfig(tol=tol).tol
+    for body in bodies:
+        _require_validated(body)
+    a0, a, b = _dense(bodies)
+    n, c_sq = np.arange(a.shape[1]), a * a + b * b
+    cw = _constant_width(a0, n, a, b)
+    integrals = {None: (None, 0.0)}
+
+    def integral(name):
+        if name not in integrals:
+            integrals[name] = (np.array(spectral_integral_rows(KERNELS[name](), a0.tolist(), n, c_sq)), 0.0)
+        return integrals[name]
+
+    rows = _evaluate(THEOREMS, functionals_spectral_rows(a0, c_sq), cw, integral, "spectral", tol)
+    geo = {j: _verdicts(bodies[j], THEOREMS, "geometric", tol, bool(cw[j]), rows.scale[j])[0] for j in sorted(geometric)}
+    if geo:
+        passed = rows.passed.copy()
+        for j, geo_rows in geo.items():
+            passed[j] &= geo_rows.passed
+        at = [j + 1 for j in geo]
+        rows = rows._replace(passed=passed, **{
+            name: np.insert(getattr(rows, name), at, np.array([getattr(g, name) for g in geo.values()]).T, axis=1)
+            for name in ("lhs", "rhs", "residual", "error_bar", "equality", "applicable")
+        })
+    return rows

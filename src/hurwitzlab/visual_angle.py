@@ -147,6 +147,20 @@ class Kernel:
         return w0, _read_only(corr)[0]
 
     @cached_property
+    def _weight_tables(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def _weights(self, size: int) -> np.ndarray:
+        """w(n) = alpha0 (n^2-1)/2 - E(n) of `spectral_integral_rows` for n <
+        size, one read-only table per size, built on first use."""
+        table = self._weight_tables.get(size)
+        if table is None:
+            n = np.arange(size)
+            w = 0.5 * self.omega_coeff * (n * n - 1) - self._closed_form[1].take(n, mode="clip")
+            table = self._weight_tables[size] = _read_only(w)[0]  # w(1) = 0 exactly
+        return table
+
+    @cached_property
     def _series(self) -> np.ndarray:
         # Maclaurin coefficients of omega^(2j+1), j = 0.._SERIES_TERMS-1.
         coeffs = np.zeros(_SERIES_TERMS)
@@ -400,7 +414,7 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
 # Tangent-coordinate integration
 
 
-def _gap_mass(body: TrigSupport, levels, nodes_phi: int):
+def _gap_mass(body: TrigSupport, levels, nodes_phi: int, sines=None):
     """Integral over phi1 of the area-element factor at the gaps of each
     1-D array in `levels`, concatenated.
 
@@ -408,8 +422,9 @@ def _gap_mass(body: TrigSupport, levels, nodes_phi: int):
     `_tangent_field`) with integral_exterior f(omega) dP =
     integral_0^pi f(pi - delta) G(delta) ddelta.  p and p' on the phi1 grid
     are one unshifted `_grid_derivs` call for all levels, and shifted by
-    each gap one call per block of _BLOCK_ENTRIES corners, one row per gap;
-    each block's `math.sin` list serves its corners and the final division.
+    each gap one call per block of _BLOCK_ENTRIES corners, one row per gap.
+    `sines` holds the `math.sin` values of each level's gaps (computed here
+    when None); each block's slice serves its corners and the final division.
     A block never spans two levels, so each level gives the bits it gives
     alone: numpy rounds a one-element complex product, the spectrum of a
     one-harmonic body rotated by a lone gap, without the fused multiply-add
@@ -418,15 +433,20 @@ def _gap_mass(body: TrigSupport, levels, nodes_phi: int):
     phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
     rows = max(1, _BLOCK_ENTRIES // nodes_phi)
     at1 = _grid_derivs(body, nodes_phi, (0, 1))
-    sums, sins = [], []
-    for gaps in levels:
+    sines = _sines(levels) if sines is None else sines
+    sums = []
+    for gaps, sins in zip(levels, sines, strict=True):
         for start in range(0, len(gaps), rows):
             block = np.asarray(gaps[start : start + rows], dtype=float)
-            sins.append(np.array([math.sin(d) for d in block]))
             at2 = _grid_derivs(body, nodes_phi, (0, 1), block)
-            _, _, u1, u2 = _corners(phi1, block, at1, at2, sins[-1])
+            _, _, u1, u2 = _corners(phi1, block, at1, at2, sins[start : start + rows])
             sums.extend(map(math.fsum, np.abs(u1 * u2).tolist()))
-    return TWO_PI / nodes_phi * np.array(sums) / np.concatenate(sins)
+    return TWO_PI / nodes_phi * np.array(sums) / np.concatenate(sines)
+
+
+def _sines(levels) -> list[np.ndarray]:
+    """`math.sin` of the gaps of each level (numpy's SIMD sin depends on the CPU)."""
+    return [np.array(list(map(math.sin, np.asarray(gaps, dtype=float).tolist()))) for gaps in levels]
 
 
 def _delta_edges(panels: int) -> np.ndarray:
@@ -441,6 +461,15 @@ def _gap_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     built on first use."""
     panels = (_DELTA_PANELS, _DELTA_PANELS // 2)
     return tuple(_read_only(*gauss_panels(_delta_edges(n), points=16)) for n in panels)
+
+
+@lru_cache(maxsize=1)
+def _field_levels() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The gap levels of `_tangent_field`, the fine and coarse nodes of
+    `_gap_rules` and the collar row at _DELTA_MIN, and their `_sines`; body
+    independent, built on first use."""
+    levels = (*(x for x, _ in _gap_rules()), *_read_only(np.array([_DELTA_MIN])))
+    return levels, _read_only(*_sines(levels))
 
 
 @lru_cache(maxsize=8)
@@ -460,10 +489,10 @@ def _tangent_field(body: TrigSupport):
     """
     body = recenter_to_steiner(body)
     nodes_phi = max(16, 2 * body.max_degree + 1)
-    gaps = [x for x, _ in _gap_rules()]
-    mass = _gap_mass(body, gaps + [[_DELTA_MIN]], nodes_phi)
-    *masses, collar_row = np.split(mass, np.cumsum([x.size for x in gaps]))
-    return _read_only(*masses), gaps[0].size * nodes_phi, float(collar_row[0])
+    levels, sines = _field_levels()
+    mass = _gap_mass(body, levels, nodes_phi, sines)
+    *masses, collar_row = np.split(mass, np.cumsum([x.size for x in levels[:-1]]))
+    return _read_only(*masses), levels[0].size * nodes_phi, float(collar_row[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
@@ -498,16 +527,27 @@ def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
     the tangent field (Santalo 1976): w(0) = -alpha0 - 2 sum k^2 alpha_k and
     w(n) = alpha0 (n^2-1)/2 - E(n), E(n) the sum of k^2 alpha_k over the k with
     (n even and k > n) or (k even and k <= n).  The n = 1 harmonic cancels.
-    The kernel holds w(0) and E(n) up to its largest sin frequency k_max, above
-    which E(n) = E(k_max); w(n) is evaluated on the body's own n and multiplies
-    the body's c_n^2.
+    This is `spectral_integral_rows` on a chunk of one body.
     """
     _require_validated(body)
-    w0, corr = kernel._closed_form
-    n = body.n
-    w = 0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip")  # w(1) = 0 exactly
-    terms = [w0 * body.a0 * body.a0] + (w * body.c_sq).tolist()
-    return IntegralResult(PI * PI * math.fsum(terms), 0.0, "spectral", 0)
+    (value,) = spectral_integral_rows(kernel, [body.a0], body.n, body.c_sq[None])
+    return IntegralResult(value, 0.0, "spectral", 0)
+
+
+def spectral_integral_rows(kernel: Kernel, a0, n: np.ndarray, c_sq: np.ndarray) -> list[float]:
+    """The closed form of `spectral_integral` on a chunk of bodies, one value
+    per body: a0 holds their mean terms (floats) and c_sq one row of c_n^2
+    per body, one column per frequency in n (ascending).
+
+    The kernel holds w(0), E(n) up to its largest sin frequency k_max, above
+    which E(n) = E(k_max), and tables of w(n); w(n) multiplies c_n^2, and the
+    sum over w(0) a0^2 and the products is compensated, so a column of zeros,
+    a frequency a body lacks, leaves its value as the body alone gives it.
+    """
+    top = int(n[-1]) if n.size else 0
+    w = kernel._weights(1 << top.bit_length()).take(n)
+    w0 = kernel._closed_form[0]
+    return [PI * PI * math.fsum([w0 * a * a, *row]) for a, row in zip(a0, (w * c_sq).tolist())]
 
 
 # ---------------------------------------------------------------------------

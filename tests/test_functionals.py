@@ -294,6 +294,14 @@ class TestSerialization:
         assert jsonio.dumps(obj, 1) == _recursive_dumps(obj, 1)
 
 
+    @given(st.dictionaries(st.text(), st.floats() | st.booleans()), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_dict_keys_quoted_as_one_by_one(self, obj, int_keys):
+        # keys with a backslash, a quote or a newline take the per-key path
+        obj = {i: v for i, v in enumerate(obj.values())} if int_keys else obj
+        assert jsonio.dumps(obj) == _recursive_dumps(obj)
+
+
 def _recursive_dumps(obj, level=0):
     """jsonio.dumps as one recursive call per leaf, the form its one-pass
     float lists replaced."""

@@ -3,9 +3,11 @@
 tests/golden/ holds, for each fixture body of conftest.py, the body JSON and
 the bytes of `report`, `verify --path both --out`, `verify --path both`
 stdout and the five-kind `render --out` SVG.  `hd17` is the one fixture of
-degree 17 whose convexity the certificate does not decide.  The figures are
-gated against the committed out/*.svg.  Regenerate the golden files only for
-a change that alters numbers on purpose:
+degree 17 whose convexity the certificate does not decide.  It also holds
+the stdout of three `sweep` runs (SWEEPS), one of them with violations and
+one across the edge of a chunk of bodies.  The figures are gated against
+the committed out/*.svg.  Regenerate the golden files only for a change
+that alters numbers on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +17,7 @@ without writing (exit 1 when anything moved): flag moves first (`equality`,
 value with its file, JSON path or verify.txt row, old and new value,
 |d|/scale with scale = max(L^2, pi|Fe|) of the body's spectral functionals,
 and |d|/error_bar on verdict rows; an SVG reports how many coordinates moved
-and the largest move.  The diff explains a failure of the byte gate; it
+and the largest move, and a sweep one row per moved least residual.  The diff explains a failure of the byte gate; it
 never passes one.
 """
 
@@ -39,6 +41,12 @@ OUTPUTS = ("report.json", "verify.json", "verify.txt", "render.svg")
 RENDER_KINDS = "boundary,evolute,pedal,parallel,wigner"
 FLAGS = {"equality", "applicable", "pass", "equality_class"}
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+# golden name -> `sweep` arguments; 257 bodies straddle the edge of a chunk
+SWEEPS = {
+    "sweep.count300.seed3": ["--count", "300", "--seed", "3"],
+    "sweep.count200.both.seed1": ["--count", "200", "--path", "both", "--seed", "1"],
+    "sweep.count257.seed2.tol0": ["--count", "257", "--seed", "2", "--tol", "0"],
+}
 
 
 def cli_outputs(body_file: pathlib.Path, workdir: pathlib.Path) -> dict[str, bytes]:
@@ -57,6 +65,14 @@ def cli_outputs(body_file: pathlib.Path, workdir: pathlib.Path) -> dict[str, byt
         "verify.txt": verify_txt,
         "render.svg": render.read_bytes(),
     }
+
+
+def sweep_output(name: str) -> tuple[int, bytes]:
+    """(exit code, stdout bytes) of the golden sweep `name`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["sweep", *SWEEPS[name]])
+    return code, stdout.getvalue().encode("utf-8")
 
 
 def committed(name: str) -> dict[str, bytes]:
@@ -151,6 +167,25 @@ def golden_diff(name: str, old: dict[str, bytes], new: dict[str, bytes]) -> tupl
     return flags, values
 
 
+def sweep_diff(name: str, old: bytes, new: bytes) -> tuple[list[str], list[str]]:
+    """(flag moves, value moves) between two outputs of one golden sweep: a
+    moved least residual is a value row with its |d|, any other move a flag."""
+    docs = [json.loads(text) for text in (old, new)]
+    (paths_a, a), (paths_b, b) = (zip(*_leaves(doc)) for doc in docs)
+    if paths_a != paths_b:
+        return [f"FLAG {name}.json  structure changed"], []
+    flags, values = [], []
+    for path, x, y in zip(paths_a, a, b):
+        if repr(x) == repr(y):
+            continue
+        where = f"{name}.json  " + ".".join(map(str, path))
+        if path[-1] == "min_residual" and _is_number(x) and _is_number(y):
+            values.append(f"{where}  {x!r} -> {y!r}  |d|={abs(y - x):.2g}")
+        else:
+            flags.append(f"FLAG {where}  {x!r} -> {y!r}")
+    return flags, values
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_golden_body_is_fixture(request, name):
     data = json.loads((GOLDEN / f"{name}.body.json").read_text())
@@ -162,6 +197,27 @@ def test_cli_output_matches_golden(tmp_path, name):
     fresh = cli_outputs(GOLDEN / f"{name}.body.json", tmp_path)
     for suffix in OUTPUTS:
         assert fresh[suffix] == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_output_matches_golden(name):
+    code, out = sweep_output(name)
+    assert out == (GOLDEN / f"{name}.json").read_bytes()
+    assert code == (0 if json.loads(out)["pass"] else 1)
+
+
+def test_sweep_diff_lists_a_moved_residual_and_flags_the_rest():
+    name = "sweep.count257.seed2.tol0"
+    old = (GOLDEN / f"{name}.json").read_bytes()
+    assert sweep_diff(name, old, old) == ([], [])
+    doc = json.loads(old)
+    doc["per_theorem"]["hurwitz"]["min_residual"] *= 1.0 + 1e-15
+    doc["per_theorem"]["hurwitz"]["equality_hits"] += 1
+    flags, values = sweep_diff(name, old, json.dumps(doc).encode("utf-8"))
+    assert flags == [f"FLAG {name}.json  per_theorem.hurwitz.equality_hits  30 -> 31"]
+    assert len(values) == 1 and values[0].startswith(f"{name}.json  per_theorem.hurwitz.min_residual  ")
+    doc["violations"].pop()
+    assert sweep_diff(name, old, json.dumps(doc).encode("utf-8")) == ([f"FLAG {name}.json  structure changed"], [])
 
 
 def test_make_figures_reproduces_out(tmp_path):
@@ -231,6 +287,10 @@ if __name__ == "__main__":
             (pathlib.Path(tmp) / name).mkdir()
             fresh[name] = cli_outputs(GOLDEN / f"{name}.body.json", pathlib.Path(tmp) / name)
             f, v = golden_diff(name, committed(name), fresh[name])
+            flags, values = flags + f, values + v
+        for name in SWEEPS:
+            fresh[name] = {"json": sweep_output(name)[1]}
+            f, v = sweep_diff(name, (GOLDEN / f"{name}.json").read_bytes(), fresh[name]["json"])
             flags, values = flags + f, values + v
         make_figures(pathlib.Path(tmp))
         for path in sorted((ROOT / "out").glob("*.svg")):

@@ -4,11 +4,14 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzlab import (
     FunctionalSet,
     SuiteConfig,
     TheoremId,
+    TrigSupport,
     body_to_dict,
     classify_equality,
     expected_equality,
@@ -26,7 +29,7 @@ from hurwitzlab import (
 from hurwitzlab import verdicts
 from hurwitzlab.cli import main
 from hurwitzlab.errors import NotValidated
-from hurwitzlab.verdicts import THEOREMS, Verdict
+from hurwitzlab.verdicts import THEOREMS, Verdict, run_suites
 from hurwitzlab.visual_angle import KERNELS, Kernel
 
 PI = math.pi
@@ -111,8 +114,6 @@ class TestVerifyFixtures:
         assert "discrepancy" in v.notes
 
     def test_requires_validation(self):
-        from hurwitzlab import TrigSupport
-
         with pytest.raises(NotValidated):
             verify(TrigSupport(1.0), TheoremId.HURWITZ)
 
@@ -385,3 +386,75 @@ class TestEvaluator:
         assert calls["functionals_spectral"] == calls["functionals_quadrature"] == 1
         for fn in ("exterior_integral", "spectral_integral"):
             assert sorted(calls[fn, k] for k in KERNELS if (fn, k) in calls) == [1] * kernels, fn
+
+
+ROW_FIELDS = ("lhs", "rhs", "residual", "error_bar", "equality", "applicable")
+
+
+def assert_rows_are_suites(bodies, tol, geometric=()):
+    """run_suites on the chunk gives, column for column and bit for bit, the
+    verdicts and the pass of run_suite on each body alone."""
+    rows = run_suites(bodies, tol, geometric)
+    assert rows.lhs.shape == (len(TheoremId), len(bodies) + len(geometric))
+    column = 0
+    for j, body in enumerate(bodies):
+        report = run_suite(body, SuiteConfig(path="both" if j in geometric else "spectral", tol=tol))
+        for path in ("spectral", "geometric") if j in geometric else ("spectral",):
+            for t, v in enumerate(v for v in report.verdicts if v.path == path):
+                for name in ROW_FIELDS:
+                    got, want = getattr(rows, name)[t, column].item(), getattr(v, name)
+                    assert (got.hex() == want.hex()) if isinstance(want, float) else got is want, (j, path, v.id, name)
+            column += 1
+        assert rows.passed[j].item() is report.passed, j
+
+
+class TestChunk:
+    @given(
+        draws=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans()), max_size=10),
+        order=st.randoms(use_true_random=False),
+        tol=st.sampled_from([0.0, 1e-9, 1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_rows_equal_run_suite(self, circle_body, ast_body, delt_body, cw35_body, mix_body, hd17_body,
+                                        draws, order, tol):
+        # mixed degree and constant width, and the six fixtures, whose equality
+        # cases give zero residuals
+        bodies = [random_body(seed, degree, cw, index=i) for i, (seed, degree, cw) in enumerate(draws)]
+        bodies += [circle_body, ast_body, delt_body, cw35_body, mix_body, hd17_body]
+        order.shuffle(bodies)
+        assert_rows_are_suites(bodies, tol)
+
+    @pytest.mark.parametrize("kind", ["general", "constant_width", "one"])
+    def test_unmixed_chunks(self, sweep_bodies, kind):
+        # a chunk without constant-width bodies skips their rows, one of only
+        # such bodies masks none, and a chunk of one is run_suite's case
+        bodies = {
+            "general": sweep_bodies[0:20:2], "constant_width": sweep_bodies[1:20:2], "one": sweep_bodies[3:4],
+        }[kind]
+        assert_rows_are_suites(bodies, 1e-9)
+
+    def test_geometric_columns_follow_their_body(self, mix_body, delt_body, cw_random_body, hd17_body):
+        assert_rows_are_suites([mix_body, delt_body, cw_random_body, hd17_body], 1e-9, geometric=(0, 2, 3))
+
+    def test_chunk_checks_tol_and_validation(self, mix_body):
+        with pytest.raises(ValueError):
+            run_suites([mix_body], -1.0)
+        with pytest.raises(NotValidated):
+            run_suites([mix_body, TrigSupport(1.0)])
+
+
+def test_sweep_lists_the_bodies_a_patched_bound_fails(monkeypatch, capsys):
+    # Hurwitz's bound raised by 2% fails the bodies whose n = 2 harmonic all
+    # but sets Fe and Delta (pi |Fe| < 1.02 Delta), some in the second chunk
+    hurwitz = THEOREMS[TheoremId.HURWITZ]
+    monkeypatch.setitem(THEOREMS, TheoremId.HURWITZ, dataclasses.replace(hurwitz, rhs=lambda fs, _: 1.02 * fs.Delta))
+    code = main(["sweep", "--count", "300", "--seed", "1"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1 and summary["pass"] is False
+    bodies = [random_body(1, 2 + i % 7, constant_width=i % 2 == 1, index=i) for i in range(300)]
+    expected = [{"index": i, "body": body_to_dict(body)} for i, body in enumerate(bodies) if not run_suite(body).passed]
+    assert summary["violations"] == expected
+    assert [v["index"] for v in expected] == [
+        0, 14, 16, 22, 28, 36, 42, 56, 70, 84, 98, 106, 112, 126, 140, 154, 162, 168, 182, 196, 210, 224, 238,
+        252, 266, 280, 294,
+    ]

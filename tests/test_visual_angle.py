@@ -248,6 +248,16 @@ def _check_batch(body, points, every=1):
     return phi1, delta
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: roots polished to |g| <= tol are then reduced mod 2*pi")
+def test_reduced_root_keeps_the_polish_bound():
+    # a falsifying example of test_batch_matches_single_points: |g| = 2.922e-12
+    # at the reduced root against tol = 2.917e-12, the round-off of the
+    # reduction carrying |g| past the bound the polish met
+    hs = (Harmonic(1, 0.0, -0.15625), Harmonic(3, 0.004384222169643162, 0.0))
+    body = rigid_motion(validate_convex(TrigSupport(1.755859375, hs)), 0.0, np.zeros(2))
+    _check_batch(body, _exterior_points(body, [4.5766374703241794], [body.a0 * 10.0**1.162109375]))
+
+
 class TestBatchedTangents:
     @given(
         convex_bodies(max_degree=8),
