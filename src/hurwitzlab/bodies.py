@@ -32,6 +32,7 @@ rotation by theta maps p to p(phi - theta).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -359,7 +360,7 @@ def min_curvature_radius(body: TrigSupport, *, _grid: tuple | None = None) -> tu
     return float(vals[best]), float(x[best] % TWO_PI)
 
 
-def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
+def validate_convex(body: TrigSupport, eps: float | None = None, *, _stage: tuple | None = None) -> TrigSupport:
     """Certify strict convexity; returns the body marked as validated.
 
     Raises BadSpec when a coefficient is not finite or the degree exceeds
@@ -393,7 +394,10 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
     true rho_min sits at eps.  Both bound rho from below, so they certify no
     body the search would reject.
     """
-    if not (math.isfinite(body.a0) and np.isfinite(np.concatenate((body.a, body.b))).all()):
+    if _stage is None:
+        (_stage,) = _stage_one([body.a0], body.n, body.a, body.b, [slice(0, body.n.size)])
+    finite, slack, magnitude = _stage
+    if not finite:
         raise BadSpec("support coefficients must be finite")
     if body.max_degree > _MAX_DEGREE:
         raise BadSpec(f"harmonic degree {body.max_degree} exceeds {_MAX_DEGREE}")
@@ -405,10 +409,6 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
         eps = 1e-9 * body.a0
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    try:
-        slack = body.a0 - math.fsum(map(operator.mul, (body.n * body.n - 1).tolist(), _amplitudes(body)))
-    except OverflowError:  # the sum passed the float range, far above a0
-        slack = -math.inf
     floor = eps + _CERT_MARGIN * body.a0
     if slack < floor:
         grid = _rho_grid(body)
@@ -417,21 +417,44 @@ def validate_convex(body: TrigSupport, eps: float | None = None) -> TrigSupport:
             rho_min, phi_at = min_curvature_radius(body, _grid=grid)
             if not rho_min >= eps:
                 raise NotStrictlyConvex(rho_min, phi_at)
-    return _bounded(_body(body.a0, body.n, body.a, body.b, validated=True))
+    return _bounded(_body(body.a0, body.n, body.a, body.b, validated=True), magnitude)
 
 
-def _amplitudes(body: TrigSupport) -> list[float]:
-    """|c_n| by math.hypot, which np.hypot differs from in some last bits.  The
-    weighted sums multiply them as Python floats, which leave the float range
-    without a warning."""
-    return list(map(math.hypot, body.a.tolist(), body.b.tolist()))
+def _stage_one(a0: Sequence[float], n: np.ndarray, a: np.ndarray, b: np.ndarray, cuts: Sequence[slice]) -> list:
+    """Stage 1 of `validate_convex` on rows of harmonics: row i is the mean
+    term a0[i] and the slice cuts[i] of the flat arrays n, a and b.  Per
+    row (finite, slack, magnitude): whether every coefficient is finite;
+    the certificate slack = a0 - fsum((n^2 - 1)|c_n|), -inf when that sum
+    passes the float range; and the magnitude a0 + sum n^2 |c_n|, a plain
+    sum.  |c_n| is math.hypot, which np.hypot differs from in some last
+    bits; the products may leave the float range (inf, or NaN for 0*inf)."""
+    amps, sq = np.array(list(map(math.hypot, a.tolist(), b.tolist()))), n * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, weighted = (sq - 1) * amps, sq * amps
+    terms, weighted = terms.tolist(), weighted.tolist()
+    finite, bad = np.isfinite(a0), ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        bad = np.concatenate(([0], np.cumsum(bad)))  # non-finite entries before each
+        finite &= bad[[cut.start for cut in cuts]] == bad[[cut.stop for cut in cuts]]
+    slack = [mean - _fsum(terms[cut]) for mean, cut in zip(a0, cuts)]
+    return list(zip(finite.tolist(), slack, [mean + sum(weighted[cut]) for mean, cut in zip(a0, cuts)]))
 
 
-def _bounded(body: TrigSupport) -> TrigSupport:
+def _fsum(terms: list[float]) -> float:
+    """math.fsum, inf when the sum passes the float range (far above any a0)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:
     """The body itself; raises BadSpec when it is validated and its magnitude
-    a0 + sum_n n^2 |c_n| exceeds _MAX_MAGNITUDE (see validate_convex)."""
+    a0 + sum_n n^2 |c_n| (`_stage_one`'s, unless given) exceeds _MAX_MAGNITUDE
+    (see validate_convex)."""
     if body.validated:
-        magnitude = body.a0 + sum(map(operator.mul, (body.n * body.n).tolist(), _amplitudes(body)))
+        if magnitude is None:
+            ((_, _, magnitude),) = _stage_one([body.a0], body.n, body.a, body.b, [slice(0, body.n.size)])
         if not magnitude <= _MAX_MAGNITUDE:
             raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
     return body
@@ -572,28 +595,179 @@ def random_body(
     """Reproducible random validated body, a0 = 1 and |c_n| <= 0.5*n^-3.
 
     Randomness flows from a counter-based generator keyed on (seed, index)
-    so sweeps are reproducible and order-independent.  Amplitudes are
-    halved (at most 60 times) until strict convexity holds.  The degree
-    must lie in [1, _MAX_DEGREE] (ValueError, raised before any draw).
+    so sweeps are reproducible and order-independent: the draws follow
+    numpy's SeedSequence(seed, spawn_key=(index,)) -> Philox4x64 stream bit
+    for bit, computed in array form (`random_bodies`, of which this is the
+    one-body case) without importing numpy.random.  Amplitudes are halved
+    (at most 60 times) until strict convexity holds.  The degree must lie
+    in [1, _MAX_DEGREE] and seed and index must be non-negative integers
+    (ValueError, raised before any draw).
     """
-    if not 1 <= degree <= _MAX_DEGREE:
-        raise ValueError(f"degree must lie in [1, {_MAX_DEGREE}], got {degree}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    rng = np.random.Generator(np.random.Philox(seed=ss))
-    # (magnitude, phase) uniforms per frequency, in the order scalar draws
-    # take them; rng.uniform(0, h) is 0 + h*u, so h*u is the same double
-    u = rng.random(2 * degree)
-    step = 2 if constant_width else 1  # constant width: odd n only
-    n = np.arange(1, degree + 1, step)
-    mag, phase = 0.5 * u[0 :: 2 * step] / (n * n * n), (TWO_PI * u[1 :: 2 * step]).tolist()
+    return random_bodies(seed, [index], [degree], [constant_width])[0]
+
+
+def random_bodies(
+    seed: int, index: Sequence[int], degree: Sequence[int], constant_width: Sequence[bool]
+) -> list[TrigSupport]:
+    """[random_body(seed, d, cw, index=i) for i, d, cw in zip(...)], bit for
+    bit, drawn in array passes.
+
+    Each row's stream is Philox4x64-10 (Salmon et al. 2011) under the key
+    numpy's SeedSequence(seed, spawn_key=(i,)).generate_state(2, uint64)
+    derives, on the counters 1, 2, ...; each 64-bit output x gives the
+    double (x >> 11) * 2^-53, as numpy's Generator.random.  The uniforms
+    (magnitude, phase) of n = 1..degree take the stream in order; constant
+    width keeps the odd n.  Stage 1 of `validate_convex` (`_stage_one`)
+    runs on all rows at once, and a row it does not certify goes through
+    `validate_convex`, its amplitudes halved while it is rejected.
+    """
+    for d in degree:
+        if not 1 <= d <= _MAX_DEGREE:
+            raise ValueError(f"degree must lie in [1, {_MAX_DEGREE}], got {d}")
+    seed, index = int(seed), [int(i) for i in index]
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if min(index, default=0) < 0:
+        raise ValueError(f"index must be a non-negative integer, got {min(index)}")
+    degree = np.array([operator.index(d) for d in degree], dtype=np.int64)
+    step = np.array([2 if cw else 1 for cw in constant_width], dtype=np.int64)  # constant width: odd n only
+    rows = np.arange(len(index))
+    blocks = (degree + 1) // 2  # 2*degree uniforms, 4 per Philox block
+    u = _uniforms(seed, index, blocks)
+    count = (degree + step - 1) // step
+    at = np.repeat(rows, count)
+    n = 1 + step[at] * (np.arange(at.size) - (np.cumsum(count) - count)[at])
+    # (magnitude, phase) of n are the uniforms 2(n - 1) and 2n - 1 of the row;
+    # rng.uniform(0, h) is 0 + h*u, so h*u is the same double
+    where = 4 * (np.cumsum(blocks) - blocks)[at] + 2 * (n - 1)
+    mag, phase = 0.5 * u[where] / (n * n * n), (TWO_PI * u[where + 1]).tolist()
     c, s = (np.array(list(map(f, phase)), dtype=float) for f in (math.cos, math.sin))  # as in rigid_motion
-    body = _body(1.0, *_nonzero(n, mag * c, mag * s))
+    a, b = mag * c, mag * s
+    keep = np.logical_or(a, b)
+    if not keep.all():
+        n, a, b, at = n[keep], a[keep], b[keep], at[keep]
+    n, a, b = _read_only(n, a, b)
+    ends = np.cumsum(np.bincount(at, minlength=rows.size))
+    cuts = list(map(slice, [0] + ends[:-1].tolist(), ends.tolist()))
+    floor = 1e-9 + _CERT_MARGIN  # validate_convex's on a0 = 1, eps = 1e-9*a0
+    drawn = []
+    for cut, (finite, slack, magnitude) in zip(cuts, _stage_one([1.0] * rows.size, n, a, b, cuts)):
+        sure = finite and slack >= floor and magnitude <= _MAX_MAGNITUDE
+        body = _body(1.0, n[cut], a[cut], b[cut], validated=sure)
+        drawn.append(body if sure else _convex(body, (finite, slack, magnitude)))
+    return drawn
+
+
+def _uniforms(seed: int, index: list[int], blocks: np.ndarray) -> np.ndarray:
+    """The first 4*blocks[r] doubles of numpy's
+    Generator(Philox(SeedSequence(seed, spawn_key=(index[r],)))).random()
+    for each row r, the rows one after another."""
+    at = np.repeat(np.arange(len(index)), blocks)
+    counter = np.arange(at.size) - (np.cumsum(blocks) - blocks)[at] + 1
+    out = _philox(counter.astype(np.uint64), np.stack(_philox_keys(seed, index))[:, at])
+    return (out >> np.uint64(11)).ravel() * 2.0**-53
+
+
+def _convex(body: TrigSupport, stage: tuple) -> TrigSupport:
+    """The body validated, its amplitudes halved (at most 60 times) while
+    `validate_convex` rejects it; stage is the body's row of `_stage_one`."""
     for _ in range(60):
         try:
-            return validate_convex(body)
+            return validate_convex(body, _stage=stage)
         except NotStrictlyConvex:
+            stage = None
             body = _body(body.a0, *_nonzero(body.n, 0.5 * body.a, 0.5 * body.b))
     raise AmplitudeTooLarge("random draw could not be rescaled to a convex body")
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) on uint32 words: the
+# seeds and multipliers of its two running hash constants, its mix
+# multipliers and its pool size
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# Philox4x64's round multipliers and key increments (Salmon et al. 2011), one
+# row per multiplied word
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's running hash constant from const: the (xor, multiplier)
+    pair of each hash in turn, the constant advancing by mult."""
+    while True:
+        xor, const = const, const * mult & _MASK32
+        yield xor, const
+
+
+def _columns(pairs) -> np.ndarray:
+    """(xor, multiplier) pairs as the uint32 array (2, pairs, 1): one column per hash."""
+    return np.array(list(pairs), dtype=np.uint32).T[:, :, None]
+
+
+def _hash(value, xor, mul):
+    """SeedSequence's hash of uint32 words (ints or arrays) under one (xor, multiplier) pair."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _philox_keys(seed: int, index: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The two uint64 key words of Philox(SeedSequence(seed, spawn_key=(i,)))
+    for each i of index.
+
+    The entropy is seed's words, padded with zeros to the pool size, then
+    i's words, least significant first.  The pool after seed's first 4
+    words is the same in every row and is hashed once on ints; each later
+    word then mixes into the 4 pool words of all rows at once, one group of
+    rows whose i has the same number of words at a time."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 32 * _POOL), 32)]
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(consts)) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    size = np.array([-(-i.bit_length() // 32) or 1 for i in index], dtype=np.int64)
+    shifts = range(0, 32 * size.max(initial=1), 32)
+    spawn = np.array([[i >> s & _MASK32 for i in index] for s in shifts], dtype=np.uint32)
+    tail = _columns(itertools.islice(consts, _POOL * (len(words) - _POOL + spawn.shape[0])))
+    keys = np.zeros((2, len(index)), dtype=np.uint64)
+    for count in np.unique(size).tolist():
+        rows = size == count
+        mixed = np.array(pool, dtype=np.uint32)[:, None]
+        for k, w in enumerate(words[_POOL:] + list(spawn[:count, rows])):
+            mixed = _mix(mixed, _hash(w, *tail[:, _POOL * k : _POOL * (k + 1)]))
+        # generate_state(2, uint64): 4 words, read as 2 little-endian uint64
+        state = _hash(mixed, *_columns(itertools.islice(_hash_constants(_INIT_B, _MULT_B), _POOL))).astype(np.uint64)
+        keys[:, rows] = state[0::2] | state[1::2] << np.uint64(32)
+    return keys[0], keys[1]
+
+
+def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the counters (counter, 0, 0, 0) under the keys
+    (key[0], key[1]): the 4 uint64 outputs of each counter, in order, as
+    its row.  Words 0 and 2, which the rounds multiply, are one (2, size)
+    array, and words 1 and 3 another; each 128-bit product is built from
+    32-bit halves."""
+    half, low = np.uint64(32), np.uint64(_MASK32)
+    m, bump = (np.repeat(c, counter.size, axis=1) for c in (_PHILOX_M, _PHILOX_W))
+    m_lo, m_hi = m & low, m >> half
+    even, odd = np.stack([counter, np.zeros_like(counter)]), np.zeros((2, counter.size), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            key = key + bump
+        x_lo, x_hi = even & low, even >> half
+        lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+        carry = ((lo_lo >> half) + (lo_hi & low) + (hi_lo & low)) >> half
+        hi = m_hi * x_hi + (lo_hi >> half) + (hi_lo >> half) + carry
+        even, odd = hi[::-1] ^ odd ^ key, (m * even)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
     violations = []
     for start in range(0, args.count, _SWEEP_CHUNK):
         index = range(start, min(start + _SWEEP_CHUNK, args.count))
-        bodies = [B.random_body(args.seed, 2 + (i % 7), constant_width=i % 2 == 1, index=i) for i in index]
+        bodies = B.random_bodies(args.seed, index, [2 + i % 7 for i in index], [i % 2 == 1 for i in index])
         geometric = [j for j, i in enumerate(index) if geo_stride and i % geo_stride == 0]
         rows = run_suites(bodies, args.tol, geometric)
         for tid, app, residual, equality in zip(THEOREMS, rows.applicable, rows.residual, rows.equality):

@@ -910,22 +910,72 @@ class TestRandomBody:
 
     def test_halved_draw_equals_scalar_draws(self, monkeypatch):
         # default draws are convex at once, so a stricter check forces the
-        # halving: every coefficient must fall to 1e-3 first
-        validate = bodies.validate_convex
+        # halving: every coefficient must fall to 1e-3 first.  The draw's
+        # certificate (`_stage_one` on all rows) must leave such a row
+        # uncertified, so that it reaches the stricter validate_convex
+        validate, stage_one = bodies.validate_convex, bodies._stage_one
         rejected = []
 
+        def large(a, b):
+            return bool(np.any(np.maximum(np.abs(a), np.abs(b)) > 1e-3))
+
         def strict(body, *args, **kwargs):
-            if any(max(abs(h.a), abs(h.b)) > 1e-3 for h in body.harmonics):
+            if large(body.a, body.b):
                 rejected.append(body)
                 raise NotStrictlyConvex(0.0, 0.0)
             return validate(body, *args, **kwargs)
 
+        def strict_rows(a0, n, a, b, cuts):
+            rows = stage_one(a0, n, a, b, cuts)
+            return [(ok, -math.inf if large(a[c], b[c]) else slack, mag) for (ok, slack, mag), c in zip(rows, cuts)]
+
         monkeypatch.setattr(bodies, "validate_convex", strict)
+        monkeypatch.setattr(bodies, "_stage_one", strict_rows)
         got = random_body(3, 6, index=2)
         halvings = len(rejected)
         want = _scalar_random_body(3, 6, index=2)
         assert _bits(got) == _bits(want)
         assert halvings == len(rejected) - halvings >= 5
+        # the same in a chunk, between rows the certificate clears
+        rejected.clear()
+        chunk = bodies.random_bodies(3, [1, 2, 5], [2, 6, 3], [False, False, True])
+        halvings = len(rejected)
+        want = [_scalar_random_body(3, d, cw, i) for i, d, cw in [(1, 2, False), (2, 6, False), (5, 3, True)]]
+        assert [_bits(body) for body in chunk] == [_bits(body) for body in want]
+        assert halvings == len(rejected) - halvings >= 5
+
+    @given(
+        st.integers(0, 2**130 - 1),
+        st.lists(st.tuples(st.integers(0, 2**40 - 1), st.integers(1, 64), st.booleans()), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_draw_equals_scalar_draws(self, seed, rows):
+        # seeds of up to 5 words and spawn keys of 1 or 2 words, in one chunk
+        index, degree, cw = zip(*rows)
+        chunk = bodies.random_bodies(seed, index, degree, cw)
+        for body, (i, d, c) in zip(chunk, rows):
+            one = random_body(seed, d, c, index=i)
+            assert _bits(body) == _bits(one) == _bits(_scalar_random_body(seed, d, c, i))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**100, 2**128 + 5, 3**90])
+    def test_uniforms_follow_numpys_philox_stream(self, seed):
+        # keys and doubles of the array Philox against numpy's Generator, for
+        # spawn keys of one, two and three words in one call
+        index = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 9, 2**64 + 1]
+        key0, key1 = bodies._philox_keys(seed, index)
+        for i, k0, k1 in zip(index, key0.tolist(), key1.tolist()):
+            assert [k0, k1] == np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64).tolist()
+        for k in range(1, 18):
+            blocks = np.full(len(index), -(-k // 4))
+            u = bodies._uniforms(seed, index, blocks).reshape(len(index), -1)[:, :k]
+            for i, row in zip(index, u):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+                assert np.array_equal(row, rng.random(k))
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (3, -1), (-(2**70), 2)])
+    def test_negative_seed_or_index_rejected(self, seed, index):
+        with pytest.raises(ValueError, match=f"must be a non-negative integer, got {min(seed, index)}"):
+            random_body(seed, 4, index=index)
 
 
 class TestConstantWidth:

@@ -221,6 +221,20 @@ def test_malformed_random_spec_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--count", "3", "--seed", "-1"),
+        ("verify", "--spec", "random:-1,4"),
+    ],
+)
+def test_negative_seed_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "ValueError: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
     "argv, n", [(("render",), 10**9), (("verify", "--path", "spectral"), 262143), (("verify",), 1e30)]
 )
 def test_harmonic_degree_above_bound_exit_2(capsys, tmp_path, argv, n):
@@ -483,3 +497,20 @@ def test_cli_imports_numpy_only():
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["hurwitzlab", "numpy"]
+
+
+def test_draws_leave_numpy_random_unimported():
+    # random bodies follow numpy's SeedSequence -> Philox stream, computed in
+    # array form: neither a sweep nor a random spec imports numpy.random
+    src = str(pathlib.Path(hurwitzlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import contextlib, io, sys\n"
+        "import hurwitzlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hurwitzlab.cli.main(['sweep', '--count', '300', '--seed', str(2**100)]) == 0\n"
+        "    assert hurwitzlab.cli.main(['verify', '--spec', 'random:3,8']) == 0\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

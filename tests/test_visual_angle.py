@@ -50,6 +50,7 @@ from hurwitzlab.visual_angle import (
     _tangent_angles,
     _tangent_field,
     _tangent_solve,
+    _turn,
 )
 
 from .test_bodies import convex_bodies
@@ -248,11 +249,25 @@ def _check_batch(body, points, every=1):
     return phi1, delta
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: roots polished to |g| <= tol are then reduced mod 2*pi")
+@given(
+    st.floats(-4.0 * PI, 4.0 * PI, exclude_max=True)
+    | st.sampled_from([k * TWO_PI + d for k in (-2, -1, 0, 1, 2) for d in (-1e-15, -0.0, 0.0, 1e-15)])
+    | st.sampled_from([5e-324, -5e-324, -1e-17, 1e-300])
+)
+@settings(max_examples=300, deadline=None)
+def test_turn_reduces_as_remainder(x):
+    # the tangent solve reads g at _turn(x) and returns _turn(x): bit for bit
+    # x % TWO_PI on [-4*pi, 4*pi), with the neighbouring doubles of x
+    xs = np.array([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    xs = xs[(-4.0 * PI <= xs) & (xs < 4.0 * PI)]
+    assert np.array_equal(_turn(xs).view(np.int64), (xs % TWO_PI).view(np.int64))
+
+
 def test_reduced_root_keeps_the_polish_bound():
-    # a falsifying example of test_batch_matches_single_points: |g| = 2.922e-12
-    # at the reduced root against tol = 2.917e-12, the round-off of the
-    # reduction carrying |g| past the bound the polish met
+    # a falsifying example of test_batch_matches_single_points when the polish
+    # read g before the reduction mod 2*pi: |g| = 2.922e-12 at the reduced
+    # root against tol = 2.917e-12, the round-off of the reduction carrying
+    # |g| past the bound the polish met
     hs = (Harmonic(1, 0.0, -0.15625), Harmonic(3, 0.004384222169643162, 0.0))
     body = rigid_motion(validate_convex(TrigSupport(1.755859375, hs)), 0.0, np.zeros(2))
     _check_batch(body, _exterior_points(body, [4.5766374703241794], [body.a0 * 10.0**1.162109375]))
