@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
 from .bodies import TrigSupport, _derivs, _grid_derivs, _require_validated, recenter_to_steiner, steiner_point
-from .quadrature import PI, TWO_PI, _read_only, grid_for_degree, periodic_integral
+from .quadrature import PI, TWO_PI, grid_for_degree, periodic_integral
 
 
 @dataclass(frozen=True)
@@ -76,18 +75,17 @@ class FunctionalSet:
 FunctionalSet.FIELD_NAMES = tuple(f.name for f in fields(FunctionalSet) if f.type == "float")
 
 
-@lru_cache(maxsize=4)
-def _functional_weights(size: int) -> np.ndarray:
-    """The weights w(n), n < size, of the six sums of `functionals_spectral`,
-    one read-only row each: n^2 - 1, n^2 (n^2 - 1), (n^2 - 1)(n^2 - 4), n^2,
-    1 and n^2 - 1 at odd n, all exact in floats.  They are 0 at n <= 1, so
-    the degree-one term, the Steiner point, adds exact zeros."""
-    n = np.arange(size)
+def _functional_weights(n: np.ndarray) -> np.ndarray:
+    """The weights w(n) of the six sums of `functionals_spectral` at the
+    frequencies n, one row each: n^2 - 1, n^2 (n^2 - 1), (n^2 - 1)(n^2 - 4),
+    n^2, 1 and n^2 - 1 at odd n, exact in floats while n^4 < 2^53 (n <= 9741).
+    They are 0 at n <= 1, so the degree-one term, the Steiner point, adds
+    exact zeros."""
     n2 = (n * n).astype(float)
     m = n2 - 1.0
-    w = np.array([m, n2 * m, m * (n2 - 4.0), n2, np.ones(size), m * (n & 1)])
-    w[:, :2] = 0.0
-    return _read_only(w)[0]
+    w = np.array([m, n2 * m, m * (n2 - 4.0), n2, np.ones(n.size), m * (n & 1)])
+    w[:, n <= 1] = 0.0
+    return w
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:
@@ -103,12 +101,11 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     """
     _require_validated(body)
     n, degree = body.n, body.max_degree
-    weights = _functional_weights(1 << degree.bit_length()).take(n, axis=1)
     sx, sy = steiner_point(body)
     dense = np.zeros(degree + 1)
     dense[n] = body.c_sq
     cn = tuple(zip(range(2, degree + 1), dense[2:].tolist()))
-    sums = _fsum_rows(weights * body.c_sq)
+    sums = _fsum_rows(_functional_weights(n) * body.c_sq)
     return _spectral_set(body.a0, sums, steiner=(float(sx), float(sy)), cn_sq=cn)
 
 
@@ -120,8 +117,7 @@ def functionals_spectral_rows(a0: np.ndarray, c_sq: np.ndarray) -> FunctionalSet
     c_n^2 (0.0 where a body lacks n, which adds exact zeros, every weight
     being >= 0); steiner and cn_sq stay empty.
     """
-    size = c_sq.shape[1]
-    weights = _functional_weights(1 << (size - 1).bit_length())[:, :size]
+    weights = _functional_weights(np.arange(c_sq.shape[1]))
     return _spectral_set(a0, [np.array(_fsum_rows(w * c_sq)) for w in weights], steiner=(), cn_sq=())
 
 

@@ -19,8 +19,7 @@ def dumps(obj, _level: int = 0) -> str:
     Key order is insertion order, matching the dataclass to_dict methods,
     so output is byte-stable across runs.  A list's items, or a dict's
     values, that are all exactly floats are formatted in one pass
-    (`_texts`), and a dict's keys are quoted in one pass (`_quoted_keys`);
-    any other item recurses.
+    (`_texts`); any other item recurses.
     """
     pad, end_pad = "  " * (_level + 1), "  " * _level
     if obj is None:
@@ -37,7 +36,7 @@ def dumps(obj, _level: int = 0) -> str:
         if not obj:
             return "{}"
         texts = _texts(list(obj.values()), _level + 1)
-        items = [pad + k + ": " + v for k, v in zip(_quoted_keys(obj), texts)]
+        items = [pad + _quote(str(k)) + ": " + v for k, v in zip(obj, texts)]
         return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -45,15 +44,6 @@ def dumps(obj, _level: int = 0) -> str:
         items = [pad + v for v in _texts(obj, _level + 1)]
         return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _quoted_keys(obj: dict) -> list[str]:
-    """_quote(str(k)) of every key, by one join and split when no key holds
-    a backslash, a quote or a newline."""
-    keys = "\n".join(map(str, obj))
-    if "\\" in keys or '"' in keys or keys.count("\n") != len(obj) - 1:
-        return [_quote(str(k)) for k in obj]
-    return ('"' + keys.replace("\n", '"\n"') + '"').split("\n")
 
 
 def _texts(values, level: int) -> list[str]:

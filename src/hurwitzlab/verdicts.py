@@ -11,8 +11,8 @@ theorem it is, and gives the verdicts as rows, one per theorem: on one
 body the entries see floats, on a chunk of bodies arrays with one column
 per body.  Residual, equality, applicability and pass then follow for all
 rows in one array pass, with the same bits either way.  `run_suite` calls
-it once per path, `verify` is its one-theorem case and `run_suites` its
-spectral pass over a chunk.  A named integral is the kernel
+it once per path, `verify` reads one theorem's verdict from that pass and
+`run_suites` is its spectral pass over a chunk.  A named integral is the kernel
 `visual_angle.KERNELS[name]` integrated by `spectral_integral`, whose closed
 form follows from the kernel's coefficients, or by `exterior_integral`.
 """
@@ -171,17 +171,6 @@ class Verdict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"id": self.id.value}
 
 
-_VERDICT_FIELDS = tuple(f.name for f in fields(Verdict))
-
-
-def _verdict(*values) -> Verdict:
-    """Verdict(*values), every field given, built without the one
-    `object.__setattr__` per field of the frozen dataclass's __init__."""
-    verdict = object.__new__(Verdict)
-    vars(verdict).update(zip(_VERDICT_FIELDS, values))
-    return verdict
-
-
 @dataclass(frozen=True)
 class EqualityClass:
     """Which extremal family the body belongs to, by its harmonic support."""
@@ -203,7 +192,9 @@ def classify_equality(body: TrigSupport, tol: float = 1e-9) -> EqualityClass:
     Harmonics count as present when c_n exceeds tol * a0.  Supports
     contained in {2}, {3}, {5} name the single families; {2,3} and {3,5}
     are the Minkowski-sum equality families; anything else is "none".
+    tol must be finite and nonnegative (ValueError), as in SuiteConfig.
     """
+    tol = SuiteConfig(tol=tol).tol
     _require_validated(body)
     thresh = tol * max(body.a0, 1e-300)
     support = tuple(body.n[(body.n >= 2) & (np.sqrt(body.c_sq) > thresh)].tolist())
@@ -250,8 +241,8 @@ def _scale(fs: FunctionalSet):
     return np.fmax(fs.L * fs.L, PI * abs(fs.Fe))
 
 
-def _evaluate(theorems, fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None) -> VerdictRows:
-    """The verdicts of `theorems` on one path, as rows.
+def _evaluate(fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None) -> VerdictRows:
+    """The verdicts of THEOREMS on one path, as rows.
 
     fs holds the path's functionals and cw the constant-width test: floats
     and a bool for one body, arrays over a chunk.  integral(name) gives the
@@ -268,8 +259,7 @@ def _evaluate(theorems, fs: FunctionalSet, cw, integral, path: str, tol: float, 
     base = (0.0 if path == "spectral" else 1e-12) * own_scale  # the functionals' round-off
     nan, zero, yes = own_scale * np.nan, own_scale * 0.0, cw | True  # shaped like the bodies
     lhs, rhs, err, applicable, companions = [], [], [], [], {}
-    for i, theorem in enumerate(theorems):
-        t = THEOREMS[theorem]
+    for i, t in enumerate(THEOREMS.values()):
         applicable.append(cw if t.cw_only else yes)
         if t.cw_only and not any_cw:
             lhs.append(nan), rhs.append(nan), err.append(zero)
@@ -295,10 +285,8 @@ def _evaluate(theorems, fs: FunctionalSet, cw, integral, path: str, tol: float, 
     return VerdictRows(lhs, rhs, residual, err, equality, applicable, passed, scale, companions)
 
 
-def _verdicts(
-    body: TrigSupport, theorems, path: str, tol: float, cw: bool, scale=None
-) -> tuple[VerdictRows, list[Verdict]]:
-    """The rows and the verdicts of `theorems` on one body and path, whose
+def _verdicts(body: TrigSupport, path: str, tol: float, cw: bool, scale=None) -> tuple[VerdictRows, list[Verdict]]:
+    """The rows and the verdicts of THEOREMS on one body and path, whose
     constant-width test is cw and spectral scale `scale` (None on the
     spectral path).  The functionals and each exterior integral an
     applicable theorem names are computed once."""
@@ -315,12 +303,11 @@ def _verdicts(
             integrals[name] = (res.value, res.error_bar)
         return integrals[name]
 
-    rows = _evaluate(theorems, fs, cw, integral, path, tol, scale)
+    rows = _evaluate(fs, cw, integral, path, tol, scale)
     out = []
-    for i, (theorem, app, lhs, rhs, residual, equality, err) in enumerate(zip(
-        theorems, *(x.tolist() for x in (rows.applicable, rows.lhs, rows.rhs, rows.residual, rows.equality, rows.error_bar))
+    for i, ((theorem, t), app, lhs, rhs, residual, equality, err) in enumerate(zip(
+        THEOREMS.items(), *(x.tolist() for x in (rows.applicable, rows.lhs, rows.rhs, rows.residual, rows.equality, rows.error_bar))
     )):
-        t = THEOREMS[theorem]
         if not app:
             notes = "requires constant width"
         elif i in rows.companions:
@@ -328,7 +315,7 @@ def _verdicts(
             notes = f"companion bound {t.companion[0]}: lhs={lhs2:.17g}, rhs={rhs2:.17g}"
         else:
             notes = t.notes + (t.cw_notes if cw else "")
-        out.append(_verdict(theorem, app, lhs, rhs, residual, equality, path, err, notes))
+        out.append(Verdict(theorem, app, lhs, rhs, residual, equality, path, err, notes))
     return rows, out
 
 
@@ -338,8 +325,8 @@ def verify(
     path: str = "spectral",
     tol: float = 1e-9,
 ) -> Verdict:
-    """Evaluate one inequality on a validated body: the one-theorem case of
-    the evaluator `run_suite` uses, with bit-identical results.
+    """Evaluate one inequality on a validated body: its verdict from the
+    evaluator's pass over THEOREMS that `run_suite` makes, bit for bit.
 
     path "spectral" uses closed-form sums throughout; "geometric" uses
     quadrature functionals and, where the bound involves an exterior
@@ -350,7 +337,8 @@ def verify(
     """
     theorem, tol = TheoremId(theorem), SuiteConfig(tol=tol).tol
     _require_validated(body)
-    return _verdicts(body, (theorem,), path, tol, is_constant_width(body)[0])[1][0]
+    verdicts = _verdicts(body, path, tol, is_constant_width(body)[0])[1]
+    return verdicts[list(THEOREMS).index(theorem)]
 
 
 @dataclass(frozen=True)
@@ -396,9 +384,9 @@ def run_suite(body: TrigSupport, config: SuiteConfig | None = None) -> SuiteRepo
     cfg = config or SuiteConfig()
     _require_validated(body)
     cw = is_constant_width(body)[0]
-    spectral = [_verdicts(body, THEOREMS, "spectral", cfg.tol, cw)] if cfg.path != "geometric" else []
+    spectral = [_verdicts(body, "spectral", cfg.tol, cw)] if cfg.path != "geometric" else []
     scale = spectral[0][0].scale if spectral else _scale(functionals_spectral(body))
-    geometric = [_verdicts(body, THEOREMS, "geometric", cfg.tol, cw, scale)] if cfg.path != "spectral" else []
+    geometric = [_verdicts(body, "geometric", cfg.tol, cw, scale)] if cfg.path != "spectral" else []
     results = spectral + geometric
     verdicts = tuple(v for row in zip(*(vs for _, vs in results)) for v in row)
     passed = all(bool(rows.passed) for rows, _ in results)
@@ -433,8 +421,8 @@ def run_suites(bodies: Sequence[TrigSupport], tol: float = 1e-9, geometric: Coll
             integrals[name] = (np.array(spectral_integral_rows(KERNELS[name](), a0.tolist(), n, c_sq)), 0.0)
         return integrals[name]
 
-    rows = _evaluate(THEOREMS, functionals_spectral_rows(a0, c_sq), cw, integral, "spectral", tol)
-    geo = {j: _verdicts(bodies[j], THEOREMS, "geometric", tol, bool(cw[j]), rows.scale[j])[0] for j in sorted(geometric)}
+    rows = _evaluate(functionals_spectral_rows(a0, c_sq), cw, integral, "spectral", tol)
+    geo = {j: _verdicts(bodies[j], "geometric", tol, bool(cw[j]), rows.scale[j])[0] for j in sorted(geometric)}
     if geo:
         passed = rows.passed.copy()
         for j, geo_rows in geo.items():

@@ -109,7 +109,7 @@ class Kernel:
     raises NonIntegrableKernel, so every kernel has an exterior integral.
     A kernel holds what depends on it alone, each part computed on first
     use: its Maclaurin series, its weights on the tangent integrator's gap
-    rules and its closed-form weights.
+    rules and its closed form's w(0) and E(n).
     """
 
     name: str
@@ -145,20 +145,6 @@ class Kernel:
             for n in range(max((k for k, _ in moments), default=0) + 1)
         ])
         return w0, _read_only(corr)[0]
-
-    @cached_property
-    def _weight_tables(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def _weights(self, size: int) -> np.ndarray:
-        """w(n) = alpha0 (n^2-1)/2 - E(n) of `spectral_integral_rows` for n <
-        size, one read-only table per size, built on first use."""
-        table = self._weight_tables.get(size)
-        if table is None:
-            n = np.arange(size)
-            w = 0.5 * self.omega_coeff * (n * n - 1) - self._closed_form[1].take(n, mode="clip")
-            table = self._weight_tables[size] = _read_only(w)[0]  # w(1) = 0 exactly
-        return table
 
     @cached_property
     def _series(self) -> np.ndarray:
@@ -550,14 +536,14 @@ def spectral_integral_rows(kernel: Kernel, a0, n: np.ndarray, c_sq: np.ndarray) 
     per body: a0 holds their mean terms (floats) and c_sq one row of c_n^2
     per body, one column per frequency in n (ascending).
 
-    The kernel holds w(0), E(n) up to its largest sin frequency k_max, above
-    which E(n) = E(k_max), and tables of w(n); w(n) multiplies c_n^2, and the
-    sum over w(0) a0^2 and the products is compensated, so a column of zeros,
-    a frequency a body lacks, leaves its value as the body alone gives it.
+    The kernel holds w(0) and E(n) up to its largest sin frequency k_max,
+    above which E(n) = E(k_max); w(n) = alpha0 (n^2-1)/2 - E(n) multiplies
+    c_n^2 (w(1) = 0 exactly), and the sum over w(0) a0^2 and the products is
+    compensated, so a column of zeros, a frequency a body lacks, leaves its
+    value as the body alone gives it.
     """
-    top = int(n[-1]) if n.size else 0
-    w = kernel._weights(1 << top.bit_length()).take(n)
-    w0 = kernel._closed_form[0]
+    w0, corr = kernel._closed_form
+    w = 0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip")
     return [PI * PI * math.fsum([w0 * a * a, *row]) for a, row in zip(a0, (w * c_sq).tolist())]
 
 

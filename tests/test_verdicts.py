@@ -3,12 +3,14 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab import (
     FunctionalSet,
+    Harmonic,
     SuiteConfig,
     TheoremId,
     TrigSupport,
@@ -24,13 +26,16 @@ from hurwitzlab import (
     rigid_motion,
     run_suite,
     spectral_integral,
+    validate_convex,
     verify,
 )
 from hurwitzlab import verdicts
+from hurwitzlab.bodies import _dense
 from hurwitzlab.cli import main
 from hurwitzlab.errors import NotValidated
+from hurwitzlab.functionals import functionals_spectral_rows
 from hurwitzlab.verdicts import THEOREMS, Verdict, run_suites
-from hurwitzlab.visual_angle import KERNELS, Kernel
+from hurwitzlab.visual_angle import KERNELS, Kernel, moment_kernel, spectral_integral_rows
 
 PI = math.pi
 
@@ -171,6 +176,14 @@ class TestClassification:
     def test_translation_does_not_change_class(self, ast_body):
         moved = rigid_motion(ast_body, 0.0, (3.0, -1.0))
         assert classify_equality(moved).kind == "astroid_parallel"
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_a_tol_verify_rejects(self, tol):
+        # a NaN or infinite threshold would drop every harmonic and name the body a disk
+        body = random_body(3, 8, index=1)
+        assert classify_equality(body).support == (2, 3, 4, 5, 6, 7, 8)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            classify_equality(body, tol)
 
 
 class TestRunSuite:
@@ -441,6 +454,37 @@ class TestChunk:
             run_suites([mix_body], -1.0)
         with pytest.raises(NotValidated):
             run_suites([mix_body, TrigSupport(1.0)])
+
+
+def _edge_bodies():
+    """Bodies whose top frequency is 2^k - 1, 2^k or 2^k + 1 (k = 2..11), and
+    one- and two-harmonic bodies at low frequencies and at n >= 1023, past
+    every kernel's largest sin frequency, where E(n) is clipped."""
+    bodies = [random_body(11, (1 << k) + d, index=k) for k in range(2, 12) for d in (-1, 0, 1)]
+    for n in (2, 3, 4, 5, 1023, 1024, 1025):
+        c = 0.25 / (n * n)
+        bodies.append(validate_convex(TrigSupport(1.0, [Harmonic(n, c, -0.5 * c)])))
+        bodies.append(validate_convex(TrigSupport(1.0, [Harmonic(n - 1, 0.0, c), Harmonic(n, c, 0.0)])))
+    return bodies
+
+
+EDGE_BODIES = _edge_bodies()
+
+
+@pytest.mark.parametrize("body", EDGE_BODIES, ids=lambda b: f"top{b.max_degree}n{b.n.size}")
+def test_one_body_sums_equal_their_dense_row(body):
+    # bit for bit, one body's functionals and closed-form integrals equal the
+    # chunk functions' on its dense c_n^2 row, at every degree near a power of two
+    a0, a, b = _dense([body])
+    c_sq = a * a + b * b
+    assert c_sq.shape[1] == body.max_degree + 1
+    one, rows = functionals_spectral(body), functionals_spectral_rows(a0, c_sq)
+    for name in FunctionalSet.FIELD_NAMES:
+        assert getattr(one, name).hex() == getattr(rows, name)[0].item().hex(), name
+    n = np.arange(c_sq.shape[1])
+    for kernel in [make() for make in KERNELS.values()] + [moment_kernel(m) for m in range(2, 11)]:
+        (row,) = spectral_integral_rows(kernel, a0.tolist(), n, c_sq)
+        assert spectral_integral(body, kernel).value.hex() == row.hex(), kernel.name
 
 
 def test_sweep_lists_the_bodies_a_patched_bound_fails(monkeypatch, capsys):
