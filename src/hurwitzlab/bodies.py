@@ -483,7 +483,7 @@ def minkowski_sum(a: TrigSupport, b: TrigSupport) -> TrigSupport:
     bodies is again strictly convex (curvature radii add).  A validated sum
     above the magnitude bound of validate_convex raises BadSpec.
     """
-    n = np.union1d(a.n, b.n)
+    n = np.sort(np.concatenate((a.n, b.n)))  # a shared frequency's second column stays zero; _nonzero drops it
     coef = np.zeros((2, n.size))
     for body in (a, b):
         at = np.searchsorted(n, body.n)
@@ -738,7 +738,7 @@ def _philox_keys(seed: int, index: list[int]) -> tuple[np.ndarray, np.ndarray]:
     spawn = np.array([[i >> s & _MASK32 for i in index] for s in shifts], dtype=np.uint32)
     tail = _columns(itertools.islice(consts, _POOL * (len(words) - _POOL + spawn.shape[0])))
     keys = np.zeros((2, len(index)), dtype=np.uint64)
-    for count in np.unique(size).tolist():
+    for count in sorted(set(size.tolist())):
         rows = size == count
         mixed = np.array(pool, dtype=np.uint32)[:, None]
         for k, w in enumerate(words[_POOL:] + list(spawn[:count, rows])):

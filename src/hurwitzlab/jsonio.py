@@ -7,50 +7,50 @@ and downstream parsers recover the exact double.
 
 from __future__ import annotations
 
+import math
+
 
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """s as a JSON string, each % doubled for the closing %-format of dumps."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") + '"'
 
 
 def dumps(obj, _level: int = 0) -> str:
-    """Serialize dicts/lists/scalars, indented by two spaces per level;
-    float values get 17 significant digits.
+    """Serialize dicts/lists/scalars, indented by two spaces per level, with
+    17 significant digits per float and keys in insertion order (that of the
+    dataclass to_dict methods), so output is byte-stable across runs.  One walk
+    writes "%.17g" in place of each finite float; one %-format fills them in."""
+    floats: list[float] = []
+    return _template(obj, _level, floats) % tuple(floats)
 
-    Key order is insertion order, matching the dataclass to_dict methods,
-    so output is byte-stable across runs.  A list's items, or a dict's
-    values, that are all exactly floats are formatted in one pass
-    (`_texts`); any other item recurses.
-    """
-    pad, end_pad = "  " * (_level + 1), "  " * _level
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+
+def _template(obj, level: int, floats: list) -> str:
+    """The text of obj at indent level, each finite float a "%.17g" appended
+    to floats in text order; nan and ±inf become null, "inf" and "-inf"."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            floats.append(obj)
+            return "%.17g"
+        return "null" if obj != obj else '"inf"' if obj > 0 else '"-inf"'
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _texts([float(obj)], _level)[0]
     if isinstance(obj, str):
         return _quote(obj)
+    pad, end = "\n" + "  " * (level + 1), "\n" + "  " * level
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        texts = _texts(list(obj.values()), _level + 1)
-        items = [pad + _quote(str(k)) + ": " + v for k, v in zip(obj, texts)]
-        return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
+        items = [pad + _quote(str(k)) + ": " + t for k, t in zip(obj, _templates(list(obj.values()), level + 1, floats))]
+        return "{" + ",".join(items) + end + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [pad + v for v in _texts(obj, _level + 1)]
-        return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"
+        items = [pad + t for t in _templates(obj, level + 1, floats)]
+        return "[" + ",".join(items) + end + "]" if items else "[]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _texts(values, level: int) -> list[str]:
-    """dumps(v, level) of every value, by one %-join when all are exactly floats."""
-    if not all(type(v) is float for v in values):
-        return [dumps(v, level) for v in values]
-    text = "\n".join(["%.17g"] * len(values)) % tuple(values)
-    if "n" in text:  # nan, inf and -inf are the only "%.17g" texts with an n
-        text = text.replace("nan", "null").replace("inf", '"inf"').replace('-"inf"', '"-inf"')
-    return text.split("\n")
+def _templates(values, level: int, floats: list) -> list[str]:
+    """_template of each value; all exact floats with a finite sum, so each finite (a spectrum map), taken whole."""
+    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
+        floats.extend(values)
+        return ["%.17g"] * len(values)
+    return [_template(v, level, floats) for v in values]

@@ -499,18 +499,25 @@ def test_cli_imports_numpy_only():
     assert out.stdout.split() == ["hurwitzlab", "numpy"]
 
 
-def test_draws_leave_numpy_random_unimported():
+def test_draws_leave_numpy_random_unimported(tmp_path):
     # random bodies follow numpy's SeedSequence -> Philox stream, computed in
-    # array form: neither a sweep nor a random spec imports numpy.random
+    # array form: neither a sweep nor a random spec imports numpy.random.  No
+    # command, nor the body algebra, calls numpy's set routines either, whose
+    # np.ma.is_masked check would import numpy.ma on first use.
     src = str(pathlib.Path(hurwitzlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    svg = str(tmp_path / "curves.svg")
     probe = (
         "import contextlib, io, sys\n"
         "import hurwitzlab.cli\n"
+        "from hurwitzlab.bodies import minkowski_sum, random_body\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert hurwitzlab.cli.main(['sweep', '--count', '300', '--seed', str(2**100)]) == 0\n"
-        "    assert hurwitzlab.cli.main(['verify', '--spec', 'random:3,8']) == 0\n"
-        "print('numpy.random' in sys.modules)"
+        "    for cmd in ('sweep --count 300', 'sweep --count 200 --path both', 'report --spec random:3,8',\n"
+        "                'verify --path both --spec random:3,6,cw', 'sweep --count 300 --seed ' + str(2**100),\n"
+        f"                'render --spec random:3,8 --kind boundary,evolute,pedal,parallel,wigner --out {svg}'):\n"
+        "        assert hurwitzlab.cli.main(cmd.split()) == 0, cmd\n"
+        "assert minkowski_sum(random_body(1, 8, index=0), random_body(1, 5, True, 1)).n.size > 0\n"
+        "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]

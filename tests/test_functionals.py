@@ -284,8 +284,14 @@ class TestSerialization:
         assert jsonio.dumps(floats) == '[\n  null,\n  "inf",\n  "-inf",\n  -0,\n  9.9998886718268301e-321\n]'
         mixed = floats + [True, 3]
         nested = {"inf": floats, "nan": dict(zip("abcde", floats)), "n": {"t": True, "x": 1.5}, "np": [np.float64(0.1)]}
-        for obj in (floats, tuple(floats), mixed, nested, [[math.inf], []], {"-inf": -math.inf}):
+        percent = {"%s": ["%d%%", 0.5], "%": {}}  # a % in a key or string is text, not a format
+        overflow = [1e308, 1e308, -0.0]  # finite floats whose sum is not
+        for obj in (floats, tuple(floats), mixed, nested, [[math.inf], []], {"-inf": -math.inf}, percent, overflow):
             assert jsonio.dumps(obj) == _recursive_dumps(obj)
+        assert jsonio.dumps(overflow) == "[\n  1e+308,\n  1e+308,\n  -0\n]"
+        assert jsonio.dumps(percent) == '{\n  "%s": [\n    "%d%%",\n    0.5\n  ],\n  "%": {}\n}'
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            jsonio.dumps({"x": [1.0, object()]})
 
     @given(st.lists(st.floats()), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -297,14 +303,14 @@ class TestSerialization:
     @given(st.dictionaries(st.text(), st.floats() | st.booleans()), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_dict_keys_quoted_as_one_by_one(self, obj, int_keys):
-        # keys with a backslash, a quote or a newline take the per-key path
+        # keys with a backslash, a quote, a newline or a % among them
         obj = {i: v for i, v in enumerate(obj.values())} if int_keys else obj
         assert jsonio.dumps(obj) == _recursive_dumps(obj)
 
 
 def _recursive_dumps(obj, level=0):
-    """jsonio.dumps as one recursive call per leaf, the form its one-pass
-    float lists replaced."""
+    """jsonio.dumps as one recursive call per leaf, each formatted alone:
+    the form its one-pass walk and single %-format replaced."""
     pad, end_pad = "  " * (level + 1), "  " * level
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return jsonio.dumps(obj)
