@@ -26,7 +26,8 @@ quadratures and in closed form:
   far zone mapped to s = r1/r on (0, 1] with no cutoff and the boundary
   collar added to first order (`_polar_field`).  Each ray's boundary exit
   is solved once and shared by its radial nodes, and the tangent lines of
-  a block of directions are solved in one batch; the field is cached per
+  a block of directions are solved in one batch, O(1) per point and
+  Newton step on the body's table of p; the field is cached per
   (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
@@ -35,7 +36,10 @@ quadratures and in closed form:
 The tangent lines through a point P are the roots of
 g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
 where the ray from the Steiner point through P leaves the body, and
-polished together (`_tangent_solve`).
+polished together (`_tangent_solve`) on g_H = <P, N> - H, H the quintic
+Hermite interpolant of p sampled once per body (`_support_table`); a bound
+E >= |g - g_H| turns |g_H| <= tol - E into |g| <= tol, and a root it
+cannot certify is finished on Horner's g.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -87,6 +91,8 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 13
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
+# Most harmonic terms (cells x degree) the samples of `_support_table` may cost.
+_TABLE_TERMS = 1 << 23
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -256,20 +262,20 @@ class TangentPair:
 class ExteriorConfig:
     """Controls of the polar oracle `exterior_integral_grid`.
 
-    nodes_phi: its directions, in [16, 2^20] (ValueError, raised before any
-    allocation), each with 96 radial nodes.  The tangent integrator reads
-    no config: its rule follows the body, max(16, 2N + 1) phi1 nodes for a
-    body of degree N (the fewest on which it is exact, module docstring) and
-    _DELTA_PANELS = 16 Gauss panels of 16 points in the gap, gaps below the
-    fixed collar _DELTA_MIN = 1e-4 excluded and their dropped mass bounded
-    inside the error bar.
+    nodes_phi: its directions, an integer in [16, 2^20] (ValueError, raised
+    before any allocation), each with 96 radial nodes.  The tangent
+    integrator reads no config: its rule follows the body, max(16, 2N + 1)
+    phi1 nodes for a body of degree N (the fewest on which it is exact,
+    module docstring) and _DELTA_PANELS = 16 Gauss panels of 16 points in
+    the gap, gaps below the fixed collar _DELTA_MIN = 1e-4 excluded and
+    their dropped mass bounded inside the error bar.
     """
 
     nodes_phi: int = 256
 
     def __post_init__(self):
-        if not 16 <= self.nodes_phi <= MAX_NODES:
-            raise ValueError(f"nodes_phi must lie in [16, {MAX_NODES}], got {self.nodes_phi!r}")
+        if not isinstance(self.nodes_phi, (int, np.integer)) or not 16 <= self.nodes_phi <= MAX_NODES:
+            raise ValueError(f"nodes_phi must be an integer in [16, {MAX_NODES}], got {self.nodes_phi!r}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +295,56 @@ def _g(body: TrigSupport, px, py, phi):
     c, s = np.cos(phi), np.sin(phi)
     p, dp = _derivs(body, phi, (0, 1), (c, s))
     return px * c + py * s - p, -px * s + py * c - dp
+
+
+@lru_cache(maxsize=8)
+def _support_table(body: TrigSupport):
+    """The quintic Hermite interpolant H of p, p', p'' on m cells x_j = j*h,
+    h = 2*pi/m, cached for the last 8 bodies: (rows, h, E) with
+    H(x_j + s) = sum_k rows[k, j] s^k, or None when its samples would cost
+    over _TABLE_TERMS harmonic terms.  m is the least power of two
+    >= max(64, 2N + 2) whose remainder M6 h^6 / 46080 (M6 = sum_n n^6 |c_n|)
+    is at most 1e-15 * (a0 + sum_n |c_n|).  The samples are one `_derivs`
+    call, whose Horner error N*u*sum_n n^k |c_n| the tangent solve's tol has
+    room for (`_grid_derivs`' proven FFT bound has not).  E bounds |H - p|
+    plus that error of the contract's p: the remainder, the sample errors
+    through the Hermite basis (its parts for p, p', p'' sum to at most 1,
+    5/16 and 1/32 in cell units), and 32u*sum_k h^k max|p^(k)| of round-off.
+    """
+    n, mag = body.n.astype(float), np.hypot(body.a, body.b)
+    s0, s1, s2, s6 = (float(np.sum(n**k * mag)) for k in (0, 1, 2, 6))
+    m, degree = 64, body.max_degree
+    while m < 2 * degree + 2 or s6 * (TWO_PI / m) ** 6 / 46080.0 > 1e-15 * (body.a0 + s0):
+        m *= 2
+    if m * degree > _TABLE_TERMS:
+        return None
+    h = TWO_PI / m
+    x = np.arange(m + 1.0) * h
+    p, dp, ddp = _derivs(body, x, (0, 1, 2))
+    # the left end's Taylor quadratic misses p, w p', w^2 p'' at the right end by
+    # w^3 times (d, e, k); c_k = (10d - 4e + k/2, 7e - 15d - k, 6d - 3e + k/2) / w^(k-3)
+    w, a2 = np.diff(x), 0.5 * ddp[:-1]
+    d = (p[1:] - (p[:-1] + w * (dp[:-1] + w * a2))) / w**3
+    e = (dp[1:] - (dp[:-1] + 2.0 * w * a2)) / w**2
+    k = (ddp[1:] - ddp[:-1]) / w
+    c3, c4, c5 = 10.0 * d - 4.0 * e + 0.5 * k, (7.0 * e - 15.0 * d - k) / w, (6.0 * d - 3.0 * e + 0.5 * k) / w**2
+    sums = np.array([body.a0 + s0, s1 * h, s2 * h * h])
+    err = s6 * h**6 / 46080.0 + degree * 2.0**-53 * (sums @ [2.0, 5 / 16, 1 / 32]) + 2.0**-48 * sums.sum()
+    return _read_only(np.array([p[:-1], dp[:-1], a2, c3, c4, c5]))[0], h, (1.0 + 2.0**-30) * err
+
+
+def _g_table(table, px, py, phi):
+    """g_H = <P, N(phi)> - H(phi) and its derivative for phi in [0, 2*pi),
+    on phi's cell (cell m, where phi/h rounds up, wraps to cell 0)."""
+    rows, h, _ = table
+    j = (phi / h).astype(np.intp)
+    s = phi - j * h
+    *coef, c4, v = rows.take(j, axis=1, mode="wrap")
+    dv, v = v, v * s + c4
+    for ck in coef[::-1]:
+        dv, v = dv * s + v, v * s + ck
+    c, sn = np.cos(phi), np.sin(phi)
+    return px * c + py * sn - v, -px * sn + py * c - dv
 
 
 def _tangent_angles(body: TrigSupport, points):
@@ -325,9 +381,12 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b):
     Otherwise g is positive on one arc shorter than pi that contains phi_b, so
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
     (phi_b, phi_b + pi).  Both are polished together from
-    phi_b -/+ arccos(rb / r), the roots for a circle of radius rb, with g
-    read at the root reduced mod 2*pi, so that |g| <= tol holds at the
-    angle returned and not only before its reduction rounds it.
+    phi_b -/+ arccos(rb / r), the roots for a circle of radius rb, on
+    g_H = <P, N> - H (`_support_table`) to |g_H| <= (1 - 2^-50) tol - E,
+    which proves |g| <= tol; the roots it leaves, all of them on a body with
+    no table, are polished on Horner's g.  Both read g at the root reduced
+    mod 2*pi, so the bound holds at the angle returned and not only before
+    its reduction rounds it.
     g rises through zero at phi1 and is positive on the counterclockwise arc
     of length delta = pi - omega to phi2; RootCountAnomaly means that arc is
     not shorter than pi.
@@ -342,12 +401,20 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b):
     if thin.any():
         raise BoundaryCollar(f"point clears the boundary by {clearance[thin][0]:.3g}, below collar {collar:.3g}")
     # last axis, entry 0: rising root, entry 1: falling root; every bracket lies
-    # within pi of phi_b, itself within pi/2 of theta in (-pi, 2*pi): in _turn's range
-    side, b = np.array([-1.0, 1.0]), phi_b[..., None]
-    x, _ = _polish_roots(
-        lambda x: _g(body, px[..., None], py[..., None], _turn(x)),
-        b + side * np.arccos(rb / r)[..., None], neg=b + side * PI, pos=b, tol=tol[..., None], active=True,
-    )
+    # within pi of phi_b, itself within pi/2 of theta in (-pi, 2*pi): in _turn's range.
+    # Every array of the polish is a contiguous one of the roots' shape: a
+    # (..., 1) array broadcast against the root axis costs about 6x as much.
+    shape = clearance.shape + (2,)
+    px, py, tol, b = (np.broadcast_to(v[..., None], shape).copy() for v in (px, py, tol, phi_b))
+    x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
+    table, todo = _support_table(body), np.ones(shape, dtype=bool)
+    if table is not None:
+        tol_h = (1.0 - 2.0**-50) * tol - table[2]
+        x, (g_h, _) = _polish_roots(lambda y: _g_table(table, px, py, _turn(y)), x, neg, b, tol_h, tol_h > 0.0)
+        todo = ~(np.abs(g_h) <= tol_h)
+    if todo.any():
+        qx, qy = px[todo], py[todo]
+        x[todo], _ = _polish_roots(lambda y: _g(body, qx, qy, _turn(y)), x[todo], neg[todo], b[todo], tol[todo], True)
     roots = _turn(x)
     delta = (roots[..., 1] - roots[..., 0]) % TWO_PI
     wide = ~((0.0 < delta) & (delta < PI))
@@ -364,10 +431,13 @@ def support_line_angles(body: TrigSupport, point) -> TangentPair:
     body, and polished to |g| <= 1e-13 * (|P| + a0) (the one-point case of
     `_tangent_angles`).  Raises InteriorPoint when P is not outside that
     boundary point and BoundaryCollar when g there, a lower bound on the
-    clearance, is below 1e-9 * a0.
+    clearance, is below 1e-9 * a0; ValueError, before any solve, when the
+    point is not two finite coordinates.
     """
     _require_validated(body)
     point = np.asarray(point, dtype=float)
+    if point.shape != (2,) or not np.isfinite(point).all():
+        raise ValueError(f"point must be two finite coordinates, got {point.tolist()!r}")
     phi1, phi2, omega = (float(v[0]) for v in _tangent_angles(body, point[None, :]))
     t1, t2 = (float(np.hypot(*(point - boundary_point(body, phi)))) for phi in (phi1, phi2))
     return TangentPair(phi1=phi1, phi2=phi2, omega=omega, t1=t1, t2=t2)

@@ -1,4 +1,5 @@
-"""The test configuration reports a failing property test instead of crashing."""
+"""Tooling: the test configuration reports a failing property test instead of
+crashing, and the oracle timing script prints its table."""
 
 import pathlib
 import subprocess
@@ -30,3 +31,15 @@ def test_failing_property_test_is_reported(tmp_path):
     out = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "1 failed" in out.stdout
     assert "INTERNALERROR" not in out.stdout + out.stderr
+
+
+def test_oracle_timing_prints_one_row_per_degree():
+    # the CI smoke step: cold field time, table cells and err/bar per kernel
+    script = ROOT / "scripts" / "oracle_timing.py"
+    out = subprocess.run([sys.executable, str(script), "8", "32"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.split() == ["N", "field_s", "m", "crofton", "sin_cubed", "visual_deficit", "visual_deficit_cw"]
+    cells = [row.split() for row in rows]
+    assert [(c[0], c[2]) for c in cells] == [("8", "1024"), ("32", "4096")]
+    assert all(0.0 <= float(ratio) < 1.0 for c in cells for ratio in c[3:])

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -44,9 +45,12 @@ from hurwitzlab.quadrature import gauss_panels
 from hurwitzlab.visual_angle import (
     KERNELS,
     _corners,
+    _g,
+    _g_table,
     _gap_mass,
     _polar_field,
     _radial_boundary,
+    _support_table,
     _tangent_angles,
     _tangent_field,
     _tangent_solve,
@@ -163,6 +167,15 @@ class TestSupportLineAngles:
         with pytest.raises(NotValidated):
             support_line_angles(TrigSupport(1.0), (2.0, 0.0))
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (2.0,)], ids=["nan", "inf", "one_entry"])
+    def test_invalid_point_rejected_before_any_solve(self, mix_body, point, monkeypatch):
+        # these reached the solve and came back as RootCountAnomaly ("positive
+        # arc has length nan"), InteriorPoint and IndexError; on the table a
+        # NaN angle would become a cell index
+        monkeypatch.setattr(visual_angle, "_tangent_angles", lambda *args: pytest.fail("the point was solved"))
+        with pytest.raises(ValueError, match="two finite coordinates"):
+            support_line_angles(mix_body, point)
+
     @pytest.mark.parametrize("phi", np.linspace(0.1, TWO_PI + 0.1, 8, endpoint=False))
     def test_interior_and_collar_on_mix(self, mix_body, phi):
         # P = gamma(phi) + s*N(phi) clears the boundary by s; the collar is 1e-9*a0
@@ -271,6 +284,85 @@ def test_reduced_root_keeps_the_polish_bound():
     hs = (Harmonic(1, 0.0, -0.15625), Harmonic(3, 0.004384222169643162, 0.0))
     body = rigid_motion(validate_convex(TrigSupport(1.755859375, hs)), 0.0, np.zeros(2))
     _check_batch(body, _exterior_points(body, [4.5766374703241794], [body.a0 * 10.0**1.162109375]))
+
+
+def _count_horner_polish(monkeypatch):
+    """The sizes of the tangent solve's calls of Horner's g, as they are made."""
+    sizes = []
+    monkeypatch.setattr(visual_angle, "_g", lambda body, px, *args: sizes.append(np.size(px)) or _g(body, px, *args))
+    return sizes
+
+
+def _table_values(body, phi):
+    """H at the angles phi in [0, 2*pi), from the body's `_support_table`."""
+    return -_g_table(_support_table(body), 0.0, 0.0, np.asarray(phi, dtype=float))[0]
+
+
+@st.composite
+def _translated_bodies(draw):
+    body = draw(convex_bodies(max_degree=8))
+    shift, heading = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, TWO_PI))
+    return rigid_motion(body, 0.0, shift * body.a0 * np.array([math.cos(heading), math.sin(heading)]))
+
+
+@given(
+    _translated_bodies() | st.builds(random_body, st.just(3), st.just(128)),
+    st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=64),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_stays_within_its_bound(body, phis):
+    # the tangent solve turns |g_H| <= tol - E into |g| <= tol, g read by
+    # Horner as eval_support reads it: E must bound |eval_support - H|
+    _, _, bound = _support_table(body)
+    assert np.all(np.abs(eval_support(body, phis) - _table_values(body, phis)) <= bound)
+
+
+def test_table_bound_leaves_the_polish_room():
+    # the bound is no vacuous allowance: it leaves the polish most of tol
+    # (>= 1e-13 * a0) up to degree 128, and the table's cells follow the body
+    for degree, cells in ((0, 64), (8, 1024), (32, 4096), (128, 8192)):
+        body = recenter_to_steiner(random_body(3, degree, index=1)) if degree else validate_convex(TrigSupport(1.0))
+        rows, _, bound = _support_table(body)
+        assert rows.shape == (6, cells) and bound <= 0.4e-13 * body.a0, degree
+
+
+@pytest.mark.parametrize("degree", [128, 512])
+def test_one_polar_block_keeps_the_contract(degree, monkeypatch):
+    # the first block of the polar field at 96 directions, 42 rays of 96
+    # nodes from the collar out, solved on the table with no Horner fallback
+    body = recenter_to_steiner(random_body(3, degree, index=1))
+    fallbacks = _count_horner_polish(monkeypatch)
+    _, points = _reference_polar_field(body, ExteriorConfig(nodes_phi=96))
+    fallbacks.clear()
+    _check_batch(body, points[:42].reshape(-1, 2), every=997)
+    assert fallbacks == []
+
+
+def test_roots_the_table_cannot_certify_keep_the_contract(mix_body, monkeypatch):
+    # mix translated by 1e3 * a0: near the origin tol = 1e-13 * (|P| + a0) lies
+    # below the table's E, about 1e-15 * 1e3 * a0, so those roots are finished
+    # on Horner's g; the points near the body are certified in the same batch
+    body = rigid_motion(mix_body, 0.0, (1e3, 0.0))
+    near_origin = np.array([[0.5, 0.3], [-2.0, 1.0], [3.0, -40.0]])
+    points = np.vstack([near_origin, _exterior_points(body, np.linspace(0.0, TWO_PI, 9), np.full(9, 0.01))])
+    bound = _support_table(body)[2]
+    tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
+    assert np.all((tol <= bound) == (np.arange(len(points)) < 3))
+    fallbacks = _count_horner_polish(monkeypatch)
+    _check_batch(body, points)
+    assert fallbacks and fallbacks[0] == 6
+
+
+def test_a_body_past_the_sampling_budget_polishes_on_horner(monkeypatch):
+    # above _TABLE_TERMS harmonic terms of samples the body takes no table,
+    # and every root is polished on Horner's g, as before the table
+    monkeypatch.setattr(visual_angle, "_TABLE_TERMS", 1 << 10)
+    monkeypatch.setattr(visual_angle, "_support_table", lru_cache(maxsize=8)(_support_table.__wrapped__))
+    body = random_body(3, 8, index=1)
+    fallbacks = _count_horner_polish(monkeypatch)
+    points = _exterior_points(body, np.linspace(0.0, TWO_PI, 7), np.geomspace(1e-7, 1e3, 7))
+    _check_batch(body, points, every=3)
+    assert visual_angle._support_table(body) is None and fallbacks[0] == 2 * len(points)
 
 
 class TestBatchedTangents:
@@ -666,6 +758,12 @@ class TestExteriorIntegral:
                 ExteriorConfig(nodes_phi=nodes_phi)
         assert ExteriorConfig(nodes_phi=16).nodes_phi == 16
         assert ExteriorConfig(nodes_phi=2**20).nodes_phi == 2**20
+        # an integer count, as the docstring says, checked at construction and
+        # not by a TypeError inside np.linspace later; numpy integers count
+        for nodes_phi in (16.5, 32.0, "32", None):
+            with pytest.raises(ValueError):
+                ExteriorConfig(nodes_phi=nodes_phi)
+        assert ExteriorConfig(nodes_phi=np.int64(32)).nodes_phi == 32
         # the gap rule is a fixed 16 panels: nodes_delta is no field
         for field in ({"nodes_delta": 256}, {"method": "magic"}):
             with pytest.raises(TypeError):
@@ -980,6 +1078,14 @@ class TestPolarBlocks:
         )
         _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
         assert sizes == [96]
+
+    def test_one_table_per_field(self, mix_body, monkeypatch):
+        # the blocks share the body's table: it is built once, not once per block
+        builds, build = [], _support_table.__wrapped__
+        table = lru_cache(maxsize=8)(lambda body: builds.append(body) or build(body))
+        monkeypatch.setattr(visual_angle, "_support_table", table)
+        _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
+        assert builds == [recenter_to_steiner(mix_body)]
 
     def test_one_tangent_solve_per_block(self, mix_body, monkeypatch):
         sizes = []
