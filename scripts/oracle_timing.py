@@ -2,8 +2,8 @@
 """Polar-oracle timing at high degree: one line per body degree N.
 
 For random_body(3, N, index=1) at 96 directions, prints the time of a cold
-`_polar_field` (its cache and the tangent-solve table's cleared first), the
-table's cell count m (0 where the degree takes no table and every root is
+`_polar_field` (its cache cleared first), the cell count m of the table its
+tangent solve used (0 where the table does not pay and every root is
 polished on Horner's g), and |polar - spectral_integral| / bar per kernel.
 
     python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512)
@@ -18,7 +18,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hurwitzlab import random_body, recenter_to_steiner  # noqa: E402
+from hurwitzlab import random_body  # noqa: E402
 from hurwitzlab import visual_angle as va  # noqa: E402
 
 DIRECTIONS = 96
@@ -26,16 +26,16 @@ DIRECTIONS = 96
 
 def main(degrees):
     cfg = va.ExteriorConfig(nodes_phi=DIRECTIONS)
+    tables, build = [], va._support_table
+    va._support_table = lambda *args: tables.append(build(*args)) or tables[-1]
     print(f"{'N':>5} {'field_s':>8} {'m':>6}  " + "  ".join(f"{name:>17}" for name in sorted(va.KERNELS)))
     for degree in degrees:
         body = random_body(3, degree, index=1)
         va._polar_field.cache_clear()
-        va._support_table.cache_clear()
         start = time.perf_counter()
         va._polar_field(body, cfg)
         seconds = time.perf_counter() - start
-        table = va._support_table(recenter_to_steiner(body))
-        cells = 0 if table is None else table[0].shape[1]
+        cells = 0 if tables[-1] is None else tables[-1][0].shape[1]
         ratios = []
         for name in sorted(va.KERNELS):
             kernel = va.KERNELS[name]()

@@ -27,8 +27,7 @@ quadratures and in closed form:
   collar added to first order (`_polar_field`).  Each ray's boundary exit
   is solved once and shared by its radial nodes, and the tangent lines of
   a block of directions are solved in one batch, O(1) per point and
-  Newton step on the body's table of p; the field is cached per
-  (body, config).
+  Newton step on one table of p; the field is cached per (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
@@ -36,10 +35,10 @@ quadratures and in closed form:
 The tangent lines through a point P are the roots of
 g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
 where the ray from the Steiner point through P leaves the body, and
-polished together (`_tangent_solve`) on g_H = <P, N> - H, H the quintic
-Hermite interpolant of p sampled once per body (`_support_table`); a bound
-E >= |g - g_H| turns |g_H| <= tol - E into |g| <= tol, and a root it
-cannot certify is finished on Horner's g.
+polished together (`_tangent_solve`).  The polar oracle polishes them on
+g_H = <P, N> - H, H the quintic Hermite interpolant of p sampled once per
+field (`_support_table`), to |g_H| <= tol - E, E a first-order estimate of
+|g - g_H|, and finishes a root that misses it on Horner's g.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -91,8 +90,9 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 13
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
-# Most harmonic terms (cells x degree) the samples of `_support_table` may cost.
-_TABLE_TERMS = 1 << 23
+# Most cells of `_support_table` per root it serves: its samples cost as much as
+# the Horner polish they spare at 2.0 to 3.2 cells per root (degrees 32 to 512).
+_TABLE_PAYS = 2
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -297,40 +297,36 @@ def _g(body: TrigSupport, px, py, phi):
     return px * c + py * s - p, -px * s + py * c - dp
 
 
-@lru_cache(maxsize=8)
-def _support_table(body: TrigSupport):
-    """The quintic Hermite interpolant H of p, p', p'' on m cells x_j = j*h,
-    h = 2*pi/m, cached for the last 8 bodies: (rows, h, E) with
-    H(x_j + s) = sum_k rows[k, j] s^k, or None when its samples would cost
-    over _TABLE_TERMS harmonic terms.  m is the least power of two
-    >= max(64, 2N + 2) whose remainder M6 h^6 / 46080 (M6 = sum_n n^6 |c_n|)
-    is at most 1e-15 * (a0 + sum_n |c_n|).  The samples are one `_derivs`
-    call, whose Horner error N*u*sum_n n^k |c_n| the tangent solve's tol has
-    room for (`_grid_derivs`' proven FFT bound has not).  E bounds |H - p|
-    plus that error of the contract's p: the remainder, the sample errors
-    through the Hermite basis (its parts for p, p', p'' sum to at most 1,
-    5/16 and 1/32 in cell units), and 32u*sum_k h^k max|p^(k)| of round-off.
+def _support_table(body: TrigSupport, roots: int, tol: float):
+    """(rows, h, E): the quintic Hermite interpolant H(j*h + s) =
+    sum_k rows[k, j] s^k of p, p', p'' sampled by one `_derivs` call on m
+    cells of h = 2*pi/m, m the least power of two >= max(64, 2N + 2) whose
+    remainder M6 h^6 / 46080 (M6 = sum_n n^6 |c_n|) is at most
+    1e-15 * (a0 + sum_n |c_n|).  E estimates |H - p| plus the contract's
+    Horner error to first order, not as a proof: the remainder, Horner's
+    N*u*sum_n n^k |c_n| through the Hermite basis (weights 1, 5/16, 1/32 for
+    k = 0, 1, 2) and once more for p, and 32u*sum_k h^k max|p^(k)| for the
+    cells.  None where it does not pay: m > _TABLE_PAYS * roots, or E >= tol.
     """
     n, mag = body.n.astype(float), np.hypot(body.a, body.b)
     s0, s1, s2, s6 = (float(np.sum(n**k * mag)) for k in (0, 1, 2, 6))
     m, degree = 64, body.max_degree
     while m < 2 * degree + 2 or s6 * (TWO_PI / m) ** 6 / 46080.0 > 1e-15 * (body.a0 + s0):
         m *= 2
-    if m * degree > _TABLE_TERMS:
-        return None
     h = TWO_PI / m
-    x = np.arange(m + 1.0) * h
-    p, dp, ddp = _derivs(body, x, (0, 1, 2))
-    # the left end's Taylor quadratic misses p, w p', w^2 p'' at the right end by
-    # w^3 times (d, e, k); c_k = (10d - 4e + k/2, 7e - 15d - k, 6d - 3e + k/2) / w^(k-3)
-    w, a2 = np.diff(x), 0.5 * ddp[:-1]
-    d = (p[1:] - (p[:-1] + w * (dp[:-1] + w * a2))) / w**3
-    e = (dp[1:] - (dp[:-1] + 2.0 * w * a2)) / w**2
-    k = (ddp[1:] - ddp[:-1]) / w
-    c3, c4, c5 = 10.0 * d - 4.0 * e + 0.5 * k, (7.0 * e - 15.0 * d - k) / w, (6.0 * d - 3.0 * e + 0.5 * k) / w**2
     sums = np.array([body.a0 + s0, s1 * h, s2 * h * h])
     err = s6 * h**6 / 46080.0 + degree * 2.0**-53 * (sums @ [2.0, 5 / 16, 1 / 32]) + 2.0**-48 * sums.sum()
-    return _read_only(np.array([p[:-1], dp[:-1], a2, c3, c4, c5]))[0], h, (1.0 + 2.0**-30) * err
+    if m > _TABLE_PAYS * roots or err >= tol:
+        return None
+    p, dp, ddp = _derivs(body, np.arange(m + 1.0) * h, (0, 1, 2))
+    # the left end's Taylor quadratic misses p, h p', h^2 p'' at the right end by
+    # h^3 times (d, e, k); c_k = (10d - 4e + k/2, 7e - 15d - k, 6d - 3e + k/2) / h^(k-3)
+    a2 = 0.5 * ddp[:-1]
+    d = (p[1:] - (p[:-1] + h * (dp[:-1] + h * a2))) / h**3
+    e = (dp[1:] - (dp[:-1] + 2.0 * h * a2)) / h**2
+    k = (ddp[1:] - ddp[:-1]) / h
+    c3, c4, c5 = 10.0 * d - 4.0 * e + 0.5 * k, (7.0 * e - 15.0 * d - k) / h, (6.0 * d - 3.0 * e + 0.5 * k) / h**2
+    return np.array([p[:-1], dp[:-1], a2, c3, c4, c5]), h, err
 
 
 def _g_table(table, px, py, phi):
@@ -347,17 +343,17 @@ def _g_table(table, px, py, phi):
     return px * c + py * sn - v, -px * sn + py * c - dv
 
 
-def _tangent_angles(body: TrigSupport, points):
+def _tangent_angles(body: TrigSupport, points, table=None):
     """Arrays (phi1, phi2, omega) of the support lines through each row of
     points: the ray from the Steiner point S through each P is solved by
-    `_radial_boundary` and handed to `_tangent_solve`.  Each point is solved
-    on its own, bit for bit.
+    `_radial_boundary` and handed to `_tangent_solve` with the table.  Each
+    point is solved on its own, bit for bit.
     """
     px, py = points[:, 0], points[:, 1]
     sx, sy = steiner_point(body)
     theta = np.arctan2(py - sy, px - sx)
     rb, phi_b = _radial_boundary(recenter_to_steiner(body), theta)
-    return _tangent_solve(body, px, py, np.hypot(px - sx, py - sy), theta, rb, phi_b)
+    return _tangent_solve(body, px, py, np.hypot(px - sx, py - sy), theta, rb, phi_b, table)
 
 
 def _turn(x):
@@ -368,7 +364,7 @@ def _turn(x):
     return np.where(x < 0.0, x + TWO_PI, x)
 
 
-def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b):
+def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
     """Arrays (phi1, phi2, omega) of the support lines through the points (px, py).
 
     The point lies at distance r from the Steiner point S in the direction
@@ -381,12 +377,12 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b):
     Otherwise g is positive on one arc shorter than pi that contains phi_b, so
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
     (phi_b, phi_b + pi).  Both are polished together from
-    phi_b -/+ arccos(rb / r), the roots for a circle of radius rb, on
-    g_H = <P, N> - H (`_support_table`) to |g_H| <= (1 - 2^-50) tol - E,
-    which proves |g| <= tol; the roots it leaves, all of them on a body with
-    no table, are polished on Horner's g.  Both read g at the root reduced
-    mod 2*pi, so the bound holds at the angle returned and not only before
-    its reduction rounds it.
+    phi_b -/+ arccos(rb / r), the roots for a circle of radius rb.  Given a
+    `_support_table`, they are polished on g_H = <P, N> - H to
+    |g_H| <= (1 - 2^-50) tol - E, E its estimate of |g - g_H|; the roots that
+    miss it, and all roots when there is no table, are polished on Horner's
+    g.  Both read g at the root reduced mod 2*pi, so the bound holds at the
+    angle returned and not only before its reduction rounds it.
     g rises through zero at phi1 and is positive on the counterclockwise arc
     of length delta = pi - omega to phi2; RootCountAnomaly means that arc is
     not shorter than pi.
@@ -407,7 +403,7 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b):
     shape = clearance.shape + (2,)
     px, py, tol, b = (np.broadcast_to(v[..., None], shape).copy() for v in (px, py, tol, phi_b))
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
-    table, todo = _support_table(body), np.ones(shape, dtype=bool)
+    todo = np.ones(shape, dtype=bool)
     if table is not None:
         tol_h = (1.0 - 2.0**-50) * tol - table[2]
         x, (g_h, _) = _polish_roots(lambda y: _g_table(table, px, py, _turn(y)), x, neg, b, tol_h, tol_h > 0.0)
@@ -652,7 +648,8 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         zone r > r1 in s = r1/r on (0, 1], where r dr = r1^2 s^-3 ds; each
         direction's boundary exit is solved once, by one `_radial_boundary`
         call for all of them, and shared by that ray's nodes, and the tangent
-        lines of a block of rows are solved in one batch (`_tangent_solve`);
+        lines of a block of rows are solved in one batch (`_tangent_solve`),
+        on one `_support_table` of the body where it pays;
       ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
@@ -676,7 +673,8 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
-    omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays))[2] for i in range(0, n_theta, rows)]
+    table = _support_table(centered, 2 * rs.size, 1e-13 * (centered.a0 + float(np.min(rs))))
+    omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table)[2] for i in range(0, n_theta, rows)]
     return np.concatenate(omegas), weights, ring_mass
 
 

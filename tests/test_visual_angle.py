@@ -1,5 +1,4 @@
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -170,8 +169,7 @@ class TestSupportLineAngles:
     @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (2.0,)], ids=["nan", "inf", "one_entry"])
     def test_invalid_point_rejected_before_any_solve(self, mix_body, point, monkeypatch):
         # these reached the solve and came back as RootCountAnomaly ("positive
-        # arc has length nan"), InteriorPoint and IndexError; on the table a
-        # NaN angle would become a cell index
+        # arc has length nan"), InteriorPoint and IndexError
         monkeypatch.setattr(visual_angle, "_tangent_angles", lambda *args: pytest.fail("the point was solved"))
         with pytest.raises(ValueError, match="two finite coordinates"):
             support_line_angles(mix_body, point)
@@ -244,10 +242,11 @@ def _exterior_points(body, phis, gaps):
     return boundary_point(body, phis) + np.asarray(gaps)[:, None] * normals
 
 
-def _check_batch(body, points, every=1):
+def _check_batch(body, points, every=1, table=None):
     """Roots, sign pattern and gap of the batched solve, and bit equality
-    with the one-point solve of support_line_angles on every `every`-th point."""
-    phi1, phi2, omega = _tangent_angles(body, points)
+    with the one-point solve on every `every`-th point: support_line_angles,
+    or the same table's solve of that point alone."""
+    phi1, phi2, omega = _tangent_angles(body, points, table)
     delta = PI - omega
     tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
     for phi in (phi1, phi2):
@@ -257,8 +256,12 @@ def _check_batch(body, points, every=1):
     assert np.all(points[:, 0] * np.cos(mid) + points[:, 1] * np.sin(mid) > eval_support(body, mid))
     assert np.all((0.0 < delta) & (delta < PI))
     for i in range(0, len(points), every):
-        tp = support_line_angles(body, points[i])
-        assert (tp.phi1, tp.phi2, tp.omega) == (phi1[i], phi2[i], omega[i])
+        if table is None:
+            tp = support_line_angles(body, points[i])
+            one = (tp.phi1, tp.phi2, tp.omega)
+        else:
+            one = tuple(float(v[0]) for v in _tangent_angles(body, points[i : i + 1], table))
+        assert one == (phi1[i], phi2[i], omega[i])
     return phi1, delta
 
 
@@ -293,9 +296,14 @@ def _count_horner_polish(monkeypatch):
     return sizes
 
 
+def _table(body):
+    """The body's `_support_table`, for a batch where it always pays."""
+    return _support_table(body, 1 << 40, math.inf)
+
+
 def _table_values(body, phi):
     """H at the angles phi in [0, 2*pi), from the body's `_support_table`."""
-    return -_g_table(_support_table(body), 0.0, 0.0, np.asarray(phi, dtype=float))[0]
+    return -_g_table(_table(body), 0.0, 0.0, np.asarray(phi, dtype=float))[0]
 
 
 @st.composite
@@ -310,20 +318,20 @@ def _translated_bodies(draw):
     st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=64),
 )
 @settings(max_examples=60, deadline=None)
-def test_table_stays_within_its_bound(body, phis):
-    # the tangent solve turns |g_H| <= tol - E into |g| <= tol, g read by
-    # Horner as eval_support reads it: E must bound |eval_support - H|
-    _, _, bound = _support_table(body)
-    assert np.all(np.abs(eval_support(body, phis) - _table_values(body, phis)) <= bound)
+def test_table_stays_within_its_error_estimate(body, phis):
+    # the tangent solve takes |g_H| <= tol - E for |g| <= tol, g read by
+    # Horner as eval_support reads it: E, an estimate, must hold at random angles
+    _, _, estimate = _table(body)
+    assert np.all(np.abs(eval_support(body, phis) - _table_values(body, phis)) <= estimate)
 
 
-def test_table_bound_leaves_the_polish_room():
-    # the bound is no vacuous allowance: it leaves the polish most of tol
+def test_table_estimate_leaves_the_polish_room():
+    # E is no vacuous allowance: it leaves the polish most of tol
     # (>= 1e-13 * a0) up to degree 128, and the table's cells follow the body
     for degree, cells in ((0, 64), (8, 1024), (32, 4096), (128, 8192)):
         body = recenter_to_steiner(random_body(3, degree, index=1)) if degree else validate_convex(TrigSupport(1.0))
-        rows, _, bound = _support_table(body)
-        assert rows.shape == (6, cells) and bound <= 0.4e-13 * body.a0, degree
+        rows, _, estimate = _table(body)
+        assert rows.shape == (6, cells) and estimate <= 0.4e-13 * body.a0, degree
 
 
 @pytest.mark.parametrize("degree", [128, 512])
@@ -332,37 +340,42 @@ def test_one_polar_block_keeps_the_contract(degree, monkeypatch):
     # nodes from the collar out, solved on the table with no Horner fallback
     body = recenter_to_steiner(random_body(3, degree, index=1))
     fallbacks = _count_horner_polish(monkeypatch)
-    _, points = _reference_polar_field(body, ExteriorConfig(nodes_phi=96))
+    _, points, table = _reference_polar_field(body, ExteriorConfig(nodes_phi=96))
     fallbacks.clear()
-    _check_batch(body, points[:42].reshape(-1, 2), every=997)
-    assert fallbacks == []
+    _check_batch(body, points[:42].reshape(-1, 2), every=997, table=table)
+    assert table is not None and fallbacks == []
 
 
-def test_roots_the_table_cannot_certify_keep_the_contract(mix_body, monkeypatch):
+def test_roots_the_table_leaves_keep_the_contract(mix_body, monkeypatch):
     # mix translated by 1e3 * a0: near the origin tol = 1e-13 * (|P| + a0) lies
     # below the table's E, about 1e-15 * 1e3 * a0, so those roots are finished
-    # on Horner's g; the points near the body are certified in the same batch
+    # on Horner's g; the points near the body meet tol - E in the same batch
     body = rigid_motion(mix_body, 0.0, (1e3, 0.0))
     near_origin = np.array([[0.5, 0.3], [-2.0, 1.0], [3.0, -40.0]])
     points = np.vstack([near_origin, _exterior_points(body, np.linspace(0.0, TWO_PI, 9), np.full(9, 0.01))])
-    bound = _support_table(body)[2]
+    table = _table(body)
     tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
-    assert np.all((tol <= bound) == (np.arange(len(points)) < 3))
+    assert np.all((tol <= table[2]) == (np.arange(len(points)) < 3))
     fallbacks = _count_horner_polish(monkeypatch)
-    _check_batch(body, points)
+    _check_batch(body, points, table=table)
     assert fallbacks and fallbacks[0] == 6
 
 
-def test_a_body_past_the_sampling_budget_polishes_on_horner(monkeypatch):
-    # above _TABLE_TERMS harmonic terms of samples the body takes no table,
-    # and every root is polished on Horner's g, as before the table
-    monkeypatch.setattr(visual_angle, "_TABLE_TERMS", 1 << 10)
-    monkeypatch.setattr(visual_angle, "_support_table", lru_cache(maxsize=8)(_support_table.__wrapped__))
-    body = random_body(3, 8, index=1)
+def test_table_only_where_it_pays(monkeypatch):
+    # a table of m cells is built for at least m / _TABLE_PAYS roots whose
+    # least tol exceeds its E; at 16 directions the polar field of degree 128
+    # (8192 cells, 3072 roots) polishes every root on Horner's g, at 96 none
+    body = recenter_to_steiner(random_body(3, 8, index=1))
+    rows, _, estimate = _table(body)
+    m = rows.shape[1]
+    assert _support_table(body, m // 2, math.inf) is not None and _support_table(body, m // 2 - 1, math.inf) is None
+    assert _support_table(body, m, 2.0 * estimate) is not None and _support_table(body, m, estimate) is None
     fallbacks = _count_horner_polish(monkeypatch)
-    points = _exterior_points(body, np.linspace(0.0, TWO_PI, 7), np.geomspace(1e-7, 1e3, 7))
-    _check_batch(body, points, every=3)
-    assert visual_angle._support_table(body) is None and fallbacks[0] == 2 * len(points)
+    _polar_field.__wrapped__(random_body(3, 128, index=1), ExteriorConfig(nodes_phi=16))
+    assert fallbacks[0] == 2 * 16 * 96
+    fallbacks.clear()
+    _polar_field.__wrapped__(random_body(3, 128, index=1), ExteriorConfig(nodes_phi=96))
+    assert fallbacks == []
 
 
 class TestBatchedTangents:
@@ -1017,8 +1030,9 @@ class TestPolarOracle:
 
 def _reference_polar_field(body, cfg):
     """Per-direction loop, each ray's own Gauss rule and one tangent solve per
-    theta fed that ray's (theta, rb, phi_b): the reference for the broadcast
-    grid and the block solve.  Also returns the nodes' points, one row per theta."""
+    theta fed that ray's (theta, rb, phi_b) and the field's table: the
+    reference for the broadcast grid and the block solve.  Also returns the
+    nodes' points, one row per theta, and the table."""
     centered = recenter_to_steiner(body)
     collar = visual_angle._POLAR_COLLAR * centered.a0
     panels = visual_angle._POLAR_PANELS
@@ -1029,16 +1043,18 @@ def _reference_polar_field(body, cfg):
     # far zone in s = r1/r on (0, 1]: r dr = r1^2 s^-3 ds
     s_nodes, s_w = gauss_panels(np.linspace(0.0, 1.0, panels + 1), points=8)
     far_r, far_w = r1 / s_nodes, r1 * r1 * s_w / s_nodes**3
-    omegas, weights, points, ring = [], [], [], []
-    for theta, rb, phi_b, c, s in zip(thetas, rbs, phi_bs, np.cos(thetas), np.sin(thetas)):
+    radii, weights, points, ring = [], [], [], []
+    for rb, c, s in zip(rbs, np.cos(thetas), np.sin(thetas)):
         u_nodes, u_w = gauss_panels(np.linspace(math.sqrt(collar), math.sqrt(r1 - rb), panels + 1), points=8)
         near_r = rb + u_nodes**2
-        rs = np.concatenate([near_r, far_r])
-        omegas.append(_tangent_solve(centered, rs * c, rs * s, rs, theta, rb, phi_b)[2])
+        radii.append(np.concatenate([near_r, far_r]))
         weights.append(w_theta * np.concatenate([2.0 * u_nodes * u_w * near_r, far_w]))
-        points.append(np.stack([rs * c, rs * s], axis=1))
+        points.append(np.stack([radii[-1] * c, radii[-1] * s], axis=1))
         ring.append(rb * collar + 0.5 * collar * collar)
-    return (np.array(omegas), np.array(weights), w_theta * math.fsum(ring)), np.array(points)
+    radii, points = np.array(radii), np.array(points)
+    table = _support_table(centered, 2 * radii.size, 1e-13 * (centered.a0 + float(np.min(radii))))
+    omegas = [_tangent_solve(centered, *p.T, rs, *exit, table)[2] for p, rs, *exit in zip(points, radii, thetas, rbs, phi_bs)]
+    return (np.array(omegas), np.array(weights), w_theta * math.fsum(ring)), points, table
 
 
 @pytest.fixture(scope="module", params=["circle", "mix", "random8", "random33", "translated"])
@@ -1057,7 +1073,7 @@ class TestPolarBlocks:
     def test_block_field_equals_per_direction_loop(self, polar_body, nodes_phi):
         cfg = ExteriorConfig(nodes_phi=nodes_phi)
         omegas, weights, ring_mass = _polar_field(polar_body, cfg)
-        want, _ = _reference_polar_field(polar_body, cfg)
+        want, _, _ = _reference_polar_field(polar_body, cfg)
         assert np.array_equal(omegas, want[0]) and np.array_equal(weights, want[1])
         assert ring_mass == want[2]
 
@@ -1066,8 +1082,8 @@ class TestPolarBlocks:
         # each ray's exit is solved once and shared by its nodes; solving every
         # node's own exit from its own point moves omega by round-off only
         cfg = ExteriorConfig(nodes_phi=nodes_phi)
-        _, points = _reference_polar_field(polar_body, cfg)
-        per_point = _tangent_angles(recenter_to_steiner(polar_body), points.reshape(-1, 2))[2]
+        _, points, table = _reference_polar_field(polar_body, cfg)
+        per_point = _tangent_angles(recenter_to_steiner(polar_body), points.reshape(-1, 2), table)[2]
         assert np.max(np.abs(_polar_field(polar_body, cfg)[0].ravel() - per_point)) <= 1e-11
 
     def test_one_exit_solve_per_field(self, mix_body, monkeypatch):
@@ -1080,12 +1096,11 @@ class TestPolarBlocks:
         assert sizes == [96]
 
     def test_one_table_per_field(self, mix_body, monkeypatch):
-        # the blocks share the body's table: it is built once, not once per block
-        builds, build = [], _support_table.__wrapped__
-        table = lru_cache(maxsize=8)(lambda body: builds.append(body) or build(body))
-        monkeypatch.setattr(visual_angle, "_support_table", table)
+        # the blocks share the field's table: it is built once, not once per block
+        tables = []
+        monkeypatch.setattr(visual_angle, "_support_table", lambda *a: tables.append(_support_table(*a)) or tables[-1])
         _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
-        assert builds == [recenter_to_steiner(mix_body)]
+        assert len(tables) == 1 and tables[0] is not None
 
     def test_one_tangent_solve_per_block(self, mix_body, monkeypatch):
         sizes = []
