@@ -49,7 +49,7 @@ from .errors import (
     NotStrictlyConvex,
     NotValidated,
 )
-from .quadrature import MAX_NODES, TWO_PI, _read_only
+from .quadrature import MAX_NODES, TWO_PI, _read_only, rounded_sum
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
@@ -424,28 +424,19 @@ def _stage_one(a0: Sequence[float], n: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Stage 1 of `validate_convex` on rows of harmonics: row i is the mean
     term a0[i] and the slice cuts[i] of the flat arrays n, a and b.  Per
     row (finite, slack, magnitude): whether every coefficient is finite;
-    the certificate slack = a0 - fsum((n^2 - 1)|c_n|), -inf when that sum
-    passes the float range; and the magnitude a0 + sum n^2 |c_n|, a plain
-    sum.  |c_n| is math.hypot, which np.hypot differs from in some last
+    the certificate slack a0 - `rounded_sum` of (n^2 - 1)|c_n|, or -inf
+    unless s = sum n^2 |c_n| (a plain sum) < 2^1023, so it cannot overflow;
+    a0 + s.  |c_n| is math.hypot, which np.hypot differs from in some last
     bits; the products may leave the float range (inf, or NaN for 0*inf)."""
     amps, sq = np.array(list(map(math.hypot, a.tolist(), b.tolist()))), n * n
     with np.errstate(over="ignore", invalid="ignore"):
-        terms, weighted = (sq - 1) * amps, sq * amps
-    terms, weighted = terms.tolist(), weighted.tolist()
+        terms, weighted = (sq - 1) * amps, (sq * amps).tolist()
     finite, bad = np.isfinite(a0), ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         bad = np.concatenate(([0], np.cumsum(bad)))  # non-finite entries before each
         finite &= bad[[cut.start for cut in cuts]] == bad[[cut.stop for cut in cuts]]
-    slack = [mean - _fsum(terms[cut]) for mean, cut in zip(a0, cuts)]
-    return list(zip(finite.tolist(), slack, [mean + sum(weighted[cut]) for mean, cut in zip(a0, cuts)]))
-
-
-def _fsum(terms: list[float]) -> float:
-    """math.fsum, inf when the sum passes the float range (far above any a0)."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    rows = zip(finite.tolist(), a0, cuts, [sum(weighted[cut]) for cut in cuts])
+    return [(ok, m - rounded_sum(terms[cut]) if s < 2.0**1023 else -math.inf, m + s) for ok, m, cut, s in rows]
 
 
 def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:

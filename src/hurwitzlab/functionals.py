@@ -34,13 +34,12 @@ ones; see `verdicts` for how that residual is reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bodies import TrigSupport, _derivs, _grid_derivs, _require_validated, recenter_to_steiner, steiner_point
-from .quadrature import PI, TWO_PI, grid_for_degree, periodic_integral
+from .quadrature import PI, TWO_PI, grid_for_degree, periodic_integral, rounded_sum
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,10 @@ def _functional_weights(n: np.ndarray) -> np.ndarray:
     return w
 
 
-def _fsum_rows(terms: np.ndarray) -> list[float]:
-    """math.fsum of each row of the 2-D array `terms`."""
-    return list(map(math.fsum, terms.tolist()))
-
-
 def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     """Closed-form spectral sums over the harmonic amplitudes.
 
-    Each sum_n w(n) c_n^2 is compensated (math.fsum) over its products in
-    ascending n.  This is the one-body case of `functionals_spectral_rows`.
+    The one-body case of `functionals_spectral_rows`: each sum is `rounded_sum`'s.
     """
     _require_validated(body)
     n, degree = body.n, body.max_degree
@@ -105,7 +98,7 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     dense = np.zeros(degree + 1)
     dense[n] = body.c_sq
     cn = tuple(zip(range(2, degree + 1), dense[2:].tolist()))
-    sums = _fsum_rows(_functional_weights(n) * body.c_sq)
+    sums = rounded_sum(_functional_weights(n) * body.c_sq).tolist()
     return _spectral_set(body.a0, sums, steiner=(float(sx), float(sy)), cn_sq=cn)
 
 
@@ -118,7 +111,7 @@ def functionals_spectral_rows(a0: np.ndarray, c_sq: np.ndarray) -> FunctionalSet
     being >= 0); steiner and cn_sq stay empty.
     """
     weights = _functional_weights(np.arange(c_sq.shape[1]))
-    return _spectral_set(a0, [np.array(_fsum_rows(w * c_sq)) for w in weights], steiner=(), cn_sq=())
+    return _spectral_set(a0, [rounded_sum(w * c_sq) for w in weights], steiner=(), cn_sq=())
 
 
 def _spectral_set(a0, sums, **parts) -> FunctionalSet:

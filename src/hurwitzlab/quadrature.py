@@ -4,11 +4,11 @@ The workhorse is the periodic trapezoid rule, which is exact for
 trigonometric polynomials of degree below the node count; all closed-form
 functionals here integrate such polynomials, so the quadrature path is
 exact to round-off once the grid is fine enough.  Composite Gauss-Legendre
-panels cover the non-periodic intervals.  Sums are accumulated with
-math.fsum in a fixed index order, so results are bit-reproducible
-regardless of how work is scheduled.  A grid is only its angles,
-`grid_for_degree` the one rule that sizes it; the callers sample their
-integrands there by one inverse FFT (`bodies._grid_derivs`).
+panels cover the non-periodic intervals.  Every sum is `rounded_sum`'s,
+correctly rounded, so results do not depend on the order of additions or
+on how work is scheduled.  A grid is only its angles, `grid_for_degree`
+the one rule that sizes it; the callers sample their integrands there by
+one inverse FFT (`bodies._grid_derivs`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,53 @@ TWO_PI = 2.0 * math.pi
 # Largest node count of a grid or an exterior-integral direction: 2^20 nodes
 # are 8 MiB per sampled array.
 MAX_NODES = 1 << 20
+_EXTRACT_ROW, _EXTRACT_MIN = 12, 1200  # below rows * (n - 12) = 1200 math.fsum costs less (scripts/sum_timing.py)
+
+
+def rounded_sum(x):
+    """math.fsum of each row of the 1-D or 2-D array x, bit for bit: a float
+    for 1-D x, else an array.  Extraction (Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008), u = 2^-53: for rows of n, 2^k >= n + 2 and per row
+    sigma = 2^(k+e) > 2^k max|r|, q = (sigma + r) - sigma is exact, a multiple
+    of u*sigma and |q| <= 2^-k sigma, so every partial sum of q is such a
+    multiple below sigma: tau = sum(q) is exact in any order; so is r - q, at
+    most u*sigma.  A row sums to hi + lo + sum(r), (hi, lo) = TwoSum(hi, tau)
+    at each of two levels (hi = 0 at the first).  c = hi + d, d = lo + r.sum(),
+    is off by at most |e| + u|d| + 2nu*n*u*sigma (e its exact TwoSum error;
+    2nu >= gamma_(n-1) for r.sum() in any order); doubled and rounded up past
+    its roundings, this certifies c below the gap from |c| down to the next
+    float, the smaller gap about c, so no tie passes.  math.fsum takes small
+    arrays, and rows undecided, non-finite, with sigma > 2^1022 (its inf, nan,
+    OverflowError) or c = 0 (its sign of zero).
+    """
+    x = np.asarray(x, dtype=float)
+    if (len(x) if x.ndim == 2 else 1) * (x.shape[-1] - _EXTRACT_ROW) < _EXTRACT_MIN:
+        return math.fsum(x.tolist()) if x.ndim == 1 else np.array(list(map(math.fsum, x.tolist())))
+    rows, n = (x if x.ndim == 2 else x[None]), x.shape[-1]
+    out, live, r, hi, k = np.full(len(rows), np.nan), np.arange(len(rows)), rows, 0.0, (n + 1).bit_length()
+    for _ in range(2):
+        big = np.maximum(r.max(1), -r.min(1))
+        if not (keep := big < 2.0 ** (1022 - k)).all():  # finite, and sigma <= 2^1022
+            live, r, big = live[keep], r[keep], big[keep]
+        sigma = np.ldexp(1.0, k + np.frexp(big)[1])
+        q = r + sigma[:, None]
+        q -= sigma[:, None]
+        hi, lo = _two_sum(hi, q.sum(1))
+        r = np.subtract(r, q, out=q)
+        c, e = _two_sum(hi, d := lo + r.sum(1))
+        bound = np.abs(e) + 2.0**-53 * np.abs(d) + 2.0**-105 * n * n * sigma
+        done = bound * (2.0 + 2.0**-49) + 2.0**-1069 < np.abs(c) - np.nextafter(np.abs(c), 0.0)
+        out[live[done]] = c[done]
+        live, r, hi = live[~done], r[~done], hi[~done]
+        if not live.size:
+            break
+    left = np.isnan(out)
+    out[left] = list(map(math.fsum, rows[left].tolist()))
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def _two_sum(a, b):  # Knuth's TwoSum: a + b rounded, and its exact error
+    return (s := a + b), (a - (s - (s - a))) + (b - (s - a))
 
 
 def periodic_integral(samples) -> float:
@@ -33,12 +80,12 @@ def periodic_integral(samples) -> float:
 
     Exact for trigonometric polynomials of degree <= M-1.  Degree M aliases
     onto the mean: cos(M*phi_j) = 1 at every node, so it integrates to 2*pi
-    instead of 0.  Accumulation is compensated (math.fsum) in index order.
+    instead of 0.  The sum is `rounded_sum`'s, correctly rounded.
     """
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 2:
         raise EmptyGrid(f"periodic rule needs at least 2 samples, got {arr.size}")
-    return TWO_PI / arr.size * math.fsum(arr.tolist())
+    return TWO_PI / arr.size * rounded_sum(arr)
 
 
 def grid_for_degree(degree: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .bodies import (
     wigner_support,
 )
 from .errors import EmptyScene
-from .quadrature import TWO_PI, _read_only
+from .quadrature import TWO_PI, _read_only, rounded_sum
 
 CURVE_KINDS = ("boundary", "evolute", "pedal", "parallel", "wigner")
 # Largest sample count of a curve: 2^20 vertices are 16 MiB of coordinates.
@@ -128,7 +128,7 @@ def shoelace_area(poly: Polyline) -> float:
     v = poly.vertices
     w = np.roll(v, -1, axis=0)
     cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-    return 0.5 * math.fsum(cross.tolist())
+    return 0.5 * rounded_sum(cross)
 
 
 def count_cusps(poly: Polyline) -> int:

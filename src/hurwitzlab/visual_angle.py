@@ -77,7 +77,7 @@ from .errors import (
     NonIntegrableKernel,
     RootCountAnomaly,
 )
-from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, gauss_panels
+from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, gauss_panels, rounded_sum
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
@@ -503,8 +503,8 @@ def _gap_mass(body: TrigSupport, levels, nodes_phi: int, sines=None):
             block = np.asarray(gaps[start : start + rows], dtype=float)
             at2 = _grid_derivs(body, nodes_phi, (0, 1), block)
             _, _, u1, u2 = _corners(phi1, block, at1, at2, sins[start : start + rows])
-            sums.extend(map(math.fsum, np.abs(u1 * u2).tolist()))
-    return TWO_PI / nodes_phi * np.array(sums) / np.concatenate(sines)
+            sums.append(rounded_sum(np.abs(u1 * u2)))
+    return TWO_PI / nodes_phi * np.concatenate(sums) / np.concatenate(sines)
 
 
 def _sines(levels) -> list[np.ndarray]:
@@ -575,7 +575,7 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
     _require_validated(body)
     level_f, collar_f = kernel._gap_weights
     masses, nodes, collar_row = _tangent_field(body)
-    fine, coarse = (math.fsum((wf * mass).tolist()) for wf, mass in zip(level_f, masses))
+    fine, coarse = (rounded_sum(wf * mass) for wf, mass in zip(level_f, masses))
     # the dropped collar mass is ~ 0.5*_DELTA_MIN*row; report twice that for safety
     collar_err = collar_f * collar_row
     err = abs(fine - coarse) + collar_err + 1e-14 * abs(fine)
@@ -604,13 +604,12 @@ def spectral_integral_rows(kernel: Kernel, a0, n: np.ndarray, c_sq: np.ndarray) 
 
     The kernel holds w(0) and E(n) up to its largest sin frequency k_max,
     above which E(n) = E(k_max); w(n) = alpha0 (n^2-1)/2 - E(n) multiplies
-    c_n^2 (w(1) = 0 exactly), and the sum over w(0) a0^2 and the products is
-    compensated, so a column of zeros, a frequency a body lacks, leaves its
-    value as the body alone gives it.
+    c_n^2 (w(1) = 0 exactly); the sum over w(0) a0^2 and the products is
+    correctly rounded, so a frequency a body lacks changes no value.
     """
     w0, corr = kernel._closed_form
     w = 0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip")
-    return [PI * PI * math.fsum([w0 * a * a, *row]) for a, row in zip(a0, (w * c_sq).tolist())]
+    return (PI * PI * rounded_sum(np.column_stack([w0 * np.asarray(a0, dtype=float) * a0, w * c_sq]))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +668,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     near_r = rbs[:, None] + u_nodes**2
     rs = np.hstack([near_r, np.tile(r1 / s_nodes, (n_theta, 1))])
     weights = w_theta * np.hstack([2.0 * u_nodes * u_w * near_r, np.tile(r1 * r1 * s_w / s_nodes**3, (n_theta, 1))])
-    ring_mass = w_theta * math.fsum((rbs * collar + 0.5 * collar * collar).tolist())
+    ring_mass = w_theta * rounded_sum(rbs * collar + 0.5 * collar * collar)
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
@@ -693,9 +692,9 @@ def exterior_integral_grid(body: TrigSupport, kernel: Kernel, config: ExteriorCo
     omegas, weights, ring_mass = _polar_field(body, config or ExteriorConfig())
     fvals = kernel(omegas)
     mass = weights * fvals
-    field = math.fsum(mass.ravel().tolist())
+    field = rounded_sum(mass.ravel())
     # angular-resolution estimate: same field restricted to every other theta
-    coarse = 2.0 * math.fsum(mass[::2].ravel().tolist())
+    coarse = 2.0 * rounded_sum(mass[::2].ravel())
     f_pi = kernel(PI)
     value = field + f_pi * ring_mass
     collar_err = ring_mass * float(np.max(np.abs(fvals[:, 0] - f_pi)))

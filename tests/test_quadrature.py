@@ -1,11 +1,16 @@
 import math
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hurwitzlab import grid_for_degree, periodic_integral
+from hurwitzlab import functionals, grid_for_degree, periodic_integral, quadrature, random_body, visual_angle
+from hurwitzlab.bodies import _grid_derivs, _stage_one, recenter_to_steiner
 from hurwitzlab.errors import EmptyGrid
-from hurwitzlab.quadrature import MAX_NODES, gauss_panels
+from hurwitzlab.quadrature import MAX_NODES, gauss_panels, rounded_sum
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -65,3 +70,185 @@ def test_gauss_panels_polynomial():
     nodes, weights = gauss_panels([0.0, 0.4, 1.0], points=8)
     val = float(np.sum(weights * nodes**7))
     assert val == pytest.approx(1.0 / 8.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# rounded_sum: math.fsum's bits, compared as float.hex
+
+
+def _fsum_rows(x):
+    """math.fsum of each row, the first row's error (in row order) if one raises."""
+    try:
+        return [math.fsum(row).hex() for row in np.atleast_2d(x).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _rounded(x):
+    try:
+        return [v.hex() for v in np.atleast_1d(rounded_sum(x)).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@contextmanager
+def _extracting(on):
+    """With on, rounded_sum extracts from every array, however small."""
+    rule = quadrature._EXTRACT_MIN
+    quadrature._EXTRACT_MIN = -math.inf if on else rule
+    try:
+        yield
+    finally:
+        quadrature._EXTRACT_MIN = rule
+
+
+_SPECIAL = [
+    0.0, -0.0, 1.0, -1.0, 2.0**-53, 2.0**-106, -(2.0**-106), 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, 1.5e308, -1.5e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(-4.0, 4.0), st.sampled_from(_SPECIAL)
+)
+
+
+@st.composite
+def _row(draw, n):
+    """n entries, some followed by a near negation x -> -x (1 + k 2^-52)
+    (heavy cancellation)."""
+    row = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        row[i] = -row[i - 1] * (1.0 + draw(st.integers(-2, 2)) * 2.0**-52) if i else row[i]
+    return row
+
+
+_ROWS = st.integers(1, 40).flatmap(lambda n: st.lists(_row(n), min_size=1, max_size=4))
+
+
+class TestRoundedSum:
+    # small arrays forced onto the extraction path; below the rule it is math.fsum itself
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(1, 60).flatmap(_row))
+    def test_one_row_is_fsum(self, row):
+        with _extracting(True):
+            assert _rounded(np.array(row)) == _fsum_rows(np.array(row))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS)
+    def test_rows_are_fsum(self, rows):
+        with _extracting(True):
+            assert _rounded(np.array(rows)) == _fsum_rows(np.array(rows))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.5e308, 1.5e308, -1.5e308],  # intermediate overflow
+            [1.5e308, -1.5e308, 1.5e308],  # the same terms, no overflow in this order
+            [1e308, 1e308],
+            [-1.7976931348623157e308, -1.7976931348623157e308, 1e308],
+            [1.7976931348623157e308, 2.0**970],  # rounds past the largest float
+        ],
+    )
+    def test_overflow_raises_where_fsum_does(self, row):
+        x = np.array(row + [0.0] * 2045)
+        for extract in (False, True):
+            with _extracting(extract):
+                assert _rounded(x) == _fsum_rows(x)
+                assert _rounded(np.stack([x, np.ones(x.size)])) == _fsum_rows(np.stack([x, np.ones(x.size)]))
+
+    _HALF = np.concatenate([[1.0, 2.0**-53], np.zeros(2046)])
+    _SHIFTED = np.linspace(1.0, 2.0, 1024)
+
+    @pytest.mark.parametrize(
+        "x, levels, fallbacks",
+        [
+            (np.linspace(0.5, 1.5, 2048), 1, 0),  # certified at the first level
+            (np.linspace(-1e-300, 1e300, 2048), 1, 0),
+            (np.concatenate([_SHIFTED, -_SHIFTED * (1.0 + 2.0**-52)]), 2, 0),  # cancels: certified at the second
+            (_HALF, 2, 1),  # an exact half-ulp tie: never certified
+            (np.concatenate([[1.0, 2.0**-53, 2.0**-106], np.zeros(2045)]), 2, 1),  # a near-tie inside the bound
+            # non-finite, or sigma past 2^1022: the first level runs on no row
+            (np.concatenate([[math.inf], np.ones(2047)]), 1, 1),
+            (np.concatenate([[math.nan], np.ones(2047)]), 1, 1),
+            (np.concatenate([[1e308], np.ones(2047)]), 1, 1),
+            (np.full(2048, -0.0), 2, 1),  # c = 0: math.fsum's sign of zero
+            (np.concatenate([[1.0, -1.0], np.zeros(2046)]), 2, 1),
+            (np.ones(16), 0, 1),  # below the small-array rule
+            (np.ones((100, 23)), 0, 100),  # 100 * (23 - 12) < 1200: math.fsum costs less
+            (np.ones((100, 24)), 1, 0),
+            (np.stack([np.linspace(0.5, 1.5, 2048), _HALF]), 2, 1),  # the second level takes the tie row only
+        ],
+    )
+    def test_branches(self, monkeypatch, x, levels, fallbacks):
+        # each branch, counted: a level makes two TwoSum calls, a fallback one math.fsum call
+        calls = {"two_sum": 0, "fsum": 0}
+        two_sum = quadrature._two_sum
+
+        def count(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(quadrature, "_two_sum", count("two_sum", two_sum))
+        monkeypatch.setattr(quadrature, "math", SimpleNamespace(fsum=count("fsum", math.fsum)))
+        got = _rounded(x)
+        monkeypatch.undo()
+        assert got == _fsum_rows(x)
+        assert (calls["two_sum"], calls["fsum"]) == (2 * levels, fallbacks)
+
+    def test_shapes(self):
+        assert isinstance(rounded_sum(np.ones(3000)), float)
+        assert isinstance(rounded_sum([0.5, 0.25]), float)
+        assert rounded_sum(np.ones((4, 3000))).shape == rounded_sum(np.ones((4, 3))).shape == (4,)
+        assert rounded_sum(np.ones((0, 5))).shape == (0,)
+        assert rounded_sum(np.empty(0)) == 0.0
+        assert rounded_sum(np.empty((2, 0))).tolist() == [0.0, 0.0]
+
+
+def _fsum_reference(x):
+    """The math.fsum(x.tolist()) the call sites made before `rounded_sum`."""
+    x = np.asarray(x, dtype=float)
+    return math.fsum(x.tolist()) if x.ndim == 1 else np.array([math.fsum(row) for row in x.tolist()])
+
+
+class TestRoundedSumSites:
+    # every site where rounded_sum takes over from math.fsum gives the bits it
+    # gave, at a size where the extraction runs
+
+    def test_periodic_integral_on_the_largest_grid(self):
+        phis = np.linspace(0.0, TWO_PI, MAX_NODES, endpoint=False)
+        for samples in (np.sin(phis) * (1.0 + 0.3 * np.cos(5 * phis)), (2.0 + np.cos(3 * phis)) ** 2):
+            assert periodic_integral(samples).hex() == (TWO_PI / MAX_NODES * math.fsum(samples.tolist())).hex()
+
+    def test_gap_mass_block_at_high_degree(self, monkeypatch):
+        body = recenter_to_steiner(random_body(3, 32768, index=1))
+        gaps, nodes_phi = [np.array([1e-4, 1.0, 3.0])], 2 * 32768 + 1
+        mass = visual_angle._gap_mass(body, gaps, nodes_phi)
+        monkeypatch.setattr(visual_angle, "rounded_sum", _fsum_reference)
+        assert mass.tolist() == visual_angle._gap_mass(body, gaps, nodes_phi).tolist()
+
+    def test_functionals_spectral_at_high_degree(self, monkeypatch):
+        body = random_body(3, 131072, index=1)
+        fs = functionals.functionals_spectral(body)
+        monkeypatch.setattr(functionals, "rounded_sum", _fsum_reference)
+        ref = functionals.functionals_spectral(body)
+        assert repr(fs) == repr(ref)  # a float's repr is its bits
+
+    def test_polar_sums_at_96_directions(self, monkeypatch):
+        body, cfg = random_body(3, 10, index=1), visual_angle.ExteriorConfig(nodes_phi=96)
+        results = []
+        for rounded in (rounded_sum, _fsum_reference):
+            monkeypatch.setattr(visual_angle, "rounded_sum", rounded)
+            visual_angle._polar_field.cache_clear()
+            results.append([visual_angle.exterior_integral_grid(body, k(), cfg) for k in visual_angle.KERNELS.values()])
+        visual_angle._polar_field.cache_clear()
+        assert repr(results[0]) == repr(results[1])
+
+    def test_stage_one_slack_is_minus_inf_past_the_float_range(self):
+        # (2^2 - 1) * 1e308 overflows; 3 * 5e307 twice sums past the range;
+        # 3 * 0.1 stays a plain certificate
+        n = np.array([2, 2, 2, 2])
+        a, b = np.array([1e308, 5e307, 5e307, 0.1]), np.zeros(4)
+        cuts = [slice(0, 1), slice(1, 3), slice(3, 4)]
+        rows = _stage_one([1.0, 1.0, 1.0], n, a, b, cuts)
+        assert [slack for _, slack, _ in rows] == [-math.inf, -math.inf, 1.0 - 3 * 0.1]

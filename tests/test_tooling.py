@@ -1,5 +1,5 @@
 """Tooling: the test configuration reports a failing property test instead of
-crashing, and the oracle timing script prints its table."""
+crashing, and the oracle and sum timing scripts print their tables."""
 
 import pathlib
 import subprocess
@@ -43,3 +43,15 @@ def test_oracle_timing_prints_one_row_per_degree():
     cells = [row.split() for row in rows]
     assert [(c[0], c[2]) for c in cells] == [("8", "1024"), ("32", "4096")]
     assert all(0.0 <= float(ratio) < 1.0 for c in cells for ratio in c[3:])
+
+
+def test_sum_timing_prints_one_row_per_shape_and_kind():
+    # the smallest default shapes: below the small-array rule and just above it
+    script = ROOT / "scripts" / "sum_timing.py"
+    out = subprocess.run([sys.executable, str(script), "256x10", "1x2048"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.split() == ["shape", "data", "sum_us", "extract_us", "fsum_us", "ratio", "bits"]
+    cells = [row.split() for row in rows]
+    assert [(c[0], c[1]) for c in cells] == [(s, k) for s in ("256x10", "1x2048") for k in ("positive", "signed")]
+    assert all(c[-1] == "same" and all(float(v) > 0.0 for v in c[2:6]) for c in cells)
