@@ -205,27 +205,22 @@ def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
     return tuple(float(v) for v in vals) if phi.ndim == 0 else tuple(vals)
 
 
-def _grid_derivs(body: TrigSupport, m: int, orders, shifts=None) -> tuple:
-    """p^(k)(2*pi*j/m + s), j = 0..m-1, for each order k (0 to 3) in `orders`
-    and each s of the 1-D `shifts` (one row each; no row axis when None).
+def _grid_derivs(body: TrigSupport, m: int, orders) -> tuple:
+    """p^(k)(2*pi*j/m), j = 0..m-1, for each order k (0 to 3) in `orders`.
 
     One "forward"-norm inverse real FFT, which never scales by the grid size,
-    of the rotated spectrum [k=0] a0 + (in)^k (a_n - i b_n) e^{ins} / 2 gives
-    the values at the grid's exact angles, with round-off about
-    u*log2(m)*sum_n n^k |c_n| (Higham 2002, ch. 24) against Horner's
-    N*u*sum_n n^k |c_n|.  A grid of m <= 2N nodes is sampled on the smallest
-    multiple q*m > 2N, every q-th value kept, so no harmonic aliases.  Each
-    row is its own transform: its bits do not depend on the other shifts,
-    except for a one-harmonic body called with one shift, whose one-element
-    rotation numpy rounds without the fused multiply-add of its array loop.
+    of the spectrum [k=0] a0 + (in)^k (a_n - i b_n) / 2 gives the values at
+    the grid's exact angles, with round-off about u*log2(m)*sum_n n^k |c_n|
+    (Higham 2002, ch. 24) against Horner's N*u*sum_n n^k |c_n|.  A grid of
+    m <= 2N nodes is sampled on the smallest multiple q*m > 2N, every q-th
+    value kept, so no harmonic aliases.
     """
-    n, coef = body.n, _coef(body)
+    n, half = body.n, 0.5 * _coef(body)
     q = 2 * body.max_degree // m + 1
-    half = 0.5 * coef if shifts is None else 0.5 * coef * np.exp(1j * np.outer(shifts, n))
-    spec = np.zeros((len(orders),) + half.shape[:-1] + (q * m // 2 + 1,), dtype=complex)
+    spec = np.zeros((len(orders), q * m // 2 + 1), dtype=complex)
     for row, k in zip(spec, orders):
-        row[..., 0] = body.a0 if k == 0 else 0.0
-        row[..., n] = (1, 1j, -1, -1j)[k] * n**k * half
+        row[0] = body.a0 if k == 0 else 0.0
+        row[n] = (1, 1j, -1, -1j)[k] * n**k * half
     return tuple(np.fft.irfft(spec, q * m, norm="forward")[..., ::q])
 
 
@@ -426,8 +421,11 @@ def _stage_one(a0: Sequence[float], n: np.ndarray, a: np.ndarray, b: np.ndarray,
     row (finite, slack, magnitude): whether every coefficient is finite;
     the certificate slack a0 - `rounded_sum` of (n^2 - 1)|c_n|, or -inf
     unless s = sum n^2 |c_n| (a plain sum) < 2^1023, so it cannot overflow;
-    a0 + s.  |c_n| is math.hypot, which np.hypot differs from in some last
-    bits; the products may leave the float range (inf, or NaN for 0*inf)."""
+    a0 + s.  The rows' sums are one call on the rows zero-padded to the
+    longest unless that takes over 4x the entries + 1024: the terms are
+    >= +0, so no bit and no sign of zero moves.  |c_n| is math.hypot, which
+    np.hypot differs from in some last bits; the products may leave the
+    float range (inf, or NaN for 0*inf)."""
     amps, sq = np.array(list(map(math.hypot, a.tolist(), b.tolist()))), n * n
     with np.errstate(over="ignore", invalid="ignore"):
         terms, weighted = (sq - 1) * amps, (sq * amps).tolist()
@@ -435,8 +433,16 @@ def _stage_one(a0: Sequence[float], n: np.ndarray, a: np.ndarray, b: np.ndarray,
     if bad.any():
         bad = np.concatenate(([0], np.cumsum(bad)))  # non-finite entries before each
         finite &= bad[[cut.start for cut in cuts]] == bad[[cut.stop for cut in cuts]]
-    rows = zip(finite.tolist(), a0, cuts, [sum(weighted[cut]) for cut in cuts])
-    return [(ok, m - rounded_sum(terms[cut]) if s < 2.0**1023 else -math.inf, m + s) for ok, m, cut, s in rows]
+    sums = [sum(weighted[cut]) for cut in cuts]
+    start, stop = (np.array([getattr(cut, end) for cut in cuts], dtype=np.intp) for end in ("start", "stop"))
+    width = np.where(np.array(sums) < 2.0**1023, stop - start, 0)
+    col = np.arange(width.max(initial=0))
+    if width.size * col.size <= 4 * terms.size + 1024:  # one sum of the rows zero-padded to the longest
+        fixed = rounded_sum(np.where(col < width[:, None], terms.take(start[:, None] + col, mode="clip"), 0.0)).tolist()
+    else:
+        fixed = [rounded_sum(terms[i : i + w]) for i, w in zip(start.tolist(), width.tolist())]
+    rows = zip(finite.tolist(), a0, fixed, sums)
+    return [(ok, m - t if s < 2.0**1023 else -math.inf, m + s) for ok, m, t, s in rows]
 
 
 def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:

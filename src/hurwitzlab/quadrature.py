@@ -6,13 +6,14 @@ functionals here integrate such polynomials, so the quadrature path is
 exact to round-off once the grid is fine enough.  Composite Gauss-Legendre
 panels cover the non-periodic intervals.  Every sum is `rounded_sum`'s,
 correctly rounded, so results do not depend on the order of additions or
-on how work is scheduled.  A grid is only its angles, `grid_for_degree`
-the one rule that sizes it; the callers sample their integrands there by
-one inverse FFT (`bodies._grid_derivs`).
+on how work is scheduled.  A grid is only its angles, sized by
+`grid_for_degree` (functionals) or `fast_len` (the tangent field); the
+callers sample their integrands there by inverse FFTs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -51,7 +52,7 @@ def rounded_sum(x):
     rows, n = (x if x.ndim == 2 else x[None]), x.shape[-1]
     out, live, r, hi, k = np.full(len(rows), np.nan), np.arange(len(rows)), rows, 0.0, (n + 1).bit_length()
     for _ in range(2):
-        big = np.maximum(r.max(1), -r.min(1))
+        big = np.abs(r).max(1)
         if not (keep := big < 2.0 ** (1022 - k)).all():  # finite, and sigma <= 2^1022
             live, r, big = live[keep], r[keep], big[keep]
         sigma = np.ldexp(1.0, k + np.frexp(big)[1])
@@ -93,6 +94,20 @@ def grid_for_degree(degree: int) -> np.ndarray:
     at least 256 nodes, a power of two, and exact for degree-2N products."""
     m = max(256, 1 << (4 * max(degree, 0) + 7).bit_length())
     return np.linspace(0.0, TWO_PI, m, endpoint=False)
+
+
+@lru_cache(maxsize=1)
+def _smooth_lengths() -> list[int]:
+    lengths = [1]
+    for p in (2, 3, 5, 7):
+        lengths = [x * p**k for x in lengths for k in range(21) if x * p**k <= MAX_NODES]
+    return sorted(lengths)
+
+
+def fast_len(m: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d >= m, for m <= MAX_NODES: a length the
+    FFT serves without Bluestein's algorithm, off a table built once."""
+    return (lengths := _smooth_lengths())[bisect.bisect_left(lengths, m)]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

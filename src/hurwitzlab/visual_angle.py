@@ -17,10 +17,16 @@ quadratures and in closed form:
   tangent lengths u1 = (p2 - p1 cos delta)/sin delta - p1' and
   u2 = (p2 cos delta - p1)/sin delta - p2' (p_i, p_i' at phi1 and
   phi1 + delta), is a product of two trigonometric polynomials of degree N
-  in phi1, so of degree 2N: the periodic trapezoid on 2N + 1 nodes is
-  exact, and on 2N nodes it aliases.  The integrator takes max(16, 2N + 1),
-  and p, p' on that grid shifted by each gap are rows of one inverse FFT
-  of the rotated spectrum per block of gaps (`bodies._grid_derivs`).
+  in phi1, so of degree 2N: the periodic trapezoid on m >= 2N + 1 nodes is
+  exact, and on 2N nodes it aliases.  The integrator takes the least such
+  m >= 16 with no prime factor above 7 (`quadrature.fast_len`).  With
+  c_n = a_n - i b_n, u1 has the coefficients a0 tan(delta/2) and
+  c_n (R_n + i D_n), u2 has -a0 tan(delta/2) and c_n e^{in delta}
+  (-R_n + i D_n), where R_n = (cos n delta - cos delta)/sin delta =
+  -2 sin((n+1) delta/2) sin((n-1) delta/2)/sin delta and D_n =
+  sin(n delta)/sin delta - n = -4 sum_{0<k<n, k+n odd} sin^2(k delta/2),
+  neither of which cancels; each is one inverse FFT per gap
+  (`_tangent_lengths`).
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point, the
   far zone mapped to s = r1/r on (0, 1] with no cutoff and the boundary
@@ -62,7 +68,6 @@ import numpy as np
 from .bodies import (
     TrigSupport,
     _derivs,
-    _grid_derivs,
     _polish_roots,
     _require_validated,
     boundary_point,
@@ -77,17 +82,17 @@ from .errors import (
     NonIntegrableKernel,
     RootCountAnomaly,
 )
-from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, gauss_panels, rounded_sum
+from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, fast_len, gauss_panels, rounded_sum
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
 # 8-point Gauss panels per radial zone (near and far) of the polar oracle.
 _POLAR_PANELS = 6
-# Entries (gaps x phi1) per block of _gap_mass, one _grid_derivs call each:
+# Entries (gaps x phi1) per block of _gap_mass, one _tangent_lengths call each:
 # blocks keep the field's memory flat in the degree (unblocked, degree 262142
-# would take about 6 GB); 2^13 to 2^16 timed within 20% of each other at
-# degrees 8 to 512, and 2^11 was 2.4x slower at 512.
-_BLOCK_ENTRIES = 1 << 13
+# would take about 6 GB); of 2^13 to 2^16, 2^14 timed best at degrees 8 to
+# 128 and 8192, and 1.14x and 1.34x the best (2^15) at 512 and 2048.
+_BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
 # Most cells of `_support_table` per root it serves: its samples cost as much as
@@ -264,11 +269,12 @@ class ExteriorConfig:
 
     nodes_phi: its directions, an integer in [16, 2^20] (ValueError, raised
     before any allocation), each with 96 radial nodes.  The tangent
-    integrator reads no config: its rule follows the body, max(16, 2N + 1)
-    phi1 nodes for a body of degree N (the fewest on which it is exact,
-    module docstring) and _DELTA_PANELS = 16 Gauss panels of 16 points in
-    the gap, gaps below the fixed collar _DELTA_MIN = 1e-4 excluded and
-    their dropped mass bounded inside the error bar.
+    integrator reads no config: its rule follows the body,
+    fast_len(max(16, 2N + 1)) phi1 nodes for a body of degree N (the fewest
+    with no prime factor above 7 on which it is exact, module docstring)
+    and _DELTA_PANELS = 16 Gauss panels of 16 points in the gap, gaps below
+    the fixed collar _DELTA_MIN = 1e-4 excluded and their dropped mass
+    bounded inside the error bar.
     """
 
     nodes_phi: int = 256
@@ -439,77 +445,62 @@ def support_line_angles(body: TrigSupport, point) -> TangentPair:
     return TangentPair(phi1=phi1, phi2=phi2, omega=omega, t1=t1, t2=t2)
 
 
-def _corners(phi1, deltas, at1, at2, sins):
-    """(px, py, u1, u2), one row per gap delta and one column per phi1: the
-    corner P where the support lines at phi1 and phi1 + delta meet, and the
-    signed tangent lengths from P to their tangency points, from (p, p') at
-    phi1 (at1) and at phi1 + delta (at2, one row per gap) and the gaps'
-    `math.sin` values (sins)."""
-    (p1, dp1), (p2, dp2) = at1, at2
-    c1, s1 = np.cos(phi1), np.sin(phi1)
-    phi2 = phi1 + deltas[:, None]
-    c2, s2 = np.cos(phi2), np.sin(phi2)
-    sd = sins[:, None]
-    px = (p1 * s2 - p2 * s1) / sd
-    py = (p2 * c1 - p1 * c2) / sd
-    return px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
-
-
 def exterior_point(body: TrigSupport, phi1: float, delta: float):
     """Exterior point with support-line normals at phi1 and phi1 + delta.
 
     Returns (P, jac, omega): P solves the 2x2 linear system of the two
-    support-line equations, jac = t1*t2/sin(omega) is the area-element
-    factor of the (phi1, delta) parametrization, and omega = pi - delta.
+    support-line equations, jac = t1*t2/sin(omega) = |u1*u2|/sin(delta) is
+    the area-element factor of the (phi1, delta) parametrization, u1 and u2
+    the signed tangent lengths from P, and omega = pi - delta.
     """
     _require_validated(body)
     if not (0.0 < delta < PI):
         raise DegenerateGap(f"delta must lie in (0, pi), got {delta}")
-    sd = math.sin(delta)
-    corner = _corners(
-        phi1, np.array([delta]), _derivs(body, phi1, (0, 1)), _derivs(body, phi1 + delta, (0, 1)), np.array([sd])
-    )
-    px, py, u1, u2 = (float(v[0, 0]) for v in corner)
-    return np.array([px, py]), abs(u1 * u2) / sd, PI - delta
+    sd, (p1, dp1), (p2, dp2) = math.sin(delta), _derivs(body, phi1, (0, 1)), _derivs(body, phi1 + delta, (0, 1))
+    c1, s1, c2, s2 = np.cos(phi1), np.sin(phi1), np.cos(phi1 + delta), np.sin(phi1 + delta)
+    px, py = float((p1 * s2 - p2 * s1) / sd), float((p2 * c1 - p1 * c2) / sd)
+    u1, u2 = -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
+    return np.array([px, py]), float(abs(u1 * u2)) / sd, PI - delta
 
 
 # ---------------------------------------------------------------------------
 # Tangent-coordinate integration
 
 
-def _gap_mass(body: TrigSupport, levels, nodes_phi: int, sines=None):
-    """Integral over phi1 of the area-element factor at the gaps of each
-    1-D array in `levels`, concatenated.
+def _tangent_lengths(body: TrigSupport, m: int, gaps) -> np.ndarray:
+    """(u1, u2) stacked, one row per gap delta and one column per phi1 =
+    2*pi*j/m, by the multipliers of the module docstring, sampled like
+    `bodies._grid_derivs` on a multiple q*m > 2N.  D_n runs by
+    D_(n+2) = D_n - 4 sin^2((n+1) delta/2) from D_0 = D_1 = 0.  Real
+    multiplies and adds alone form and apply the multipliers, so a row's
+    bits depend on its gap alone."""
+    n, a, b, top = body.n, 0.5 * body.a, 0.5 * body.b, body.max_degree
+    q = 2 * top // m + 1
+    half = (0.5 * gaps)[:, None] * np.arange(top + 2.0)
+    s, d = np.sin(half), np.zeros((len(gaps), top // 2 + 1, 2))  # D_2i+j at [:, i, j]
+    d.reshape(len(gaps), -1)[:, 2 : top + 1] = -4.0 * s[:, 1:top] ** 2
+    d = np.cumsum(d, axis=1).reshape(len(gaps), -1)
+    r, d, sn = -2.0 * s[:, n + 1] * s[:, n - 1] / np.sin(gaps)[:, None], d[:, n], s[:, n]
+    cos_n, sin_n = 1.0 - 2.0 * sn * sn, 2.0 * sn * np.cos(half[:, n])
+    ar, bd, ad, br = a * r, b * d, a * d, b * r  # c_n (R_n + i D_n) and c_n (-R_n + i D_n)
+    x, y = bd - ar, ad + br
+    spec = np.zeros((2, len(gaps), q * m // 2 + 1), dtype=complex)
+    spec[:, :, 0] = np.multiply.outer([body.a0, -body.a0], np.tan(0.5 * gaps))
+    spec[0].real[:, n], spec[0].imag[:, n] = ar + bd, ad - br
+    spec[1].real[:, n], spec[1].imag[:, n] = cos_n * x - sin_n * y, sin_n * x + cos_n * y
+    return np.fft.irfft(spec, q * m, norm="forward")[..., ::q]
 
-    Returns the kernel-independent tangent field G (cached by
-    `_tangent_field`) with integral_exterior f(omega) dP =
-    integral_0^pi f(pi - delta) G(delta) ddelta.  p and p' on the phi1 grid
-    are one unshifted `_grid_derivs` call for all levels, and shifted by
-    each gap one call per block of _BLOCK_ENTRIES corners, one row per gap.
-    `sines` holds the `math.sin` values of each level's gaps (computed here
-    when None); each block's slice serves its corners and the final division.
-    A block never spans two levels, so each level gives the bits it gives
-    alone: numpy rounds a one-element complex product, the spectrum of a
-    one-harmonic body rotated by a lone gap, without the fused multiply-add
-    of its array loop.
+
+def _gap_mass(body: TrigSupport, gaps, nodes_phi: int):
+    """The tangent field G at the 1-D `gaps`: integral_exterior f(omega) dP =
+    integral_0^pi f(pi - delta) G(delta) ddelta, G the periodic trapezoid of
+    |u1*u2| / sin(delta) on nodes_phi angles, one `_tangent_lengths` call
+    per block of _BLOCK_ENTRIES entries (gaps x phi1).
     """
-    phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
+    gaps = np.asarray(gaps, dtype=float)
     rows = max(1, _BLOCK_ENTRIES // nodes_phi)
-    at1 = _grid_derivs(body, nodes_phi, (0, 1))
-    sines = _sines(levels) if sines is None else sines
-    sums = []
-    for gaps, sins in zip(levels, sines, strict=True):
-        for start in range(0, len(gaps), rows):
-            block = np.asarray(gaps[start : start + rows], dtype=float)
-            at2 = _grid_derivs(body, nodes_phi, (0, 1), block)
-            _, _, u1, u2 = _corners(phi1, block, at1, at2, sins[start : start + rows])
-            sums.append(rounded_sum(np.abs(u1 * u2)))
-    return TWO_PI / nodes_phi * np.concatenate(sums) / np.concatenate(sines)
-
-
-def _sines(levels) -> list[np.ndarray]:
-    """`math.sin` of the gaps of each level (numpy's SIMD sin depends on the CPU)."""
-    return [np.array(list(map(math.sin, np.asarray(gaps, dtype=float).tolist()))) for gaps in levels]
+    blocks = (_tangent_lengths(body, nodes_phi, gaps[i : i + rows]) for i in range(0, len(gaps), rows))
+    return TWO_PI / nodes_phi * np.concatenate([rounded_sum(np.abs(u1 * u2)) for u1, u2 in blocks]) / np.sin(gaps)
 
 
 def _delta_edges(panels: int) -> np.ndarray:
@@ -526,35 +517,23 @@ def _gap_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(_read_only(*gauss_panels(_delta_edges(n), points=16)) for n in panels)
 
 
-@lru_cache(maxsize=1)
-def _field_levels() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The gap levels of `_tangent_field`, the fine and coarse nodes of
-    `_gap_rules` and the collar row at _DELTA_MIN, and their `_sines`; body
-    independent, built on first use."""
-    levels = (*(x for x, _ in _gap_rules()), *_read_only(np.array([_DELTA_MIN])))
-    return levels, _read_only(*_sines(levels))
-
-
 @lru_cache(maxsize=8)
 def _tangent_field(body: TrigSupport):
     """Kernel-independent part of `exterior_integral`, cached for the last 8
     bodies: (G at the gap nodes of the fine and of the coarse level of
     `_gap_rules`, the fine level's node count, G(_DELTA_MIN)).
 
-    G's phi1 rule is exact on max(16, 2N + 1) nodes (module docstring), and
-    both levels and the collar row sample phi1 on that many; the fine level
-    takes _DELTA_PANELS gap panels and the coarse level half as many, so
-    fine - coarse measures the delta rule.  The two levels and the collar
-    row are one `_gap_mass` call, whose masses are split back per level.
-    G is translation invariant, and the corners are solved on the
-    Steiner-centred body, where their round-off does not grow with the
-    translation.
+    G's phi1 rule is exact on the `fast_len`(max(16, 2N + 1)) nodes all gaps
+    take (module docstring).  The fine level takes _DELTA_PANELS gap panels
+    and the coarse level half as many, so fine - coarse measures the delta
+    rule.  The two levels and the collar row are one `_gap_mass` call, one
+    sequence of blocks, whose masses are split back per level.  G is
+    translation invariant: the n = 1 multipliers vanish (R_1 = D_1 = 0).
     """
-    body = recenter_to_steiner(body)
-    nodes_phi = max(16, 2 * body.max_degree + 1)
-    levels, sines = _field_levels()
-    mass = _gap_mass(body, levels, nodes_phi, sines)
-    *masses, collar_row = np.split(mass, np.cumsum([x.size for x in levels[:-1]]))
+    nodes_phi = fast_len(max(16, 2 * body.max_degree + 1))
+    levels = [x for x, _ in _gap_rules()]
+    mass = _gap_mass(body, np.concatenate([*levels, [_DELTA_MIN]]), nodes_phi)
+    *masses, collar_row = np.split(mass, np.cumsum([x.size for x in levels]))
     return _read_only(*masses), levels[0].size * nodes_phi, float(collar_row[0])
 
 
@@ -563,10 +542,10 @@ def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig 
 
     Composite Gauss panels in the gap direction (graded toward delta = pi,
     where the integrand has a removable limit) and a periodic trapezoid in
-    the angular direction on max(16, 2N + 1) nodes, exact for the degree-2N
-    phi1 integrand.  The error bar combines the difference from a coarse
-    level that halves only the delta panels with a bound on the mass dropped
-    inside the near-boundary collar.  The tangent field is kernel
+    the angular direction on fast_len(max(16, 2N + 1)) nodes, exact for the
+    degree-2N phi1 integrand.  The error bar combines the difference from a
+    coarse level that halves only the delta panels with a bound on the mass
+    dropped inside the near-boundary collar.  The tangent field is kernel
     independent and cached per body, and the kernel's weighted values on the
     gap nodes are body independent and held by the kernel.
     `config` is accepted, so the call reads like `exterior_integral_grid`'s,

@@ -271,31 +271,29 @@ class TestGridDerivs:
     @pytest.mark.parametrize("shifts", [None, np.array([0.3, -1.2, 2.9])])
     def test_grid_below_the_degree_matches_horner(self, shifts):
         # m = 64 against harmonics at, around and past m/2 and m: the samples
-        # come from the oversampled transform, so none aliases.  Horner is
-        # off by 4(N+1)*u*sum n^k |c_n| at its float angles, which are off the
-        # exact ones by at most 4u(2*pi + |s|) (rounding of 2*pi, j*h and + s)
+        # come from the oversampled transform, so none aliases.  The body
+        # turned by -s samples p(phi + s).  Horner is off by
+        # 4(N+1)*u*sum n^k |c_n| at its float angles, which are off the exact
+        # ones by at most 4u(2*pi + |s|) (rounding of 2*pi, j*h and + s)
         hs = tuple(Harmonic(n, 0.01 * (-1) ** n, 0.02 / (1 + n % 5)) for n in (31, 32, 33, 64, 100))
         body = TrigSupport(1.0, hs)
         m = 64
         phis = np.linspace(0.0, TWO_PI, m, endpoint=False)
-        got = bodies._grid_derivs(body, m, (0, 1, 2, 3), shifts)
-        for row, s in enumerate([0.0] if shifts is None else shifts):
-            angle_err = 4 * 2.0**-53 * (TWO_PI + abs(s))
+        for s in [0.0] if shifts is None else shifts:
+            got = bodies._grid_derivs(body if shifts is None else rigid_motion(body, -s), m, (0, 1, 2, 3))
             want = bodies._derivs(body, phis + s, (0, 1, 2, 3))
+            angle_err = 4 * 2.0**-53 * (TWO_PI + abs(s))
             for k in range(4):
                 bound = 4 * (body.max_degree + 1) * 2.0**-53 * _abs_sum(body, k) + angle_err * _abs_sum(body, k + 1)
-                have = got[k] if shifts is None else got[k][row]
-                assert np.max(np.abs(have - want[k])) <= bound
+                assert np.max(np.abs(got[k] - want[k])) <= bound
 
     @pytest.mark.parametrize("m", [81, 128, 1024])
     def test_rows_equal_single_row_calls(self, m):
-        # each shift's row has the bits of a call with that shift alone
+        # each order's row has the bits of a call with that order alone
         body = random_body(5, 40, index=2)
-        shifts = np.random.default_rng(m).uniform(0.0, PI, 9)
-        rows = bodies._grid_derivs(body, m, (0, 1), shifts)
-        for i, s in enumerate(shifts):
-            for k, single in enumerate(bodies._grid_derivs(body, m, (0, 1), np.array([s]))):
-                assert np.array_equal(rows[k][i], single[0])
+        rows = bodies._grid_derivs(body, m, (0, 1, 2, 3))
+        for k, row in enumerate(rows):
+            assert np.array_equal(row, bodies._grid_derivs(body, m, (k,))[0])
 
     def test_disk_is_its_mean(self):
         p, dp = bodies._grid_derivs(TrigSupport(2.5), 64, (0, 1))

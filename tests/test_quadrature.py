@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hurwitzlab import functionals, grid_for_degree, periodic_integral, quadrature, random_body, visual_angle
 from hurwitzlab.bodies import _grid_derivs, _stage_one, recenter_to_steiner
 from hurwitzlab.errors import EmptyGrid
-from hurwitzlab.quadrature import MAX_NODES, gauss_panels, rounded_sum
+from hurwitzlab.quadrature import MAX_NODES, fast_len, gauss_panels, rounded_sum
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -23,6 +23,27 @@ def test_cos_squared_exact():
 
 def test_constant():
     assert periodic_integral(np.ones(4)) == pytest.approx(TWO_PI, rel=1e-15)
+
+
+def _smooth(k):
+    for p in (2, 3, 5, 7):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fast_len_is_the_least_7_smooth_length():
+    # against a brute-force scan: every m <= 10^5, and the lengths of the
+    # tangent field at N = 32768 (65537 is prime) and at the top degree
+    top = 10**5
+    least, want = 10**6, {}
+    for m in range(top + 100, 0, -1):
+        least = m if _smooth(m) else least
+        want[m] = least
+    assert [fast_len(m) for m in range(1, top + 1)] == [want[m] for m in range(1, top + 1)]
+    for m in (65537, 524285, MAX_NODES):
+        assert fast_len(m) == next(k for k in range(m, 2 * m) if _smooth(k))
+    assert (fast_len(65537), fast_len(524285)) == (65610, 524288)
 
 
 def test_aliasing_at_degree_m():
@@ -222,7 +243,7 @@ class TestRoundedSumSites:
 
     def test_gap_mass_block_at_high_degree(self, monkeypatch):
         body = recenter_to_steiner(random_body(3, 32768, index=1))
-        gaps, nodes_phi = [np.array([1e-4, 1.0, 3.0])], 2 * 32768 + 1
+        gaps, nodes_phi = np.array([1e-4, 1.0, 3.0]), 2 * 32768 + 1
         mass = visual_angle._gap_mass(body, gaps, nodes_phi)
         monkeypatch.setattr(visual_angle, "rounded_sum", _fsum_reference)
         assert mass.tolist() == visual_angle._gap_mass(body, gaps, nodes_phi).tolist()
@@ -243,6 +264,23 @@ class TestRoundedSumSites:
             results.append([visual_angle.exterior_integral_grid(body, k(), cfg) for k in visual_angle.KERNELS.values()])
         visual_angle._polar_field.cache_clear()
         assert repr(results[0]) == repr(results[1])
+
+    @pytest.mark.parametrize("long_row", [8, 4096])
+    def test_stage_one_chunk_equals_rows_alone(self, long_row):
+        # one sum of the zero-padded rows, or (a row of 4096 among short ones)
+        # one sum per row, gives each row's bits alone; a row past the float
+        # range and an empty row among them
+        rng = np.random.default_rng(long_row)
+        sizes = [3, 0, long_row, 5, 1, 2]
+        n = np.concatenate([np.arange(1, k + 1) for k in sizes])
+        a, b = rng.uniform(-1e-3, 1e-3, (2, n.size)) / n**2
+        a[sizes[0] + 1] = 1e308  # row 2: its term 3e308 overflows
+        ends = np.cumsum(sizes).tolist()
+        cuts = list(map(slice, [0] + ends[:-1], ends))
+        rows = _stage_one([1.0] * len(cuts), n, a, b, cuts)
+        for cut, row in zip(cuts, rows, strict=True):
+            assert repr(row) == repr(_stage_one([1.0], n[cut], a[cut], b[cut], [slice(0, cut.stop - cut.start)])[0])
+        assert rows[2][1] == -math.inf and rows[1][1] == 1.0
 
     def test_stage_one_slack_is_minus_inf_past_the_float_range(self):
         # (2^2 - 1) * 1e308 overflows; 3 * 5e307 twice sums past the range;

@@ -31,7 +31,7 @@ from hurwitzlab import (
     visual_deficit_kernel,
 )
 from hurwitzlab import visual_angle
-from hurwitzlab.bodies import _derivs, _grid_derivs, boundary_point
+from hurwitzlab.bodies import _derivs, boundary_point
 from hurwitzlab.errors import (
     BadOrder,
     BoundaryCollar,
@@ -40,10 +40,9 @@ from hurwitzlab.errors import (
     NonIntegrableKernel,
     NotValidated,
 )
-from hurwitzlab.quadrature import gauss_panels
+from hurwitzlab.quadrature import fast_len, gauss_panels
 from hurwitzlab.visual_angle import (
     KERNELS,
-    _corners,
     _g,
     _g_table,
     _gap_mass,
@@ -520,13 +519,6 @@ def _reference_corners(phi1, deltas, p1, dp1, ends):
         yield px, py, -px * s1 + py * c1 - dp1, -px * s2 + py * c2 - dp2
 
 
-def _grid_corners(body, nodes_phi, deltas):
-    """Corners on the phi1 grid from one `_grid_derivs` call per gap."""
-    phi1 = np.linspace(0.0, TWO_PI, nodes_phi, endpoint=False)
-    ends = lambda d: tuple(v[0] for v in _grid_derivs(body, nodes_phi, (0, 1), np.array([d])))  # noqa: E731
-    return _reference_corners(phi1, deltas, *_grid_derivs(body, nodes_phi, (0, 1)), ends)
-
-
 def _mass_from_corners(deltas, nodes_phi, corners):
     return np.array([
         TWO_PI / nodes_phi * math.fsum(np.abs(u1 * u2).tolist()) / math.sin(d)
@@ -541,6 +533,25 @@ def _reference_gap_mass(body, deltas, nodes_phi):
     return _mass_from_corners(deltas, nodes_phi, corners)
 
 
+def _mp_gap_mass(body, delta):
+    """G(delta) to 40 digits from the corner's definition: u1 = (p2 - p1 cos d)/sin d
+    - p1' and u2 = (p2 cos d - p1)/sin d - p2' have the Fourier coefficients
+    c_n ((e^{ind} - cos d)/sin d - in) and c_n ((e^{ind} cos d - 1)/sin d - in e^{ind}),
+    and -u1*u2 >= 0 integrates over phi1 by Parseval; every trapezoid of
+    m >= 2N + 1 nodes gives that integral."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        d = mpmath.mpf(float(delta))
+        sd, cd = mpmath.sin(d), mpmath.cos(d)
+        total = -((mpmath.mpf(body.a0) * (1 - cd) / sd) ** 2)
+        for n, a, b in zip(body.n.tolist(), body.a.tolist(), body.b.tolist()):
+            c, e = mpmath.mpc(a, -b), mpmath.expj(n * d)
+            f1, f2 = c * ((e - cd) / sd - 1j * n), c * ((e * cd - 1) / sd - 1j * n * e)
+            total += (f1 * mpmath.conj(f2)).real / 2
+        return float(-2 * mpmath.pi * total / sd)
+
+
 def _reference_exterior_point(body, phi1, delta):
     p1, dp1 = eval_support(body, phi1, 0), eval_support(body, phi1, 1)
     ends = lambda d: (eval_support(body, phi1 + d, 0), eval_support(body, phi1 + d, 1))  # noqa: E731
@@ -548,8 +559,10 @@ def _reference_exterior_point(body, phi1, delta):
     return np.array([px, py]), float(abs(u1 * u2)) / math.sin(delta), PI - delta
 
 
-@pytest.fixture(scope="module", params=["circle", "mix", "random8", "random64"])
+@pytest.fixture(scope="module", params=["circle", "mix", "random8", "random64", "one_harmonic"])
 def field_body(request):
+    if request.param == "one_harmonic":  # random-0-2-0-0, centred: its n = 2 term alone
+        return recenter_to_steiner(random_body(0, 2, False, 0))
     if request.param.startswith("random"):
         return random_body(5, degree=int(request.param[6:]))
     return request.getfixturevalue(f"{request.param}_body")
@@ -559,11 +572,11 @@ def _three_call_field(body):
     """`_tangent_field` composed as one `_gap_mass` call per level and one
     for the collar row, each with its own blocks."""
     body = recenter_to_steiner(body)
-    nodes_phi = max(16, 2 * body.max_degree + 1)
+    nodes_phi = fast_len(max(16, 2 * body.max_degree + 1))
     panels = (visual_angle._DELTA_PANELS, visual_angle._DELTA_PANELS // 2)
     gaps = [gauss_panels(visual_angle._delta_edges(n), points=16)[0] for n in panels]
-    masses = tuple(_gap_mass(body, [nodes], nodes_phi) for nodes in gaps)
-    return masses, gaps[0].size * nodes_phi, float(_gap_mass(body, [[visual_angle._DELTA_MIN]], nodes_phi)[0])
+    masses = tuple(_gap_mass(body, nodes, nodes_phi) for nodes in gaps)
+    return masses, gaps[0].size * nodes_phi, float(_gap_mass(body, [visual_angle._DELTA_MIN], nodes_phi)[0])
 
 
 def _inline_integral(body, kernel):
@@ -576,7 +589,7 @@ def _inline_integral(body, kernel):
     return IntegralResult(fine, err, "tangent_coords", nodes)
 
 
-def _field_gaps(nodes_phi):
+def _test_gaps(nodes_phi):
     rows = max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
     rng = np.random.default_rng(nodes_phi)
     gaps = np.concatenate([[1e-4, PI - 1e-9], rng.uniform(1e-4, PI, 2 * rows + 1)])
@@ -584,48 +597,60 @@ def _field_gaps(nodes_phi):
     return gaps
 
 
+def _spy_blocks(monkeypatch):
+    """The gaps of each `_tangent_lengths` call, in call order."""
+    blocks, tangent_lengths = [], visual_angle._tangent_lengths
+    monkeypatch.setattr(
+        visual_angle, "_tangent_lengths",
+        lambda body, m, gaps: blocks.append(gaps.tolist()) or tangent_lengths(body, m, gaps),
+    )
+    return blocks
+
+
 class TestTangentField:
     @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
     def test_block_gap_mass_equals_per_gap_loop(self, field_body, nodes_phi):
-        # the blocks' rows are bit for bit one _grid_derivs call per gap
-        gaps = _field_gaps(nodes_phi)
-        block = _gap_mass(field_body, [gaps], nodes_phi)
-        assert np.array_equal(block, _mass_from_corners(gaps, nodes_phi, _grid_corners(field_body, nodes_phi, gaps)))
+        # the blocks' rows are bit for bit each gap computed alone
+        gaps = _test_gaps(nodes_phi)
+        block = _gap_mass(field_body, gaps, nodes_phi)
+        assert np.array_equal(block, np.concatenate([_gap_mass(field_body, [d], nodes_phi) for d in gaps]))
 
     @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
     def test_gap_mass_matches_horner(self, field_body, nodes_phi):
-        # 1e-12 relative; below delta = 5e-4 both evaluations' round-off grows
-        # like u/delta (corners of nearly parallel lines): at delta = 1e-4 the
-        # Horner form is itself 2.2e-12 off a 40-digit G on mix, 16 nodes
-        gaps = _field_gaps(nodes_phi)
+        # an independent evaluation, corners from Horner's p and p' one gap at
+        # a time, to 1e-12 relative; below delta = 5e-4 its own round-off grows
+        # like u/delta (corners of nearly parallel lines): at delta = 1e-4 it is
+        # 2.2e-12 off a 40-digit G on mix, 16 nodes (the 40-digit test below)
+        gaps = _test_gaps(nodes_phi)
         ref = _reference_gap_mass(field_body, gaps, nodes_phi)
-        got = _gap_mass(field_body, [gaps], nodes_phi)
+        got = _gap_mass(field_body, gaps, nodes_phi)
         assert np.all(np.abs(got - ref) <= np.maximum(1e-12, 5e-16 / gaps) * np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["circle", "mix", "random8", "random64", "random200"])
+    def test_gap_mass_matches_40_digits(self, request, name):
+        # 1e-14 relative at every gap, on the field's own grid and on 8N + 1
+        # nodes: the multipliers carry no cancellation, from delta = 1e-4 to
+        # pi - 1e-9 (3.9e-16 seen; the corner form was 1.3e-12 off at 1e-4)
+        if name.startswith("random"):
+            body = recenter_to_steiner(random_body(5, degree=int(name[6:])))
+        else:
+            body = request.getfixturevalue(f"{name}_body")
+        gaps = np.concatenate([[1e-4, 1e-3, 0.05, PI - 1e-4, PI - 1e-9], np.linspace(0.1, 3.0, 7)])
+        ref = np.array([_mp_gap_mass(body, d) for d in gaps])
+        for nodes_phi in (fast_len(max(16, 2 * body.max_degree + 1)), 8 * body.max_degree + 1):
+            got = _gap_mass(body, gaps, nodes_phi)
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref), nodes_phi
 
     @pytest.mark.parametrize("nodes_phi", [16, 100, 1 << 14])
     def test_gap_mass_blocks_bound_memory(self, monkeypatch, nodes_phi):
-        # no _grid_derivs call covers more gaps than a block of _BLOCK_ENTRIES
-        # corners holds, and together they cover every gap once
+        # no _tangent_lengths call covers more gaps than a block of
+        # _BLOCK_ENTRIES entries holds, and together they cover every gap once
         body = random_body(5, degree=64)
         gaps = np.linspace(1e-3, 3.0, 2 * max(1, visual_angle._BLOCK_ENTRIES // nodes_phi) + 3)
-        sizes = []
-        grid_derivs = visual_angle._grid_derivs
-        monkeypatch.setattr(
-            visual_angle, "_grid_derivs",
-            lambda body, m, orders, shifts=None: sizes.append(0 if shifts is None else len(shifts))
-            or grid_derivs(body, m, orders, shifts),
-        )
-        _gap_mass(body, [gaps], nodes_phi)
-        assert max(sizes) <= max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
-        assert sum(sizes) == gaps.size
-
-    def test_block_corners_keep_row_order(self, mix_body):
-        phi1 = np.linspace(0.0, TWO_PI, 40, endpoint=False)
-        gaps = np.linspace(0.1, 3.0, 7)
-        at1, at2 = _grid_derivs(mix_body, 40, (0, 1)), _grid_derivs(mix_body, 40, (0, 1), gaps)
-        rows = _corners(phi1, gaps, at1, at2, np.array([math.sin(d) for d in gaps]))
-        for got, want in zip(rows, zip(*_grid_corners(mix_body, 40, gaps))):
-            assert np.array_equal(got, np.array(want))
+        blocks = _spy_blocks(monkeypatch)
+        _gap_mass(body, gaps, nodes_phi)
+        assert max(map(len, blocks)) == max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
+        assert sum(blocks, []) == gaps.tolist()
 
     def test_exterior_point_unchanged_on_mix(self, mix_body):
         rng = np.random.default_rng(7)
@@ -644,12 +669,11 @@ class TestTangentField:
         for make in KERNELS.values():
             exterior_integral(body, make())
         assert len(calls) == 1
-        panels = visual_angle._DELTA_PANELS
-        assert [len(gaps) for gaps in calls[0][1]] == [16 * panels, 8 * panels, 1]
+        (fine, _), (coarse, _) = visual_angle._gap_rules()
+        assert calls[0][1].tolist() == [*fine.tolist(), *coarse.tolist(), visual_angle._DELTA_MIN]
 
-    # random draws (seed, degree, constant width, index): degree 2 and the
-    # constant-width degree 3 keep one harmonic once centred, where a lone
-    # gap's rotated spectrum rounds apart from the same row of a longer block
+    # random draws (seed, degree, constant width, index); degree 2 and the
+    # constant-width degree 3 keep one harmonic once centred
     @pytest.mark.parametrize(
         "name", ["circle", "ast", "delt", "cw35", "mix", "hd17"]
         + ["random-5-8-0-1", "random-5-64-0-1", "random-5-200-0-1", "random-0-2-0-0", "random-0-3-1-3"]
@@ -668,22 +692,27 @@ class TestTangentField:
         for got, want in zip(masses, want_masses, strict=True):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
+    @pytest.mark.parametrize("degree", [2, 3, 8, 64])
+    def test_field_ignores_translation_bit_for_bit(self, degree):
+        # the n = 1 multipliers are exact zeros (R_1 = D_1 = 0)
+        body = random_body(5, degree, index=2)
+        want = _tangent_field(recenter_to_steiner(body))
+        for v in [(1e3, -2e3), (1e-3, 5.0), (3e7, 1.0)]:
+            got = _tangent_field(validate_convex(rigid_motion(body, 0.0, v)))
+            assert [x.tobytes() for x in got[0]] == [x.tobytes() for x in want[0]] and got[1:] == want[1:]
+
     @pytest.mark.parametrize("degree", [8, 64, 200])
-    def test_one_pass_blocks_stay_within_levels(self, monkeypatch, degree):
-        # one unshifted call; each level's gaps in the blocks of a call of its own
+    def test_one_pass_blocks_span_levels(self, monkeypatch, degree):
+        # the 385 gaps once, in order, in blocks of _BLOCK_ENTRIES entries
+        # that run on across the fine level, the coarse level and the collar row
         body = random_body(5, degree, index=1)
-        sizes = []
-        grid_derivs = visual_angle._grid_derivs
-        monkeypatch.setattr(
-            visual_angle, "_grid_derivs",
-            lambda body, m, orders, shifts=None: sizes.append(None if shifts is None else len(shifts))
-            or grid_derivs(body, m, orders, shifts),
-        )
+        blocks = _spy_blocks(monkeypatch)
         _tangent_field.cache_clear()
         _tangent_field(body)
-        rows = max(1, visual_angle._BLOCK_ENTRIES // (2 * degree + 1))
-        want = [min(rows, size - start) for size in (256, 128, 1) for start in range(0, size, rows)]
-        assert sizes == [None] + want
+        rows = max(1, visual_angle._BLOCK_ENTRIES // fast_len(2 * degree + 1))
+        assert [len(block) for block in blocks] == [min(rows, 385 - start) for start in range(0, 385, rows)]
+        (fine, _), (coarse, _) = visual_angle._gap_rules()
+        assert sum(blocks, []) == [*fine.tolist(), *coarse.tolist(), visual_angle._DELTA_MIN]
 
     def test_field_cache_is_bounded(self):
         for i in range(10):
@@ -941,18 +970,16 @@ def degree_body(request):
 
 
 class TestDegreeExactGrid:
-    """The tangent field's phi1 rule: max(16, 2N + 1) nodes, exact for the
-    degree-2N integrand -u1*u2, whatever the config's nodes_phi."""
+    """The tangent field's phi1 rule: fast_len(max(16, 2N + 1)) nodes, exact
+    for the degree-2N integrand -u1*u2, whatever the config's nodes_phi."""
 
     def test_fine_level_is_exact(self, degree_body):
         n, body = degree_body
         gaps, fine = visual_angle._gap_rules()[0][0], _tangent_field(body)[0][0]
-        ref = _gap_mass(body, [gaps], 8 * n + 1)
-        # 1e-14 relative; below delta = 0.05 each sample's round-off grows like
-        # u/delta (corners of nearly parallel lines) whatever the grid
-        assert np.all(np.abs(fine - ref) <= np.maximum(1e-14, 5e-16 / gaps) * np.abs(ref))
+        ref = _gap_mass(body, gaps, 8 * n + 1)
+        assert np.all(np.abs(fine - ref) <= 1e-14 * np.abs(ref))
         # on 2N nodes the trapezoid aliases: 1.4e-7 relative at N = 128
-        assert np.max(np.abs(_gap_mass(body, [gaps], 2 * n) - ref) / np.abs(ref)) > 1e-9
+        assert np.max(np.abs(_gap_mass(body, gaps, 2 * n) - ref) / np.abs(ref)) > 1e-9
 
     @pytest.mark.parametrize("name", ["circle", "hd17"] + [f"random{n}" for n in _DEGREES])
     def test_bar_is_honest(self, request, name):
@@ -973,8 +1000,10 @@ class TestDegreeExactGrid:
 
     @pytest.mark.parametrize("n", [0, 7, 8, 128])
     def test_default_node_count(self, circle_body, n):
+        # fast_len(max(16, 2N + 1)): 17 -> 18 = 2*3^2, 257 -> 270 = 2*3^3*5
         body = circle_body if n == 0 else random_body(3, n, index=1)
-        assert exterior_integral(body, crofton_kernel()).nodes == 256 * max(16, 2 * n + 1)
+        want = {0: 16, 7: 16, 8: 18, 128: 270}[n]
+        assert exterior_integral(body, crofton_kernel()).nodes == 256 * want
 
 
 class TestPolarOracle:
