@@ -6,15 +6,17 @@ For each shape (rows x n) and each kind of data (positive: uniform on
 rounds of `rounded_sum` as called (sum_us), of its extraction with the
 small-array rule off (extract_us), and of math.fsum on each row's list
 (fsum_us), fsum_us / sum_us, and whether all three give the same bits.
-The small-array rule (`quadrature._EXTRACT_ROW`, `_EXTRACT_MIN`) sits
-where extract_us falls below fsum_us.
+The small-array rule (`quadrature._EXTRACT_MIN` entries) sits where
+extract_us falls below fsum_us.  Exits with status 1 if any shape
+prints DIFFER.
 
     python scripts/sum_timing.py [ROWSxN ...]
 
-The default shapes are those the call sites see (a tangent-field block at
-N = 8, a sweep chunk of spectra, the polar oracle's field at 96
-directions, a tangent row at N = 32768, the largest quadrature grid),
-then shapes around the rule's crossover.
+The default shapes are those the call sites see (a sweep chunk's weight
+table, 9 sums of 256 bodies of degree 8; the tangent-field blocks at
+N = 7 and N = 8; a sweep chunk's certificate rows; the polar oracle's
+field at 96 directions; a tangent row at N = 32768; the largest
+quadrature grid), then shapes around the rule's crossover.
 """
 
 import math
@@ -28,7 +30,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hurwitzlab import quadrature  # noqa: E402
 
-SHAPES = ["385x17", "256x10", "1x9216", "1x65537", f"1x{1 << 20}", "256x16", "256x17", "128x21", "1x1024", "1x2048"]
+SHAPES = [
+    "2304x10", "385x16", "385x18", "256x8", "1x9216", "1x65537", f"1x{1 << 20}",
+    "128x16", "32x64", "8x256", "1x1024", "1x2048",
+]
 
 
 def best_us(fns, x, rounds=9):
@@ -60,6 +65,7 @@ def per_row(x):
 
 def main(shapes):
     rng = np.random.default_rng(0)
+    differ = False
     print(f"{'shape':>12} {'data':>8} {'sum_us':>10} {'extract_us':>11} {'fsum_us':>10} {'ratio':>6}  bits")
     for shape in shapes:
         rows, n = (int(v) for v in shape.split("x"))
@@ -67,9 +73,13 @@ def main(shapes):
             x = x[0] if rows == 1 else x  # a one-row site passes a 1-D array
             ref = [v.hex() for v in per_row(x)]
             same = all([v.hex() for v in np.atleast_1d(f(x)).tolist()] == ref for f in (quadrature.rounded_sum, forced))
+            differ |= not same
             times = best_us((quadrature.rounded_sum, forced, per_row), x)
             print(f"{shape:>12} {kind:>8} {times[0]:>10.1f} {times[1]:>11.1f} {times[2]:>10.1f} {times[2] / times[0]:>6.2f}  {'same' if same else 'DIFFER'}")
 
 
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    main(sys.argv[1:] or SHAPES)
+    sys.exit(main(sys.argv[1:] or SHAPES))

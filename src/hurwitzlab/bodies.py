@@ -390,7 +390,7 @@ def validate_convex(body: TrigSupport, eps: float | None = None, *, _stage: tupl
     body the search would reject.
     """
     if _stage is None:
-        (_stage,) = _stage_one([body.a0], body.n, body.a, body.b, [slice(0, body.n.size)])
+        _stage = [v.item() for v in _stage_one([body.a0], body.n, body.a, body.b, [body.n.size])]
     finite, slack, magnitude = _stage
     if not finite:
         raise BadSpec("support coefficients must be finite")
@@ -415,34 +415,34 @@ def validate_convex(body: TrigSupport, eps: float | None = None, *, _stage: tupl
     return _bounded(_body(body.a0, body.n, body.a, body.b, validated=True), magnitude)
 
 
-def _stage_one(a0: Sequence[float], n: np.ndarray, a: np.ndarray, b: np.ndarray, cuts: Sequence[slice]) -> list:
+def _stage_one(a0, n: np.ndarray, a: np.ndarray, b: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage 1 of `validate_convex` on rows of harmonics: row i is the mean
-    term a0[i] and the slice cuts[i] of the flat arrays n, a and b.  Per
-    row (finite, slack, magnitude): whether every coefficient is finite;
-    the certificate slack a0 - `rounded_sum` of (n^2 - 1)|c_n|, or -inf
-    unless s = sum n^2 |c_n| (a plain sum) < 2^1023, so it cannot overflow;
-    a0 + s.  The rows' sums are one call on the rows zero-padded to the
-    longest unless that takes over 4x the entries + 1024: the terms are
-    >= +0, so no bit and no sign of zero moves.  |c_n| is math.hypot, which
-    np.hypot differs from in some last bits; the products may leave the
-    float range (inf, or NaN for 0*inf)."""
+    term a0[i] and the entries ends[i-1] to ends[i] (from 0 for i = 0) of the
+    flat arrays n, a and b.  Per row, as three arrays (finite, slack,
+    magnitude): whether every coefficient is finite; the certificate slack
+    a0 - `rounded_sum` of (n^2 - 1)|c_n|, or -inf unless s = sum n^2 |c_n|
+    (a plain sum, left to right) < 2^1023, so it cannot overflow; a0 + s.
+    Both sums run on the rows zero-padded to the longest, the plain one as a
+    running sum along each row, unless that takes over 4x the entries + 1024,
+    when each row is a call of its own: the terms are >= +0, so no bit and no
+    sign of zero moves.  |c_n| is math.hypot, which np.hypot differs from in
+    some last bits; the products may leave the float range (inf, or NaN for
+    0*inf)."""
+    a0, ends = np.asarray(a0, dtype=float), np.asarray(ends, dtype=np.intp)
+    start = np.concatenate(([0], ends[:-1]))
+    col = np.arange((ends - start).max(initial=0))
+    if ends.size * col.size > 4 * n.size + 1024:
+        rows = [_stage_one(a0[i : i + 1], n[s:e], a[s:e], b[s:e], [e - s]) for i, (s, e) in enumerate(zip(start, ends))]
+        return tuple(np.concatenate(part) for part in zip(*rows))
     amps, sq = np.array(list(map(math.hypot, a.tolist(), b.tolist()))), n * n
+    at, pad = start[:, None] + col, col < (ends - start)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms, weighted = (sq - 1) * amps, (sq * amps).tolist()
-    finite, bad = np.isfinite(a0), ~(np.isfinite(a) & np.isfinite(b))
-    if bad.any():
-        bad = np.concatenate(([0], np.cumsum(bad)))  # non-finite entries before each
-        finite &= bad[[cut.start for cut in cuts]] == bad[[cut.stop for cut in cuts]]
-    sums = [sum(weighted[cut]) for cut in cuts]
-    start, stop = (np.array([getattr(cut, end) for cut in cuts], dtype=np.intp) for end in ("start", "stop"))
-    width = np.where(np.array(sums) < 2.0**1023, stop - start, 0)
-    col = np.arange(width.max(initial=0))
-    if width.size * col.size <= 4 * terms.size + 1024:  # one sum of the rows zero-padded to the longest
-        fixed = rounded_sum(np.where(col < width[:, None], terms.take(start[:, None] + col, mode="clip"), 0.0)).tolist()
-    else:
-        fixed = [rounded_sum(terms[i : i + w]) for i, w in zip(start.tolist(), width.tolist())]
-    rows = zip(finite.tolist(), a0, fixed, sums)
-    return [(ok, m - t if s < 2.0**1023 else -math.inf, m + s) for ok, m, t, s in rows]
+        terms, weighted = ((sq - 1) * amps).take(at, mode="clip"), (sq * amps).take(at, mode="clip")
+    bad = np.concatenate(([0], np.cumsum(~(np.isfinite(a) & np.isfinite(b)))))  # non-finite entries before each
+    sums = np.where(pad, weighted, 0.0).cumsum(1)[:, -1] if col.size else np.zeros(ends.size)
+    fits = sums < 2.0**1023
+    slack = np.where(fits, a0 - rounded_sum(np.where(pad & fits[:, None], terms, 0.0)), -math.inf)
+    return np.isfinite(a0) & (bad[start] == bad[ends]), slack, a0 + sums
 
 
 def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:
@@ -451,7 +451,7 @@ def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:
     (see validate_convex)."""
     if body.validated:
         if magnitude is None:
-            ((_, _, magnitude),) = _stage_one([body.a0], body.n, body.a, body.b, [slice(0, body.n.size)])
+            magnitude = _stage_one([body.a0], body.n, body.a, body.b, [body.n.size])[2].item()
         if not magnitude <= _MAX_MAGNITUDE:
             raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
     return body
@@ -556,6 +556,12 @@ def _dense(bodies: Sequence[TrigSupport]) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.array([body.a0 for body in bodies]), a, b
 
 
+def chunk_body(a0: np.ndarray, a: np.ndarray, b: np.ndarray, j: int) -> TrigSupport:
+    """Row j of a chunk of validated bodies in the form of `_dense` as a body."""
+    n = np.flatnonzero(np.logical_or(a[j], b[j]))
+    return _body(a0[j], *_read_only(n, a[j, n], b[j, n]), validated=True)
+
+
 @dataclass(frozen=True)
 class HypocycloidSpec:
     """Hypocycloid traced by a circle of radius r rolling inside radius k*r.
@@ -594,7 +600,7 @@ def random_body(
     Randomness flows from a counter-based generator keyed on (seed, index)
     so sweeps are reproducible and order-independent: the draws follow
     numpy's SeedSequence(seed, spawn_key=(index,)) -> Philox4x64 stream bit
-    for bit, computed in array form (`random_bodies`, of which this is the
+    for bit, computed in array form (`random_chunk`, of which this is the
     one-body case) without importing numpy.random.  Amplitudes are halved
     (at most 60 times) until strict convexity holds.  The degree must lie
     in [1, _MAX_DEGREE] and seed and index must be non-negative integers
@@ -603,11 +609,18 @@ def random_body(
     return random_bodies(seed, [index], [degree], [constant_width])[0]
 
 
-def random_bodies(
-    seed: int, index: Sequence[int], degree: Sequence[int], constant_width: Sequence[bool]
-) -> list[TrigSupport]:
+def random_bodies(seed: int, index: Sequence[int], degree: Sequence[int], constant_width: Sequence[bool]) -> list:
     """[random_body(seed, d, cw, index=i) for i, d, cw in zip(...)], bit for
-    bit, drawn in array passes.
+    bit: the rows of `random_chunk` as bodies."""
+    a0, a, b = random_chunk(seed, index, degree, constant_width)
+    return [chunk_body(a0, a, b, j) for j in range(a0.size)]
+
+
+def random_chunk(seed: int, index: Sequence[int], degree: Sequence[int], constant_width: Sequence[bool]) -> tuple:
+    """The validated bodies of `random_bodies` as `_dense` holds a chunk:
+    their mean terms, and a_n and b_n with one row per body and one column
+    per frequency up to the largest degree (so meant for one body, or for
+    chunks of low degree such as sweep's), drawn in array passes.
 
     Each row's stream is Philox4x64-10 (Salmon et al. 2011) under the key
     numpy's SeedSequence(seed, spawn_key=(i,)).generate_state(2, uint64)
@@ -616,7 +629,8 @@ def random_bodies(
     (magnitude, phase) of n = 1..degree take the stream in order; constant
     width keeps the odd n.  Stage 1 of `validate_convex` (`_stage_one`)
     runs on all rows at once, and a row it does not certify goes through
-    `validate_convex`, its amplitudes halved while it is rejected.
+    `validate_convex`, its amplitudes halved while it is rejected, and is
+    written back.
     """
     for d in degree:
         if not 1 <= d <= _MAX_DEGREE:
@@ -643,16 +657,17 @@ def random_bodies(
     keep = np.logical_or(a, b)
     if not keep.all():
         n, a, b, at = n[keep], a[keep], b[keep], at[keep]
-    n, a, b = _read_only(n, a, b)
-    ends = np.cumsum(np.bincount(at, minlength=rows.size))
-    cuts = list(map(slice, [0] + ends[:-1].tolist(), ends.tolist()))
+    a0, dense = np.ones(rows.size), np.zeros((2, rows.size, degree.max(initial=0) + 1))
+    dense[0, at, n], dense[1, at, n] = a, b
+    ends = np.cumsum(counts := np.bincount(at, minlength=rows.size))
+    finite, slack, magnitude = stage = _stage_one(a0, n, a, b, ends)
     floor = 1e-9 + _CERT_MARGIN  # validate_convex's on a0 = 1, eps = 1e-9*a0
-    drawn = []
-    for cut, (finite, slack, magnitude) in zip(cuts, _stage_one([1.0] * rows.size, n, a, b, cuts)):
-        sure = finite and slack >= floor and magnitude <= _MAX_MAGNITUDE
-        body = _body(1.0, n[cut], a[cut], b[cut], validated=sure)
-        drawn.append(body if sure else _convex(body, (finite, slack, magnitude)))
-    return drawn
+    for j in np.flatnonzero(~(finite & (slack >= floor) & (magnitude <= _MAX_MAGNITUDE))).tolist():
+        cut = slice(ends[j] - counts[j], ends[j])
+        body = _convex(_body(1.0, *_read_only(n[cut], a[cut], b[cut])), [v[j].item() for v in stage])
+        dense[:, j] = 0.0
+        dense[0, j, body.n], dense[1, j, body.n] = body.a, body.b
+    return a0, dense[0], dense[1]
 
 
 def _uniforms(seed: int, index: list[int], blocks: np.ndarray) -> np.ndarray:

@@ -26,9 +26,9 @@ from .errors import HurwitzLabError
 from .functionals import functionals_quadrature, functionals_spectral
 from .quadrature import TWO_PI
 from .render import CURVE_KINDS, Scene, Style, sample_curve, sample_hypocycloid, write_svg
-from .verdicts import THEOREMS, SuiteConfig, run_suite, run_suites
+from .verdicts import THEOREMS, SuiteConfig, chunk_rows, run_suite
 
-# Bodies per `run_suites` call of `sweep`: the per-call cost is paid once per
+# Bodies per chunk of `sweep`: the per-call cost is paid once per
 # chunk, and memory stays flat in --count.
 _SWEEP_CHUNK = 256
 
@@ -184,13 +184,15 @@ def cmd_render(args) -> int:
 def cmd_sweep(args) -> int:
     """Verdicts on `--count` random bodies, `_SWEEP_CHUNK` at a time.
 
-    Body i has degree 2 + i % 7 and constant width at odd i; each chunk's
-    spectral verdicts are one `run_suites` call, and with `--path both`
-    every (count // 8)-th body also runs its geometric verdicts.  The
-    summary keeps, per theorem, the least residual over the applicable
-    verdicts in body order (a body's geometric residual right after its
-    spectral one), their number and their equality hits, and lists the
-    bodies that fail.
+    Body i has degree 2 + i % 7 and constant width at odd i.  Each chunk is
+    drawn as arrays (`bodies.random_chunk`) and its spectral verdicts are one
+    `verdicts.chunk_rows` call, `run_suites(random_bodies(...))` bit for
+    bit; with `--path both` every (count // 8)-th body also runs its
+    geometric verdicts.  Only those bodies and the failing ones are built
+    as `TrigSupport`.  The summary keeps, per theorem, the least residual
+    over the applicable verdicts in body order (a body's geometric residual
+    right after its spectral one), their number and their equality hits,
+    and lists the bodies that fail.
     """
     if args.count < 1:
         raise HurwitzLabError(f"--count must be >= 1, got {args.count}")
@@ -199,9 +201,9 @@ def cmd_sweep(args) -> int:
     violations = []
     for start in range(0, args.count, _SWEEP_CHUNK):
         index = range(start, min(start + _SWEEP_CHUNK, args.count))
-        bodies = B.random_bodies(args.seed, index, [2 + i % 7 for i in index], [i % 2 == 1 for i in index])
-        geometric = [j for j, i in enumerate(index) if geo_stride and i % geo_stride == 0]
-        rows = run_suites(bodies, args.tol, geometric)
+        chunk = B.random_chunk(args.seed, index, [2 + i % 7 for i in index], [i % 2 == 1 for i in index])
+        geometric = {j: B.chunk_body(*chunk, j) for j, i in enumerate(index) if geo_stride and i % geo_stride == 0}
+        rows = chunk_rows(*chunk, args.tol, geometric)
         for tid, app, residual, equality in zip(THEOREMS, rows.applicable, rows.residual, rows.equality):
             if not app.any():
                 continue
@@ -211,8 +213,8 @@ def cmd_sweep(args) -> int:
             # the first least residual, as a running min in body order picks it
             entry["min_residual"] = min(entry["min_residual"], residual[np.argmin(residual)].item())
             entry["equality_hits"] += int(np.count_nonzero(equality))
-        violations.extend({"index": i, "body": B.body_to_dict(body)}
-                          for i, body, ok in zip(index, bodies, rows.passed.tolist()) if not ok)
+        violations.extend({"index": index[j], "body": B.body_to_dict(B.chunk_body(*chunk, j))}
+                          for j in np.flatnonzero(~rows.passed).tolist())
     summary = {
         "count": args.count,
         "seed": args.seed,

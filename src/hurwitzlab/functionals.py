@@ -4,9 +4,9 @@ Every quantity is available both as a closed-form sum over the squared
 harmonic amplitudes c_n^2 (path "spectral") and as a periodic-quadrature
 integral over one sampling of p and its first three derivatives (path
 "quadrature").  The two paths share no code beyond body evaluation, so each
-serves as the other's oracle.  The spectral sums of a chunk of bodies come in
-one pass over their c_n^2 matrix (`functionals_spectral_rows`), with the
-bits each body gives alone.
+serves as the other's oracle.  A chunk of bodies takes the weights of the
+spectral sums (`_functional_weights`) into the one weight table of its
+verdicts (`verdicts`), with the bits each body gives alone.
 
 Closed forms, with c_n^2 taken about the Steiner point where it matters:
 
@@ -88,9 +88,8 @@ def _functional_weights(n: np.ndarray) -> np.ndarray:
 
 
 def functionals_spectral(body: TrigSupport) -> FunctionalSet:
-    """Closed-form spectral sums over the harmonic amplitudes.
-
-    The one-body case of `functionals_spectral_rows`: each sum is `rounded_sum`'s.
+    """Closed-form spectral sums over the harmonic amplitudes, each
+    `rounded_sum`'s: the six of `_functional_weights`, read by `_spectral_set`.
     """
     _require_validated(body)
     n, degree = body.n, body.max_degree
@@ -100,18 +99,6 @@ def functionals_spectral(body: TrigSupport) -> FunctionalSet:
     cn = tuple(zip(range(2, degree + 1), dense[2:].tolist()))
     sums = rounded_sum(_functional_weights(n) * body.c_sq).tolist()
     return _spectral_set(body.a0, sums, steiner=(float(sx), float(sy)), cn_sq=cn)
-
-
-def functionals_spectral_rows(a0: np.ndarray, c_sq: np.ndarray) -> FunctionalSet:
-    """`functionals_spectral` of a chunk of bodies, each scalar field an array
-    over the bodies, bit for bit the value of each body alone.
-
-    a0 holds the bodies' mean terms and c_sq one row per body, c_sq[:, n] =
-    c_n^2 (0.0 where a body lacks n, which adds exact zeros, every weight
-    being >= 0); steiner and cn_sq stay empty.
-    """
-    weights = _functional_weights(np.arange(c_sq.shape[1]))
-    return _spectral_set(a0, [rounded_sum(w * c_sq) for w in weights], steiner=(), cn_sq=())
 
 
 def _spectral_set(a0, sums, **parts) -> FunctionalSet:

@@ -13,7 +13,6 @@ callers sample their integrands there by inverse FFTs.
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 # Largest node count of a grid or an exterior-integral direction: 2^20 nodes
 # are 8 MiB per sampled array.
 MAX_NODES = 1 << 20
-_EXTRACT_ROW, _EXTRACT_MIN = 12, 1200  # below rows * (n - 12) = 1200 math.fsum costs less (scripts/sum_timing.py)
+_EXTRACT_MIN = 2048  # below 2048 entries math.fsum costs less, whatever the shape (scripts/sum_timing.py)
 
 
 def rounded_sum(x):
@@ -42,31 +41,39 @@ def rounded_sum(x):
     is off by at most |e| + u|d| + 2nu*n*u*sigma (e its exact TwoSum error;
     2nu >= gamma_(n-1) for r.sum() in any order); doubled and rounded up past
     its roundings, this certifies c below the gap from |c| down to the next
-    float, the smaller gap about c, so no tie passes.  math.fsum takes small
-    arrays, and rows undecided, non-finite, with sigma > 2^1022 (its inf, nan,
-    OverflowError) or c = 0 (its sign of zero).
+    float, the smaller gap about c, so no tie passes.  Where r is all zero the
+    sum is hi + lo and d = lo, so c is its one IEEE rounding, ties to even as
+    math.fsum rounds.  Rows shorter than their count are the columns of one
+    transposed copy, so each max and sum is an elementwise pass across rows;
+    the second level runs on the rows the first leaves undecided.  math.fsum
+    takes arrays below _EXTRACT_MIN entries, and rows undecided, non-finite,
+    with sigma > 2^1022 (its inf, nan, OverflowError) or c = 0 (its sign of
+    zero).
     """
     x = np.asarray(x, dtype=float)
-    if (len(x) if x.ndim == 2 else 1) * (x.shape[-1] - _EXTRACT_ROW) < _EXTRACT_MIN:
-        return math.fsum(x.tolist()) if x.ndim == 1 else np.array(list(map(math.fsum, x.tolist())))
     rows, n = (x if x.ndim == 2 else x[None]), x.shape[-1]
-    out, live, r, hi, k = np.full(len(rows), np.nan), np.arange(len(rows)), rows, 0.0, (n + 1).bit_length()
-    for _ in range(2):
-        big = np.abs(r).max(1)
+    if x.size < _EXTRACT_MIN:
+        return math.fsum(x.tolist()) if x.ndim == 1 else np.array(list(map(math.fsum, x.tolist())))
+    r = np.ascontiguousarray(rows.T) if n < len(rows) else rows.T  # one column per row
+    out, live, hi, k = np.full(len(rows), np.nan), np.arange(len(rows)), np.zeros(len(rows)), (n + 1).bit_length()
+    for level in range(2):
+        big = np.abs(r).max(0)
         if not (keep := big < 2.0 ** (1022 - k)).all():  # finite, and sigma <= 2^1022
-            live, r, big = live[keep], r[keep], big[keep]
+            live, r, big, hi = live[keep], r.compress(keep, axis=1), big[keep], hi[keep]
         sigma = np.ldexp(1.0, k + np.frexp(big)[1])
-        q = r + sigma[:, None]
-        q -= sigma[:, None]
-        hi, lo = _two_sum(hi, q.sum(1))
+        q = r + sigma
+        q -= sigma
+        hi, lo = _two_sum(hi, q.sum(0))
         r = np.subtract(r, q, out=q)
-        c, e = _two_sum(hi, d := lo + r.sum(1))
+        c, e = _two_sum(hi, d := lo + r.sum(0))
         bound = np.abs(e) + 2.0**-53 * np.abs(d) + 2.0**-105 * n * n * sigma
-        done = bound * (2.0 + 2.0**-49) + 2.0**-1069 < np.abs(c) - np.nextafter(np.abs(c), 0.0)
+        size = np.abs(c)  # its bits less one are the next float down; 0 gives NaN, which certifies nothing
+        done = bound * (2.0 + 2.0**-49) + 2.0**-1069 < size - (size.view(np.int64) - 1).view(float)
+        done |= ~r.any(0) & (c != 0.0)
         out[live[done]] = c[done]
-        live, r, hi = live[~done], r[~done], hi[~done]
-        if not live.size:
+        if level or done.all():
             break
+        live, r, hi = live[~done], r.compress(~done, axis=1), hi[~done]
     left = np.isnan(out)
     out[left] = list(map(math.fsum, rows[left].tolist()))
     return float(out[0]) if x.ndim == 1 else out
@@ -96,18 +103,23 @@ def grid_for_degree(degree: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, m, endpoint=False)
 
 
-@lru_cache(maxsize=1)
-def _smooth_lengths() -> list[int]:
-    lengths = [1]
-    for p in (2, 3, 5, 7):
-        lengths = [x * p**k for x in lengths for k in range(21) if x * p**k <= MAX_NODES]
-    return sorted(lengths)
-
-
 def fast_len(m: int) -> int:
     """The smallest 2^a 3^b 5^c 7^d >= m, for m <= MAX_NODES: a length the
-    FFT serves without Bluestein's algorithm, off a table built once."""
-    return (lengths := _smooth_lengths())[bisect.bisect_left(lengths, m)]
+    FFT serves without Bluestein's algorithm.  Each odd part p = 3^b 5^c 7^d
+    below the best length so far takes the least power of two that lifts it
+    to m, the ceiling of m/p rounded up to a power of two."""
+    best = 1 << (m - 1).bit_length() if m > 1 else 1
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                best = min(best, p3 << (-(-m // p3) - 1).bit_length())
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

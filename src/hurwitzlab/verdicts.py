@@ -12,7 +12,8 @@ body the entries see floats, on a chunk of bodies arrays with one column
 per body.  Residual, equality, applicability and pass then follow for all
 rows in one array pass, with the same bits either way.  `run_suite` calls
 it once per path, `verify` reads one theorem's verdict from that pass and
-`run_suites` is its spectral pass over a chunk.  A named integral is the kernel
+`run_suites` is its spectral pass over a chunk, whose every spectral sum is
+one `rounded_sum` call on one weight table.  A named integral is the kernel
 `visual_angle.KERNELS[name]` integrated by `spectral_integral`, whose closed
 form follows from the kernel's coefficients, or by `exterior_integral`.
 """
@@ -28,9 +29,9 @@ from typing import Callable, Collection, NamedTuple, Sequence
 import numpy as np
 
 from .bodies import TrigSupport, _constant_width, _dense, _require_validated, is_constant_width
-from .functionals import FunctionalSet, functionals_quadrature, functionals_spectral, functionals_spectral_rows
-from .quadrature import PI
-from .visual_angle import KERNELS, exterior_integral, spectral_integral, spectral_integral_rows
+from .functionals import FunctionalSet, _functional_weights, _spectral_set, functionals_quadrature, functionals_spectral
+from .quadrature import PI, rounded_sum
+from .visual_angle import KERNELS, exterior_integral, spectral_integral
 
 
 class TheoremId(str, Enum):
@@ -395,34 +396,54 @@ def run_suite(body: TrigSupport, config: SuiteConfig | None = None) -> SuiteRepo
 
 
 def run_suites(bodies: Sequence[TrigSupport], tol: float = 1e-9, geometric: Collection[int] = ()) -> VerdictRows:
-    """`run_suite`'s verdicts on a chunk of validated bodies, in array passes.
+    """`run_suite`'s verdicts on a chunk of validated bodies, in array passes:
+    `chunk_rows` on their `_dense` form.
 
-    The bodies' c_n^2 form one matrix, one row per body, from which the
-    constant-width test, the functionals and each named closed-form integral
-    come in one pass each, and the evaluator reads them as arrays.  The rows
-    hold one column per verdict set: each body's spectral verdicts and, right
-    after them for a body whose position is in `geometric`, its geometric
-    ones, evaluated per body.  `passed` and `scale` hold one entry per body:
-    its pass as `run_suite` gives it with path "spectral", or "both" for the
-    bodies in `geometric`.  Every entry has the bits `run_suite` gives.  The
-    matrix has a column per frequency up to the chunk's largest degree, so
-    it is meant for chunks of low degree, such as `sweep`'s (2 to 8).
+    The rows hold one column per verdict set: each body's spectral verdicts
+    and, right after them for a body whose position is in `geometric`, its
+    geometric ones, evaluated per body.  `passed` and `scale` hold one entry
+    per body: its pass as `run_suite` gives it with path "spectral", or
+    "both" for the bodies in `geometric`.  Every entry has the bits
+    `run_suite` gives.  The chunk has a column per frequency up to its
+    largest degree, so it is meant for chunks of low degree, such as
+    `sweep`'s (2 to 8).
     """
-    tol = SuiteConfig(tol=tol).tol
     for body in bodies:
         _require_validated(body)
-    a0, a, b = _dense(bodies)
-    n, c_sq = np.arange(a.shape[1]), a * a + b * b
-    cw = _constant_width(a0, n, a, b)
-    integrals = {None: (None, 0.0)}
+    return chunk_rows(*_dense(bodies), tol, {j: bodies[j] for j in geometric})
 
-    def integral(name):
-        if name not in integrals:
-            integrals[name] = (np.array(spectral_integral_rows(KERNELS[name](), a0.tolist(), n, c_sq)), 0.0)
-        return integrals[name]
 
-    rows = _evaluate(functionals_spectral_rows(a0, c_sq), cw, integral, "spectral", tol)
-    geo = {j: _verdicts(bodies[j], "geometric", tol, bool(cw[j]), rows.scale[j])[0] for j in sorted(geometric)}
+def _spectral_sums(a0: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[FunctionalSet, dict]:
+    """The spectral functionals of a chunk of bodies in the form of
+    `bodies._dense`, as arrays, and the closed form of each integral THEOREMS
+    names, bit for bit each body's own.  One weight table has a row per sum
+    (the six of `_functional_weights`, then each `Kernel.spectral_weights`)
+    and a column for a0, weighed 0 or w(0) and then times a0 again as
+    `spectral_integral` forms w(0) a0^2, and one per c_n^2.  All products,
+    one column per sum and body, are one `rounded_sum` call.
+    """
+    names = list(dict.fromkeys(t.integral for t in THEOREMS.values() if t.integral))
+    n = np.arange(a.shape[1])
+    table = np.zeros((6 + len(names), n.size + 1))
+    table[:6, 1:] = _functional_weights(n)
+    for row, name in zip(table[6:], names):
+        row[0], row[1:] = KERNELS[name]().spectral_weights(n)
+    terms = table.T[:, :, None] * np.vstack([a0, (a * a + b * b).T])[:, None, :]  # (columns, sums, bodies)
+    terms[0] *= a0
+    sums = rounded_sum(terms.reshape(len(terms), -1).T).reshape(len(table), -1)
+    return _spectral_set(a0, sums[:6], steiner=(), cn_sq=()), dict(zip(names, PI * PI * sums[6:]))
+
+
+def chunk_rows(a0: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float, geometric: dict) -> VerdictRows:
+    """`run_suites` on a chunk in the form of `bodies._dense` (mean terms a0,
+    a_n and b_n one row per body), whose bodies are validated.  `geometric`
+    maps a body's position to the body, whose geometric verdicts follow."""
+    tol = SuiteConfig(tol=tol).tol
+    fs, values = _spectral_sums(a0, a, b)
+    integrals = {None: (None, 0.0)} | {name: (value, 0.0) for name, value in values.items()}
+    cw = _constant_width(a0, np.arange(a.shape[1]), a, b)
+    rows = _evaluate(fs, cw, integrals.get, "spectral", tol)
+    geo = {j: _verdicts(body, "geometric", tol, bool(cw[j]), rows.scale[j])[0] for j, body in sorted(geometric.items())}
     if geo:
         passed = rows.passed.copy()
         for j, geo_rows in geo.items():

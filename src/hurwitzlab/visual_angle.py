@@ -157,6 +157,13 @@ class Kernel:
         ])
         return w0, _read_only(corr)[0]
 
+    def spectral_weights(self, n: np.ndarray) -> tuple[float, np.ndarray]:
+        """w(0) and w(n) = alpha0 (n^2-1)/2 - E(n) at the frequencies n of
+        `spectral_integral`'s closed form, E(n) = E(k_max) above the largest
+        sin frequency k_max; w(1) = 0 exactly."""
+        w0, corr = self._closed_form
+        return w0, 0.5 * self.omega_coeff * (n * n - 1) - corr.take(n, mode="clip")
+
     @cached_property
     def _series(self) -> np.ndarray:
         # Maclaurin coefficients of omega^(2j+1), j = 0.._SERIES_TERMS-1.
@@ -569,26 +576,13 @@ def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
     the tangent field (Santalo 1976): w(0) = -alpha0 - 2 sum k^2 alpha_k and
     w(n) = alpha0 (n^2-1)/2 - E(n), E(n) the sum of k^2 alpha_k over the k with
     (n even and k > n) or (k even and k <= n).  The n = 1 harmonic cancels.
-    This is `spectral_integral_rows` on a chunk of one body.
+    `Kernel.spectral_weights` gives w(0) and w(n); the sum over w(0) a0^2 and
+    the products is correctly rounded.
     """
     _require_validated(body)
-    (value,) = spectral_integral_rows(kernel, [body.a0], body.n, body.c_sq[None])
+    w0, w = kernel.spectral_weights(body.n)
+    value = PI * PI * rounded_sum(np.concatenate(([w0 * body.a0 * body.a0], w * body.c_sq)))
     return IntegralResult(value, 0.0, "spectral", 0)
-
-
-def spectral_integral_rows(kernel: Kernel, a0, n: np.ndarray, c_sq: np.ndarray) -> list[float]:
-    """The closed form of `spectral_integral` on a chunk of bodies, one value
-    per body: a0 holds their mean terms (floats) and c_sq one row of c_n^2
-    per body, one column per frequency in n (ascending).
-
-    The kernel holds w(0) and E(n) up to its largest sin frequency k_max,
-    above which E(n) = E(k_max); w(n) = alpha0 (n^2-1)/2 - E(n) multiplies
-    c_n^2 (w(1) = 0 exactly); the sum over w(0) a0^2 and the products is
-    correctly rounded, so a frequency a body lacks changes no value.
-    """
-    w0, corr = kernel._closed_form
-    w = 0.5 * kernel.omega_coeff * (n * n - 1) - corr.take(n, mode="clip")
-    return (PI * PI * rounded_sum(np.column_stack([w0 * np.asarray(a0, dtype=float) * a0, w * c_sq]))).tolist()
 
 
 # ---------------------------------------------------------------------------

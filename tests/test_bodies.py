@@ -923,9 +923,11 @@ class TestRandomBody:
                 raise NotStrictlyConvex(0.0, 0.0)
             return validate(body, *args, **kwargs)
 
-        def strict_rows(a0, n, a, b, cuts):
-            rows = stage_one(a0, n, a, b, cuts)
-            return [(ok, -math.inf if large(a[c], b[c]) else slack, mag) for (ok, slack, mag), c in zip(rows, cuts)]
+        def strict_rows(a0, n, a, b, ends):
+            finite, slack, magnitude = stage_one(a0, n, a, b, ends)
+            bounds = np.concatenate(([0], ends))
+            strict = np.array([large(a[s:e], b[s:e]) for s, e in zip(bounds[:-1], bounds[1:])], dtype=bool)
+            return finite, np.where(strict, -math.inf, slack), magnitude
 
         monkeypatch.setattr(bodies, "validate_convex", strict)
         monkeypatch.setattr(bodies, "_stage_one", strict_rows)

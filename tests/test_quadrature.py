@@ -33,15 +33,17 @@ def _smooth(k):
 
 
 def test_fast_len_is_the_least_7_smooth_length():
-    # against a brute-force scan: every m <= 10^5, and the lengths of the
-    # tangent field at N = 32768 (65537 is prime) and at the top degree
+    # against a brute-force scan: every m <= 10^5, the lengths of the tangent
+    # field at N = 32768 (65537 is prime) and at the top degree, around powers
+    # of 3, 5 and 7, the last 40 below MAX_NODES and 200 drawn past 2^16
     top = 10**5
     least, want = 10**6, {}
     for m in range(top + 100, 0, -1):
         least = m if _smooth(m) else least
         want[m] = least
     assert [fast_len(m) for m in range(1, top + 1)] == [want[m] for m in range(1, top + 1)]
-    for m in (65537, 524285, MAX_NODES):
+    spots = [65537, 524285, 3**12, 3**12 + 1, 5**8 + 1, 7**7 + 1, 999_983, *range(MAX_NODES - 40, MAX_NODES + 1)]
+    for m in spots + np.random.default_rng(0).integers(2**16, MAX_NODES, 200).tolist():
         assert fast_len(m) == next(k for k in range(m, 2 * m) if _smooth(k))
     assert (fast_len(65537), fast_len(524285)) == (65610, 524288)
 
@@ -145,6 +147,34 @@ def _row(draw, n):
 _ROWS = st.integers(1, 40).flatmap(lambda n: st.lists(_row(n), min_size=1, max_size=4))
 
 
+def _tie(rng, n):
+    """a and a half-ulp of a, signed, among zeros: an exact tie but where a is a power of two."""
+    row, a = np.zeros(n), rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-1000, 1000))
+    at = rng.permutation(n)[:2]
+    row[at[0]] = a
+    if n > 1:
+        row[at[1]] = rng.choice([-0.5, 0.5]) * math.ulp(a)
+    return row
+
+
+def _near_negation(rng, n):
+    """Terms and their negations off by a few ulps: heavy cancellation."""
+    half = rng.standard_normal((n + 1) // 2) * 2.0 ** rng.integers(-60, 60, (n + 1) // 2)
+    return np.concatenate([half, -half * (1.0 + rng.integers(-2, 3, half.size) * 2.0**-52)])[rng.permutation(n)]
+
+
+_COLUMN_KINDS = {
+    "tie": _tie,
+    "zeros": lambda rng, n: np.zeros(n),
+    "negative_zeros": lambda rng, n: np.full(n, -0.0),
+    "signed_zeros": lambda rng, n: rng.choice([0.0, -0.0], n),
+    "subnormal": lambda rng, n: rng.integers(-(2**30), 2**30, n) * 5e-324,
+    "near_overflow": lambda rng, n: rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(1015, 1024, n),
+    "cancelling": _near_negation,
+    "normal": lambda rng, n: rng.standard_normal(n) * 2.0 ** int(rng.integers(-30, 30)),
+}
+
+
 class TestRoundedSum:
     # small arrays forced onto the extraction path; below the rule it is math.fsum itself
     @settings(max_examples=60, deadline=None)
@@ -158,6 +188,20 @@ class TestRoundedSum:
     def test_rows_are_fsum(self, rows):
         with _extracting(True):
             assert _rounded(np.array(rows)) == _fsum_rows(np.array(rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 16, 64]),
+        kinds=st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=12),
+        extra=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_rows_are_fsum(self, n, kinds, extra, seed):
+        # more rows than terms: the column path, on rows of one kind each
+        rng = np.random.default_rng(seed)
+        x = np.array([_COLUMN_KINDS[kinds[i % len(kinds)]](rng, n) for i in range(n + extra)])
+        with _extracting(True):
+            assert _rounded(x) == _fsum_rows(x)
 
     @pytest.mark.parametrize(
         "row",
@@ -185,7 +229,7 @@ class TestRoundedSum:
             (np.linspace(0.5, 1.5, 2048), 1, 0),  # certified at the first level
             (np.linspace(-1e-300, 1e300, 2048), 1, 0),
             (np.concatenate([_SHIFTED, -_SHIFTED * (1.0 + 2.0**-52)]), 2, 0),  # cancels: certified at the second
-            (_HALF, 2, 1),  # an exact half-ulp tie: never certified
+            (_HALF, 2, 0),  # an exact half-ulp tie: no r left at the second level, rounded to even
             (np.concatenate([[1.0, 2.0**-53, 2.0**-106], np.zeros(2045)]), 2, 1),  # a near-tie inside the bound
             # non-finite, or sigma past 2^1022: the first level runs on no row
             (np.concatenate([[math.inf], np.ones(2047)]), 1, 1),
@@ -194,9 +238,13 @@ class TestRoundedSum:
             (np.full(2048, -0.0), 2, 1),  # c = 0: math.fsum's sign of zero
             (np.concatenate([[1.0, -1.0], np.zeros(2046)]), 2, 1),
             (np.ones(16), 0, 1),  # below the small-array rule
-            (np.ones((100, 23)), 0, 100),  # 100 * (23 - 12) < 1200: math.fsum costs less
+            (np.ones((100, 23)), 1, 0),  # 2300 entries: above the rule, which counts entries only
             (np.ones((100, 24)), 1, 0),
-            (np.stack([np.linspace(0.5, 1.5, 2048), _HALF]), 2, 1),  # the second level takes the tie row only
+            (np.stack([np.linspace(0.5, 1.5, 2048), _HALF]), 2, 0),  # the second level takes the tie row only
+            (np.zeros(2048), 2, 1),  # +0.0 only: c = 0 as well
+            (np.ones((2, 1023)), 0, 2),  # 2046 < 2048 entries: math.fsum costs less
+            (np.ones((2, 1024)), 1, 0),
+            (np.stack([np.linspace(0.5, 1.5, 2048), _HALF * 3.0, np.ones(2048)]).T, 2, 0),  # rows of 3, as columns
         ],
     )
     def test_branches(self, monkeypatch, x, levels, fallbacks):
@@ -275,11 +323,10 @@ class TestRoundedSumSites:
         n = np.concatenate([np.arange(1, k + 1) for k in sizes])
         a, b = rng.uniform(-1e-3, 1e-3, (2, n.size)) / n**2
         a[sizes[0] + 1] = 1e308  # row 2: its term 3e308 overflows
-        ends = np.cumsum(sizes).tolist()
-        cuts = list(map(slice, [0] + ends[:-1], ends))
-        rows = _stage_one([1.0] * len(cuts), n, a, b, cuts)
-        for cut, row in zip(cuts, rows, strict=True):
-            assert repr(row) == repr(_stage_one([1.0], n[cut], a[cut], b[cut], [slice(0, cut.stop - cut.start)])[0])
+        ends = np.cumsum(sizes)
+        rows = _stage_rows([1.0] * len(sizes), n, a, b, ends)
+        for s, e, row in zip([0, *ends[:-1]], ends, rows, strict=True):
+            assert repr(row) == repr(_stage_rows([1.0], n[s:e], a[s:e], b[s:e], [e - s])[0])
         assert rows[2][1] == -math.inf and rows[1][1] == 1.0
 
     def test_stage_one_slack_is_minus_inf_past_the_float_range(self):
@@ -287,6 +334,10 @@ class TestRoundedSumSites:
         # 3 * 0.1 stays a plain certificate
         n = np.array([2, 2, 2, 2])
         a, b = np.array([1e308, 5e307, 5e307, 0.1]), np.zeros(4)
-        cuts = [slice(0, 1), slice(1, 3), slice(3, 4)]
-        rows = _stage_one([1.0, 1.0, 1.0], n, a, b, cuts)
+        rows = _stage_rows([1.0, 1.0, 1.0], n, a, b, [1, 3, 4])
         assert [slack for _, slack, _ in rows] == [-math.inf, -math.inf, 1.0 - 3 * 0.1]
+
+
+def _stage_rows(*args):
+    """`_stage_one` as one (finite, slack, magnitude) tuple of Python values per row."""
+    return [tuple(v.item() for v in row) for row in zip(*_stage_one(*args))]

@@ -31,6 +31,7 @@ ORACLES = {
     "minkowski_sum",  # the equality bodies' Minkowski sums
     "moment_kernel",  # the moment kernels of the closed-form integrals
     "rigid_motion",  # rotations and translations: the invariances, and the evolute's support
+    "run_suites",  # a chunk's verdicts from its bodies, which sweep's arrays must equal
     "shoelace_area",  # polygon area, independent of both functional paths
     "verify",  # one theorem on one body
 }

@@ -1,9 +1,12 @@
 """Tooling: the test configuration reports a failing property test instead of
 crashing, and the oracle and sum timing scripts print their tables."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -46,12 +49,22 @@ def test_oracle_timing_prints_one_row_per_degree():
 
 
 def test_sum_timing_prints_one_row_per_shape_and_kind():
-    # the smallest default shapes: below the small-array rule and just above it
+    # shapes just below the small-array rule (1920 entries) and at it
     script = ROOT / "scripts" / "sum_timing.py"
-    out = subprocess.run([sys.executable, str(script), "256x10", "1x2048"], capture_output=True, text=True, timeout=300)
+    out = subprocess.run([sys.executable, str(script), "128x15", "1x2048"], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     header, *rows = out.stdout.splitlines()
     assert header.split() == ["shape", "data", "sum_us", "extract_us", "fsum_us", "ratio", "bits"]
     cells = [row.split() for row in rows]
-    assert [(c[0], c[1]) for c in cells] == [(s, k) for s in ("256x10", "1x2048") for k in ("positive", "signed")]
+    assert [(c[0], c[1]) for c in cells] == [(s, k) for s in ("128x15", "1x2048") for k in ("positive", "signed")]
     assert all(c[-1] == "same" and all(float(v) > 0.0 for v in c[2:6]) for c in cells)
+
+
+def test_sum_timing_exits_1_on_differ(monkeypatch, capsys):
+    # a sum that is not math.fsum's (a plain numpy sum) prints DIFFER and fails the run
+    spec = importlib.util.spec_from_file_location("sum_timing", ROOT / "scripts" / "sum_timing.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script.quadrature, "rounded_sum", lambda x: np.sum(x, axis=-1))
+    assert script.main(["1x2048"]) == 1
+    assert capsys.readouterr().out.count("DIFFER") >= 1

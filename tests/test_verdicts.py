@@ -33,9 +33,9 @@ from hurwitzlab import verdicts
 from hurwitzlab.bodies import _dense
 from hurwitzlab.cli import main
 from hurwitzlab.errors import NotValidated
-from hurwitzlab.functionals import functionals_spectral_rows
-from hurwitzlab.verdicts import THEOREMS, Verdict, run_suites
-from hurwitzlab.visual_angle import KERNELS, Kernel, moment_kernel, spectral_integral_rows
+from hurwitzlab.quadrature import rounded_sum
+from hurwitzlab.verdicts import THEOREMS, Verdict, _spectral_sums, run_suites
+from hurwitzlab.visual_angle import KERNELS, Kernel, moment_kernel
 
 PI = math.pi
 
@@ -474,17 +474,22 @@ EDGE_BODIES = _edge_bodies()
 @pytest.mark.parametrize("body", EDGE_BODIES, ids=lambda b: f"top{b.max_degree}n{b.n.size}")
 def test_one_body_sums_equal_their_dense_row(body):
     # bit for bit, one body's functionals and closed-form integrals equal the
-    # chunk functions' on its dense c_n^2 row, at every degree near a power of two
+    # chunk's weight table on its dense c_n^2 row, and every kernel's dense
+    # weights give its sparse sum, at every degree near a power of two
     a0, a, b = _dense([body])
     c_sq = a * a + b * b
     assert c_sq.shape[1] == body.max_degree + 1
-    one, rows = functionals_spectral(body), functionals_spectral_rows(a0, c_sq)
+    one, (rows, values) = functionals_spectral(body), _spectral_sums(a0, a, b)
     for name in FunctionalSet.FIELD_NAMES:
         assert getattr(one, name).hex() == getattr(rows, name)[0].item().hex(), name
+    assert sorted(values) == sorted({t.integral for t in THEOREMS.values()} - {None})
+    for name, value in values.items():
+        assert spectral_integral(body, KERNELS[name]()).value.hex() == value[0].item().hex(), name
     n = np.arange(c_sq.shape[1])
     for kernel in [make() for make in KERNELS.values()] + [moment_kernel(m) for m in range(2, 11)]:
-        (row,) = spectral_integral_rows(kernel, a0.tolist(), n, c_sq)
-        assert spectral_integral(body, kernel).value.hex() == row.hex(), kernel.name
+        w0, w = kernel.spectral_weights(n)
+        dense = PI * PI * rounded_sum(np.concatenate(([w0 * a0[0] * a0[0]], w * c_sq[0])))
+        assert spectral_integral(body, kernel).value.hex() == dense.hex(), kernel.name
 
 
 def test_sweep_lists_the_bodies_a_patched_bound_fails(monkeypatch, capsys):
@@ -502,3 +507,48 @@ def test_sweep_lists_the_bodies_a_patched_bound_fails(monkeypatch, capsys):
         0, 14, 16, 22, 28, 36, 42, 56, 70, 84, 98, 106, 112, 126, 140, 154, 162, 168, 182, 196, 210, 224, 238,
         252, 266, 280, 294,
     ]
+
+
+def test_sweep_chunks_equal_run_suites_of_random_bodies(monkeypatch, capsys):
+    # sweep evaluates each chunk's arrays without building its bodies; its rows
+    # are run_suites(random_bodies(...)) bit for bit: a chunk of 256 and a
+    # one-body tail (count 257), the --path both picks (every 32nd body, the
+    # tail's among them), and draws the certificate leaves uncertified, whose
+    # amplitudes are then halved (a stricter convexity test rejects them while
+    # a coefficient exceeds 1e-3)
+    from hurwitzlab import bodies, cli
+
+    validate, stage_one, chunk_rows = bodies.validate_convex, bodies._stage_one, cli.chunk_rows
+    halved, chunks = [], []
+
+    def strict(body, *args, **kwargs):
+        if np.any(np.maximum(np.abs(body.a), np.abs(body.b)) > 1e-3):
+            halved.append(body)
+            raise bodies.NotStrictlyConvex(0.0, 0.0)
+        return validate(body, *args, **kwargs)
+
+    def uncertified(a0, n, a, b, ends):
+        finite, slack, magnitude = stage_one(a0, n, a, b, ends)
+        forced = np.isin(np.arange(slack.size) % 64, (0, 5))
+        return finite, np.where(forced, -math.inf, slack), magnitude
+
+    def spy(a0, a, b, tol, geometric):
+        chunks.append((sorted(geometric), chunk_rows(a0, a, b, tol, geometric)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(bodies, "validate_convex", strict)
+    monkeypatch.setattr(bodies, "_stage_one", uncertified)
+    monkeypatch.setattr(cli, "chunk_rows", spy)
+    assert main(["sweep", "--count", "257", "--seed", "4", "--path", "both"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    draws = len(halved)
+    assert draws >= 9 * 5  # each of the 9 uncertified draws, the tail's among them, halved at least 5 times
+    assert [geometric for geometric, _ in chunks] == [list(range(0, 256, 32)), [0]]
+    for start, (geometric, rows) in zip((0, 256), chunks, strict=True):
+        index = range(start, min(start + 256, 257))
+        chunk = bodies.random_bodies(4, index, [2 + i % 7 for i in index], [i % 2 == 1 for i in index])
+        want = run_suites(chunk, 1e-9, geometric)
+        for name in ROW_FIELDS + ("passed", "scale"):
+            got, ref = getattr(rows, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes(), (start, name)
+    assert len(halved) == 2 * draws  # random_bodies halved the same draws
