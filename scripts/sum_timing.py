@@ -14,8 +14,9 @@ prints DIFFER.
 
 The default shapes are those the call sites see (a sweep chunk's weight
 table, 9 sums of 256 bodies of degree 8; the tangent-field blocks at
-N = 7 and N = 8; a sweep chunk's certificate rows; the polar oracle's
-field at 96 directions; a tangent row at N = 32768; the largest
+N = 7 and N = 8; the certificate rows of a 256-body sweep chunk, at the
+rule, and of the benchmark's 250-body chunk, below it; the polar
+oracle's field at 96 directions; a tangent row at N = 32768; the largest
 quadrature grid), then shapes around the rule's crossover.
 """
 
@@ -31,7 +32,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from hurwitzlab import quadrature  # noqa: E402
 
 SHAPES = [
-    "2304x10", "385x16", "385x18", "256x8", "1x9216", "1x65537", f"1x{1 << 20}",
+    "2304x10", "385x16", "385x18", "256x8", "250x8", "1x9216", "1x65537", f"1x{1 << 20}",
     "128x16", "32x64", "8x256", "1x1024", "1x2048",
 ]
 

@@ -53,6 +53,8 @@ from .quadrature import MAX_NODES, TWO_PI, _read_only, rounded_sum
 
 # Relative margin by which the convexity certificate must clear eps.
 _CERT_MARGIN = 1e-15
+# Default eps of validate_convex, relative to a0.
+_EPS = 1e-9
 # Largest accepted magnitude a0 + sum n^2 |c_n| of a body (see validate_convex).
 _MAX_MAGNITUDE = 1e100
 # Smallest accepted mean term a0, the mirror of _MAX_MAGNITUDE (see validate_convex).
@@ -390,7 +392,7 @@ def validate_convex(body: TrigSupport, eps: float | None = None, *, _stage: tupl
     body the search would reject.
     """
     if _stage is None:
-        _stage = [v.item() for v in _stage_one([body.a0], body.n, body.a, body.b, [body.n.size])]
+        _stage = [v.item() for v in _stage_one([body.a0], body.n, body.a[None], body.b[None])]
     finite, slack, magnitude = _stage
     if not finite:
         raise BadSpec("support coefficients must be finite")
@@ -401,7 +403,7 @@ def validate_convex(body: TrigSupport, eps: float | None = None, *, _stage: tupl
     if body.a0 < _MIN_MEAN:
         raise BadSpec(f"mean term a0={body.a0:.3g} is below {_MIN_MEAN:.0e}")
     if eps is None:
-        eps = 1e-9 * body.a0
+        eps = _EPS * body.a0
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     floor = eps + _CERT_MARGIN * body.a0
@@ -415,34 +417,27 @@ def validate_convex(body: TrigSupport, eps: float | None = None, *, _stage: tupl
     return _bounded(_body(body.a0, body.n, body.a, body.b, validated=True), magnitude)
 
 
-def _stage_one(a0, n: np.ndarray, a: np.ndarray, b: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage 1 of `validate_convex` on rows of harmonics: row i is the mean
-    term a0[i] and the entries ends[i-1] to ends[i] (from 0 for i = 0) of the
-    flat arrays n, a and b.  Per row, as three arrays (finite, slack,
-    magnitude): whether every coefficient is finite; the certificate slack
-    a0 - `rounded_sum` of (n^2 - 1)|c_n|, or -inf unless s = sum n^2 |c_n|
-    (a plain sum, left to right) < 2^1023, so it cannot overflow; a0 + s.
-    Both sums run on the rows zero-padded to the longest, the plain one as a
-    running sum along each row, unless that takes over 4x the entries + 1024,
-    when each row is a call of its own: the terms are >= +0, so no bit and no
-    sign of zero moves.  |c_n| is math.hypot, which np.hypot differs from in
-    some last bits; the products may leave the float range (inf, or NaN for
+def _stage_one(a0, n: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1 of `validate_convex` on rows of harmonics in the form
+    `_constant_width` takes: a0 one mean term per row, a and b one row per
+    body and one column per frequency in n.  Per row, as three arrays
+    (finite, slack, magnitude): whether every coefficient is finite; the
+    certificate slack a0 - `rounded_sum` of (n^2 - 1)|c_n|, or -inf unless
+    s = sum n^2 |c_n| (a running sum, left to right) < 2^1023, so it cannot
+    overflow; a0 + s.  The terms are >= +0, so the +0.0 terms of the
+    frequencies a row lacks move no bit and no sign of zero.  |c_n| is
+    math.hypot on the nonzero entries, which np.hypot differs from in some
+    last bits; the products may leave the float range (inf, or NaN for
     0*inf)."""
-    a0, ends = np.asarray(a0, dtype=float), np.asarray(ends, dtype=np.intp)
-    start = np.concatenate(([0], ends[:-1]))
-    col = np.arange((ends - start).max(initial=0))
-    if ends.size * col.size > 4 * n.size + 1024:
-        rows = [_stage_one(a0[i : i + 1], n[s:e], a[s:e], b[s:e], [e - s]) for i, (s, e) in enumerate(zip(start, ends))]
-        return tuple(np.concatenate(part) for part in zip(*rows))
-    amps, sq = np.array(list(map(math.hypot, a.tolist(), b.tolist()))), n * n
-    at, pad = start[:, None] + col, col < (ends - start)[:, None]
+    a0, keep, sq = np.asarray(a0, dtype=float), np.logical_or(a, b), n * n
+    amps = np.zeros(a.shape)
+    amps[keep] = list(map(math.hypot, a[keep].tolist(), b[keep].tolist()))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms, weighted = ((sq - 1) * amps).take(at, mode="clip"), (sq * amps).take(at, mode="clip")
-    bad = np.concatenate(([0], np.cumsum(~(np.isfinite(a) & np.isfinite(b)))))  # non-finite entries before each
-    sums = np.where(pad, weighted, 0.0).cumsum(1)[:, -1] if col.size else np.zeros(ends.size)
+        terms, weighted = (sq - 1) * amps, sq * amps
+    sums = weighted.cumsum(1)[:, -1] if n.size else np.zeros(a0.size)
     fits = sums < 2.0**1023
-    slack = np.where(fits, a0 - rounded_sum(np.where(pad & fits[:, None], terms, 0.0)), -math.inf)
-    return np.isfinite(a0) & (bad[start] == bad[ends]), slack, a0 + sums
+    slack = np.where(fits, a0 - rounded_sum(np.where(fits[:, None], terms, 0.0)), -math.inf)
+    return np.isfinite(a0) & (np.isfinite(a) & np.isfinite(b)).all(1), slack, a0 + sums
 
 
 def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:
@@ -451,7 +446,7 @@ def _bounded(body: TrigSupport, magnitude: float | None = None) -> TrigSupport:
     (see validate_convex)."""
     if body.validated:
         if magnitude is None:
-            magnitude = _stage_one([body.a0], body.n, body.a, body.b, [body.n.size])[2].item()
+            magnitude = _stage_one([body.a0], body.n, body.a[None], body.b[None])[2].item()
         if not magnitude <= _MAX_MAGNITUDE:
             raise BadSpec(f"body magnitude {magnitude:.3g} exceeds {_MAX_MAGNITUDE:.0e}")
     return body
@@ -602,9 +597,9 @@ def random_body(
     numpy's SeedSequence(seed, spawn_key=(index,)) -> Philox4x64 stream bit
     for bit, computed in array form (`random_chunk`, of which this is the
     one-body case) without importing numpy.random.  Amplitudes are halved
-    (at most 60 times) until strict convexity holds.  The degree must lie
-    in [1, _MAX_DEGREE] and seed and index must be non-negative integers
-    (ValueError, raised before any draw).
+    (at most 60 times) until strict convexity holds.  Seed, degree and
+    index must be integers (TypeError), the degree in [1, _MAX_DEGREE] and
+    seed and index non-negative (ValueError), both raised before any draw.
     """
     return random_bodies(seed, [index], [degree], [constant_width])[0]
 
@@ -628,19 +623,19 @@ def random_chunk(seed: int, index: Sequence[int], degree: Sequence[int], constan
     double (x >> 11) * 2^-53, as numpy's Generator.random.  The uniforms
     (magnitude, phase) of n = 1..degree take the stream in order; constant
     width keeps the odd n.  Stage 1 of `validate_convex` (`_stage_one`)
-    runs on all rows at once, and a row it does not certify goes through
-    `validate_convex`, its amplitudes halved while it is rejected, and is
-    written back.
+    runs on all rows at once, on the columns n = 1..N, and a row it does not
+    certify goes through `validate_convex`, its amplitudes halved while it
+    is rejected, and is written back.
     """
+    seed, index, degree = operator.index(seed), [operator.index(i) for i in index], [operator.index(d) for d in degree]
     for d in degree:
         if not 1 <= d <= _MAX_DEGREE:
             raise ValueError(f"degree must lie in [1, {_MAX_DEGREE}], got {d}")
-    seed, index = int(seed), [int(i) for i in index]
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if min(index, default=0) < 0:
         raise ValueError(f"index must be a non-negative integer, got {min(index)}")
-    degree = np.array([operator.index(d) for d in degree], dtype=np.int64)
+    degree = np.array(degree, dtype=np.int64)
     step = np.array([2 if cw else 1 for cw in constant_width], dtype=np.int64)  # constant width: odd n only
     rows = np.arange(len(index))
     blocks = (degree + 1) // 2  # 2*degree uniforms, 4 per Philox block
@@ -653,18 +648,14 @@ def random_chunk(seed: int, index: Sequence[int], degree: Sequence[int], constan
     where = 4 * (np.cumsum(blocks) - blocks)[at] + 2 * (n - 1)
     mag, phase = 0.5 * u[where] / (n * n * n), (TWO_PI * u[where + 1]).tolist()
     c, s = (np.array(list(map(f, phase)), dtype=float) for f in (math.cos, math.sin))  # as in rigid_motion
-    a, b = mag * c, mag * s
-    keep = np.logical_or(a, b)
-    if not keep.all():
-        n, a, b, at = n[keep], a[keep], b[keep], at[keep]
     a0, dense = np.ones(rows.size), np.zeros((2, rows.size, degree.max(initial=0) + 1))
-    dense[0, at, n], dense[1, at, n] = a, b
-    ends = np.cumsum(counts := np.bincount(at, minlength=rows.size))
-    finite, slack, magnitude = stage = _stage_one(a0, n, a, b, ends)
-    floor = 1e-9 + _CERT_MARGIN  # validate_convex's on a0 = 1, eps = 1e-9*a0
+    dense[0, at, n], dense[1, at, n] = mag * c, mag * s
+    n = np.arange(1, dense.shape[2])
+    finite, slack, magnitude = stage = _stage_one(a0, n, dense[0, :, 1:], dense[1, :, 1:])
+    floor = _EPS + _CERT_MARGIN  # validate_convex's on a0 = 1
     for j in np.flatnonzero(~(finite & (slack >= floor) & (magnitude <= _MAX_MAGNITUDE))).tolist():
-        cut = slice(ends[j] - counts[j], ends[j])
-        body = _convex(_body(1.0, *_read_only(n[cut], a[cut], b[cut])), [v[j].item() for v in stage])
+        row = dense[:, j, 1:].copy()  # the body must not view the row zeroed below
+        body = _convex(_body(1.0, *_nonzero(n, *row)), [v[j].item() for v in stage])
         dense[:, j] = 0.0
         dense[0, j, body.n], dense[1, j, body.n] = body.a, body.b
     return a0, dense[0], dense[1]

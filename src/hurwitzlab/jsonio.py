@@ -15,13 +15,13 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") + '"'
 
 
-def dumps(obj, _level: int = 0) -> str:
+def dumps(obj) -> str:
     """Serialize dicts/lists/scalars, indented by two spaces per level, with
     17 significant digits per float and keys in insertion order (that of the
     dataclass to_dict methods), so output is byte-stable across runs.  One walk
     writes "%.17g" in place of each finite float; one %-format fills them in."""
     floats: list[float] = []
-    return _template(obj, _level, floats) % tuple(floats)
+    return _template(obj, 0, floats) % tuple(floats)
 
 
 def _template(obj, level: int, floats: list) -> str:

@@ -923,10 +923,9 @@ class TestRandomBody:
                 raise NotStrictlyConvex(0.0, 0.0)
             return validate(body, *args, **kwargs)
 
-        def strict_rows(a0, n, a, b, ends):
-            finite, slack, magnitude = stage_one(a0, n, a, b, ends)
-            bounds = np.concatenate(([0], ends))
-            strict = np.array([large(a[s:e], b[s:e]) for s, e in zip(bounds[:-1], bounds[1:])], dtype=bool)
+        def strict_rows(a0, n, a, b):
+            finite, slack, magnitude = stage_one(a0, n, a, b)
+            strict = np.array([large(*row) for row in zip(a, b)], dtype=bool)
             return finite, np.where(strict, -math.inf, slack), magnitude
 
         monkeypatch.setattr(bodies, "validate_convex", strict)
@@ -943,6 +942,21 @@ class TestRandomBody:
         want = [_scalar_random_body(3, d, cw, i) for i, d, cw in [(1, 2, False), (2, 6, False), (5, 3, True)]]
         assert [_bits(body) for body in chunk] == [_bits(body) for body in want]
         assert halvings == len(rejected) - halvings >= 5
+
+    def test_draws_certified_past_stage_one_equal_scalar_draws(self, monkeypatch):
+        # a row the certificate leaves undecided is certified by the grid at
+        # once, unhalved, and written back from its own values: rows of full
+        # degree, of lower degree and of constant width
+        stage_one = bodies._stage_one
+
+        def undecided(a0, n, a, b):
+            finite, slack, magnitude = stage_one(a0, n, a, b)
+            return finite, np.full_like(slack, -math.inf), magnitude
+
+        monkeypatch.setattr(bodies, "_stage_one", undecided)
+        rows = [(0, 8, False), (1, 5, False), (2, 8, True), (3, 2, False)]
+        chunk = bodies.random_bodies(3, *zip(*rows))
+        assert [_bits(body) for body in chunk] == [_bits(_scalar_random_body(3, d, cw, i)) for i, d, cw in rows]
 
     @given(
         st.integers(0, 2**130 - 1),
@@ -976,6 +990,17 @@ class TestRandomBody:
     def test_negative_seed_or_index_rejected(self, seed, index):
         with pytest.raises(ValueError, match=f"must be a non-negative integer, got {min(seed, index)}"):
             random_body(seed, 4, index=index)
+
+    @pytest.mark.parametrize(
+        "seed, degree, index", [(1.5, 3, 0), (-0.5, 3, 0), (1, 3, 2.9), (np.float64(1.0), 3, 0), (1, 3.0, 0)]
+    )
+    def test_non_integer_seed_degree_or_index_rejected(self, monkeypatch, seed, degree, index):
+        # as numpy's SeedSequence rejects them, not truncated to an integer,
+        # and before any draw; numpy integers are integers
+        assert random_body(np.int64(1), np.int64(3), index=np.uint8(2)) == random_body(1, 3, index=2)
+        monkeypatch.setattr(bodies, "_uniforms", lambda *args: pytest.fail("drew"))
+        with pytest.raises(TypeError, match="integer"):
+            random_body(seed, degree, index=index)
 
 
 class TestConstantWidth:

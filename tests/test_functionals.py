@@ -297,7 +297,7 @@ class TestSerialization:
     @settings(max_examples=200, deadline=None)
     def test_dumps_of_float_lists_equals_recursive_form(self, values, as_dict):
         obj = {f"k{i}": v for i, v in enumerate(values)} if as_dict else values
-        assert jsonio.dumps(obj, 1) == _recursive_dumps(obj, 1)
+        assert jsonio.dumps([obj]) == _recursive_dumps([obj])  # obj at indent level 1
 
 
     @given(st.dictionaries(st.text(), st.floats() | st.booleans()), st.booleans())

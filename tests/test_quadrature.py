@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzlab import functionals, grid_for_degree, periodic_integral, quadrature, random_body, visual_angle
+from hurwitzlab import bodies, functionals, grid_for_degree, periodic_integral, quadrature, random_body, visual_angle
 from hurwitzlab.bodies import _grid_derivs, _stage_one, recenter_to_steiner
 from hurwitzlab.errors import EmptyGrid
 from hurwitzlab.quadrature import MAX_NODES, fast_len, gauss_panels, rounded_sum
@@ -315,29 +315,41 @@ class TestRoundedSumSites:
 
     @pytest.mark.parametrize("long_row", [8, 4096])
     def test_stage_one_chunk_equals_rows_alone(self, long_row):
-        # one sum of the zero-padded rows, or (a row of 4096 among short ones)
-        # one sum per row, gives each row's bits alone; a row past the float
-        # range and an empty row among them
+        # one call on a chunk's dense rows at n = 1..N gives each body's bits
+        # of its own one-row call on its own frequencies: draws of degree 2-8,
+        # constant width among them; an empty row; a row of n = 1 only; a row
+        # of degree 8, or of degree 4096 among short ones, so that the chunk's
+        # sum is extracted while each short row's alone is math.fsum's; a row
+        # whose term overflows; rows holding inf and NaN
+        draws = bodies.random_bodies(5, range(14), [2 + i % 7 for i in range(14)], [i % 2 == 1 for i in range(14)])
         rng = np.random.default_rng(long_row)
-        sizes = [3, 0, long_row, 5, 1, 2]
-        n = np.concatenate([np.arange(1, k + 1) for k in sizes])
-        a, b = rng.uniform(-1e-3, 1e-3, (2, n.size)) / n**2
-        a[sizes[0] + 1] = 1e308  # row 2: its term 3e308 overflows
-        ends = np.cumsum(sizes)
-        rows = _stage_rows([1.0] * len(sizes), n, a, b, ends)
-        for s, e, row in zip([0, *ends[:-1]], ends, rows, strict=True):
-            assert repr(row) == repr(_stage_rows([1.0], n[s:e], a[s:e], b[s:e], [e - s])[0])
-        assert rows[2][1] == -math.inf and rows[1][1] == 1.0
+        n = np.arange(1, long_row + 1)
+        raw = [
+            (1.0, [], [], []),
+            (2.5, [1], [0.3], [-0.2]),
+            (1.0, n, *(rng.uniform(-1e-3, 1e-3, (2, n.size)) / n**2)),
+            (1.0, [2, 7], [1e308, 1e-3], [0.0, 2e-4]),
+            (1.0, [3], [np.inf], [0.1]),
+            (1.0, [2, 5], [0.1, np.nan], [0.0, 0.01]),
+        ]
+        made = [bodies._body(a0, np.array(n, dtype=np.int64), np.array(a), np.array(b)) for a0, n, a, b in raw]
+        chunk = [*draws[:4], *made[:2], *draws[4:9], made[2], *draws[9:], *made[3:]]
+        a0, a, b = bodies._dense(chunk)
+        assert (a[:, 1:].size >= quadrature._EXTRACT_MIN) == (long_row > 8)
+        rows = _stage_rows(a0, np.arange(1, a.shape[1]), a[:, 1:], b[:, 1:])
+        assert rows == [_stage_rows([body.a0], body.n, body.a[None], body.b[None])[0] for body in chunk]
+        assert rows[4] == (True, (1.0).hex(), (1.0).hex())  # the empty row
+        assert [row[:2] for row in rows[-3:]] == [(True, "-inf"), (False, "-inf"), (False, "-inf")]
 
     def test_stage_one_slack_is_minus_inf_past_the_float_range(self):
-        # (2^2 - 1) * 1e308 overflows; 3 * 5e307 twice sums past the range;
-        # 3 * 0.1 stays a plain certificate
-        n = np.array([2, 2, 2, 2])
-        a, b = np.array([1e308, 5e307, 5e307, 0.1]), np.zeros(4)
-        rows = _stage_rows([1.0, 1.0, 1.0], n, a, b, [1, 3, 4])
-        assert [slack for _, slack, _ in rows] == [-math.inf, -math.inf, 1.0 - 3 * 0.1]
+        # (2^2 - 1) * 1e308 overflows; 4e307 + 9e307 sums past 2^1023 with
+        # finite terms; 3 * 0.1 stays a plain certificate
+        a = np.array([[1e308, 0.0], [1e307, 1e307], [0.1, 0.0]])
+        rows = _stage_rows([1.0, 1.0, 1.0], np.array([2, 3]), a, np.zeros_like(a))
+        assert [slack for _, slack, _ in rows] == [(-math.inf).hex(), (-math.inf).hex(), (1.0 - 3 * 0.1).hex()]
 
 
 def _stage_rows(*args):
-    """`_stage_one` as one (finite, slack, magnitude) tuple of Python values per row."""
-    return [tuple(v.item() for v in row) for row in zip(*_stage_one(*args))]
+    """`_stage_one` as one (finite, slack, magnitude) tuple per row, the floats by float.hex."""
+    rows = zip(*(v.tolist() for v in _stage_one(*args)))
+    return [(finite, slack.hex(), magnitude.hex()) for finite, slack, magnitude in rows]

@@ -527,8 +527,8 @@ def test_sweep_chunks_equal_run_suites_of_random_bodies(monkeypatch, capsys):
             raise bodies.NotStrictlyConvex(0.0, 0.0)
         return validate(body, *args, **kwargs)
 
-    def uncertified(a0, n, a, b, ends):
-        finite, slack, magnitude = stage_one(a0, n, a, b, ends)
+    def uncertified(a0, n, a, b):
+        finite, slack, magnitude = stage_one(a0, n, a, b)
         forced = np.isin(np.arange(slack.size) % 64, (0, 5))
         return finite, np.where(forced, -math.inf, slack), magnitude
 
