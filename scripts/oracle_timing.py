@@ -3,10 +3,11 @@
 
 For random_body(3, N, index=1) at 96 directions, prints the time of a cold
 `_polar_field` (its cache cleared first), the cell count m of the table its
-tangent solve used (0 where the table does not pay and every root is
-polished on Horner's g), and |polar - spectral_integral| / bar per kernel.
+tangent solve used (0 where its estimate leaves no room under tol and every
+root is polished on Horner's g), and |polar - spectral_integral| / bar per
+kernel.
 
-    python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512)
+    python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512 1024)
 
 It prints and asserts nothing: at N = 128, 96 directions alias, and
 sin_cubed's err/bar exceeds 1 there (ROADMAP item 15).
@@ -45,4 +46,4 @@ def main(degrees):
 
 
 if __name__ == "__main__":
-    main([int(arg) for arg in sys.argv[1:]] or [8, 32, 128, 512])
+    main([int(arg) for arg in sys.argv[1:]] or [8, 32, 128, 512, 1024])

@@ -177,7 +177,8 @@ def _require_validated(body: TrigSupport) -> None:
 def _derivs(body: TrigSupport, phi, orders, cs=None) -> tuple:
     """p^(k)(phi) for each order k (0 to 3) in `orders`, in one Horner pass.
 
-    The evaluation at scattered angles (uniform grids take `_grid_derivs`):
+    The evaluation at scattered angles (uniform grids take `_grid_derivs`;
+    `functionals.generalized_area`, a test oracle, keeps off it on purpose):
     with z = e^{i phi}, p^(k)(phi) = [k=0] a0 + Re sum_n (in)^k (a_n - i b_n) z^n,
     summed by Horner over every degree N, ..., 1, with an error of about
     N*u*sum_n n^k |c_n| (Higham 2002, ch. 5).  A caller that holds
@@ -576,8 +577,8 @@ class HypocycloidSpec:
             raise BadSpec(f"hypocycloid m={self.m}, n={self.n} must be coprime")
         if self.m <= 2 * self.n:
             raise BadSpec(f"hypocycloid needs k = m/n > 2, got {self.m}/{self.n}")
-        if self.r <= 0:
-            raise BadSpec("rolling radius must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise BadSpec(f"rolling radius must be positive and finite, got {self.r!r}")
 
     @property
     def k(self) -> float:

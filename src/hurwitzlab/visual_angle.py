@@ -43,8 +43,8 @@ g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
 where the ray from the Steiner point through P leaves the body, and
 polished together (`_tangent_solve`).  The polar oracle polishes them on
 g_H = <P, N> - H, H the quintic Hermite interpolant of p sampled once per
-field (`_support_table`), to |g_H| <= tol - E, E a first-order estimate of
-|g - g_H|, and finishes a root that misses it on Horner's g.
+field by one FFT (`_support_table`), to |g_H| <= tol - E, E a first-order
+estimate of |g - g_H|, and finishes a root that misses it on Horner's g.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -68,6 +68,7 @@ import numpy as np
 from .bodies import (
     TrigSupport,
     _derivs,
+    _grid_derivs,
     _polish_roots,
     _require_validated,
     boundary_point,
@@ -95,9 +96,6 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
-# Most cells of `_support_table` per root it serves: its samples cost as much as
-# the Horner polish they spare at 2.0 to 3.2 cells per root (degrees 32 to 512).
-_TABLE_PAYS = 2
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -116,11 +114,11 @@ class Kernel:
 
     An alpha_k may be a `fractions.Fraction`, kept exact where the closed
     form sums it (`spectral_integral`) and rounded once where f is evaluated.
-    Building a kernel whose Maclaurin coefficient of omega does not vanish
-    raises NonIntegrableKernel, so every kernel has an exterior integral.
-    A kernel holds what depends on it alone, each part computed on first
-    use: its Maclaurin series, its weights on the tangent integrator's gap
-    rules and its closed form's w(0) and E(n).
+    A coefficient that is not finite raises ValueError, and a Maclaurin
+    coefficient of omega that does not vanish NonIntegrableKernel, so every
+    kernel has an exterior integral.  A kernel holds what depends on it alone,
+    each part computed on first use: its Maclaurin series, its weights on the
+    tangent integrator's gap rules and its closed form's w(0) and E(n).
     """
 
     name: str
@@ -128,6 +126,8 @@ class Kernel:
     sin_coeffs: tuple[tuple[int, float | Fraction], ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(a) for a in (self.omega_coeff, *(a for _, a in self.sin_coeffs))):
+            raise ValueError(f"kernel {self.name!r} needs finite coefficients")
         linear = self.omega_coeff + math.fsum(k * a for k, a in self.sin_coeffs)
         scale = abs(self.omega_coeff) + math.fsum(abs(k * a) for k, a in self.sin_coeffs)
         if abs(linear) > 1e-12 * max(scale, 1.0):
@@ -238,11 +238,7 @@ def visual_deficit_cw_kernel() -> Kernel:
     Constant-width deficit kernel; equals crofton + (1/2)*moment_3
     - (3/4)*moment_2 pointwise.
     """
-    return Kernel(
-        "visual_deficit_cw",
-        1.0,
-        ((1, -2.75), (2, 1.0), (3, 0.25), (4, -0.25)),
-    )
+    return Kernel("visual_deficit_cw", 1.0, ((1, -2.75), (2, 1.0), (3, 0.25), (4, -0.25)))
 
 
 KERNELS = {
@@ -310,16 +306,17 @@ def _g(body: TrigSupport, px, py, phi):
     return px * c + py * s - p, -px * s + py * c - dp
 
 
-def _support_table(body: TrigSupport, roots: int, tol: float):
+def _support_table(body: TrigSupport, tol: float):
     """(rows, h, E): the quintic Hermite interpolant H(j*h + s) =
-    sum_k rows[k, j] s^k of p, p', p'' sampled by one `_derivs` call on m
-    cells of h = 2*pi/m, m the least power of two >= max(64, 2N + 2) whose
-    remainder M6 h^6 / 46080 (M6 = sum_n n^6 |c_n|) is at most
-    1e-15 * (a0 + sum_n |c_n|).  E estimates |H - p| plus the contract's
-    Horner error to first order, not as a proof: the remainder, Horner's
-    N*u*sum_n n^k |c_n| through the Hermite basis (weights 1, 5/16, 1/32 for
-    k = 0, 1, 2) and once more for p, and 32u*sum_k h^k max|p^(k)| for the
-    cells.  None where it does not pay: m > _TABLE_PAYS * roots, or E >= tol.
+    sum_k rows[k, j] s^k of p, p', p'' sampled by one `_grid_derivs` call on m
+    cells of h = 2*pi/m (the last ends at sample 0), m the least power of two
+    >= max(64, 2N + 2) whose remainder M6 h^6 / 46080 (M6 = sum_n n^6 |c_n|)
+    is at most 1e-15 S_0, S_k = [k=0] a0 + sum_n n^k |c_n|.  E estimates
+    |H - p| and Horner's N*u*S_0 in g at the root to first order, not as a
+    proof: the remainder, the samples' 4*log2(m)*u*S_k through the Hermite
+    basis (weights 1, 5/16, 1/32; against long-double FFTs, random_body(3, N,
+    index=1) up to N = 2048 measured at most 0.4*log2(m)*u*S_k) and
+    32u*sum_k h^k S_k for the cells.  None where E >= tol.
     """
     n, mag = body.n.astype(float), np.hypot(body.a, body.b)
     s0, s1, s2, s6 = (float(np.sum(n**k * mag)) for k in (0, 1, 2, 6))
@@ -328,10 +325,11 @@ def _support_table(body: TrigSupport, roots: int, tol: float):
         m *= 2
     h = TWO_PI / m
     sums = np.array([body.a0 + s0, s1 * h, s2 * h * h])
-    err = s6 * h**6 / 46080.0 + degree * 2.0**-53 * (sums @ [2.0, 5 / 16, 1 / 32]) + 2.0**-48 * sums.sum()
-    if m > _TABLE_PAYS * roots or err >= tol:
+    weights = 4.0 * math.log2(m) * np.array([1.0, 5 / 16, 1 / 32]) + 32.0  # the samples through H, and the cells
+    err = s6 * h**6 / 46080.0 + 2.0**-53 * (degree * sums[0] + sums @ weights)
+    if err >= tol:
         return None
-    p, dp, ddp = _derivs(body, np.arange(m + 1.0) * h, (0, 1, 2))
+    p, dp, ddp = (np.append(v, v[0]) for v in _grid_derivs(body, m, (0, 1, 2)))
     # the left end's Taylor quadratic misses p, h p', h^2 p'' at the right end by
     # h^3 times (d, e, k); c_k = (10d - 4e + k/2, 7e - 15d - k, 6d - 3e + k/2) / h^(k-3)
     a2 = 0.5 * ddp[:-1]
@@ -621,7 +619,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         direction's boundary exit is solved once, by one `_radial_boundary`
         call for all of them, and shared by that ray's nodes, and the tangent
         lines of a block of rows are solved in one batch (`_tangent_solve`),
-        on one `_support_table` of the body where it pays;
+        on one `_support_table` of the body where its estimate leaves room;
       ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
@@ -645,7 +643,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
-    table = _support_table(centered, 2 * rs.size, 1e-13 * (centered.a0 + float(np.min(rs))))
+    table = _support_table(centered, 1e-13 * (centered.a0 + float(np.min(rs))))
     omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table)[2] for i in range(0, n_theta, rows)]
     return np.concatenate(omegas), weights, ring_mass
 

@@ -422,6 +422,15 @@ def test_rejected_command_lines_exit_2(capsys, argv, message):
     assert err.startswith("HurwitzLabError: ") and message in err
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_hypocycloid_curve_radius_must_be_finite(capsys, radius):
+    # r <= 0 let NaN through to the vertex check, and inf into numpy warnings
+    code, out, err = run(capsys, "render", "--kind", "curve", "--spec", f"hypocycloid:5/2,{radius}")
+    assert code == 2
+    assert out == ""
+    assert "BadSpec" in err
+
+
 def test_integer_hypocycloid_curve(capsys, tmp_path):
     out = tmp_path / "curve.svg"
     code, _, _ = run(capsys, "render", "--kind", "curve", "--spec", "hypocycloid:5,1", "--out", str(out))

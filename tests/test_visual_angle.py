@@ -113,6 +113,16 @@ class TestKernels:
         with pytest.raises(NonIntegrableKernel):
             exterior_integral(circle_body, Kernel("sin", 0.0, ((1, 1.0),)))
 
+    @pytest.mark.parametrize(
+        "omega_coeff, sin_coeffs",
+        [(math.nan, ()), (math.inf, ()), (0.0, ((1, math.inf), (3, -math.inf))), (0.0, ((1, math.nan),))],
+    )
+    def test_non_finite_coefficients_rejected(self, omega_coeff, sin_coeffs):
+        # NaN passed the integrability check, which compares with >, and the
+        # closed form then failed on the kernel; inf - inf failed inside it
+        with pytest.raises(ValueError, match="finite"):
+            Kernel("k", omega_coeff, sin_coeffs)
+
     def test_named_kernels_are_shared(self):
         for name, make in KERNELS.items():
             assert make() is make(), name
@@ -296,8 +306,8 @@ def _count_horner_polish(monkeypatch):
 
 
 def _table(body):
-    """The body's `_support_table`, for a batch where it always pays."""
-    return _support_table(body, 1 << 40, math.inf)
+    """The body's `_support_table`, built whatever its estimate."""
+    return _support_table(body, math.inf)
 
 
 def _table_values(body, phi):
@@ -313,7 +323,7 @@ def _translated_bodies(draw):
 
 
 @given(
-    _translated_bodies() | st.builds(random_body, st.just(3), st.just(128)),
+    _translated_bodies() | st.builds(random_body, st.just(3), st.sampled_from([128, 1024])),
     st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=64),
 )
 @settings(max_examples=60, deadline=None)
@@ -333,7 +343,7 @@ def test_table_estimate_leaves_the_polish_room():
         assert rows.shape == (6, cells) and estimate <= 0.4e-13 * body.a0, degree
 
 
-@pytest.mark.parametrize("degree", [128, 512])
+@pytest.mark.parametrize("degree", [128, 512, 1024])
 def test_one_polar_block_keeps_the_contract(degree, monkeypatch):
     # the first block of the polar field at 96 directions, 42 rays of 96
     # nodes from the collar out, solved on the table with no Horner fallback
@@ -360,20 +370,15 @@ def test_roots_the_table_leaves_keep_the_contract(mix_body, monkeypatch):
     assert fallbacks and fallbacks[0] == 6
 
 
-def test_table_only_where_it_pays(monkeypatch):
-    # a table of m cells is built for at least m / _TABLE_PAYS roots whose
-    # least tol exceeds its E; at 16 directions the polar field of degree 128
-    # (8192 cells, 3072 roots) polishes every root on Horner's g, at 96 none
+def test_table_wherever_its_estimate_leaves_room(monkeypatch):
+    # a table is built whenever the least tol of its roots exceeds its E,
+    # however few roots it serves: the polar field of degree 128 at 16
+    # directions (8192 cells, 3072 roots) polishes no root on Horner's g
     body = recenter_to_steiner(random_body(3, 8, index=1))
-    rows, _, estimate = _table(body)
-    m = rows.shape[1]
-    assert _support_table(body, m // 2, math.inf) is not None and _support_table(body, m // 2 - 1, math.inf) is None
-    assert _support_table(body, m, 2.0 * estimate) is not None and _support_table(body, m, estimate) is None
+    _, _, estimate = _table(body)
+    assert _support_table(body, 2.0 * estimate) is not None and _support_table(body, estimate) is None
     fallbacks = _count_horner_polish(monkeypatch)
     _polar_field.__wrapped__(random_body(3, 128, index=1), ExteriorConfig(nodes_phi=16))
-    assert fallbacks[0] == 2 * 16 * 96
-    fallbacks.clear()
-    _polar_field.__wrapped__(random_body(3, 128, index=1), ExteriorConfig(nodes_phi=96))
     assert fallbacks == []
 
 
@@ -1081,7 +1086,7 @@ def _reference_polar_field(body, cfg):
         points.append(np.stack([radii[-1] * c, radii[-1] * s], axis=1))
         ring.append(rb * collar + 0.5 * collar * collar)
     radii, points = np.array(radii), np.array(points)
-    table = _support_table(centered, 2 * radii.size, 1e-13 * (centered.a0 + float(np.min(radii))))
+    table = _support_table(centered, 1e-13 * (centered.a0 + float(np.min(radii))))
     omegas = [_tangent_solve(centered, *p.T, rs, *exit, table)[2] for p, rs, *exit in zip(points, radii, thetas, rbs, phi_bs)]
     return (np.array(omegas), np.array(weights), w_theta * math.fsum(ring)), points, table
 
