@@ -246,33 +246,44 @@ def boundary_point(body: TrigSupport, phi):
     return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
 
-def _polish_roots(f, x, neg, pos, tol, active):
+def _polish_roots(f, x, neg, pos, tol, active, *args, steps=120):
     """Safeguarded Newton/bisection for roots of f, vectorized over brackets.
 
-    f(x) returns a tuple whose first two entries are f and f' at the array
-    x; further entries ride along.  Bracket i is labelled by the sign of f
-    at its ends, f(neg[i]) <= 0 <= f(pos[i]), and neg may lie on either side
+    f(x, *args) returns a tuple whose first two entries are f and f' at the
+    array x; further entries ride along.  Bracket i is labelled by the sign of
+    f at its ends, f(neg[i]) <= 0 <= f(pos[i]), and neg may lie on either side
     of pos.  A Newton step is taken when f' has the sign of pos - neg and
     lands strictly inside the bracket, otherwise the bracket is bisected;
     brackets where the mask `active` (or a plain True) is false or where
-    |f| <= tol stay put.  Returns the roots and the last value of f(x).
+    |f| <= tol stay put.  Once fewer than half are open, the open ones are
+    gathered with their ends, tol and args (arrays of x's shape or scalars),
+    and f sees them alone: an elementwise f keeps every bit.  Returns the
+    roots and the last value of f(x), after at most `steps` steps.
     """
-    vals = f(x)
-    for _ in range(120):
+    vals = f(x, *args)
+    lo, hi, rising = np.minimum(neg, pos), np.maximum(neg, pos), pos > neg
+    whole = []  # x and vals in full once the open brackets, at flat indices `at`, are gathered
+    for _ in range(steps):
         fx, dfx = vals[0], vals[1]
         active = active & (np.abs(fx) > tol)
         if not active.any():
             break
+        if not whole and 2 * np.count_nonzero(active) < active.size:
+            at, whole, active = np.flatnonzero(active), [np.array(v) for v in (x, *vals)], True
+            x, lo, hi, rising, tol, fx, dfx, *args = (
+                v if np.ndim(v) == 0 else v.take(at) for v in (x, lo, hi, rising, tol, fx, dfx, *args)
+            )
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - fx / dfx
-        inside = (np.minimum(neg, pos) < xn) & (xn < np.maximum(neg, pos))
-        newton = (np.sign(pos - neg) * dfx > 0.0) & inside
-        x = np.where(active, np.where(newton, xn, 0.5 * (neg + pos)), x)
-        vals = f(x)
-        up = vals[0] > 0.0
-        pos = np.where(active & up, x, pos)
-        neg = np.where(active & ~up, x, neg)
-    return x, vals
+        newton = ((dfx > 0.0) == rising) & (lo < xn) & (xn < hi)  # f' of pos - neg's sign; 0 and NaN land outside
+        xn = xn if newton.all() else np.where(newton, xn, 0.5 * (lo + hi))
+        x = xn if active is True or active.all() else np.where(active, xn, x)
+        vals = f(x, *args)
+        upper = active & ((vals[0] > 0.0) == rising)  # f(x) > 0 moves pos, the upper end where f rises
+        hi, lo = np.where(upper, x, hi), np.where(active ^ upper, x, lo)
+    for full, part in zip(whole, (x, *vals)):
+        full.put(at, part)
+    return (whole[0], whole[1:]) if whole else (x, vals)
 
 
 def _rho_grid(body: TrigSupport) -> tuple:

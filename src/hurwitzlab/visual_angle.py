@@ -45,6 +45,8 @@ polished together (`_tangent_solve`).  The polar oracle polishes them on
 g_H = <P, N> - H, H the quintic Hermite interpolant of p sampled once per
 field by one FFT (`_support_table`), to |g_H| <= tol - E, E a first-order
 estimate of |g - g_H|, and finishes a root that misses it on Horner's g.
+Float32 Newton steps on H seed it (`_coarse_roots`), and once fewer than
+half of its brackets are open the float64 polish reads g_H at those alone.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -96,6 +98,7 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
+_COARSE_STEPS = 3  # float32 steps of `_polish_roots` that seed the polar oracle's float64 polish
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -299,8 +302,9 @@ class IntegralResult:
 # Tangent root finding
 
 
-def _g(body: TrigSupport, px, py, phi):
-    """g(phi) = <P, N(phi)> - p(phi) and its derivative g'(phi)."""
+def _g(body: TrigSupport, phi, px, py):
+    """g(phi) = <P, N(phi)> - p(phi) and g'(phi), read at phi reduced by `_turn`."""
+    phi = _turn(phi)
     c, s = np.cos(phi), np.sin(phi)
     p, dp = _derivs(body, phi, (0, 1), (c, s))
     return px * c + py * s - p, -px * s + py * c - dp
@@ -340,18 +344,28 @@ def _support_table(body: TrigSupport, tol: float):
     return np.array([p[:-1], dp[:-1], a2, c3, c4, c5]), h, err
 
 
-def _g_table(table, px, py, phi):
-    """g_H = <P, N(phi)> - H(phi) and its derivative for phi in [0, 2*pi),
-    on phi's cell (cell m, where phi/h rounds up, wraps to cell 0)."""
-    rows, h, _ = table
-    j = (phi / h).astype(np.intp)
-    s = phi - j * h
-    *coef, c4, v = rows.take(j, axis=1, mode="wrap")
-    dv, v = v, v * s + c4
+def _g_table(table, phi, px, py):
+    """g_H = <P, N(phi)> - H(phi) and g_H', read like `_g` (cell m, where phi/h
+    rounds up, wraps to cell 0) in the dtype of the rows, phi and P; Horner's
+    accumulators are the taken rows, updated in place."""
+    (rows, h, _), phi = table, _turn(phi)
+    cell = np.floor(phi / h)
+    s, j = phi - cell * h, cell.astype(np.intp)
+    *coef, v, dv = (row.take(j, mode="wrap") for row in rows)  # one array each keeps them off mmap
+    v += dv * s
     for ck in coef[::-1]:
-        dv, v = dv * s + v, v * s + ck
+        np.add(np.multiply(dv, s, out=dv), v, out=dv)
+        np.add(np.multiply(v, s, out=v), ck, out=v)
     c, sn = np.cos(phi), np.sin(phi)
     return px * c + py * sn - v, -px * sn + py * c - dv
+
+
+def _coarse_roots(table, px, py, x, neg, pos, tol):
+    """x after at most _COARSE_STEPS steps of `_polish_roots` on g_H in float32
+    (whose sin and cos numpy runs as SIMD kernels) to |g_H| <= 2^23 tol, about
+    7 float32 ulps of |P| + a0, below which a root would be bisected away."""
+    x, neg, pos, px, py, tol, rows = (v.astype(np.float32) for v in (x, neg, pos, px, py, 2.0**23 * tol, table[0]))
+    return _polish_roots(partial(_g_table, (rows, *table[1:])), x, neg, pos, tol, True, px, py, steps=_COARSE_STEPS)[0]
 
 
 def _tangent_angles(body: TrigSupport, points, table=None):
@@ -389,14 +403,15 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
     (phi_b, phi_b + pi).  Both are polished together from
     phi_b -/+ arccos(rb / r), the roots for a circle of radius rb.  Given a
-    `_support_table`, they are polished on g_H = <P, N> - H to
-    |g_H| <= (1 - 2^-50) tol - E, E its estimate of |g - g_H|; the roots that
-    miss it, and all roots when there is no table, are polished on Horner's
-    g.  Both read g at the root reduced mod 2*pi, so the bound holds at the
-    angle returned and not only before its reduction rounds it.
-    g rises through zero at phi1 and is positive on the counterclockwise arc
-    of length delta = pi - omega to phi2; RootCountAnomaly means that arc is
-    not shorter than pi.
+    `_support_table`, `_coarse_roots` moves them in float32 (into the bracket;
+    one it leaves non-finite or unmoved stays), and they are polished on
+    g_H = <P, N> - H to |g_H| <= (1 - 2^-50) tol - E, E its estimate of
+    |g - g_H|, with one more Newton step where the last exceeded 1e-12, kept
+    if it meets that bound; roots that miss it, and all without a table, are
+    polished on Horner's g.  Both read g at the root reduced mod 2*pi, so the
+    bound holds at the angle returned.  g rises through zero at phi1 and is
+    positive on the counterclockwise arc of length delta = pi - omega to
+    phi2; RootCountAnomaly means that arc is not shorter than pi.
     """
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
     collar = _TANGENT_COLLAR * body.a0
@@ -409,21 +424,25 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
         raise BoundaryCollar(f"point clears the boundary by {clearance[thin][0]:.3g}, below collar {collar:.3g}")
     # last axis, entry 0: rising root, entry 1: falling root; every bracket lies
     # within pi of phi_b, itself within pi/2 of theta in (-pi, 2*pi): in _turn's range.
-    # Every array of the polish is a contiguous one of the roots' shape: a
-    # (..., 1) array broadcast against the root axis costs about 6x as much.
+    # The polish gathers arrays of the roots' shape (a broadcast one costs 6x as much).
     shape = clearance.shape + (2,)
     px, py, tol, b = (np.broadcast_to(v[..., None], shape).copy() for v in (px, py, tol, phi_b))
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
     todo = np.ones(shape, dtype=bool)
     if table is not None:
         tol_h = (1.0 - 2.0**-50) * tol - table[2]
-        x, (g_h, _) = _polish_roots(lambda y: _g_table(table, px, py, _turn(y)), x, neg, b, tol_h, tol_h > 0.0)
-        todo = ~(np.abs(g_h) <= tol_h)
+        seed = _coarse_roots(table, px, py, x, neg, b, tol)
+        moved = np.isfinite(seed) & (seed != x.astype(np.float32))
+        x = np.where(moved, np.clip(seed, np.minimum(neg, b), np.maximum(neg, b)), x)
+        x, (g, dg) = _polish_roots(partial(_g_table, table), x, neg, b, tol_h, tol_h > 0.0, px, py)
+        todo = ~(np.abs(g) <= tol_h)
+        big = ~todo & (np.abs(g) > 1e-12 * np.abs(dg)) & (dg != 0.0)
+        y = x[big] - g[big] / dg[big]
+        x[big] = np.where(np.abs(_g_table(table, y, px[big], py[big])[0]) <= tol_h[big], y, x[big])
     if todo.any():
-        qx, qy = px[todo], py[todo]
-        x[todo], _ = _polish_roots(lambda y: _g(body, qx, qy, _turn(y)), x[todo], neg[todo], b[todo], tol[todo], True)
+        x[todo], _ = _polish_roots(partial(_g, body), x[todo], neg[todo], b[todo], tol[todo], True, px[todo], py[todo])
     roots = _turn(x)
-    delta = (roots[..., 1] - roots[..., 0]) % TWO_PI
+    delta = _turn(roots[..., 1] - roots[..., 0])
     wide = ~((0.0 < delta) & (delta < PI))
     if wide.any():
         raise RootCountAnomaly(f"positive arc has length {delta[wide][0]:.6g}, outside (0, pi)")
@@ -598,12 +617,12 @@ def _radial_boundary(body: TrigSupport, thetas):
     """
     span = PI / 2.0 - 1e-6
 
-    def k(phi):
-        c, s = np.cos(thetas - phi), np.sin(thetas - phi)
+    def k(phi, theta):
+        c, s = np.cos(theta - phi), np.sin(theta - phi)
         p, dp, ddp = _derivs(body, phi, (0, 1, 2))
         return dp * c - p * s, (p + ddp) * c, p / c
 
-    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True)
+    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True, thetas)
     return rb, phi
 
 

@@ -37,15 +37,35 @@ def test_failing_property_test_is_reported(tmp_path):
 
 
 def test_oracle_timing_prints_one_row_per_degree():
-    # the CI smoke step: cold field time, table cells and err/bar per kernel
+    # the CI step: cold field time, table cells, the float32 and float64
+    # evaluations of g_H (about 3 and 2 per root: 96 * 96 * 2 roots), the
+    # roots finished on Horner's g, and err/bar per kernel
     script = ROOT / "scripts" / "oracle_timing.py"
     out = subprocess.run([sys.executable, str(script), "8", "32"], capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == 0, out.stdout + out.stderr
     header, *rows = out.stdout.splitlines()
-    assert header.split() == ["N", "field_s", "m", "crofton", "sin_cubed", "visual_deficit", "visual_deficit_cw"]
+    assert header.split() == [
+        "N", "field_s", "m", "g32", "g64", "horner", "crofton", "sin_cubed", "visual_deficit", "visual_deficit_cw"
+    ]
     cells = [row.split() for row in rows]
-    assert [(c[0], c[2]) for c in cells] == [("8", "1024"), ("32", "4096")]
-    assert all(0.0 <= float(ratio) < 1.0 for c in cells for ratio in c[3:])
+    assert [(c[0], c[2], c[5]) for c in cells] == [("8", "1024", "0"), ("32", "4096", "0")]
+    roots = 96 * 96 * 2
+    assert all(roots <= int(c[3]) <= 4 * roots and roots <= int(c[4]) <= 3 * roots for c in cells)
+    assert all(0.0 <= float(ratio) < 1.0 for c in cells for ratio in c[6:])
+
+
+def test_oracle_timing_exits_1_on_a_missed_root(monkeypatch, capsys):
+    # roots moved off the tangent solve's contract are printed as MISS and fail the run
+    spec = importlib.util.spec_from_file_location("oracle_timing", ROOT / "scripts" / "oracle_timing.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    solve = script.va._tangent_solve
+    monkeypatch.setattr(script.va, "_tangent_solve", lambda *args: tuple(v + 1e-9 for v in solve(*args)))
+    try:
+        assert script.main([8]) == 1
+    finally:  # the field cache holds the moved roots
+        script.va._polar_field.cache_clear()
+    assert capsys.readouterr().out.count("MISS") >= 1
 
 
 def test_sum_timing_prints_one_row_per_shape_and_kind():

@@ -312,7 +312,7 @@ def _table(body):
 
 def _table_values(body, phi):
     """H at the angles phi in [0, 2*pi), from the body's `_support_table`."""
-    return -_g_table(_table(body), 0.0, 0.0, np.asarray(phi, dtype=float))[0]
+    return -_g_table(_table(body), np.asarray(phi, dtype=float), 0.0, 0.0)[0]
 
 
 @st.composite
@@ -1146,3 +1146,111 @@ class TestPolarBlocks:
         # 96 radial nodes per direction, at most 4096 points per block: two blocks
         # of 42 directions, then one of 12
         assert sizes == [42 * 96] * 2 + [12 * 96]
+
+    def test_polish_evaluates_only_open_brackets(self, monkeypatch):
+        # the FOUND lines' field: each block of 8064 roots took 5 float64
+        # evaluations of g_H at every root, the last for about 400 still open.
+        # Past a block's float32 seeds and first two float64 evaluations, the
+        # polish reads g_H at most at half of that block's roots
+        calls = []
+        monkeypatch.setattr(
+            visual_angle, "_tangent_solve",
+            lambda body, px, *ray: calls.append(("block", 2 * np.size(px))) or _tangent_solve(body, px, *ray),
+        )
+        monkeypatch.setattr(
+            visual_angle, "_g_table",
+            lambda table, phi, *a: calls.append((table[0].dtype, np.size(phi))) or _g_table(table, phi, *a),
+        )
+        _polar_field.__wrapped__(random_body(5, 10, index=3), ExteriorConfig(nodes_phi=96))
+        starts = [i for i, (kind, _) in enumerate(calls) if kind == "block"] + [len(calls)]
+        assert [calls[i][1] for i in starts[:-1]] == [8064, 8064, 2304]
+        for i, j in zip(starts, starts[1:]):
+            roots = calls[i][1]
+            float32 = [n for kind, n in calls[i + 1 : j] if kind == np.float32]
+            float64 = [n for kind, n in calls[i + 1 : j] if kind == np.float64]
+            assert float32 and float32[0] == roots
+            assert float64[:2] == [roots, roots] and all(2 * n <= roots for n in float64[2:])
+
+
+def _old_polish_roots(f, x, neg, pos, tol, active):
+    """`bodies._polish_roots` as it was before it gathered the open brackets,
+    verbatim: the reference for the bits of the gathered solver."""
+    vals = f(x)
+    for _ in range(120):
+        fx, dfx = vals[0], vals[1]
+        active = active & (np.abs(fx) > tol)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / dfx
+        inside = (np.minimum(neg, pos) < xn) & (xn < np.maximum(neg, pos))
+        newton = (np.sign(pos - neg) * dfx > 0.0) & inside
+        x = np.where(active, np.where(newton, xn, 0.5 * (neg + pos)), x)
+        vals = f(x)
+        up = vals[0] > 0.0
+        pos = np.where(active & up, x, pos)
+        neg = np.where(active & ~up, x, neg)
+    return x, vals
+
+
+def _hex(*arrays):
+    return [[float.hex(v) for v in np.ravel(a).tolist()] for a in arrays]
+
+
+def _circle_brackets(body, cfg):
+    """The first polar block's points and the tangent solve's brackets and
+    circle seeds for them, as `_tangent_solve` builds them."""
+    _, points, table = _reference_polar_field(body, cfg)
+    centered = recenter_to_steiner(body)
+    pts = points[:42]
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
+    rb, phi_b = _radial_boundary(centered, theta[:, :1])
+    shape = r.shape + (2,)
+    px, py, b = (np.broadcast_to(np.asarray(v)[..., None], shape).copy() for v in (pts[..., 0], pts[..., 1], phi_b))
+    x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
+    tol = 1e-13 * (np.hypot(px, py) + centered.a0)
+    return centered, table, px, py, x, neg, b, tol
+
+
+@pytest.mark.parametrize("degree", [8, 33, 512])
+def test_gathered_polish_keeps_the_bits(degree, monkeypatch):
+    # from identical seeds the solver that gathers its open brackets returns
+    # the bits of the one that evaluated f at every bracket: on Horner's g,
+    # on the table's g_H and in the ray exits of `_radial_boundary`
+    body = random_body(5, degree)
+    centered, table, px, py, x, neg, b, tol = _circle_brackets(body, ExteriorConfig(nodes_phi=96))
+    tol_h = (1.0 - 2.0**-50) * tol - table[2]
+    for g, first, t, mask in ((_g, centered, tol, True), (_g_table, table, tol_h, tol_h > 0.0)):
+        sizes = []
+        new = visual_angle._polish_roots(
+            lambda y, qx, qy: sizes.append(y.size) or g(first, y, qx, qy), x, neg, b, t, mask, px, py
+        )
+        old = _old_polish_roots(lambda y: g(first, y, px, py), x, neg, b, t, mask)
+        assert _hex(new[0], *new[1]) == _hex(old[0], *old[1])
+        assert min(sizes) < x.size // 2  # the open brackets were gathered
+    thetas = np.linspace(0.0, TWO_PI, 96, endpoint=False)
+    want = _radial_boundary(centered, thetas)
+    monkeypatch.setattr(
+        visual_angle, "_polish_roots",
+        lambda f, x, neg, pos, tol, active, *args: _old_polish_roots(lambda y: f(y, *args), x, neg, pos, tol, active),
+    )
+    assert _hex(*_radial_boundary(centered, thetas)) == _hex(*want)
+
+
+@pytest.mark.parametrize("seed", ["nan", "neg", "pos", "circle"])
+def test_float32_pass_only_seeds(polar_body, seed, monkeypatch):
+    # the float32 pass only seeds the float64 polish: a NaN seed falls back to
+    # the circle seed, and from the bracket ends or the circle seeds every
+    # root meets the contract on Horner's g, and block and per-point solves
+    # stay within the shared-exit bound
+    def coarse(table, px, py, x, neg, pos, tol):
+        return {"nan": np.full_like(x, np.nan), "neg": neg, "pos": pos, "circle": x}[seed]
+
+    monkeypatch.setattr(visual_angle, "_coarse_roots", coarse)
+    cfg = ExteriorConfig(nodes_phi=96)
+    centered = recenter_to_steiner(polar_body)
+    _, points, table = _reference_polar_field(polar_body, cfg)
+    _check_batch(centered, points.reshape(-1, 2), every=997, table=table)
+    per_point = _tangent_angles(centered, points.reshape(-1, 2), table)[2]
+    assert np.max(np.abs(_polar_field.__wrapped__(polar_body, cfg)[0].ravel() - per_point)) <= 1e-11
