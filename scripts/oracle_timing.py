@@ -2,11 +2,14 @@
 """Polar-oracle timing at high degree: one line per body degree N.
 
 For random_body(3, N, index=1) at 96 directions, prints the median time of
-3 cold `_polar_field` builds, the cell count m of the table its tangent
-solve used (0 where its estimate leaves no room under tol and every root is
-polished on Horner's g), the points at which the solve evaluated g_H in
-float32 (g32) and in float64 (g64), the roots it finished on Horner's g
-(horner), and |polar - spectral_integral| / bar per kernel.
+3 cold `_polar_field` builds, whether the ray exits read the field's table
+(exits: table, or horner where its estimate leaves no room under their
+tol), the cell count m of the table its tangent solve used (0 where its
+estimate leaves no room under tol and every root is polished on Horner's
+g), the points at which the solve evaluated g_H in float32 (g32) and in
+float64 (g64), the roots the one-step certificate finished (cert) and the
+roots finished on Horner's g (horner), and |polar - spectral_integral| / bar
+per kernel.
 
     python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512 1024)
 
@@ -37,18 +40,24 @@ EVERY = 97
 def counted_build(body, cfg):
     """Build the field once more, into the cache, counting the solve's work
     and keeping every EVERY-th root with its point and body."""
-    count = {"m": 0, np.dtype(np.float32): 0, np.dtype(np.float64): 0, "horner": 0}
+    count = {"exits": "horner", "m": 0, np.dtype(np.float32): 0, np.dtype(np.float64): 0, "cert": 0, "horner": 0}
     roots = []
-    build, g_table, polish_roots, solve = va._support_table, va._g_table, va._polish_roots, va._tangent_solve
+    hermite, g_table, certificate, polish_roots, solve = (
+        va._hermite, va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve
+    )
 
-    def table(*args):
-        made = build(*args)
-        count["m"] = 0 if made is None else made[0].shape[1]
-        return made
+    def exits(*args):
+        count["exits"] = "table"
+        return hermite(*args)
 
     def g_h(table, phi, *args):
         count[table[0].dtype] += np.size(phi)
         return g_table(table, phi, *args)
+
+    def certify(*args):
+        y, done = certificate(*args)
+        count["cert"] += np.count_nonzero(done)
+        return y, done
 
     def polish(f, x, *args, **kw):
         if isinstance(f, functools.partial) and f.func is va._g:
@@ -56,17 +65,21 @@ def counted_build(body, cfg):
         return polish_roots(f, x, *args, **kw)
 
     def tangent_solve(centered, px, py, *ray):
+        count["m"] = 0 if ray[-1] is None else ray[-1][0].shape[1]
         phi1, phi2, omega = solve(centered, px, py, *ray)
         for phi in (phi1, phi2):
             roots.append((centered, px.ravel()[::EVERY], py.ravel()[::EVERY], phi.ravel()[::EVERY]))
         return phi1, phi2, omega
 
-    va._support_table, va._g_table, va._polish_roots, va._tangent_solve = table, g_h, polish, tangent_solve
+    patched = (exits, g_h, certify, polish, tangent_solve)
+    va._hermite, va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve = patched
     try:
         va._polar_field.cache_clear()
         va._polar_field(body, cfg)
     finally:
-        va._support_table, va._g_table, va._polish_roots, va._tangent_solve = build, g_table, polish_roots, solve
+        va._hermite, va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve = (
+            hermite, g_table, certificate, polish_roots, solve
+        )
     return count, roots
 
 
@@ -85,7 +98,7 @@ def misses(roots):
 def main(degrees):
     cfg = va.ExteriorConfig(nodes_phi=DIRECTIONS)
     names = sorted(va.KERNELS)
-    head = f"{'N':>5} {'field_s':>8} {'m':>6} {'g32':>8} {'g64':>8} {'horner':>7}"
+    head = f"{'N':>5} {'field_s':>8} {'exits':>6} {'m':>6} {'g32':>8} {'g64':>8} {'cert':>8} {'horner':>7}"
     print(head + "  " + "  ".join(f"{n:>17}" for n in names))
     bad = 0
     for degree in degrees:
@@ -102,8 +115,8 @@ def main(degrees):
             kernel = va.KERNELS[name]()
             polar = va.exterior_integral_grid(body, kernel, cfg)
             ratios.append(abs(polar.value - va.spectral_integral(body, kernel).value) / polar.error_bar)
-        evals = f"{count[np.dtype(np.float32)]:>8} {count[np.dtype(np.float64)]:>8} {count['horner']:>7}"
-        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {count['m']:>6} {evals}"
+        evals = f"{count[np.dtype(np.float32)]:>8} {count[np.dtype(np.float64)]:>8} {count['cert']:>8} {count['horner']:>7}"
+        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {count['exits']:>6} {count['m']:>6} {evals}"
         print(line + "  " + "  ".join(f"{r:>17.3g}" for r in ratios))
     return 1 if bad else 0
 

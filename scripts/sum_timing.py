@@ -2,7 +2,9 @@
 """Timing of `quadrature.rounded_sum` against math.fsum, one line per shape.
 
 For each shape (rows x n) and each kind of data (positive: uniform on
-[0, 1); signed: standard normal), prints the best time over interleaved
+[0, 1); signed: standard normal; zeros, negzeros and mixzeros: +0.0, -0.0
+and zeros of random sign, whose sum's sign each Python's math.fsum sets),
+prints the best time over interleaved
 rounds of `rounded_sum` as called (sum_us), of its extraction with the
 small-array rule off (extract_us), and of math.fsum on each row's list
 (fsum_us), fsum_us / sum_us, and whether all three give the same bits.
@@ -70,7 +72,14 @@ def main(shapes):
     print(f"{'shape':>12} {'data':>8} {'sum_us':>10} {'extract_us':>11} {'fsum_us':>10} {'ratio':>6}  bits")
     for shape in shapes:
         rows, n = (int(v) for v in shape.split("x"))
-        for kind, x in (("positive", rng.random((rows, n))), ("signed", rng.standard_normal((rows, n)))):
+        kinds = {
+            "positive": rng.random((rows, n)),
+            "signed": rng.standard_normal((rows, n)),
+            "zeros": np.zeros((rows, n)),
+            "negzeros": np.full((rows, n), -0.0),
+            "mixzeros": np.where(rng.random((rows, n)) < 0.5, 0.0, -0.0),
+        }
+        for kind, x in kinds.items():
             x = x[0] if rows == 1 else x  # a one-row site passes a 1-D array
             ref = [v.hex() for v in per_row(x)]
             same = all([v.hex() for v in np.atleast_1d(f(x)).tolist()] == ref for f in (quadrature.rounded_sum, forced))

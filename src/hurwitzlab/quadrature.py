@@ -43,12 +43,15 @@ def rounded_sum(x):
     its roundings, this certifies c below the gap from |c| down to the next
     float, the smaller gap about c, so no tie passes.  Where r is all zero the
     sum is hi + lo and d = lo, so c is its one IEEE rounding, ties to even as
-    math.fsum rounds.  Rows shorter than their count are the columns of one
-    transposed copy, so each max and sum is an elementwise pass across rows;
-    the second level runs on the rows the first leaves undecided.  math.fsum
+    math.fsum rounds.  A row of +0.0 alone (max|r| = 0 and no sign bit, read
+    on those rows alone) is +0.0 at the first level.  Rows shorter than
+    their count are the columns of one transposed copy, so each max and sum
+    is an elementwise pass across rows; the second level runs on the rows
+    the first leaves undecided.  math.fsum
     takes arrays below _EXTRACT_MIN entries, and rows undecided, non-finite,
-    with sigma > 2^1022 (its inf, nan, OverflowError) or c = 0 (its sign of
-    zero).
+    with sigma > 2^1022 (its inf, nan, OverflowError) or c = 0 from other
+    than +0.0 alone (its sign of zero, which differs across Pythons where
+    -0.0 is summed).
     """
     x = np.asarray(x, dtype=float)
     rows, n = (x if x.ndim == 2 else x[None]), x.shape[-1]
@@ -70,6 +73,8 @@ def rounded_sum(x):
         size = np.abs(c)  # its bits less one are the next float down; 0 gives NaN, which certifies nothing
         done = bound * (2.0 + 2.0**-49) + 2.0**-1069 < size - (size.view(np.int64) - 1).view(float)
         done |= ~r.any(0) & (c != 0.0)
+        if not level and (zero := big == 0.0).any():  # all +0.0 sums to +0.0, fsum's on every Python
+            done[zero] = ~np.signbit(r[:, zero]).any(0)
         out[live[done]] = c[done]
         if level or done.all():
             break

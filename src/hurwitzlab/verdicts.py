@@ -11,9 +11,10 @@ theorem it is, and gives the verdicts as rows, one per theorem: on one
 body the entries see floats, on a chunk of bodies arrays with one column
 per body.  Residual, equality, applicability and pass then follow for all
 rows in one array pass, with the same bits either way.  `run_suite` calls
-it once per path, `verify` reads one theorem's verdict from that pass and
-`run_suites` is its spectral pass over a chunk, whose every spectral sum is
-one `rounded_sum` call on one weight table.  A named integral is the kernel
+it once per path, `verify` once over its one theorem, which reads its own
+row alone and so gets `run_suite`'s bits, and `run_suites` is its spectral
+pass over a chunk, whose every spectral sum is one `rounded_sum` call on one
+weight table.  A named integral is the kernel
 `visual_angle.KERNELS[name]` integrated by `spectral_integral`, whose closed
 form follows from the kernel's coefficients, or by `exterior_integral`.
 """
@@ -242,8 +243,8 @@ def _scale(fs: FunctionalSet):
     return np.fmax(fs.L * fs.L, PI * abs(fs.Fe))
 
 
-def _evaluate(fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None) -> VerdictRows:
-    """The verdicts of THEOREMS on one path, as rows.
+def _evaluate(fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None, theorems=THEOREMS) -> VerdictRows:
+    """The verdicts of `theorems` (all of THEOREMS by default) on one path, as rows.
 
     fs holds the path's functionals and cw the constant-width test: floats
     and a bool for one body, arrays over a chunk.  integral(name) gives the
@@ -260,7 +261,7 @@ def _evaluate(fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None
     base = (0.0 if path == "spectral" else 1e-12) * own_scale  # the functionals' round-off
     nan, zero, yes = own_scale * np.nan, own_scale * 0.0, cw | True  # shaped like the bodies
     lhs, rhs, err, applicable, companions = [], [], [], [], {}
-    for i, t in enumerate(THEOREMS.values()):
+    for i, t in enumerate(theorems.values()):
         applicable.append(cw if t.cw_only else yes)
         if t.cw_only and not any_cw:
             lhs.append(nan), rhs.append(nan), err.append(zero)
@@ -286,11 +287,14 @@ def _evaluate(fs: FunctionalSet, cw, integral, path: str, tol: float, scale=None
     return VerdictRows(lhs, rhs, residual, err, equality, applicable, passed, scale, companions)
 
 
-def _verdicts(body: TrigSupport, path: str, tol: float, cw: bool, scale=None) -> tuple[VerdictRows, list[Verdict]]:
-    """The rows and the verdicts of THEOREMS on one body and path, whose
+def _verdicts(
+    body: TrigSupport, path: str, tol: float, cw: bool, scale=None, theorems=THEOREMS
+) -> tuple[VerdictRows, list[Verdict]]:
+    """The rows and the verdicts of `theorems` on one body and path, whose
     constant-width test is cw and spectral scale `scale` (None on the
     spectral path).  The functionals and each exterior integral an
-    applicable theorem names are computed once."""
+    applicable one of them names are computed once; a theorem's entries
+    read its own row alone, so its verdict has the same bits in any set."""
     _require_validated(body)
     if path not in ("spectral", "geometric"):
         raise ValueError(f"path must be 'spectral' or 'geometric', got {path!r}")
@@ -304,10 +308,10 @@ def _verdicts(body: TrigSupport, path: str, tol: float, cw: bool, scale=None) ->
             integrals[name] = (res.value, res.error_bar)
         return integrals[name]
 
-    rows = _evaluate(fs, cw, integral, path, tol, scale)
+    rows = _evaluate(fs, cw, integral, path, tol, scale, theorems)
     out = []
     for i, ((theorem, t), app, lhs, rhs, residual, equality, err) in enumerate(zip(
-        THEOREMS.items(), *(x.tolist() for x in (rows.applicable, rows.lhs, rows.rhs, rows.residual, rows.equality, rows.error_bar))
+        theorems.items(), *(x.tolist() for x in (rows.applicable, rows.lhs, rows.rhs, rows.residual, rows.equality, rows.error_bar))
     )):
         if not app:
             notes = "requires constant width"
@@ -326,8 +330,9 @@ def verify(
     path: str = "spectral",
     tol: float = 1e-9,
 ) -> Verdict:
-    """Evaluate one inequality on a validated body: its verdict from the
-    evaluator's pass over THEOREMS that `run_suite` makes, bit for bit.
+    """Evaluate one inequality on a validated body: the verdict `run_suite`
+    gives it, bit for bit, from the evaluator's pass over that theorem alone,
+    so only the exterior integral it names is computed.
 
     path "spectral" uses closed-form sums throughout; "geometric" uses
     quadrature functionals and, where the bound involves an exterior
@@ -338,8 +343,7 @@ def verify(
     """
     theorem, tol = TheoremId(theorem), SuiteConfig(tol=tol).tol
     _require_validated(body)
-    verdicts = _verdicts(body, path, tol, is_constant_width(body)[0])[1]
-    return verdicts[list(THEOREMS).index(theorem)]
+    return _verdicts(body, path, tol, is_constant_width(body)[0], theorems={theorem: THEOREMS[theorem]})[1][0]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ quadratures and in closed form:
   collar added to first order (`_polar_field`).  Each ray's boundary exit
   is solved once and shared by its radial nodes, and the tangent lines of
   a block of directions are solved in one batch, O(1) per point and
-  Newton step on one table of p; the field is cached per (body, config).
+  Newton step on one table of p, which the exits read too where its error
+  leaves them room; the field is cached per (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
@@ -41,12 +42,19 @@ quadratures and in closed form:
 The tangent lines through a point P are the roots of
 g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
 where the ray from the Steiner point through P leaves the body, and
-polished together (`_tangent_solve`).  The polar oracle polishes them on
+polished together (`_tangent_solve`).  The polar oracle solves them on
 g_H = <P, N> - H, H the quintic Hermite interpolant of p sampled once per
-field by one FFT (`_support_table`), to |g_H| <= tol - E, E a first-order
-estimate of |g - g_H|, and finishes a root that misses it on Horner's g.
-Float32 Newton steps on H seed it (`_coarse_roots`), and once fewer than
-half of its brackets are open the float64 polish reads g_H at those alone.
+field by one FFT (`_support_table`), to |g_H| <= tol_h, tol less E, a
+first-order estimate of |g - g_H|, and less what reducing the root mod
+2*pi moves; a root that misses it is finished on Horner's g.  Float32
+Newton steps on H seed it (`_coarse_roots`); one float64 evaluation of g_H
+at each seed gives a Newton step, returned where a Taylor bound with
+M >= |g_H''| (from the table's bound on |H + H''|) proves it meets tol_h
+and its next correction at most 1e-12 (`_newton_certificate`), about 90%
+of a field's roots.  The rest are polished on g_H, which reads those
+alone once fewer than half of its brackets are open.  The ray exits solve
+k = H' cos - H sin on the same table where E lies below their tol
+(`_radial_boundary`): rb is then the minimum of H/cos, within E/cos of p's.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -310,8 +318,8 @@ def _g(body: TrigSupport, phi, px, py):
     return px * c + py * s - p, -px * s + py * c - dp
 
 
-def _support_table(body: TrigSupport, tol: float):
-    """(rows, h, E): the quintic Hermite interpolant H(j*h + s) =
+def _support_table(body: TrigSupport):
+    """(rows, h, E, B): the quintic Hermite interpolant H(j*h + s) =
     sum_k rows[k, j] s^k of p, p', p'' sampled by one `_grid_derivs` call on m
     cells of h = 2*pi/m (the last ends at sample 0), m the least power of two
     >= max(64, 2N + 2) whose remainder M6 h^6 / 46080 (M6 = sum_n n^6 |c_n|)
@@ -319,8 +327,12 @@ def _support_table(body: TrigSupport, tol: float):
     |H - p| and Horner's N*u*S_0 in g at the root to first order, not as a
     proof: the remainder, the samples' 4*log2(m)*u*S_k through the Hermite
     basis (weights 1, 5/16, 1/32; against long-double FFTs, random_body(3, N,
-    index=1) up to N = 2048 measured at most 0.4*log2(m)*u*S_k) and
-    32u*sum_k h^k S_k for the cells.  None where E >= tol.
+    index=1) up to N = 2048 measured at most 0.4*log2(m)*u*S_k),
+    32u*sum_k h^k S_k for the cells and 4u*S_0 >= |H'| 2^-51 for reading H
+    at an angle that is not reduced mod 2*pi.  B >= |H + H''| everywhere:
+    the largest sum_k |b_k| h^k over the cells, b_k the coefficients of
+    H + H'' in s, b_k = rows[k] + (k+1)(k+2) rows[k+2], with room for their
+    rounding.  The callers decide where E leaves room under their tol.
     """
     n, mag = body.n.astype(float), np.hypot(body.a, body.b)
     s0, s1, s2, s6 = (float(np.sum(n**k * mag)) for k in (0, 1, 2, 6))
@@ -330,9 +342,7 @@ def _support_table(body: TrigSupport, tol: float):
     h = TWO_PI / m
     sums = np.array([body.a0 + s0, s1 * h, s2 * h * h])
     weights = 4.0 * math.log2(m) * np.array([1.0, 5 / 16, 1 / 32]) + 32.0  # the samples through H, and the cells
-    err = s6 * h**6 / 46080.0 + 2.0**-53 * (degree * sums[0] + sums @ weights)
-    if err >= tol:
-        return None
+    err = s6 * h**6 / 46080.0 + 2.0**-53 * ((degree + 4) * sums[0] + sums @ weights)
     p, dp, ddp = (np.append(v, v[0]) for v in _grid_derivs(body, m, (0, 1, 2)))
     # the left end's Taylor quadratic misses p, h p', h^2 p'' at the right end by
     # h^3 times (d, e, k); c_k = (10d - 4e + k/2, 7e - 15d - k, 6d - 3e + k/2) / h^(k-3)
@@ -341,14 +351,29 @@ def _support_table(body: TrigSupport, tol: float):
     e = (dp[1:] - (dp[:-1] + 2.0 * h * a2)) / h**2
     k = (ddp[1:] - ddp[:-1]) / h
     c3, c4, c5 = 10.0 * d - 4.0 * e + 0.5 * k, (7.0 * e - 15.0 * d - k) / h, (6.0 * d - 3.0 * e + 0.5 * k) / h**2
-    return np.array([p[:-1], dp[:-1], a2, c3, c4, c5]), h, err
+    rows = np.array([p[:-1], dp[:-1], a2, c3, c4, c5])
+    bent = rows.copy()
+    bent[:4] += np.array([2.0, 6.0, 12.0, 20.0])[:, None] * rows[2:]
+    return rows, h, err, float(np.max(h ** np.arange(6.0) @ np.abs(bent))) * (1.0 + 2.0**-40)
+
+
+def _hermite(table, phi):
+    """H, H' and H'' at phi, read from the table's cells like `_g_table`."""
+    rows, h = table[:2]
+    cell = np.floor(phi / h)
+    s, j = phi - cell * h, cell.astype(np.intp)
+    v, dv, ddv = rows[5].take(j, mode="wrap"), 0.0, 0.0
+    for ck in rows[4::-1]:
+        ddv, dv, v = ddv * s + 2.0 * dv, dv * s + v, v * s + ck.take(j, mode="wrap")
+    return v, dv, ddv
 
 
 def _g_table(table, phi, px, py):
-    """g_H = <P, N(phi)> - H(phi) and g_H', read like `_g` (cell m, where phi/h
-    rounds up, wraps to cell 0) in the dtype of the rows, phi and P; Horner's
-    accumulators are the taken rows, updated in place."""
-    (rows, h, _), phi = table, _turn(phi)
+    """g_H = <P, N(phi)> - H(phi) and g_H' at phi as given, not reduced mod
+    2*pi: the cell's `take` wraps (cell m, where phi/h rounds up, is cell 0),
+    in the dtype of the rows, phi and P; Horner's accumulators are the taken
+    rows, updated in place."""
+    rows, h = table[:2]
     cell = np.floor(phi / h)
     s, j = phi - cell * h, cell.astype(np.intp)
     *coef, v, dv = (row.take(j, mode="wrap") for row in rows)  # one array each keeps them off mmap
@@ -366,6 +391,37 @@ def _coarse_roots(table, px, py, x, neg, pos, tol):
     7 float32 ulps of |P| + a0, below which a root would be bisected away."""
     x, neg, pos, px, py, tol, rows = (v.astype(np.float32) for v in (x, neg, pos, px, py, 2.0**23 * tol, table[0]))
     return _polish_roots(partial(_g_table, (rows, *table[1:])), x, neg, pos, tol, True, px, py, steps=_COARSE_STEPS)[0]
+
+
+def _newton_certificate(table, x, px, py, lo, hi, size, tol_h):
+    """(y, done): y = x - g_H/g_H' where that Newton step lands inside
+    (lo, hi), else x, from one float64 evaluation of g_H at x; done where y
+    is certified to meet |g_H(y)| <= tol_h and its next Newton correction is
+    at most 1e-12.  size = |px| + |py|.
+
+    With d the step, G = g_H in exact arithmetic and g, g' its computed
+    values at x: G'' = -(G + H + H''), so on [x, y] |G''| <= M = B + |G|
+    with B >= |H + H''| the table's, and |G| <= |g| + |g'| d + slop + M d^2/2
+    there; as d^2/2 <= 2^-21 (below), M <= (B + |g| + |g'| d + slop)
+    (1 + 2^-20).  Taylor's theorem then gives |G(y)| <= M (d + 2^-50)^2 / 2
+    plus the round-off of g and g' and of the step, at most slop =
+    2^-48 (size + |g| + |g'|): cos and sin within an ulp, the cell's Horner
+    sum within 12u of |H| <= size + |g|, the quotient within u|g|, and y
+    rounded within half an ulp, 2^-50 (every bracket lies in (-4*pi, 4*pi)).
+    Certified: M (d + 2^-50)^2 / 2 + slop <= tol_h and
+    M (d + 2^-50)^2 / 2 <= 1e-12 |g'|, the predicted next correction, which
+    as M >= |g'| d also gives d^3 <= 2e-12, so d^2/2 < 2^-21.  tol_h already
+    holds the table's E and 2^-49 size for reading g at y reduced mod 2*pi.
+    A step that is not finite (g' = 0) certifies nothing.
+    """
+    g, dg = _g_table(table, x, px, py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = g / dg
+        y, d, g, dg = x - step, np.abs(step), np.abs(g), np.abs(dg)
+        slop = 2.0**-48 * (size + g + dg)
+        taylor = 0.5 * (1.0 + 2.0**-20) * (table[3] + g + dg * d + slop) * (d + 2.0**-50) ** 2
+    inside = (lo < y) & (y < hi)
+    return np.where(inside, y, x), inside & (taylor + slop <= tol_h) & (taylor <= 1e-12 * dg)
 
 
 def _tangent_angles(body: TrigSupport, points, table=None):
@@ -396,22 +452,30 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
     theta, and the ray leaves the body at distance rb, at the boundary point
     with normal angle phi_b.  The arguments broadcast, so the polar oracle
     solves each direction's exit once and shares it by that ray's nodes.  At
-    phi_b, g(phi) = <P, N(phi)> - p(phi) equals (r - rb) * cos(theta - phi_b),
-    a lower bound on the clearance max g: InteriorPoint means it is at most
+    phi_b, g(phi) = <P, N(phi)> - p(phi) equals (r - rb) * cos(theta - phi_b)
+    (within the table's E where `_radial_boundary` read it), a lower bound
+    on the clearance max g: InteriorPoint means it is at most
     tol = 1e-13 * (|P| + a0), BoundaryCollar at most _TANGENT_COLLAR * a0.
     Otherwise g is positive on one arc shorter than pi that contains phi_b, so
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
     (phi_b, phi_b + pi).  Both are polished together from
     phi_b -/+ arccos(rb / r), the roots for a circle of radius rb.  Given a
     `_support_table`, `_coarse_roots` moves them in float32 (into the bracket;
-    one it leaves non-finite or unmoved stays), and they are polished on
-    g_H = <P, N> - H to |g_H| <= (1 - 2^-50) tol - E, E its estimate of
-    |g - g_H|, with one more Newton step where the last exceeded 1e-12, kept
-    if it meets that bound; roots that miss it, and all without a table, are
-    polished on Horner's g.  Both read g at the root reduced mod 2*pi, so the
-    bound holds at the angle returned.  g rises through zero at phi1 and is
-    positive on the counterclockwise arc of length delta = pi - omega to
-    phi2; RootCountAnomaly means that arc is not shorter than pi.
+    one it leaves non-finite or unmoved stays), and they are solved on
+    g_H = <P, N> - H, read at the angle as it is, to |g_H| <= tol_h =
+    (1 - 2^-50) tol - E - 2^-49 (|px| + |py|): E the table's estimate of
+    |g - g_H| and the last term the most that reducing the root mod 2*pi
+    moves <P, N> as g reads it, rounding included.  One float64 evaluation of
+    g_H at each seed takes a Newton step that `_newton_certificate` proves
+    to meet that bound by a Taylor bound, its next correction at most 1e-12;
+    the steps it leaves are polished on g_H from the step (or the seed where
+    the step leaves the bracket), with one more Newton step where the last
+    exceeded 1e-12, kept if it meets tol_h.  Roots that miss tol_h, and all
+    without a table, are polished on Horner's g, read at the root reduced
+    mod 2*pi, so |g| <= tol holds at the angle returned.  g rises through
+    zero at phi1 and is positive on the counterclockwise arc of length
+    delta = pi - omega to phi2; RootCountAnomaly means that arc is not
+    shorter than pi.
     """
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
     collar = _TANGENT_COLLAR * body.a0
@@ -430,15 +494,24 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
     todo = np.ones(shape, dtype=bool)
     if table is not None:
-        tol_h = (1.0 - 2.0**-50) * tol - table[2]
+        size = np.abs(px) + np.abs(py)
+        tol_h = (1.0 - 2.0**-50) * tol - table[2] - 2.0**-49 * size
+        lo, hi = np.minimum(neg, b), np.maximum(neg, b)
         seed = _coarse_roots(table, px, py, x, neg, b, tol)
         moved = np.isfinite(seed) & (seed != x.astype(np.float32))
-        x = np.where(moved, np.clip(seed, np.minimum(neg, b), np.maximum(neg, b)), x)
-        x, (g, dg) = _polish_roots(partial(_g_table, table), x, neg, b, tol_h, tol_h > 0.0, px, py)
-        todo = ~(np.abs(g) <= tol_h)
-        big = ~todo & (np.abs(g) > 1e-12 * np.abs(dg)) & (dg != 0.0)
-        y = x[big] - g[big] / dg[big]
-        x[big] = np.where(np.abs(_g_table(table, y, px[big], py[big])[0]) <= tol_h[big], y, x[big])
+        x = np.where(moved, np.clip(seed, lo, hi), x)
+        x, done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h)
+        todo = ~done
+        if todo.any():  # the polish, from the Newton step where it stays in the bracket
+            px_t, py_t, tol_t = px[todo], py[todo], tol_h[todo]
+            x_t, (g, dg) = _polish_roots(
+                partial(_g_table, table), x[todo], neg[todo], b[todo], tol_t, tol_t > 0.0, px_t, py_t
+            )
+            open_ = ~(np.abs(g) <= tol_t)
+            big = ~open_ & (np.abs(g) > 1e-12 * np.abs(dg)) & (dg != 0.0)
+            y = x_t[big] - g[big] / dg[big]
+            x_t[big] = np.where(np.abs(_g_table(table, y, px_t[big], py_t[big])[0]) <= tol_t[big], y, x_t[big])
+            x[todo], todo[todo] = x_t, open_
     if todo.any():
         x[todo], _ = _polish_roots(partial(_g, body), x[todo], neg[todo], b[todo], tol[todo], True, px[todo], py[todo])
     roots = _turn(x)
@@ -606,23 +679,33 @@ def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
 # Polar-grid oracle
 
 
-def _radial_boundary(body: TrigSupport, thetas):
+def _radial_boundary(body: TrigSupport, thetas, table=None):
     """Distances rb from the origin to the boundary along the directions
     thetas, and the normal angles phi of the boundary points they reach.
 
     rb minimizes p(phi)/cos(theta - phi) over the half-turn window about
     theta (the origin must be interior), so phi is the root of
     k = p' cos(theta - phi) - p sin(theta - phi), whose derivative
-    rho cos(theta - phi) is positive in the window: k < 0 < k at its ends.
+    rho cos(theta - phi) is positive in the window: k < 0 < k at its ends;
+    k is polished to |k| <= tol = 1e-13 * a0.  Given the body's
+    `_support_table` whose E lies below tol, k is read on its H instead of
+    Horner's p, to |k_H| <= tol - E: k_H / cos^2 is the derivative of
+    H/cos, so rb is the minimum of H/cos and within E/cos(theta - phi) of
+    the minimum of p/cos, whatever the error of H', and g(phi) of
+    `_tangent_solve` is within E of its (r - rb) cos(theta - phi).
     """
-    span = PI / 2.0 - 1e-6
+    span, tol = PI / 2.0 - 1e-6, 1e-13 * body.a0
+    if table is not None and table[2] < tol:
+        tol -= table[2]
+    else:
+        table = None
 
     def k(phi, theta):
         c, s = np.cos(theta - phi), np.sin(theta - phi)
-        p, dp, ddp = _derivs(body, phi, (0, 1, 2))
+        p, dp, ddp = _derivs(body, phi, (0, 1, 2)) if table is None else _hermite(table, phi)
         return dp * c - p * s, (p + ddp) * c, p / c
 
-    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True, thetas)
+    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, tol, True, thetas)
     return rb, phi
 
 
@@ -637,8 +720,10 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         zone r > r1 in s = r1/r on (0, 1], where r dr = r1^2 s^-3 ds; each
         direction's boundary exit is solved once, by one `_radial_boundary`
         call for all of them, and shared by that ray's nodes, and the tangent
-        lines of a block of rows are solved in one batch (`_tangent_solve`),
-        on one `_support_table` of the body where its estimate leaves room;
+        lines of a block of rows are solved in one batch (`_tangent_solve`);
+        the body's `_support_table` is built before the exits, which read it
+        where its estimate lies below their tol, and the tangent solve reads
+        it where its estimate lies below the least tol of the field's roots;
       ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
@@ -648,7 +733,8 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     w_theta = TWO_PI / n_theta
 
-    rbs, phi_bs = _radial_boundary(centered, thetas)
+    table = _support_table(centered)
+    rbs, phi_bs = _radial_boundary(centered, thetas, table)
     r1 = 3.0 * float(np.max(rbs))
     # far zone: admitted kernels vanish like omega^3 and omega ~ width/r, so f(omega) s^-3 stays bounded as s -> 0
     s_nodes, s_w = gauss_panels(np.linspace(0.0, 1.0, _POLAR_PANELS + 1), points=8)
@@ -662,7 +748,8 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
-    table = _support_table(centered, 1e-13 * (centered.a0 + float(np.min(rs))))
+    if table[2] >= 1e-13 * (centered.a0 + float(np.min(rs))):  # the least tol of the roots
+        table = None
     omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table)[2] for i in range(0, n_theta, rows)]
     return np.concatenate(omegas), weights, ring_mass
 

@@ -241,10 +241,12 @@ class TestRoundedSum:
             (np.ones((100, 23)), 1, 0),  # 2300 entries: above the rule, which counts entries only
             (np.ones((100, 24)), 1, 0),
             (np.stack([np.linspace(0.5, 1.5, 2048), _HALF]), 2, 0),  # the second level takes the tie row only
-            (np.zeros(2048), 2, 1),  # +0.0 only: c = 0 as well
+            (np.concatenate([np.zeros(2047), [-0.0]]), 2, 1),  # +0.0 and a -0.0: math.fsum's sign of zero
             (np.ones((2, 1023)), 0, 2),  # 2046 < 2048 entries: math.fsum costs less
             (np.ones((2, 1024)), 1, 0),
             (np.stack([np.linspace(0.5, 1.5, 2048), _HALF * 3.0, np.ones(2048)]).T, 2, 0),  # rows of 3, as columns
+            (np.zeros(2048), 1, 0),  # +0.0 only: +0.0 at the first level
+            (np.stack([np.zeros(2048), np.full(2048, -0.0), np.ones(2048)]), 2, 1),  # only the -0.0 row goes on
         ],
     )
     def test_branches(self, monkeypatch, x, levels, fallbacks):

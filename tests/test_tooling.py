@@ -37,21 +37,24 @@ def test_failing_property_test_is_reported(tmp_path):
 
 
 def test_oracle_timing_prints_one_row_per_degree():
-    # the CI step: cold field time, table cells, the float32 and float64
-    # evaluations of g_H (about 3 and 2 per root: 96 * 96 * 2 roots), the
-    # roots finished on Horner's g, and err/bar per kernel
+    # the CI step: cold field time, whether the exits read the table, table
+    # cells, the float32 and float64 evaluations of g_H (about 3 and 1.2 per
+    # root: 96 * 96 * 2 roots), the roots the one-step certificate finished,
+    # the roots finished on Horner's g, and err/bar per kernel
     script = ROOT / "scripts" / "oracle_timing.py"
     out = subprocess.run([sys.executable, str(script), "8", "32"], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     header, *rows = out.stdout.splitlines()
     assert header.split() == [
-        "N", "field_s", "m", "g32", "g64", "horner", "crofton", "sin_cubed", "visual_deficit", "visual_deficit_cw"
+        "N", "field_s", "exits", "m", "g32", "g64", "cert", "horner",
+        "crofton", "sin_cubed", "visual_deficit", "visual_deficit_cw",
     ]
     cells = [row.split() for row in rows]
-    assert [(c[0], c[2], c[5]) for c in cells] == [("8", "1024", "0"), ("32", "4096", "0")]
+    assert [(c[0], c[2], c[3], c[7]) for c in cells] == [("8", "table", "1024", "0"), ("32", "table", "4096", "0")]
     roots = 96 * 96 * 2
-    assert all(roots <= int(c[3]) <= 4 * roots and roots <= int(c[4]) <= 3 * roots for c in cells)
-    assert all(0.0 <= float(ratio) < 1.0 for c in cells for ratio in c[6:])
+    assert all(roots <= int(c[4]) <= 4 * roots and roots <= int(c[5]) <= 1.5 * roots for c in cells)
+    assert all(roots // 2 <= int(c[6]) <= roots for c in cells)
+    assert all(0.0 <= float(ratio) < 1.0 for c in cells for ratio in c[8:])
 
 
 def test_oracle_timing_exits_1_on_a_missed_root(monkeypatch, capsys):
@@ -69,14 +72,17 @@ def test_oracle_timing_exits_1_on_a_missed_root(monkeypatch, capsys):
 
 
 def test_sum_timing_prints_one_row_per_shape_and_kind():
-    # shapes just below the small-array rule (1920 entries) and at it
+    # shapes just below the small-array rule (1920 entries) and at it; rows of
+    # +0.0, -0.0 and zeros of random sign check the zero-row rule against
+    # this Python's math.fsum
     script = ROOT / "scripts" / "sum_timing.py"
     out = subprocess.run([sys.executable, str(script), "128x15", "1x2048"], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     header, *rows = out.stdout.splitlines()
     assert header.split() == ["shape", "data", "sum_us", "extract_us", "fsum_us", "ratio", "bits"]
     cells = [row.split() for row in rows]
-    assert [(c[0], c[1]) for c in cells] == [(s, k) for s in ("128x15", "1x2048") for k in ("positive", "signed")]
+    kinds = ("positive", "signed", "zeros", "negzeros", "mixzeros")
+    assert [(c[0], c[1]) for c in cells] == [(s, k) for s in ("128x15", "1x2048") for k in kinds]
     assert all(c[-1] == "same" and all(float(v) > 0.0 for v in c[2:6]) for c in cells)
 
 

@@ -29,7 +29,7 @@ from hurwitzlab import (
     validate_convex,
     verify,
 )
-from hurwitzlab import verdicts
+from hurwitzlab import verdicts, visual_angle
 from hurwitzlab.bodies import _dense
 from hurwitzlab.cli import main
 from hurwitzlab.errors import NotValidated
@@ -369,6 +369,16 @@ class TestEvaluator:
                     assert a.hex() == b.hex(), (tid, path, f.name)
                 else:
                     assert a == b, (tid, path, f.name)
+
+    @pytest.mark.parametrize("theorem, fields", [(TheoremId.HURWITZ, 0), (TheoremId.VISUAL, 1)])
+    def test_verify_builds_only_the_field_it_reads(self, mix_body, monkeypatch, theorem, fields):
+        # verify's pass covers its one theorem: hurwitz names no exterior
+        # integral and builds no tangent field, visual_angle_bound one, where a
+        # pass over every theorem built the field and 2-3 integrals for each
+        built, field = [], visual_angle._tangent_field
+        monkeypatch.setattr(visual_angle, "_tangent_field", lambda body: built.append(body) or field.__wrapped__(body))
+        verify(mix_body, theorem, path="geometric")
+        assert len(built) == fields
 
     @pytest.mark.parametrize("name", ["mix", "cw35"])
     def test_suite_builds_no_kernel(self, request, monkeypatch, name):

@@ -306,8 +306,8 @@ def _count_horner_polish(monkeypatch):
 
 
 def _table(body):
-    """The body's `_support_table`, built whatever its estimate."""
-    return _support_table(body, math.inf)
+    """The body's `_support_table`."""
+    return _support_table(body)
 
 
 def _table_values(body, phi):
@@ -316,8 +316,8 @@ def _table_values(body, phi):
 
 
 @st.composite
-def _translated_bodies(draw):
-    body = draw(convex_bodies(max_degree=8))
+def _translated_bodies(draw, max_degree=8):
+    body = draw(convex_bodies(max_degree=max_degree))
     shift, heading = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, TWO_PI))
     return rigid_motion(body, 0.0, shift * body.a0 * np.array([math.cos(heading), math.sin(heading)]))
 
@@ -330,7 +330,7 @@ def _translated_bodies(draw):
 def test_table_stays_within_its_error_estimate(body, phis):
     # the tangent solve takes |g_H| <= tol - E for |g| <= tol, g read by
     # Horner as eval_support reads it: E, an estimate, must hold at random angles
-    _, _, estimate = _table(body)
+    estimate = _table(body)[2]
     assert np.all(np.abs(eval_support(body, phis) - _table_values(body, phis)) <= estimate)
 
 
@@ -339,7 +339,7 @@ def test_table_estimate_leaves_the_polish_room():
     # (>= 1e-13 * a0) up to degree 128, and the table's cells follow the body
     for degree, cells in ((0, 64), (8, 1024), (32, 4096), (128, 8192)):
         body = recenter_to_steiner(random_body(3, degree, index=1)) if degree else validate_convex(TrigSupport(1.0))
-        rows, _, estimate = _table(body)
+        rows, _, estimate, _ = _table(body)
         assert rows.shape == (6, cells) and estimate <= 0.4e-13 * body.a0, degree
 
 
@@ -371,15 +371,53 @@ def test_roots_the_table_leaves_keep_the_contract(mix_body, monkeypatch):
 
 
 def test_table_wherever_its_estimate_leaves_room(monkeypatch):
-    # a table is built whenever the least tol of its roots exceeds its E,
-    # however few roots it serves: the polar field of degree 128 at 16
-    # directions (8192 cells, 3072 roots) polishes no root on Horner's g
-    body = recenter_to_steiner(random_body(3, 8, index=1))
-    _, _, estimate = _table(body)
-    assert _support_table(body, 2.0 * estimate) is not None and _support_table(body, estimate) is None
+    # the tangent solve gets the field's table whenever its E lies below the
+    # least tol of the field's roots, however few roots it serves: the polar
+    # field of degree 128 at 16 directions (8192 cells, 3072 roots) polishes
+    # no root on Horner's g
+    body, cfg = random_body(3, 8, index=1), ExteriorConfig(nodes_phi=16)
+    centered = recenter_to_steiner(body)
+    _, points, _ = _reference_polar_field(body, cfg)
+    least = 1e-13 * (centered.a0 + np.min(np.hypot(points[..., 0], points[..., 1])))
+    real = _support_table(centered)
+    for scale, handed in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        tables = []
+        with monkeypatch.context() as patch:
+            patch.setattr(visual_angle, "_support_table", lambda body: (*real[:2], scale * least, real[3]))
+            patch.setattr(visual_angle, "_tangent_solve", lambda *a: tables.append(a[-1]) or _tangent_solve(*a))
+            _polar_field.__wrapped__(body, cfg)
+        assert tables and all((t is not None) == handed for t in tables)
     fallbacks = _count_horner_polish(monkeypatch)
     _polar_field.__wrapped__(random_body(3, 128, index=1), ExteriorConfig(nodes_phi=16))
     assert fallbacks == []
+
+
+@given(
+    _translated_bodies(max_degree=10),
+    st.lists(st.tuples(st.floats(0.0, TWO_PI), st.floats(-5.0, 2.0)), min_size=1, max_size=24),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_roots_keep_the_contract(body, draws):
+    # every Newton step the certificate returns, from one float64 evaluation
+    # of g_H, meets |g| <= 1e-13 (|P| + a0) on Horner's g at the returned,
+    # reduced angle: clearances 1e-5*a0 to 100*a0, the body translated by up
+    # to 1e3*a0
+    certify, certified = visual_angle._newton_certificate, []
+
+    def spy(table, x, px, py, *args):
+        y, done = certify(table, x, px, py, *args)
+        certified.append((px[done], py[done], y[done], done.size))
+        return y, done
+
+    points = _exterior_points(body, [phi for phi, _ in draws], [body.a0 * 10.0**u for _, u in draws])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(visual_angle, "_newton_certificate", spy)
+        roots = _tangent_angles(body, points, _table(body))
+    (px, py, y, size), = certified
+    phi = _turn(y)
+    assert np.all(np.isin(phi, np.concatenate(roots[:2])))
+    g = px * np.cos(phi) + py * np.sin(phi) - eval_support(body, phi)
+    assert size == 2 * len(points) and np.all(np.abs(g) <= 1e-13 * (np.hypot(px, py) + body.a0))
 
 
 class TestBatchedTangents:
@@ -450,6 +488,52 @@ class TestRadialBoundary:
         assert np.all(np.abs(np.sum(hit * ray, axis=1) - rb) <= 1e-12 * body.a0)
         ref = [_reference_radial(body, t) for t in thetas]
         assert np.all(np.abs(rb - ref) <= 1e-12 * body.a0)
+
+
+def _exit_outcome(body, points, exit_table):
+    """What the table's tangent solve makes of each point of the body centred
+    at its Steiner point, with the ray exits solved on Horner's p
+    (exit_table None) or on the table: the exception's name, or "solved"."""
+    table, out = _table(body), []
+    for px, py in points:
+        theta = np.arctan2([py], [px])
+        rb, phi_b = _radial_boundary(body, theta, exit_table)
+        try:
+            _tangent_solve(body, np.array([px]), np.array([py]), np.hypot([px], [py]), theta, rb, phi_b, table)
+            out.append("solved")
+        except (InteriorPoint, BoundaryCollar) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+@pytest.mark.parametrize("name", ["circle", "ast", "delt", "mix", "random8", "random128"])
+def test_table_exits_match_horner_exits(name, request):
+    # where the table's E leaves room under the exit tol 1e-13*a0, the ray
+    # exits read H: rb within TestRadialBoundary's 1e-12*a0 of the exits on
+    # Horner's p, and the same InteriorPoint, BoundaryCollar or solved
+    # outcome for points inside, within and past the collar
+    if name.startswith("random"):
+        body = random_body(3, int(name[6:]), index=1)
+    else:
+        body = request.getfixturevalue(f"{name}_body")
+    body, thetas = recenter_to_steiner(body), np.linspace(0.0, TWO_PI, 96, endpoint=False) + 0.05
+    table = _table(body)
+    assert table[2] < 1e-13 * body.a0
+    reads = []
+    hermite = visual_angle._hermite
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(visual_angle, "_hermite", lambda *a: reads.append(1) or hermite(*a))
+        rb, _ = _radial_boundary(body, thetas, table)
+    horner_rb, _ = _radial_boundary(body, thetas)
+    assert reads and np.all(np.abs(rb - horner_rb) <= 1e-12 * body.a0)
+    phis = thetas[::8]
+    normals = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    points = np.concatenate([
+        boundary_point(body, phis) + s * body.a0 * normals for s in (-1e-12, -1e-6, 1e-11, 5e-10, 2e-9, 1e-3, 1.0)
+    ])
+    outcomes = _exit_outcome(body, points, None)
+    assert _exit_outcome(body, points, table) == outcomes
+    assert set(outcomes) == {"InteriorPoint", "BoundaryCollar", "solved"}
 
 
 class TestExteriorPoint:
@@ -1064,15 +1148,18 @@ class TestPolarOracle:
 
 def _reference_polar_field(body, cfg):
     """Per-direction loop, each ray's own Gauss rule and one tangent solve per
-    theta fed that ray's (theta, rb, phi_b) and the field's table: the
-    reference for the broadcast grid and the block solve.  Also returns the
-    nodes' points, one row per theta, and the table."""
+    theta fed that ray's (theta, rb, phi_b) and the field's table, the exits
+    solved as the field solves them, on its table: the reference for the
+    broadcast grid and the block solve.  Also returns the nodes' points, one
+    row per theta, and the table the tangent solves read (None where its E
+    leaves no room under the least tol)."""
     centered = recenter_to_steiner(body)
     collar = visual_angle._POLAR_COLLAR * centered.a0
     panels = visual_angle._POLAR_PANELS
     thetas = np.linspace(0.0, TWO_PI, cfg.nodes_phi, endpoint=False)
     w_theta = TWO_PI / cfg.nodes_phi
-    rbs, phi_bs = _radial_boundary(centered, thetas)
+    table = _support_table(centered)
+    rbs, phi_bs = _radial_boundary(centered, thetas, table)
     r1 = 3.0 * float(np.max(rbs))
     # far zone in s = r1/r on (0, 1]: r dr = r1^2 s^-3 ds
     s_nodes, s_w = gauss_panels(np.linspace(0.0, 1.0, panels + 1), points=8)
@@ -1086,7 +1173,8 @@ def _reference_polar_field(body, cfg):
         points.append(np.stack([radii[-1] * c, radii[-1] * s], axis=1))
         ring.append(rb * collar + 0.5 * collar * collar)
     radii, points = np.array(radii), np.array(points)
-    table = _support_table(centered, 1e-13 * (centered.a0 + float(np.min(radii))))
+    if table[2] >= 1e-13 * (centered.a0 + float(np.min(radii))):
+        table = None
     omegas = [_tangent_solve(centered, *p.T, rs, *exit, table)[2] for p, rs, *exit in zip(points, radii, thetas, rbs, phi_bs)]
     return (np.array(omegas), np.array(weights), w_theta * math.fsum(ring)), points, table
 
@@ -1124,7 +1212,7 @@ class TestPolarBlocks:
         sizes = []
         monkeypatch.setattr(
             visual_angle, "_radial_boundary",
-            lambda body, thetas: sizes.append(np.size(thetas)) or _radial_boundary(body, thetas),
+            lambda body, thetas, table: sizes.append(np.size(thetas)) or _radial_boundary(body, thetas, table),
         )
         _polar_field.__wrapped__(mix_body, ExteriorConfig(nodes_phi=96))
         assert sizes == [96]
@@ -1148,10 +1236,11 @@ class TestPolarBlocks:
         assert sizes == [42 * 96] * 2 + [12 * 96]
 
     def test_polish_evaluates_only_open_brackets(self, monkeypatch):
-        # the FOUND lines' field: each block of 8064 roots took 5 float64
-        # evaluations of g_H at every root, the last for about 400 still open.
-        # Past a block's float32 seeds and first two float64 evaluations, the
-        # polish reads g_H at most at half of that block's roots
+        # the field where each block of 8064 roots once took 5 float64
+        # evaluations of g_H at every root.  Past a block's float32 seeds, one
+        # float64 evaluation at every root certifies most Newton steps; the
+        # polish then reads g_H at most at a quarter of that block's roots
+        # (about 8-11% here)
         calls = []
         monkeypatch.setattr(
             visual_angle, "_tangent_solve",
@@ -1169,7 +1258,7 @@ class TestPolarBlocks:
             float32 = [n for kind, n in calls[i + 1 : j] if kind == np.float32]
             float64 = [n for kind, n in calls[i + 1 : j] if kind == np.float64]
             assert float32 and float32[0] == roots
-            assert float64[:2] == [roots, roots] and all(2 * n <= roots for n in float64[2:])
+            assert float64[0] == roots and all(4 * n <= roots for n in float64[1:])
 
 
 def _old_polish_roots(f, x, neg, pos, tol, active):
@@ -1205,7 +1294,7 @@ def _circle_brackets(body, cfg):
     pts = points[:42]
     r = np.hypot(pts[..., 0], pts[..., 1])
     theta = np.arctan2(pts[..., 1], pts[..., 0])
-    rb, phi_b = _radial_boundary(centered, theta[:, :1])
+    rb, phi_b = _radial_boundary(centered, theta[:, :1], table)
     shape = r.shape + (2,)
     px, py, b = (np.broadcast_to(np.asarray(v)[..., None], shape).copy() for v in (pts[..., 0], pts[..., 1], phi_b))
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
