@@ -2,16 +2,13 @@
 """Polar-oracle timing at high degree: one line per body degree N.
 
 For random_body(3, N, index=1) at 96 directions, prints the median time of
-3 cold `_polar_field` builds, whether the ray exits read the field's table
-(exits: table, or horner where its estimate leaves no room under their
-tol), the cell count m of the table its tangent solve used (0 where its
-estimate leaves no room under tol and every root is polished on Horner's
-g), the points at which the solve evaluated g_H in float32 (g32) and in
-float64 (g64), the roots the one-step certificate finished (cert) and the
-roots finished on Horner's g (horner), and |polar - spectral_integral| / bar
-per kernel.
+3 cold `_polar_field` builds, the cell count m of the table its ray exits
+and tangent solve read, the points at which the solve evaluated g_H in
+float32 (g32) and in float64 (g64), the roots the Newton certificate
+finished (cert) and the roots finished on Horner's g (horner), and
+|polar - spectral_integral| / bar per kernel.
 
-    python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512 1024)
+    python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512 1024 2048)
 
 Every 97th root of each field is checked against |g| <= 1e-13 (|P| + a0) on
 Horner's g, the tangent solve's contract; a miss is printed and the run
@@ -40,15 +37,9 @@ EVERY = 97
 def counted_build(body, cfg):
     """Build the field once more, into the cache, counting the solve's work
     and keeping every EVERY-th root with its point and body."""
-    count = {"exits": "horner", "m": 0, np.dtype(np.float32): 0, np.dtype(np.float64): 0, "cert": 0, "horner": 0}
+    count = {"m": 0, np.dtype(np.float32): 0, np.dtype(np.float64): 0, "cert": 0, "horner": 0}
     roots = []
-    hermite, g_table, certificate, polish_roots, solve = (
-        va._hermite, va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve
-    )
-
-    def exits(*args):
-        count["exits"] = "table"
-        return hermite(*args)
+    g_table, certificate, polish_roots, solve = va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve
 
     def g_h(table, phi, *args):
         count[table[0].dtype] += np.size(phi)
@@ -65,20 +56,19 @@ def counted_build(body, cfg):
         return polish_roots(f, x, *args, **kw)
 
     def tangent_solve(centered, px, py, *ray):
-        count["m"] = 0 if ray[-1] is None else ray[-1][0].shape[1]
+        count["m"] = ray[-1][0].shape[1]
         phi1, phi2, omega = solve(centered, px, py, *ray)
         for phi in (phi1, phi2):
             roots.append((centered, px.ravel()[::EVERY], py.ravel()[::EVERY], phi.ravel()[::EVERY]))
         return phi1, phi2, omega
 
-    patched = (exits, g_h, certify, polish, tangent_solve)
-    va._hermite, va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve = patched
+    va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve = g_h, certify, polish, tangent_solve
     try:
         va._polar_field.cache_clear()
         va._polar_field(body, cfg)
     finally:
-        va._hermite, va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve = (
-            hermite, g_table, certificate, polish_roots, solve
+        va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve = (
+            g_table, certificate, polish_roots, solve
         )
     return count, roots
 
@@ -98,7 +88,7 @@ def misses(roots):
 def main(degrees):
     cfg = va.ExteriorConfig(nodes_phi=DIRECTIONS)
     names = sorted(va.KERNELS)
-    head = f"{'N':>5} {'field_s':>8} {'exits':>6} {'m':>6} {'g32':>8} {'g64':>8} {'cert':>8} {'horner':>7}"
+    head = f"{'N':>5} {'field_s':>8} {'m':>6} {'g32':>8} {'g64':>8} {'cert':>8} {'horner':>7}"
     print(head + "  " + "  ".join(f"{n:>17}" for n in names))
     bad = 0
     for degree in degrees:
@@ -116,10 +106,10 @@ def main(degrees):
             polar = va.exterior_integral_grid(body, kernel, cfg)
             ratios.append(abs(polar.value - va.spectral_integral(body, kernel).value) / polar.error_bar)
         evals = f"{count[np.dtype(np.float32)]:>8} {count[np.dtype(np.float64)]:>8} {count['cert']:>8} {count['horner']:>7}"
-        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {count['exits']:>6} {count['m']:>6} {evals}"
+        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {count['m']:>6} {evals}"
         print(line + "  " + "  ".join(f"{r:>17.3g}" for r in ratios))
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main([int(arg) for arg in sys.argv[1:]] or [8, 32, 128, 512, 1024]))
+    sys.exit(main([int(arg) for arg in sys.argv[1:]] or [8, 32, 128, 512, 1024, 2048]))

@@ -33,28 +33,27 @@ quadratures and in closed form:
   collar added to first order (`_polar_field`).  Each ray's boundary exit
   is solved once and shared by its radial nodes, and the tangent lines of
   a block of directions are solved in one batch, O(1) per point and
-  Newton step on one table of p, which the exits read too where its error
-  leaves them room; the field is cached per (body, config).
+  Newton step on one table of p, which the exits read too; the field is
+  cached per (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
 
 The tangent lines through a point P are the roots of
 g(phi) = <P, N(phi)> - p(phi), bracketed on either side of the normal angle
-where the ray from the Steiner point through P leaves the body, and
-polished together (`_tangent_solve`).  The polar oracle solves them on
-g_H = <P, N> - H, H the quintic Hermite interpolant of p sampled once per
-field by one FFT (`_support_table`), to |g_H| <= tol_h, tol less E, a
-first-order estimate of |g - g_H|, and less what reducing the root mod
-2*pi moves; a root that misses it is finished on Horner's g.  Float32
-Newton steps on H seed it (`_coarse_roots`); one float64 evaluation of g_H
-at each seed gives a Newton step, returned where a Taylor bound with
-M >= |g_H''| (from the table's bound on |H + H''|) proves it meets tol_h
-and its next correction at most 1e-12 (`_newton_certificate`), about 90%
-of a field's roots.  The rest are polished on g_H, which reads those
-alone once fewer than half of its brackets are open.  The ray exits solve
-k = H' cos - H sin on the same table where E lies below their tol
-(`_radial_boundary`): rb is then the minimum of H/cos, within E/cos of p's.
+where the ray from the Steiner point through P leaves the body, and solved
+together (`_tangent_solve`) on g_H = <P, N> - H, H the quintic Hermite
+interpolant of p sampled by one FFT (`_support_table`), to |g_H| <= tol_h,
+tol less E, a first-order estimate of |g - g_H|, and less what reducing
+the root mod 2*pi moves.  Float32 Newton steps on H seed them
+(`_coarse_roots`); one float64 evaluation of g_H gives a Newton step,
+returned where a Taylor bound with M >= |g_H''| (from the table's bound on
+|H + H''|) proves it meets tol_h and its next correction at most 1e-12
+(`_newton_certificate`): at every root, then at most twice more at the
+roots it leaves.  Horner's g finishes what remains, every root where E
+leaves tol_h no room among them.  The ray exits solve
+k = H' cos - H sin on the same table (`_radial_boundary`): rb is the
+minimum of H/cos, within E/cos of p's.
 
 The convention omega = pi - delta is pinned by the circle: a unit circle
 seen from distance d subtends omega = 2*arcsin(1/d).
@@ -106,7 +105,7 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
-_COARSE_STEPS = 3  # float32 steps of `_polish_roots` that seed the polar oracle's float64 polish
+_COARSE_STEPS = 3  # float32 steps of `_polish_roots` that seed the tangent solve's Newton certificate
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -332,7 +331,7 @@ def _support_table(body: TrigSupport):
     at an angle that is not reduced mod 2*pi.  B >= |H + H''| everywhere:
     the largest sum_k |b_k| h^k over the cells, b_k the coefficients of
     H + H'' in s, b_k = rows[k] + (k+1)(k+2) rows[k+2], with room for their
-    rounding.  The callers decide where E leaves room under their tol.
+    rounding.
     """
     n, mag = body.n.astype(float), np.hypot(body.a, body.b)
     s0, s1, s2, s6 = (float(np.sum(n**k * mag)) for k in (0, 1, 2, 6))
@@ -424,16 +423,19 @@ def _newton_certificate(table, x, px, py, lo, hi, size, tol_h):
     return np.where(inside, y, x), inside & (taylor + slop <= tol_h) & (taylor <= 1e-12 * dg)
 
 
-def _tangent_angles(body: TrigSupport, points, table=None):
+def _tangent_angles(body: TrigSupport, points):
     """Arrays (phi1, phi2, omega) of the support lines through each row of
     points: the ray from the Steiner point S through each P is solved by
-    `_radial_boundary` and handed to `_tangent_solve` with the table.  Each
-    point is solved on its own, bit for bit.
+    `_radial_boundary` on the `_support_table` of the body centred at S and
+    handed to `_tangent_solve` with the body's own table (one table where
+    S is the origin).  Each point is solved on its own, bit for bit.
     """
     px, py = points[:, 0], points[:, 1]
     sx, sy = steiner_point(body)
     theta = np.arctan2(py - sy, px - sx)
-    rb, phi_b = _radial_boundary(recenter_to_steiner(body), theta)
+    centered = recenter_to_steiner(body)
+    table = _support_table(body)
+    rb, phi_b = _radial_boundary(centered, theta, table if centered is body else _support_table(centered))
     return _tangent_solve(body, px, py, np.hypot(px - sx, py - sy), theta, rb, phi_b, table)
 
 
@@ -445,7 +447,7 @@ def _turn(x):
     return np.where(x < 0.0, x + TWO_PI, x)
 
 
-def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
+def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table):
     """Arrays (phi1, phi2, omega) of the support lines through the points (px, py).
 
     The point lies at distance r from the Steiner point S in the direction
@@ -453,29 +455,27 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
     with normal angle phi_b.  The arguments broadcast, so the polar oracle
     solves each direction's exit once and shares it by that ray's nodes.  At
     phi_b, g(phi) = <P, N(phi)> - p(phi) equals (r - rb) * cos(theta - phi_b)
-    (within the table's E where `_radial_boundary` read it), a lower bound
-    on the clearance max g: InteriorPoint means it is at most
+    within the table's E (`_radial_boundary`), a lower bound on the
+    clearance max g: InteriorPoint means it is at most
     tol = 1e-13 * (|P| + a0), BoundaryCollar at most _TANGENT_COLLAR * a0.
     Otherwise g is positive on one arc shorter than pi that contains phi_b, so
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
-    (phi_b, phi_b + pi).  Both are polished together from
-    phi_b -/+ arccos(rb / r), the roots for a circle of radius rb.  Given a
-    `_support_table`, `_coarse_roots` moves them in float32 (into the bracket;
-    one it leaves non-finite or unmoved stays), and they are solved on
-    g_H = <P, N> - H, read at the angle as it is, to |g_H| <= tol_h =
-    (1 - 2^-50) tol - E - 2^-49 (|px| + |py|): E the table's estimate of
-    |g - g_H| and the last term the most that reducing the root mod 2*pi
-    moves <P, N> as g reads it, rounding included.  One float64 evaluation of
-    g_H at each seed takes a Newton step that `_newton_certificate` proves
-    to meet that bound by a Taylor bound, its next correction at most 1e-12;
-    the steps it leaves are polished on g_H from the step (or the seed where
-    the step leaves the bracket), with one more Newton step where the last
-    exceeded 1e-12, kept if it meets tol_h.  Roots that miss tol_h, and all
-    without a table, are polished on Horner's g, read at the root reduced
-    mod 2*pi, so |g| <= tol holds at the angle returned.  g rises through
-    zero at phi1 and is positive on the counterclockwise arc of length
-    delta = pi - omega to phi2; RootCountAnomaly means that arc is not
-    shorter than pi.
+    (phi_b, phi_b + pi).  Both start from phi_b -/+ arccos(rb / r), the
+    roots for a circle of radius rb, which `_coarse_roots` moves in float32
+    (into the bracket; one it leaves non-finite or unmoved stays).  They are
+    solved on the body's `_support_table`, g_H = <P, N> - H read at the
+    angle as it is, to |g_H| <= tol_h = (1 - 2^-50) tol - E -
+    2^-49 (|px| + |py|): E the table's estimate of |g - g_H| and the last
+    term the most that reducing the root mod 2*pi moves <P, N> as g reads
+    it, rounding included.  Each step is one float64 evaluation of g_H and a
+    Newton step inside the bracket, returned where `_newton_certificate`
+    proves it meets tol_h with its next correction at most 1e-12: at every
+    root, then at most twice more at the roots it leaves.  Roots it still
+    leaves (all where tol_h <= 0) are polished on Horner's g from their last
+    step, read at the root reduced mod 2*pi, so |g| <= tol holds at the
+    angle returned.  g rises through zero at phi1 and is positive on the
+    counterclockwise arc of length delta = pi - omega to phi2;
+    RootCountAnomaly means that arc is not shorter than pi.
     """
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
     collar = _TANGENT_COLLAR * body.a0
@@ -488,30 +488,22 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table=None):
         raise BoundaryCollar(f"point clears the boundary by {clearance[thin][0]:.3g}, below collar {collar:.3g}")
     # last axis, entry 0: rising root, entry 1: falling root; every bracket lies
     # within pi of phi_b, itself within pi/2 of theta in (-pi, 2*pi): in _turn's range.
-    # The polish gathers arrays of the roots' shape (a broadcast one costs 6x as much).
+    # The steps gather arrays of the roots' shape (a broadcast one costs 6x as much).
     shape = clearance.shape + (2,)
     px, py, tol, b = (np.broadcast_to(v[..., None], shape).copy() for v in (px, py, tol, phi_b))
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
-    todo = np.ones(shape, dtype=bool)
-    if table is not None:
-        size = np.abs(px) + np.abs(py)
-        tol_h = (1.0 - 2.0**-50) * tol - table[2] - 2.0**-49 * size
-        lo, hi = np.minimum(neg, b), np.maximum(neg, b)
-        seed = _coarse_roots(table, px, py, x, neg, b, tol)
-        moved = np.isfinite(seed) & (seed != x.astype(np.float32))
-        x = np.where(moved, np.clip(seed, lo, hi), x)
-        x, done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h)
-        todo = ~done
-        if todo.any():  # the polish, from the Newton step where it stays in the bracket
-            px_t, py_t, tol_t = px[todo], py[todo], tol_h[todo]
-            x_t, (g, dg) = _polish_roots(
-                partial(_g_table, table), x[todo], neg[todo], b[todo], tol_t, tol_t > 0.0, px_t, py_t
-            )
-            open_ = ~(np.abs(g) <= tol_t)
-            big = ~open_ & (np.abs(g) > 1e-12 * np.abs(dg)) & (dg != 0.0)
-            y = x_t[big] - g[big] / dg[big]
-            x_t[big] = np.where(np.abs(_g_table(table, y, px_t[big], py_t[big])[0]) <= tol_t[big], y, x_t[big])
-            x[todo], todo[todo] = x_t, open_
+    size, lo, hi = np.abs(px) + np.abs(py), np.minimum(neg, b), np.maximum(neg, b)
+    tol_h = (1.0 - 2.0**-50) * tol - table[2] - 2.0**-49 * size
+    seed = _coarse_roots(table, px, py, x, neg, b, tol)
+    moved = np.isfinite(seed) & (seed != x.astype(np.float32))
+    x = np.where(moved, np.clip(seed, lo, hi), x)
+    x, done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h)
+    todo = ~done
+    for _ in range(2):
+        if not todo.any():
+            break
+        x[todo], done = _newton_certificate(table, *(v[todo] for v in (x, px, py, lo, hi, size, tol_h)))
+        todo[todo] = ~done
     if todo.any():
         x[todo], _ = _polish_roots(partial(_g, body), x[todo], neg[todo], b[todo], tol[todo], True, px[todo], py[todo])
     roots = _turn(x)
@@ -679,33 +671,29 @@ def spectral_integral(body: TrigSupport, kernel: Kernel) -> IntegralResult:
 # Polar-grid oracle
 
 
-def _radial_boundary(body: TrigSupport, thetas, table=None):
+def _radial_boundary(body: TrigSupport, thetas, table):
     """Distances rb from the origin to the boundary along the directions
-    thetas, and the normal angles phi of the boundary points they reach.
+    thetas, and the normal angles phi of the boundary points they reach,
+    read on the body's `_support_table`.
 
-    rb minimizes p(phi)/cos(theta - phi) over the half-turn window about
+    rb minimizes H(phi)/cos(theta - phi) over the half-turn window about
     theta (the origin must be interior), so phi is the root of
-    k = p' cos(theta - phi) - p sin(theta - phi), whose derivative
-    rho cos(theta - phi) is positive in the window: k < 0 < k at its ends;
-    k is polished to |k| <= tol = 1e-13 * a0.  Given the body's
-    `_support_table` whose E lies below tol, k is read on its H instead of
-    Horner's p, to |k_H| <= tol - E: k_H / cos^2 is the derivative of
-    H/cos, so rb is the minimum of H/cos and within E/cos(theta - phi) of
-    the minimum of p/cos, whatever the error of H', and g(phi) of
-    `_tangent_solve` is within E of its (r - rb) cos(theta - phi).
+    k_H = H' cos(theta - phi) - H sin(theta - phi), whose derivative
+    (H + H'') cos(theta - phi) is positive in the window: k_H < 0 < k_H at
+    its ends; k_H is polished to |k_H| <= 1e-13 * a0.  k_H / cos^2 is the
+    derivative of H/cos, so rb is the minimum of H/cos and within
+    E/cos(theta - phi) of the minimum of p/cos, E the table's estimate,
+    whatever the error of H', and g(phi) of `_tangent_solve` is within E of
+    its (r - rb) cos(theta - phi).
     """
-    span, tol = PI / 2.0 - 1e-6, 1e-13 * body.a0
-    if table is not None and table[2] < tol:
-        tol -= table[2]
-    else:
-        table = None
+    span = PI / 2.0 - 1e-6
 
     def k(phi, theta):
         c, s = np.cos(theta - phi), np.sin(theta - phi)
-        p, dp, ddp = _derivs(body, phi, (0, 1, 2)) if table is None else _hermite(table, phi)
+        p, dp, ddp = _hermite(table, phi)
         return dp * c - p * s, (p + ddp) * c, p / c
 
-    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, tol, True, thetas)
+    phi, (_, _, rb) = _polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True, thetas)
     return rb, phi
 
 
@@ -721,9 +709,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         direction's boundary exit is solved once, by one `_radial_boundary`
         call for all of them, and shared by that ray's nodes, and the tangent
         lines of a block of rows are solved in one batch (`_tangent_solve`);
-        the body's `_support_table` is built before the exits, which read it
-        where its estimate lies below their tol, and the tangent solve reads
-        it where its estimate lies below the least tol of the field's roots;
+        both read the body's one `_support_table`;
       ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
@@ -748,8 +734,6 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
-    if table[2] >= 1e-13 * (centered.a0 + float(np.min(rs))):  # the least tol of the roots
-        table = None
     omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table)[2] for i in range(0, n_theta, rows)]
     return np.concatenate(omegas), weights, ring_mass
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -251,11 +252,10 @@ def _exterior_points(body, phis, gaps):
     return boundary_point(body, phis) + np.asarray(gaps)[:, None] * normals
 
 
-def _check_batch(body, points, every=1, table=None):
+def _check_batch(body, points, every=1):
     """Roots, sign pattern and gap of the batched solve, and bit equality
-    with the one-point solve on every `every`-th point: support_line_angles,
-    or the same table's solve of that point alone."""
-    phi1, phi2, omega = _tangent_angles(body, points, table)
+    with the one-point solve, support_line_angles, on every `every`-th point."""
+    phi1, phi2, omega = _tangent_angles(body, points)
     delta = PI - omega
     tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
     for phi in (phi1, phi2):
@@ -265,12 +265,8 @@ def _check_batch(body, points, every=1, table=None):
     assert np.all(points[:, 0] * np.cos(mid) + points[:, 1] * np.sin(mid) > eval_support(body, mid))
     assert np.all((0.0 < delta) & (delta < PI))
     for i in range(0, len(points), every):
-        if table is None:
-            tp = support_line_angles(body, points[i])
-            one = (tp.phi1, tp.phi2, tp.omega)
-        else:
-            one = tuple(float(v[0]) for v in _tangent_angles(body, points[i : i + 1], table))
-        assert one == (phi1[i], phi2[i], omega[i])
+        tp = support_line_angles(body, points[i])
+        assert (tp.phi1, tp.phi2, tp.omega) == (phi1[i], phi2[i], omega[i])
     return phi1, delta
 
 
@@ -343,16 +339,18 @@ def test_table_estimate_leaves_the_polish_room():
         assert rows.shape == (6, cells) and estimate <= 0.4e-13 * body.a0, degree
 
 
-@pytest.mark.parametrize("degree", [128, 512, 1024])
+@pytest.mark.parametrize("degree", [128, 512, 1024, 2048])
 def test_one_polar_block_keeps_the_contract(degree, monkeypatch):
     # the first block of the polar field at 96 directions, 42 rays of 96
     # nodes from the collar out, solved on the table with no Horner fallback
+    # up to degree 1024; at 2048 the table's E leaves the roots nearest the
+    # body no room under tol, and Horner's g finishes them
     body = recenter_to_steiner(random_body(3, degree, index=1))
     fallbacks = _count_horner_polish(monkeypatch)
-    _, points, table = _reference_polar_field(body, ExteriorConfig(nodes_phi=96))
+    _, points, _ = _reference_polar_field(body, ExteriorConfig(nodes_phi=96))
     fallbacks.clear()
-    _check_batch(body, points[:42].reshape(-1, 2), every=997, table=table)
-    assert table is not None and fallbacks == []
+    _check_batch(body, points[:42].reshape(-1, 2), every=997)
+    assert (fallbacks == []) == (degree <= 1024)
 
 
 def test_roots_the_table_leaves_keep_the_contract(mix_body, monkeypatch):
@@ -366,30 +364,48 @@ def test_roots_the_table_leaves_keep_the_contract(mix_body, monkeypatch):
     tol = 1e-13 * (np.hypot(points[:, 0], points[:, 1]) + body.a0)
     assert np.all((tol <= table[2]) == (np.arange(len(points)) < 3))
     fallbacks = _count_horner_polish(monkeypatch)
-    _check_batch(body, points, table=table)
+    _check_batch(body, points)
     assert fallbacks and fallbacks[0] == 6
 
 
-def test_table_wherever_its_estimate_leaves_room(monkeypatch):
-    # the tangent solve gets the field's table whenever its E lies below the
-    # least tol of the field's roots, however few roots it serves: the polar
-    # field of degree 128 at 16 directions (8192 cells, 3072 roots) polishes
-    # no root on Horner's g
-    body, cfg = random_body(3, 8, index=1), ExteriorConfig(nodes_phi=16)
-    centered = recenter_to_steiner(body)
-    _, points, _ = _reference_polar_field(body, cfg)
-    least = 1e-13 * (centered.a0 + np.min(np.hypot(points[..., 0], points[..., 1])))
-    real = _support_table(centered)
-    for scale, handed in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
-        tables = []
-        with monkeypatch.context() as patch:
-            patch.setattr(visual_angle, "_support_table", lambda body: (*real[:2], scale * least, real[3]))
-            patch.setattr(visual_angle, "_tangent_solve", lambda *a: tables.append(a[-1]) or _tangent_solve(*a))
-            _polar_field.__wrapped__(body, cfg)
-        assert tables and all((t is not None) == handed for t in tables)
-    fallbacks = _count_horner_polish(monkeypatch)
-    _polar_field.__wrapped__(random_body(3, 128, index=1), ExteriorConfig(nodes_phi=16))
-    assert fallbacks == []
+def test_field_always_hands_over_its_table(monkeypatch):
+    # the tangent solve gets the field's one table at every degree: at 2048,
+    # 96 directions, its E leaves the roots nearest the body no room under
+    # tol (tol_h <= 0), and Horner's g finishes those from the certificate's
+    # steps, each within the contract at the angle returned
+    body = random_body(3, 2048, index=1)
+    built, handed = [], []
+    monkeypatch.setattr(visual_angle, "_support_table", lambda body: built.append(_support_table(body)) or built[-1])
+    monkeypatch.setattr(visual_angle, "_tangent_solve", lambda *a: handed.append(a[-1]) or _tangent_solve(*a))
+    finished = _horner_finished(monkeypatch)
+    _polar_field.__wrapped__(body, ExteriorConfig(nodes_phi=96))
+    assert len(built) == 1 and len(handed) == 3 and all(t is built[0] for t in handed)
+    assert _assert_contract(recenter_to_steiner(body), finished) > 0
+
+
+def _horner_finished(patch):
+    """The (px, py, roots) of each call of the tangent solve's polish on
+    Horner's g, as the calls are made."""
+    finished, polish = [], visual_angle._polish_roots
+
+    def spy(f, *args, **kw):
+        roots, vals = polish(f, *args, **kw)
+        if getattr(f, "func", None) is _g:
+            finished.append((args[-2], args[-1], roots))
+        return roots, vals
+
+    patch.setattr(visual_angle, "_polish_roots", spy)
+    return finished
+
+
+def _assert_contract(body, finished):
+    """|g| <= 1e-13 (|P| + a0) on Horner's g at each root reduced mod 2*pi;
+    returns how many roots were checked."""
+    for px, py, x in finished:
+        phi = _turn(x)
+        g = px * np.cos(phi) + py * np.sin(phi) - eval_support(body, phi)
+        assert np.all(np.abs(g) <= 1e-13 * (np.hypot(px, py) + body.a0))
+    return sum(x.size for _, _, x in finished)
 
 
 @given(
@@ -398,26 +414,27 @@ def test_table_wherever_its_estimate_leaves_room(monkeypatch):
 )
 @settings(max_examples=60, deadline=None)
 def test_certified_roots_keep_the_contract(body, draws):
-    # every Newton step the certificate returns, from one float64 evaluation
+    # every Newton step a certificate returns, from one float64 evaluation
     # of g_H, meets |g| <= 1e-13 (|P| + a0) on Horner's g at the returned,
     # reduced angle: clearances 1e-5*a0 to 100*a0, the body translated by up
-    # to 1e3*a0
-    certify, certified = visual_angle._newton_certificate, []
+    # to 1e3*a0.  The first certificate reads every root, at most two more
+    # the roots it leaves
+    certify, certified, sizes = visual_angle._newton_certificate, [], []
 
     def spy(table, x, px, py, *args):
         y, done = certify(table, x, px, py, *args)
-        certified.append((px[done], py[done], y[done], done.size))
+        certified.append((px[done], py[done], y[done]))
+        sizes.append(done.size)
         return y, done
 
     points = _exterior_points(body, [phi for phi, _ in draws], [body.a0 * 10.0**u for _, u in draws])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(visual_angle, "_newton_certificate", spy)
-        roots = _tangent_angles(body, points, _table(body))
-    (px, py, y, size), = certified
-    phi = _turn(y)
+        roots = _tangent_angles(body, points)
+    assert sizes[0] == 2 * len(points) and len(sizes) <= 3
+    _assert_contract(body, certified)
+    phi = _turn(np.concatenate([y for _, _, y in certified]))
     assert np.all(np.isin(phi, np.concatenate(roots[:2])))
-    g = px * np.cos(phi) + py * np.sin(phi) - eval_support(body, phi)
-    assert size == 2 * len(points) and np.all(np.abs(g) <= 1e-13 * (np.hypot(px, py) + body.a0))
 
 
 class TestBatchedTangents:
@@ -471,17 +488,32 @@ def _reference_radial(body, theta):
     return float(vals[i])
 
 
+def _horner_radial(body, thetas):
+    """The ray exits solved on Horner's p, as `_radial_boundary` solves them
+    on the table: k = p' cos - p sin polished to |k| <= 1e-13 * a0."""
+    span = PI / 2.0 - 1e-6
+
+    def k(phi, theta):
+        c, s = np.cos(theta - phi), np.sin(theta - phi)
+        p, dp, ddp = _derivs(body, phi, (0, 1, 2))
+        return dp * c - p * s, (p + ddp) * c, p / c
+
+    phi, (_, _, rb) = visual_angle._polish_roots(k, thetas, thetas - span, thetas + span, 1e-13 * body.a0, True, thetas)
+    return rb, phi
+
+
 class TestRadialBoundary:
     def test_centred_circle(self):
         thetas = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-        rb, _ = _radial_boundary(validate_convex(TrigSupport(2.5)), thetas)
+        body = validate_convex(TrigSupport(2.5))
+        rb, _ = _radial_boundary(body, thetas, _table(body))
         assert rb == pytest.approx(np.full(16, 2.5), rel=1e-15)
 
     @pytest.mark.parametrize("name", ["ast_body", "mix_body"])
     def test_hits_boundary_along_the_ray(self, name, request):
         body = request.getfixturevalue(name)
         thetas = np.linspace(0.0, TWO_PI, 24, endpoint=False) + 0.05
-        rb, phi = _radial_boundary(body, thetas)
+        rb, phi = _radial_boundary(body, thetas, _table(body))
         hit = boundary_point(body, phi)
         ray = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         assert np.all(np.abs(hit[:, 0] * ray[:, 1] - hit[:, 1] * ray[:, 0]) <= 1e-12 * body.a0)
@@ -490,49 +522,46 @@ class TestRadialBoundary:
         assert np.all(np.abs(rb - ref) <= 1e-12 * body.a0)
 
 
-def _exit_outcome(body, points, exit_table):
+def _exit_outcome(body, points, exits):
     """What the table's tangent solve makes of each point of the body centred
-    at its Steiner point, with the ray exits solved on Horner's p
-    (exit_table None) or on the table: the exception's name, or "solved"."""
+    at its Steiner point, with the ray exits solved by exits(thetas), all in
+    one call: the exception's name, or "solved"."""
     table, out = _table(body), []
-    for px, py in points:
-        theta = np.arctan2([py], [px])
-        rb, phi_b = _radial_boundary(body, theta, exit_table)
+    thetas = np.arctan2(points[:, 1], points[:, 0])
+    for (px, py), theta, *exit in zip(points, thetas, *exits(thetas)):
         try:
-            _tangent_solve(body, np.array([px]), np.array([py]), np.hypot([px], [py]), theta, rb, phi_b, table)
+            _tangent_solve(body, np.array([px]), np.array([py]), np.hypot([px], [py]), theta, *exit, table)
             out.append("solved")
         except (InteriorPoint, BoundaryCollar) as exc:
             out.append(type(exc).__name__)
     return out
 
 
-@pytest.mark.parametrize("name", ["circle", "ast", "delt", "mix", "random8", "random128"])
+@pytest.mark.parametrize("name", ["circle", "ast", "delt", "mix", "random8", "random128", "random1024", "random2048"])
 def test_table_exits_match_horner_exits(name, request):
-    # where the table's E leaves room under the exit tol 1e-13*a0, the ray
-    # exits read H: rb within TestRadialBoundary's 1e-12*a0 of the exits on
-    # Horner's p, and the same InteriorPoint, BoundaryCollar or solved
-    # outcome for points inside, within and past the collar
+    # the ray exits read the table at every degree, also where its E exceeds
+    # their tol 1e-13*a0 (1024 and 2048): rb within TestRadialBoundary's
+    # 1e-12*a0 of the exits on Horner's p and, on every 4th direction (the
+    # sampled reference costs 0.1 s per direction at 2048), of the sampled
+    # minimum of p/cos; and the same InteriorPoint, BoundaryCollar or solved
+    # outcome as the exits on Horner's p for points inside, within and past
+    # the collar
     if name.startswith("random"):
         body = random_body(3, int(name[6:]), index=1)
     else:
         body = request.getfixturevalue(f"{name}_body")
     body, thetas = recenter_to_steiner(body), np.linspace(0.0, TWO_PI, 96, endpoint=False) + 0.05
     table = _table(body)
-    assert table[2] < 1e-13 * body.a0
-    reads = []
-    hermite = visual_angle._hermite
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(visual_angle, "_hermite", lambda *a: reads.append(1) or hermite(*a))
-        rb, _ = _radial_boundary(body, thetas, table)
-    horner_rb, _ = _radial_boundary(body, thetas)
-    assert reads and np.all(np.abs(rb - horner_rb) <= 1e-12 * body.a0)
+    rb, _ = _radial_boundary(body, thetas, table)
+    assert np.all(np.abs(rb - _horner_radial(body, thetas)[0]) <= 1e-12 * body.a0)
+    assert np.all(np.abs(rb[::4] - [_reference_radial(body, t) for t in thetas[::4]]) <= 1e-12 * body.a0)
     phis = thetas[::8]
     normals = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     points = np.concatenate([
         boundary_point(body, phis) + s * body.a0 * normals for s in (-1e-12, -1e-6, 1e-11, 5e-10, 2e-9, 1e-3, 1.0)
     ])
-    outcomes = _exit_outcome(body, points, None)
-    assert _exit_outcome(body, points, table) == outcomes
+    outcomes = _exit_outcome(body, points, partial(_horner_radial, body))
+    assert _exit_outcome(body, points, lambda theta: _radial_boundary(body, theta, table)) == outcomes
     assert set(outcomes) == {"InteriorPoint", "BoundaryCollar", "solved"}
 
 
@@ -1151,8 +1180,7 @@ def _reference_polar_field(body, cfg):
     theta fed that ray's (theta, rb, phi_b) and the field's table, the exits
     solved as the field solves them, on its table: the reference for the
     broadcast grid and the block solve.  Also returns the nodes' points, one
-    row per theta, and the table the tangent solves read (None where its E
-    leaves no room under the least tol)."""
+    row per theta, and the table."""
     centered = recenter_to_steiner(body)
     collar = visual_angle._POLAR_COLLAR * centered.a0
     panels = visual_angle._POLAR_PANELS
@@ -1173,8 +1201,6 @@ def _reference_polar_field(body, cfg):
         points.append(np.stack([radii[-1] * c, radii[-1] * s], axis=1))
         ring.append(rb * collar + 0.5 * collar * collar)
     radii, points = np.array(radii), np.array(points)
-    if table[2] >= 1e-13 * (centered.a0 + float(np.min(radii))):
-        table = None
     omegas = [_tangent_solve(centered, *p.T, rs, *exit, table)[2] for p, rs, *exit in zip(points, radii, thetas, rbs, phi_bs)]
     return (np.array(omegas), np.array(weights), w_theta * math.fsum(ring)), points, table
 
@@ -1204,8 +1230,8 @@ class TestPolarBlocks:
         # each ray's exit is solved once and shared by its nodes; solving every
         # node's own exit from its own point moves omega by round-off only
         cfg = ExteriorConfig(nodes_phi=nodes_phi)
-        _, points, table = _reference_polar_field(polar_body, cfg)
-        per_point = _tangent_angles(recenter_to_steiner(polar_body), points.reshape(-1, 2), table)[2]
+        _, points, _ = _reference_polar_field(polar_body, cfg)
+        per_point = _tangent_angles(recenter_to_steiner(polar_body), points.reshape(-1, 2))[2]
         assert np.max(np.abs(_polar_field(polar_body, cfg)[0].ravel() - per_point)) <= 1e-11
 
     def test_one_exit_solve_per_field(self, mix_body, monkeypatch):
@@ -1239,8 +1265,8 @@ class TestPolarBlocks:
         # the field where each block of 8064 roots once took 5 float64
         # evaluations of g_H at every root.  Past a block's float32 seeds, one
         # float64 evaluation at every root certifies most Newton steps; the
-        # polish then reads g_H at most at a quarter of that block's roots
-        # (about 8-11% here)
+        # further certificates then read g_H at most at a quarter of that
+        # block's roots
         calls = []
         monkeypatch.setattr(
             visual_angle, "_tangent_solve",
@@ -1319,12 +1345,12 @@ def test_gathered_polish_keeps_the_bits(degree, monkeypatch):
         assert _hex(new[0], *new[1]) == _hex(old[0], *old[1])
         assert min(sizes) < x.size // 2  # the open brackets were gathered
     thetas = np.linspace(0.0, TWO_PI, 96, endpoint=False)
-    want = _radial_boundary(centered, thetas)
+    want = _radial_boundary(centered, thetas, table)
     monkeypatch.setattr(
         visual_angle, "_polish_roots",
         lambda f, x, neg, pos, tol, active, *args: _old_polish_roots(lambda y: f(y, *args), x, neg, pos, tol, active),
     )
-    assert _hex(*_radial_boundary(centered, thetas)) == _hex(*want)
+    assert _hex(*_radial_boundary(centered, thetas, table)) == _hex(*want)
 
 
 @pytest.mark.parametrize("seed", ["nan", "neg", "pos", "circle"])
@@ -1339,7 +1365,7 @@ def test_float32_pass_only_seeds(polar_body, seed, monkeypatch):
     monkeypatch.setattr(visual_angle, "_coarse_roots", coarse)
     cfg = ExteriorConfig(nodes_phi=96)
     centered = recenter_to_steiner(polar_body)
-    _, points, table = _reference_polar_field(polar_body, cfg)
-    _check_batch(centered, points.reshape(-1, 2), every=997, table=table)
-    per_point = _tangent_angles(centered, points.reshape(-1, 2), table)[2]
+    _, points, _ = _reference_polar_field(polar_body, cfg)
+    _check_batch(centered, points.reshape(-1, 2), every=997)
+    per_point = _tangent_angles(centered, points.reshape(-1, 2))[2]
     assert np.max(np.abs(_polar_field.__wrapped__(polar_body, cfg)[0].ravel() - per_point)) <= 1e-11
