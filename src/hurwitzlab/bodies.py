@@ -293,7 +293,8 @@ def _rho_grid(body: TrigSupport) -> tuple:
 
     - n and r_n = (1 - n^2)(a_n - i b_n), the spectrum of
       rho = a0 + Re sum_n r_n e^{in phi};
-    - rho at the m = 16*max(N, 4) angles 2*pi*j/m: a0 plus the samples of
+    - rho at the m angles 2*pi*j/m, m the least power of two >= 16*max(N, 4)
+      (so the FFT never falls back to Bluestein): a0 plus the samples of
       the body with mean 0 and spectrum r_n by `_grid_derivs`, one inverse
       real FFT.  Every n lies below m/2, and the "forward" norm never scales
       the spectrum by m, so it cannot overflow before the values do;
@@ -306,7 +307,7 @@ def _rho_grid(body: TrigSupport) -> tuple:
       twiddles off by mu ~ u; the largest error is at most the 2-norm one,
       and ||y||_2 = sqrt(m/2) ||r||_2 <= sqrt(m) sum_n |r_n|.  err takes
       eta = `_FFT_LEVEL_ERR` = 64u, which leaves room for pocketfft's
-      higher-radix and Bluestein levels and for the rounding of r_n, plus
+      higher-radix levels and for the rounding of r_n, plus
       2u*a0 for the addition of a0.
 
     dip and err are rounded up past the round-off of their own sums
@@ -315,7 +316,7 @@ def _rho_grid(body: TrigSupport) -> tuple:
     """
     n = body.n
     spectrum = _body(0.0, n, (1 - n * n) * body.a, (1 - n * n) * body.b)
-    m = 16 * max(body.max_degree, 4)
+    m = 1 << (16 * max(body.max_degree, 4) - 1).bit_length()
     rho = body.a0 + _grid_derivs(spectrum, m, (0,))[0]
     r = _coef(spectrum)
     mag = np.abs(r)
@@ -329,7 +330,7 @@ def min_curvature_radius(body: TrigSupport, *, _grid: tuple | None = None) -> tu
     """Global minimum of the curvature radius rho = p + p'' and its angle.
 
     Everything is read off the spectrum r_n of `_rho_grid`, which also gives
-    rho on the 16*max(N,4) grid; `validate_convex` hands over the grid it
+    rho on its power-of-two grid; `validate_convex` hands over the grid it
     already sampled as `_grid`.  The grid's local minima x at which rho'
     changes sign between x - h and x + h are the brackets.  A bracket can
     hold the global minimum only if its cell bound rho(x) - dip reaches the

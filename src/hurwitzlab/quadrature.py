@@ -7,8 +7,8 @@ exact to round-off once the grid is fine enough.  Composite Gauss-Legendre
 panels cover the non-periodic intervals.  Every sum is `rounded_sum`'s,
 correctly rounded, so results do not depend on the order of additions or
 on how work is scheduled.  A grid is only its angles, sized by
-`grid_for_degree` (functionals) or `fast_len` (the tangent field); the
-callers sample their integrands there by inverse FFTs.
+`grid_for_degree`; the callers sample their integrands there by inverse
+FFTs.
 """
 
 from __future__ import annotations
@@ -106,25 +106,6 @@ def grid_for_degree(degree: int) -> np.ndarray:
     at least 256 nodes, a power of two, and exact for degree-2N products."""
     m = max(256, 1 << (4 * max(degree, 0) + 7).bit_length())
     return np.linspace(0.0, TWO_PI, m, endpoint=False)
-
-
-def fast_len(m: int) -> int:
-    """The smallest 2^a 3^b 5^c 7^d >= m, for m <= MAX_NODES: a length the
-    FFT serves without Bluestein's algorithm.  Each odd part p = 3^b 5^c 7^d
-    below the best length so far takes the least power of two that lifts it
-    to m, the ceiling of m/p rounded up to a power of two."""
-    best = 1 << (m - 1).bit_length() if m > 1 else 1
-    p7 = 1
-    while p7 < best:
-        p5 = p7
-        while p5 < best:
-            p3 = p5
-            while p3 < best:
-                best = min(best, p3 << (-(-m // p3) - 1).bit_length())
-                p3 *= 3
-            p5 *= 5
-        p7 *= 7
-    return best
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -17,16 +17,18 @@ quadratures and in closed form:
   tangent lengths u1 = (p2 - p1 cos delta)/sin delta - p1' and
   u2 = (p2 cos delta - p1)/sin delta - p2' (p_i, p_i' at phi1 and
   phi1 + delta), is a product of two trigonometric polynomials of degree N
-  in phi1, so of degree 2N: the periodic trapezoid on m >= 2N + 1 nodes is
-  exact, and on 2N nodes it aliases.  The integrator takes the least such
-  m >= 16 with no prime factor above 7 (`quadrature.fast_len`).  With
-  c_n = a_n - i b_n, u1 has the coefficients a0 tan(delta/2) and
-  c_n (R_n + i D_n), u2 has -a0 tan(delta/2) and c_n e^{in delta}
-  (-R_n + i D_n), where R_n = (cos n delta - cos delta)/sin delta =
-  -2 sin((n+1) delta/2) sin((n-1) delta/2)/sin delta and D_n =
+  in phi1, so of degree 2N: the periodic trapezoid on any m >= 2N + 1
+  nodes is exact (on 2N nodes it aliases), and by the discrete Parseval
+  identity it is the inner product of the two coefficient vectors, with no
+  node sampled.  With c_n = a_n - i b_n, u1 has the coefficients
+  a0 tan(delta/2) and c_n (R_n + i D_n), u2 has -a0 tan(delta/2) and
+  c_n e^{in delta} (-R_n + i D_n), where R_n = (cos n delta - cos delta)/
+  sin delta = -2 sin((n+1) delta/2) sin((n-1) delta/2)/sin delta and D_n =
   sin(n delta)/sin delta - n = -4 sum_{0<k<n, k+n odd} sin^2(k delta/2),
-  neither of which cancels; each is one inverse FFT per gap
-  (`_tangent_lengths`).
+  neither of which cancels.  So -mean(u1*u2) = a0^2 tan^2(delta/2) +
+  sum_n |c_n|^2/2 Re((R_n + i D_n)^2 e^{-in delta}), one term per harmonic
+  (`_parseval_terms`); it reads |c_n|^2 and the geometric multipliers,
+  never the closed form's weights.
 
 * polar grid (oracle): direct 2D quadrature about the Steiner point, the
   far zone mapped to s = r1/r on (0, 1] with no cutoff and the boundary
@@ -92,16 +94,17 @@ from .errors import (
     NonIntegrableKernel,
     RootCountAnomaly,
 )
-from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, fast_len, gauss_panels, rounded_sum
+from .quadrature import MAX_NODES, PI, TWO_PI, _read_only, gauss_panels, rounded_sum
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
 # 8-point Gauss panels per radial zone (near and far) of the polar oracle.
 _POLAR_PANELS = 6
-# Entries (gaps x phi1) per block of _gap_mass, one _tangent_lengths call each:
-# blocks keep the field's memory flat in the degree (unblocked, degree 262142
-# would take about 6 GB); of 2^13 to 2^16, 2^14 timed best at degrees 8 to
-# 128 and 8192, and 1.14x and 1.34x the best (2^15) at 512 and 2048.
+# Entries (gaps x (N + 2)) per block of _gap_mass, one _parseval_terms call
+# each: blocks keep the field's memory flat in the degree (unblocked, degree
+# 262142 would take several GB); of 2^13 to 2^17, 2^14 timed within 8% of the
+# best at degrees 8 to 128 and best at 8192 and 32768, and 1.1x and 1.3x the
+# best (2^16) at 512 and 2048.
 _BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
@@ -282,12 +285,11 @@ class ExteriorConfig:
 
     nodes_phi: its directions, an integer in [16, 2^20] (ValueError, raised
     before any allocation), each with 96 radial nodes.  The tangent
-    integrator reads no config: its rule follows the body,
-    fast_len(max(16, 2N + 1)) phi1 nodes for a body of degree N (the fewest
-    with no prime factor above 7 on which it is exact, module docstring)
-    and _DELTA_PANELS = 16 Gauss panels of 16 points in the gap, gaps below
-    the fixed collar _DELTA_MIN = 1e-4 excluded and their dropped mass
-    bounded inside the error bar.
+    integrator reads no config: its phi1 integral is exact by Parseval's
+    identity (module docstring), and its gap rule is _DELTA_PANELS = 16
+    Gauss panels of 16 points, gaps below the fixed collar
+    _DELTA_MIN = 1e-4 excluded and their dropped mass bounded inside the
+    error bar.
     """
 
     nodes_phi: int = 256
@@ -556,40 +558,34 @@ def exterior_point(body: TrigSupport, phi1: float, delta: float):
 # Tangent-coordinate integration
 
 
-def _tangent_lengths(body: TrigSupport, m: int, gaps) -> np.ndarray:
-    """(u1, u2) stacked, one row per gap delta and one column per phi1 =
-    2*pi*j/m, by the multipliers of the module docstring, sampled like
-    `bodies._grid_derivs` on a multiple q*m > 2N.  D_n runs by
-    D_(n+2) = D_n - 4 sin^2((n+1) delta/2) from D_0 = D_1 = 0.  Real
-    multiplies and adds alone form and apply the multipliers, so a row's
-    bits depend on its gap alone."""
-    n, a, b, top = body.n, 0.5 * body.a, 0.5 * body.b, body.max_degree
-    q = 2 * top // m + 1
+def _parseval_terms(body: TrigSupport, gaps) -> np.ndarray:
+    """The terms of -mean(u1*u2) by Parseval (module docstring), one row per
+    gap delta: a0^2 tan^2(delta/2), then c_sq_n/2 Re((R_n + i D_n)^2
+    e^{-in delta}) per harmonic n.  D_n runs by D_(n+2) = D_n -
+    4 sin^2((n+1) delta/2) from D_0 = D_1 = 0 over a table of the half-angle
+    sines, gaps x (N + 2).  Real multiplies and adds alone form the terms,
+    so a row's bits depend on its gap alone."""
+    n, top = body.n, body.max_degree
     half = (0.5 * gaps)[:, None] * np.arange(top + 2.0)
     s, d = np.sin(half), np.zeros((len(gaps), top // 2 + 1, 2))  # D_2i+j at [:, i, j]
     d.reshape(len(gaps), -1)[:, 2 : top + 1] = -4.0 * s[:, 1:top] ** 2
-    d = np.cumsum(d, axis=1).reshape(len(gaps), -1)
-    r, d, sn = -2.0 * s[:, n + 1] * s[:, n - 1] / np.sin(gaps)[:, None], d[:, n], s[:, n]
+    d = np.cumsum(d, axis=1).reshape(len(gaps), -1)[:, n]
+    r, sn = -2.0 * s[:, n + 1] * s[:, n - 1] / np.sin(gaps)[:, None], s[:, n]
     cos_n, sin_n = 1.0 - 2.0 * sn * sn, 2.0 * sn * np.cos(half[:, n])
-    ar, bd, ad, br = a * r, b * d, a * d, b * r  # c_n (R_n + i D_n) and c_n (-R_n + i D_n)
-    x, y = bd - ar, ad + br
-    spec = np.zeros((2, len(gaps), q * m // 2 + 1), dtype=complex)
-    spec[:, :, 0] = np.multiply.outer([body.a0, -body.a0], np.tan(0.5 * gaps))
-    spec[0].real[:, n], spec[0].imag[:, n] = ar + bd, ad - br
-    spec[1].real[:, n], spec[1].imag[:, n] = cos_n * x - sin_n * y, sin_n * x + cos_n * y
-    return np.fft.irfft(spec, q * m, norm="forward")[..., ::q]
+    harmonic = 0.5 * body.c_sq * ((r * r - d * d) * cos_n + 2.0 * r * d * sin_n)
+    return np.hstack([(body.a0 * np.tan(0.5 * gaps))[:, None] ** 2, harmonic])
 
 
-def _gap_mass(body: TrigSupport, gaps, nodes_phi: int):
+def _gap_mass(body: TrigSupport, gaps):
     """The tangent field G at the 1-D `gaps`: integral_exterior f(omega) dP =
-    integral_0^pi f(pi - delta) G(delta) ddelta, G the periodic trapezoid of
-    |u1*u2| / sin(delta) on nodes_phi angles, one `_tangent_lengths` call
-    per block of _BLOCK_ENTRIES entries (gaps x phi1).
+    integral_0^pi f(pi - delta) G(delta) ddelta, G = 2*pi*row/sin(delta),
+    row the `rounded_sum` of the gap's `_parseval_terms`, one call per block
+    of at most _BLOCK_ENTRIES entries (gaps x (N + 2)).
     """
     gaps = np.asarray(gaps, dtype=float)
-    rows = max(1, _BLOCK_ENTRIES // nodes_phi)
-    blocks = (_tangent_lengths(body, nodes_phi, gaps[i : i + rows]) for i in range(0, len(gaps), rows))
-    return TWO_PI / nodes_phi * np.concatenate([rounded_sum(np.abs(u1 * u2)) for u1, u2 in blocks]) / np.sin(gaps)
+    rows = max(1, _BLOCK_ENTRIES // (body.max_degree + 2))
+    blocks = (_parseval_terms(body, gaps[i : i + rows]) for i in range(0, len(gaps), rows))
+    return TWO_PI * np.concatenate([rounded_sum(terms) for terms in blocks]) / np.sin(gaps)
 
 
 def _delta_edges(panels: int) -> np.ndarray:
@@ -610,29 +606,31 @@ def _gap_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 def _tangent_field(body: TrigSupport):
     """Kernel-independent part of `exterior_integral`, cached for the last 8
     bodies: (G at the gap nodes of the fine and of the coarse level of
-    `_gap_rules`, the fine level's node count, G(_DELTA_MIN)).
+    `_gap_rules`, the fine level's product count, G(_DELTA_MIN)).
 
-    G's phi1 rule is exact on the `fast_len`(max(16, 2N + 1)) nodes all gaps
-    take (module docstring).  The fine level takes _DELTA_PANELS gap panels
+    G is exact in phi1 by Parseval's identity (module docstring): each gap
+    sums 1 + K products for a body of K harmonics, the count reported as
+    `IntegralResult.nodes`.  The fine level takes _DELTA_PANELS gap panels
     and the coarse level half as many, so fine - coarse measures the delta
     rule.  The two levels and the collar row are one `_gap_mass` call, one
     sequence of blocks, whose masses are split back per level.  G is
     translation invariant: the n = 1 multipliers vanish (R_1 = D_1 = 0).
     """
-    nodes_phi = fast_len(max(16, 2 * body.max_degree + 1))
     levels = [x for x, _ in _gap_rules()]
-    mass = _gap_mass(body, np.concatenate([*levels, [_DELTA_MIN]]), nodes_phi)
+    mass = _gap_mass(body, np.concatenate([*levels, [_DELTA_MIN]]))
     *masses, collar_row = np.split(mass, np.cumsum([x.size for x in levels]))
-    return _read_only(*masses), levels[0].size * nodes_phi, float(collar_row[0])
+    return _read_only(*masses), levels[0].size * (1 + body.n.size), float(collar_row[0])
 
 
 def exterior_integral(body: TrigSupport, kernel: Kernel, config: ExteriorConfig | None = None) -> IntegralResult:
     """Integral of kernel(omega(P)) over the exterior, in tangent coordinates.
 
     Composite Gauss panels in the gap direction (graded toward delta = pi,
-    where the integrand has a removable limit) and a periodic trapezoid in
-    the angular direction on fast_len(max(16, 2N + 1)) nodes, exact for the
-    degree-2N phi1 integrand.  The error bar combines the difference from a
+    where the integrand has a removable limit) and, in the angular
+    direction, the exact trapezoid of the degree-2N phi1 integrand, read by
+    Parseval's identity as one product per harmonic and gap.  `nodes` is
+    the fine level's gap count times 1 + K, K the body's harmonic count:
+    the products its value sums.  The error bar combines the difference from a
     coarse level that halves only the delta panels with a bound on the mass
     dropped inside the near-boundary collar.  The tangent field is kernel
     independent and cached per body, and the kernel's weighted values on the

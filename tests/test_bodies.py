@@ -64,7 +64,7 @@ def _certificate_slack(body):
 
 def _reference_rho_min(body):
     """min rho: FFT samples at 64x the search grid, then a zoom on each near-minimal sample."""
-    m = 64 * 16 * max(body.max_degree, 4)
+    m = 64 * (1 << (16 * max(body.max_degree, 4) - 1).bit_length())
     h = TWO_PI / m
     spec = np.zeros(m // 2 + 1, dtype=complex)
     spec[0] = m * body.a0
@@ -319,7 +319,7 @@ def _inline_rho(body):
     """rho on the grid of `_rho_grid` by the inverse FFT of its own spectrum
     that it took before it sampled through `_grid_derivs`: the reference."""
     n = body.n
-    m = 16 * max(body.max_degree, 4)
+    m = 1 << (16 * max(body.max_degree, 4) - 1).bit_length()
     spec = np.zeros(m // 2 + 1, dtype=complex)
     spec[n] = 0.5 * (1 - n * n) * bodies._coef(body)
     return body.a0 + np.fft.irfft(spec, m, norm="forward")
@@ -343,8 +343,8 @@ class TestRhoGrid:
         ids=["deg3", "deg17", "prime1009", "sparse1009", "dense64", "pow2", "prime12289"],
     )
     def test_err_bounds_the_fft_round_off(self, ns):
-        # against rho at the exact grid angles in extended precision; a prime
-        # degree p makes pocketfft transform 16p points by Bluestein's method
+        # against rho at the exact grid angles in extended precision, on the
+        # power-of-two grid whatever the degree (a prime p too)
         if np.finfo(np.longdouble).precision < 18:
             pytest.skip("needs an extended-precision long double")
         rng = np.random.default_rng(len(ns))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hurwitzlab import bodies, functionals, grid_for_degree, periodic_integral, quadrature, random_body, visual_angle
 from hurwitzlab.bodies import _grid_derivs, _stage_one, recenter_to_steiner
 from hurwitzlab.errors import EmptyGrid
-from hurwitzlab.quadrature import MAX_NODES, fast_len, gauss_panels, rounded_sum
+from hurwitzlab.quadrature import MAX_NODES, gauss_panels, rounded_sum
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -23,29 +23,6 @@ def test_cos_squared_exact():
 
 def test_constant():
     assert periodic_integral(np.ones(4)) == pytest.approx(TWO_PI, rel=1e-15)
-
-
-def _smooth(k):
-    for p in (2, 3, 5, 7):
-        while k % p == 0:
-            k //= p
-    return k == 1
-
-
-def test_fast_len_is_the_least_7_smooth_length():
-    # against a brute-force scan: every m <= 10^5, the lengths of the tangent
-    # field at N = 32768 (65537 is prime) and at the top degree, around powers
-    # of 3, 5 and 7, the last 40 below MAX_NODES and 200 drawn past 2^16
-    top = 10**5
-    least, want = 10**6, {}
-    for m in range(top + 100, 0, -1):
-        least = m if _smooth(m) else least
-        want[m] = least
-    assert [fast_len(m) for m in range(1, top + 1)] == [want[m] for m in range(1, top + 1)]
-    spots = [65537, 524285, 3**12, 3**12 + 1, 5**8 + 1, 7**7 + 1, 999_983, *range(MAX_NODES - 40, MAX_NODES + 1)]
-    for m in spots + np.random.default_rng(0).integers(2**16, MAX_NODES, 200).tolist():
-        assert fast_len(m) == next(k for k in range(m, 2 * m) if _smooth(k))
-    assert (fast_len(65537), fast_len(524285)) == (65610, 524288)
 
 
 def test_aliasing_at_degree_m():
@@ -293,10 +270,10 @@ class TestRoundedSumSites:
 
     def test_gap_mass_block_at_high_degree(self, monkeypatch):
         body = recenter_to_steiner(random_body(3, 32768, index=1))
-        gaps, nodes_phi = np.array([1e-4, 1.0, 3.0]), 2 * 32768 + 1
-        mass = visual_angle._gap_mass(body, gaps, nodes_phi)
+        gaps = np.array([1e-4, 1.0, 3.0])
+        mass = visual_angle._gap_mass(body, gaps)
         monkeypatch.setattr(visual_angle, "rounded_sum", _fsum_reference)
-        assert mass.tolist() == visual_angle._gap_mass(body, gaps, nodes_phi).tolist()
+        assert mass.tolist() == visual_angle._gap_mass(body, gaps).tolist()
 
     def test_functionals_spectral_at_high_degree(self, monkeypatch):
         body = random_body(3, 131072, index=1)

@@ -41,7 +41,7 @@ from hurwitzlab.errors import (
     NonIntegrableKernel,
     NotValidated,
 )
-from hurwitzlab.quadrature import fast_len, gauss_panels
+from hurwitzlab.quadrature import gauss_panels
 from hurwitzlab.visual_angle import (
     KERNELS,
     _g,
@@ -688,13 +688,13 @@ def field_body(request):
 
 def _three_call_field(body):
     """`_tangent_field` composed as one `_gap_mass` call per level and one
-    for the collar row, each with its own blocks."""
-    body = recenter_to_steiner(body)
-    nodes_phi = fast_len(max(16, 2 * body.max_degree + 1))
+    for the collar row, each with its own blocks, on the centred body; the
+    products are counted on the body itself."""
+    products, body = 1 + body.n.size, recenter_to_steiner(body)
     panels = (visual_angle._DELTA_PANELS, visual_angle._DELTA_PANELS // 2)
     gaps = [gauss_panels(visual_angle._delta_edges(n), points=16)[0] for n in panels]
-    masses = tuple(_gap_mass(body, nodes, nodes_phi) for nodes in gaps)
-    return masses, gaps[0].size * nodes_phi, float(_gap_mass(body, [visual_angle._DELTA_MIN], nodes_phi)[0])
+    masses = tuple(_gap_mass(body, nodes) for nodes in gaps)
+    return masses, gaps[0].size * products, float(_gap_mass(body, [visual_angle._DELTA_MIN])[0])
 
 
 def _inline_integral(body, kernel):
@@ -707,67 +707,74 @@ def _inline_integral(body, kernel):
     return IntegralResult(fine, err, "tangent_coords", nodes)
 
 
-def _test_gaps(nodes_phi):
-    rows = max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
-    rng = np.random.default_rng(nodes_phi)
+def _test_gaps(rows):
+    """2 rows + 3 gaps, with both ends of the gap range: no block of `rows`
+    gaps divides them."""
+    rng = np.random.default_rng(rows)
     gaps = np.concatenate([[1e-4, PI - 1e-9], rng.uniform(1e-4, PI, 2 * rows + 1)])
     assert gaps.size % rows != 0
     return gaps
 
 
+def _horner_tolerance(gaps):
+    # Horner's corners to 1e-12 relative; below delta = 5e-4 their own
+    # round-off grows like u/delta (corners of nearly parallel lines): at
+    # delta = 1e-4 they are 2.2e-12 off a 40-digit G on mix, 16 nodes
+    return np.maximum(1e-12, 5e-16 / gaps)
+
+
 def _spy_blocks(monkeypatch):
-    """The gaps of each `_tangent_lengths` call, in call order."""
-    blocks, tangent_lengths = [], visual_angle._tangent_lengths
+    """The gaps of each `_parseval_terms` call, in call order."""
+    blocks, terms = [], visual_angle._parseval_terms
     monkeypatch.setattr(
-        visual_angle, "_tangent_lengths",
-        lambda body, m, gaps: blocks.append(gaps.tolist()) or tangent_lengths(body, m, gaps),
+        visual_angle, "_parseval_terms", lambda body, gaps: blocks.append(gaps.tolist()) or terms(body, gaps)
     )
     return blocks
 
 
 class TestTangentField:
-    @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
-    def test_block_gap_mass_equals_per_gap_loop(self, field_body, nodes_phi):
-        # the blocks' rows are bit for bit each gap computed alone
-        gaps = _test_gaps(nodes_phi)
-        block = _gap_mass(field_body, gaps, nodes_phi)
-        assert np.array_equal(block, np.concatenate([_gap_mass(field_body, [d], nodes_phi) for d in gaps]))
+    @pytest.mark.parametrize("rows", [16, 96, 100, 256])
+    def test_block_gap_mass_equals_per_gap_loop(self, monkeypatch, field_body, rows):
+        # the rows of blocks of `rows` gaps are bit for bit each gap computed alone
+        monkeypatch.setattr(visual_angle, "_BLOCK_ENTRIES", rows * (field_body.max_degree + 2))
+        gaps = _test_gaps(rows)
+        block = _gap_mass(field_body, gaps)
+        assert np.array_equal(block, np.concatenate([_gap_mass(field_body, [d]) for d in gaps]))
 
-    @pytest.mark.parametrize("nodes_phi", [16, 96, 100, 256])
-    def test_gap_mass_matches_horner(self, field_body, nodes_phi):
-        # an independent evaluation, corners from Horner's p and p' one gap at
-        # a time, to 1e-12 relative; below delta = 5e-4 its own round-off grows
-        # like u/delta (corners of nearly parallel lines): at delta = 1e-4 it is
-        # 2.2e-12 off a 40-digit G on mix, 16 nodes (the 40-digit test below)
-        gaps = _test_gaps(nodes_phi)
-        ref = _reference_gap_mass(field_body, gaps, nodes_phi)
-        got = _gap_mass(field_body, gaps, nodes_phi)
-        assert np.all(np.abs(got - ref) <= np.maximum(1e-12, 5e-16 / gaps) * np.abs(ref))
+    @pytest.mark.parametrize("extra", [16, 96, 100, 256])
+    def test_gap_mass_matches_horner(self, field_body, extra):
+        # an independent evaluation: the trapezoid of |u1*u2| on 2N + extra
+        # phi1 nodes, exact for every count above 2N, corners from Horner's
+        # p and p' one gap at a time
+        gaps = _test_gaps(extra)
+        ref = _reference_gap_mass(field_body, gaps, 2 * field_body.max_degree + extra)
+        got = _gap_mass(field_body, gaps)
+        assert np.all(np.abs(got - ref) <= _horner_tolerance(gaps) * np.abs(ref))
 
     @pytest.mark.parametrize("name", ["circle", "mix", "random8", "random64", "random200"])
     def test_gap_mass_matches_40_digits(self, request, name):
-        # 1e-14 relative at every gap, on the field's own grid and on 8N + 1
-        # nodes: the multipliers carry no cancellation, from delta = 1e-4 to
-        # pi - 1e-9 (3.9e-16 seen; the corner form was 1.3e-12 off at 1e-4)
+        # 1e-14 relative at every gap: the multipliers carry no cancellation,
+        # from delta = 1e-4 to pi - 1e-9 (the corner form was 1.3e-12 off at 1e-4)
         if name.startswith("random"):
             body = recenter_to_steiner(random_body(5, degree=int(name[6:])))
         else:
             body = request.getfixturevalue(f"{name}_body")
         gaps = np.concatenate([[1e-4, 1e-3, 0.05, PI - 1e-4, PI - 1e-9], np.linspace(0.1, 3.0, 7)])
         ref = np.array([_mp_gap_mass(body, d) for d in gaps])
-        for nodes_phi in (fast_len(max(16, 2 * body.max_degree + 1)), 8 * body.max_degree + 1):
-            got = _gap_mass(body, gaps, nodes_phi)
-            assert np.all(np.abs(got - ref) <= 1e-14 * ref), nodes_phi
+        got = _gap_mass(body, gaps)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
-    @pytest.mark.parametrize("nodes_phi", [16, 100, 1 << 14])
-    def test_gap_mass_blocks_bound_memory(self, monkeypatch, nodes_phi):
-        # no _tangent_lengths call covers more gaps than a block of
-        # _BLOCK_ENTRIES entries holds, and together they cover every gap once
-        body = random_body(5, degree=64)
-        gaps = np.linspace(1e-3, 3.0, 2 * max(1, visual_angle._BLOCK_ENTRIES // nodes_phi) + 3)
+    @pytest.mark.parametrize("degree", [16, 100, 1 << 14])
+    def test_gap_mass_blocks_bound_memory(self, monkeypatch, degree):
+        # no _parseval_terms call covers more gaps than a block of
+        # _BLOCK_ENTRIES entries (gaps x (N + 2)) holds, and together they
+        # cover every gap once
+        body = random_body(5, degree=degree)
+        rows = max(1, visual_angle._BLOCK_ENTRIES // (degree + 2))
+        gaps = np.linspace(1e-3, 3.0, 2 * rows + 3)
         blocks = _spy_blocks(monkeypatch)
-        _gap_mass(body, gaps, nodes_phi)
-        assert max(map(len, blocks)) == max(1, visual_angle._BLOCK_ENTRIES // nodes_phi)
+        _gap_mass(body, gaps)
+        assert max(map(len, blocks)) == rows
         assert sum(blocks, []) == gaps.tolist()
 
     def test_exterior_point_unchanged_on_mix(self, mix_body):
@@ -812,12 +819,14 @@ class TestTangentField:
 
     @pytest.mark.parametrize("degree", [2, 3, 8, 64])
     def test_field_ignores_translation_bit_for_bit(self, degree):
-        # the n = 1 multipliers are exact zeros (R_1 = D_1 = 0)
+        # the n = 1 multipliers are exact zeros (R_1 = D_1 = 0); the moved
+        # body's n = 1 term is one more product per fine gap
         body = random_body(5, degree, index=2)
         want = _tangent_field(recenter_to_steiner(body))
         for v in [(1e3, -2e3), (1e-3, 5.0), (3e7, 1.0)]:
             got = _tangent_field(validate_convex(rigid_motion(body, 0.0, v)))
-            assert [x.tobytes() for x in got[0]] == [x.tobytes() for x in want[0]] and got[1:] == want[1:]
+            assert [x.tobytes() for x in got[0]] == [x.tobytes() for x in want[0]] and got[2] == want[2]
+            assert got[1] == want[1] + got[0][0].size
 
     @pytest.mark.parametrize("degree", [8, 64, 200])
     def test_one_pass_blocks_span_levels(self, monkeypatch, degree):
@@ -827,7 +836,7 @@ class TestTangentField:
         blocks = _spy_blocks(monkeypatch)
         _tangent_field.cache_clear()
         _tangent_field(body)
-        rows = max(1, visual_angle._BLOCK_ENTRIES // fast_len(2 * degree + 1))
+        rows = max(1, visual_angle._BLOCK_ENTRIES // (degree + 2))
         assert [len(block) for block in blocks] == [min(rows, 385 - start) for start in range(0, 385, rows)]
         (fine, _), (coarse, _) = visual_angle._gap_rules()
         assert sum(blocks, []) == [*fine.tolist(), *coarse.tolist(), visual_angle._DELTA_MIN]
@@ -1088,16 +1097,19 @@ def degree_body(request):
 
 
 class TestDegreeExactGrid:
-    """The tangent field's phi1 rule: fast_len(max(16, 2N + 1)) nodes, exact
-    for the degree-2N integrand -u1*u2, whatever the config's nodes_phi."""
+    """The tangent field's phi1 rule: Parseval's identity, the trapezoid of
+    the degree-2N integrand -u1*u2 on any m >= 2N + 1 nodes, whatever the
+    config's nodes_phi."""
 
     def test_fine_level_is_exact(self, degree_body):
         n, body = degree_body
+        body = recenter_to_steiner(body)
         gaps, fine = visual_angle._gap_rules()[0][0], _tangent_field(body)[0][0]
-        ref = _gap_mass(body, gaps, 8 * n + 1)
-        assert np.all(np.abs(fine - ref) <= 1e-14 * np.abs(ref))
+        for nodes in (2 * n + 1, 8 * n + 1):
+            ref = _reference_gap_mass(body, gaps, nodes)
+            assert np.all(np.abs(fine - ref) <= _horner_tolerance(gaps) * np.abs(ref)), nodes
         # on 2N nodes the trapezoid aliases: 1.4e-7 relative at N = 128
-        assert np.max(np.abs(_gap_mass(body, gaps, 2 * n) - ref) / np.abs(ref)) > 1e-9
+        assert np.max(np.abs(_reference_gap_mass(body, gaps, 2 * n) - fine) / fine) > 1e-9
 
     @pytest.mark.parametrize("name", ["circle", "hd17"] + [f"random{n}" for n in _DEGREES])
     def test_bar_is_honest(self, request, name):
@@ -1118,9 +1130,10 @@ class TestDegreeExactGrid:
 
     @pytest.mark.parametrize("n", [0, 7, 8, 128])
     def test_default_node_count(self, circle_body, n):
-        # fast_len(max(16, 2N + 1)): 17 -> 18 = 2*3^2, 257 -> 270 = 2*3^3*5
+        # the fine level's 256 gaps times 1 + K products, K the harmonics
         body = circle_body if n == 0 else random_body(3, n, index=1)
-        want = {0: 16, 7: 16, 8: 18, 128: 270}[n]
+        want = {0: 1, 7: 8, 8: 9, 128: 129}[n]
+        assert body.n.size + 1 == want
         assert exterior_integral(body, crofton_kernel()).nodes == 256 * want
 
 
