@@ -4,9 +4,10 @@
 For random_body(3, N, index=1) at 96 directions, prints the median time of
 3 cold `_polar_field` builds, the cell count m of the table its ray exits
 and tangent solve read, the points at which the solve evaluated g_H in
-float32 (g32) and in float64 (g64), the roots the Newton certificate
-finished (cert) and the roots finished on Horner's g (horner), and
-|polar - spectral_integral| / bar per kernel.
+float32 (g32, always 3 per root: the seeds' plain Newton steps) and in
+float64 (g64), the roots the first Newton certificate of each block left
+(left1), the roots the certificate finished (cert) and the roots finished
+on Horner's g (horner), and |polar - spectral_integral| / bar per kernel.
 
     python scripts/oracle_timing.py [N ...]        (default: 8 32 128 512 1024 2048)
 
@@ -37,7 +38,8 @@ EVERY = 97
 def counted_build(body, cfg):
     """Build the field once more, into the cache, counting the solve's work
     and keeping every EVERY-th root with its point and body."""
-    count = {"m": 0, np.dtype(np.float32): 0, np.dtype(np.float64): 0, "cert": 0, "horner": 0}
+    count = {"m": 0, np.dtype(np.float32): 0, np.dtype(np.float64): 0, "left1": 0, "cert": 0, "horner": 0}
+    first = []  # set by each block's solve, cleared by its first certificate
     roots = []
     g_table, certificate, polish_roots, solve = va._g_table, va._newton_certificate, va._polish_roots, va._tangent_solve
 
@@ -48,15 +50,19 @@ def counted_build(body, cfg):
     def certify(*args):
         y, done = certificate(*args)
         count["cert"] += np.count_nonzero(done)
+        if first:
+            count["left1"] += done.size - np.count_nonzero(done)
+            first.clear()
         return y, done
 
-    def polish(f, x, *args, **kw):
+    def polish(f, x, *args):
         if isinstance(f, functools.partial) and f.func is va._g:
             count["horner"] += np.size(x)
-        return polish_roots(f, x, *args, **kw)
+        return polish_roots(f, x, *args)
 
     def tangent_solve(centered, px, py, *ray):
         count["m"] = ray[-1][0].shape[1]
+        first.append(True)
         phi1, phi2, omega = solve(centered, px, py, *ray)
         for phi in (phi1, phi2):
             roots.append((centered, px.ravel()[::EVERY], py.ravel()[::EVERY], phi.ravel()[::EVERY]))
@@ -88,7 +94,7 @@ def misses(roots):
 def main(degrees):
     cfg = va.ExteriorConfig(nodes_phi=DIRECTIONS)
     names = sorted(va.KERNELS)
-    head = f"{'N':>5} {'field_s':>8} {'m':>6} {'g32':>8} {'g64':>8} {'cert':>8} {'horner':>7}"
+    head = f"{'N':>5} {'field_s':>8} {'m':>6} {'g32':>8} {'g64':>8} {'left1':>7} {'cert':>8} {'horner':>7}"
     print(head + "  " + "  ".join(f"{n:>17}" for n in names))
     bad = 0
     for degree in degrees:
@@ -105,7 +111,8 @@ def main(degrees):
             kernel = va.KERNELS[name]()
             polar = va.exterior_integral_grid(body, kernel, cfg)
             ratios.append(abs(polar.value - va.spectral_integral(body, kernel).value) / polar.error_bar)
-        evals = f"{count[np.dtype(np.float32)]:>8} {count[np.dtype(np.float64)]:>8} {count['cert']:>8} {count['horner']:>7}"
+        g32, g64 = count[np.dtype(np.float32)], count[np.dtype(np.float64)]
+        evals = f"{g32:>8} {g64:>8} {count['left1']:>7} {count['cert']:>8} {count['horner']:>7}"
         line = f"{degree:>5} {statistics.median(seconds):>8.3f} {count['m']:>6} {evals}"
         print(line + "  " + "  ".join(f"{r:>17.3g}" for r in ratios))
     return 1 if bad else 0

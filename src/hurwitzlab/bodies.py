@@ -246,7 +246,7 @@ def boundary_point(body: TrigSupport, phi):
     return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
 
-def _polish_roots(f, x, neg, pos, tol, active, *args, steps=120):
+def _polish_roots(f, x, neg, pos, tol, active, *args):
     """Safeguarded Newton/bisection for roots of f, vectorized over brackets.
 
     f(x, *args) returns a tuple whose first two entries are f and f' at the
@@ -258,12 +258,12 @@ def _polish_roots(f, x, neg, pos, tol, active, *args, steps=120):
     |f| <= tol stay put.  Once fewer than half are open, the open ones are
     gathered with their ends, tol and args (arrays of x's shape or scalars),
     and f sees them alone: an elementwise f keeps every bit.  Returns the
-    roots and the last value of f(x), after at most `steps` steps.
+    roots and the last value of f(x), after at most 120 steps.
     """
     vals = f(x, *args)
     lo, hi, rising = np.minimum(neg, pos), np.maximum(neg, pos), pos > neg
     whole = []  # x and vals in full once the open brackets, at flat indices `at`, are gathered
-    for _ in range(steps):
+    for _ in range(120):
         fx, dfx = vals[0], vals[1]
         active = active & (np.abs(fx) > tol)
         if not active.any():

@@ -47,13 +47,13 @@ where the ray from the Steiner point through P leaves the body, and solved
 together (`_tangent_solve`) on g_H = <P, N> - H, H the quintic Hermite
 interpolant of p sampled by one FFT (`_support_table`), to |g_H| <= tol_h,
 tol less E, a first-order estimate of |g - g_H|, and less what reducing
-the root mod 2*pi moves.  Float32 Newton steps on H seed them
-(`_coarse_roots`); one float64 evaluation of g_H gives a Newton step,
-returned where a Taylor bound with M >= |g_H''| (from the table's bound on
-|H + H''|) proves it meets tol_h and its next correction at most 1e-12
-(`_newton_certificate`): at every root, then at most twice more at the
-roots it leaves.  Horner's g finishes what remains, every root where E
-leaves tol_h no room among them.  The ray exits solve
+the root mod 2*pi moves.  Three plain float32 Newton steps on g_H seed
+them (`_coarse_roots`, no bracket); one float64 evaluation of g_H gives a
+Newton step, returned where a Taylor bound with M >= |g_H''| (from the
+table's bound on |H + H''|) proves it meets tol_h and its next correction
+at most 1e-12 (`_newton_certificate`): at every root, then at most twice
+more at the roots it leaves.  Horner's g finishes what remains, every root
+where E leaves tol_h no room among them.  The ray exits solve
 k = H' cos - H sin on the same table (`_radial_boundary`): rb is the
 minimum of H/cos, within E/cos of p's.
 
@@ -108,7 +108,7 @@ _POLAR_PANELS = 6
 _BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
-_COARSE_STEPS = 3  # float32 steps of `_polish_roots` that seed the tangent solve's Newton certificate
+_COARSE_STEPS = 3  # float32 Newton steps seeding the tangent solve (numpy's float32 sin and cos are SIMD)
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -386,12 +386,13 @@ def _g_table(table, phi, px, py):
     return px * c + py * sn - v, -px * sn + py * c - dv
 
 
-def _coarse_roots(table, px, py, x, neg, pos, tol):
-    """x after at most _COARSE_STEPS steps of `_polish_roots` on g_H in float32
-    (whose sin and cos numpy runs as SIMD kernels) to |g_H| <= 2^23 tol, about
-    7 float32 ulps of |P| + a0, below which a root would be bisected away."""
-    x, neg, pos, px, py, tol, rows = (v.astype(np.float32) for v in (x, neg, pos, px, py, 2.0**23 * tol, table[0]))
-    return _polish_roots(partial(_g_table, (rows, *table[1:])), x, neg, pos, tol, True, px, py, steps=_COARSE_STEPS)[0]
+def _coarse_roots(table, px, py, x):
+    """x after _COARSE_STEPS plain Newton steps on g_H in float32: no bracket and no stop, seeds only."""
+    x, px, py, rows = (v.astype(np.float32) for v in (x, px, py, table[0]))
+    with np.errstate(all="ignore"):
+        for _ in range(_COARSE_STEPS):
+            x = x - np.divide(*_g_table((rows, *table[1:]), x, px, py))
+    return x
 
 
 def _newton_certificate(table, x, px, py, lo, hi, size, tol_h):
@@ -462,20 +463,20 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table):
     tol = 1e-13 * (|P| + a0), BoundaryCollar at most _TANGENT_COLLAR * a0.
     Otherwise g is positive on one arc shorter than pi that contains phi_b, so
     g(phi_b -/+ pi) < 0 and phi1, phi2 lie in (phi_b - pi, phi_b) and
-    (phi_b, phi_b + pi).  Both start from phi_b -/+ arccos(rb / r), the
-    roots for a circle of radius rb, which `_coarse_roots` moves in float32
-    (into the bracket; one it leaves non-finite or unmoved stays).  They are
-    solved on the body's `_support_table`, g_H = <P, N> - H read at the
-    angle as it is, to |g_H| <= tol_h = (1 - 2^-50) tol - E -
-    2^-49 (|px| + |py|): E the table's estimate of |g - g_H| and the last
-    term the most that reducing the root mod 2*pi moves <P, N> as g reads
-    it, rounding included.  Each step is one float64 evaluation of g_H and a
+    (phi_b, phi_b + pi).  Both start from phi_b -/+ arccos(rb / r), the roots
+    for a circle of radius rb, moved by three plain float32 Newton steps
+    (`_coarse_roots`) and clipped into the bracket unless not finite or
+    unmoved.  They are solved on the body's `_support_table`, g_H = <P, N> - H
+    read at the angle as it is, to |g_H| <= tol_h = (1 - 2^-50) tol - E -
+    2^-49 (|px| + |py|): E the table's estimate of |g - g_H| and the last term
+    the most that reducing the root mod 2*pi moves <P, N> as g reads it,
+    rounding included.  Each step is one float64 evaluation of g_H and a
     Newton step inside the bracket, returned where `_newton_certificate`
     proves it meets tol_h with its next correction at most 1e-12: at every
     root, then at most twice more at the roots it leaves.  Roots it still
     leaves (all where tol_h <= 0) are polished on Horner's g from their last
-    step, read at the root reduced mod 2*pi, so |g| <= tol holds at the
-    angle returned.  g rises through zero at phi1 and is positive on the
+    step, read at the root reduced mod 2*pi, so |g| <= tol holds at the angle
+    returned.  g rises through zero at phi1 and is positive on the
     counterclockwise arc of length delta = pi - omega to phi2;
     RootCountAnomaly means that arc is not shorter than pi.
     """
@@ -496,9 +497,8 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table):
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
     size, lo, hi = np.abs(px) + np.abs(py), np.minimum(neg, b), np.maximum(neg, b)
     tol_h = (1.0 - 2.0**-50) * tol - table[2] - 2.0**-49 * size
-    seed = _coarse_roots(table, px, py, x, neg, b, tol)
-    moved = np.isfinite(seed) & (seed != x.astype(np.float32))
-    x = np.where(moved, np.clip(seed, lo, hi), x)
+    seed = _coarse_roots(table, px, py, x)
+    x = np.where(np.isfinite(seed) & (seed != x.astype(np.float32)), np.clip(seed, lo, hi), x)
     x, done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h)
     todo = ~done
     for _ in range(2):
