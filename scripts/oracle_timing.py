@@ -2,7 +2,9 @@
 """Polar-oracle timing at high degree: one line per body degree N.
 
 For random_body(3, N, index=1) at 96 directions, prints the median time of
-3 cold `_polar_field` builds, the cell count m of the table its ray exits
+3 cold `_polar_field` builds and the median of their minor page faults
+(minflt, `resource.getrusage`; the count depends on the allocator), the cell
+count m of the table its ray exits
 and tangent solve read, the points at which the solve evaluated g_H in
 float32 (g32, always 3 per root: the seeds' plain Newton steps) and in
 float64 (g64), the roots the first Newton certificate of each block left
@@ -19,6 +21,7 @@ sin_cubed's err/bar exceeds 1 there (ROADMAP item 15).
 
 import functools
 import pathlib
+import resource
 import statistics
 import sys
 import time
@@ -61,7 +64,7 @@ def counted_build(body, cfg):
         return polish_roots(f, x, *args)
 
     def tangent_solve(centered, px, py, *ray):
-        count["m"] = ray[-1][0].shape[1]
+        count["m"] = ray[-2][0].shape[1]  # the table, before the workspace
         first.append(True)
         phi1, phi2, omega = solve(centered, px, py, *ray)
         for phi in (phi1, phi2):
@@ -94,16 +97,17 @@ def misses(roots):
 def main(degrees):
     cfg = va.ExteriorConfig(nodes_phi=DIRECTIONS)
     names = sorted(va.KERNELS)
-    head = f"{'N':>5} {'field_s':>8} {'m':>6} {'g32':>8} {'g64':>8} {'left1':>7} {'cert':>8} {'horner':>7}"
+    head = f"{'N':>5} {'field_s':>8} {'minflt':>7} {'m':>6} {'g32':>8} {'g64':>8} {'left1':>7} {'cert':>8} {'horner':>7}"
     print(head + "  " + "  ".join(f"{n:>17}" for n in names))
     bad = 0
     for degree in degrees:
         body = random_body(3, degree, index=1)
-        seconds = []
+        seconds, faults = [], []
         for _ in range(BUILDS):
-            start = time.perf_counter()
+            flt, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
             va._polar_field.__wrapped__(body, cfg)
             seconds.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
         count, roots = counted_build(body, cfg)
         bad += misses(roots)
         ratios = []
@@ -113,7 +117,7 @@ def main(degrees):
             ratios.append(abs(polar.value - va.spectral_integral(body, kernel).value) / polar.error_bar)
         g32, g64 = count[np.dtype(np.float32)], count[np.dtype(np.float64)]
         evals = f"{g32:>8} {g64:>8} {count['left1']:>7} {count['cert']:>8} {count['horner']:>7}"
-        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {count['m']:>6} {evals}"
+        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {statistics.median(faults):>7.0f} {count['m']:>6} {evals}"
         print(line + "  " + "  ".join(f"{r:>17.3g}" for r in ratios))
     return 1 if bad else 0
 

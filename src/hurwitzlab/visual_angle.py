@@ -35,8 +35,10 @@ quadratures and in closed form:
   collar added to first order (`_polar_field`).  Each ray's boundary exit
   is solved once and shared by its radial nodes, and the tangent lines of
   a block of directions are solved in one batch, O(1) per point and
-  Newton step on one table of p, which the exits read too; the field is
-  cached per (body, config).
+  Newton step on one table of p, which the exits read too.  The blocks
+  share one `_Workspace`, whose rows hold every intermediate of the g_H
+  evaluations, so no evaluation allocates an array of a block's size; the
+  field is cached per (body, config).
 
 * closed form (`spectral_integral`): weights on a0^2 and on each c_n^2
   that follow from the kernel's coefficients.
@@ -109,6 +111,9 @@ _BLOCK_ENTRIES = 1 << 14
 # Points per block of the polar oracle's tangent solve.
 _POLAR_BLOCK_POINTS = 1 << 12
 _COARSE_STEPS = 3  # float32 Newton steps seeding the tangent solve (numpy's float32 sin and cos are SIMD)
+# Rows of a tangent-solve `_Workspace`: `_g_table`'s, then all of them.
+_G_ROWS = 9
+_WORK_ROWS = _G_ROWS + 7
 # Collar of the polar oracle, in units of a0; its ring enters to first order.
 _POLAR_COLLAR = 1e-7
 # Exterior points must clear the boundary by this many a0 for the tangent solve.
@@ -369,37 +374,77 @@ def _hermite(table, phi):
     return v, dv, ddv
 
 
-def _g_table(table, phi, px, py):
+class _Workspace:
+    """Scratch rows of the tangent solve: one float64 allocation of
+    _WORK_ROWS rows of `roots` entries, made by the caller that solves the
+    blocks (`_polar_field` once per field, `_tangent_angles` sized to its
+    points) and handed to every `_tangent_solve`.  Each row serves as one
+    array of float64, float32, intp or bool; a call reads its leading
+    entries in the shape of its argument, so a short block or a gathered
+    subset uses the same buffers.  `_g_table` writes rows 0 to _G_ROWS - 1,
+    `_coarse_roots` and `_newton_certificate` the rows after them, and an
+    array read from a row holds until that row is next written.  Without it
+    every g_H evaluation allocated and freed about 15 arrays of a block's
+    size, and the freed top of the heap, given back to the system, was
+    faulted back in page by page by the next evaluation.
+    """
+
+    def __init__(self, roots: int):
+        self._rows = np.empty((_WORK_ROWS, roots))
+
+    def __call__(self, like, *rows, dtype=None):
+        """The given rows, each as an array of like's shape in dtype (like's by default)."""
+        dtype = like.dtype if dtype is None else dtype
+        return [self._rows[i].view(dtype)[: like.size].reshape(like.shape) for i in rows]
+
+
+def _g_table(table, phi, px, py, work):
     """g_H = <P, N(phi)> - H(phi) and g_H' at phi as given, not reduced mod
     2*pi: the cell's `take` wraps (cell m, where phi/h rounds up, is cell 0),
-    in the dtype of the rows, phi and P; Horner's accumulators are the taken
-    rows, updated in place."""
+    in the dtype of the rows, phi and P.  Every intermediate is a row of the
+    `_Workspace` work; Horner's accumulators are the taken rows, updated in
+    place, and g_H and g_H' are returned in rows 3 and 1."""
     rows, h = table[:2]
-    cell = np.floor(phi / h)
-    s, j = phi - cell * h, cell.astype(np.intp)
-    *coef, v, dv = (row.take(j, mode="wrap") for row in rows)  # one array each keeps them off mmap
-    v += dv * s
+    c, s, *coef, v, dv = work(phi, 0, 1, 3, 4, 5, 6, 7, 8)
+    (j,) = work(phi, 2, dtype=np.intp)
+    np.floor(np.divide(phi, h, out=c), out=c)  # the cell
+    np.subtract(phi, np.multiply(c, h, out=s), out=s)
+    np.copyto(j, c, casting="unsafe")
+    for row, out in zip(rows, (*coef, v, dv)):  # one array each keeps them off mmap
+        row.take(j, mode="wrap", out=out)
+    np.add(v, np.multiply(dv, s, out=c), out=v)
     for ck in coef[::-1]:
         np.add(np.multiply(dv, s, out=dv), v, out=dv)
         np.add(np.multiply(v, s, out=v), ck, out=v)
-    c, sn = np.cos(phi), np.sin(phi)
-    return px * c + py * sn - v, -px * sn + py * c - dv
+    g, t = coef[:2]
+    np.cos(phi, out=c)
+    np.sin(phi, out=s)
+    np.subtract(np.add(np.multiply(px, c, out=g), np.multiply(py, s, out=t), out=g), v, out=g)
+    np.multiply(np.negative(px, out=t), s, out=s)
+    np.subtract(np.add(s, np.multiply(py, c, out=c), out=s), dv, out=s)
+    return g, s
 
 
-def _coarse_roots(table, px, py, x):
-    """x after _COARSE_STEPS plain Newton steps on g_H in float32: no bracket and no stop, seeds only."""
-    x, px, py, rows = (v.astype(np.float32) for v in (x, px, py, table[0]))
+def _coarse_roots(table, px, py, x, work):
+    """x after _COARSE_STEPS plain Newton steps on g_H in float32: no bracket
+    and no stop, seeds only, returned in a row of the `_Workspace` work."""
+    x32, px32, py32 = work(x, _G_ROWS, _G_ROWS + 1, _G_ROWS + 2, dtype=np.float32)
+    for v, out in zip((x, px, py), (x32, px32, py32)):
+        np.copyto(out, v)
+    table = (table[0].astype(np.float32), *table[1:])
     with np.errstate(all="ignore"):
         for _ in range(_COARSE_STEPS):
-            x = x - np.divide(*_g_table((rows, *table[1:]), x, px, py))
-    return x
+            g, dg = _g_table(table, x32, px32, py32, work)
+            np.subtract(x32, np.divide(g, dg, out=g), out=x32)
+    return x32
 
 
-def _newton_certificate(table, x, px, py, lo, hi, size, tol_h):
+def _newton_certificate(table, x, px, py, lo, hi, size, tol_h, work):
     """(y, done): y = x - g_H/g_H' where that Newton step lands inside
     (lo, hi), else x, from one float64 evaluation of g_H at x; done where y
     is certified to meet |g_H(y)| <= tol_h and its next Newton correction is
-    at most 1e-12.  size = |px| + |py|.
+    at most 1e-12.  size = |px| + |py|.  y and done are rows of the
+    `_Workspace` work.
 
     With d the step, G = g_H in exact arithmetic and g, g' its computed
     values at x: G'' = -(G + H + H''), so on [x, y] |G''| <= M = B + |G|
@@ -416,14 +461,24 @@ def _newton_certificate(table, x, px, py, lo, hi, size, tol_h):
     holds the table's E and 2^-49 size for reading g at y reduced mod 2*pi.
     A step that is not finite (g' = 0) certifies nothing.
     """
-    g, dg = _g_table(table, x, px, py)
+    g, dg = _g_table(table, x, px, py, work)
+    y, d, slop, taylor = work(x, *range(_G_ROWS, _G_ROWS + 4))
+    inside, ok, out = work(x, *range(_G_ROWS + 4, _WORK_ROWS), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = g / dg
-        y, d, g, dg = x - step, np.abs(step), np.abs(g), np.abs(dg)
-        slop = 2.0**-48 * (size + g + dg)
-        taylor = 0.5 * (1.0 + 2.0**-20) * (table[3] + g + dg * d + slop) * (d + 2.0**-50) ** 2
-    inside = (lo < y) & (y < hi)
-    return np.where(inside, y, x), inside & (taylor + slop <= tol_h) & (taylor <= 1e-12 * dg)
+        np.subtract(x, np.divide(g, dg, out=d), out=y)
+        np.abs(d, out=d)
+        np.abs(g, out=g)
+        np.abs(dg, out=dg)
+        np.multiply(2.0**-48, np.add(np.add(size, g, out=slop), dg, out=slop), out=slop)
+        # taylor = 0.5 (1 + 2^-20) (B + g + dg d + slop) (d + 2^-50)^2
+        np.add(np.add(table[3], g, out=g), np.multiply(dg, d, out=taylor), out=taylor)
+        np.multiply(0.5 * (1.0 + 2.0**-20), np.add(taylor, slop, out=taylor), out=taylor)
+        np.multiply(taylor, np.square(np.add(d, 2.0**-50, out=d), out=d), out=taylor)
+    np.logical_and(np.less(lo, y, out=inside), np.less(y, hi, out=ok), out=inside)
+    np.copyto(y, x, where=np.logical_not(inside, out=out))
+    np.less_equal(np.add(taylor, slop, out=slop), tol_h, out=ok)
+    np.less_equal(taylor, np.multiply(1e-12, dg, out=dg), out=out)
+    return y, np.logical_and(np.logical_and(inside, ok, out=ok), out, out=ok)
 
 
 def _tangent_angles(body: TrigSupport, points):
@@ -439,7 +494,8 @@ def _tangent_angles(body: TrigSupport, points):
     centered = recenter_to_steiner(body)
     table = _support_table(body)
     rb, phi_b = _radial_boundary(centered, theta, table if centered is body else _support_table(centered))
-    return _tangent_solve(body, px, py, np.hypot(px - sx, py - sy), theta, rb, phi_b, table)
+    work = _Workspace(2 * len(points))
+    return _tangent_solve(body, px, py, np.hypot(px - sx, py - sy), theta, rb, phi_b, table, work)
 
 
 def _turn(x):
@@ -450,7 +506,7 @@ def _turn(x):
     return np.where(x < 0.0, x + TWO_PI, x)
 
 
-def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table):
+def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table, work):
     """Arrays (phi1, phi2, omega) of the support lines through the points (px, py).
 
     The point lies at distance r from the Steiner point S in the direction
@@ -479,6 +535,11 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table):
     returned.  g rises through zero at phi1 and is positive on the
     counterclockwise arc of length delta = pi - omega to phi2;
     RootCountAnomaly means that arc is not shorter than pi.
+
+    work is the caller's `_Workspace`, of at least two entries per point:
+    the seeds and the certificates, with their g_H evaluations, write every
+    intermediate into its rows, so the blocks of a field share one
+    allocation and no evaluation allocates an array of a block's size.
     """
     tol = 1e-13 * (np.hypot(px, py) + body.a0)
     collar = _TANGENT_COLLAR * body.a0
@@ -497,14 +558,14 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table):
     x, neg = b + np.array([-1.0, 1.0]) * np.arccos(rb / r)[..., None], b + np.array([-PI, PI])
     size, lo, hi = np.abs(px) + np.abs(py), np.minimum(neg, b), np.maximum(neg, b)
     tol_h = (1.0 - 2.0**-50) * tol - table[2] - 2.0**-49 * size
-    seed = _coarse_roots(table, px, py, x)
+    seed = _coarse_roots(table, px, py, x, work)
     x = np.where(np.isfinite(seed) & (seed != x.astype(np.float32)), np.clip(seed, lo, hi), x)
-    x, done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h)
+    x[...], done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h, work)
     todo = ~done
     for _ in range(2):
         if not todo.any():
             break
-        x[todo], done = _newton_certificate(table, *(v[todo] for v in (x, px, py, lo, hi, size, tol_h)))
+        x[todo], done = _newton_certificate(table, *(v[todo] for v in (x, px, py, lo, hi, size, tol_h)), work)
         todo[todo] = ~done
     if todo.any():
         x[todo], _ = _polish_roots(partial(_g, body), x[todo], neg[todo], b[todo], tol[todo], True, px[todo], py[todo])
@@ -707,7 +768,9 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         direction's boundary exit is solved once, by one `_radial_boundary`
         call for all of them, and shared by that ray's nodes, and the tangent
         lines of a block of rows are solved in one batch (`_tangent_solve`);
-        both read the body's one `_support_table`;
+        both read the body's one `_support_table`, and every block, the
+        short last one included, runs in the one `_Workspace` made here for
+        a full block;
       ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
@@ -732,7 +795,9 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
-    omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table)[2] for i in range(0, n_theta, rows)]
+    work = _Workspace(2 * rows * rs.shape[1])
+    blocks = range(0, n_theta, rows)
+    omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table, work)[2] for i in blocks]
     return np.concatenate(omegas), weights, ring_mass
 
 

@@ -46,6 +46,7 @@ from hurwitzlab.visual_angle import (
     KERNELS,
     _g,
     _g_table,
+    _Workspace,
     _gap_mass,
     _polar_field,
     _radial_boundary,
@@ -308,7 +309,8 @@ def _table(body):
 
 def _table_values(body, phi):
     """H at the angles phi in [0, 2*pi), from the body's `_support_table`."""
-    return -_g_table(_table(body), np.asarray(phi, dtype=float), 0.0, 0.0)[0]
+    phi = np.asarray(phi, dtype=float)
+    return -_g_table(_table(body), phi, 0.0, 0.0, _Workspace(phi.size))[0]
 
 
 @st.composite
@@ -376,7 +378,7 @@ def test_field_always_hands_over_its_table(monkeypatch):
     body = random_body(3, 2048, index=1)
     built, handed = [], []
     monkeypatch.setattr(visual_angle, "_support_table", lambda body: built.append(_support_table(body)) or built[-1])
-    monkeypatch.setattr(visual_angle, "_tangent_solve", lambda *a: handed.append(a[-1]) or _tangent_solve(*a))
+    monkeypatch.setattr(visual_angle, "_tangent_solve", lambda *a: handed.append(a[-2]) or _tangent_solve(*a))
     finished = _horner_finished(monkeypatch)
     _polar_field.__wrapped__(body, ExteriorConfig(nodes_phi=96))
     assert len(built) == 1 and len(handed) == 3 and all(t is built[0] for t in handed)
@@ -530,7 +532,7 @@ def _exit_outcome(body, points, exits):
     thetas = np.arctan2(points[:, 1], points[:, 0])
     for (px, py), theta, *exit in zip(points, thetas, *exits(thetas)):
         try:
-            _tangent_solve(body, np.array([px]), np.array([py]), np.hypot([px], [py]), theta, *exit, table)
+            _tangent_solve(body, np.array([px]), np.array([py]), np.hypot([px], [py]), theta, *exit, table, _Workspace(2))
             out.append("solved")
         except (InteriorPoint, BoundaryCollar) as exc:
             out.append(type(exc).__name__)
@@ -1214,7 +1216,9 @@ def _reference_polar_field(body, cfg):
         points.append(np.stack([radii[-1] * c, radii[-1] * s], axis=1))
         ring.append(rb * collar + 0.5 * collar * collar)
     radii, points = np.array(radii), np.array(points)
-    omegas = [_tangent_solve(centered, *p.T, rs, *exit, table)[2] for p, rs, *exit in zip(points, radii, thetas, rbs, phi_bs)]
+    work = _Workspace(2 * radii.shape[1])
+    rays = zip(points, radii, thetas, rbs, phi_bs)
+    omegas = [_tangent_solve(centered, *p.T, rs, *exit, table, work)[2] for p, rs, *exit in rays]
     return (np.array(omegas), np.array(weights), w_theta * math.fsum(ring)), points, table
 
 
@@ -1341,6 +1345,11 @@ def _circle_brackets(body, cfg):
     return centered, table, px, py, x, neg, b, tol
 
 
+def _own_g_table(table, phi, px, py):
+    """`_g_table` in a workspace of its own, so its values outlive the next call."""
+    return _g_table(table, phi, px, py, _Workspace(phi.size))
+
+
 @pytest.mark.parametrize("degree", [8, 33, 512])
 def test_gathered_polish_keeps_the_bits(degree, monkeypatch):
     # from identical seeds the solver that gathers its open brackets returns
@@ -1349,7 +1358,7 @@ def test_gathered_polish_keeps_the_bits(degree, monkeypatch):
     body = random_body(5, degree)
     centered, table, px, py, x, neg, b, tol = _circle_brackets(body, ExteriorConfig(nodes_phi=96))
     tol_h = (1.0 - 2.0**-50) * tol - table[2]
-    for g, first, t, mask in ((_g, centered, tol, True), (_g_table, table, tol_h, tol_h > 0.0)):
+    for g, first, t, mask in ((_g, centered, tol, True), (_own_g_table, table, tol_h, tol_h > 0.0)):
         sizes = []
         new = visual_angle._polish_roots(
             lambda y, qx, qy: sizes.append(y.size) or g(first, y, qx, qy), x, neg, b, t, mask, px, py
@@ -1366,6 +1375,80 @@ def test_gathered_polish_keeps_the_bits(degree, monkeypatch):
     assert _hex(*_radial_boundary(centered, thetas, table)) == _hex(*want)
 
 
+def _old_g_table(table, phi, px, py):
+    """`_g_table` as it was before the tangent solve's workspace, verbatim:
+    the reference for the bits of the in-place evaluation."""
+    rows, h = table[:2]
+    cell = np.floor(phi / h)
+    s, j = phi - cell * h, cell.astype(np.intp)
+    *coef, v, dv = (row.take(j, mode="wrap") for row in rows)  # one array each keeps them off mmap
+    v += dv * s
+    for ck in coef[::-1]:
+        np.add(np.multiply(dv, s, out=dv), v, out=dv)
+        np.add(np.multiply(v, s, out=v), ck, out=v)
+    c, sn = np.cos(phi), np.sin(phi)
+    return px * c + py * sn - v, -px * sn + py * c - dv
+
+
+def _old_coarse_roots(table, px, py, x):
+    """`_coarse_roots` as it was before the workspace, verbatim but for the
+    name of the g_H it calls."""
+    x, px, py, rows = (v.astype(np.float32) for v in (x, px, py, table[0]))
+    with np.errstate(all="ignore"):
+        for _ in range(visual_angle._COARSE_STEPS):
+            x = x - np.divide(*_old_g_table((rows, *table[1:]), x, px, py))
+    return x
+
+
+def _old_newton_certificate(table, x, px, py, lo, hi, size, tol_h):
+    """`_newton_certificate` as it was before the workspace, verbatim but for
+    the name of the g_H it calls."""
+    g, dg = _old_g_table(table, x, px, py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = g / dg
+        y, d, g, dg = x - step, np.abs(step), np.abs(g), np.abs(dg)
+        slop = 2.0**-48 * (size + g + dg)
+        taylor = 0.5 * (1.0 + 2.0**-20) * (table[3] + g + dg * d + slop) * (d + 2.0**-50) ** 2
+    inside = (lo < y) & (y < hi)
+    return np.where(inside, y, x), inside & (taylor + slop <= tol_h) & (taylor <= 1e-12 * dg)
+
+
+def test_workspace_keeps_the_bits(monkeypatch):
+    # every g_H evaluation, float32 seed and Newton certificate of a field,
+    # run in the field's one workspace, returns the bits of the functions
+    # that allocated their arrays: each call is checked as it is made, so no
+    # value leaks from one call or block into the next.  The field of 96
+    # directions has two full blocks and a short one, and its later
+    # certificates read gathered 1-D subsets
+    calls = []
+
+    def bits(result):
+        arrays = result if isinstance(result, tuple) else (result,)
+        return [v.tolist() if v.dtype == bool else _hex(v) for v in arrays]
+
+    def spy(name, new, old):
+        def check(*args):
+            *inputs, work = args
+            inputs = [v.copy() if isinstance(v, np.ndarray) else v for v in inputs]
+            got = new(*args)
+            assert bits(got) == bits(old(*inputs))
+            roots = inputs[1]  # phi, x, or the seeds' px: arrays of the roots' shape
+            calls.append((name, roots.dtype.type, roots.ndim, roots.size))
+            return got
+
+        monkeypatch.setattr(visual_angle, name, check)
+
+    spy("_g_table", _g_table, _old_g_table)
+    spy("_coarse_roots", visual_angle._coarse_roots, _old_coarse_roots)
+    spy("_newton_certificate", visual_angle._newton_certificate, _old_newton_certificate)
+    _polar_field.__wrapped__(random_body(5, 10, index=3), ExteriorConfig(nodes_phi=96))
+    assert [size for name, _, _, size in calls if name == "_coarse_roots"] == [8064, 8064, 2304]
+    assert {(dtype, ndim) for name, dtype, ndim, _ in calls if name == "_g_table"} == {
+        (np.float32, 3), (np.float64, 3), (np.float64, 1)
+    }
+    assert any(name == "_newton_certificate" and ndim == 1 for name, _, ndim, _ in calls)
+
+
 @pytest.mark.parametrize("seed", ["nan", "neg", "pos", "circle"])
 def test_float32_pass_only_seeds(polar_body, seed, monkeypatch):
     # the float32 pass only seeds the float64 polish: a NaN seed falls back to
@@ -1375,7 +1458,7 @@ def test_float32_pass_only_seeds(polar_body, seed, monkeypatch):
     # solves stay within the shared-exit bound
     turn = {"neg": np.array([-TWO_PI, TWO_PI]), "pos": np.array([TWO_PI, -TWO_PI]), "circle": 0.0}.get(seed)
 
-    def coarse(table, px, py, x):
+    def coarse(table, px, py, x, work):
         return np.full_like(x, np.nan) if turn is None else x + turn
 
     def certify(table, x, px, py, lo, hi, *rest):
