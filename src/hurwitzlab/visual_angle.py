@@ -522,7 +522,10 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table, work):
     (phi_b, phi_b + pi).  Both start from phi_b -/+ arccos(rb / r), the roots
     for a circle of radius rb, moved by three plain float32 Newton steps
     (`_coarse_roots`) and clipped into the bracket unless not finite or
-    unmoved.  They are solved on the body's `_support_table`, g_H = <P, N> - H
+    moved by no more than float32 round-off can move them: 2^-20
+    (|px| + |py|) / s, 16 float32 roundings of g_H over s = sqrt(r^2 - rb^2),
+    the circle's |g'| at its roots (a circle's seeds move by at most 7.7 of
+    them), so the roots of a circle keep their float64 seeds.  They are solved on the body's `_support_table`, g_H = <P, N> - H
     read at the angle as it is, to |g_H| <= tol_h = (1 - 2^-50) tol - E -
     2^-49 (|px| + |py|): E the table's estimate of |g - g_H| and the last term
     the most that reducing the root mod 2*pi moves <P, N> as g reads it,
@@ -559,7 +562,8 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table, work):
     size, lo, hi = np.abs(px) + np.abs(py), np.minimum(neg, b), np.maximum(neg, b)
     tol_h = (1.0 - 2.0**-50) * tol - table[2] - 2.0**-49 * size
     seed = _coarse_roots(table, px, py, x, work)
-    x = np.where(np.isfinite(seed) & (seed != x.astype(np.float32)), np.clip(seed, lo, hi), x)
+    noise = 2.0**-20 * size / np.sqrt((r - rb) * (r + rb))[..., None]
+    x = np.where(np.isfinite(seed) & (np.abs(seed - x) > noise), np.clip(seed, lo, hi), x)
     x[...], done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h, work)
     todo = ~done
     for _ in range(2):

@@ -1486,7 +1486,9 @@ def test_float32_seeds_leave_few_roots_to_the_next_certificate(name, request, mo
     # first float64 certificate, over every root of a block, proves all but
     # at most 10% of them at 96 directions (these bodies read at most 8.4%):
     # the five fixtures, random bodies of the oracle benchmark's degrees, of
-    # high degree, and a fixture moved 1e3 * a0 off the origin
+    # high degree, and a fixture moved 1e3 * a0 off the origin.  The circle
+    # seeds are a circle's exact roots, which three float32 steps move by
+    # round-off alone: kept, they leave none
     if name == "translated":
         body = rigid_motion(request.getfixturevalue("mix_body"), 0.0, (600.0, -800.0))
     elif name.startswith("random"):
@@ -1508,4 +1510,4 @@ def test_float32_seeds_leave_few_roots_to_the_next_certificate(name, request, mo
     _polar_field.__wrapped__(body, ExteriorConfig(nodes_phi=96))
     roots, left = np.sum(counts, axis=0)
     assert roots == 96 * 96 * 2
-    assert left <= 0.1 * roots
+    assert left <= (0 if name == "circle" else 0.1 * roots)
