@@ -117,7 +117,8 @@ def main(degrees):
             ratios.append(abs(polar.value - va.spectral_integral(body, kernel).value) / polar.error_bar)
         g32, g64 = count[np.dtype(np.float32)], count[np.dtype(np.float64)]
         evals = f"{g32:>8} {g64:>8} {count['left1']:>7} {count['cert']:>8} {count['horner']:>7}"
-        line = f"{degree:>5} {statistics.median(seconds):>8.3f} {statistics.median(faults):>7.0f} {count['m']:>6} {evals}"
+        build = f"{statistics.median(seconds):>8.3f} {statistics.median(faults):>7.0f}"
+        line = f"{degree:>5} {build} {count['m']:>6} {evals}"
         print(line + "  " + "  ".join(f"{r:>17.3g}" for r in ratios))
     return 1 if bad else 0
 

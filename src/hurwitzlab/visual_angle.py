@@ -410,7 +410,7 @@ def _g_table(table, phi, px, py, work):
     np.floor(np.divide(phi, h, out=c), out=c)  # the cell
     np.subtract(phi, np.multiply(c, h, out=s), out=s)
     np.copyto(j, c, casting="unsafe")
-    for row, out in zip(rows, (*coef, v, dv)):  # one array each keeps them off mmap
+    for row, out in zip(rows, (*coef, v, dv)):
         row.take(j, mode="wrap", out=out)
     np.add(v, np.multiply(dv, s, out=c), out=v)
     for ck in coef[::-1]:
@@ -428,7 +428,7 @@ def _g_table(table, phi, px, py, work):
 def _coarse_roots(table, px, py, x, work):
     """x after _COARSE_STEPS plain Newton steps on g_H in float32: no bracket
     and no stop, seeds only, returned in a row of the `_Workspace` work."""
-    x32, px32, py32 = work(x, _G_ROWS, _G_ROWS + 1, _G_ROWS + 2, dtype=np.float32)
+    x32, px32, py32 = work(x, *range(_G_ROWS, _G_ROWS + 3), dtype=np.float32)
     for v, out in zip((x, px, py), (x32, px32, py32)):
         np.copyto(out, v)
     table = (table[0].astype(np.float32), *table[1:])
@@ -524,8 +524,9 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table, work):
     (`_coarse_roots`) and clipped into the bracket unless not finite or
     moved by no more than float32 round-off can move them: 2^-20
     (|px| + |py|) / s, 16 float32 roundings of g_H over s = sqrt(r^2 - rb^2),
-    the circle's |g'| at its roots (a circle's seeds move by at most 7.7 of
-    them), so the roots of a circle keep their float64 seeds.  They are solved on the body's `_support_table`, g_H = <P, N> - H
+    the circle's |g'| at its roots (on circles, whose circle seeds are the
+    exact roots, the steps moved them by at most 7.7 of these at 96
+    directions), so a circle keeps its float64 seeds.  They are solved on the body's `_support_table`, g_H = <P, N> - H
     read at the angle as it is, to |g_H| <= tol_h = (1 - 2^-50) tol - E -
     2^-49 (|px| + |py|): E the table's estimate of |g - g_H| and the last term
     the most that reducing the root mod 2*pi moves <P, N> as g reads it,
@@ -564,7 +565,7 @@ def _tangent_solve(body: TrigSupport, px, py, r, theta, rb, phi_b, table, work):
     seed = _coarse_roots(table, px, py, x, work)
     noise = 2.0**-20 * size / np.sqrt((r - rb) * (r + rb))[..., None]
     x = np.where(np.isfinite(seed) & (np.abs(seed - x) > noise), np.clip(seed, lo, hi), x)
-    x[...], done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h, work)
+    x[...], done = _newton_certificate(table, x, px, py, lo, hi, size, tol_h, work)  # x copies the steps out of work
     todo = ~done
     for _ in range(2):
         if not todo.any():
@@ -774,7 +775,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
         lines of a block of rows are solved in one batch (`_tangent_solve`);
         both read the body's one `_support_table`, and every block, the
         short last one included, runs in the one `_Workspace` made here for
-        a full block;
+        the largest block;
       ring_mass: area of the collar ring, sum_theta w_theta (rb*c + c^2/2).
     Cached for the last 8 (body, config) pairs: the field is kernel independent.
     """
@@ -799,7 +800,7 @@ def _polar_field(body: TrigSupport, cfg: ExteriorConfig):
     exits = (thetas[:, None], rbs[:, None], phi_bs[:, None])
     rays = (rs * np.cos(exits[0]), rs * np.sin(exits[0]), rs, *exits)
     rows = max(1, _POLAR_BLOCK_POINTS // rs.shape[1])
-    work = _Workspace(2 * rows * rs.shape[1])
+    work = _Workspace(2 * min(rows, n_theta) * rs.shape[1])
     blocks = range(0, n_theta, rows)
     omegas = [_tangent_solve(centered, *(a[i : i + rows] for a in rays), table, work)[2] for i in blocks]
     return np.concatenate(omegas), weights, ring_mass

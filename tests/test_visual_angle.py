@@ -532,7 +532,8 @@ def _exit_outcome(body, points, exits):
     thetas = np.arctan2(points[:, 1], points[:, 0])
     for (px, py), theta, *exit in zip(points, thetas, *exits(thetas)):
         try:
-            _tangent_solve(body, np.array([px]), np.array([py]), np.hypot([px], [py]), theta, *exit, table, _Workspace(2))
+            point = np.array([px]), np.array([py]), np.hypot([px], [py])
+            _tangent_solve(body, *point, theta, *exit, table, _Workspace(2))
             out.append("solved")
         except (InteriorPoint, BoundaryCollar) as exc:
             out.append(type(exc).__name__)
